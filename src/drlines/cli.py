@@ -61,7 +61,10 @@ def _parse_vec2(text) -> tuple[float, float]:
     parts = str(text).split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'x,y', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    x, y = float(parts[0]), float(parts[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"expected finite 'x,y', got {text!r}")
+    return (x, y)
 
 
 def _parse_res(text) -> tuple[int, int]:

@@ -8,7 +8,8 @@ policies resolving ties on D3, a sliding-window period detector, and the
 two grid drivers (basin raster over starting points, sweep over angle
 pairs).  Grid cells are independent work items; every cell derives its PRNG
 stream from the root seed and its own index, so results do not depend on
-how work is scheduled.
+how work is scheduled.  The grid drivers step cells together as NumPy
+lanes, handing what lanes cannot settle exactly to scalar ``simulate``.
 """
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ DEFAULT_WINDOW = 4096
 DEFAULT_MATCH_TOL = 1e-8
 DEFAULT_CHECK_EVERY = 512
 BALL_SAFETY = 0.99
+# lanes per _lockstep block, and the live-lane count below which the rest
+# of a block is finished by scalar re-runs
+_LANE_BLOCK = 4096
+_LANE_FLOOR = 32
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,13 @@ def detect_cycle(points_window: Sequence, match_tol: float = DEFAULT_MATCH_TOL
 
     if pair_ok(m - 1, m - 2):
         return None
-    for k in range(2, m // 2 + 1):
+    # a vectorised pass keeps the K whose last pair may match (the slack
+    # covers np.hypot rounding unlike math.hypot); pair_ok decides exactly
+    ks = np.arange(2, m // 2 + 1)
+    e = w[m - 1 - ks]
+    near = (np.hypot(w[m - 1, 0] - e[:, 0], w[m - 1, 1] - e[:, 1])
+            <= match_tol * (1.0 + np.hypot(e[:, 0], e[:, 1])) * (1.0 + 1e-12))
+    for k in ks[near].tolist():
         if not pair_ok(m - 1, m - 1 - k):
             continue
         a = w[m - k:]
@@ -172,10 +183,36 @@ def detect_cycle(points_window: Sequence, match_tol: float = DEFAULT_MATCH_TOL
     return None
 
 
-def _ball_radii_sq(cfg: ProblemConfig) -> tuple[float, float]:
+def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
+    """Per-config step constants (c1, s1, c2, s2, r1^2, r2^2): the line
+    directions and the squared termination-ball radii."""
+    c1, s1 = cos_sin(cfg.theta1)
+    c2, s2 = cos_sin(cfg.theta2)
     r1 = BALL_SAFETY * distance_to_D3(cfg, cfg.p1)
     r2 = BALL_SAFETY * distance_to_D3(cfg, cfg.p2)
-    return r1 * r1, r2 * r2
+    return c1, s1, c2, s2, r1 * r1, r2 * r2
+
+
+# The step formula, written once for floats and NumPy lanes alike: the
+# lane driver must reproduce the scalar iterates bit for bit, so both run
+# exactly these expressions in this order.
+def _gap(c1, s1, c2, s2, x, y):
+    """d(x, A1) - d(x, A2): the step goes through A1 when negative."""
+    return abs(s1 * (x + 0.5) - c1 * y) - abs(s2 * (x - 0.5) - c2 * y)
+
+
+def _branch(a, c, s, x, y):
+    """The DR step through the line anchored at (a, 0) with direction
+    (c, s): a = -0.5 with A1's constants, a = 0.5 with A2's."""
+    dx = x - a
+    return a + c * (c * dx + s * y), c * (-s * dx + c * y)
+
+
+def _finite_start(x0) -> tuple[float, float]:
+    x, y = float(x0[0]), float(x0[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"start ({x}, {y}) is not finite")
+    return x, y
 
 
 def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
@@ -189,75 +226,17 @@ def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
     cycle check every ``check_every`` steps, then the budget (with a final
     cycle check).  An EnumerateTree policy explores every tie branching and
     this returns the worst leaf: Budget over Cycle over ConvergedTo.
+    Raises ValueError for a non-finite start.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if isinstance(policy, EnumerateTree):
-        leaves = simulate_tree(cfg, x0, policy, max_steps=max_steps, tol=tol,
-                               record=record, window=window,
-                               match_tol=match_tol, check_every=check_every)
-        rank = {Budget: 2, Cycle: 1, ConvergedTo: 0}
-        return max(leaves, key=lambda t: rank[type(t.verdict)])
-
-    rng = None
-    if isinstance(policy, SeededRandom):
-        key = policy.seed if isinstance(policy.seed, int) else list(policy.seed)
-        rng = np.random.default_rng(np.random.SeedSequence(key))
-
-    c1, s1 = cos_sin(cfg.theta1)
-    c2, s2 = cos_sin(cfg.theta2)
-    r1sq, r2sq = _ball_radii_sq(cfg)
-    x = float(x0[0])
-    y = float(x0[1])
-    start = (x, y)
-    pts = [start]
-    win: deque = deque(maxlen=window)
-    win.append(start)
-    steps = 0
-    while True:
-        dx1 = x + 0.5
-        dx2 = x - 0.5
-        if dx1 * dx1 + y * y < r1sq:
-            verdict: Verdict = ConvergedTo(1)
-            break
-        if dx2 * dx2 + y * y < r2sq:
-            verdict = ConvergedTo(2)
-            break
-        if steps and steps % check_every == 0:
-            k = detect_cycle(win, match_tol)
-            if k is not None:
-                verdict = Cycle(k)
-                break
-        if steps >= max_steps:
-            k = detect_cycle(win, match_tol)
-            verdict = Cycle(k) if k is not None else Budget()
-            break
-        d1 = abs(s1 * dx1 - c1 * y)
-        d2 = abs(s2 * dx2 - c2 * y)
-        gap = d1 - d2
-        if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
-            use_first = True if rng is None else bool(rng.integers(0, 2) == 0)
-        else:
-            use_first = gap < 0.0
-        if use_first:
-            x, y = (-0.5 + c1 * (c1 * dx1 + s1 * y),
-                    c1 * (-s1 * dx1 + c1 * y))
-        else:
-            x, y = (0.5 + c2 * (c2 * dx2 + s2 * y),
-                    c2 * (-s2 * dx2 + c2 * y))
-        steps += 1
-        p = (x, y)
-        if record:
-            pts.append(p)
-        win.append(p)
-    if not record:
-        pts = [(x, y)]
-    return Trace(start=start, points=tuple(pts), verdict=verdict,
-                 steps_used=steps)
+    leaves = simulate_tree(cfg, x0, policy, max_steps=max_steps, tol=tol,
+                           record=record, window=window, match_tol=match_tol,
+                           check_every=check_every)
+    rank = {Budget: 2, Cycle: 1, ConvergedTo: 0}
+    return max(leaves, key=lambda t: rank[type(t.verdict)])
 
 
 def simulate_tree(cfg: ProblemConfig, x0,
-                  policy: EnumerateTree = EnumerateTree(),
+                  policy: BranchPolicy = EnumerateTree(),
                   max_steps: int = 20000, tol: float = TIE_TOL,
                   record: bool = True, window: int = DEFAULT_WINDOW,
                   match_tol: float = DEFAULT_MATCH_TOL,
@@ -266,15 +245,17 @@ def simulate_tree(cfg: ProblemConfig, x0,
 
     Within the leaf budget each tie forks the trajectory (A1 branch
     explored first); once the budget is committed, further ties fall back
-    to the A1 branch.  Returns one terminated Trace per leaf.
+    to the A1 branch.  Returns one terminated Trace per leaf.  Any other
+    policy has a budget of one leaf and picks the branch at each tie; a
+    SeededRandom stream is built at the first tie, as most trajectories
+    meet none.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    c1, s1 = cos_sin(cfg.theta1)
-    c2, s2 = cos_sin(cfg.theta2)
-    r1sq, r2sq = _ball_radii_sq(cfg)
-    start = (float(x0[0]), float(x0[1]))
-
+    start = _finite_start(x0)
+    c1, s1, c2, s2, r1sq, r2sq = _constants(cfg)
+    max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
+    rng = None
     leaves: list[Trace] = []
     # stack entries: (x, y, steps, points, window); A1 continuations are
     # pushed last so they pop first
@@ -282,12 +263,11 @@ def simulate_tree(cfg: ProblemConfig, x0,
     committed = 1
     while stack:
         x, y, steps, pts, win = stack.pop()
-        verdict: Optional[Verdict] = None
-        while verdict is None:
+        while True:
             dx1 = x + 0.5
             dx2 = x - 0.5
             if dx1 * dx1 + y * y < r1sq:
-                verdict = ConvergedTo(1)
+                verdict: Verdict = ConvergedTo(1)
                 break
             if dx2 * dx2 + y * y < r2sq:
                 verdict = ConvergedTo(2)
@@ -301,36 +281,34 @@ def simulate_tree(cfg: ProblemConfig, x0,
                 k = detect_cycle(win, match_tol)
                 verdict = Cycle(k) if k is not None else Budget()
                 break
-            d1 = abs(s1 * dx1 - c1 * y)
-            d2 = abs(s2 * dx2 - c2 * y)
-            gap = d1 - d2
-            tie = abs(gap) <= tol * (1.0 + math.hypot(x, y))
-            if tie and committed < policy.max_leaves:
-                committed += 1
-                bx = 0.5 + c2 * (c2 * dx2 + s2 * y)
-                by = c2 * (-s2 * dx2 + c2 * y)
-                bp = (bx, by)
-                bw = deque(win, maxlen=window)
-                bw.append(bp)
-                stack.append((bx, by, steps + 1,
-                              pts + [bp] if record else [bp], bw))
-            if tie or gap < 0.0:
-                x, y = (-0.5 + c1 * (c1 * dx1 + s1 * y),
-                        c1 * (-s1 * dx1 + c1 * y))
+            gap = _gap(c1, s1, c2, s2, x, y)
+            first = gap < 0.0
+            if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
+                first = True
+                if committed < max_leaves:
+                    committed += 1
+                    bp = _branch(0.5, c2, s2, x, y)
+                    bw = deque(win, maxlen=window)
+                    bw.append(bp)
+                    stack.append((bp[0], bp[1], steps + 1,
+                                  pts + [bp] if record else [bp], bw))
+                elif isinstance(policy, SeededRandom):
+                    if rng is None:
+                        rng = np.random.default_rng(
+                            np.random.SeedSequence(policy.seed))
+                    first = bool(rng.integers(0, 2) == 0)
+            if first:
+                x, y = _branch(-0.5, c1, s1, x, y)
             else:
-                x, y = (0.5 + c2 * (c2 * dx2 + s2 * y),
-                        c2 * (-s2 * dx2 + c2 * y))
+                x, y = _branch(0.5, c2, s2, x, y)
             steps += 1
             p = (x, y)
             if record:
                 pts.append(p)
-            else:
-                pts = [p]
             win.append(p)
-        if not record:
-            pts = [(x, y)]
-        leaves.append(Trace(start=start, points=tuple(pts), verdict=verdict,
-                            steps_used=steps))
+        leaves.append(Trace(start=start,
+                            points=tuple(pts) if record else ((x, y),),
+                            verdict=verdict, steps_used=steps))
     return tuple(leaves)
 
 
@@ -343,26 +321,24 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     reference point jumps forward at powers of two, which also rides out
     the transient toward the limit cycle.  The meeting distance is then
     reduced to the minimal period by divisor checks.  Returns None when no
-    recurrence is found within max_steps.
+    recurrence is found within max_steps; raises ValueError for a
+    non-finite start.
     """
-    c1, s1 = cos_sin(cfg.theta1)
-    c2, s2 = cos_sin(cfg.theta2)
+    c1, s1, c2, s2, _, _ = _constants(cfg)
 
-    def step(x: float, y: float) -> tuple[float, float]:
-        dx1 = x + 0.5
-        dx2 = x - 0.5
-        d1 = abs(s1 * dx1 - c1 * y)
-        d2 = abs(s2 * dx2 - c2 * y)
-        if d1 - d2 <= tol * (1.0 + math.hypot(x, y)):
-            return (-0.5 + c1 * (c1 * dx1 + s1 * y), c1 * (-s1 * dx1 + c1 * y))
-        return (0.5 + c2 * (c2 * dx2 + s2 * y), c2 * (-s2 * dx2 + c2 * y))
+    def step(p: tuple[float, float]) -> tuple[float, float]:
+        # FirstBranch: ties go through A1, so A1 whenever gap <= the band
+        x, y = p
+        if _gap(c1, s1, c2, s2, x, y) <= tol * (1.0 + math.hypot(x, y)):
+            return _branch(-0.5, c1, s1, x, y)
+        return _branch(0.5, c2, s2, x, y)
 
     def close(a: tuple[float, float], b: tuple[float, float]) -> bool:
         return (math.hypot(a[0] - b[0], a[1] - b[1])
                 <= match_tol * (1.0 + math.hypot(b[0], b[1])))
 
-    tortoise = (float(x0[0]), float(x0[1]))
-    hare = step(*tortoise)
+    tortoise = _finite_start(x0)
+    hare = step(tortoise)
     total = 1
     power = 1
     lam = 1
@@ -373,7 +349,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
             tortoise = hare
             power *= 2
             lam = 0
-        hare = step(*hare)
+        hare = step(hare)
         total += 1
         lam += 1
     if lam == 1:
@@ -384,7 +360,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     p = hare
     for _ in range(2 * lam):
         seg.append(p)
-        p = step(*p)
+        p = step(p)
 
     def shift_ok(d: int) -> bool:
         return all(close(seg[i + d], seg[i]) for i in range(2 * lam - d))
@@ -397,37 +373,82 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     return lam
 
 
-def _cell_policy(policy: BranchPolicy, seed: int,
-                 key: tuple[int, ...]) -> BranchPolicy:
-    # grid drivers re-key SeededRandom policies onto per-cell streams
-    if isinstance(policy, SeededRandom):
-        return SeededRandom((seed,) + key)
-    return policy
+def _lanes(cfg: ProblemConfig, x, y) -> np.ndarray:
+    """Lane array for _lockstep: rows x, y and the config's constants."""
+    consts = np.array(_constants(cfg))[:, None]
+    return np.vstack([x, y, np.repeat(consts, len(x), axis=1)])
 
 
-_VERDICT_CODE = {Budget: 0, Cycle: 3}
+def _lockstep(lanes: np.ndarray, max_steps: int, tol: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
+    together.  Per lane: (1 or 2, simulate's step count) once it enters a
+    termination ball; code 0 hands it to a scalar re-run from its start
+    when it reaches the first cycle check or the budget, comes within twice
+    the tie band (tie policies; np.hypot may round unlike math.hypot), or
+    is among the last few live lanes, cheaper to finish one by one.
+    """
+    n = lanes.shape[1]
+    codes = np.zeros(n, dtype=np.uint8)
+    steps = np.zeros(n, dtype=np.int32)
+    live = np.arange(n)
+    limit = min(max_steps, DEFAULT_CHECK_EVERY)
+    for step in range(limit + 1):
+        x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
+        dx1 = x + 0.5
+        dx2 = x - 0.5
+        in1 = dx1 * dx1 + y * y < r1sq
+        in2 = dx2 * dx2 + y * y < r2sq  # the balls are disjoint
+        codes[live[in1]] = 1
+        codes[live[in2]] = 2
+        steps[live[in1 | in2]] = step
+        gap = _gap(c1, s1, c2, s2, x, y)
+        keep = ~(in1 | in2 | (abs(gap) <= 2.0 * tol * (1.0 + np.hypot(x, y))))
+        if not keep.all():
+            lanes, live, gap = lanes[:, keep], live[keep], gap[keep]
+            x, y, c1, s1, c2, s2 = lanes[:6]
+        if step == limit or len(live) < _LANE_FLOOR:
+            break
+        first = gap < 0.0
+        lanes[0], lanes[1] = _branch(np.where(first, -0.5, 0.5),
+                                     np.where(first, c1, c2),
+                                     np.where(first, s1, s2), x, y)
+    return codes, steps
 
 
-def _raster_row(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
-                resolution: tuple[int, int], policy: BranchPolicy, seed: int,
-                max_steps: int, tol: float, j: int
-                ) -> tuple[int, np.ndarray, np.ndarray]:
+def _raster_block(cfg: ProblemConfig,
+                  bounds: tuple[float, float, float, float],
+                  resolution: tuple[int, int], policy: BranchPolicy,
+                  seed: int, max_steps: int, tol: float, lo: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
     nx, ny = resolution
     xmin, xmax, ymin, ymax = bounds
+    cell = np.arange(lo, min(lo + _LANE_BLOCK, nx * ny))
+    j, i = np.divmod(cell, nx)
+    xc = xmin + (i + 0.5) * (xmax - xmin) / nx
     yc = ymax - (j + 0.5) * (ymax - ymin) / ny
-    codes = np.zeros(nx, dtype=np.uint8)
-    nsteps = np.zeros(nx, dtype=np.int32)
-    for i in range(nx):
-        xc = xmin + (i + 0.5) * (xmax - xmin) / nx
-        cell = j * nx + i
-        tr = simulate(cfg, (xc, yc), _cell_policy(policy, seed, (cell,)),
+    codes, nsteps = _lockstep(_lanes(cfg, xc, yc), max_steps, tol)
+    for h in np.flatnonzero(codes == 0).tolist():
+        # SeededRandom policies are re-keyed onto per-cell streams
+        tr = simulate(cfg, (xc[h], yc[h]),
+                      SeededRandom((seed, lo + h))
+                      if isinstance(policy, SeededRandom) else policy,
                       max_steps=max_steps, tol=tol, record=False)
-        if isinstance(tr.verdict, ConvergedTo):
-            codes[i] = tr.verdict.target
-        else:
-            codes[i] = _VERDICT_CODE[type(tr.verdict)]
-        nsteps[i] = tr.steps_used
-    return j, codes, nsteps
+        v = tr.verdict
+        codes[h] = v.target if isinstance(v, ConvergedTo) else (
+            3 if isinstance(v, Cycle) else 0)
+        nsteps[h] = tr.steps_used
+    return codes, nsteps
+
+
+def _map_blocks(work, blocks: Sequence, threads: Optional[int]) -> list:
+    """work over blocks, in order; threads > 1 spreads the blocks over
+    worker processes."""
+    workers = threads if threads is not None else (os.cpu_count() or 1)
+    if workers > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, blocks))
+    return [work(b) for b in blocks]
 
 
 def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
@@ -437,33 +458,24 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     """Verdict raster over cell centers of the bounds rectangle.
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
-    threads > 1 distributes rows over worker processes; cell streams are
-    keyed by (seed, cell_index), so the picture is identical at any thread
-    count.
+    Cells (row-major) run through the lockstep driver in fixed blocks;
+    threads > 1 distributes the blocks over worker processes.  Cell
+    streams are keyed by (seed, cell_index), so the picture equals
+    per-cell ``simulate`` calls at any thread count.
     """
     nx, ny = resolution
     if nx < 1 or ny < 1:
         raise ValueError(f"resolution must be >= 1x1, got {nx}x{ny}")
     xmin, xmax, ymin, ymax = bounds
-    if not (xmin < xmax and ymin < ymax):
+    if not (xmin < xmax and ymin < ymax
+            and all(math.isfinite(b) for b in bounds)):
         raise ValueError(f"degenerate bounds {bounds}")
-    cells = np.zeros((ny, nx), dtype=np.uint8)
-    steps = np.zeros((ny, nx), dtype=np.int32)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers > 1 and ny > 1:
-        work = functools.partial(_raster_row, cfg, bounds, resolution, policy,
-                                 seed, max_steps, tol)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for j, codes, nsteps in pool.map(work, range(ny),
-                                             chunksize=max(1, ny // (8 * workers))):
-                cells[j] = codes
-                steps[j] = nsteps
-    else:
-        for j in range(ny):
-            _, codes, nsteps = _raster_row(cfg, bounds, resolution, policy,
-                                           seed, max_steps, tol, j)
-            cells[j] = codes
-            steps[j] = nsteps
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    work = functools.partial(_raster_block, cfg, bounds, resolution, policy,
+                             seed, max_steps, tol)
+    blocks = _map_blocks(work, range(0, nx * ny, _LANE_BLOCK), threads)
+    cells, steps = (np.concatenate(a).reshape(ny, nx) for a in zip(*blocks))
     return RasterGrid(bounds=tuple(bounds), resolution=(nx, ny), cells=cells,
                       steps=steps, seed=seed)
 
@@ -487,29 +499,35 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
     return max(max_steps, int(math.ceil(need)) + 64)
 
 
-def _sweep_pair(samples_per_pair: int, max_steps: int, seed: int, tol: float,
-                item: tuple[int, float, float]) -> PairOutcome:
-    k, t1, t2 = item
-    cfg = ProblemConfig(t1, t2)
-    res = certify(cfg)
-    certified = isinstance(res, LyapunovCertificate)
-    margin = res.condition_margin
-    starts = np.random.default_rng(
-        np.random.SeedSequence([seed, k])).uniform(-2.0, 2.0,
-                                                   size=(samples_per_pair, 2))
-    worst = -1
-    for s_idx in range(samples_per_pair):
-        x0 = starts[s_idx]
-        budget = (certified_budget(cfg, res, x0, max_steps) if certified
-                  else max_steps)
-        tr = simulate(cfg, x0, SeededRandom((seed, k, s_idx)),
-                      max_steps=budget, tol=tol, record=False)
-        if not isinstance(tr.verdict, ConvergedTo):
-            worst = s_idx
-            break
-    return PairOutcome(theta1=cfg.theta1, theta2=cfg.theta2,
-                       eq26_holds=certified, eq26_margin=margin,
-                       nonconvergent_found=worst >= 0, worst_seed=worst)
+def _sweep_block(samples: int, max_steps: int, seed: int, tol: float,
+                 items: list) -> list[PairOutcome]:
+    pairs = []
+    for k, t1, t2 in items:
+        cfg = ProblemConfig(t1, t2)
+        starts = np.random.default_rng(np.random.SeedSequence(
+            [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
+        pairs.append((k, cfg, certify(cfg), starts))
+    codes, _ = _lockstep(np.concatenate(
+        [_lanes(cfg, st[:, 0], st[:, 1]) for _, cfg, _, st in pairs], axis=1),
+        max_steps, tol)
+    outcomes = []
+    for (k, cfg, res, starts), pair_codes in zip(pairs,
+                                                  codes.reshape(-1, samples)):
+        certified = isinstance(res, LyapunovCertificate)
+        worst = -1
+        for s_idx in np.flatnonzero(pair_codes == 0).tolist():
+            budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
+                      if certified else max_steps)
+            tr = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
+                          max_steps=budget, tol=tol, record=False)
+            if not isinstance(tr.verdict, ConvergedTo):
+                worst = s_idx
+                break
+        outcomes.append(PairOutcome(
+            theta1=cfg.theta1, theta2=cfg.theta2, eq26_holds=certified,
+            eq26_margin=res.condition_margin, nonconvergent_found=worst >= 0,
+            worst_seed=worst))
+    return outcomes
 
 
 def sweep(theta_grid: Sequence[tuple[float, float]],
@@ -522,23 +540,20 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     SeededRandom tie policy on the (seed, pair_index, start_index) stream.
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
-    artifact.
+    artifact.  Consecutive pairs' starts run through the lockstep driver in
+    blocks; threads > 1 distributes the blocks over worker processes.
     """
     if samples_per_pair < 1:
         raise ValueError(
             f"samples_per_pair must be >= 1, got {samples_per_pair}")
     items = [(k, float(t1), float(t2))
              for k, (t1, t2) in enumerate(theta_grid)]
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(items) > 1:
-        work = functools.partial(_sweep_pair, samples_per_pair, max_steps,
-                                 seed, tol)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, items,
-                                     chunksize=max(1, len(items) // (8 * workers))))
-    else:
-        outcomes = [_sweep_pair(samples_per_pair, max_steps, seed, tol, it)
-                    for it in items]
+    per_block = max(1, _LANE_BLOCK // samples_per_pair)
+    work = functools.partial(_sweep_block, samples_per_pair, max_steps, seed,
+                             tol)
+    blocks = [items[i:i + per_block] for i in range(0, len(items), per_block)]
+    outcomes = [o for block in _map_blocks(work, blocks, threads)
+                for o in block]
     return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples_per_pair,
                      seed=seed, max_steps=max_steps)
 

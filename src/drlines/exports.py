@@ -85,16 +85,19 @@ def raster_csv(grid: RasterGrid) -> str:
     """One row per cell (row-major from the top): x, y, verdict, steps, target."""
     nx, ny = grid.resolution
     xmin, xmax, ymin, ymax = grid.bounds
-    rows = []
-    for j in range(ny):
-        yc = ymax - (j + 0.5) * (ymax - ymin) / ny
-        for i in range(nx):
-            xc = xmin + (i + 0.5) * (xmax - xmin) / nx
-            code = int(grid.cells[j, i])
-            target = str(code) if code in (1, 2) else ""
-            rows.append([format_float(xc), format_float(yc),
-                         _VERDICT_NAMES[code], int(grid.steps[j, i]), target])
-    return _csv_table(["x", "y", "verdict", "steps", "target"], rows)
+    # every cell of a column shares its x and every cell of a row its y, so
+    # each is formatted once; fields never need csv quoting
+    xs = [format_float(xmin + (i + 0.5) * (xmax - xmin) / nx)
+          for i in range(nx)]
+    tails = [f"{name},{{}},{code if code in (1, 2) else ''}\r\n"
+             for code, name in enumerate(_VERDICT_NAMES)]
+    out = ["x,y,verdict,steps,target\r\n"]
+    for j, (codes, steps) in enumerate(zip(grid.cells.tolist(),
+                                           grid.steps.tolist())):
+        y = format_float(ymax - (j + 0.5) * (ymax - ymin) / ny)
+        out.extend(f"{x},{y},{tails[c].format(n)}"
+                   for x, c, n in zip(xs, codes, steps))
+    return "".join(out)
 
 
 def sweep_csv(sg: SweepGrid) -> str:

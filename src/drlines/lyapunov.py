@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dr import dr_multivalued
+from .dr import dr_multivalued, dr_two_lines
 from .geometry import ProblemConfig, Region, classify_region, cos_sin
 
 # V_1 below this is treated as exactly zero to keep powers out of subnormals
@@ -251,11 +251,7 @@ def verify_ball_bruteforce(cfg: ProblemConfig, index: int, rho: float,
         p_own, p_other, t_other = cfg.p1, cfg.p2, cfg.theta2
     else:
         p_own, p_other, t_other = cfg.p2, cfg.p1, cfg.theta1
-    c, s = cos_sin(t_other)
-    dx = pts[:, 0] - p_other[0]
-    dy = pts[:, 1] - p_other[1]
-    img_x = p_other[0] + c * (c * dx + s * dy)
-    img_y = p_other[1] + c * (-s * dx + c * dy)
+    img_x, img_y = dr_two_lines(p_other, t_other, pts.T)
 
     v_here = (pts[:, 0] - p_own[0]) ** 2 + (pts[:, 1] - p_own[1]) ** 2
     v_img = (img_x - p_own[0]) ** 2 + (img_y - p_own[1]) ** 2

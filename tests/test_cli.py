@@ -66,6 +66,9 @@ def test_exit_code_matrix(capsys, tmp_path):
                             "--theta2", "0.4"])[0] == 1
     code, _, err = run_cli(capsys, ["iterate", *FIG])
     assert code == 1 and "--x0 is required" in err
+    for cmd in ("iterate", "orbit", "robust"):
+        code, _, err = run_cli(capsys, [cmd, *FIG, "--x0", "nan,0"])
+        assert code == 1 and "finite" in err
     assert run_cli(capsys, ["no-such-command"])[0] == 1
     assert run_cli(capsys, [])[0] == 1
     assert run_cli(capsys, ["--help"])[0] == 0

@@ -6,13 +6,14 @@ import pytest
 
 from drlines.dr import dr_multivalued
 from drlines.geometry import ProblemConfig, Region, classify_region, cos_sin, distance_to_D3
-from drlines.lyapunov import certify, v_local
+from drlines.lyapunov import LyapunovCertificate, certify, v_local
 from drlines.experiments import (
     Budget,
     ConvergedTo,
     Cycle,
     EnumerateTree,
     FirstBranch,
+    PairOutcome,
     SeededRandom,
     certified_budget,
     detect_cycle,
@@ -27,6 +28,7 @@ from drlines.experiments import (
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
 PERIOD2_CFG = ProblemConfig(0.748491, 0.772301)
 PERIOD58_CFG = ProblemConfig(0.082719, 2.064601)
+PERIOD1410_CFG = ProblemConfig(0.703469, 3.138852)
 
 
 def tie_point(cfg):
@@ -282,3 +284,173 @@ def test_make_theta_grid_is_admissible():
         ProblemConfig(t1, t2)
     with pytest.raises(ValueError):
         make_theta_grid(0, 5)
+
+
+def detect_cycle_scan(points_window, match_tol=1e-8):
+    # the per-K scan detect_cycle replaced; reference for its candidate filter
+    w = np.asarray(points_window, dtype=float)
+    m = len(w)
+    if m < 2:
+        return None
+
+    def pair_ok(later, earlier):
+        dx = w[later, 0] - w[earlier, 0]
+        dy = w[later, 1] - w[earlier, 1]
+        lim = match_tol * (1.0 + math.hypot(w[earlier, 0], w[earlier, 1]))
+        return math.hypot(dx, dy) <= lim
+
+    if pair_ok(m - 1, m - 2):
+        return None
+    for k in range(2, m // 2 + 1):
+        if not pair_ok(m - 1, m - 1 - k):
+            continue
+        a = w[m - k:]
+        b = w[m - 2 * k:m - k]
+        gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+        lims = match_tol * (1.0 + np.hypot(b[:, 0], b[:, 1]))
+        if np.all(gaps <= lims):
+            return k
+    return None
+
+
+def test_detect_cycle_matches_per_period_scan():
+    windows = []
+    for cfg, x0 in ((PERIOD2_CFG, (0.101912, 0.189275)),
+                    (PERIOD58_CFG, (-0.123641, -0.510395)),
+                    (PERIOD58_CFG, (1.7, -2.4)),
+                    (FIG_CFG, (2.0, 1.0))):
+        pts = simulate(cfg, x0, max_steps=1500, check_every=10 ** 6).points
+        windows += [pts[max(0, end - n):end] for end in (3, 40, 300, 1501)
+                    for n in (2, 5, 117, 600, 4096)]
+    # periodic tails whose last pairs sit right at the match tolerance
+    rng = np.random.default_rng(3)
+    for period in (2, 3, 7, 58):
+        base = rng.uniform(-2.0, 2.0, size=(period, 2))
+        for scale in (3e-9, 5e-9, 1e-8, 2e-8):
+            tail = np.tile(base, (400 // period, 1))
+            windows.append(tail + rng.normal(size=tail.shape) * scale)
+    # a last pair exactly at the tolerance still matches
+    edge = [(1.0, 0.0), (0.0, 0.0)] * 40
+    edge[-1] = (1e-8, 0.0)
+    windows.append(edge)
+    assert detect_cycle(edge) == 2
+    found = 0
+    for w in windows:
+        want = detect_cycle_scan(w)
+        assert detect_cycle(w) == want
+        found += want is not None
+    assert found >= 10
+
+
+def cell_reference(cfg, bounds, resolution, policy, seed, max_steps):
+    # per-cell simulate at the cell centres, the raster's definition
+    nx, ny = resolution
+    xmin, xmax, ymin, ymax = bounds
+    cells = np.zeros((ny, nx), dtype=np.uint8)
+    steps = np.zeros((ny, nx), dtype=np.int32)
+    for j in range(ny):
+        yc = ymax - (j + 0.5) * (ymax - ymin) / ny
+        for i in range(nx):
+            xc = xmin + (i + 0.5) * (xmax - xmin) / nx
+            cell_policy = (SeededRandom((seed, j * nx + i))
+                           if isinstance(policy, SeededRandom) else policy)
+            tr = simulate(cfg, (xc, yc), cell_policy, max_steps=max_steps,
+                          record=False)
+            v = tr.verdict
+            cells[j, i] = (v.target if isinstance(v, ConvergedTo)
+                           else 3 if isinstance(v, Cycle) else 0)
+            steps[j, i] = tr.steps_used
+    return cells, steps
+
+
+@pytest.mark.parametrize("max_steps", [3, 700])
+@pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom(),
+                                    EnumerateTree(4)],
+                         ids=["first", "random", "tree"])
+@pytest.mark.parametrize("cfg", [FIG_CFG, PERIOD2_CFG, PERIOD58_CFG,
+                                 PERIOD1410_CFG],
+                         ids=["figure", "period2", "period58", "period1410"])
+def test_rasterize_matches_per_cell_simulate(cfg, policy, max_steps):
+    # the middle cell is centred on D3, so its first step is a tie
+    xt, _ = tie_point(cfg)
+    bounds = (xt - 1.5, xt + 1.5, -1.2, 1.2)
+    nx, ny = 17, 15
+    assert classify_region(cfg, (xt - 1.5 + 8.5 * 3.0 / nx,
+                                 1.2 - 7.5 * 2.4 / ny)) is Region.D3
+    grid = rasterize(cfg, bounds, (nx, ny), policy=policy,
+                     max_steps=max_steps, seed=4)
+    cells, steps = cell_reference(cfg, bounds, (nx, ny), policy, 4,
+                                  max_steps)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+
+
+def test_rasterize_blocks_match_per_cell_simulate_at_any_thread_count():
+    # more cells than one lane block, so threads=2 runs two workers; the
+    # centre of cell 4224 (row 59, column 35), in the second block, is on D3
+    xt, _ = tie_point(FIG_CFG)
+    bounds, res = (xt - 3.0, xt + 3.0, -0.025, 2.975), (71, 60)
+    assert classify_region(FIG_CFG, (xt - 3.0 + 35.5 * 6.0 / 71,
+                                     2.975 - 59.5 * 3.0 / 60)) is Region.D3
+    for seed in (9, 10, 11):
+        cells, steps = cell_reference(FIG_CFG, bounds, res, SeededRandom(),
+                                      seed, 2000)
+        for threads in (1, 2):
+            grid = rasterize(FIG_CFG, bounds, res, policy=SeededRandom(),
+                             seed=seed, threads=threads)
+            assert np.array_equal(grid.cells, cells)
+            assert np.array_equal(grid.steps, steps)
+
+
+def sweep_reference(pairs, samples, max_steps, seed):
+    # one scalar simulate per start, in start order, up to the first failure
+    out = []
+    for k, (t1, t2) in enumerate(pairs):
+        cfg = ProblemConfig(t1, t2)
+        res = certify(cfg)
+        certified = isinstance(res, LyapunovCertificate)
+        starts = np.random.default_rng(np.random.SeedSequence(
+            [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
+        worst = -1
+        for s_idx in range(samples):
+            budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
+                      if certified else max_steps)
+            tr = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
+                          max_steps=budget, record=False)
+            if not isinstance(tr.verdict, ConvergedTo):
+                worst = s_idx
+                break
+        out.append(PairOutcome(
+            theta1=cfg.theta1, theta2=cfg.theta2, eq26_holds=certified,
+            eq26_margin=res.condition_margin, nonconvergent_found=worst >= 0,
+            worst_seed=worst))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("samples,max_steps", [(30, 300), (1024, 2000)])
+def test_sweep_matches_per_start_simulate(samples, max_steps):
+    # certified and uncertified pairs, some with a nonconvergent start;
+    # 1024 samples split the pairs over two lane blocks
+    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
+                                           (0.082719, 2.064601)]
+    want = sweep_reference(pairs, samples, max_steps, 5)
+    assert any(p.eq26_holds for p in want)
+    assert any(p.nonconvergent_found for p in want)
+    for threads in (1, 2):
+        sg = sweep(pairs, samples_per_pair=samples, max_steps=max_steps,
+                   seed=5, threads=threads)
+        assert sg.pairs == want
+
+
+def test_non_finite_starts_fail_loudly():
+    for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            simulate(FIG_CFG, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            simulate(FIG_CFG, bad, EnumerateTree(4))
+        with pytest.raises(ValueError, match="not finite"):
+            find_period_brent(PERIOD2_CFG, bad)
+    with pytest.raises(ValueError):
+        rasterize(FIG_CFG, (-math.inf, 3, -3, 3), (5, 5))
+    with pytest.raises(ValueError):
+        rasterize(FIG_CFG, (-3, 3, -3, 3), (5, 5), max_steps=0)
