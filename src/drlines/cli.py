@@ -67,6 +67,13 @@ def _parse_vec2(text) -> tuple[float, float]:
     return (x, y)
 
 
+def _at_least(flag: str, value, lo: int) -> int:
+    v = int(value)
+    if v < lo:
+        raise ValueError(f"--{flag} must be >= {lo}, got {v}")
+    return v
+
+
 def _parse_res(text) -> tuple[int, int]:
     parts = str(text).lower().split("x")
     if len(parts) != 2:
@@ -336,11 +343,15 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
     if cmd == "iterate":
         t1, t2 = r.angles()
         seed = r.seed()
+        policy = r.policy(seed)
+        if isinstance(policy, EnumerateTree):
+            raise ValueError("iterate follows one branch per step, so "
+                             "policy 'tree' does not apply; use first or random")
         return RunConfig(cmd, {
             "theta1": t1, "theta2": t2,
             "x0": _parse_vec2(r.get("x0", required=True)),
             "steps": int(r.get("steps", 100)),
-            "policy": r.policy(seed), "seed": seed,
+            "policy": policy, "seed": seed,
             "tol": float(r.get("tol", TIE_TOL)),
             "out": r.get("out")})
     if cmd == "raster":
@@ -382,8 +393,8 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
             "theta1": t1, "theta2": t2,
             "x0": _parse_vec2(r.get("x0", required=True)),
             "epsilon": float(r.get("epsilon", 0.05)),
-            "steps": int(r.get("steps", 200)),
-            "traces": int(r.get("traces", 1)),
+            "steps": _at_least("steps", r.get("steps", 200), 0),
+            "traces": _at_least("traces", r.get("traces", 1), 1),
             "mode": str(r.get("mode", "random")),
             "seed": r.seed(),
             "out": r.get("out")})

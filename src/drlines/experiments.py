@@ -208,6 +208,23 @@ def _branch(a, c, s, x, y):
     return a + c * (c * dx + s * y), c * (-s * dx + c * y)
 
 
+def _branch_values(cfg: ProblemConfig, x: float,
+                   y: float) -> tuple[tuple[float, float], ...]:
+    """``dr_multivalued(cfg, (x, y)).outputs`` bit for bit, on plain floats:
+    one branch value off the tie band, both (A1 first) on it."""
+    c1, s1 = cos_sin(cfg.theta1)
+    c2, s2 = cos_sin(cfg.theta2)
+    gap = _gap(c1, s1, c2, s2, x, y)
+    if abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y)):
+        outs = (_branch(-0.5, c1, s1, x, y), _branch(0.5, c2, s2, x, y))
+    elif gap < 0.0:
+        outs = (_branch(-0.5, c1, s1, x, y),)
+    else:
+        outs = (_branch(0.5, c2, s2, x, y),)
+    # dr_two_lines adds the anchor's y of 0.0, which turns -0.0 into 0.0
+    return tuple((bx, by + 0.0) for bx, by in outs)
+
+
 def _finite_start(x0) -> tuple[float, float]:
     x, y = float(x0[0]), float(x0[1])
     if not (math.isfinite(x) and math.isfinite(y)):

@@ -105,6 +105,24 @@ def _log_v(alpha: float, v1: float, v2: float) -> float:
     return alpha * math.log(v1) + math.log(v2)
 
 
+def _v_many(alpha: float, cfg: ProblemConfig, z: np.ndarray) -> np.ndarray:
+    """V at the columns of z (shape (2, n)) in NumPy, to screen points
+    before v_global decides among them.
+
+    V_1 and V_2 repeat v_local's arithmetic bit for bit, and the log-space
+    expression is _log_v's; np.log and np.exp may differ from math's by an
+    ulp.  Where _log_v gives -inf, V is exactly 0 and the result is -1.0.
+    """
+    d = z - np.array((cfg.p1, cfg.p2))[:, :, None]
+    d *= d
+    v = d[:, 0] + d[:, 1]
+    # exact zeros would make np.log warn; they are marked below anyway
+    lv = np.log(np.maximum(v, math.ulp(0.0)))
+    w = np.exp(alpha * lv[0] + lv[1])
+    w[(v[0] < _V_ZERO) | (v[1] <= 0.0)] = -1.0
+    return w
+
+
 def v_global(cert, cfg: ProblemConfig, x) -> float:
     """V_1(x)^alpha * V_2(x), evaluated in log space.
 

@@ -18,9 +18,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dr import dr_multivalued
+# perturbed_step no longer calls dr_multivalued; the name stays importable
+# here because bench/run.py's traced run counts calls through it
+from .dr import dr_multivalued  # noqa: F401
+from .experiments import _branch_values, _finite_start
 from .geometry import ProblemConfig
-from .lyapunov import v_global
+from .lyapunov import _v_many, v_global
+
+# The V searches below screen many points at once with _v_many and
+# confirm with scalar v_global, which alone decides.  np.log may differ
+# from math.log by an ulp, and |log v| <= 745 for every positive finite
+# double, so a screened log V is within about 1e-12 * (1 + alpha) of the
+# scalar one; np.exp and math.exp then differ by an ulp, or by one unit
+# of the smallest subnormal where V is subnormal.  The screens widen every
+# comparison by _SCREEN_REL * (1 + alpha) relative, a thousand times that
+# error, plus _SCREEN_ABS, sixteen subnormal units.  A V too large for a
+# double screens as inf (np.exp warns) and passes, and v_global raises
+# OverflowError on it as before.
+_SCREEN_REL = 1e-9
+_SCREEN_ABS = 16 * math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -100,19 +116,43 @@ def _offset_in_ball(rng: np.random.Generator, radius: float) -> tuple[float, flo
     return (r * math.cos(ang), r * math.sin(ang))
 
 
+def _screen_floor(spec: PerturbationSpec, v: float) -> float:
+    """The least screened V that a scalar V of at least v can have; a V
+    of exactly 0 screens as -1.0, below every floor for v >= 0."""
+    return v * (1.0 - _SCREEN_REL * (1.0 + spec.alpha)) - _SCREEN_ABS
+
+
+def _boundary_points(x, radius, angles: np.ndarray):
+    """Offsets radius * (cos, sin) at the angles and the points x + offset,
+    each as a (2, n) array; radius is one float or one per angle.
+
+    math.cos/math.sin give the bits the scalar code used; np.cos may round
+    differently, and near p_i the rounding of x + offset can turn that ulp
+    into a large change in V.
+    """
+    a = angles.tolist()
+    off = radius * np.fromiter([*map(math.cos, a), *map(math.sin, a)], float,
+                               2 * len(a)).reshape(2, -1)
+    return off, off + ((x[0],), (x[1],))
+
+
 def _worst_boundary_offset(spec: PerturbationSpec, cfg: ProblemConfig, x,
                            radius: float, rng: np.random.Generator,
                            k: int) -> tuple[float, float]:
     # V has no interior local max, so the sup over the ball sits on the
-    # boundary; sample k directions and keep the V-maximizing one
+    # boundary; sample k directions and keep the first one of maximal V,
+    # if that V beats V(x).  Only points near the screened maximum can be it.
+    off, z = _boundary_points(x, radius,
+                              rng.uniform(0.0, 2.0 * math.pi, size=k))
+    w = _v_many(spec.alpha, cfg, z)
+    near = (w >= _screen_floor(spec, w.max(initial=-1.0))).nonzero()[0]
     best = (0.0, 0.0)
     best_v = v_global(spec, cfg, x)
-    for ang in rng.uniform(0.0, 2.0 * math.pi, size=k):
-        off = (radius * math.cos(ang), radius * math.sin(ang))
-        v = v_global(spec, cfg, (x[0] + off[0], x[1] + off[1]))
+    for j in near.tolist():
+        v = v_global(spec, cfg, (float(z[0, j]), float(z[1, j])))
         if v > best_v:
             best_v = v
-            best = off
+            best = (float(off[0, j]), float(off[1, j]))
     return best
 
 
@@ -134,9 +174,7 @@ def perturbed_step(spec: PerturbationSpec, cfg: ProblemConfig, x,
         pre = _worst_boundary_offset(spec, cfg, x, s_pre, rng, k_boundary)
     else:
         pre = _offset_in_ball(rng, s_pre)
-    z = (x[0] + pre[0], x[1] + pre[1])
-
-    outputs = dr_multivalued(cfg, z).outputs
+    outputs = _branch_values(cfg, float(x[0] + pre[0]), float(x[1] + pre[1]))
     y = outputs[0]
     if adversarial and len(outputs) > 1:
         y = max(outputs, key=lambda q: v_global(spec, cfg, q))
@@ -153,9 +191,12 @@ def run_perturbed(spec: PerturbationSpec, cfg: ProblemConfig, x0,
                   n_steps: int, seed: int, trace_id: int = 0,
                   mode: str = "random", k_boundary: int = 64) -> PerturbedTrace:
     """Generate one perturbed trajectory on an independent (seed, trace_id)
-    stream, so concurrent traces never share PRNG state."""
+    stream, so concurrent traces never share PRNG state.  Raises
+    ValueError for a non-finite start or a negative step count."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    x = _finite_start(x0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, trace_id]))
-    x = (float(x0[0]), float(x0[1]))
     points = [x]
     disturbances = []
     for _ in range(n_steps):
@@ -174,17 +215,21 @@ def check_lemma_sigma(spec: PerturbationSpec, cfg: ProblemConfig, x,
     The sup is attained on the sphere, so seven of every eight samples sit
     there; the rest audit the interior.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     s = sigma(spec, cfg, x)
     vx = v_global(spec, cfg, x)
     bound = (1.0 + spec.epsilon) * vx * (1.0 + 1e-9)
-    rng = np.random.default_rng(seed)
-    for i in range(n_samples):
-        r = s if i % 8 else s * math.sqrt(rng.random())
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        z = (x[0] + r * math.cos(ang), x[1] + r * math.sin(ang))
-        if v_global(spec, cfg, z) > bound:
-            return False
-    return True
+    # sample i takes one double for its angle, preceded by one for its
+    # radius when i % 8 == 0; u holds them in that order
+    i = np.arange(n_samples)
+    u = np.random.default_rng(seed).random(n_samples + len(i[::8]))
+    r = np.full(n_samples, s)
+    r[::8] = s * np.sqrt(u[i[::8] + i[::8] // 8])
+    _, z = _boundary_points(x, r, 2.0 * math.pi * u[i + i // 8 + 1])
+    over = _v_many(spec.alpha, cfg, z) >= _screen_floor(spec, bound)
+    return not any(v_global(spec, cfg, zj) > bound
+                   for zj in z.T[over].tolist())
 
 
 def check_kl_bound(spec: PerturbationSpec, cfg: ProblemConfig,

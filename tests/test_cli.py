@@ -69,6 +69,18 @@ def test_exit_code_matrix(capsys, tmp_path):
     for cmd in ("iterate", "orbit", "robust"):
         code, _, err = run_cli(capsys, [cmd, *FIG, "--x0", "nan,0"])
         assert code == 1 and "finite" in err
+    # budgets the robust run cannot honour, and a policy iterate cannot follow
+    for flags in (["--traces", "0"], ["--traces", "-1"], ["--steps", "-5"]):
+        code, out, err = run_cli(capsys, ["robust", *FIG, "--x0", "2,1",
+                                          *flags])
+        assert code == 1 and out == "" and flags[0] in err
+    code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", TIE_X0,
+                                      "--policy", "tree"])
+    assert code == 1 and out == "" and "tree" in err
+    cfg = tmp_path / "tree.json"
+    cfg.write_text('{"policy": "tree"}')
+    assert run_cli(capsys, ["iterate", *FIG, "--x0", "2,1",
+                            "--config", str(cfg)])[0] == 1
     assert run_cli(capsys, ["no-such-command"])[0] == 1
     assert run_cli(capsys, [])[0] == 1
     assert run_cli(capsys, ["--help"])[0] == 0

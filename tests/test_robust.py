@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from drlines import robust
 from drlines.dr import dr_multivalued
-from drlines.geometry import ProblemConfig
+from drlines.experiments import _branch_values
+from drlines.geometry import ProblemConfig, bisector_data, cos_sin
 from drlines.lyapunov import certify, v_global
 from drlines.robust import (
     PerturbationSpec,
+    _worst_boundary_offset,
     check_kl_bound,
     check_lemma_sigma,
     kl_beta,
@@ -177,3 +180,211 @@ def test_kl_bound_holds_on_perturbed_traces(mode, n_traces):
         ok, worst = check_kl_bound(SPEC, FIG_CFG, trace)
         assert ok
         assert worst >= -1e-12
+
+
+VERT_CFG = ProblemConfig(math.pi / 2, 2.0)
+VERT_SPEC = PerturbationSpec.from_certificate(certify(VERT_CFG), epsilon=0.05)
+
+
+def _scalar_worst_offset(spec, cfg, x, radius, rng, k):
+    # the adversary as first written, kept as the oracle: one v_global call
+    # per sampled direction, strict > against V(x)
+    best = (0.0, 0.0)
+    best_v = v_global(spec, cfg, x)
+    for ang in rng.uniform(0.0, 2.0 * math.pi, size=k):
+        off = (radius * math.cos(ang), radius * math.sin(ang))
+        v = v_global(spec, cfg, (x[0] + off[0], x[1] + off[1]))
+        if v > best_v:
+            best_v = v
+            best = off
+    return best
+
+
+def _adversary_points():
+    rng = np.random.default_rng(59)
+    pts = [tuple(p) for p in rng.uniform(-6, 6, size=(150, 2)).tolist()]
+    # 1e-12 down to 1e-180 from p_i: x + offset collapses onto few floats,
+    # V goes subnormal, then V_1 or V_2 underflows to an exact zero
+    for p in ((-0.5, 0.0), (0.5, 0.0)):
+        pts.append(p)
+        for e in (12, 16, 30, 60, 100, 150, 154, 156, 158, 160, 163, 170, 180):
+            for ang in (0.0, 0.4, math.pi / 2, 2.5, 4.0):
+                d = 10.0 ** -e
+                pts.append((p[0] + d * math.cos(ang), p[1] + d * math.sin(ang)))
+    # far out, up to where V overflows (v_global raises there)
+    pts += [(10.0 ** e, 10.0 ** (e - 1)) for e in (40, 60, 62, 64, 66, 100)]
+    pts += [(10.0 ** (64.9 + 0.01 * n), 0.0) for n in range(20)]
+    return pts
+
+
+# the far-out points overflow V; np.exp warns where v_global raises
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("spec,cfg", [(SPEC, FIG_CFG), (VERT_SPEC, VERT_CFG)],
+                         ids=["figure", "vertical"])
+def test_worst_boundary_offset_matches_scalar_loop(spec, cfg, k):
+    chosen = 0
+    for n, x in enumerate(_adversary_points()):
+        radius = sigma(spec, cfg, x)
+        rng_new = np.random.default_rng([61, n])
+        rng_old = np.random.default_rng([61, n])
+        try:
+            want = _scalar_worst_offset(spec, cfg, x, radius, rng_old, k)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _worst_boundary_offset(spec, cfg, x, radius, rng_new, k)
+            continue
+        got = _worst_boundary_offset(spec, cfg, x, radius, rng_new, k)
+        assert repr(got) == repr(want), (n, x)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        chosen += got != (0.0, 0.0)
+    assert chosen > 150
+
+
+def _scalar_lemma_sigma(spec, cfg, x, n_samples=256, seed=0):
+    # check_lemma_sigma as first written, kept as the oracle
+    s = robust.sigma(spec, cfg, x)
+    vx = v_global(spec, cfg, x)
+    bound = (1.0 + spec.epsilon) * vx * (1.0 + 1e-9)
+    rng = np.random.default_rng(seed)
+    for i in range(n_samples):
+        r = s if i % 8 else s * math.sqrt(rng.random())
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        z = (x[0] + r * math.cos(ang), x[1] + r * math.sin(ang))
+        if v_global(spec, cfg, z) > bound:
+            return False
+    return True
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("inflate", [1.0, 1.5])
+def test_lemma_sigma_matches_scalar_loop(monkeypatch, inflate):
+    # inflating sigma breaks the lemma at part of the points, so both
+    # verdicts occur
+    plain = robust.sigma
+    monkeypatch.setattr(robust, "sigma",
+                        lambda spec, cfg, x: inflate * plain(spec, cfg, x))
+    verdicts = []
+    for n, x in enumerate(_adversary_points()[::3]):
+        for n_samples in (1, 9, 64):
+            try:
+                want = _scalar_lemma_sigma(SPEC, FIG_CFG, x, n_samples, seed=n)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    check_lemma_sigma(SPEC, FIG_CFG, x, n_samples, seed=n)
+                continue
+            got = check_lemma_sigma(SPEC, FIG_CFG, x, n_samples, seed=n)
+            assert got == want, (n, x, n_samples)
+            verdicts.append(got)
+    assert all(verdicts) if inflate == 1.0 else not all(verdicts)
+    with pytest.raises(ValueError):
+        check_lemma_sigma(SPEC, FIG_CFG, (1.0, 1.0), n_samples=-1)
+
+
+def _step_points(cfg):
+    bd = bisector_data(cfg)
+    pts = []
+    for n in (bd.n1, bd.n2):  # D3, where both branches are returned
+        for t in (-3.0, -0.7, 0.0, 0.3, 2.0):
+            pts.append((bd.c[0] - t * n[1], bd.c[1] + t * n[0]))
+    for t in (-2.0, -0.5, 0.0, 0.25, 1.5):
+        pts += [(t, 0.0), (t, -0.0)]  # the x-axis, both signs of zero
+        for p, th in ((cfg.p1, cfg.theta1), (cfg.p2, cfg.theta2)):
+            c, s = cos_sin(th)  # on A_i, mapped onto the x-axis
+            pts.append((p[0] + t * c, p[1] + t * s))
+    return pts
+
+
+@pytest.mark.parametrize("cfg", [FIG_CFG, VERT_CFG, ProblemConfig(0.3, 2.9)],
+                         ids=["figure", "vertical", "obtuse"])
+def test_branch_values_match_dr_multivalued(cfg):
+    ties = 0
+    for x, y in _step_points(cfg):
+        got = _branch_values(cfg, x, y)
+        want = dr_multivalued(cfg, (x, y)).outputs
+        assert repr(got) == repr(want), (x, y)
+        ties += len(got) == 2
+    assert ties >= 8
+
+
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_perturbed_step_uses_dr_multivalued_outputs(mode, eps):
+    for cfg in (FIG_CFG, VERT_CFG):
+        spec = PerturbationSpec.from_certificate(certify(cfg), epsilon=eps)
+        rng = np.random.default_rng(67)
+        for x in _step_points(cfg):
+            w, pre, post = perturbed_step(spec, cfg, x, rng, mode=mode,
+                                          k_boundary=16)
+            outs = dr_multivalued(cfg, (x[0] + pre[0], x[1] + pre[1])).outputs
+            y = outs[0]
+            if mode == "adversarial":
+                y = max(outs, key=lambda q: v_global(spec, cfg, q))
+            assert repr(w) == repr((y[0] + post[0], y[1] + post[1])), x
+
+
+def test_run_perturbed_rejects_bad_inputs():
+    for x0 in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            run_perturbed(SPEC, FIG_CFG, x0, 10, seed=0)
+    with pytest.raises(ValueError):
+        run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), -1, seed=0)
+    trace = run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), 0, seed=0)
+    assert trace.points == ((1.0, 1.0),) and trace.disturbances == ()
+
+
+class _FixedAngles:
+    """Stands in for the Generator: uniform() returns the given angles."""
+
+    def __init__(self, angles):
+        self.angles = np.asarray(angles, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert len(self.angles) == size
+        return self.angles.copy()
+
+
+def test_adversary_screen_absorbs_its_rounding(monkeypatch):
+    # Mirror directions +-a from a point on the x-axis give exactly tied V,
+    # so only the screen's slack keeps the first of a tied pair when the
+    # screened V is off by up to the rounding it is sized for: 1e-12
+    # relative, and one unit of the smallest subnormal.  The far-out point
+    # ties at V near 1e308, the last ones at subnormal V.
+    noise = np.random.default_rng(71)
+    screened = robust._v_many
+
+    def rounded_off(alpha, cfg, z):
+        w = screened(alpha, cfg, z)
+        bumped = (w * (1.0 + noise.uniform(-1e-12, 1e-12, w.shape))
+                  + noise.integers(-1, 2, w.shape) * math.ulp(0.0))
+        return np.where(w < 0.0, w, np.maximum(bumped, 0.0))
+
+    monkeypatch.setattr(robust, "_v_many", rounded_off)
+    xs = [(2.0, 0.0), (-1.3, 0.0), (0.1, 0.0), (10.0 ** 64.87, 0.0)]
+    xs += [(0.5 + 10.0 ** -e, 0.0) for e in (8, 15)]
+    xs += [(0.5, 0.0), (0.5, 10.0 ** -160), (0.5, 3e-161)]
+    for n in range(40):
+        a = noise.uniform(0.0, math.pi, size=8)
+        angles = np.ravel(np.column_stack([a, -a]) if n % 2
+                          else np.column_stack([-a, a]))
+        for x in xs:
+            radius = sigma(SPEC, FIG_CFG, x) or 1e-162
+            got = _worst_boundary_offset(SPEC, FIG_CFG, x, radius,
+                                         _FixedAngles(angles), 16)
+            want = _scalar_worst_offset(SPEC, FIG_CFG, x, radius,
+                                        _FixedAngles(angles), 16)
+            assert repr(got) == repr(want), (n, x)
+
+
+def test_adversary_rechecks_few_candidates(monkeypatch):
+    calls = []
+    counted = robust.v_global
+    monkeypatch.setattr(robust, "v_global",
+                        lambda *a: calls.append(1) or counted(*a))
+    pts = [p for p in _adversary_points() if abs(p[0]) < 1e30]
+    for n, x in enumerate(pts):
+        _worst_boundary_offset(SPEC, FIG_CFG, x, sigma(SPEC, FIG_CFG, x),
+                               np.random.default_rng(n), 64)
+    # one call for V(x) and about one per screened-in candidate; points
+    # whose V is exactly 0 everywhere on the circle cost only V(x)
+    assert len(calls) <= 3 * len(pts)
