@@ -350,7 +350,7 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
         return RunConfig(cmd, {
             "theta1": t1, "theta2": t2,
             "x0": _parse_vec2(r.get("x0", required=True)),
-            "steps": int(r.get("steps", 100)),
+            "steps": _at_least("steps", r.get("steps", 100), 0),
             "policy": policy, "seed": seed,
             "tol": float(r.get("tol", TIE_TOL)),
             "out": r.get("out")})

@@ -9,14 +9,17 @@ two grid drivers (basin raster over starting points, sweep over angle
 pairs).  Grid cells are independent work items; every cell derives its PRNG
 stream from the root seed and its own index, so results do not depend on
 how work is scheduled.  The grid drivers step cells together as NumPy
-lanes, handing what lanes cannot settle exactly to scalar ``simulate``.
+lanes, handing what lanes cannot settle exactly to scalar ``simulate``:
+for ``rasterize`` that is only lanes that meet a tie, since its lanes
+also keep cycle windows; ``sweep`` hands on every start still running at
+the first cycle check.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
-from collections import deque
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -30,10 +33,15 @@ DEFAULT_WINDOW = 4096
 DEFAULT_MATCH_TOL = 1e-8
 DEFAULT_CHECK_EVERY = 512
 BALL_SAFETY = 0.99
-# lanes per _lockstep block, and the live-lane count below which the rest
-# of a block is finished by scalar re-runs
+# lanes per _lockstep block, and the lane count below which lockstep
+# stops paying: a block pass hands the rest of its lanes on, and fewer
+# hand-offs than this re-run through scalar simulate
 _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
+# _lockstep's code for a lane left to a scalar re-run
+_HANDOFF = 255
+# window points per lane set that runs to its verdicts (16 MB)
+_HIST_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -269,14 +277,20 @@ def simulate_tree(cfg: ProblemConfig, x0,
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     start = _finite_start(x0)
     c1, s1, c2, s2, r1sq, r2sq = _constants(cfg)
     max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
     rng = None
     leaves: list[Trace] = []
+    # the window is a flat buffer of x, y pairs that detect_cycle reads as
+    # an (m, 2) view without copying; once it holds 2 * window + 1 points
+    # all but the last window are dropped
+    keep = 2 * window
     # stack entries: (x, y, steps, points, window); A1 continuations are
     # pushed last so they pop first
-    stack = [(start[0], start[1], 0, [start], deque([start], maxlen=window))]
+    stack = [(start[0], start[1], 0, [start], array("d", start))]
     committed = 1
     while stack:
         x, y, steps, pts, win = stack.pop()
@@ -290,12 +304,12 @@ def simulate_tree(cfg: ProblemConfig, x0,
                 verdict = ConvergedTo(2)
                 break
             if steps and steps % check_every == 0:
-                k = detect_cycle(win, match_tol)
+                k = detect_cycle(_window_view(win, keep), match_tol)
                 if k is not None:
                     verdict = Cycle(k)
                     break
             if steps >= max_steps:
-                k = detect_cycle(win, match_tol)
+                k = detect_cycle(_window_view(win, keep), match_tol)
                 verdict = Cycle(k) if k is not None else Budget()
                 break
             gap = _gap(c1, s1, c2, s2, x, y)
@@ -305,8 +319,8 @@ def simulate_tree(cfg: ProblemConfig, x0,
                 if committed < max_leaves:
                     committed += 1
                     bp = _branch(0.5, c2, s2, x, y)
-                    bw = deque(win, maxlen=window)
-                    bw.append(bp)
+                    bw = array("d", win)
+                    bw.extend(bp)
                     stack.append((bp[0], bp[1], steps + 1,
                                   pts + [bp] if record else [bp], bw))
                 elif isinstance(policy, SeededRandom):
@@ -319,14 +333,23 @@ def simulate_tree(cfg: ProblemConfig, x0,
             else:
                 x, y = _branch(0.5, c2, s2, x, y)
             steps += 1
-            p = (x, y)
             if record:
-                pts.append(p)
-            win.append(p)
+                pts.append((x, y))
+            win.append(x)
+            win.append(y)
+            if len(win) > 2 * keep:
+                del win[:len(win) - keep]
         leaves.append(Trace(start=start,
                             points=tuple(pts) if record else ((x, y),),
                             verdict=verdict, steps_used=steps))
     return tuple(leaves)
+
+
+def _window_view(win: array, keep: int) -> np.ndarray:
+    """The last keep / 2 points of a flat x, y buffer, as an (m, 2) view.
+    The view pins the buffer's size, so it must be dropped before the
+    next append."""
+    return np.frombuffer(win)[max(0, len(win) - keep):].reshape(-1, 2)
 
 
 def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
@@ -396,20 +419,31 @@ def _lanes(cfg: ProblemConfig, x, y) -> np.ndarray:
     return np.vstack([x, y, np.repeat(consts, len(x), axis=1)])
 
 
-def _lockstep(lanes: np.ndarray, max_steps: int, tol: float
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
+              window: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
-    together.  Per lane: (1 or 2, simulate's step count) once it enters a
-    termination ball; code 0 hands it to a scalar re-run from its start
-    when it reaches the first cycle check or the budget, comes within twice
-    the tie band (tie policies; np.hypot may round unlike math.hypot), or
-    is among the last few live lanes, cheaper to finish one by one.
+    together.  Per lane: (code, simulate's step count), code 1 or 2 once it
+    enters a termination ball.  Code _HANDOFF leaves the lane to a scalar
+    re-run from its start: a lane within twice the tie band (tie policies;
+    np.hypot may round unlike math.hypot) and, in a block pass (window 0),
+    a lane still live at the first cycle check or the budget, or among the
+    last few live lanes, cheaper to finish one by one.
+
+    With window > 0 the lanes run to simulate's verdict instead.  Each
+    keeps its last ``window`` points in a buffer that grows by one cycle
+    check interval at a time (finished lanes are dropped then), and
+    detect_cycle reads them at every cycle check and at the budget: code 3
+    for a cycle, 0 for the budget.
     """
     n = lanes.shape[1]
-    codes = np.zeros(n, dtype=np.uint8)
+    codes = np.full(n, _HANDOFF, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
     live = np.arange(n)
-    limit = min(max_steps, DEFAULT_CHECK_EVERY)
+    every = DEFAULT_CHECK_EVERY
+    limit = max_steps if window else min(max_steps, every)
+    floor = 1 if window else _LANE_FLOOR
+    # hist[r, col[j]] is live lane j's point at step base + r
+    hist, col, base = lanes[:2].T[None], live, 0
     for step in range(limit + 1):
         x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
         dx1 = x + 0.5
@@ -418,44 +452,55 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float
         in2 = dx2 * dx2 + y * y < r2sq  # the balls are disjoint
         codes[live[in1]] = 1
         codes[live[in2]] = 2
-        steps[live[in1 | in2]] = step
+        done = in1 | in2
+        recent = hist[max(0, step + 1 - base - window):step + 1 - base]
+        if window and step and (step % every == 0 or step == limit):
+            for j in np.flatnonzero(~done).tolist():
+                k = detect_cycle(recent[:, col[j]])
+                if k is not None or step == limit:
+                    codes[live[j]] = 0 if k is None else 3
+                    done[j] = True
+        steps[live[done]] = step
         gap = _gap(c1, s1, c2, s2, x, y)
-        keep = ~(in1 | in2 | (abs(gap) <= 2.0 * tol * (1.0 + np.hypot(x, y))))
+        keep = ~(done | (abs(gap) <= 2.0 * tol * (1.0 + np.hypot(x, y))))
         if not keep.all():
-            lanes, live, gap = lanes[:, keep], live[keep], gap[keep]
+            lanes, live, col, gap = lanes[:, keep], live[keep], col[keep], \
+                gap[keep]
             x, y, c1, s1, c2, s2 = lanes[:6]
-        if step == limit or len(live) < _LANE_FLOOR:
+        if step == limit or len(live) < floor:
             break
+        if window and step % every == 0:
+            kept = len(recent)
+            grown = np.empty((kept + every, len(live), 2))
+            np.take(recent, col, axis=1, out=grown[:kept])
+            hist, col, base = grown, np.arange(len(live)), step + 1 - kept
         first = gap < 0.0
         lanes[0], lanes[1] = _branch(np.where(first, -0.5, 0.5),
                                      np.where(first, c1, c2),
                                      np.where(first, s1, s2), x, y)
+        if window:
+            hist[step + 1 - base, col] = lanes[:2].T
     return codes, steps
+
+
+def _cell_centres(bounds: tuple[float, float, float, float],
+                  resolution: tuple[int, int], cell):
+    """Centres of the row-major cells (an index or an index array)."""
+    nx, ny = resolution
+    xmin, xmax, ymin, ymax = bounds
+    j, i = np.divmod(cell, nx)
+    return (xmin + (i + 0.5) * (xmax - xmin) / nx,
+            ymax - (j + 0.5) * (ymax - ymin) / ny)
 
 
 def _raster_block(cfg: ProblemConfig,
                   bounds: tuple[float, float, float, float],
-                  resolution: tuple[int, int], policy: BranchPolicy,
-                  seed: int, max_steps: int, tol: float, lo: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  resolution: tuple[int, int], max_steps: int, tol: float,
+                  lo: int) -> tuple[np.ndarray, np.ndarray]:
     nx, ny = resolution
-    xmin, xmax, ymin, ymax = bounds
     cell = np.arange(lo, min(lo + _LANE_BLOCK, nx * ny))
-    j, i = np.divmod(cell, nx)
-    xc = xmin + (i + 0.5) * (xmax - xmin) / nx
-    yc = ymax - (j + 0.5) * (ymax - ymin) / ny
-    codes, nsteps = _lockstep(_lanes(cfg, xc, yc), max_steps, tol)
-    for h in np.flatnonzero(codes == 0).tolist():
-        # SeededRandom policies are re-keyed onto per-cell streams
-        tr = simulate(cfg, (xc[h], yc[h]),
-                      SeededRandom((seed, lo + h))
-                      if isinstance(policy, SeededRandom) else policy,
-                      max_steps=max_steps, tol=tol, record=False)
-        v = tr.verdict
-        codes[h] = v.target if isinstance(v, ConvergedTo) else (
-            3 if isinstance(v, Cycle) else 0)
-        nsteps[h] = tr.steps_used
-    return codes, nsteps
+    return _lockstep(_lanes(cfg, *_cell_centres(bounds, resolution, cell)),
+                     max_steps, tol)
 
 
 def _map_blocks(work, blocks: Sequence, threads: Optional[int]) -> list:
@@ -476,9 +521,12 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
     Cells (row-major) run through the lockstep driver in fixed blocks;
-    threads > 1 distributes the blocks over worker processes.  Cell
-    streams are keyed by (seed, cell_index), so the picture equals
-    per-cell ``simulate`` calls at any thread count.
+    threads > 1 distributes the blocks over worker processes.  The cells
+    still running at the first cycle check then run on to their cycle or
+    budget verdicts as lanes in this process, and only cells that meet a
+    tie (or hand-offs too few to pay for lanes) re-run through scalar
+    ``simulate``.  Cell streams are keyed by (seed, cell_index), so the
+    picture equals per-cell ``simulate`` calls at any thread count.
     """
     nx, ny = resolution
     if nx < 1 or ny < 1:
@@ -489,10 +537,32 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
         raise ValueError(f"degenerate bounds {bounds}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    work = functools.partial(_raster_block, cfg, bounds, resolution, policy,
-                             seed, max_steps, tol)
+    work = functools.partial(_raster_block, cfg, bounds, resolution,
+                             max_steps, tol)
     blocks = _map_blocks(work, range(0, nx * ny, _LANE_BLOCK), threads)
-    cells, steps = (np.concatenate(a).reshape(ny, nx) for a in zip(*blocks))
+    codes, steps = (np.concatenate(a) for a in zip(*blocks))
+    # the block pass's hand-offs run on to their verdicts as lanes, in sets
+    # whose windows fit in _HIST_POINTS; tie lanes, and hand-offs too few
+    # to pay for lockstep, re-run through scalar simulate
+    cell = np.flatnonzero(codes == _HANDOFF)
+    if len(cell) >= _LANE_FLOOR:
+        per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
+                                   + DEFAULT_CHECK_EVERY)
+        for part in np.array_split(cell, -(-len(cell) // per_set)):
+            codes[part], steps[part] = _lockstep(
+                _lanes(cfg, *_cell_centres(bounds, resolution, part)),
+                max_steps, tol, window=DEFAULT_WINDOW)
+    for h in np.flatnonzero(codes == _HANDOFF).tolist():
+        # SeededRandom policies are re-keyed onto per-cell streams
+        tr = simulate(cfg, _cell_centres(bounds, resolution, h),
+                      SeededRandom((seed, h))
+                      if isinstance(policy, SeededRandom) else policy,
+                      max_steps=max_steps, tol=tol, record=False)
+        v = tr.verdict
+        codes[h] = v.target if isinstance(v, ConvergedTo) else (
+            3 if isinstance(v, Cycle) else 0)
+        steps[h] = tr.steps_used
+    cells, steps = codes.reshape(ny, nx), steps.reshape(ny, nx)
     return RasterGrid(bounds=tuple(bounds), resolution=(nx, ny), cells=cells,
                       steps=steps, seed=seed)
 
@@ -532,7 +602,7 @@ def _sweep_block(samples: int, max_steps: int, seed: int, tol: float,
                                                   codes.reshape(-1, samples)):
         certified = isinstance(res, LyapunovCertificate)
         worst = -1
-        for s_idx in np.flatnonzero(pair_codes == 0).tolist():
+        for s_idx in np.flatnonzero(pair_codes == _HANDOFF).tolist():
             budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                       if certified else max_steps)
             tr = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),

@@ -13,6 +13,7 @@ bound beta(omega2(x0), n) with beta geometric in n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ import numpy as np
 from .dr import dr_multivalued  # noqa: F401
 from .experiments import _branch_values, _finite_start
 from .geometry import ProblemConfig
-from .lyapunov import _v_many, v_global
+from .lyapunov import _log_v, _v_many, v_global, v_local
 
 # The V searches below screen many points at once with _v_many and
 # confirm with scalar v_global, which alone decides.  np.log may differ
@@ -37,6 +38,7 @@ from .lyapunov import _v_many, v_global
 # OverflowError on it as before.
 _SCREEN_REL = 1e-9
 _SCREEN_ABS = 16 * math.ulp(0.0)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -192,10 +194,17 @@ def run_perturbed(spec: PerturbationSpec, cfg: ProblemConfig, x0,
                   mode: str = "random", k_boundary: int = 64) -> PerturbedTrace:
     """Generate one perturbed trajectory on an independent (seed, trace_id)
     stream, so concurrent traces never share PRNG state.  Raises
-    ValueError for a non-finite start or a negative step count."""
+    ValueError for a non-finite start, a start whose V is too large for a
+    double, or a negative step count."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     x = _finite_start(x0)
+    # V along the trace stays below (1+eps) V(x0), its sup over the first
+    # disturbance ball; one more factor (1+eps) is kept as slack
+    lv = _log_v(spec.alpha, v_local(cfg, 1, x), v_local(cfg, 2, x))
+    if not lv + 2.0 * math.log1p(spec.epsilon) < _LOG_DBL_MAX:
+        raise ValueError(f"V at the start ({x[0]!r}, {x[1]!r}) is about "
+                         f"exp({lv:.6g}); (1+eps)^2 V overflows a double")
     rng = np.random.default_rng(np.random.SeedSequence([seed, trace_id]))
     points = [x]
     disturbances = []

@@ -74,6 +74,16 @@ def test_exit_code_matrix(capsys, tmp_path):
         code, out, err = run_cli(capsys, ["robust", *FIG, "--x0", "2,1",
                                           *flags])
         assert code == 1 and out == "" and flags[0] in err
+    code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", "2,1",
+                                      "--steps", "-5"])
+    assert code == 1 and out == "" and "--steps" in err
+    # a start whose V overflows a double, in both modes
+    for flags in (["--mode", "adversarial"],
+                  ["--out", str(tmp_path / "trace.csv")]):
+        code, out, err = run_cli(capsys, ["robust", *FIG, "--x0=1e70,0",
+                                          "--steps", "3", *flags])
+        assert code == 1 and out == "" and "overflows" in err
+    assert not (tmp_path / "trace.csv").exists()
     code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", TIE_X0,
                                       "--policy", "tree"])
     assert code == 1 and out == "" and "tree" in err

@@ -1,11 +1,22 @@
 """Simulation verdicts, cycle detection, raster and sweep drivers."""
 import math
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drlines import experiments
 from drlines.dr import dr_multivalued
-from drlines.geometry import ProblemConfig, Region, classify_region, cos_sin, distance_to_D3
+from drlines.geometry import (
+    TIE_TOL,
+    ProblemConfig,
+    Region,
+    classify_region,
+    cos_sin,
+    distance_to_D3,
+)
 from drlines.lyapunov import LyapunovCertificate, certify, v_local
 from drlines.experiments import (
     Budget,
@@ -342,6 +353,11 @@ def test_detect_cycle_matches_per_period_scan():
     assert found >= 10
 
 
+def verdict_code(v):
+    return (v.target if isinstance(v, ConvergedTo)
+            else 3 if isinstance(v, Cycle) else 0)
+
+
 def cell_reference(cfg, bounds, resolution, policy, seed, max_steps):
     # per-cell simulate at the cell centres, the raster's definition
     nx, ny = resolution
@@ -356,9 +372,7 @@ def cell_reference(cfg, bounds, resolution, policy, seed, max_steps):
                            if isinstance(policy, SeededRandom) else policy)
             tr = simulate(cfg, (xc, yc), cell_policy, max_steps=max_steps,
                           record=False)
-            v = tr.verdict
-            cells[j, i] = (v.target if isinstance(v, ConvergedTo)
-                           else 3 if isinstance(v, Cycle) else 0)
+            cells[j, i] = verdict_code(tr.verdict)
             steps[j, i] = tr.steps_used
     return cells, steps
 
@@ -454,3 +468,287 @@ def test_non_finite_starts_fail_loudly():
         rasterize(FIG_CFG, (-math.inf, 3, -3, 3), (5, 5))
     with pytest.raises(ValueError):
         rasterize(FIG_CFG, (-3, 3, -3, 3), (5, 5), max_steps=0)
+
+
+def count_simulate_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_steps", [512, 700, 1024, 1100, 1536])
+@pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
+                         ids=["first", "random"])
+def test_rasterize_settles_late_cycles_and_budgets_in_lanes(
+        monkeypatch, policy, max_steps):
+    # two lane blocks of the period-58 basin: cells that cycle at step 1024
+    # or 1536, budgets at and between cycle checks and a cycle found at a
+    # budget between them, with the centre cell on D3 so that one lane
+    # meets a tie
+    xt, _ = tie_point(PERIOD58_CFG)
+    bounds, res = (xt - 3.0, xt + 3.0, -3.0, 3.0), (65, 65)
+    assert classify_region(PERIOD58_CFG, (xt - 3.0 + 32.5 * 6.0 / 65,
+                                          0.0)) is Region.D3
+    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, policy, 4,
+                                  max_steps)
+    late = {(c, s) for c, s in zip(cells.ravel().tolist(),
+                                   steps.ravel().tolist()) if c in (0, 3)}
+    assert late == {512: {(0, 512)}, 700: {(0, 700)},
+                    1024: {(0, 1024), (3, 1024)},
+                    1100: {(3, 1024), (3, 1100)},
+                    1536: {(3, 1024), (3, 1536)}}[max_steps]
+    calls = count_simulate_calls(monkeypatch)
+    for threads in (1, 2):
+        grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
+                         max_steps=max_steps, seed=4, threads=threads)
+        assert np.array_equal(grid.cells, cells)
+        assert np.array_equal(grid.steps, steps)
+    # only the tie lane re-ran through scalar simulate
+    assert len(calls) == 2 and len(set(calls)) == 1
+
+
+@pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
+                         ids=["first", "random"])
+def test_rasterize_settles_a_period_1410_lane(monkeypatch, policy):
+    # the cycle shows at step 49664, so the lane's window has wrapped past
+    # 4096 points many times; the floor is lowered so that a single cell
+    # runs through the lane passes
+    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
+    x, y, h = 0.392560, -0.351588, 1e-12
+    bounds = (x - h, x + h, y - h, y + h)
+    cells, steps = cell_reference(PERIOD1410_CFG, bounds, (1, 1), policy, 0,
+                                  60000)
+    assert (cells[0, 0], steps[0, 0]) == (3, 49664)
+    calls = count_simulate_calls(monkeypatch)
+    grid = rasterize(PERIOD1410_CFG, bounds, (1, 1), policy=policy,
+                     max_steps=60000)
+    assert (grid.cells[0, 0], grid.steps[0, 0]) == (3, 49664)
+    assert calls == []
+
+
+def check_steps(trace, max_steps, check_every, first=1):
+    # the steps at which simulate ran detect_cycle on this leaf, in order,
+    # from step first (a fork leaf's first step) on
+    n = trace.steps_used
+    first = -(-max(first, 1) // check_every) * check_every
+    if isinstance(trace.verdict, ConvergedTo):
+        return list(range(first, n, check_every))
+    steps = list(range(first, n + 1, check_every))
+    if n >= max_steps and not (isinstance(trace.verdict, Cycle)
+                               and n % check_every == 0):
+        steps.append(n)
+    return steps
+
+
+def fork_steps(leaves):
+    # each leaf's first own step: its common prefix with earlier leaves
+    def common(a, b):
+        return next((i for i, (p, q) in enumerate(zip(a, b)) if p != q),
+                    min(len(a), len(b)))
+    return [max((common(t.points, u.points) for u in leaves[:i]), default=0)
+            for i, t in enumerate(leaves)]
+
+
+def last_points(points, step, window):
+    return np.array(points[max(0, step + 1 - window):step + 1])
+
+
+@pytest.mark.parametrize("window", [1, 4, 7, 116, 4096])
+def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
+                                                         window):
+    seen = []
+
+    def spy(points_window, match_tol=experiments.DEFAULT_MATCH_TOL):
+        seen.append(np.array(points_window))
+        return detect_cycle(points_window, match_tol)
+
+    monkeypatch.setattr(experiments, "detect_cycle", spy)
+    # the scalar walk, its leaves checked one after another, with forks at
+    # step 0 and step 20
+    for cfg, x0, check_every, n_leaves in (
+            (PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20), 5, 2),
+            (PERIOD2_CFG, tie_point(PERIOD2_CFG), 97, 2),
+            (PERIOD58_CFG, (-0.123641, -0.510395), 512, 1),
+            (PERIOD1410_CFG, (0.392560, -0.351588), 97, 1)):
+        seen.clear()
+        leaves = simulate_tree(cfg, x0, EnumerateTree(4), max_steps=1300,
+                               window=window, check_every=check_every)
+        assert len(leaves) == n_leaves
+        want = [last_points(t.points, s, window)
+                for t, f in zip(leaves, fork_steps(leaves))
+                for s in check_steps(t, 1300, check_every, f)]
+        assert len(seen) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+    # lanes, whose verdicts must be simulate's: at each check step the
+    # live lanes check in order, once at a step that is both a cycle check
+    # and the budget
+    rng = np.random.default_rng(window)
+    xs = np.hstack([rng.uniform(-3.0, 3.0, size=(2, 24)),
+                    rng.normal(scale=1e-3, size=(2, 8))
+                    + [[-0.123641], [-0.510395]]])
+    traces = [simulate(PERIOD58_CFG, xs[:, j], max_steps=1300, window=window)
+              for j in range(xs.shape[1])]
+    seen.clear()
+    codes, steps = experiments._lockstep(
+        experiments._lanes(PERIOD58_CFG, xs[0], xs[1]), 1300, TIE_TOL,
+        window=window)
+    assert list(zip(codes.tolist(), steps.tolist())) == [
+        (verdict_code(t.verdict), t.steps_used) for t in traces]
+    want = [last_points(t.points, s, window) for s in (512, 1024, 1300)
+            for t in traces
+            if s < t.steps_used or (s == t.steps_used
+                                    and not isinstance(t.verdict,
+                                                       ConvergedTo))]
+    assert len(seen) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+    assert {type(t.verdict) for t in traces} == (
+        {ConvergedTo, Cycle} if window >= 116 else {ConvergedTo, Budget})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
+       x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+       max_steps=st.integers(1, 1600))
+def test_one_cell_raster_equals_simulate(t1, t2_frac, x, y, max_steps):
+    cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
+    bounds = (x - 1e-3, x + 1e-3, y - 1e-3, y + 1e-3)
+    want = cell_reference(cfg, bounds, (1, 1), FirstBranch(), 0, max_steps)
+    # with the floor at one lane the cell runs through both lane passes
+    with mock.patch.object(experiments, "_LANE_FLOOR", 1):
+        grid = rasterize(cfg, bounds, (1, 1), max_steps=max_steps)
+    assert (grid.cells[0, 0], grid.steps[0, 0]) == (want[0][0, 0],
+                                                     want[1][0, 0])
+
+
+def simulate_tree_deque(cfg, x0, policy=EnumerateTree(), max_steps=20000,
+                        tol=TIE_TOL, record=True, window=4096,
+                        match_tol=1e-8, check_every=512):
+    # the deque-window walk simulate_tree replaced; reference for its buffer
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    start = experiments._finite_start(x0)
+    c1, s1, c2, s2, r1sq, r2sq = experiments._constants(cfg)
+    gap_of, branch = experiments._gap, experiments._branch
+    max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
+    rng = None
+    leaves = []
+    stack = [(start[0], start[1], 0, [start], deque([start], maxlen=window))]
+    committed = 1
+    while stack:
+        x, y, steps, pts, win = stack.pop()
+        while True:
+            dx1 = x + 0.5
+            dx2 = x - 0.5
+            if dx1 * dx1 + y * y < r1sq:
+                verdict = ConvergedTo(1)
+                break
+            if dx2 * dx2 + y * y < r2sq:
+                verdict = ConvergedTo(2)
+                break
+            if steps and steps % check_every == 0:
+                k = detect_cycle(win, match_tol)
+                if k is not None:
+                    verdict = Cycle(k)
+                    break
+            if steps >= max_steps:
+                k = detect_cycle(win, match_tol)
+                verdict = Cycle(k) if k is not None else Budget()
+                break
+            gap = gap_of(c1, s1, c2, s2, x, y)
+            first = gap < 0.0
+            if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
+                first = True
+                if committed < max_leaves:
+                    committed += 1
+                    bp = branch(0.5, c2, s2, x, y)
+                    bw = deque(win, maxlen=window)
+                    bw.append(bp)
+                    stack.append((bp[0], bp[1], steps + 1,
+                                  pts + [bp] if record else [bp], bw))
+                elif isinstance(policy, SeededRandom):
+                    if rng is None:
+                        rng = np.random.default_rng(
+                            np.random.SeedSequence(policy.seed))
+                    first = bool(rng.integers(0, 2) == 0)
+            if first:
+                x, y = branch(-0.5, c1, s1, x, y)
+            else:
+                x, y = branch(0.5, c2, s2, x, y)
+            steps += 1
+            p = (x, y)
+            if record:
+                pts.append(p)
+            win.append(p)
+        leaves.append(experiments.Trace(
+            start=start, points=tuple(pts) if record else ((x, y),),
+            verdict=verdict, steps_used=steps))
+    return tuple(leaves)
+
+
+def tie_preimage(cfg, n):
+    # a start whose n-th iterate is tie_point(cfg): each step back inverts
+    # the branch whose region, well off the tie band, holds the preimage
+    c1, s1, c2, s2, _, _ = experiments._constants(cfg)
+    x, y = tie_point(cfg)
+    for _ in range(n):
+        for a, c, s, side in ((-0.5, c1, s1, -1.0), (0.5, c2, s2, 1.0)):
+            p, q = (x - a) / c, y / c
+            px, py = a + c * p - s * q, s * p + c * q
+            gap = experiments._gap(c1, s1, c2, s2, px, py)
+            if side * gap > 1e-6 * (1.0 + math.hypot(px, py)):
+                x, y = px, py
+                break
+        else:
+            raise ValueError("no preimage off the tie band")
+    return x, y
+
+
+@pytest.mark.parametrize("window", [4096, 200, 7, 1, 0])
+@pytest.mark.parametrize("record", [True, False], ids=["record", "last"])
+def test_simulate_tree_window_buffer_matches_deque(window, record):
+    cases = [(FIG_CFG, (1.7, -2.4), 3000),
+             (PERIOD2_CFG, (0.101912, 0.189275), 1500),
+             (PERIOD58_CFG, (-0.123641, -0.510395), 2100),
+             (PERIOD58_CFG, (1.7, -2.4), 1100),
+             (PERIOD1410_CFG, (0.392560, -0.351588), 5000)]
+    # starts on D3 fork under EnumerateTree at once, the preimages of D3
+    # after 20 steps, with a window of 21 points to copy
+    cases += [(cfg, tie_point(cfg), 1500)
+              for cfg in (FIG_CFG, PERIOD2_CFG, PERIOD58_CFG, PERIOD1410_CFG)]
+    cases += [(cfg, tie_preimage(cfg, 20), 1500)
+              for cfg in (FIG_CFG, PERIOD2_CFG)]
+    verdicts = set()
+    for cfg, x0, max_steps in cases:
+        for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
+            for check_every in (512, 97):
+                kw = dict(max_steps=max_steps, record=record, window=window,
+                          check_every=check_every)
+                got = simulate_tree(cfg, x0, policy, **kw)
+                assert got == simulate_tree_deque(cfg, x0, policy, **kw)
+                verdicts |= {type(t.verdict) for t in got}
+    assert verdicts == ({ConvergedTo, Cycle, Budget} if window >= 4
+                        else {ConvergedTo, Budget})
+
+
+def test_simulate_tree_late_fork_and_long_period_match_deque():
+    # the period-2 pair's late fork splits into a cycle and a converging
+    # leaf that share their first 21 points
+    leaves = simulate_tree(PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20),
+                           max_steps=1500)
+    assert [type(t.verdict) for t in leaves] == [Cycle, ConvergedTo]
+    assert [t.steps_used for t in leaves] == [512, 24]
+    assert leaves[0].points[:21] == leaves[1].points[:21]
+    # the period-1410 orbit shows at step 49664, past many window wraps
+    x0 = (0.392560, -0.351588)
+    got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), max_steps=60000,
+                        record=False)
+    assert got == simulate_tree_deque(PERIOD1410_CFG, x0, FirstBranch(),
+                                      max_steps=60000, record=False)
+    assert got[0].verdict == Cycle(1410) and got[0].steps_used == 49664
+    with pytest.raises(ValueError):
+        simulate(FIG_CFG, (0.1, 0.2), window=-1)

@@ -333,6 +333,25 @@ def test_run_perturbed_rejects_bad_inputs():
     assert trace.points == ((1.0, 1.0),) and trace.disturbances == ()
 
 
+def test_run_perturbed_rejects_starts_whose_v_overflows():
+    # (1+eps)^2 V(x0) passes the largest double between these abscissas
+    inside, outside = 7.766554619706739e+64, 7.76655461970674e+64
+    for x0 in ((outside, 0.0), (1e70, 0.0), (0.0, -1e200)):
+        for mode in ("random", "adversarial"):
+            with pytest.raises(ValueError, match="overflows"):
+                run_perturbed(SPEC, FIG_CFG, x0, 3, seed=0, mode=mode)
+    # just inside, every V the run and its audits evaluate stays finite
+    with np.errstate(over="raise"):
+        for x0 in ((inside, 0.0), (-inside, 0.0), (0.0, inside)):
+            for mode in ("random", "adversarial"):
+                for seed in range(3):
+                    trace = run_perturbed(SPEC, FIG_CFG, x0, 5, seed=seed,
+                                          mode=mode)
+                    assert check_kl_bound(SPEC, FIG_CFG, trace)[0]
+                    assert all(math.isfinite(v_global(SPEC, FIG_CFG, p))
+                               for p in trace.points)
+
+
 class _FixedAngles:
     """Stands in for the Generator: uniform() returns the given angles."""
 
