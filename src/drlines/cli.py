@@ -41,7 +41,7 @@ from .exports import (
     trace_csv,
     write_pgm,
 )
-from .geometry import TIE_TOL, ProblemConfig
+from .geometry import TIE_TOL, ProblemConfig, checked_tolerance
 from .lyapunov import Infeasible, certify
 from .robust import PerturbationSpec, check_kl_bound, run_perturbed
 
@@ -123,7 +123,8 @@ class _Resolver:
         return int(self.get("seed", 0))
 
     def threads(self) -> int:
-        return int(self.get("threads", os.cpu_count() or 1))
+        return _at_least("threads", self.get("threads", os.cpu_count() or 1),
+                         1)
 
     def angles(self) -> tuple[float, float]:
         t1 = float(self.get("theta1", required=True))
@@ -352,7 +353,7 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
             "x0": _parse_vec2(r.get("x0", required=True)),
             "steps": _at_least("steps", r.get("steps", 100), 0),
             "policy": policy, "seed": seed,
-            "tol": float(r.get("tol", TIE_TOL)),
+            "tol": checked_tolerance("--tol", float(r.get("tol", TIE_TOL))),
             "out": r.get("out")})
     if cmd == "raster":
         t1, t2 = r.angles()

@@ -26,7 +26,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import TIE_TOL, ProblemConfig, cos_sin, distance_to_D3
+from .geometry import (TIE_TOL, ProblemConfig, checked_tolerance, cos_sin,
+                       distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
 
 DEFAULT_WINDOW = 4096
@@ -34,8 +35,8 @@ DEFAULT_MATCH_TOL = 1e-8
 DEFAULT_CHECK_EVERY = 512
 BALL_SAFETY = 0.99
 # lanes per _lockstep block, and the lane count below which lockstep
-# stops paying: a block pass hands the rest of its lanes on, and fewer
-# hand-offs than this re-run through scalar simulate
+# stops paying: a block pass hands the rest of its lanes on, and a lane
+# set running to its verdicts finishes them in the scalar walk
 _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
 # _lockstep's code for a lane left to a scalar re-run
@@ -196,8 +197,8 @@ def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
     directions and the squared termination-ball radii."""
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
-    r1 = BALL_SAFETY * distance_to_D3(cfg, cfg.p1)
-    r2 = BALL_SAFETY * distance_to_D3(cfg, cfg.p2)
+    r1 = BALL_SAFETY * float(distance_to_D3(cfg, cfg.p1))
+    r2 = BALL_SAFETY * float(distance_to_D3(cfg, cfg.p2))
     return c1, s1, c2, s2, r1 * r1, r2 * r2
 
 
@@ -233,6 +234,12 @@ def _branch_values(cfg: ProblemConfig, x: float,
     return tuple((bx, by + 0.0) for bx, by in outs)
 
 
+def _code(v: Verdict) -> int:
+    """A verdict's raster code: 0 Budget, 1 or 2 the ball, 3 Cycle."""
+    return v.target if isinstance(v, ConvergedTo) else (
+        3 if isinstance(v, Cycle) else 0)
+
+
 def _finite_start(x0) -> tuple[float, float]:
     x, y = float(x0[0]), float(x0[1])
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -251,7 +258,7 @@ def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
     cycle check every ``check_every`` steps, then the budget (with a final
     cycle check).  An EnumerateTree policy explores every tie branching and
     this returns the worst leaf: Budget over Cycle over ConvergedTo.
-    Raises ValueError for a non-finite start.
+    Raises ValueError for any input ``simulate_tree`` rejects.
     """
     leaves = simulate_tree(cfg, x0, policy, max_steps=max_steps, tol=tol,
                            record=record, window=window, match_tol=match_tol,
@@ -273,83 +280,120 @@ def simulate_tree(cfg: ProblemConfig, x0,
     to the A1 branch.  Returns one terminated Trace per leaf.  Any other
     policy has a budget of one leaf and picks the branch at each tie; a
     SeededRandom stream is built at the first tie, as most trajectories
-    meet none.
+    meet none.  Each leaf runs in the scalar walk, which stops at ties for
+    the branch choice and resumes from the chosen point.  Raises
+    ValueError for a non-finite start, max_steps or check_every below 1, a
+    negative window, or a tolerance that is not finite and >= 0.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
+    if check_every < 1:
+        raise ValueError(f"check_every must be >= 1, got {check_every}")
+    checked_tolerance("tol", tol)
+    checked_tolerance("match_tol", match_tol)
     start = _finite_start(x0)
-    c1, s1, c2, s2, r1sq, r2sq = _constants(cfg)
+    consts = _constants(cfg)
+    c1, s1, c2, s2 = consts[:4]
     max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
     rng = None
     leaves: list[Trace] = []
-    # the window is a flat buffer of x, y pairs that detect_cycle reads as
-    # an (m, 2) view without copying; once it holds 2 * window + 1 points
-    # all but the last window are dropped
-    keep = 2 * window
-    # stack entries: (x, y, steps, points, window); A1 continuations are
-    # pushed last so they pop first
-    stack = [(start[0], start[1], 0, [start], array("d", start))]
+    # stack entries: (x, y, steps, points or None, window); a fork pushes
+    # its A2 leaf and goes on through A1, so A1 is explored first
+    stack = [(*start, 0, [start] if record else None, array("d", start))]
     committed = 1
     while stack:
         x, y, steps, pts, win = stack.pop()
         while True:
-            dx1 = x + 0.5
-            dx2 = x - 0.5
-            if dx1 * dx1 + y * y < r1sq:
-                verdict: Verdict = ConvergedTo(1)
+            verdict, x, y, steps = _walk(consts, x, y, steps, win, pts,
+                                         max_steps, tol, window, match_tol,
+                                         check_every)
+            if verdict is not None:
                 break
-            if dx2 * dx2 + y * y < r2sq:
-                verdict = ConvergedTo(2)
-                break
-            if steps and steps % check_every == 0:
-                k = detect_cycle(_window_view(win, keep), match_tol)
-                if k is not None:
-                    verdict = Cycle(k)
-                    break
-            if steps >= max_steps:
-                k = detect_cycle(_window_view(win, keep), match_tol)
-                verdict = Cycle(k) if k is not None else Budget()
-                break
-            gap = _gap(c1, s1, c2, s2, x, y)
-            first = gap < 0.0
-            if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
-                first = True
-                if committed < max_leaves:
-                    committed += 1
-                    bp = _branch(0.5, c2, s2, x, y)
-                    bw = array("d", win)
-                    bw.extend(bp)
-                    stack.append((bp[0], bp[1], steps + 1,
-                                  pts + [bp] if record else [bp], bw))
-                elif isinstance(policy, SeededRandom):
-                    if rng is None:
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence(policy.seed))
-                    first = bool(rng.integers(0, 2) == 0)
-            if first:
-                x, y = _branch(-0.5, c1, s1, x, y)
-            else:
-                x, y = _branch(0.5, c2, s2, x, y)
+            # a tie: fork within the leaf budget, else A1 or the coin
+            first = True
+            if committed < max_leaves:
+                committed += 1
+                bp = _branch(0.5, c2, s2, x, y)
+                bw = array("d", win)
+                bw.extend(bp)
+                stack.append((*bp, steps + 1,
+                              None if pts is None else pts + [bp], bw))
+            elif isinstance(policy, SeededRandom):
+                if rng is None:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(policy.seed))
+                first = bool(rng.integers(0, 2) == 0)
+            x, y = (_branch(-0.5, c1, s1, x, y) if first
+                    else _branch(0.5, c2, s2, x, y))
             steps += 1
-            if record:
+            win.extend((x, y))
+            if pts is not None:
                 pts.append((x, y))
-            win.append(x)
-            win.append(y)
-            if len(win) > 2 * keep:
-                del win[:len(win) - keep]
         leaves.append(Trace(start=start,
-                            points=tuple(pts) if record else ((x, y),),
+                            points=((x, y),) if pts is None else tuple(pts),
                             verdict=verdict, steps_used=steps))
     return tuple(leaves)
 
 
-def _window_view(win: array, keep: int) -> np.ndarray:
-    """The last keep / 2 points of a flat x, y buffer, as an (m, 2) view.
-    The view pins the buffer's size, so it must be dropped before the
-    next append."""
-    return np.frombuffer(win)[max(0, len(win) - keep):].reshape(-1, 2)
+def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
+          pts: Optional[list], max_steps: int, tol: float, window: int,
+          match_tol: float, check_every: int
+          ) -> tuple[Optional[Verdict], float, float, int]:
+    """Run one trajectory from its state at ``steps`` until a verdict or a
+    tie.  ``win`` is a flat x, y buffer whose last ``window`` points are the
+    trajectory's last points up to (x, y); ``pts``, if not None, collects
+    the points.  Each visit tests the balls, then the cycle check every
+    ``check_every`` steps, then the budget (with a final check).  Returns
+    (verdict, x, y, steps), or (None, x, y, steps) for a point within the
+    tie band, visited but not stepped."""
+    c1, s1, c2, s2, r1sq, r2sq = consts
+    gap_of, branch, hypot = _gap, _branch, math.hypot
+    push, add = win.append, None if pts is None else pts.append
+    keep = 2 * window
+    dx1, dx2 = x + 0.5, x - 0.5
+    if dx1 * dx1 + y * y < r1sq:
+        return ConvergedTo(1), x, y, steps
+    if dx2 * dx2 + y * y < r2sq:
+        return ConvergedTo(2), x, y, steps
+    while True:
+        # a boundary: the buffer drops all but the last window points, and
+        # detect_cycle reads them as an (m, 2) view, gone before the next
+        # append; runs between boundaries test no counter
+        if len(win) > keep:
+            del win[:len(win) - keep]
+        if steps and steps % check_every == 0:
+            period = detect_cycle(np.frombuffer(win).reshape(-1, 2),
+                                  match_tol)
+            if period is not None:
+                return Cycle(period), x, y, steps
+        if steps >= max_steps:
+            period = detect_cycle(np.frombuffer(win).reshape(-1, 2),
+                                  match_tol)
+            return (Budget() if period is None else Cycle(period)), x, y, steps
+        # the next boundary is a cycle check, the budget or, with sparse
+        # checks, a trim that bounds the buffer
+        stop = min(max_steps, (steps // check_every + 1) * check_every,
+                   steps + DEFAULT_WINDOW)
+        for steps in range(steps + 1, stop + 1):
+            gap = gap_of(c1, s1, c2, s2, x, y)
+            if abs(gap) <= tol * (1.0 + hypot(x, y)):
+                return None, x, y, steps - 1
+            if gap < 0.0:
+                x, y = branch(-0.5, c1, s1, x, y)
+            else:
+                x, y = branch(0.5, c2, s2, x, y)
+            push(x)
+            push(y)
+            if add is not None:
+                add((x, y))
+            dx1 = x + 0.5
+            if dx1 * dx1 + y * y < r1sq:
+                return ConvergedTo(1), x, y, steps
+            dx2 = x - 0.5
+            if dx2 * dx2 + y * y < r2sq:
+                return ConvergedTo(2), x, y, steps
 
 
 def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
@@ -362,34 +406,47 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     the transient toward the limit cycle.  The meeting distance is then
     reduced to the minimal period by divisor checks.  Returns None when no
     recurrence is found within max_steps; raises ValueError for a
-    non-finite start.
+    non-finite start, max_steps < 1 or a tolerance that is not finite and
+    >= 0.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    checked_tolerance("tol", tol)
+    checked_tolerance("match_tol", match_tol)
     c1, s1, c2, s2, _, _ = _constants(cfg)
+    gap_of, branch, hypot = _gap, _branch, math.hypot
 
     def step(p: tuple[float, float]) -> tuple[float, float]:
         # FirstBranch: ties go through A1, so A1 whenever gap <= the band
         x, y = p
-        if _gap(c1, s1, c2, s2, x, y) <= tol * (1.0 + math.hypot(x, y)):
-            return _branch(-0.5, c1, s1, x, y)
-        return _branch(0.5, c2, s2, x, y)
+        if gap_of(c1, s1, c2, s2, x, y) <= tol * (1.0 + hypot(x, y)):
+            return branch(-0.5, c1, s1, x, y)
+        return branch(0.5, c2, s2, x, y)
 
     def close(a: tuple[float, float], b: tuple[float, float]) -> bool:
-        return (math.hypot(a[0] - b[0], a[1] - b[1])
-                <= match_tol * (1.0 + math.hypot(b[0], b[1])))
+        return (hypot(a[0] - b[0], a[1] - b[1])
+                <= match_tol * (1.0 + hypot(b[0], b[1])))
 
-    tortoise = _finite_start(x0)
-    hare = step(tortoise)
+    tx, ty = _finite_start(x0)
+    x, y = step((tx, ty))
     total = 1
     power = 1
     lam = 1
-    while not close(hare, tortoise):
+    # the tortoise's match limit changes only when it teleports; the
+    # negated test keeps a NaN distance unmatched
+    lim = match_tol * (1.0 + hypot(tx, ty))
+    while not (hypot(x - tx, y - ty) <= lim):
         if total >= max_steps:
             return None
         if power == lam:
-            tortoise = hare
+            tx, ty = x, y
+            lim = match_tol * (1.0 + hypot(tx, ty))
             power *= 2
             lam = 0
-        hare = step(hare)
+        if gap_of(c1, s1, c2, s2, x, y) <= tol * (1.0 + hypot(x, y)):
+            x, y = branch(-0.5, c1, s1, x, y)
+        else:
+            x, y = branch(0.5, c2, s2, x, y)
         total += 1
         lam += 1
     if lam == 1:
@@ -397,7 +454,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     # confirm on a fresh 2*lam segment, reject constant tails (those belong
     # to the convergence criterion), then reduce to the minimal period
     seg = []
-    p = hare
+    p = (x, y)
     for _ in range(2 * lam):
         seg.append(p)
         p = step(p)
@@ -433,7 +490,9 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
     keeps its last ``window`` points in a buffer that grows by one cycle
     check interval at a time (finished lanes are dropped then), and
     detect_cycle reads them at every cycle check and at the budget: code 3
-    for a cycle, 0 for the budget.
+    for a cycle, 0 for the budget.  Once fewer than _LANE_FLOOR lanes are
+    live, each goes on in the scalar walk from its point, step count and
+    window; one that meets a tie there is left to the scalar re-run.
     """
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
@@ -441,10 +500,19 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
     live = np.arange(n)
     every = DEFAULT_CHECK_EVERY
     limit = max_steps if window else min(max_steps, every)
-    floor = 1 if window else _LANE_FLOOR
     # hist[r, col[j]] is live lane j's point at step base + r
     hist, col, base = lanes[:2].T[None], live, 0
     for step in range(limit + 1):
+        recent = hist[max(0, step + 1 - base - window):step + 1 - base]
+        if window and len(live) < _LANE_FLOOR:
+            for j, lane in enumerate(lanes.T.tolist()):
+                v, _, _, used = _walk(lane[2:], lane[0], lane[1], step,
+                                      array("d", recent[:, col[j]].tobytes()),
+                                      None, max_steps, tol, window,
+                                      DEFAULT_MATCH_TOL, every)
+                if v is not None:
+                    codes[live[j]], steps[live[j]] = _code(v), used
+            break
         x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
         dx1 = x + 0.5
         dx2 = x - 0.5
@@ -453,7 +521,6 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
         codes[live[in1]] = 1
         codes[live[in2]] = 2
         done = in1 | in2
-        recent = hist[max(0, step + 1 - base - window):step + 1 - base]
         if window and step and (step % every == 0 or step == limit):
             for j in np.flatnonzero(~done).tolist():
                 k = detect_cycle(recent[:, col[j]])
@@ -467,7 +534,7 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
             lanes, live, col, gap = lanes[:, keep], live[keep], col[keep], \
                 gap[keep]
             x, y, c1, s1, c2, s2 = lanes[:6]
-        if step == limit or len(live) < floor:
+        if step == limit or (not window and len(live) < _LANE_FLOOR):
             break
         if window and step % every == 0:
             kept = len(recent)
@@ -523,9 +590,9 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     Cells (row-major) run through the lockstep driver in fixed blocks;
     threads > 1 distributes the blocks over worker processes.  The cells
     still running at the first cycle check then run on to their cycle or
-    budget verdicts as lanes in this process, and only cells that meet a
-    tie (or hand-offs too few to pay for lanes) re-run through scalar
-    ``simulate``.  Cell streams are keyed by (seed, cell_index), so the
+    budget verdicts as lanes in this process, the last few of a lane set
+    in the scalar walk, and only cells that meet a tie re-run through
+    scalar ``simulate``.  Cell streams are keyed by (seed, cell_index), so the
     picture equals per-cell ``simulate`` calls at any thread count.
     """
     nx, ny = resolution
@@ -541,27 +608,23 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
                              max_steps, tol)
     blocks = _map_blocks(work, range(0, nx * ny, _LANE_BLOCK), threads)
     codes, steps = (np.concatenate(a) for a in zip(*blocks))
-    # the block pass's hand-offs run on to their verdicts as lanes, in sets
-    # whose windows fit in _HIST_POINTS; tie lanes, and hand-offs too few
-    # to pay for lockstep, re-run through scalar simulate
+    # the block pass's hand-offs run on to their verdicts as lanes (and
+    # their last few in the scalar walk), in sets whose windows fit in
+    # _HIST_POINTS; tie lanes re-run through scalar simulate
     cell = np.flatnonzero(codes == _HANDOFF)
-    if len(cell) >= _LANE_FLOOR:
-        per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
-                                   + DEFAULT_CHECK_EVERY)
-        for part in np.array_split(cell, -(-len(cell) // per_set)):
-            codes[part], steps[part] = _lockstep(
-                _lanes(cfg, *_cell_centres(bounds, resolution, part)),
-                max_steps, tol, window=DEFAULT_WINDOW)
+    per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
+                               + DEFAULT_CHECK_EVERY)
+    for part in np.array_split(cell, max(1, -(-len(cell) // per_set))):
+        codes[part], steps[part] = _lockstep(
+            _lanes(cfg, *_cell_centres(bounds, resolution, part)),
+            max_steps, tol, window=DEFAULT_WINDOW)
     for h in np.flatnonzero(codes == _HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
         tr = simulate(cfg, _cell_centres(bounds, resolution, h),
                       SeededRandom((seed, h))
                       if isinstance(policy, SeededRandom) else policy,
                       max_steps=max_steps, tol=tol, record=False)
-        v = tr.verdict
-        codes[h] = v.target if isinstance(v, ConvergedTo) else (
-            3 if isinstance(v, Cycle) else 0)
-        steps[h] = tr.steps_used
+        codes[h], steps[h] = _code(tr.verdict), tr.steps_used
     cells, steps = codes.reshape(ny, nx), steps.reshape(ny, nx)
     return RasterGrid(bounds=tuple(bounds), resolution=(nx, ny), cells=cells,
                       steps=steps, seed=seed)

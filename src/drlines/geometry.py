@@ -140,13 +140,20 @@ def distance_to_line(line: Line, x) -> float:
     return abs((p[0] - ax) * nx + (p[1] - ay) * ny)
 
 
+def checked_tolerance(name: str, value: float) -> float:
+    """value, if it is a finite tolerance >= 0; a NaN, infinite or negative
+    one would switch its test off, so it raises ValueError."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def classify_region(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> Region:
     """D1/D2 by strictly closer line; D3 when the distances tie.
 
     The tie test is relative: |d1 - d2| <= tol * (1 + |x|).
     """
-    if tol < 0.0:
-        raise ValueError("tie tolerance must be >= 0")
+    checked_tolerance("tie tolerance", tol)
     p = np.asarray(x, dtype=float)
     d1 = distance_to_line(cfg.a1, p)
     d2 = distance_to_line(cfg.a2, p)

@@ -6,7 +6,6 @@ certificate and its decrease property, increase-ball geometry, robustness
 under perturbation, orbit detection, basin rasters, and sweep consistency.
 """
 import math
-import os
 import time
 
 import numpy as np
@@ -160,8 +159,6 @@ def test_periodic_orbit_detection():
     assert time.perf_counter() - start < 30.0
 
 
-@pytest.mark.skipif(os.environ.get("DR_LONG_TESTS") != "1",
-                    reason="set DR_LONG_TESTS=1 to run the long-period case")
 def test_periodic_orbit_long_period():
     tr = simulate(ProblemConfig(0.703469, 3.138852),
                   (0.392560, -0.351588), max_steps=60000, record=False)

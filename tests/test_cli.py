@@ -84,6 +84,27 @@ def test_exit_code_matrix(capsys, tmp_path):
                                           "--steps", "3", *flags])
         assert code == 1 and out == "" and "overflows" in err
     assert not (tmp_path / "trace.csv").exists()
+    # budgets and tolerances that would switch a check off, Brent and
+    # windowed alike
+    for flags in (["--max-steps", "0"], ["--max-steps", "-3"],
+                  ["--match-tol", "nan"], ["--match-tol=-1e-8"],
+                  ["--match-tol", "inf"]):
+        for brent in ([], ["--brent"]):
+            code, out, err = run_cli(capsys, ["orbit", *FIG, "--x0", "2,1",
+                                              *flags, *brent])
+            assert code == 1 and out == ""
+            assert flags[0].split("=")[0][2:].replace("-", "_") in err
+    for steps in ("0", "3"):
+        code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", "2,1",
+                                          "--tol", "nan", "--steps", steps])
+        assert code == 1 and out == "" and "--tol" in err
+    for cmd in (["raster", *FIG, "--res", "2x2",
+                 "--out", str(tmp_path / "r.pgm")],
+                ["sweep", "--grid", "2x2", "--out", str(tmp_path / "s.csv")]):
+        for threads in ("0", "-2"):
+            code, out, err = run_cli(capsys, [*cmd, "--threads", threads])
+            assert code == 1 and out == "" and "--threads" in err
+    assert not any(tmp_path.iterdir())
     code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", TIE_X0,
                                       "--policy", "tree"])
     assert code == 1 and out == "" and "tree" in err

@@ -1,5 +1,6 @@
 """Simulation verdicts, cycle detection, raster and sweep drivers."""
 import math
+from array import array
 from collections import deque
 from unittest import mock
 
@@ -586,7 +587,8 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
         assert all(np.array_equal(a, b) for a, b in zip(seen, want))
     # lanes, whose verdicts must be simulate's: at each check step the
     # live lanes check in order, once at a step that is both a cycle check
-    # and the budget
+    # and the budget; the floor at one lane keeps all 32 in lanes
+    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     rng = np.random.default_rng(window)
     xs = np.hstack([rng.uniform(-3.0, 3.0, size=(2, 24)),
                     rng.normal(scale=1e-3, size=(2, 8))
@@ -690,11 +692,12 @@ def simulate_tree_deque(cfg, x0, policy=EnumerateTree(), max_steps=20000,
     return tuple(leaves)
 
 
-def tie_preimage(cfg, n):
-    # a start whose n-th iterate is tie_point(cfg): each step back inverts
-    # the branch whose region, well off the tie band, holds the preimage
+def tie_preimage(cfg, n, end=None):
+    # a start whose n-th iterate is tie_point(cfg), or end: each step back
+    # inverts the branch whose region, well off the tie band, holds the
+    # preimage
     c1, s1, c2, s2, _, _ = experiments._constants(cfg)
-    x, y = tie_point(cfg)
+    x, y = tie_point(cfg) if end is None else end
     for _ in range(n):
         for a, c, s, side in ((-0.5, c1, s1, -1.0), (0.5, c2, s2, 1.0)):
             p, q = (x - a) / c, y / c
@@ -752,3 +755,329 @@ def test_simulate_tree_late_fork_and_long_period_match_deque():
     assert got[0].verdict == Cycle(1410) and got[0].steps_used == 49664
     with pytest.raises(ValueError):
         simulate(FIG_CFG, (0.1, 0.2), window=-1)
+
+
+def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
+                           tol=TIE_TOL, record=True, window=4096,
+                           match_tol=1e-8, check_every=512):
+    # the per-step loop the resumable walk replaced (step counter, budget
+    # and buffer tested on every step); reference for its verdicts, points
+    # and detect_cycle windows
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    start = experiments._finite_start(x0)
+    c1, s1, c2, s2, r1sq, r2sq = experiments._constants(cfg)
+    gap_of, branch = experiments._gap, experiments._branch
+    max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
+    rng = None
+    leaves = []
+    keep = 2 * window
+
+    def view(win):
+        return np.frombuffer(win)[max(0, len(win) - keep):].reshape(-1, 2)
+
+    stack = [(start[0], start[1], 0, [start], array("d", start))]
+    committed = 1
+    while stack:
+        x, y, steps, pts, win = stack.pop()
+        while True:
+            dx1 = x + 0.5
+            dx2 = x - 0.5
+            if dx1 * dx1 + y * y < r1sq:
+                verdict = ConvergedTo(1)
+                break
+            if dx2 * dx2 + y * y < r2sq:
+                verdict = ConvergedTo(2)
+                break
+            if steps and steps % check_every == 0:
+                k = experiments.detect_cycle(view(win), match_tol)
+                if k is not None:
+                    verdict = Cycle(k)
+                    break
+            if steps >= max_steps:
+                k = experiments.detect_cycle(view(win), match_tol)
+                verdict = Cycle(k) if k is not None else Budget()
+                break
+            gap = gap_of(c1, s1, c2, s2, x, y)
+            first = gap < 0.0
+            if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
+                first = True
+                if committed < max_leaves:
+                    committed += 1
+                    bp = branch(0.5, c2, s2, x, y)
+                    bw = array("d", win)
+                    bw.extend(bp)
+                    stack.append((bp[0], bp[1], steps + 1,
+                                  pts + [bp] if record else [bp], bw))
+                elif isinstance(policy, SeededRandom):
+                    if rng is None:
+                        rng = np.random.default_rng(
+                            np.random.SeedSequence(policy.seed))
+                    first = bool(rng.integers(0, 2) == 0)
+            if first:
+                x, y = branch(-0.5, c1, s1, x, y)
+            else:
+                x, y = branch(0.5, c2, s2, x, y)
+            steps += 1
+            if record:
+                pts.append((x, y))
+            win.append(x)
+            win.append(y)
+            if len(win) > 2 * keep:
+                del win[:len(win) - keep]
+        leaves.append(experiments.Trace(
+            start=start, points=tuple(pts) if record else ((x, y),),
+            verdict=verdict, steps_used=steps))
+    return tuple(leaves)
+
+
+def find_period_brent_per_step(cfg, x0, max_steps=200000, match_tol=1e-8,
+                               tol=TIE_TOL):
+    # Brent's search as it was before its lighter loop (the match limit
+    # recomputed and the step called on every step); reference for it
+    c1, s1, c2, s2, _, _ = experiments._constants(cfg)
+    gap_of, branch = experiments._gap, experiments._branch
+
+    def step(p):
+        x, y = p
+        if gap_of(c1, s1, c2, s2, x, y) <= tol * (1.0 + math.hypot(x, y)):
+            return branch(-0.5, c1, s1, x, y)
+        return branch(0.5, c2, s2, x, y)
+
+    def close(a, b):
+        return (math.hypot(a[0] - b[0], a[1] - b[1])
+                <= match_tol * (1.0 + math.hypot(b[0], b[1])))
+
+    tortoise = experiments._finite_start(x0)
+    hare = step(tortoise)
+    total = 1
+    power = 1
+    lam = 1
+    while not close(hare, tortoise):
+        if total >= max_steps:
+            return None
+        if power == lam:
+            tortoise = hare
+            power *= 2
+            lam = 0
+        hare = step(hare)
+        total += 1
+        lam += 1
+    if lam == 1:
+        return None
+    seg = []
+    p = hare
+    for _ in range(2 * lam):
+        seg.append(p)
+        p = step(p)
+
+    def shift_ok(d):
+        return all(close(seg[i + d], seg[i]) for i in range(2 * lam - d))
+
+    if not shift_ok(lam) or shift_ok(1):
+        return None
+    for d in range(2, lam):
+        if lam % d == 0 and shift_ok(d):
+            return d
+    return lam
+
+
+def spy_detect_cycle(monkeypatch):
+    # every window detect_cycle is asked about, as bytes, with its tolerance
+    seen = []
+
+    def spy(points_window, match_tol=experiments.DEFAULT_MATCH_TOL):
+        w = np.asarray(points_window, dtype=float)
+        seen.append((w.shape, w.tobytes(), match_tol))
+        return detect_cycle(points_window, match_tol)
+
+    monkeypatch.setattr(experiments, "detect_cycle", spy)
+    return seen
+
+
+@pytest.mark.parametrize("window", [0, 1, 7, 4096])
+def test_walk_matches_per_step_loop(monkeypatch, window):
+    seen = spy_detect_cycle(monkeypatch)
+    cases = [(FIG_CFG, (1.7, -2.4), 2000),
+             (PERIOD2_CFG, (0.101912, 0.189275), 1100),
+             (PERIOD58_CFG, (-0.123641, -0.510395), 1100),
+             (PERIOD1410_CFG, (0.392560, -0.351588), 2100),
+             (FIG_CFG, tie_point(FIG_CFG), 600),
+             (PERIOD58_CFG, tie_point(PERIOD58_CFG), 1100),
+             # forks at step 20, so the A2 leaf is born on step 21, a
+             # check step for check_every 3, 7 and 21
+             (PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20), 1100)]
+    forks_on_check = 0
+    for cfg, x0, max_steps in cases:
+        for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
+            for check_every in (3, 7, 21, 512):
+                kw = dict(max_steps=max_steps, window=window,
+                          check_every=check_every,
+                          record=check_every != 7)
+                seen.clear()
+                got = simulate_tree(cfg, x0, policy, **kw)
+                got_seen = list(seen)
+                seen.clear()
+                assert got == simulate_tree_per_step(cfg, x0, policy, **kw)
+                assert got_seen == seen
+                forks_on_check += (len(got) == 2 and check_every != 512
+                                   and x0 == tie_preimage(PERIOD2_CFG, 20))
+    assert forks_on_check == 3
+
+
+def test_walk_matches_per_step_loop_on_the_period_1410_orbit(monkeypatch):
+    seen = spy_detect_cycle(monkeypatch)
+    x0 = (0.392560, -0.351588)
+    got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), max_steps=60000,
+                        record=False)
+    got_seen = list(seen)
+    seen.clear()
+    assert got == simulate_tree_per_step(PERIOD1410_CFG, x0, FirstBranch(),
+                                         max_steps=60000, record=False)
+    assert got_seen == seen and len(seen) == 97
+    assert got[0].verdict == Cycle(1410) and got[0].steps_used == 49664
+    # with no check before the budget the walk still trims its buffer, at
+    # every 4096 steps, and the budget's check sees the last 7 points
+    kw = dict(max_steps=20000, window=7, check_every=10 ** 6, record=False)
+    seen.clear()
+    got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), **kw)
+    got_seen = list(seen)
+    seen.clear()
+    assert got == simulate_tree_per_step(PERIOD1410_CFG, x0, FirstBranch(),
+                                         **kw)
+    assert got_seen == seen and len(seen) == 1 and seen[0][0] == (7, 2)
+
+
+def test_brent_matches_per_step_loop():
+    # the period-1410 search meets at step 66945
+    meet = 66945
+    cases = [(FIG_CFG, (1.3, 2.2)), (PERIOD2_CFG, (0.101912, 0.189275)),
+             (PERIOD58_CFG, (-0.123641, -0.510395)),
+             (PERIOD1410_CFG, (0.392560, -0.351588)),
+             (PERIOD58_CFG, tie_point(PERIOD58_CFG))]
+    # far preimages of the period-2 orbit: the first tortoise's limit is
+    # loose enough to stop a hare still on its way in
+    cases += [(PERIOD2_CFG, tie_preimage(PERIOD2_CFG, n,
+                                         end=(0.101912, 0.189275)))
+              for n in (10, 30)]
+    found = set()
+    for cfg, x0 in cases:
+        for max_steps in (1, meet - 1, meet):
+            want = find_period_brent_per_step(cfg, x0, max_steps)
+            assert find_period_brent(cfg, x0, max_steps) == want
+            found.add(want)
+    assert found == {None, 2, 58, 1410}
+    x0 = (0.392560, -0.351588)
+    assert find_period_brent(PERIOD1410_CFG, x0, meet - 1) is None
+    assert find_period_brent(PERIOD1410_CFG, x0, meet) == 1410
+
+
+def test_bad_budgets_and_tolerances_fail_loudly():
+    x0 = (0.101912, 0.189275)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_steps"):
+            find_period_brent(PERIOD2_CFG, x0, max_steps=bad)
+        with pytest.raises(ValueError, match="check_every"):
+            simulate(PERIOD2_CFG, x0, check_every=bad)
+    for bad in (math.nan, math.inf, -1e-8):
+        with pytest.raises(ValueError, match="match_tol"):
+            simulate(PERIOD2_CFG, x0, match_tol=bad)
+        with pytest.raises(ValueError, match="match_tol"):
+            find_period_brent(PERIOD2_CFG, x0, match_tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            simulate(PERIOD2_CFG, x0, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            find_period_brent(PERIOD2_CFG, x0, tol=bad)
+        with pytest.raises(ValueError, match="tie tolerance"):
+            classify_region(PERIOD2_CFG, x0, tol=bad)
+    # zero is a real tolerance: exact matches (a period-6 float cycle
+    # here, against 2 at 1e-8) and exact ties only
+    assert simulate(PERIOD2_CFG, x0, match_tol=0.0, tol=0.0).verdict \
+        == Cycle(6)
+
+
+def spy_walk(monkeypatch):
+    # (step, window points) of every walk started, in order
+    entered = []
+    walk = experiments._walk
+
+    def spy(consts, x, y, steps, win, *args):
+        entered.append((steps, np.frombuffer(win).reshape(-1, 2).copy()))
+        return walk(consts, x, y, steps, win, *args)
+
+    monkeypatch.setattr(experiments, "_walk", spy)
+    return entered
+
+
+def test_rasterize_finishes_a_lone_period_1410_cell_in_the_walk(monkeypatch):
+    # 2x17 cells: the bottom-right one is the period-1410 start, the right
+    # column's others lie in p2's ball and the left column's reach p1's
+    # within 250 steps, so the long cell is soon alone
+    x, y, hy = 0.392560, -0.351588, 0.035
+    bounds, res = (x - 1.5, x + 0.5, y - 0.5 * hy, y + 16.5 * hy), (2, 17)
+    cells, steps = cell_reference(PERIOD1410_CFG, bounds, res, FirstBranch(),
+                                  0, 60000)
+    assert (cells[16, 1], steps[16, 1]) == (3, 49664)
+    cells[16, 1] = steps[16, 1] = 0
+    assert set(cells.ravel().tolist()) == {0, 1, 2}
+    assert steps.max() <= 250
+    cells[16, 1], steps[16, 1] = 3, 49664
+    calls = count_simulate_calls(monkeypatch)
+    entered = spy_walk(monkeypatch)
+    grid = rasterize(PERIOD1410_CFG, bounds, res, max_steps=60000)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+    assert calls == [] and entered
+    assert all(s <= experiments.DEFAULT_CHECK_EVERY for s, _ in entered)
+
+
+@pytest.mark.parametrize("window", [7, 4096])
+def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
+                                                          window):
+    # 34 lanes that reach p1's ball within 330 steps and the period-1410
+    # start: when the fourth lane is done, the 31 left go on in the walk
+    # from their step counts and last window points
+    x, y = 0.392560, -0.351588
+    xs = [x - d for d in (1.0, 1.1) for _ in range(17)] + [x]
+    ys = [y + 0.035 * j for _ in range(2) for j in range(17)] + [y]
+    traces = [simulate(PERIOD1410_CFG, p, max_steps=60000, window=window)
+              for p in zip(xs, ys)]
+    entered = spy_walk(monkeypatch)
+    codes, steps = experiments._lockstep(
+        experiments._lanes(PERIOD1410_CFG, np.array(xs), np.array(ys)),
+        60000, TIE_TOL, window=window)
+    assert list(zip(codes.tolist(), steps.tolist())) == [
+        (verdict_code(t.verdict), t.steps_used) for t in traces]
+    assert (codes[-1], steps[-1]) == ((3, 49664) if window == 4096
+                                      else (0, 60000))
+    first = sorted(t.steps_used for t in traces)[3] + 1
+    live = [t for t in traces if t.steps_used >= first]
+    assert len(live) == len(entered) == 31
+    for t, (s, win) in zip(live, entered):
+        assert s == first
+        assert np.array_equal(win, last_points(t.points, s, window))
+
+
+def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
+    # a lone cell is walked from step 0 and meets D3 at step 20; it then
+    # re-runs from its start under the cell's own policy
+    x0 = tie_preimage(PERIOD2_CFG, 20)
+    bounds = (x0[0] - 1e-12, x0[0] + 1e-12, x0[1] - 1e-12, x0[1] + 1e-12)
+    want = set()
+    entered = spy_walk(monkeypatch)
+    calls = count_simulate_calls(monkeypatch)
+    for policy in (FirstBranch(), SeededRandom(), EnumerateTree(4)):
+        cells, steps = cell_reference(PERIOD2_CFG, bounds, (1, 1), policy, 3,
+                                      2000)
+        want.add((int(cells[0, 0]), int(steps[0, 0])))
+        calls.clear()
+        entered.clear()
+        grid = rasterize(PERIOD2_CFG, bounds, (1, 1), policy=policy, seed=3)
+        assert (grid.cells[0, 0], grid.steps[0, 0]) == (cells[0, 0],
+                                                        steps[0, 0])
+        # the walk from step 0 stops at the tie; simulate's own leaves walk
+        # on from there
+        assert len(calls) == 1 and entered[0][0] == 0
+    assert want == {(3, 512), (2, 24)}
