@@ -2,8 +2,9 @@
 
 Library layout:
 
-- ``geometry``: lines, projections/reflections, region classification, D3.
-- ``dr``: the DR operators (closed-form, compositional, multi-valued, reversed).
+- ``geometry``: lines, projections/reflections, regions, D3, input checks.
+- ``dr``: the DR operators (closed-form, compositional, multi-valued,
+  reversed), the float step ``branch_values`` and the step arithmetic.
 - ``lyapunov``: local/global Lyapunov functions, certificates, increase balls.
 - ``robust``: sigma-perturbed steps, traces, and the KL decay bound checkers.
 - ``experiments``: trace simulation, cycle detection, rasters, parameter sweeps.
@@ -12,6 +13,7 @@ Library layout:
 """
 from .dr import (
     DrStep,
+    branch_values,
     dr_multivalued,
     dr_reversed,
     dr_two_lines,

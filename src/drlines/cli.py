@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dr import dr_multivalued
+from .dr import branch_values
 from .experiments import (
     ConvergedTo,
     Cycle,
@@ -164,7 +164,7 @@ def cmd_iterate(run: RunConfig) -> int:
     x = p["x0"]
     points = [x]
     for _ in range(p["steps"]):
-        outs = dr_multivalued(cfg, x, tol=p["tol"]).outputs
+        outs = branch_values(cfg, *x, tol=p["tol"])
         if len(outs) > 1 and isinstance(p["policy"], SeededRandom):
             x = outs[int(rng.integers(0, len(outs)))]
         else:

@@ -6,6 +6,11 @@ x -> p + cos(theta) * M_theta (x - p), where M_theta rotates by -theta in
 the usual orientation (M_theta maps (1,0) to (cos theta, -sin theta)).
 For the union A1 ∪ A2 the operator acts through whichever line is closer
 and is two-valued on the equidistance set D3.
+
+``_gap`` and ``_branch`` are the operator's only arithmetic, written once
+for floats and NumPy lanes alike: the closed form, the multi-valued step
+and every iterating path run exactly these expressions in this order, so
+the lanes reproduce the scalar iterates bit for bit.
 """
 from __future__ import annotations
 
@@ -19,6 +24,7 @@ from .geometry import (
     ProblemConfig,
     Region,
     TIE_TOL,
+    checked_tolerance,
     classify_region,
     cos_sin,
     reflect,
@@ -44,15 +50,25 @@ class DrStep:
     region: Region
 
 
+def _gap(c1, s1, c2, s2, x, y):
+    """d(x, A1) - d(x, A2): the step goes through A1 when negative."""
+    return abs(s1 * (x + 0.5) - c1 * y) - abs(s2 * (x - 0.5) - c2 * y)
+
+
+def _branch(a, c, s, x, y):
+    """The DR step through the line anchored at (a, 0) with direction
+    (c, s): a = -0.5 with A1's constants, a = 0.5 with A2's."""
+    dx = x - a
+    return a + c * (c * dx + s * y), c * (-s * dx + c * y)
+
+
 def dr_two_lines(p, theta: float, x) -> np.ndarray:
-    """Closed-form DR step for the line through p at ``theta`` and the x-axis."""
+    """Closed-form DR step for the line through p at ``theta`` and the
+    x-axis, at one point x or at the columns of a (2, n) array."""
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta = {theta} outside ]0, pi[")
-    c, s = cos_sin(theta)
-    dx = x[0] - p[0]
-    dy = x[1] - p[1]
-    return np.array([p[0] + c * (c * dx + s * dy),
-                     p[1] + c * (-s * dx + c * dy)])
+    bx, by = _branch(p[0], *cos_sin(theta), x[0], x[1] - p[1])
+    return np.array([bx, by + p[1]])
 
 
 def dr_two_lines_compose(line_a: Line, line_b: Line, x) -> np.ndarray:
@@ -61,29 +77,41 @@ def dr_two_lines_compose(line_a: Line, line_b: Line, x) -> np.ndarray:
     return 0.5 * (x + reflect(line_b, reflect(line_a, x)))
 
 
-def _branch(cfg: ProblemConfig, index: int, x) -> tuple[float, float]:
-    if index == 1:
-        out = dr_two_lines(cfg.p1, cfg.theta1, x)
+def _step(cfg: ProblemConfig, x: float, y: float, tol: float
+          ) -> tuple[Region, tuple[tuple[float, float], ...]]:
+    """The region of (x, y), by the sign of the gap with the tie band
+    |gap| <= tol * (1 + |(x, y)|), and its branch values, A1 first."""
+    c1, s1 = cos_sin(cfg.theta1)
+    c2, s2 = cos_sin(cfg.theta2)
+    gap = _gap(c1, s1, c2, s2, x, y)
+    if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
+        region = Region.D3
+        outs = (_branch(-0.5, c1, s1, x, y), _branch(0.5, c2, s2, x, y))
+    elif gap < 0.0:
+        region, outs = Region.D1, (_branch(-0.5, c1, s1, x, y),)
     else:
-        out = dr_two_lines(cfg.p2, cfg.theta2, x)
-    return (float(out[0]), float(out[1]))
+        region, outs = Region.D2, (_branch(0.5, c2, s2, x, y),)
+    # dr_two_lines adds the anchor's y of 0.0, which turns -0.0 into 0.0
+    return region, tuple((bx, by + 0.0) for bx, by in outs)
+
+
+def branch_values(cfg: ProblemConfig, x: float, y: float,
+                  tol: float = TIE_TOL) -> tuple[tuple[float, float], ...]:
+    """The operator at the point (x, y) of floats: one branch value off the
+    tie band, both (A1 first) on it.  ``tol`` is not checked."""
+    return _step(cfg, x, y, tol)[1]
 
 
 def dr_multivalued(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> DrStep:
     """Apply the operator of A1 ∪ A2 versus the x-axis at x.
 
     On the tie band both branch values are reported, A1 first; callers that
-    iterate pick one via a branch policy.
+    iterate pick one via a branch policy.  Raises ValueError for a ``tol``
+    that is not finite and >= 0.
     """
-    x = np.asarray(x, dtype=float)
-    region = classify_region(cfg, x, tol)
+    checked_tolerance("tie tolerance", tol)
     pt = (float(x[0]), float(x[1]))
-    if region is Region.D1:
-        outputs = (_branch(cfg, 1, x),)
-    elif region is Region.D2:
-        outputs = (_branch(cfg, 2, x),)
-    else:
-        outputs = (_branch(cfg, 1, x), _branch(cfg, 2, x))
+    region, outputs = _step(cfg, *pt, tol)
     return DrStep(input=pt, outputs=outputs, region=region)
 
 

@@ -26,8 +26,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import (TIE_TOL, ProblemConfig, checked_tolerance, cos_sin,
-                       distance_to_D3)
+from .dr import _branch, _gap
+from .geometry import (TIE_TOL, ProblemConfig, checked_start,
+                       checked_tolerance, cos_sin, distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
 
 DEFAULT_WINDOW = 4096
@@ -202,49 +203,10 @@ def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
     return c1, s1, c2, s2, r1 * r1, r2 * r2
 
 
-# The step formula, written once for floats and NumPy lanes alike: the
-# lane driver must reproduce the scalar iterates bit for bit, so both run
-# exactly these expressions in this order.
-def _gap(c1, s1, c2, s2, x, y):
-    """d(x, A1) - d(x, A2): the step goes through A1 when negative."""
-    return abs(s1 * (x + 0.5) - c1 * y) - abs(s2 * (x - 0.5) - c2 * y)
-
-
-def _branch(a, c, s, x, y):
-    """The DR step through the line anchored at (a, 0) with direction
-    (c, s): a = -0.5 with A1's constants, a = 0.5 with A2's."""
-    dx = x - a
-    return a + c * (c * dx + s * y), c * (-s * dx + c * y)
-
-
-def _branch_values(cfg: ProblemConfig, x: float,
-                   y: float) -> tuple[tuple[float, float], ...]:
-    """``dr_multivalued(cfg, (x, y)).outputs`` bit for bit, on plain floats:
-    one branch value off the tie band, both (A1 first) on it."""
-    c1, s1 = cos_sin(cfg.theta1)
-    c2, s2 = cos_sin(cfg.theta2)
-    gap = _gap(c1, s1, c2, s2, x, y)
-    if abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y)):
-        outs = (_branch(-0.5, c1, s1, x, y), _branch(0.5, c2, s2, x, y))
-    elif gap < 0.0:
-        outs = (_branch(-0.5, c1, s1, x, y),)
-    else:
-        outs = (_branch(0.5, c2, s2, x, y),)
-    # dr_two_lines adds the anchor's y of 0.0, which turns -0.0 into 0.0
-    return tuple((bx, by + 0.0) for bx, by in outs)
-
-
 def _code(v: Verdict) -> int:
     """A verdict's raster code: 0 Budget, 1 or 2 the ball, 3 Cycle."""
     return v.target if isinstance(v, ConvergedTo) else (
         3 if isinstance(v, Cycle) else 0)
-
-
-def _finite_start(x0) -> tuple[float, float]:
-    x, y = float(x0[0]), float(x0[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"start ({x}, {y}) is not finite")
-    return x, y
 
 
 def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
@@ -293,7 +255,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
         raise ValueError(f"check_every must be >= 1, got {check_every}")
     checked_tolerance("tol", tol)
     checked_tolerance("match_tol", match_tol)
-    start = _finite_start(x0)
+    start = checked_start(x0)
     consts = _constants(cfg)
     c1, s1, c2, s2 = consts[:4]
     max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
@@ -427,7 +389,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
         return (hypot(a[0] - b[0], a[1] - b[1])
                 <= match_tol * (1.0 + hypot(b[0], b[1])))
 
-    tx, ty = _finite_start(x0)
+    tx, ty = checked_start(x0)
     x, y = step((tx, ty))
     total = 1
     power = 1
@@ -692,10 +654,13 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     nonconvergent verdict there is a genuine counterexample, not a budget
     artifact.  Consecutive pairs' starts run through the lockstep driver in
     blocks; threads > 1 distributes the blocks over worker processes.
+    Raises ValueError for samples_per_pair or max_steps below 1.
     """
     if samples_per_pair < 1:
         raise ValueError(
             f"samples_per_pair must be >= 1, got {samples_per_pair}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     items = [(k, float(t1), float(t2))
              for k, (t1, t2) in enumerate(theta_grid)]
     per_block = max(1, _LANE_BLOCK // samples_per_pair)

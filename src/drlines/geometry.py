@@ -148,6 +148,14 @@ def checked_tolerance(name: str, value: float) -> float:
     return value
 
 
+def checked_start(x0) -> tuple[float, float]:
+    """x0 as two floats; raises ValueError unless both are finite."""
+    x, y = float(x0[0]), float(x0[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"start ({x}, {y}) is not finite")
+    return x, y
+
+
 def classify_region(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> Region:
     """D1/D2 by strictly closer line; D3 when the distances tie.
 

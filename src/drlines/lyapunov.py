@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dr import dr_multivalued, dr_two_lines
+from .dr import branch_values, dr_two_lines
 from .geometry import ProblemConfig, Region, classify_region, cos_sin
 
 # V_1 below this is treated as exactly zero to keep powers out of subnormals
@@ -216,11 +216,8 @@ def decrease_check(cert: LyapunovCertificate, cfg: ProblemConfig, x,
     """
     lvx = _log_v(cert.alpha, v_local(cfg, 1, x), v_local(cfg, 2, x))
     bound = lvx + math.log(cert.gamma) + math.log1p(tol)
-    for y in dr_multivalued(cfg, x).outputs:
-        lvy = _log_v(cert.alpha, v_local(cfg, 1, y), v_local(cfg, 2, y))
-        if not lvy <= bound:
-            return False
-    return True
+    return all(_log_v(cert.alpha, v_local(cfg, 1, y), v_local(cfg, 2, y))
+               <= bound for y in branch_values(cfg, float(x[0]), float(x[1])))
 
 
 def increase_ball(cfg: ProblemConfig, index: int, rho: float) -> IncreaseBall:

@@ -21,9 +21,8 @@ import numpy as np
 
 # perturbed_step no longer calls dr_multivalued; the name stays importable
 # here because bench/run.py's traced run counts calls through it
-from .dr import dr_multivalued  # noqa: F401
-from .experiments import _branch_values, _finite_start
-from .geometry import ProblemConfig
+from .dr import branch_values, dr_multivalued  # noqa: F401
+from .geometry import ProblemConfig, checked_start
 from .lyapunov import _log_v, _v_many, v_global, v_local
 
 # The V searches below screen many points at once with _v_many and
@@ -176,7 +175,7 @@ def perturbed_step(spec: PerturbationSpec, cfg: ProblemConfig, x,
         pre = _worst_boundary_offset(spec, cfg, x, s_pre, rng, k_boundary)
     else:
         pre = _offset_in_ball(rng, s_pre)
-    outputs = _branch_values(cfg, float(x[0] + pre[0]), float(x[1] + pre[1]))
+    outputs = branch_values(cfg, float(x[0] + pre[0]), float(x[1] + pre[1]))
     y = outputs[0]
     if adversarial and len(outputs) > 1:
         y = max(outputs, key=lambda q: v_global(spec, cfg, q))
@@ -198,7 +197,7 @@ def run_perturbed(spec: PerturbationSpec, cfg: ProblemConfig, x0,
     double, or a negative step count."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    x = _finite_start(x0)
+    x = checked_start(x0)
     # V along the trace stays below (1+eps) V(x0), its sup over the first
     # disturbance ball; one more factor (1+eps) is kept as slack
     lv = _log_v(spec.alpha, v_local(cfg, 1, x), v_local(cfg, 2, x))

@@ -6,11 +6,16 @@ import math
 
 import pytest
 
+from dr_oracle import iterate_reference
 from drlines.cli import main
+from drlines.exports import format_float, trace_csv
+from drlines.geometry import ProblemConfig
 
 FIG = ["--theta1", "1.0471975511965976", "--theta2", "1.2566370614359172"]
 # equidistant from both lines, so the random policy's coin is live here
 TIE_X0 = "0.023397710243848114,0"
+# off the tie band for five steps, whose fifth iterate is TIE_X0's point
+LATE_TIE_X0 = "17.633445530693912,-23.216915080537426"
 
 GOLDEN_CERT = (
     '{\n'
@@ -104,6 +109,12 @@ def test_exit_code_matrix(capsys, tmp_path):
         for threads in ("0", "-2"):
             code, out, err = run_cli(capsys, [*cmd, "--threads", threads])
             assert code == 1 and out == "" and "--threads" in err
+    for steps in ("0", "-5"):
+        code, out, err = run_cli(capsys, [
+            "sweep", "--pairs", "1.0471975511965976,1.2566370614359172",
+            "--samples", "5", "--max-steps", steps,
+            "--out", str(tmp_path / "s.csv")])
+        assert code == 1 and out == "" and "max_steps" in err
     assert not any(tmp_path.iterdir())
     code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", TIE_X0,
                                       "--policy", "tree"])
@@ -144,6 +155,32 @@ def test_iterate_writes_trace_csv(capsys, tmp_path):
     for line, row in zip(lines, rows[1:]):
         n, x, y = line.split()
         assert [n, x, y] == [row[0], row[1], row[2]]
+
+
+@pytest.mark.parametrize("x0", [TIE_X0, LATE_TIE_X0, "2,1"],
+                         ids=["tie", "late-tie", "generic"])
+def test_iterate_output_matches_reference_loop(capsys, tmp_path, x0):
+    # stdout and --out bytes equal a loop over the operator as it was
+    # written before it ran on the shared float step
+    cfg = ProblemConfig(float(FIG[1]), float(FIG[3]))
+    start = tuple(float(v) for v in x0.split(","))
+    traces = set()
+    for policy in ("first", "random"):
+        for seed in range(8):
+            out = tmp_path / f"{policy}-{seed}.csv"
+            code, text, _ = run_cli(capsys, [
+                "iterate", *FIG, "--x0", x0, "--steps", "40", "--policy",
+                policy, "--seed", str(seed), "--out", str(out)])
+            points = iterate_reference(cfg, start, 40, policy == "random",
+                                       seed)
+            assert code == 0
+            assert text == "".join(f"{n} {format_float(px)} "
+                                   f"{format_float(py)}\n"
+                                   for n, (px, py) in enumerate(points))
+            assert out.read_bytes() == trace_csv(points).encode("utf-8")
+            traces.add(tuple(points))
+    # from a tie start, the seeds pick both branches
+    assert len(traces) == (1 if x0 == "2,1" else 2)
 
 
 def test_iterate_seed_changes_tie_branch(capsys):

@@ -4,6 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from dr_oracle import (
+    dr_multivalued_reference,
+    dr_two_lines_reference,
+    step_points,
+)
 from drlines.dr import (
     dr_multivalued,
     dr_reversed,
@@ -12,6 +17,7 @@ from drlines.dr import (
     rotation_matrix,
 )
 from drlines.geometry import (
+    TIE_TOL,
     Line,
     ProblemConfig,
     Region,
@@ -21,6 +27,8 @@ from drlines.geometry import (
 )
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
+ORACLE_CFGS = [FIG_CFG, ProblemConfig(math.pi / 2, 2.0),
+               ProblemConfig(0.3, 2.9)]
 
 
 def test_rotation_matrix_convention():
@@ -172,3 +180,42 @@ def test_reversed_conjugacy_random_configs():
             fwd = dr_multivalued(cfg, reflect(cfg.b, x))
             for a, b in zip(rev.outputs, fwd.outputs):
                 assert np.allclose(a, reflect(cfg.b, b), atol=1e-10)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CFGS,
+                         ids=["figure", "vertical", "obtuse"])
+def test_multivalued_matches_reference(cfg):
+    # regions and outputs, signs of zero included, equal the operator as
+    # classify_region and the written-out closed form gave them
+    rng = np.random.default_rng(31)
+    pts = step_points(cfg) + [tuple(x) for x in rng.normal(size=(300, 2)) * 3]
+    pts += [np.array(x) for x in pts[:20]] + [list(x) for x in pts[-20:]]
+    ties = 0
+    for tol in (TIE_TOL, 0.0, 1e-3):
+        for x in pts:
+            got = dr_multivalued(cfg, x, tol=tol)
+            assert repr(got) == repr(dr_multivalued_reference(cfg, x, tol)), x
+            ties += got.region is Region.D3
+    assert ties >= 8
+
+
+def test_multivalued_rejects_bad_tolerances():
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tie tolerance"):
+            dr_multivalued(FIG_CFG, (1.0, 1.0), tol=bad)
+
+
+def test_closed_form_matches_reference():
+    # anchors mostly off the x-axis, points one at a time and as (2, n)
+    # arrays, the anchor itself and both signs of zero among them
+    rng = np.random.default_rng(37)
+    for k in range(200):
+        t = math.pi / 2 if k % 5 == 0 else rng.uniform(0.01, math.pi - 0.01)
+        p = (rng.normal() * 2, 0.0 if k % 4 == 0 else rng.normal() * 2)
+        xs = np.hstack([rng.normal(size=(2, 16)) * 5,
+                        [[p[0], 0.0, -0.0], [p[1], -0.0, p[1]]]])
+        got = dr_two_lines(p, t, xs)
+        assert got.tobytes() == dr_two_lines_reference(p, t, xs).tobytes()
+        for x in xs.T.tolist():
+            assert (dr_two_lines(p, t, x).tobytes()
+                    == dr_two_lines_reference(p, t, x).tobytes()), (p, t, x)

@@ -6,14 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from drlines import experiments
+from drlines import dr, experiments
 from drlines.dr import dr_multivalued
 from drlines.geometry import (
     TIE_TOL,
     ProblemConfig,
     Region,
+    checked_start,
     classify_region,
     cos_sin,
     distance_to_D3,
@@ -612,6 +613,22 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
         {ConvergedTo, Cycle} if window >= 116 else {ConvergedTo, Budget})
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
+       samples=st.integers(1, 4), max_steps=st.integers(1, 2000),
+       seed=st.integers(0, 2**32 - 1))
+def test_sweep_never_flags_a_certified_pair(t1, t2_frac, samples, max_steps,
+                                            seed):
+    # the certificate-backed budgets make a flag on a certified pair a
+    # counterexample to the paper's theorem, not a budget artifact
+    t2 = t1 + (math.pi - t1) * t2_frac
+    assume(isinstance(certify(ProblemConfig(t1, t2)), LyapunovCertificate))
+    (out,) = sweep([(t1, t2)], samples_per_pair=samples, max_steps=max_steps,
+                   seed=seed).pairs
+    assert out.eq26_holds
+    assert not out.nonconvergent_found and out.worst_seed == -1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
        x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
@@ -633,9 +650,9 @@ def simulate_tree_deque(cfg, x0, policy=EnumerateTree(), max_steps=20000,
     # the deque-window walk simulate_tree replaced; reference for its buffer
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    start = experiments._finite_start(x0)
+    start = checked_start(x0)
     c1, s1, c2, s2, r1sq, r2sq = experiments._constants(cfg)
-    gap_of, branch = experiments._gap, experiments._branch
+    gap_of, branch = dr._gap, dr._branch
     max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
     rng = None
     leaves = []
@@ -702,7 +719,7 @@ def tie_preimage(cfg, n, end=None):
         for a, c, s, side in ((-0.5, c1, s1, -1.0), (0.5, c2, s2, 1.0)):
             p, q = (x - a) / c, y / c
             px, py = a + c * p - s * q, s * p + c * q
-            gap = experiments._gap(c1, s1, c2, s2, px, py)
+            gap = dr._gap(c1, s1, c2, s2, px, py)
             if side * gap > 1e-6 * (1.0 + math.hypot(px, py)):
                 x, y = px, py
                 break
@@ -767,9 +784,9 @@ def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    start = experiments._finite_start(x0)
+    start = checked_start(x0)
     c1, s1, c2, s2, r1sq, r2sq = experiments._constants(cfg)
-    gap_of, branch = experiments._gap, experiments._branch
+    gap_of, branch = dr._gap, dr._branch
     max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
     rng = None
     leaves = []
@@ -838,7 +855,7 @@ def find_period_brent_per_step(cfg, x0, max_steps=200000, match_tol=1e-8,
     # Brent's search as it was before its lighter loop (the match limit
     # recomputed and the step called on every step); reference for it
     c1, s1, c2, s2, _, _ = experiments._constants(cfg)
-    gap_of, branch = experiments._gap, experiments._branch
+    gap_of, branch = dr._gap, dr._branch
 
     def step(p):
         x, y = p
@@ -850,7 +867,7 @@ def find_period_brent_per_step(cfg, x0, max_steps=200000, match_tol=1e-8,
         return (math.hypot(a[0] - b[0], a[1] - b[1])
                 <= match_tol * (1.0 + math.hypot(b[0], b[1])))
 
-    tortoise = experiments._finite_start(x0)
+    tortoise = checked_start(x0)
     hare = step(tortoise)
     total = 1
     power = 1
@@ -981,6 +998,11 @@ def test_bad_budgets_and_tolerances_fail_loudly():
             find_period_brent(PERIOD2_CFG, x0, max_steps=bad)
         with pytest.raises(ValueError, match="check_every"):
             simulate(PERIOD2_CFG, x0, check_every=bad)
+        # a certified pair's hand-offs get certified budgets, so a bad
+        # budget must fail before any start runs
+        with pytest.raises(ValueError, match="max_steps"):
+            sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], samples_per_pair=5,
+                  max_steps=bad)
     for bad in (math.nan, math.inf, -1e-8):
         with pytest.raises(ValueError, match="match_tol"):
             simulate(PERIOD2_CFG, x0, match_tol=bad)

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from dr_oracle import dr_multivalued_reference, step_points
 from drlines import robust
-from drlines.dr import dr_multivalued
-from drlines.experiments import _branch_values
-from drlines.geometry import ProblemConfig, bisector_data, cos_sin
+from drlines.dr import branch_values, dr_multivalued
+from drlines.geometry import ProblemConfig
 from drlines.lyapunov import certify, v_global
 from drlines.robust import (
     PerturbationSpec,
@@ -281,27 +281,13 @@ def test_lemma_sigma_matches_scalar_loop(monkeypatch, inflate):
         check_lemma_sigma(SPEC, FIG_CFG, (1.0, 1.0), n_samples=-1)
 
 
-def _step_points(cfg):
-    bd = bisector_data(cfg)
-    pts = []
-    for n in (bd.n1, bd.n2):  # D3, where both branches are returned
-        for t in (-3.0, -0.7, 0.0, 0.3, 2.0):
-            pts.append((bd.c[0] - t * n[1], bd.c[1] + t * n[0]))
-    for t in (-2.0, -0.5, 0.0, 0.25, 1.5):
-        pts += [(t, 0.0), (t, -0.0)]  # the x-axis, both signs of zero
-        for p, th in ((cfg.p1, cfg.theta1), (cfg.p2, cfg.theta2)):
-            c, s = cos_sin(th)  # on A_i, mapped onto the x-axis
-            pts.append((p[0] + t * c, p[1] + t * s))
-    return pts
-
-
 @pytest.mark.parametrize("cfg", [FIG_CFG, VERT_CFG, ProblemConfig(0.3, 2.9)],
                          ids=["figure", "vertical", "obtuse"])
 def test_branch_values_match_dr_multivalued(cfg):
     ties = 0
-    for x, y in _step_points(cfg):
-        got = _branch_values(cfg, x, y)
-        want = dr_multivalued(cfg, (x, y)).outputs
+    for x, y in step_points(cfg):
+        got = branch_values(cfg, x, y)
+        want = dr_multivalued_reference(cfg, (x, y)).outputs
         assert repr(got) == repr(want), (x, y)
         ties += len(got) == 2
     assert ties >= 8
@@ -313,10 +299,11 @@ def test_perturbed_step_uses_dr_multivalued_outputs(mode, eps):
     for cfg in (FIG_CFG, VERT_CFG):
         spec = PerturbationSpec.from_certificate(certify(cfg), epsilon=eps)
         rng = np.random.default_rng(67)
-        for x in _step_points(cfg):
+        for x in step_points(cfg):
             w, pre, post = perturbed_step(spec, cfg, x, rng, mode=mode,
                                           k_boundary=16)
-            outs = dr_multivalued(cfg, (x[0] + pre[0], x[1] + pre[1])).outputs
+            outs = dr_multivalued_reference(
+                cfg, (x[0] + pre[0], x[1] + pre[1])).outputs
             y = outs[0]
             if mode == "adversarial":
                 y = max(outs, key=lambda q: v_global(spec, cfg, q))
