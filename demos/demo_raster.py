@@ -16,7 +16,7 @@ OUT = "basin.pgm"
 
 def main() -> None:
     cfg = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
-    grid = rasterize(cfg, (-3, 3, -3, 3), (200, 200), seed=0, threads=1)
+    grid = rasterize(cfg, (-3, 3, -3, 3), (200, 200), seed=0)
     write_pgm(grid, OUT)
     cells = grid.cells
     total = cells.size

@@ -41,11 +41,13 @@ from .exports import (
     trace_csv,
     write_pgm,
 )
-from .geometry import TIE_TOL, ProblemConfig, checked_tolerance
+from .geometry import TIE_TOL, ProblemConfig, checked_start, checked_tolerance
 from .lyapunov import Infeasible, certify
 from .robust import PerturbationSpec, check_kl_bound, run_perturbed
 
 _POLICY_NAMES = ("first", "random", "tree")
+_THREADS_HELP = ("accepted and ignored (values below 1 are rejected): "
+                 "grid blocks run in this process")
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,7 @@ def _parse_vec2(text) -> tuple[float, float]:
     parts = str(text).split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'x,y', got {text!r}")
-    x, y = float(parts[0]), float(parts[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"expected finite 'x,y', got {text!r}")
-    return (x, y)
+    return (float(parts[0]), float(parts[1]))
 
 
 def _at_least(flag: str, value, lo: int) -> int:
@@ -93,7 +92,9 @@ def _parse_pairs(text) -> list[tuple[float, float]]:
     for chunk in str(text).split(";"):
         chunk = chunk.strip()
         if chunk:
-            pairs.append(_parse_vec2(chunk))
+            pair = _parse_vec2(chunk)
+            ProblemConfig(*pair)  # rejects the pair before any run starts
+            pairs.append(pair)
     if not pairs:
         raise ValueError(f"no angle pairs in {text!r}")
     return pairs
@@ -122,9 +123,13 @@ class _Resolver:
             return int(env)
         return int(self.get("seed", 0))
 
-    def threads(self) -> int:
-        return _at_least("threads", self.get("threads", os.cpu_count() or 1),
-                         1)
+    def check_threads(self) -> None:
+        """--threads is accepted and ignored, but values below 1 still
+        fail."""
+        _at_least("threads", self.get("threads", 1), 1)
+
+    def start(self) -> tuple[float, float]:
+        return checked_start(_parse_vec2(self.get("x0", required=True)))
 
     def angles(self) -> tuple[float, float]:
         t1 = float(self.get("theta1", required=True))
@@ -181,8 +186,7 @@ def cmd_raster(run: RunConfig) -> int:
     p = run.params
     cfg = ProblemConfig(p["theta1"], p["theta2"])
     grid = rasterize(cfg, p["bounds"], p["res"], policy=p["policy"],
-                     max_steps=p["max_steps"], seed=p["seed"],
-                     threads=p["threads"])
+                     max_steps=p["max_steps"], seed=p["seed"])
     write_pgm(grid, p["out"])
     if p["csv"]:
         atomic_write_text(p["csv"], raster_csv(grid))
@@ -196,8 +200,7 @@ def cmd_raster(run: RunConfig) -> int:
 def cmd_sweep(run: RunConfig) -> int:
     p = run.params
     sg = sweep(p["pairs"], samples_per_pair=p["samples"],
-               max_steps=p["max_steps"], seed=p["seed"],
-               threads=p["threads"])
+               max_steps=p["max_steps"], seed=p["seed"])
     if p["out"]:
         atomic_write_text(p["out"], sweep_csv(sg))
     n_cert = sum(1 for q in sg.pairs if q.eq26_holds)
@@ -296,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--res", help="NXxNY")
     sp.add_argument("--policy", choices=_POLICY_NAMES)
     sp.add_argument("--max-steps", type=int, dest="max_steps")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--out", help="PGM output path")
     sp.add_argument("--csv", help="also write per-cell CSV here")
 
@@ -306,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pairs", help="t1,t2;t1,t2;... explicit pairs")
     sp.add_argument("--samples", type=int)
     sp.add_argument("--max-steps", type=int, dest="max_steps")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--out", help="CSV output path")
 
     sp = sub.add_parser("orbit", help="probe one start for a periodic orbit")
@@ -350,12 +353,13 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
                              "policy 'tree' does not apply; use first or random")
         return RunConfig(cmd, {
             "theta1": t1, "theta2": t2,
-            "x0": _parse_vec2(r.get("x0", required=True)),
+            "x0": r.start(),
             "steps": _at_least("steps", r.get("steps", 100), 0),
             "policy": policy, "seed": seed,
             "tol": checked_tolerance("--tol", float(r.get("tol", TIE_TOL))),
             "out": r.get("out")})
     if cmd == "raster":
+        r.check_threads()
         t1, t2 = r.angles()
         seed = r.seed()
         return RunConfig(cmd, {
@@ -364,10 +368,10 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
             "res": _parse_res(r.get("res", "200x200")),
             "policy": r.policy(seed), "seed": seed,
             "max_steps": int(r.get("max_steps", 2000)),
-            "threads": r.threads(),
             "out": r.get("out", "raster.pgm"),
             "csv": r.get("csv")})
     if cmd == "sweep":
+        r.check_threads()
         pairs_arg = r.get("pairs")
         if pairs_arg is not None:
             pairs = _parse_pairs(pairs_arg)
@@ -378,13 +382,13 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
             "pairs": pairs,
             "samples": int(r.get("samples", 20)),
             "max_steps": int(r.get("max_steps", 20000)),
-            "seed": r.seed(), "threads": r.threads(),
+            "seed": r.seed(),
             "out": r.get("out", "sweep.csv")})
     if cmd == "orbit":
         t1, t2 = r.angles()
         return RunConfig(cmd, {
             "theta1": t1, "theta2": t2,
-            "x0": _parse_vec2(r.get("x0", required=True)),
+            "x0": r.start(),
             "max_steps": int(r.get("max_steps", 20000)),
             "match_tol": float(r.get("match_tol", 1e-8)),
             "brent": bool(r.get("brent", False))})
@@ -392,7 +396,7 @@ def _resolve_run(ns: argparse.Namespace) -> RunConfig:
         t1, t2 = r.angles()
         return RunConfig(cmd, {
             "theta1": t1, "theta2": t2,
-            "x0": _parse_vec2(r.get("x0", required=True)),
+            "x0": r.start(),
             "epsilon": float(r.get("epsilon", 0.05)),
             "steps": _at_least("steps", r.get("steps", 200), 0),
             "traces": _at_least("traces", r.get("traces", 1), 1),

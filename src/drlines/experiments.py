@@ -8,7 +8,7 @@ policies resolving ties on D3, a sliding-window period detector, and the
 two grid drivers (basin raster over starting points, sweep over angle
 pairs).  Grid cells are independent work items; every cell derives its PRNG
 stream from the root seed and its own index, so results do not depend on
-how work is scheduled.  The grid drivers step cells together as NumPy
+how cells are grouped.  The grid drivers step cells together as NumPy
 lanes, handing what lanes cannot settle exactly to scalar ``simulate``:
 for ``rasterize`` that is only lanes that meet a tie, since its lanes
 also keep cycle windows; ``sweep`` hands on every start still running at
@@ -16,11 +16,8 @@ the first cycle check.
 """
 from __future__ import annotations
 
-import functools
 import math
-import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -244,8 +241,9 @@ def simulate_tree(cfg: ProblemConfig, x0,
     SeededRandom stream is built at the first tie, as most trajectories
     meet none.  Each leaf runs in the scalar walk, which stops at ties for
     the branch choice and resumes from the chosen point.  Raises
-    ValueError for a non-finite start, max_steps or check_every below 1, a
-    negative window, or a tolerance that is not finite and >= 0.
+    ValueError for a start whose norm is not finite, max_steps or
+    check_every below 1, a negative window, or a tolerance that is not
+    finite and >= 0.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -367,9 +365,9 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     reference point jumps forward at powers of two, which also rides out
     the transient toward the limit cycle.  The meeting distance is then
     reduced to the minimal period by divisor checks.  Returns None when no
-    recurrence is found within max_steps; raises ValueError for a
-    non-finite start, max_steps < 1 or a tolerance that is not finite and
-    >= 0.
+    recurrence is found within max_steps; raises ValueError for a start
+    whose norm is not finite, max_steps < 1 or a tolerance that is not
+    finite and >= 0.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -522,54 +520,45 @@ def _cell_centres(bounds: tuple[float, float, float, float],
             ymax - (j + 0.5) * (ymax - ymin) / ny)
 
 
-def _raster_block(cfg: ProblemConfig,
-                  bounds: tuple[float, float, float, float],
-                  resolution: tuple[int, int], max_steps: int, tol: float,
-                  lo: int) -> tuple[np.ndarray, np.ndarray]:
-    nx, ny = resolution
-    cell = np.arange(lo, min(lo + _LANE_BLOCK, nx * ny))
-    return _lockstep(_lanes(cfg, *_cell_centres(bounds, resolution, cell)),
-                     max_steps, tol)
-
-
-def _map_blocks(work, blocks: Sequence, threads: Optional[int]) -> list:
-    """work over blocks, in order; threads > 1 spreads the blocks over
-    worker processes."""
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, blocks))
-    return [work(b) for b in blocks]
-
-
 def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
               resolution: tuple[int, int], policy: BranchPolicy = FirstBranch(),
               max_steps: int = 2000, seed: int = 0, tol: float = TIE_TOL,
-              threads: Optional[int] = 1) -> RasterGrid:
+              threads: Optional[int] = None) -> RasterGrid:
     """Verdict raster over cell centers of the bounds rectangle.
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
-    Cells (row-major) run through the lockstep driver in fixed blocks;
-    threads > 1 distributes the blocks over worker processes.  The cells
-    still running at the first cycle check then run on to their cycle or
-    budget verdicts as lanes in this process, the last few of a lane set
-    in the scalar walk, and only cells that meet a tie re-run through
-    scalar ``simulate``.  Cell streams are keyed by (seed, cell_index), so the
-    picture equals per-cell ``simulate`` calls at any thread count.
+    Cells (row-major) run through the lockstep driver in fixed blocks.  The
+    cells still running at the first cycle check then run on to their
+    cycle or budget verdicts as lanes, the last few of a lane set in the
+    scalar walk, and only cells that meet a tie re-run through scalar
+    ``simulate``.  Cell streams are keyed by (seed, cell_index), so the
+    picture equals per-cell ``simulate`` calls.  ``threads`` is accepted
+    and ignored.  Raises ValueError for an empty resolution, max_steps
+    below 1, or bounds that are not increasing or whose width, height or
+    corner norms overflow a double (the norm peaks at a corner, so every
+    cell centre is then a start that ``simulate`` accepts).
     """
     nx, ny = resolution
     if nx < 1 or ny < 1:
         raise ValueError(f"resolution must be >= 1x1, got {nx}x{ny}")
     xmin, xmax, ymin, ymax = bounds
-    if not (xmin < xmax and ymin < ymax
-            and all(math.isfinite(b) for b in bounds)):
+    if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"degenerate bounds {bounds}")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)
+            and all(math.isfinite(math.hypot(x, y))
+                    for x in (xmin, xmax) for y in (ymin, ymax))):
+        raise ValueError(f"bounds {bounds} overflow a double")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    work = functools.partial(_raster_block, cfg, bounds, resolution,
-                             max_steps, tol)
-    blocks = _map_blocks(work, range(0, nx * ny, _LANE_BLOCK), threads)
-    codes, steps = (np.concatenate(a) for a in zip(*blocks))
+
+    def lanes(cell):
+        return _lanes(cfg, *_cell_centres(bounds, resolution, cell))
+
+    n = nx * ny
+    codes, steps = (np.concatenate(a) for a in zip(*(
+        _lockstep(lanes(np.arange(lo, min(lo + _LANE_BLOCK, n))), max_steps,
+                  tol)
+        for lo in range(0, n, _LANE_BLOCK))))
     # the block pass's hand-offs run on to their verdicts as lanes (and
     # their last few in the scalar walk), in sets whose windows fit in
     # _HIST_POINTS; tie lanes re-run through scalar simulate
@@ -577,9 +566,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
                                + DEFAULT_CHECK_EVERY)
     for part in np.array_split(cell, max(1, -(-len(cell) // per_set))):
-        codes[part], steps[part] = _lockstep(
-            _lanes(cfg, *_cell_centres(bounds, resolution, part)),
-            max_steps, tol, window=DEFAULT_WINDOW)
+        codes[part], steps[part] = _lockstep(lanes(part), max_steps, tol,
+                                             window=DEFAULT_WINDOW)
     for h in np.flatnonzero(codes == _HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
         tr = simulate(cfg, _cell_centres(bounds, resolution, h),
@@ -611,8 +599,8 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
     return max(max_steps, int(math.ceil(need)) + 64)
 
 
-def _sweep_block(samples: int, max_steps: int, seed: int, tol: float,
-                 items: list) -> list[PairOutcome]:
+def _sweep_block(items: list, samples: int, max_steps: int, seed: int,
+                 tol: float) -> list[PairOutcome]:
     pairs = []
     for k, t1, t2 in items:
         cfg = ProblemConfig(t1, t2)
@@ -644,7 +632,7 @@ def _sweep_block(samples: int, max_steps: int, seed: int, tol: float,
 
 def sweep(theta_grid: Sequence[tuple[float, float]],
           samples_per_pair: int = 20, max_steps: int = 20000, seed: int = 0,
-          tol: float = TIE_TOL, threads: Optional[int] = 1) -> SweepGrid:
+          tol: float = TIE_TOL) -> SweepGrid:
     """Probe every (theta1, theta2) pair for nonconvergent behavior.
 
     Each pair gets samples_per_pair starts drawn up front from the
@@ -653,8 +641,7 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
     artifact.  Consecutive pairs' starts run through the lockstep driver in
-    blocks; threads > 1 distributes the blocks over worker processes.
-    Raises ValueError for samples_per_pair or max_steps below 1.
+    blocks.  Raises ValueError for samples_per_pair or max_steps below 1.
     """
     if samples_per_pair < 1:
         raise ValueError(
@@ -664,11 +651,9 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     items = [(k, float(t1), float(t2))
              for k, (t1, t2) in enumerate(theta_grid)]
     per_block = max(1, _LANE_BLOCK // samples_per_pair)
-    work = functools.partial(_sweep_block, samples_per_pair, max_steps, seed,
-                             tol)
-    blocks = [items[i:i + per_block] for i in range(0, len(items), per_block)]
-    outcomes = [o for block in _map_blocks(work, blocks, threads)
-                for o in block]
+    outcomes = [o for i in range(0, len(items), per_block)
+                for o in _sweep_block(items[i:i + per_block], samples_per_pair,
+                                      max_steps, seed, tol)]
     return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples_per_pair,
                      seed=seed, max_steps=max_steps)
 

@@ -149,10 +149,16 @@ def checked_tolerance(name: str, value: float) -> float:
 
 
 def checked_start(x0) -> tuple[float, float]:
-    """x0 as two floats; raises ValueError unless both are finite."""
+    """x0 as two floats; raises ValueError unless their norm is finite.
+
+    A finite norm means finite coordinates and bounds every intermediate
+    of a DR step from x0, so the step stays finite; from a start whose
+    norm overflows, such as (1.7e308, -1.7e308), it need not.
+    """
     x, y = float(x0[0]), float(x0[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"start ({x}, {y}) is not finite")
+    if not math.isfinite(math.hypot(x, y)):
+        raise ValueError(f"start ({x}, {y}) is not finite or its norm "
+                         "overflows a double")
     return x, y
 
 

@@ -193,8 +193,8 @@ def run_perturbed(spec: PerturbationSpec, cfg: ProblemConfig, x0,
                   mode: str = "random", k_boundary: int = 64) -> PerturbedTrace:
     """Generate one perturbed trajectory on an independent (seed, trace_id)
     stream, so concurrent traces never share PRNG state.  Raises
-    ValueError for a non-finite start, a start whose V is too large for a
-    double, or a negative step count."""
+    ValueError for a start whose norm is not finite, a start whose V is
+    too large for a double, or a negative step count."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     x = checked_start(x0)

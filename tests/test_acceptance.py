@@ -169,8 +169,7 @@ def test_basin_raster_full_convergence_and_determinism():
     start = time.perf_counter()
     images = []
     for _ in range(2):
-        grid = rasterize(FIG_CFG, (-3, 3, -3, 3), (200, 200), seed=7,
-                         threads=1)
+        grid = rasterize(FIG_CFG, (-3, 3, -3, 3), (200, 200), seed=7)
         images.append(pgm_bytes(grid))
         assert set(np.unique(grid.cells)) <= {1, 2}
         assert np.count_nonzero(grid.cells == 1) > 0
@@ -181,13 +180,12 @@ def test_basin_raster_full_convergence_and_determinism():
 
 def test_grid_sweep_consistency():
     start = time.perf_counter()
-    sg = sweep(make_theta_grid(40, 40), samples_per_pair=20, seed=2,
-               threads=1)
+    sg = sweep(make_theta_grid(40, 40), samples_per_pair=20, seed=2)
     assert len(sg.pairs) == 1600
     assert not any(q.eq26_holds and q.nonconvergent_found for q in sg.pairs)
     assert any(q.eq26_holds for q in sg.pairs)
     orbit_pairs = [(0.748491, 0.772301), (0.082719, 2.064601),
                    (0.703469, 3.138852)]
-    sg = sweep(orbit_pairs, samples_per_pair=20, seed=2, threads=1)
+    sg = sweep(orbit_pairs, samples_per_pair=20, seed=2)
     assert all(q.nonconvergent_found for q in sg.pairs)
     assert time.perf_counter() - start < 600.0

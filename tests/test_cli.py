@@ -3,9 +3,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import drlines
 from dr_oracle import iterate_reference
 from drlines.cli import main
 from drlines.exports import format_float, trace_csv
@@ -74,6 +78,20 @@ def test_exit_code_matrix(capsys, tmp_path):
     for cmd in ("iterate", "orbit", "robust"):
         code, _, err = run_cli(capsys, [cmd, *FIG, "--x0", "nan,0"])
         assert code == 1 and "finite" in err
+    # finite coordinates whose norm overflows a double
+    for argv in (["iterate", "--steps", "3"], ["orbit"], ["orbit", "--brent"],
+                 ["robust"]):
+        code, out, err = run_cli(capsys, [*argv, *FIG,
+                                          "--x0=1.7e308,-1.7e308"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: start") and "overflows" in err
+    # a finite norm is accepted, and the orbit converges
+    code, out, _ = run_cli(capsys, ["orbit", *FIG, "--x0=1.2e308,-1.2e308"])
+    assert code == 0 and out.startswith("orbit: converged target=1 ")
+    code, out, err = run_cli(capsys, [
+        "raster", *FIG, "--bounds=-1.7e308,1.7e308,-1.7e308,1.7e308",
+        "--res", "4x4", "--out", str(tmp_path / "r.pgm")])
+    assert code == 1 and out == "" and err.startswith("error: bounds")
     # budgets the robust run cannot honour, and a policy iterate cannot follow
     for flags in (["--traces", "0"], ["--traces", "-1"], ["--steps", "-5"]):
         code, out, err = run_cli(capsys, ["robust", *FIG, "--x0", "2,1",
@@ -132,6 +150,19 @@ def test_exit_code_matrix(capsys, tmp_path):
                             str(tmp_path / "missing.json")])[0] == 3
     assert run_cli(capsys, ["certify", *FIG, "--out",
                             str(tmp_path / "no" / "dir" / "c.json")])[0] == 3
+
+
+def test_cli_import_starts_no_process_machinery():
+    # grid blocks run in the calling process, so importing the CLI must not
+    # pay for multiprocessing or concurrent.futures
+    code = ("import sys, drlines.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.dirname(os.path.dirname(drlines.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_iterate_lands_on_anchor(capsys):

@@ -230,15 +230,15 @@ def test_raster_smoke_and_orientation():
     assert grid.steps[0, 0] == tl.steps_used
 
 
-def test_raster_is_deterministic_and_thread_invariant():
+def test_raster_is_deterministic_and_matches_per_cell_simulate():
     a = rasterize(FIG_CFG, (-3, 3, -3, 3), (16, 12), policy=SeededRandom(),
-                  seed=9, threads=1)
+                  seed=9)
     b = rasterize(FIG_CFG, (-3, 3, -3, 3), (16, 12), policy=SeededRandom(),
-                  seed=9, threads=1)
-    c = rasterize(FIG_CFG, (-3, 3, -3, 3), (16, 12), policy=SeededRandom(),
-                  seed=9, threads=2)
+                  seed=9)
+    cells, steps = cell_reference(FIG_CFG, (-3, 3, -3, 3), (16, 12),
+                                  SeededRandom(), 9, 2000)
     assert np.array_equal(a.cells, b.cells) and np.array_equal(a.steps, b.steps)
-    assert np.array_equal(a.cells, c.cells) and np.array_equal(a.steps, c.steps)
+    assert np.array_equal(a.cells, cells) and np.array_equal(a.steps, steps)
     assert a.resolution == (16, 12)
 
 
@@ -274,11 +274,12 @@ def test_sweep_certified_pair_converges_even_with_tiny_budget():
     assert out.eq26_margin == pytest.approx(1.5862808715764862, rel=1e-12)
 
 
-def test_sweep_thread_invariance():
+def test_sweep_is_deterministic_and_matches_per_start_simulate():
     grid = make_theta_grid(6, 6)
-    a = sweep(grid, samples_per_pair=5, max_steps=5000, seed=1, threads=1)
-    b = sweep(grid, samples_per_pair=5, max_steps=5000, seed=1, threads=2)
+    a = sweep(grid, samples_per_pair=5, max_steps=5000, seed=1)
+    b = sweep(grid, samples_per_pair=5, max_steps=5000, seed=1)
     assert a == b
+    assert a.pairs == sweep_reference(grid, 5, 5000, 1)
 
 
 def test_sweep_validation():
@@ -401,8 +402,8 @@ def test_rasterize_matches_per_cell_simulate(cfg, policy, max_steps):
     assert np.array_equal(grid.steps, steps)
 
 
-def test_rasterize_blocks_match_per_cell_simulate_at_any_thread_count():
-    # more cells than one lane block, so threads=2 runs two workers; the
+def test_rasterize_blocks_match_per_cell_simulate():
+    # more cells than one lane block, so the raster runs two blocks; the
     # centre of cell 4224 (row 59, column 35), in the second block, is on D3
     xt, _ = tie_point(FIG_CFG)
     bounds, res = (xt - 3.0, xt + 3.0, -0.025, 2.975), (71, 60)
@@ -411,11 +412,10 @@ def test_rasterize_blocks_match_per_cell_simulate_at_any_thread_count():
     for seed in (9, 10, 11):
         cells, steps = cell_reference(FIG_CFG, bounds, res, SeededRandom(),
                                       seed, 2000)
-        for threads in (1, 2):
-            grid = rasterize(FIG_CFG, bounds, res, policy=SeededRandom(),
-                             seed=seed, threads=threads)
-            assert np.array_equal(grid.cells, cells)
-            assert np.array_equal(grid.steps, steps)
+        grid = rasterize(FIG_CFG, bounds, res, policy=SeededRandom(),
+                         seed=seed)
+        assert np.array_equal(grid.cells, cells)
+        assert np.array_equal(grid.steps, steps)
 
 
 def sweep_reference(pairs, samples, max_steps, seed):
@@ -452,10 +452,8 @@ def test_sweep_matches_per_start_simulate(samples, max_steps):
     want = sweep_reference(pairs, samples, max_steps, 5)
     assert any(p.eq26_holds for p in want)
     assert any(p.nonconvergent_found for p in want)
-    for threads in (1, 2):
-        sg = sweep(pairs, samples_per_pair=samples, max_steps=max_steps,
-                   seed=5, threads=threads)
-        assert sg.pairs == want
+    sg = sweep(pairs, samples_per_pair=samples, max_steps=max_steps, seed=5)
+    assert sg.pairs == want
 
 
 def test_non_finite_starts_fail_loudly():
@@ -466,10 +464,24 @@ def test_non_finite_starts_fail_loudly():
             simulate(FIG_CFG, bad, EnumerateTree(4))
         with pytest.raises(ValueError, match="not finite"):
             find_period_brent(PERIOD2_CFG, bad)
+    # finite coordinates whose norm overflows: a step from there overflows
+    # to inf and NaN; with a finite norm every step stays finite
+    for f in (simulate, find_period_brent):
+        with pytest.raises(ValueError, match="overflows"):
+            f(FIG_CFG, (1.7e308, -1.7e308))
+    tr = simulate(FIG_CFG, (1.2e308, -1.2e308))
+    assert tr.verdict == ConvergedTo(1)
+    assert all(math.isfinite(x) and math.isfinite(y) for x, y in tr.points)
     with pytest.raises(ValueError):
         rasterize(FIG_CFG, (-math.inf, 3, -3, 3), (5, 5))
     with pytest.raises(ValueError):
         rasterize(FIG_CFG, (-3, 3, -3, 3), (5, 5), max_steps=0)
+    # a width, a height or only a corner norm that overflows
+    for bounds in ((-1.7e308, 1.7e308, -1.7e308, 1.7e308),
+                   (-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -1e308, 1e308),
+                   (1e308, 1.5e308, 1e308, 1.5e308)):
+        with pytest.raises(ValueError, match=r"^bounds .* overflow"):
+            rasterize(FIG_CFG, bounds, (4, 4))
 
 
 def count_simulate_calls(monkeypatch):
@@ -505,13 +517,12 @@ def test_rasterize_settles_late_cycles_and_budgets_in_lanes(
                     1100: {(3, 1024), (3, 1100)},
                     1536: {(3, 1024), (3, 1536)}}[max_steps]
     calls = count_simulate_calls(monkeypatch)
-    for threads in (1, 2):
-        grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
-                         max_steps=max_steps, seed=4, threads=threads)
-        assert np.array_equal(grid.cells, cells)
-        assert np.array_equal(grid.steps, steps)
+    grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
+                     max_steps=max_steps, seed=4)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
     # only the tie lane re-ran through scalar simulate
-    assert len(calls) == 2 and len(set(calls)) == 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
