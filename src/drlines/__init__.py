@@ -76,11 +76,14 @@ from .lyapunov import (
 )
 from .robust import (
     PerturbationSpec,
+    PerturbedLanes,
     PerturbedTrace,
     check_kl_bound,
     check_lemma_sigma,
     kl_beta,
+    rate_ratio,
     run_perturbed,
+    run_perturbed_many,
     sigma,
 )
 

@@ -21,8 +21,8 @@ import numpy as np
 
 # perturbed_step no longer calls dr_multivalued; the name stays importable
 # here because bench/run.py's traced run counts calls through it
-from .dr import branch_values, dr_multivalued  # noqa: F401
-from .geometry import ProblemConfig, checked_start
+from .dr import _branch, _gap, branch_values, dr_multivalued  # noqa: F401
+from .geometry import TIE_TOL, ProblemConfig, checked_start, cos_sin
 from .lyapunov import _log_v, _v_many, v_global, v_local
 
 # The V searches below screen many points at once with _v_many and
@@ -38,6 +38,9 @@ from .lyapunov import _log_v, _v_many, v_global, v_local
 _SCREEN_REL = 1e-9
 _SCREEN_ABS = 16 * math.ulp(0.0)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+_TWO_PI = 2.0 * math.pi
+# rate_ratio's bound on the rounding of a point, in ulps of 1 + its norm
+_RATE_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,11 @@ class PerturbationSpec:
         """The certified per-step inflation bound (1+eps)^2 * gamma."""
         return (1.0 + self.epsilon) ** 2 * self.gamma
 
+    @property
+    def kappa(self) -> float:
+        """sigma(x) / d(x, {p1, p2})."""
+        return math.expm1(math.log1p(self.epsilon) / (2.0 * (1.0 + self.alpha)))
+
 
 class StepSample(NamedTuple):
     point: tuple[float, float]
@@ -90,16 +98,20 @@ class PerturbedTrace:
     seed: int
 
 
+def _anchor_distance(cfg: ProblemConfig, x: float, y: float) -> float:
+    """d((x, y), {p1, p2}) by math.hypot, whose bits the printed margins
+    carry; np.hypot may round differently."""
+    return min(math.hypot(x - cfg.p1[0], y - cfg.p1[1]),
+               math.hypot(x - cfg.p2[0], y - cfg.p2[1]))
+
+
 def sigma(spec: PerturbationSpec, cfg: ProblemConfig, x) -> float:
     """Admissible perturbation radius at x.
 
     Vanishes exactly on {p1, p2}, is positive and 1-Lipschitz-continuous
     (up to the constant factor) everywhere else.
     """
-    kappa = math.expm1(math.log1p(spec.epsilon) / (2.0 * (1.0 + spec.alpha)))
-    d1 = math.hypot(x[0] - cfg.p1[0], x[1] - cfg.p1[1])
-    d2 = math.hypot(x[0] - cfg.p2[0], x[1] - cfg.p2[1])
-    return kappa * min(d1, d2)
+    return spec.kappa * _anchor_distance(cfg, x[0], x[1])
 
 
 def kl_beta(spec: PerturbationSpec, s: float, t: float) -> float:
@@ -110,51 +122,86 @@ def kl_beta(spec: PerturbationSpec, s: float, t: float) -> float:
     return s * spec.rate ** (t / (2.0 * spec.alpha + 2.0))
 
 
-def _offset_in_ball(rng: np.random.Generator, radius: float) -> tuple[float, float]:
-    # radius * sqrt(u) makes the point uniform over the disc
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    r = radius * math.sqrt(rng.random())
-    return (r * math.cos(ang), r * math.sin(ang))
-
-
 def _screen_floor(spec: PerturbationSpec, v: float) -> float:
     """The least screened V that a scalar V of at least v can have; a V
     of exactly 0 screens as -1.0, below every floor for v >= 0."""
     return v * (1.0 - _SCREEN_REL * (1.0 + spec.alpha)) - _SCREEN_ABS
 
 
-def _boundary_points(x, radius, angles: np.ndarray):
-    """Offsets radius * (cos, sin) at the angles and the points x + offset,
-    each as a (2, n) array; radius is one float or one per angle.
-
-    math.cos/math.sin give the bits the scalar code used; np.cos may round
-    differently, and near p_i the rounding of x + offset can turn that ulp
-    into a large change in V.
-    """
-    a = angles.tolist()
-    off = radius * np.fromiter([*map(math.cos, a), *map(math.sin, a)], float,
-                               2 * len(a)).reshape(2, -1)
-    return off, off + ((x[0],), (x[1],))
+def _directions(angles: np.ndarray) -> np.ndarray:
+    """(cos, sin) at the angles, shape (2, *angles.shape), by math.cos and
+    math.sin: np.cos may round differently, and near p_i the rounding of
+    x + offset can turn that ulp into a large change in V."""
+    a = angles.ravel().tolist()
+    return np.concatenate([np.fromiter(map(f, a), float, len(a))
+                           for f in (math.cos, math.sin)]
+                          ).reshape(2, *angles.shape)
 
 
-def _worst_boundary_offset(spec: PerturbationSpec, cfg: ProblemConfig, x,
-                           radius: float, rng: np.random.Generator,
-                           k: int) -> tuple[float, float]:
-    # V has no interior local max, so the sup over the ball sits on the
-    # boundary; sample k directions and keep the first one of maximal V,
-    # if that V beats V(x).  Only points near the screened maximum can be it.
-    off, z = _boundary_points(x, radius,
-                              rng.uniform(0.0, 2.0 * math.pi, size=k))
-    w = _v_many(spec.alpha, cfg, z)
-    near = (w >= _screen_floor(spec, w.max(initial=-1.0))).nonzero()[0]
-    best = (0.0, 0.0)
-    best_v = v_global(spec, cfg, x)
-    for j in near.tolist():
-        v = v_global(spec, cfg, (float(z[0, j]), float(z[1, j])))
-        if v > best_v:
-            best_v = v
-            best = (float(off[0, j]), float(off[1, j]))
+def _worst_offsets(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
+                   radius: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Per lane (column of x), the first boundary offset at its row of
+    angles of maximal V, if that beats V(x), else (0.0, 0.0): V has no
+    interior local max, so the sup over the ball sits on the boundary.
+    Only points near the lane's screened maximum can be it; scalar
+    v_global decides."""
+    off = radius[:, None] * _directions(angles)
+    z = off + x[..., None]
+    w = _v_many(spec.alpha, cfg, z.reshape(2, -1)).reshape(angles.shape)
+    floor = _screen_floor(spec, w.max(axis=1, initial=-1.0))
+    lanes, cols = (w >= floor[:, None]).nonzero()
+    best_v = [v_global(spec, cfg, p) for p in x.T.tolist()]
+    best = np.zeros_like(x)
+    for i, j, p in zip(lanes.tolist(), cols.tolist(),
+                       z[:, lanes, cols].T.tolist()):
+        v = v_global(spec, cfg, p)
+        if v > best_v[i]:
+            best_v[i] = v
+            best[:, i] = off[:, i, j]
     return best
+
+
+def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
+                u: np.ndarray, adversarial: bool):
+    """One step of each lane (column of x) with its draws (row of u, the
+    pre-ball's first): (points, pre, post), each (2, L).  Lanes within
+    twice the tie band (np.hypot may round unlike math.hypot) step through
+    branch_values; on the band random lanes take A1, adversarial lanes the
+    larger V (A1 on equal V)."""
+    def offsets(x, u):
+        radius = spec.kappa * np.array([_anchor_distance(cfg, *p)
+                                        for p in x.T.tolist()])
+        if adversarial:
+            return _worst_offsets(spec, cfg, x, radius, _TWO_PI * u)
+        # radius * sqrt(u) makes the point uniform over the disc
+        return radius * np.sqrt(u[:, 1]) * _directions(_TWO_PI * u[:, 0])
+
+    pre = offsets(x, u[:, :u.shape[1] // 2])
+    x = x + pre
+    (c1, s1), (c2, s2) = cos_sin(cfg.theta1), cos_sin(cfg.theta2)
+    gap = _gap(c1, s1, c2, s2, x[0], x[1])
+    first = gap < 0.0
+    bx, by = _branch(np.where(first, -0.5, 0.5), np.where(first, c1, c2),
+                     np.where(first, s1, s2), x[0], x[1])
+    y = np.array((bx, by + 0.0))
+    near = abs(gap) <= 2.0 * TIE_TOL * (1.0 + np.hypot(x[0], x[1]))
+    for i in near.nonzero()[0].tolist():
+        outs = branch_values(cfg, *x[:, i].tolist())
+        y[:, i] = outs[0]
+        if adversarial and len(outs) > 1:
+            y[:, i] = max(outs, key=lambda q: v_global(spec, cfg, q))
+    post = offsets(y, u[:, u.shape[1] // 2:])
+    return y + post, pre, post
+
+
+def _draws_per_step(mode: str, k_boundary: int) -> int:
+    """Doubles a step draws: an angle and a radius per ball (random), or
+    k_boundary angles per ball (adversarial)."""
+    if mode not in ("random", "adversarial"):
+        raise ValueError(f"mode must be 'random' or 'adversarial', got {mode!r}")
+    if k_boundary < 1:
+        raise ValueError(f"k_boundary must be >= 1, got {k_boundary}")
+    return 2 * k_boundary if mode == "adversarial" else 4
 
 
 def perturbed_step(spec: PerturbationSpec, cfg: ProblemConfig, x,
@@ -165,55 +212,85 @@ def perturbed_step(spec: PerturbationSpec, cfg: ProblemConfig, x,
     ``mode="random"`` samples both balls uniformly and takes the first
     branch on ties; ``mode="adversarial"`` takes V-maximizing boundary
     offsets and the V-maximizing branch, approximating the sup over all
-    admissible disturbance selections.
+    admissible disturbance selections.  One lane of run_perturbed_many.
     """
-    if mode not in ("random", "adversarial"):
-        raise ValueError(f"mode must be 'random' or 'adversarial', got {mode!r}")
-    adversarial = mode == "adversarial"
-    s_pre = sigma(spec, cfg, x)
-    if adversarial:
-        pre = _worst_boundary_offset(spec, cfg, x, s_pre, rng, k_boundary)
-    else:
-        pre = _offset_in_ball(rng, s_pre)
-    outputs = branch_values(cfg, float(x[0] + pre[0]), float(x[1] + pre[1]))
-    y = outputs[0]
-    if adversarial and len(outputs) > 1:
-        y = max(outputs, key=lambda q: v_global(spec, cfg, q))
+    u = rng.random((1, _draws_per_step(mode, k_boundary)))
+    x = np.array([[x[0]], [x[1]]], float)
+    return StepSample(*(tuple(a[:, 0].tolist()) for a in _step_lanes(
+        spec, cfg, x, u, mode == "adversarial")))
 
-    s_post = sigma(spec, cfg, y)
-    if adversarial:
-        post = _worst_boundary_offset(spec, cfg, y, s_post, rng, k_boundary)
-    else:
-        post = _offset_in_ball(rng, s_post)
-    return StepSample((y[0] + post[0], y[1] + post[1]), pre, post)
+
+class PerturbedLanes(NamedTuple):
+    """The traces of one run_perturbed_many call, lane j at index j:
+    ``points`` (L, n_steps + 1, 2) and ``disturbances`` (L, n_steps, 2, 2),
+    the (pre, post) offsets of each step."""
+
+    points: np.ndarray
+    disturbances: np.ndarray
+    seed: int
+
+    def trace(self, j: int) -> PerturbedTrace:
+        return PerturbedTrace(tuple(map(tuple, self.points[j].tolist())),
+                              tuple((tuple(a), tuple(b)) for a, b
+                                    in self.disturbances[j].tolist()),
+                              self.seed)
+
+
+def run_perturbed_many(spec: PerturbationSpec, cfg: ProblemConfig, starts,
+                       n_steps: int, seed: int, trace_ids,
+                       mode: str = "random",
+                       k_boundary: int = 64) -> PerturbedLanes:
+    """Perturbed trajectories from ``starts[j]`` on independent
+    (seed, trace_ids[j]) streams, advanced together as NumPy lanes; a lane
+    does not depend on the lanes beside it.  Raises ValueError for an
+    unknown mode, k_boundary below 1, a negative step count, starts and
+    trace_ids of different lengths, and starts that are not finite or
+    whose V is too large for a double."""
+    per_step = _draws_per_step(mode, k_boundary)
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    trace_ids = list(trace_ids)
+    if len(starts) != len(trace_ids):
+        raise ValueError(f"{len(starts)} starts for {len(trace_ids)} "
+                         "trace ids")
+    x0s = [checked_start(x0) for x0 in starts]
+    for start in x0s:
+        # V along the trace stays below (1+eps) V(x0), its sup over the
+        # first disturbance ball; one more factor (1+eps) is kept as slack
+        lv = _log_v(spec.alpha, v_local(cfg, 1, start), v_local(cfg, 2, start))
+        if not lv + 2.0 * math.log1p(spec.epsilon) < _LOG_DBL_MAX:
+            raise ValueError(f"V at the start ({start[0]!r}, {start[1]!r}) is "
+                             f"about exp({lv:.6g}); (1+eps)^2 V overflows a "
+                             "double")
+    points = np.empty((len(x0s), n_steps + 1, 2))
+    points[:, 0] = np.reshape(x0s, (-1, 2))
+    disturbances = np.empty((len(x0s), n_steps, 2, 2))
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t]))
+            for t in trace_ids]
+    # draws do not depend on the points, so each lane draws as many whole
+    # steps ahead as fit in 64 doubles, at least one; memory bounds this
+    # (whole traces would take 6 MB at 30 adversarial lanes)
+    chunk = max(1, 64 // per_step)
+    for n in range(n_steps):
+        if n % chunk == 0:
+            u = np.empty((len(rngs), min(chunk, n_steps - n), per_step))
+            for rng, row in zip(rngs, u):
+                rng.random(out=row)
+        x, pre, post = _step_lanes(spec, cfg, points[:, n].T, u[:, n % chunk],
+                                   mode == "adversarial")
+        points[:, n + 1] = x.T
+        disturbances[:, n] = np.stack((pre.T, post.T), axis=1)
+    return PerturbedLanes(points, disturbances, seed)
 
 
 def run_perturbed(spec: PerturbationSpec, cfg: ProblemConfig, x0,
                   n_steps: int, seed: int, trace_id: int = 0,
                   mode: str = "random", k_boundary: int = 64) -> PerturbedTrace:
-    """Generate one perturbed trajectory on an independent (seed, trace_id)
-    stream, so concurrent traces never share PRNG state.  Raises
-    ValueError for a start whose norm is not finite, a start whose V is
-    too large for a double, or a negative step count."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    x = checked_start(x0)
-    # V along the trace stays below (1+eps) V(x0), its sup over the first
-    # disturbance ball; one more factor (1+eps) is kept as slack
-    lv = _log_v(spec.alpha, v_local(cfg, 1, x), v_local(cfg, 2, x))
-    if not lv + 2.0 * math.log1p(spec.epsilon) < _LOG_DBL_MAX:
-        raise ValueError(f"V at the start ({x[0]!r}, {x[1]!r}) is about "
-                         f"exp({lv:.6g}); (1+eps)^2 V overflows a double")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, trace_id]))
-    points = [x]
-    disturbances = []
-    for _ in range(n_steps):
-        x, pre, post = perturbed_step(spec, cfg, x, rng, mode=mode,
-                                      k_boundary=k_boundary)
-        points.append(x)
-        disturbances.append((pre, post))
-    return PerturbedTrace(points=tuple(points),
-                          disturbances=tuple(disturbances), seed=seed)
+    """One perturbed trajectory on an independent (seed, trace_id) stream,
+    so concurrent traces never share PRNG state: the one-lane
+    run_perturbed_many, raising ValueError as it does."""
+    return run_perturbed_many(spec, cfg, [x0], n_steps, seed, [trace_id],
+                              mode, k_boundary).trace(0)
 
 
 def check_lemma_sigma(spec: PerturbationSpec, cfg: ProblemConfig, x,
@@ -234,30 +311,54 @@ def check_lemma_sigma(spec: PerturbationSpec, cfg: ProblemConfig, x,
     u = np.random.default_rng(seed).random(n_samples + len(i[::8]))
     r = np.full(n_samples, s)
     r[::8] = s * np.sqrt(u[i[::8] + i[::8] // 8])
-    _, z = _boundary_points(x, r, 2.0 * math.pi * u[i + i // 8 + 1])
+    z = r * _directions(_TWO_PI * u[i + i // 8 + 1]) + np.asarray(x)[:, None]
     over = _v_many(spec.alpha, cfg, z) >= _screen_floor(spec, bound)
     return not any(v_global(spec, cfg, zj) > bound
                    for zj in z.T[over].tolist())
 
 
 def check_kl_bound(spec: PerturbationSpec, cfg: ProblemConfig,
-                   trace: PerturbedTrace) -> tuple[bool, float]:
-    """Audit one trace against d(x_n, {p1,p2}) <= beta(omega2(x0), n).
+                   trace) -> tuple[bool, float]:
+    """Audit one trace, a PerturbedTrace or the sequence of its points,
+    against d(x_n, {p1,p2}) <= beta(omega2(x0), n).
 
     Returns (ok, worst_margin) with worst_margin = min over n of
     (bound - actual).  A pass is sampled evidence for the bound, not a
     proof: the trace explores only one disturbance selection.
     """
-    x0 = trace.points[0]
+    points = trace.points if isinstance(trace, PerturbedTrace) else trace
+    x0 = points[0]
     w2 = max(math.hypot(x0[0] - cfg.p1[0], x0[1] - cfg.p1[1]),
              math.hypot(x0[0] - cfg.p2[0], x0[1] - cfg.p2[1]))
     ok = True
     worst = math.inf
-    for n, x in enumerate(trace.points):
-        actual = min(math.hypot(x[0] - cfg.p1[0], x[1] - cfg.p1[1]),
-                     math.hypot(x[0] - cfg.p2[0], x[1] - cfg.p2[1]))
+    for n, x in enumerate(points):
+        actual = _anchor_distance(cfg, x[0], x[1])
         bound = kl_beta(spec, w2, float(n))
         worst = min(worst, bound - actual)
         if actual > bound * (1.0 + 1e-9):
             ok = False
     return ok, worst
+
+
+def rate_ratio(spec: PerturbationSpec, cfg: ProblemConfig,
+               trace: PerturbedTrace) -> float:
+    """Largest V(x_{n+1}) / V(x_n) over the trace's steps from V(x_n) > 0,
+    divided by the certified rate (1+eps)^2 gamma; 0.0 without such steps.
+
+    A computed point is off by up to e, _RATE_ULPS ulps of 1 + its norm,
+    and moving it by e scales V = |x - p1|^(2 alpha) |x - p2|^2 by at most
+    ((d+e)/d)^(2 alpha + 2) at distance d from {p1, p2}.  So each ratio is
+    divided by ((d+e)/(d-e))^(2 alpha + 2), d the smaller distance of the
+    step's points, and a step with d <= e, where rounding alone can give
+    any ratio, is left out.
+    """
+    worst = 0.0
+    for x, y in zip(trace.points, trace.points[1:]):
+        vx = v_global(spec, cfg, x)
+        d = min(_anchor_distance(cfg, *x), _anchor_distance(cfg, *y))
+        e = _RATE_ULPS * math.ulp(1.0 + max(math.hypot(*x), math.hypot(*y)))
+        if vx > 0.0 and d > e:
+            slack = ((d + e) / (d - e)) ** (2.0 * spec.alpha + 2.0)
+            worst = max(worst, v_global(spec, cfg, y) / vx / slack)
+    return worst / spec.rate

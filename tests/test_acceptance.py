@@ -28,7 +28,7 @@ from drlines.robust import (
     PerturbationSpec,
     check_kl_bound,
     check_lemma_sigma,
-    run_perturbed,
+    run_perturbed_many,
 )
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
@@ -139,12 +139,13 @@ def test_perturbed_traces_respect_kl_bound():
         x = rng.uniform(-10, 10, size=2)
         assert check_lemma_sigma(spec, FIG_CFG, x, seed=i)
     starts = rng.uniform(-6, 6, size=(1000, 2))
-    for i, x0 in enumerate(starts):
-        mode = "adversarial" if i % 10 < 3 else "random"
-        trace = run_perturbed(spec, FIG_CFG, x0, 200, seed=11, trace_id=i,
-                              mode=mode)
-        ok, margin = check_kl_bound(spec, FIG_CFG, trace)
-        assert ok, (i, mode, margin)
+    for mode, ids in (("adversarial", [i for i in range(1000) if i % 10 < 3]),
+                      ("random", [i for i in range(1000) if i % 10 >= 3])):
+        lanes = run_perturbed_many(spec, FIG_CFG, starts[ids], 200, seed=11,
+                                   trace_ids=ids, mode=mode)
+        for i, points in zip(ids, lanes.points):
+            ok, margin = check_kl_bound(spec, FIG_CFG, points.tolist())
+            assert ok, (i, mode, margin)
     assert time.perf_counter() - start < 60.0
 
 

@@ -11,9 +11,12 @@ import pytest
 
 import drlines
 from dr_oracle import iterate_reference
+from robust_oracle import run_perturbed_reference
 from drlines.cli import main
-from drlines.exports import format_float, trace_csv
+from drlines.exports import format_float, perturbed_trace_csv, trace_csv
 from drlines.geometry import ProblemConfig
+from drlines.lyapunov import certify
+from drlines.robust import PerturbationSpec, PerturbedTrace, check_kl_bound
 
 FIG = ["--theta1", "1.0471975511965976", "--theta2", "1.2566370614359172"]
 # equidistant from both lines, so the random policy's coin is live here
@@ -107,6 +110,13 @@ def test_exit_code_matrix(capsys, tmp_path):
                                           "--steps", "3", *flags])
         assert code == 1 and out == "" and "overflows" in err
     assert not (tmp_path / "trace.csv").exists()
+    # a mode only a config file can give, even with no step to take
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text('{"mode": "bogus"}')
+    code, out, err = run_cli(capsys, ["robust", *FIG, "--x0", "2,1", "--steps",
+                                      "0", "--config", str(bogus)])
+    assert code == 1 and out == "" and "mode" in err
+    bogus.unlink()
     # budgets and tolerances that would switch a check off, Brent and
     # windowed alike
     for flags in (["--max-steps", "0"], ["--max-steps", "-3"],
@@ -338,6 +348,35 @@ def test_robust_summary_and_trace(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 51
     assert rows[0][0] == "step"
+
+
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_robust_output_matches_per_trace_loop(capsys, tmp_path, monkeypatch,
+                                              mode):
+    # the command as it ran one trace at a time on the per-step loop: every
+    # trace audited on its own stream, the first one written out
+    audited = []
+    monkeypatch.setattr("drlines.cli.check_kl_bound", lambda spec, cfg, t: (
+        audited.append(t) or check_kl_bound(spec, cfg, t)))
+    out = tmp_path / "trace.csv"
+    code, text, _ = run_cli(capsys, [
+        "robust", *FIG, "--x0=-1.5,0.7", "--steps", "30", "--traces", "4",
+        "--seed", "3", "--mode", mode, "--out", str(out)])
+    assert code == 0
+    cfg = ProblemConfig(float(FIG[1]), float(FIG[3]))
+    spec = PerturbationSpec.from_certificate(certify(cfg), epsilon=0.05)
+    traces = [PerturbedTrace(*run_perturbed_reference(
+        spec, cfg, (-1.5, 0.7), 30, 3, tid, mode)[:2], 3) for tid in range(4)]
+    assert [repr(tuple(map(tuple, p))) for p in audited] == [
+        repr(t.points) for t in traces]
+    results = [check_kl_bound(spec, cfg, t) for t in traces]
+    ok = all(r[0] for r in results)
+    worst = min(r[1] for r in results)
+    assert text == (f"robust: traces=4 steps=30 mode={mode} "
+                    f"ok={'true' if ok else 'false'} "
+                    f"worst_margin={format_float(worst)}\n")
+    assert out.read_bytes() == perturbed_trace_csv(
+        spec, cfg, traces[0]).encode()
 
 
 def test_robust_rejects_infeasible_pair(capsys):

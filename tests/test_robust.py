@@ -1,22 +1,26 @@
 """Perturbation radius, perturbed stepping, and the robust KL bound."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 from dr_oracle import dr_multivalued_reference, step_points
+from robust_oracle import (perturbed_step_reference, run_perturbed_reference,
+                           worst_offset_reference)
 from drlines import robust
 from drlines.dr import branch_values, dr_multivalued
 from drlines.geometry import ProblemConfig
 from drlines.lyapunov import certify, v_global
 from drlines.robust import (
     PerturbationSpec,
-    _worst_boundary_offset,
     check_kl_bound,
     check_lemma_sigma,
     kl_beta,
     perturbed_step,
+    rate_ratio,
     run_perturbed,
+    run_perturbed_many,
     sigma,
 )
 
@@ -172,12 +176,13 @@ def test_kl_bound_trivial_start_at_attractor():
 
 @pytest.mark.parametrize("mode,n_traces", [("random", 150), ("adversarial", 25)])
 def test_kl_bound_holds_on_perturbed_traces(mode, n_traces):
-    rng = np.random.default_rng(47)
+    # the starts x0 = rng.uniform(-8, 8, size=2), drawn trace by trace
+    starts = np.random.default_rng(47).uniform(-8, 8, size=(n_traces, 2))
+    lanes = run_perturbed_many(SPEC, FIG_CFG, starts, 100, seed=53,
+                               trace_ids=range(n_traces), mode=mode,
+                               k_boundary=16)
     for tid in range(n_traces):
-        x0 = rng.uniform(-8, 8, size=2)
-        trace = run_perturbed(SPEC, FIG_CFG, x0, 100, seed=53, trace_id=tid,
-                              mode=mode, k_boundary=16)
-        ok, worst = check_kl_bound(SPEC, FIG_CFG, trace)
+        ok, worst = check_kl_bound(SPEC, FIG_CFG, lanes.trace(tid))
         assert ok
         assert worst >= -1e-12
 
@@ -186,18 +191,12 @@ VERT_CFG = ProblemConfig(math.pi / 2, 2.0)
 VERT_SPEC = PerturbationSpec.from_certificate(certify(VERT_CFG), epsilon=0.05)
 
 
-def _scalar_worst_offset(spec, cfg, x, radius, rng, k):
-    # the adversary as first written, kept as the oracle: one v_global call
-    # per sampled direction, strict > against V(x)
-    best = (0.0, 0.0)
-    best_v = v_global(spec, cfg, x)
-    for ang in rng.uniform(0.0, 2.0 * math.pi, size=k):
-        off = (radius * math.cos(ang), radius * math.sin(ang))
-        v = v_global(spec, cfg, (x[0] + off[0], x[1] + off[1]))
-        if v > best_v:
-            best_v = v
-            best = off
-    return best
+def _worst_boundary_offset(spec, cfg, x, radius, rng, k):
+    # the adversary of one lane, drawing its k angles as a step does
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=k)
+    return tuple(robust._worst_offsets(
+        spec, cfg, np.array([[x[0]], [x[1]]], float), np.array([radius]),
+        angles[None])[:, 0].tolist())
 
 
 def _adversary_points():
@@ -229,7 +228,7 @@ def test_worst_boundary_offset_matches_scalar_loop(spec, cfg, k):
         rng_new = np.random.default_rng([61, n])
         rng_old = np.random.default_rng([61, n])
         try:
-            want = _scalar_worst_offset(spec, cfg, x, radius, rng_old, k)
+            want = worst_offset_reference(spec, cfg, x, radius, rng_old, k)
         except OverflowError:
             with pytest.raises(OverflowError):
                 _worst_boundary_offset(spec, cfg, x, radius, rng_new, k)
@@ -318,6 +317,32 @@ def test_run_perturbed_rejects_bad_inputs():
         run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), -1, seed=0)
     trace = run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), 0, seed=0)
     assert trace.points == ((1.0, 1.0),) and trace.disturbances == ()
+    # a bad mode or boundary count fails before any step, even with none
+    # to take; k_boundary 0 made every adversarial offset (0.0, 0.0), and
+    # a negative one failed inside NumPy
+    for kw in ({"mode": "bogus"}, {"mode": "Random"},
+               {"mode": "adversarial", "k_boundary": 0},
+               {"mode": "adversarial", "k_boundary": -3},
+               {"mode": "random", "k_boundary": 0}):
+        for n_steps in (0, 5):
+            with pytest.raises(ValueError, match="mode|k_boundary"):
+                run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), n_steps, seed=0, **kw)
+            with pytest.raises(ValueError, match="mode|k_boundary"):
+                run_perturbed_many(SPEC, FIG_CFG, [(1.0, 1.0)], n_steps, 0,
+                                   [0], **kw)
+        with pytest.raises(ValueError, match="mode|k_boundary"):
+            perturbed_step(SPEC, FIG_CFG, (1.0, 1.0),
+                           np.random.default_rng(0), **kw)
+    with pytest.raises(ValueError, match="trace ids"):
+        run_perturbed_many(SPEC, FIG_CFG, [(1.0, 1.0)] * 2, 5, 0, [0])
+    with pytest.raises(ValueError, match="finite"):
+        run_perturbed_many(SPEC, FIG_CFG, [(1.0, 1.0), (math.nan, 0.0)], 5,
+                           0, [0, 1])
+    with pytest.raises(ValueError):
+        run_perturbed_many(SPEC, FIG_CFG, [(1.0, 1.0)], -1, 0, [0])
+    empty = run_perturbed_many(SPEC, FIG_CFG, [], 5, 0, [])
+    assert empty.points.shape == (0, 6, 2)
+    assert empty.disturbances.shape == (0, 5, 2, 2)
 
 
 def test_run_perturbed_rejects_starts_whose_v_overflows():
@@ -377,7 +402,7 @@ def test_adversary_screen_absorbs_its_rounding(monkeypatch):
             radius = sigma(SPEC, FIG_CFG, x) or 1e-162
             got = _worst_boundary_offset(SPEC, FIG_CFG, x, radius,
                                          _FixedAngles(angles), 16)
-            want = _scalar_worst_offset(SPEC, FIG_CFG, x, radius,
+            want = worst_offset_reference(SPEC, FIG_CFG, x, radius,
                                         _FixedAngles(angles), 16)
             assert repr(got) == repr(want), (n, x)
 
@@ -394,3 +419,153 @@ def test_adversary_rechecks_few_candidates(monkeypatch):
     # one call for V(x) and about one per screened-in candidate; points
     # whose V is exactly 0 everywhere on the circle cost only V(x)
     assert len(calls) <= 3 * len(pts)
+
+
+NOMINAL = PerturbationSpec(0.0, SPEC.alpha, SPEC.gamma)
+_TIE = step_points(FIG_CFG)[1]
+# starts per lane: on D3 and 0.8 tie bands off it (both branches at step
+# 0 when offsets vanish); 1.5 tie bands off D3, inside the lanes' 2-band
+# screen; p1 itself; just inside the V-overflow check; two generic points
+STARTS = [_TIE, (_TIE[0] - 5e-8, _TIE[1]), (_TIE[0] - 9.5e-8, _TIE[1]),
+          FIG_CFG.p1, (7.766554619706739e+64, 0.0), (2.0, 1.0), (-1.3, -0.4)]
+
+
+def _lanes_and_generators(monkeypatch, *args, **kwargs):
+    """run_perturbed_many's result and the generator of each lane."""
+    made = []
+    plain = np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng",
+                  lambda *a: made.append(plain(*a)) or made[-1])
+        lanes = run_perturbed_many(*args, **kwargs)
+    return lanes, made
+
+
+def _assert_lanes_match_oracle(monkeypatch, spec, starts, n_steps, seed,
+                               trace_ids, mode, k):
+    lanes, gens = _lanes_and_generators(monkeypatch, spec, FIG_CFG, starts,
+                                        n_steps, seed, trace_ids, mode, k)
+    assert len(gens) == len(starts)
+    for j, (x0, tid) in enumerate(zip(starts, trace_ids)):
+        points, disturbances, rng = run_perturbed_reference(
+            spec, FIG_CFG, x0, n_steps, seed, tid, mode, k)
+        trace = lanes.trace(j)
+        assert repr(trace.points) == repr(points), (j, x0)
+        assert repr(trace.disturbances) == repr(disturbances), (j, x0)
+        assert gens[j].bit_generator.state == rng.bit_generator.state
+        assert trace.seed == seed
+    return lanes
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_run_perturbed_many_matches_per_step_oracle(monkeypatch, mode, seed):
+    lanes = _assert_lanes_match_oracle(monkeypatch, SPEC, STARTS, 200, seed,
+                                       range(10, 17), mode, 64)
+    assert lanes.points.shape == (len(STARTS), 201, 2)
+    # p1 is a fixed point of every perturbed step
+    assert (lanes.points[3] == FIG_CFG.p1).all()
+
+
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_run_perturbed_many_short_runs_match_per_step_oracle(monkeypatch,
+                                                             mode):
+    for spec in (SPEC, NOMINAL):
+        for n_steps in (0, 1, 3):
+            for k in (1, 16):
+                _assert_lanes_match_oracle(monkeypatch, spec, STARTS, n_steps,
+                                           7, range(7), mode, k)
+    # the nominal step from the tie start takes the tie branch of the mode
+    first = run_perturbed_many(NOMINAL, FIG_CFG, STARTS[:3], 1, 0, [0, 1, 2],
+                               mode).points[:, 1].tolist()
+    for x0, got in zip(STARTS, first):
+        outs = branch_values(FIG_CFG, *x0)
+        want = outs[0]
+        if mode == "adversarial":
+            want = max(outs, key=lambda q: v_global(NOMINAL, FIG_CFG, q))
+        assert repr(tuple(got)) == repr(want)
+    assert [len(branch_values(FIG_CFG, *x)) for x in STARTS[:3]] == [2, 2, 1]
+
+
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_perturbed_step_matches_per_step_oracle(mode):
+    for spec in (SPEC, NOMINAL):
+        for k in (1, 16):
+            for n, x in enumerate(STARTS):
+                rng_new = np.random.default_rng([73, n])
+                rng_old = np.random.default_rng([73, n])
+                w = w_old = x
+                for _ in range(4):
+                    w = perturbed_step(spec, FIG_CFG, w, rng_new, mode, k)
+                    want = perturbed_step_reference(spec, FIG_CFG, w_old,
+                                                    rng_old, mode, k)
+                    assert repr(tuple(w)) == repr(want), (n, x)
+                    w, w_old = w.point, want[0]
+                assert (rng_new.bit_generator.state
+                        == rng_old.bit_generator.state)
+
+
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_a_lane_does_not_depend_on_its_neighbours(mode):
+    def run(ids):
+        return run_perturbed_many(SPEC, FIG_CFG, [STARTS[i % 7] for i in ids],
+                                  40, 5, ids, mode, 16)
+
+    together = run([0, 1, 2, 3, 4, 5, 6, 7])
+    for ids in ([3], [7, 3], [5, 3, 0, 9, 11], list(range(20))):
+        lanes = run(ids)
+        for j, tid in enumerate(ids):
+            if tid < 8:
+                assert (lanes.points[j].tobytes()
+                        == together.points[tid].tobytes())
+                assert (lanes.disturbances[j].tobytes()
+                        == together.disturbances[tid].tobytes())
+    one = run_perturbed(SPEC, FIG_CFG, STARTS[3], 40, 5, 3, mode, 16)
+    assert repr(one) == repr(together.trace(3))
+
+
+def _workload_start(seed):
+    # the robust benchmark workload's start for a seed
+    if seed == 0:
+        return (2.0, 1.0)
+    rng = random.Random(seed)
+    return (round(rng.uniform(-2.0, 2.0), 6), round(rng.uniform(-2.0, 2.0), 6))
+
+
+@pytest.mark.parametrize("seed", [0, 11, 21, 39])
+def test_rate_ratio_within_rate_on_workload_starts(seed):
+    for mode, n in (("random", 70), ("adversarial", 30)):
+        lanes = run_perturbed_many(SPEC, FIG_CFG, [_workload_start(seed)] * n,
+                                   200, seed, range(n), mode)
+        ratios = [rate_ratio(SPEC, FIG_CFG, lanes.trace(j)) for j in range(n)]
+        assert 0.0 < max(ratios) <= 1.0, (mode, max(ratios))
+
+
+def test_rate_ratio_allows_for_rounding_at_p_i_only():
+    # seed 11, adversarial trace 0, step 54 lands 6e-17 from p1, below
+    # ulp(0.5): there rounding alone inflates V by about 1.19 times the rate
+    trace = run_perturbed(SPEC, FIG_CFG, _workload_start(11), 60, seed=11,
+                          trace_id=0, mode="adversarial")
+    x, y = trace.points[54], trace.points[55]
+    naive = v_global(SPEC, FIG_CFG, y) / v_global(SPEC, FIG_CFG, x)
+    assert naive / SPEC.rate > 1.1
+    assert math.hypot(x[0] - FIG_CFG.p1[0], x[1] - FIG_CFG.p1[1]) < math.ulp(0.5)
+    assert rate_ratio(SPEC, FIG_CFG, trace) <= 1.0
+    # 4 rounding allowances e from p1, 5% farther out at the next point:
+    # V grows by about 1.05^(2 alpha), above the rate but within the factor
+    # ((d + e)/(d - e))^(2 alpha + 2) allowed there; 0.1 from p1 the same
+    # step counts in full
+    e = 8 * math.ulp(1.5)
+    for d, within in ((4 * e, True), (0.1, False)):
+        x, y = (-0.5 + d, 0.0), (-0.5 + 1.05 * d, 0.0)
+        assert v_global(SPEC, FIG_CFG, y) / v_global(SPEC, FIG_CFG, x) > SPEC.rate
+        step = robust.PerturbedTrace((x, y), (), 0)
+        assert (rate_ratio(SPEC, FIG_CFG, step) <= 1.0) == within
+    # a trace run backwards inflates V at every step, far from p_i too
+    back = run_perturbed(SPEC, FIG_CFG, (2.0, 1.0), 30, seed=3)
+    back = robust.PerturbedTrace(back.points[::-1], (), 3)
+    assert rate_ratio(SPEC, FIG_CFG, back) > 1.0 / SPEC.rate
+    assert rate_ratio(SPEC, FIG_CFG, robust.PerturbedTrace(
+        ((1.0, 1.0), (1.0, 1.0)), (), 0)) == pytest.approx(1.0 / SPEC.rate)
+    assert rate_ratio(SPEC, FIG_CFG, robust.PerturbedTrace(
+        (FIG_CFG.p1, (1.0, 1.0)), (), 0)) == 0.0
