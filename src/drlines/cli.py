@@ -50,7 +50,7 @@ from .robust import (PerturbationSpec, check_kl_bound, run_perturbed,  # noqa: F
 
 _POLICY_NAMES = ("first", "random", "tree")
 _THREADS_HELP = ("accepted and ignored (values below 1 are rejected): "
-                 "grid blocks run in this process")
+                 "the grid drivers run in this process")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ policies resolving ties on D3, a sliding-window period detector, and the
 two grid drivers (basin raster over starting points, sweep over angle
 pairs).  Grid cells are independent work items; every cell derives its PRNG
 stream from the root seed and its own index, so results do not depend on
-how cells are grouped.  The grid drivers step cells together as NumPy
-lanes, handing what lanes cannot settle exactly to scalar ``simulate``:
-for ``rasterize`` that is only lanes that meet a tie, since its lanes
-also keep cycle windows; ``sweep`` hands on every start still running at
-the first cycle check.
+how cells are grouped.  The grid drivers step cells as NumPy lanes in one
+pool of at most _LANE_BLOCK lanes, refilled in cell order as lanes finish,
+and hand what lanes cannot settle exactly to scalar ``simulate``: for
+``rasterize`` that is only lanes that meet a tie, since its cells still
+running at the first cycle check settle as lanes that keep cycle windows;
+``sweep`` hands on every start still running at the first cycle check.
 """
 from __future__ import annotations
 
@@ -32,12 +33,13 @@ DEFAULT_WINDOW = 4096
 DEFAULT_MATCH_TOL = 1e-8
 DEFAULT_CHECK_EVERY = 512
 BALL_SAFETY = 0.99
-# lanes per _lockstep block, and the lane count below which lockstep
-# stops paying: a block pass hands the rest of its lanes on, and a lane
-# set running to its verdicts finishes them in the scalar walk
+# the most lanes live at once in the lane pool, and the lane count below
+# which lanes stop paying: the pool, once its source is empty, hands the
+# rest of its lanes on, and a lane set running to its verdicts finishes
+# them in the scalar walk
 _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
-# _lockstep's code for a lane left to a scalar re-run
+# the lane passes' code for a lane left to a scalar re-run
 _HANDOFF = 255
 # window points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
@@ -431,40 +433,118 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
 
 
 def _lanes(cfg: ProblemConfig, x, y) -> np.ndarray:
-    """Lane array for _lockstep: rows x, y and the config's constants."""
+    """Lane array: rows x, y and the config's constants."""
     consts = np.array(_constants(cfg))[:, None]
     return np.vstack([x, y, np.repeat(consts, len(x), axis=1)])
 
 
-def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
-              window: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
-    together.  Per lane: (code, simulate's step count), code 1 or 2 once it
-    enters a termination ball.  Code _HANDOFF leaves the lane to a scalar
-    re-run from its start: a lane within twice the tie band (tie policies;
-    np.hypot may round unlike math.hypot) and, in a block pass (window 0),
-    a lane still live at the first cycle check or the budget, or among the
-    last few live lanes, cheaper to finish one by one.
+# the lane arithmetic may overflow where the scalar walk's does too: a
+# point of norm near 1e200 squares to inf and lies in no ball, and a NaN
+# tie band (0 * inf) is not clear of the screen
+@np.errstate(over="ignore", invalid="ignore")
+def _lane_step(lanes: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) as ``_walk``
+    does, then step it in place through the branch its gap picks.  Returns
+    whether each lane lay in p1's and in p2's termination ball and whether
+    it was clear of the tie screen.  The screen |gap| <= 2 tol (1 + |x| +
+    |y|) holds wherever the scalar band |gap| <= tol (1 + hypot(x, y))
+    does, as hypot(x, y) <= |x| + |y|."""
+    x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
+    dx1 = x + 0.5
+    dx2 = x - 0.5
+    yy = y * y
+    in1 = dx1 * dx1 + yy < r1sq
+    in2 = dx2 * dx2 + yy < r2sq  # the balls are disjoint
+    gap = _gap(c1, s1, c2, s2, x, y)
+    clear = abs(gap) > 2.0 * tol * (1.0 + abs(x) + abs(y))
+    first = gap < 0.0
+    lanes[0], lanes[1] = _branch(np.where(first, -0.5, 0.5),
+                                 np.where(first, c1, c2),
+                                 np.where(first, s1, s2), x, y)
+    return in1, in2, clear
 
-    With window > 0 the lanes run to simulate's verdict instead.  Each
-    keeps its last ``window`` points in a buffer that grows by one cycle
-    check interval at a time (finished lanes are dropped then), and
-    detect_cycle reads them at every cycle check and at the budget: code 3
-    for a cycle, 0 for the budget.  Once fewer than _LANE_FLOOR lanes are
-    live, each goes on in the scalar walk from its point, step count and
-    window; one that meets a tie there is left to the scalar re-run.
+
+def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays' lanes (last axis) at the indices idx."""
+    return [a.take(idx, axis=-1) for a in arrays]
+
+
+def _pool(source, max_steps: int, tol: float):
+    """Run the lanes of ``source``, lane arrays whose columns are lanes 0,
+    1, 2, ... in order, at most _LANE_BLOCK at a time: a lane that
+    finishes makes room for the next one, so the pool stays full while the
+    source lasts.  Each lane counts its own steps.  Yields (ids, codes,
+    steps) for the lanes that finish at each step: code 1 or 2 for a lane
+    that enters a termination ball, at simulate's step count, and
+    _HANDOFF for a lane at the tie screen or still running at its step
+    min(max_steps, 512), the first cycle check.  Once fewer than
+    _LANE_FLOOR lanes are live, they all leave at their next visit, those
+    outside the balls handed off, cheaper to finish one by one."""
+    limit = min(max_steps, DEFAULT_CHECK_EVERY)
+    chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
+
+    def draw(n):
+        # the source's next n lanes and their ids, fewer once it runs dry
+        nonlocal buf, drawn
+        parts, have = [buf], buf.shape[1]
+        while have < n and (more := next(chunks, None)) is not None:
+            parts.append(more)
+            have += more.shape[1]
+        if len(parts) > 1:
+            buf = np.concatenate(parts, axis=1)
+        new, buf = buf[:, :n], buf[:, n:]
+        drawn += new.shape[1]
+        return np.arange(drawn - new.shape[1], drawn), new
+
+    ids, lanes = draw(_LANE_BLOCK)
+    steps = np.zeros(len(ids), dtype=np.int32)
+    while len(ids):
+        in1, in2, clear = _lane_step(lanes, tol)
+        gone = np.flatnonzero(~clear | in1 | in2 | (steps == limit)
+                              | (len(ids) < _LANE_FLOOR))
+        if len(gone):
+            codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
+            codes[in1[gone]] = 1
+            codes[in2[gone]] = 2
+            yield ids[gone], codes, steps[gone]
+        steps += 1
+        if len(gone):
+            # fresh lanes take the finished lanes' places; once the source
+            # is empty the places left over are dropped
+            new_ids, new = draw(len(gone))
+            fill = gone[:len(new_ids)]
+            lanes[:, fill], ids[fill], steps[fill] = new, new_ids, 0
+            if len(fill) < len(gone):
+                lanes, ids, steps = _take(
+                    np.delete(np.arange(len(ids)), gone[len(fill):]), lanes,
+                    ids, steps)
+
+
+def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
+              window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
+    together from step 0 to simulate's verdicts.  Per lane: (code,
+    simulate's step count), code 1 or 2 once it enters a termination ball,
+    3 for a cycle, 0 for the budget.  Each lane keeps its last ``window``
+    points in a buffer that grows by one cycle check interval at a time
+    (finished lanes are dropped then), and detect_cycle reads them at
+    every cycle check and at the budget.  Code _HANDOFF leaves a lane at
+    the tie screen to a scalar re-run from its start.  Once fewer than
+    _LANE_FLOOR lanes are live, each goes on in the scalar walk from its
+    point, step count and window; one that meets a tie there is left to
+    the scalar re-run.
     """
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
     live = np.arange(n)
     every = DEFAULT_CHECK_EVERY
-    limit = max_steps if window else min(max_steps, every)
-    # hist[r, col[j]] is live lane j's point at step base + r
-    hist, col, base = lanes[:2].T[None], live, 0
-    for step in range(limit + 1):
+    # hist[r, col[j]] is live lane j's point at step base + r (a copy, as
+    # the lanes step in place)
+    hist, col, base = lanes[:2].T[None].copy(), live, 0
+    for step in range(max_steps + 1):
         recent = hist[max(0, step + 1 - base - window):step + 1 - base]
-        if window and len(live) < _LANE_FLOOR:
+        if len(live) < _LANE_FLOOR:
             for j, lane in enumerate(lanes.T.tolist()):
                 v, _, _, used = _walk(lane[2:], lane[0], lane[1], step,
                                       array("d", recent[:, col[j]].tobytes()),
@@ -473,40 +553,28 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
                 if v is not None:
                     codes[live[j]], steps[live[j]] = _code(v), used
             break
-        x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
-        dx1 = x + 0.5
-        dx2 = x - 0.5
-        in1 = dx1 * dx1 + y * y < r1sq
-        in2 = dx2 * dx2 + y * y < r2sq  # the balls are disjoint
+        in1, in2, clear = _lane_step(lanes, tol)
         codes[live[in1]] = 1
         codes[live[in2]] = 2
         done = in1 | in2
-        if window and step and (step % every == 0 or step == limit):
+        if step and (step % every == 0 or step == max_steps):
             for j in np.flatnonzero(~done).tolist():
                 k = detect_cycle(recent[:, col[j]])
-                if k is not None or step == limit:
+                if k is not None or step == max_steps:
                     codes[live[j]] = 0 if k is None else 3
                     done[j] = True
         steps[live[done]] = step
-        gap = _gap(c1, s1, c2, s2, x, y)
-        keep = ~(done | (abs(gap) <= 2.0 * tol * (1.0 + np.hypot(x, y))))
+        keep = clear & ~done
         if not keep.all():
-            lanes, live, col, gap = lanes[:, keep], live[keep], col[keep], \
-                gap[keep]
-            x, y, c1, s1, c2, s2 = lanes[:6]
-        if step == limit or (not window and len(live) < _LANE_FLOOR):
+            lanes, live, col = _take(np.flatnonzero(keep), lanes, live, col)
+        if step == max_steps:
             break
-        if window and step % every == 0:
+        if step % every == 0:
             kept = len(recent)
             grown = np.empty((kept + every, len(live), 2))
             np.take(recent, col, axis=1, out=grown[:kept])
             hist, col, base = grown, np.arange(len(live)), step + 1 - kept
-        first = gap < 0.0
-        lanes[0], lanes[1] = _branch(np.where(first, -0.5, 0.5),
-                                     np.where(first, c1, c2),
-                                     np.where(first, s1, s2), x, y)
-        if window:
-            hist[step + 1 - base, col] = lanes[:2].T
+        hist[step + 1 - base, col] = lanes[:2].T
     return codes, steps
 
 
@@ -527,15 +595,17 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     """Verdict raster over cell centers of the bounds rectangle.
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
-    Cells (row-major) run through the lockstep driver in fixed blocks.  The
-    cells still running at the first cycle check then run on to their
+    Cells run through one lane pool in row-major order, at most
+    _LANE_BLOCK at a time.  The cells it hands off, those still running at
+    their own first cycle check, then run on from their starts to their
     cycle or budget verdicts as lanes, the last few of a lane set in the
     scalar walk, and only cells that meet a tie re-run through scalar
     ``simulate``.  Cell streams are keyed by (seed, cell_index), so the
     picture equals per-cell ``simulate`` calls.  ``threads`` is accepted
     and ignored.  Raises ValueError for an empty resolution, max_steps
-    below 1, or bounds that are not increasing or whose width, height or
-    corner norms overflow a double (the norm peaks at a corner, so every
+    below 1, or bounds that are not increasing or where a double
+    overflows: a corner norm, or a width or height times the cell count
+    that the centres' formula forms (the norm peaks at a corner, so every
     cell centre is then a start that ``simulate`` accepts).
     """
     nx, ny = resolution
@@ -544,7 +614,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     xmin, xmax, ymin, ymax = bounds
     if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"degenerate bounds {bounds}")
-    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)
+    if not (math.isfinite((nx - 0.5) * (xmax - xmin))
+            and math.isfinite((ny - 0.5) * (ymax - ymin))
             and all(math.isfinite(math.hypot(x, y))
                     for x in (xmin, xmax) for y in (ymin, ymax))):
         raise ValueError(f"bounds {bounds} overflow a double")
@@ -555,11 +626,14 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
         return _lanes(cfg, *_cell_centres(bounds, resolution, cell))
 
     n = nx * ny
-    codes, steps = (np.concatenate(a) for a in zip(*(
-        _lockstep(lanes(np.arange(lo, min(lo + _LANE_BLOCK, n))), max_steps,
-                  tol)
-        for lo in range(0, n, _LANE_BLOCK))))
-    # the block pass's hand-offs run on to their verdicts as lanes (and
+    codes = np.empty(n, dtype=np.uint8)
+    steps = np.empty(n, dtype=np.int32)
+    # cell centres are made _LANE_BLOCK at a time, as the pool takes them in
+    chunks = (lanes(np.arange(lo, min(lo + _LANE_BLOCK, n)))
+              for lo in range(0, n, _LANE_BLOCK))
+    for ids, c, s in _pool(chunks, max_steps, tol):
+        codes[ids], steps[ids] = c, s
+    # the pool's hand-offs run on to their verdicts as lanes (and
     # their last few in the scalar walk), in sets whose windows fit in
     # _HIST_POINTS; tie lanes re-run through scalar simulate
     cell = np.flatnonzero(codes == _HANDOFF)
@@ -599,35 +673,26 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
     return max(max_steps, int(math.ceil(need)) + 64)
 
 
-def _sweep_block(items: list, samples: int, max_steps: int, seed: int,
-                 tol: float) -> list[PairOutcome]:
-    pairs = []
-    for k, t1, t2 in items:
-        cfg = ProblemConfig(t1, t2)
-        starts = np.random.default_rng(np.random.SeedSequence(
-            [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
-        pairs.append((k, cfg, certify(cfg), starts))
-    codes, _ = _lockstep(np.concatenate(
-        [_lanes(cfg, st[:, 0], st[:, 1]) for _, cfg, _, st in pairs], axis=1),
-        max_steps, tol)
-    outcomes = []
-    for (k, cfg, res, starts), pair_codes in zip(pairs,
-                                                  codes.reshape(-1, samples)):
-        certified = isinstance(res, LyapunovCertificate)
-        worst = -1
-        for s_idx in np.flatnonzero(pair_codes == _HANDOFF).tolist():
-            budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
-                      if certified else max_steps)
-            tr = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
-                          max_steps=budget, tol=tol, record=False)
-            if not isinstance(tr.verdict, ConvergedTo):
-                worst = s_idx
-                break
-        outcomes.append(PairOutcome(
-            theta1=cfg.theta1, theta2=cfg.theta2, eq26_holds=certified,
-            eq26_margin=res.condition_margin, nonconvergent_found=worst >= 0,
-            worst_seed=worst))
-    return outcomes
+def _pair_outcome(res, starts: np.ndarray, handoffs: list, k: int,
+                  max_steps: int, seed: int, tol: float) -> PairOutcome:
+    """Pair k's outcome from its ``certify`` result: its handed-off starts
+    re-run through scalar ``simulate`` in start order up to the first
+    nonconvergent one."""
+    certified = isinstance(res, LyapunovCertificate)
+    worst = -1
+    cfg = ProblemConfig(res.theta1, res.theta2) if handoffs else None
+    for s_idx in sorted(handoffs):
+        budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
+                  if certified else max_steps)
+        tr = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
+                      max_steps=budget, tol=tol, record=False)
+        if not isinstance(tr.verdict, ConvergedTo):
+            worst = s_idx
+            break
+    return PairOutcome(
+        theta1=res.theta1, theta2=res.theta2, eq26_holds=certified,
+        eq26_margin=res.condition_margin, nonconvergent_found=worst >= 0,
+        worst_seed=worst)
 
 
 def sweep(theta_grid: Sequence[tuple[float, float]],
@@ -635,25 +700,45 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
           tol: float = TIE_TOL) -> SweepGrid:
     """Probe every (theta1, theta2) pair for nonconvergent behavior.
 
-    Each pair gets samples_per_pair starts drawn up front from the
-    (seed, pair_index) stream, uniform over [-2, 2]^2, simulated under a
+    Each pair gets samples_per_pair starts drawn from the (seed,
+    pair_index) stream, uniform over [-2, 2]^2, simulated under a
     SeededRandom tie policy on the (seed, pair_index, start_index) stream.
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
-    artifact.  Consecutive pairs' starts run through the lockstep driver in
-    blocks.  Raises ValueError for samples_per_pair or max_steps below 1.
+    artifact.  The pairs' starts run through one lane pool in pair order.
+    A pair is certified and its starts drawn when the pool takes them in,
+    and the pair is let go once they have all left it.  Raises ValueError
+    for samples_per_pair or max_steps below 1.
     """
     if samples_per_pair < 1:
         raise ValueError(
             f"samples_per_pair must be >= 1, got {samples_per_pair}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    items = [(k, float(t1), float(t2))
-             for k, (t1, t2) in enumerate(theta_grid)]
-    per_block = max(1, _LANE_BLOCK // samples_per_pair)
-    outcomes = [o for i in range(0, len(items), per_block)
-                for o in _sweep_block(items[i:i + per_block], samples_per_pair,
-                                      max_steps, seed, tol)]
+    samples = samples_per_pair
+    # pair index -> (certify result, starts, hand-off start indices); the
+    # config is made again only for a pair with hand-offs
+    pending: dict[int, tuple] = {}
+
+    def pairs():
+        for k, (t1, t2) in enumerate(theta_grid):
+            cfg = ProblemConfig(float(t1), float(t2))
+            starts = np.random.default_rng(np.random.SeedSequence(
+                [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
+            pending[k] = (certify(cfg), starts, [])
+            yield _lanes(cfg, starts[:, 0], starts[:, 1])
+
+    outcomes = [None] * len(theta_grid)
+    finished = np.zeros(len(theta_grid), dtype=np.int64)
+    for ids, codes, _ in _pool(pairs(), max_steps, tol):
+        k = ids // samples
+        for h in ids[codes == _HANDOFF].tolist():
+            pending[h // samples][2].append(h % samples)
+        np.add.at(finished, k, 1)
+        # a set, as np.unique would import numpy.ma (0.5 MB)
+        for done in set(k[finished[k] == samples].tolist()):
+            outcomes[done] = _pair_outcome(*pending.pop(done), done,
+                                           max_steps, seed, tol)
     return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples_per_pair,
                      seed=seed, max_steps=max_steps)
 

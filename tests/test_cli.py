@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -163,8 +164,8 @@ def test_exit_code_matrix(capsys, tmp_path):
 
 
 def test_cli_import_starts_no_process_machinery():
-    # grid blocks run in the calling process, so importing the CLI must not
-    # pay for multiprocessing or concurrent.futures
+    # the grid drivers run in the calling process, so importing the CLI
+    # must not pay for multiprocessing or concurrent.futures
     code = ("import sys, drlines.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     src = os.path.dirname(os.path.dirname(drlines.__file__))
@@ -285,6 +286,19 @@ def test_raster_deterministic_pgm(capsys, tmp_path):
     p1 = int(counts.split("p1=")[1].split()[0])
     p2 = int(counts.split("p2=")[1].split()[0])
     assert p1 + p2 == 120
+
+
+def test_raster_of_huge_starts_is_quiet(capsys, tmp_path):
+    # squares of these starts overflow a double in the lanes' ball tests;
+    # inf lies in no ball, so every cell runs out its budget
+    out = tmp_path / "huge.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run_cli(capsys, [
+            "raster", *FIG, "--res", "4x4", "--bounds=1e200,2e200,1e200,2e200",
+            "--max-steps", "50", "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert text == f"raster 4x4: p1=0 p2=0 cycle=0 budget=16 -> {out}\n"
 
 
 def test_sweep_pairs_cli(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Simulation verdicts, cycle detection, raster and sweep drivers."""
 import math
+import warnings
 from array import array
 from collections import deque
 from unittest import mock
@@ -14,6 +15,7 @@ from drlines.geometry import (
     TIE_TOL,
     ProblemConfig,
     Region,
+    bisector_data,
     checked_start,
     classify_region,
     cos_sin,
@@ -403,8 +405,9 @@ def test_rasterize_matches_per_cell_simulate(cfg, policy, max_steps):
 
 
 def test_rasterize_blocks_match_per_cell_simulate():
-    # more cells than one lane block, so the raster runs two blocks; the
-    # centre of cell 4224 (row 59, column 35), in the second block, is on D3
+    # more cells than the lane pool holds, so it refills; the centre of
+    # cell 4224 (row 59, column 35), taken in after the first 4096 cells,
+    # is on D3
     xt, _ = tie_point(FIG_CFG)
     bounds, res = (xt - 3.0, xt + 3.0, -0.025, 2.975), (71, 60)
     assert classify_region(FIG_CFG, (xt - 3.0 + 35.5 * 6.0 / 71,
@@ -446,7 +449,7 @@ def sweep_reference(pairs, samples, max_steps, seed):
 @pytest.mark.parametrize("samples,max_steps", [(30, 300), (1024, 2000)])
 def test_sweep_matches_per_start_simulate(samples, max_steps):
     # certified and uncertified pairs, some with a nonconvergent start;
-    # 1024 samples split the pairs over two lane blocks
+    # 1024 samples are more starts than the lane pool holds at once
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, samples, max_steps, 5)
@@ -482,6 +485,14 @@ def test_non_finite_starts_fail_loudly():
                    (1e308, 1.5e308, 1e308, 1.5e308)):
         with pytest.raises(ValueError, match=r"^bounds .* overflow"):
             rasterize(FIG_CFG, bounds, (4, 4))
+    # finite widths and corner norms, but the centres' formula forms
+    # 3.5 times the width, and 2.5 times the height
+    for bounds, res in (((1e307, 1.2e308, -1.0, 1.0), (4, 1)),
+                        ((-1.0, 1.0, -1.2e308, -1e307), (1, 3))):
+        with pytest.raises(ValueError, match=r"^bounds .* overflow"):
+            rasterize(FIG_CFG, bounds, res)
+    grid = rasterize(FIG_CFG, (1e307, 1.2e308, -1.0, 1.0), (1, 3))
+    assert grid.cells.shape == (3, 1)
 
 
 def count_simulate_calls(monkeypatch):
@@ -500,10 +511,10 @@ def count_simulate_calls(monkeypatch):
                          ids=["first", "random"])
 def test_rasterize_settles_late_cycles_and_budgets_in_lanes(
         monkeypatch, policy, max_steps):
-    # two lane blocks of the period-58 basin: cells that cycle at step 1024
-    # or 1536, budgets at and between cycle checks and a cycle found at a
-    # budget between them, with the centre cell on D3 so that one lane
-    # meets a tie
+    # more period-58 basin cells than the lane pool holds: cells that
+    # cycle at step 1024 or 1536, budgets at and between cycle checks and
+    # a cycle found at a budget between them, with the centre cell on D3
+    # so that one lane meets a tie
     xt, _ = tie_point(PERIOD58_CFG)
     bounds, res = (xt - 3.0, xt + 3.0, -3.0, 3.0), (65, 65)
     assert classify_region(PERIOD58_CFG, (xt - 3.0 + 32.5 * 6.0 / 65,
@@ -1114,3 +1125,139 @@ def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
         # on from there
         assert len(calls) == 1 and entered[0][0] == 0
     assert want == {(3, 512), (2, 24)}
+
+
+def spy_pool(monkeypatch):
+    # every (ids, codes, steps) the lane pool yields, in order
+    yields = []
+    pool = experiments._pool
+
+    def spy(*args):
+        for out in pool(*args):
+            yields.append(out)
+            yield out
+
+    monkeypatch.setattr(experiments, "_pool", spy)
+    return yields
+
+
+@pytest.mark.parametrize("max_steps", [1, 7, 300, 2000])
+@pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
+                         ids=["first", "random"])
+def test_rasterize_refills_match_per_cell_simulate(monkeypatch, policy,
+                                                   max_steps):
+    # a 64-lane pool refills many times over 33x48 period-58 cells; the
+    # centre of cell 1567 of 1584 (last row, middle column), taken in by a
+    # late refill, is on D3, and nine cells cycle
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    xt, _ = tie_point(PERIOD58_CFG)
+    bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
+    tie = experiments._cell_centres(bounds, res, 47 * 33 + 16)
+    assert tie[1] == 0.0
+    assert classify_region(PERIOD58_CFG, tie) is Region.D3
+    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, policy, 4,
+                                  max_steps)
+    if max_steps == 2000:
+        assert np.count_nonzero(cells == 3) == 9
+    calls = count_simulate_calls(monkeypatch)
+    yields = spy_pool(monkeypatch)
+    grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
+                     max_steps=max_steps, seed=4)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+    assert tie in [tuple(map(float, c)) for c in calls]
+    # every cell left the pool once
+    ids = np.concatenate([i for i, _, _ in yields])
+    assert np.array_equal(np.sort(ids), np.arange(33 * 48))
+
+
+@pytest.mark.parametrize("samples", [24, 100])
+def test_sweep_refills_match_per_start_simulate(monkeypatch, samples):
+    # 24 starts do not divide a 64-lane pool and 100 do not fit in it, so
+    # pairs straddle refills; certified pairs and nonconvergent starts
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
+                                           (0.082719, 2.064601)]
+    want = sweep_reference(pairs, samples, 300, 5)
+    assert any(p.eq26_holds for p in want)
+    assert any(p.nonconvergent_found for p in want)
+    sg = sweep(pairs, samples_per_pair=samples, max_steps=300, seed=5)
+    assert sg.pairs == want
+
+
+def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
+    # the benchmark's basin: every lane the pool hands off is one of the
+    # 176 cycle cells, as no lane is handed off for want of company while
+    # the pool can still refill
+    yields = spy_pool(monkeypatch)
+    grid = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
+    cycle = np.flatnonzero(grid.cells.ravel() == 3)
+    assert len(cycle) == 176
+    handed = np.concatenate([i[c == experiments._HANDOFF]
+                             for i, c, _ in yields])
+    assert np.array_equal(np.sort(handed), cycle)
+    # with a 64-lane pool the last few lanes, once the source is empty,
+    # leave together whatever they are; before that only cycle cells do
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    yields.clear()
+    small = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
+    assert np.array_equal(small.cells, grid.cells)
+    assert np.array_equal(small.steps, grid.steps)
+    *early, (last, codes, _) = yields
+    assert len(last) < experiments._LANE_FLOOR
+    assert set(last[codes == experiments._HANDOFF].tolist()) - set(
+        cycle.tolist())
+    handed = np.concatenate([i[c == experiments._HANDOFF]
+                             for i, c, _ in early])
+    assert set(handed.tolist()) <= set(cycle.tolist())
+
+
+@pytest.mark.parametrize("max_steps", [50, 700])
+@pytest.mark.parametrize("bounds", [(1e200, 2e200, 1e200, 2e200),
+                                    (9e307, 1.1e308, -1.1e308, -9e307)],
+                         ids=["1e200", "1e308"])
+def test_huge_starts_raster_quietly_as_simulate(monkeypatch, bounds,
+                                                max_steps):
+    # squares of these starts overflow in the lanes' ball tests, and near
+    # 1e308 so does |x| + |y| in the tie screen, which then hands every
+    # lane off; with the floor at one lane the cells run both lane passes
+    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = rasterize(FIG_CFG, bounds, (4, 4), max_steps=max_steps)
+    cells, steps = cell_reference(FIG_CFG, bounds, (4, 4), FirstBranch(), 0,
+                                  max_steps)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
+       anchor=st.sampled_from(["bisector1", "bisector2", "axis"]),
+       log_t=st.floats(-3.0, 300.0), sign=st.sampled_from([-1.0, 1.0]),
+       bands=st.floats(-4.0, 4.0), angle=st.floats(0.0, 2.0 * math.pi),
+       tol=st.sampled_from([TIE_TOL, 1e-6, 1e-15, 0.0]))
+def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
+                                                sign, bands, angle, tol):
+    # points on D3, 1e-3 to 1e300 from c along a bisector or from the axis
+    # tie point along its bisector, moved by up to four tie bands
+    cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
+    bd = bisector_data(cfg)
+    if anchor == "axis":
+        (ax, ay), (cx, cy) = tie_point(cfg), bd.c
+        norm = math.hypot(cx - ax, cy - ay)
+        d = ((cx - ax) / norm, (cy - ay) / norm)
+    else:
+        ax, ay = bd.c
+        n = bd.n1 if anchor == "bisector1" else bd.n2
+        d = (-n[1], n[0])
+    t = sign * 10.0 ** log_t
+    x, y = ax + t * d[0], ay + t * d[1]
+    r = bands * max(tol, TIE_TOL) * (1.0 + math.hypot(x, y))
+    x, y = x + r * math.cos(angle), y + r * math.sin(angle)
+    c1, s1 = cos_sin(cfg.theta1)
+    c2, s2 = cos_sin(cfg.theta2)
+    _, _, clear = experiments._lane_step(
+        experiments._lanes(cfg, np.array([x]), np.array([y])), tol)
+    if abs(dr._gap(c1, s1, c2, s2, x, y)) <= tol * (1.0 + math.hypot(x, y)):
+        assert not clear[0]
