@@ -62,6 +62,20 @@ def _branch(a, c, s, x, y):
     return a + c * (c * dx + s * y), c * (-s * dx + c * y)
 
 
+def _lane_branch(c1, s1, c2, s2, x, y, tol):
+    """One step of NumPy lanes (x, y) through the branch each lane's gap
+    picks, and whether each lane is clear of the tie screen |gap| <= 2 tol
+    (1 + |x| + |y|): (x', y', clear).  The screen contains the scalar
+    band |gap| <= tol (1 + hypot(x, y)), as hypot(x, y) <= |x| + |y|, so
+    a lane that is not clear may lie on the band and must take the scalar
+    step; a NaN gap is not clear."""
+    gap = _gap(c1, s1, c2, s2, x, y)
+    first = gap < 0.0
+    bx, by = _branch(np.where(first, -0.5, 0.5), np.where(first, c1, c2),
+                     np.where(first, s1, s2), x, y)
+    return bx, by, abs(gap) > 2.0 * tol * (1.0 + abs(x) + abs(y))
+
+
 def dr_two_lines(p, theta: float, x) -> np.ndarray:
     """Closed-form DR step for the line through p at ``theta`` and the
     x-axis, at one point x or at the columns of a (2, n) array."""

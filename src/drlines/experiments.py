@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dr import _branch, _gap
+from .dr import _branch, _gap, _lane_branch
 from .geometry import (TIE_TOL, ProblemConfig, checked_start,
                        checked_tolerance, cos_sin, distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
@@ -446,21 +446,14 @@ def _lane_step(lanes: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) as ``_walk``
     does, then step it in place through the branch its gap picks.  Returns
     whether each lane lay in p1's and in p2's termination ball and whether
-    it was clear of the tie screen.  The screen |gap| <= 2 tol (1 + |x| +
-    |y|) holds wherever the scalar band |gap| <= tol (1 + hypot(x, y))
-    does, as hypot(x, y) <= |x| + |y|."""
+    it was clear of dr._lane_branch's tie screen."""
     x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
     dx1 = x + 0.5
     dx2 = x - 0.5
     yy = y * y
     in1 = dx1 * dx1 + yy < r1sq
     in2 = dx2 * dx2 + yy < r2sq  # the balls are disjoint
-    gap = _gap(c1, s1, c2, s2, x, y)
-    clear = abs(gap) > 2.0 * tol * (1.0 + abs(x) + abs(y))
-    first = gap < 0.0
-    lanes[0], lanes[1] = _branch(np.where(first, -0.5, 0.5),
-                                 np.where(first, c1, c2),
-                                 np.where(first, s1, s2), x, y)
+    lanes[0], lanes[1], clear = _lane_branch(c1, s1, c2, s2, x, y, tol)
     return in1, in2, clear
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 # perturbed_step no longer calls dr_multivalued; the name stays importable
 # here because bench/run.py's traced run counts calls through it
-from .dr import _branch, _gap, branch_values, dr_multivalued  # noqa: F401
+from .dr import _lane_branch, branch_values, dr_multivalued  # noqa: F401
 from .geometry import TIE_TOL, ProblemConfig, checked_start, cos_sin
 from .lyapunov import _log_v, _v_many, v_global, v_local
 
@@ -164,10 +164,10 @@ def _worst_offsets(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
 def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
                 u: np.ndarray, adversarial: bool):
     """One step of each lane (column of x) with its draws (row of u, the
-    pre-ball's first): (points, pre, post), each (2, L).  Lanes within
-    twice the tie band (np.hypot may round unlike math.hypot) step through
-    branch_values; on the band random lanes take A1, adversarial lanes the
-    larger V (A1 on equal V)."""
+    pre-ball's first): (points, pre, post), each (2, L).  Lanes not clear
+    of dr._lane_branch's tie screen step through branch_values; on the
+    band random lanes take A1, adversarial lanes the larger V (A1 on equal
+    V)."""
     def offsets(x, u):
         radius = spec.kappa * np.array([_anchor_distance(cfg, *p)
                                         for p in x.T.tolist()])
@@ -179,13 +179,9 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
     pre = offsets(x, u[:, :u.shape[1] // 2])
     x = x + pre
     (c1, s1), (c2, s2) = cos_sin(cfg.theta1), cos_sin(cfg.theta2)
-    gap = _gap(c1, s1, c2, s2, x[0], x[1])
-    first = gap < 0.0
-    bx, by = _branch(np.where(first, -0.5, 0.5), np.where(first, c1, c2),
-                     np.where(first, s1, s2), x[0], x[1])
+    bx, by, clear = _lane_branch(c1, s1, c2, s2, x[0], x[1], TIE_TOL)
     y = np.array((bx, by + 0.0))
-    near = abs(gap) <= 2.0 * TIE_TOL * (1.0 + np.hypot(x[0], x[1]))
-    for i in near.nonzero()[0].tolist():
+    for i in (~clear).nonzero()[0].tolist():
         outs = branch_values(cfg, *x[:, i].tolist())
         y[:, i] = outs[0]
         if adversarial and len(outs) > 1:

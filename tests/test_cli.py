@@ -399,3 +399,111 @@ def test_robust_rejects_infeasible_pair(capsys):
         "--x0", "2,1"])
     assert code == 1
     assert "error:" in err and "feasible" in err
+
+
+# one run of each command, with every input it reads; values are as a
+# --config file holds them, and the flag form is derived from them
+FIG_KEYS = {"theta1": float(FIG[1]), "theta2": float(FIG[3])}
+MIRRORED = {
+    "certify": ({"theta1": 60, "theta2": 72, "deg": True}, ["out"]),
+    "iterate": ({**FIG_KEYS, "x0": TIE_X0, "steps": 6, "policy": "random",
+                 "seed": 1, "tol": 1e-9}, ["out"]),
+    "raster": ({**FIG_KEYS, "bounds": "-3,3,-3,3", "res": "12x10",
+                "policy": "random", "max_steps": 300, "seed": 5,
+                "threads": 1}, ["out", "csv"]),
+    "sweep": ({"pairs": "0.748491,0.772301;1.0471975511965976,"
+                        "1.2566370614359172",
+               "samples": 5, "max_steps": 3000, "seed": 2, "threads": 1},
+              ["out"]),
+    "orbit": ({"theta1": 0.082719, "theta2": 2.064601,
+               "x0": "-0.123641,-0.510395", "max_steps": 3000,
+               "match_tol": 1e-8, "brent": True}, []),
+    "robust": ({**FIG_KEYS, "x0": "2,-1", "epsilon": 0.04, "steps": 20,
+                "traces": 2, "mode": "adversarial", "seed": 3}, ["out"]),
+}
+
+
+def as_flags(values):
+    flags = []
+    for key, v in values.items():
+        flag = "--" + key.replace("_", "-")
+        flags.append(flag if v is True else f"{flag}={v}")
+    return flags
+
+
+@pytest.mark.parametrize("command", sorted(MIRRORED))
+def test_config_file_matches_flags(capsys, tmp_path, command):
+    values, outputs = MIRRORED[command]
+    values = {**values, **{k: str(tmp_path / f"{k}.out") for k in outputs}}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    runs = []
+    for argv in ([command, *as_flags(values)],
+                 [command, "--config", str(cfg)]):
+        code, out, err = run_cli(capsys, argv)
+        files = {k: (tmp_path / f"{k}.out").read_bytes() for k in outputs}
+        for k in outputs:
+            (tmp_path / f"{k}.out").unlink()
+        runs.append((code, out, files))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+
+
+def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
+    out = tmp_path / "out.file"
+    pair = ["--theta1", "0.748491", "--theta2", "0.772301",
+            "--x0", "0.101912,0.189275"]
+    sweep = ["sweep", "--pairs", "1.0471975511965976,1.2566370614359172",
+             "--max-steps", "3000", "--out", str(out)]
+    cfg = tmp_path / "run.json"
+
+    def run(argv, values):
+        cfg.write_text(json.dumps(values))
+        return run_cli(capsys, [*argv, "--config", str(cfg)])
+
+    # each of these once ran as a different value: "false" as true, true
+    # as 1, 2.9 as 2
+    for argv, values in ((["orbit", *pair], {"brent": "false"}),
+                         (["certify", *FIG, "--out", str(out)],
+                          {"deg": "false"}),
+                         (["certify", *FIG], {"deg": 1}),
+                         (["orbit", *pair], {"max_steps": True}),
+                         (sweep, {"samples": 2.9}),
+                         (["iterate", *FIG, "--x0", "2,1"],
+                          {"theta1": True})):
+        code, text, err = run(argv, values)
+        key = next(iter(values))
+        assert (code, text) == (1, "")
+        assert err.startswith(f"error: config key {key!r}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    # the well-typed forms, and numbers as text as a flag takes them
+    for argv, values, flags in (
+            (["orbit", *pair], {"brent": False}, []),
+            (["orbit", *pair], {"brent": True}, ["--brent"]),
+            (["certify", *FIG], {"deg": False}, []),
+            (["certify", "--theta1", "60", "--theta2", "72"], {"deg": True},
+             ["--deg"]),
+            (["orbit", *pair], {"max_steps": 5}, ["--max-steps", "5"]),
+            (["orbit", *pair], {"max_steps": "5"}, ["--max-steps", "5"]),
+            (sweep, {"samples": 3}, ["--samples", "3"])):
+        with_file = run(argv, values)
+        assert with_file[0] in (0, 2) and with_file[2] == ""
+        assert with_file == run_cli(capsys, [*argv, *flags])
+    assert run(["orbit", *pair], {"max_steps": 5})[1] == (
+        "orbit: budget steps=5\n")
+
+
+def test_entry_exit_codes():
+    # the console script's entry point exits with main's code
+    src = os.path.dirname(os.path.dirname(drlines.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for argv, want in ((["certify", "--theta1", "60", "--theta2", "72",
+                         "--deg"], 0),
+                       (["certify", "--theta1", "0.748491", "--theta2",
+                         "0.772301"], 2),
+                       (["iterate", "--theta1", "1", "--theta2", "2"], 1)):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from drlines.cli import entry; entry()",
+             *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == want, proc.stderr
