@@ -10,10 +10,10 @@ pairs).  Grid cells are independent work items; every cell derives its PRNG
 stream from the root seed and its own index, so results do not depend on
 how cells are grouped.  The grid drivers step cells as NumPy lanes in one
 pool of at most _LANE_BLOCK lanes, refilled in cell order as lanes finish,
-and hand what lanes cannot settle exactly to scalar ``simulate``: for
-``rasterize`` that is only lanes that meet a tie, since its cells still
-running at the first cycle check settle as lanes that keep cycle windows;
-``sweep`` hands on every start still running at the first cycle check.
+that keeps each lane's point at step 256.  Cells still running at the
+first cycle check resume from there, as lanes with cycle windows in
+``rasterize`` and in the scalar walk in ``sweep``; a check that needs
+earlier points, or a tie, sends a cell back to a re-run from its start.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dr import _branch, _gap, _lane_branch
-from .geometry import (TIE_TOL, ProblemConfig, checked_start,
+from .geometry import (TIE_TOL, ProblemConfig, bisector_data, checked_start,
                        checked_tolerance, cos_sin, distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
 
@@ -41,6 +41,9 @@ _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
 # the lane passes' code for a lane left to a scalar re-run
 _HANDOFF = 255
+# _cycle's answer where its window lacks points it needs, and the step
+# whose point each pool lane keeps, for a hand-off to resume from
+_UNDECIDED, _CHECKPOINT = -1, DEFAULT_CHECK_EVERY // 2
 # window points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
 
@@ -161,10 +164,16 @@ def detect_cycle(points_window: Sequence, match_tol: float = DEFAULT_MATCH_TOL
     K = 1 match is a constant tail, which is the convergence criterion's
     business, not a cycle: None.
     """
-    w = np.asarray(points_window, dtype=float)
-    m = len(w)
+    return _cycle(np.asarray(points_window, dtype=float), 0, match_tol)
+
+
+def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
+    """detect_cycle on a window of max(span, m) points of which w holds the
+    last m, or _UNDECIDED if that needs a point w lacks: for the K = 1 test
+    m >= 2, the near screen span // 2 < m, a full check of K, 2K <= m."""
+    m, span = len(w), max(span, len(w))
     if m < 2:
-        return None
+        return None if span < 2 else _UNDECIDED
 
     def pair_ok(later: int, earlier: int) -> bool:
         dx = w[later, 0] - w[earlier, 0]
@@ -176,29 +185,42 @@ def detect_cycle(points_window: Sequence, match_tol: float = DEFAULT_MATCH_TOL
         return None
     # a vectorised pass keeps the K whose last pair may match (the slack
     # covers np.hypot rounding unlike math.hypot); pair_ok decides exactly
-    ks = np.arange(2, m // 2 + 1)
+    ks = np.arange(2, min(span // 2, m - 1) + 1)
     e = w[m - 1 - ks]
     near = (np.hypot(w[m - 1, 0] - e[:, 0], w[m - 1, 1] - e[:, 1])
             <= match_tol * (1.0 + np.hypot(e[:, 0], e[:, 1])) * (1.0 + 1e-12))
     for k in ks[near].tolist():
         if not pair_ok(m - 1, m - 1 - k):
             continue
+        if 2 * k > m:
+            return _UNDECIDED
         a = w[m - k:]
         b = w[m - 2 * k:m - k]
         gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
         lims = match_tol * (1.0 + np.hypot(b[:, 0], b[:, 1]))
         if np.all(gaps <= lims):
             return k
-    return None
+    return _UNDECIDED if span // 2 > m - 1 else None
+
+
+def _window_cycle(w: np.ndarray, steps: int, window: int,
+                  match_tol: float = DEFAULT_MATCH_TOL):
+    """The check at ``steps``: detect_cycle, or _cycle on a partial window."""
+    span = min(steps + 1, window)
+    return (detect_cycle(w, match_tol) if len(w) >= span
+            else _cycle(w, span, match_tol))
 
 
 def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
     """Per-config step constants (c1, s1, c2, s2, r1^2, r2^2): the line
-    directions and the squared termination-ball radii."""
+    directions and the squared termination-ball radii (distance_to_D3's
+    arithmetic on one bisector_data)."""
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
-    r1 = BALL_SAFETY * float(distance_to_D3(cfg, cfg.p1))
-    r2 = BALL_SAFETY * float(distance_to_D3(cfg, cfg.p2))
+    bd = bisector_data(cfg)
+    r1, r2 = (BALL_SAFETY * min(abs((bd.c[0] - px) * nx + (bd.c[1] - py) * ny)
+                                for nx, ny in (bd.n1, bd.n2))
+              for px, py in (cfg.p1, cfg.p2))
     return c1, s1, c2, s2, r1 * r1, r2 * r2
 
 
@@ -300,16 +322,17 @@ def simulate_tree(cfg: ProblemConfig, x0,
 
 
 def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
-          pts: Optional[list], max_steps: int, tol: float, window: int,
-          match_tol: float, check_every: int
+          pts: Optional[list], max_steps: int, tol: float,
+          window: int = DEFAULT_WINDOW, match_tol: float = DEFAULT_MATCH_TOL,
+          check_every: int = DEFAULT_CHECK_EVERY
           ) -> tuple[Optional[Verdict], float, float, int]:
     """Run one trajectory from its state at ``steps`` until a verdict or a
-    tie.  ``win`` is a flat x, y buffer whose last ``window`` points are the
-    trajectory's last points up to (x, y); ``pts``, if not None, collects
-    the points.  Each visit tests the balls, then the cycle check every
-    ``check_every`` steps, then the budget (with a final check).  Returns
-    (verdict, x, y, steps), or (None, x, y, steps) for a point within the
-    tie band, visited but not stepped."""
+    tie.  ``win`` is a flat x, y buffer of the trajectory's last points up
+    to (x, y), its last ``window`` or all it has; ``pts``, if not None,
+    collects the points.  Each visit tests the balls, then the cycle check
+    every ``check_every`` steps, then the budget (with a final check).
+    Returns (verdict, x, y, steps), or (None, x, y, steps) at a point in the
+    tie band, visited but not stepped, or at an undecided check."""
     c1, s1, c2, s2, r1sq, r2sq = consts
     gap_of, branch, hypot = _gap, _branch, math.hypot
     push, add = win.append, None if pts is None else pts.append
@@ -326,14 +349,16 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         if len(win) > keep:
             del win[:len(win) - keep]
         if steps and steps % check_every == 0:
-            period = detect_cycle(np.frombuffer(win).reshape(-1, 2),
-                                  match_tol)
+            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
+                                   window, match_tol)
             if period is not None:
-                return Cycle(period), x, y, steps
+                return (None if period == _UNDECIDED else Cycle(period),
+                        x, y, steps)
         if steps >= max_steps:
-            period = detect_cycle(np.frombuffer(win).reshape(-1, 2),
-                                  match_tol)
-            return (Budget() if period is None else Cycle(period)), x, y, steps
+            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
+                                   window, match_tol)
+            return (Budget() if period is None else None
+                    if period == _UNDECIDED else Cycle(period), x, y, steps)
         # the next boundary is a cycle check, the budget or, with sparse
         # checks, a trim that bounds the buffer
         stop = min(max_steps, (steps // check_every + 1) * check_every,
@@ -434,8 +459,9 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
 
 def _lanes(cfg: ProblemConfig, x, y) -> np.ndarray:
     """Lane array: rows x, y and the config's constants."""
-    consts = np.array(_constants(cfg))[:, None]
-    return np.vstack([x, y, np.repeat(consts, len(x), axis=1)])
+    out = np.empty((8, len(x)))
+    out[0], out[1], out[2:] = x, y, np.array(_constants(cfg))[:, None]
+    return out
 
 
 # the lane arithmetic may overflow where the scalar walk's does too: a
@@ -462,7 +488,7 @@ def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.take(idx, axis=-1) for a in arrays]
 
 
-def _pool(source, max_steps: int, tol: float):
+def _pool(source, max_steps: int, tol: float, saved: list):
     """Run the lanes of ``source``, lane arrays whose columns are lanes 0,
     1, 2, ... in order, at most _LANE_BLOCK at a time: a lane that
     finishes makes room for the next one, so the pool stays full while the
@@ -472,7 +498,9 @@ def _pool(source, max_steps: int, tol: float):
     _HANDOFF for a lane at the tie screen or still running at its step
     min(max_steps, 512), the first cycle check.  Once fewer than
     _LANE_FLOOR lanes are live, they all leave at their next visit, those
-    outside the balls handed off, cheaper to finish one by one."""
+    outside the balls handed off, cheaper to finish one by one.  Each lane
+    keeps its point at step _CHECKPOINT; if max_steps >= 512, the lanes
+    handed off after it append (ids, those points (m, 2)) to ``saved``."""
     limit = min(max_steps, DEFAULT_CHECK_EVERY)
     chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
 
@@ -491,7 +519,9 @@ def _pool(source, max_steps: int, tol: float):
 
     ids, lanes = draw(_LANE_BLOCK)
     steps = np.zeros(len(ids), dtype=np.int32)
+    mid = np.empty((2, len(ids)))
     while len(ids):
+        np.copyto(mid, lanes[:2], where=steps == _CHECKPOINT)
         in1, in2, clear = _lane_step(lanes, tol)
         gone = np.flatnonzero(~clear | in1 | in2 | (steps == limit)
                               | (len(ids) < _LANE_FLOOR))
@@ -499,6 +529,9 @@ def _pool(source, max_steps: int, tol: float):
             codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
             codes[in1[gone]] = 1
             codes[in2[gone]] = 2
+            late = gone[(codes == _HANDOFF) & (steps[gone] > _CHECKPOINT)]
+            if len(late) and limit == DEFAULT_CHECK_EVERY:
+                saved.append((ids[late], mid[:, late].T))
             yield ids[gone], codes, steps[gone]
         steps += 1
         if len(gone):
@@ -508,24 +541,25 @@ def _pool(source, max_steps: int, tol: float):
             fill = gone[:len(new_ids)]
             lanes[:, fill], ids[fill], steps[fill] = new, new_ids, 0
             if len(fill) < len(gone):
-                lanes, ids, steps = _take(
+                lanes, ids, steps, mid = _take(
                     np.delete(np.arange(len(ids)), gone[len(fill):]), lanes,
-                    ids, steps)
+                    ids, steps, mid)
 
 
 def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
-              window: int) -> tuple[np.ndarray, np.ndarray]:
+              window: int = DEFAULT_WINDOW, start: int = 0
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
-    together from step 0 to simulate's verdicts.  Per lane: (code,
+    together from step ``start`` to simulate's verdicts.  Per lane: (code,
     simulate's step count), code 1 or 2 once it enters a termination ball,
     3 for a cycle, 0 for the budget.  Each lane keeps its last ``window``
     points in a buffer that grows by one cycle check interval at a time
-    (finished lanes are dropped then), and detect_cycle reads them at
+    (finished lanes are dropped then), and _window_cycle reads them at
     every cycle check and at the budget.  Code _HANDOFF leaves a lane at
-    the tie screen to a scalar re-run from its start.  Once fewer than
-    _LANE_FLOOR lanes are live, each goes on in the scalar walk from its
-    point, step count and window; one that meets a tie there is left to
-    the scalar re-run.
+    the tie screen or an undecided check to a scalar re-run from its
+    start.  Once fewer than _LANE_FLOOR lanes are live, each goes on in
+    the scalar walk from its point, step count and window; one that the
+    walk returns undecided or at a tie is left to the scalar re-run.
     """
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
@@ -534,15 +568,14 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
     every = DEFAULT_CHECK_EVERY
     # hist[r, col[j]] is live lane j's point at step base + r (a copy, as
     # the lanes step in place)
-    hist, col, base = lanes[:2].T[None].copy(), live, 0
-    for step in range(max_steps + 1):
+    hist, col, base = lanes[:2].T[None].copy(), live, start
+    for step in range(start, max_steps + 1):
         recent = hist[max(0, step + 1 - base - window):step + 1 - base]
         if len(live) < _LANE_FLOOR:
             for j, lane in enumerate(lanes.T.tolist()):
                 v, _, _, used = _walk(lane[2:], lane[0], lane[1], step,
                                       array("d", recent[:, col[j]].tobytes()),
-                                      None, max_steps, tol, window,
-                                      DEFAULT_MATCH_TOL, every)
+                                      None, max_steps, tol, window)
                 if v is not None:
                     codes[live[j]], steps[live[j]] = _code(v), used
             break
@@ -552,9 +585,9 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
         done = in1 | in2
         if step and (step % every == 0 or step == max_steps):
             for j in np.flatnonzero(~done).tolist():
-                k = detect_cycle(recent[:, col[j]])
+                k = _window_cycle(recent[:, col[j]], step, window)
                 if k is not None or step == max_steps:
-                    codes[live[j]] = 0 if k is None else 3
+                    codes[live[j]] = {None: 0, _UNDECIDED: _HANDOFF}.get(k, 3)
                     done[j] = True
         steps[live[done]] = step
         keep = clear & ~done
@@ -562,7 +595,7 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
             lanes, live, col = _take(np.flatnonzero(keep), lanes, live, col)
         if step == max_steps:
             break
-        if step % every == 0:
+        if step % every == 0 or step == start:
             kept = len(recent)
             grown = np.empty((kept + every, len(live), 2))
             np.take(recent, col, axis=1, out=grown[:kept])
@@ -590,16 +623,16 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
     Cells run through one lane pool in row-major order, at most
     _LANE_BLOCK at a time.  The cells it hands off, those still running at
-    their own first cycle check, then run on from their starts to their
-    cycle or budget verdicts as lanes, the last few of a lane set in the
-    scalar walk, and only cells that meet a tie re-run through scalar
-    ``simulate``.  Cell streams are keyed by (seed, cell_index), so the
-    picture equals per-cell ``simulate`` calls.  ``threads`` is accepted
-    and ignored.  Raises ValueError for an empty resolution, max_steps
-    below 1, or bounds that are not increasing or where a double
-    overflows: a corner norm, or a width or height times the cell count
-    that the centres' formula forms (the norm peaks at a corner, so every
-    cell centre is then a start that ``simulate`` accepts).
+    their own first cycle check, run on to their cycle or budget verdicts
+    as lanes from the pool's step-256 checkpoints, else from their starts,
+    the last few of a lane set in the scalar walk; only cells that meet a
+    tie re-run through scalar ``simulate``.  Cell streams are keyed by
+    (seed, cell_index), so the picture equals per-cell ``simulate`` calls.
+    ``threads`` is accepted and ignored.  Raises ValueError for an empty
+    resolution, max_steps below 1, or bounds that are not increasing or
+    where a double overflows: a corner norm, or a width or height times
+    the cell count that the centres' formula forms (the norm peaks at a
+    corner, so every cell centre is then a start that ``simulate`` takes).
     """
     nx, ny = resolution
     if nx < 1 or ny < 1:
@@ -615,26 +648,29 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
-    def lanes(cell):
-        return _lanes(cfg, *_cell_centres(bounds, resolution, cell))
-
     n = nx * ny
     codes = np.empty(n, dtype=np.uint8)
     steps = np.empty(n, dtype=np.int32)
     # cell centres are made _LANE_BLOCK at a time, as the pool takes them in
-    chunks = (lanes(np.arange(lo, min(lo + _LANE_BLOCK, n)))
+    chunks = (_lanes(cfg, *_cell_centres(
+        bounds, resolution, np.arange(lo, min(lo + _LANE_BLOCK, n))))
               for lo in range(0, n, _LANE_BLOCK))
-    for ids, c, s in _pool(chunks, max_steps, tol):
+    for ids, c, s in _pool(chunks, max_steps, tol, saved := []):
         codes[ids], steps[ids] = c, s
-    # the pool's hand-offs run on to their verdicts as lanes (and
-    # their last few in the scalar walk), in sets whose windows fit in
-    # _HIST_POINTS; tie lanes re-run through scalar simulate
-    cell = np.flatnonzero(codes == _HANDOFF)
+    # the pool's hand-offs run on to their verdicts as lanes in sets whose
+    # windows fit in _HIST_POINTS, those with a checkpoint from there first,
+    # the rest from their starts; tie lanes re-run through scalar simulate
+    late = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in saved])
+    at = np.concatenate([np.empty((0, 2))] + [p for _, p in saved])
     per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
                                + DEFAULT_CHECK_EVERY)
-    for part in np.array_split(cell, max(1, -(-len(cell) // per_set))):
-        codes[part], steps[part] = _lockstep(lanes(part), max_steps, tol,
-                                             window=DEFAULT_WINDOW)
+    for start in (_CHECKPOINT, 0):
+        cell = late if start else np.flatnonzero(codes == _HANDOFF)
+        xs, ys = at.T if start else _cell_centres(bounds, resolution, cell)
+        for part in np.array_split(np.arange(len(cell)),
+                                   max(1, -(-len(cell) // per_set))):
+            codes[cell[part]], steps[cell[part]] = _lockstep(
+                _lanes(cfg, xs[part], ys[part]), max_steps, tol, start=start)
     for h in np.flatnonzero(codes == _HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
         tr = simulate(cfg, _cell_centres(bounds, resolution, h),
@@ -666,20 +702,23 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
     return max(max_steps, int(math.ceil(need)) + 64)
 
 
-def _pair_outcome(res, starts: np.ndarray, handoffs: list, k: int,
+def _pair_outcome(res, starts: np.ndarray, handoffs: dict, k: int,
                   max_steps: int, seed: int, tol: float) -> PairOutcome:
     """Pair k's outcome from its ``certify`` result: its handed-off starts
-    re-run through scalar ``simulate`` in start order up to the first
-    nonconvergent one."""
+    (index -> point at step _CHECKPOINT or None) in order up to the first
+    nonconvergent one, resumed in the walk or else re-run by ``simulate``."""
     certified = isinstance(res, LyapunovCertificate)
     worst = -1
     cfg = ProblemConfig(res.theta1, res.theta2) if handoffs else None
-    for s_idx in sorted(handoffs):
+    for s_idx, mark in sorted(handoffs.items()):
         budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                   if certified else max_steps)
-        tr = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
-                      max_steps=budget, tol=tol, record=False)
-        if not isinstance(tr.verdict, ConvergedTo):
+        v = mark and _walk(_constants(cfg), *mark, _CHECKPOINT,
+                           array("d", mark), None, budget, tol)[0]
+        if v is None:
+            v = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
+                         max_steps=budget, tol=tol, record=False).verdict
+        if not isinstance(v, ConvergedTo):
             worst = s_idx
             break
     return PairOutcome(
@@ -698,10 +737,10 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     SeededRandom tie policy on the (seed, pair_index, start_index) stream.
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
-    artifact.  The pairs' starts run through one lane pool in pair order.
-    A pair is certified and its starts drawn when the pool takes them in,
-    and the pair is let go once they have all left it.  Raises ValueError
-    for samples_per_pair or max_steps below 1.
+    artifact.  The starts run through one lane pool in pair order, its
+    hand-offs resumed from its step-256 checkpoints; a pair is certified
+    and its starts drawn as the pool takes them in, and let go once all
+    have left it.  Raises ValueError for samples_per_pair or max_steps < 1.
     """
     if samples_per_pair < 1:
         raise ValueError(
@@ -709,7 +748,7 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     samples = samples_per_pair
-    # pair index -> (certify result, starts, hand-off start indices); the
+    # pair index -> (certify result, starts, hand-offs by start index); the
     # config is made again only for a pair with hand-offs
     pending: dict[int, tuple] = {}
 
@@ -718,15 +757,16 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
             cfg = ProblemConfig(float(t1), float(t2))
             starts = np.random.default_rng(np.random.SeedSequence(
                 [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
-            pending[k] = (certify(cfg), starts, [])
+            pending[k] = (certify(cfg), starts, {})
             yield _lanes(cfg, starts[:, 0], starts[:, 1])
 
     outcomes = [None] * len(theta_grid)
     finished = np.zeros(len(theta_grid), dtype=np.int64)
-    for ids, codes, _ in _pool(pairs(), max_steps, tol):
+    for ids, codes, _ in _pool(pairs(), max_steps, tol, saved := []):
+        marks = dict(zip(*(a.tolist() for a in saved.pop()))) if saved else {}
         k = ids // samples
         for h in ids[codes == _HANDOFF].tolist():
-            pending[h // samples][2].append(h % samples)
+            pending[h // samples][2][h % samples] = marks.get(h)
         np.add.at(finished, k, 1)
         # a set, as np.unique would import numpy.ma (0.5 MB)
         for done in set(k[finished[k] == samples].tolist()):

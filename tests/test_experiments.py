@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from drlines import dr, experiments
 from drlines.dr import dr_multivalued
@@ -1261,3 +1261,244 @@ def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
         experiments._lanes(cfg, np.array([x]), np.array([y])), tol)
     if abs(dr._gap(c1, s1, c2, s2, x, y)) <= tol * (1.0 + math.hypot(x, y)):
         assert not clear[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t1=st.floats(1e-6, math.pi / 2), t2_frac=st.floats(1e-6, 1.0 - 1e-6),
+       n=st.integers(0, 5))
+@example(t1=math.pi / 2, t2_frac=0.5, n=3)
+@example(t1=1e-6, t2_frac=1.0 - 1e-6, n=1)
+def test_constants_match_distance_to_d3_bit_for_bit(t1, t2_frac, n):
+    # the lane constants are what simulate's set-up once computed through
+    # distance_to_D3, and _lanes holds them in every column
+    t2 = t1 + (math.pi - t1) * t2_frac
+    assume(t2 < math.pi)
+    cfg = ProblemConfig(t1, t2)
+    consts = experiments._constants(cfg)
+    r1 = experiments.BALL_SAFETY * float(distance_to_D3(cfg, cfg.p1))
+    r2 = experiments.BALL_SAFETY * float(distance_to_D3(cfg, cfg.p2))
+    want = (*cos_sin(cfg.theta1), *cos_sin(cfg.theta2), r1 * r1, r2 * r2)
+    assert [type(c) for c in consts] == [float] * 6
+    assert [c.hex() for c in consts] == [c.hex() for c in want]
+    xs, ys = np.linspace(-2.0, 2.0, n), np.linspace(3.0, -1.0, n)
+    lanes = experiments._lanes(cfg, xs, ys)
+    assert lanes.shape == (8, n) and lanes.dtype == np.float64
+    assert np.array_equal(lanes, np.vstack(
+        [xs, ys, np.repeat(np.array(want)[:, None], n, axis=1)]))
+
+
+def window_pair_ok(w, later, earlier, match_tol=1e-8):
+    # detect_cycle's exact test of one pair
+    lim = match_tol * (1.0 + math.hypot(w[earlier, 0], w[earlier, 1]))
+    return math.hypot(w[later, 0] - w[earlier, 0],
+                      w[later, 1] - w[earlier, 1]) <= lim
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(period=st.integers(2, 140), span=st.integers(2, 600),
+       keep=st.floats(0.0, 1.0), prefix=st.floats(0.0, 1.0),
+       noise=st.sampled_from([0.0, 3e-9, 1e-8, 3e-8]),
+       seed=st.integers(0, 2**32 - 1))
+@example(period=200, span=513, keep=0.501, prefix=0.0, noise=0.0, seed=1)
+@example(period=100, span=513, keep=0.501, prefix=0.3, noise=3e-9, seed=2)
+def test_partial_window_rule_agrees_with_detect_cycle(period, span, keep,
+                                                      prefix, noise, seed):
+    # a window of span points whose tail repeats with a planted period,
+    # after a random prefix, of which the rule sees only the last m
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-2.0, 2.0, size=(period, 2))
+    full = (np.tile(base, (span // period + 1, 1))[:span]
+            + rng.normal(size=(span, 2)) * noise)
+    cut = int(prefix * span)
+    full[:cut] = rng.uniform(-2.0, 2.0, size=(cut, 2))
+    m = max(2, round(keep * span))
+    got = experiments._cycle(full[span - m:], span, 1e-8)
+    if got != experiments._UNDECIDED:
+        assert got == detect_cycle(full)
+    else:
+        # undecided only where the near screen needs points the partial
+        # window lacks, or a K too long for a full check in it matches its
+        # last pair
+        assert span // 2 > m - 1 or any(
+            window_pair_ok(full, span - 1, span - 1 - k)
+            for k in range(m // 2 + 1, span // 2 + 1))
+    # a full window is always decided, and it is detect_cycle
+    assert experiments._cycle(full, span, 1e-8) == detect_cycle(full)
+
+
+def test_partial_window_rule_on_planted_periods():
+    # at the first cycle check a lane resumed from step 256 holds points
+    # 256..512 of the 513 the full window holds
+    rng = np.random.default_rng(7)
+    for period, want in ((100, 100), (128, 128), (129, None), (200, None),
+                         (256, None)):
+        full = np.tile(rng.uniform(-2.0, 2.0, size=(period, 2)), (6, 1))[:513]
+        assert detect_cycle(full) == period
+        got = experiments._cycle(full[-257:], 513, 1e-8)
+        assert got == (experiments._UNDECIDED if want is None else want)
+    # no period: the near screen decides on 257 points, not on 256
+    noise = rng.uniform(-2.0, 2.0, size=(513, 2))
+    assert experiments._cycle(noise[-257:], 513, 1e-8) is None
+    assert experiments._cycle(noise[-256:], 513, 1e-8) == \
+        experiments._UNDECIDED
+    assert experiments._cycle(noise[-1:], 513, 1e-8) == experiments._UNDECIDED
+    assert experiments._cycle(noise[-1:], 1, 1e-8) is None
+
+
+def spy_lockstep(monkeypatch):
+    # (start step, lane count) of every lane set run to its verdicts
+    starts = []
+    lockstep = experiments._lockstep
+
+    def spy(lanes, *args, start=0, **kwargs):
+        starts.append((start, lanes.shape[1]))
+        return lockstep(lanes, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(experiments, "_lockstep", spy)
+    return starts
+
+
+def resumed(entered):
+    # walks resumed from a pool checkpoint: one window point at step 256
+    return [s for s, win in entered
+            if s == experiments._CHECKPOINT and len(win) == 1]
+
+
+def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
+    # every check of a resumed window is made undecided: sweep starts
+    # re-run through simulate and raster cells from their starts, and the
+    # outputs stay those of per-start simulate
+    partial = []
+    cycle = experiments._cycle
+
+    def undecided(w, span, match_tol):
+        if len(w) < span:
+            partial.append(len(w))
+            return experiments._UNDECIDED
+        return cycle(w, span, match_tol)
+
+    monkeypatch.setattr(experiments, "_cycle", undecided)
+    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
+                                           (0.082719, 2.064601)]
+    want = sweep_reference(pairs, 100, 2000, 5)
+    assert not partial
+    calls = count_simulate_calls(monkeypatch)
+    assert sweep(pairs, samples_per_pair=100, max_steps=2000,
+                 seed=5).pairs == want
+    assert partial and len(calls) == len(partial)
+    # the 64-lane pool hands three period-58 cells off between steps 256
+    # and 512 and four at step 512; all seven run again from step 0
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    xt, _ = tie_point(PERIOD58_CFG)
+    bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
+    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
+                                  4, 2000)
+    partial.clear()
+    starts = spy_lockstep(monkeypatch)
+    grid = rasterize(PERIOD58_CFG, bounds, res, seed=4)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+    assert partial and starts[0] == (experiments._CHECKPOINT, 7)
+    assert starts[1][0] == 0 and starts[1][1] >= 7
+
+
+@pytest.mark.parametrize("n", [255, 256, 300])
+@pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
+                         ids=["first", "random"])
+def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
+                                                          policy, n):
+    # 36 cells around a start whose n-th iterate is on D3 leave the pool at
+    # the tie screen on step n; past step 256 the pool has kept their
+    # points there, and the resumed lanes meet the screen again; each cell
+    # then runs from its start as lanes and re-runs through simulate
+    x0 = tie_preimage(FIG_CFG, n)
+    h = 1e-12 * math.hypot(*x0)
+    bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
+    cells, steps = cell_reference(FIG_CFG, bounds, (6, 6), policy, 3, 2000)
+    assert set(steps.ravel().tolist()) == {n + 1}
+    assert set(cells.ravel().tolist()) == (
+        {1, 2} if isinstance(policy, SeededRandom) else {1})
+    yields = spy_pool(monkeypatch)
+    starts = spy_lockstep(monkeypatch)
+    calls = count_simulate_calls(monkeypatch)
+    grid = rasterize(FIG_CFG, bounds, (6, 6), policy=policy, seed=3)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+    assert {int(s) for _, _, st in yields for s in st} == {n}
+    assert starts == [(experiments._CHECKPOINT, 36 if n > 256 else 0),
+                      (0, 36)]
+    assert len(calls) == 36
+
+
+def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
+    # the walk resumed from step 256 stops at the tie on step 300, and the
+    # start re-runs through simulate on its (seed, pair, start) stream with
+    # its certified budget
+    x0 = tie_preimage(FIG_CFG, 300)
+    mark = list(simulate(FIG_CFG, x0, max_steps=2000).points[256])
+    res = certify(FIG_CFG)
+    assert isinstance(res, LyapunovCertificate)
+    budget = certified_budget(FIG_CFG, res, x0, 2000)
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append((tuple(args[1]), args[2], kwargs["max_steps"]))
+        return simulate(*args, **kwargs)
+
+    entered = spy_walk(monkeypatch)
+    monkeypatch.setattr(experiments, "simulate", counted)
+    out = experiments._pair_outcome(res, np.array([x0]), {0: mark}, 7, 2000,
+                                    5, TIE_TOL)
+    assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
+    assert runs == [(x0, SeededRandom((5, 7, 0)), budget)]
+    assert [s for s, _ in entered][:1] == [experiments._CHECKPOINT]
+    assert len(resumed(entered)) == 1
+
+
+@pytest.mark.parametrize("max_steps", [300, 511])
+def test_budgets_below_the_first_check_do_not_resume(monkeypatch, max_steps):
+    # the pool's limit is the budget, so its hand-offs keep no checkpoint
+    # and re-run from their starts
+    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
+                                           (0.082719, 2.064601)]
+    want = sweep_reference(pairs, 100, max_steps, 5)
+    entered = spy_walk(monkeypatch)
+    calls = count_simulate_calls(monkeypatch)
+    assert sweep(pairs, samples_per_pair=100, max_steps=max_steps,
+                 seed=5).pairs == want
+    assert calls and not resumed(entered)
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    xt, _ = tie_point(PERIOD58_CFG)
+    bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
+    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
+                                  4, max_steps)
+    starts = spy_lockstep(monkeypatch)
+    grid = rasterize(PERIOD58_CFG, bounds, res, max_steps=max_steps, seed=4)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+    assert starts[0] == (experiments._CHECKPOINT, 0) and starts[1][1] > 0
+
+
+@pytest.mark.parametrize("samples", [30, 100])
+def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
+                                                          samples):
+    # a 64-lane pool: with 30 starts a pair its floor hands the last lanes
+    # off before step 256, and they re-run from their starts; with 100 the
+    # floor and the first cycle check hand lanes off after it, and those
+    # the outcome needs resume in the walk
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
+                                           (0.082719, 2.064601)]
+    want = sweep_reference(pairs, samples, 2000, 5)
+    yields = spy_pool(monkeypatch)
+    entered = spy_walk(monkeypatch)
+    assert sweep(pairs, samples_per_pair=samples, max_steps=2000,
+                 seed=5).pairs == want
+    handed = [int(s) for _, c, st in yields
+              for s in st[c == experiments._HANDOFF]]
+    if samples == 30:
+        assert handed and max(handed) <= experiments._CHECKPOINT
+        assert not resumed(entered)
+    else:
+        assert any(256 < s < 512 for s in handed) and 512 in handed
+        assert resumed(entered)
