@@ -2,9 +2,9 @@
 
 Library layout:
 
-- ``geometry``: lines, projections/reflections, regions, D3, input checks.
-- ``dr``: the DR operators (closed-form, compositional, multi-valued,
-  reversed), the float step ``branch_values`` and the step arithmetic.
+- ``geometry``: the problem config, region labels, D3, input checks.
+- ``dr``: the DR operators (closed-form, multi-valued, reversed), the
+  float step ``branch_values`` and the step arithmetic and tie test.
 - ``lyapunov``: local/global Lyapunov functions, certificates, increase balls.
 - ``robust``: sigma-perturbed steps, traces, and the KL decay bound checkers.
 - ``experiments``: trace simulation, cycle detection, rasters, parameter sweeps.
@@ -17,7 +17,6 @@ from .dr import (
     dr_multivalued,
     dr_reversed,
     dr_two_lines,
-    dr_two_lines_compose,
 )
 from .experiments import (
     Budget,
@@ -50,16 +49,11 @@ from .exports import (
 )
 from .geometry import (
     BisectorData,
-    Line,
     ProblemConfig,
     Region,
     TIE_TOL,
     bisector_data,
-    classify_region,
     distance_to_D3,
-    distance_to_line,
-    project,
-    reflect,
 )
 from .lyapunov import (
     Infeasible,

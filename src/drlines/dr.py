@@ -5,12 +5,14 @@ operator (I + R_B R_A)/2 collapses to the affine map
 x -> p + cos(theta) * M_theta (x - p), where M_theta rotates by -theta in
 the usual orientation (M_theta maps (1,0) to (cos theta, -sin theta)).
 For the union A1 ∪ A2 the operator acts through whichever line is closer
-and is two-valued on the equidistance set D3.
+and is two-valued on the equidistance set D3.  The reversed-order
+operator (I + R_A R_B)/2 is R_B T R_B, with R_B(x, y) = (x, -y).
 
-``_gap`` and ``_branch`` are the operator's only arithmetic, written once
-for floats and NumPy lanes alike: the closed form, the multi-valued step
-and every iterating path run exactly these expressions in this order, so
-the lanes reproduce the scalar iterates bit for bit.
+``_gap`` and ``_branch`` are the operator's only arithmetic and ``_gap``
+its only tie test, written once for floats and NumPy lanes alike: the
+closed form, the multi-valued step and every iterating path run exactly
+these expressions in this order, so the lanes reproduce the scalar
+iterates bit for bit.
 """
 from __future__ import annotations
 
@@ -20,21 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Line,
     ProblemConfig,
     Region,
     TIE_TOL,
     checked_tolerance,
-    classify_region,
     cos_sin,
-    reflect,
 )
-
-
-def rotation_matrix(theta: float) -> np.ndarray:
-    """The 2x2 matrix [[cos, sin], [-sin, cos]]."""
-    c, s = cos_sin(theta)
-    return np.array([[c, s], [-s, c]])
 
 
 @dataclass(frozen=True)
@@ -85,12 +78,6 @@ def dr_two_lines(p, theta: float, x) -> np.ndarray:
     return np.array([bx, by + p[1]])
 
 
-def dr_two_lines_compose(line_a: Line, line_b: Line, x) -> np.ndarray:
-    """DR step by its definition: (x + R_B R_A x) / 2."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (x + reflect(line_b, reflect(line_a, x)))
-
-
 def _step(cfg: ProblemConfig, x: float, y: float, tol: float
           ) -> tuple[Region, tuple[tuple[float, float], ...]]:
     """The region of (x, y), by the sign of the gap with the tie band
@@ -130,25 +117,9 @@ def dr_multivalued(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> DrStep:
 
 
 def dr_reversed(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> DrStep:
-    """The reversed-order operator (x + R_A R_B x) / 2.
-
-    The A-branch is resolved by the region of R_B x, so the step is
-    conjugate to the forward operator: T_BA = R_B T_AB R_B branch-wise.
-    ``region`` reports the classification of R_B x.
-    """
-    x = np.asarray(x, dtype=float)
-    y = reflect(cfg.b, x)
-    region = classify_region(cfg, y, tol)
-    pt = (float(x[0]), float(x[1]))
-
-    def branch(line: Line) -> tuple[float, float]:
-        out = 0.5 * (x + reflect(line, y))
-        return (float(out[0]), float(out[1]))
-
-    if region is Region.D1:
-        outputs = (branch(cfg.a1),)
-    elif region is Region.D2:
-        outputs = (branch(cfg.a2),)
-    else:
-        outputs = (branch(cfg.a1), branch(cfg.a2))
-    return DrStep(input=pt, outputs=outputs, region=region)
+    """The reversed-order operator (x + R_A R_B x) / 2 = R_B T R_B x, branch
+    by branch: ``region`` classifies R_B x.  Raises ValueError as
+    ``dr_multivalued`` does."""
+    step = dr_multivalued(cfg, (x[0], -x[1]), tol)
+    return DrStep(input=(float(x[0]), float(x[1])), region=step.region,
+                  outputs=tuple((bx, -by) for bx, by in step.outputs))

@@ -499,9 +499,11 @@ def _pool(source, max_steps: int, tol: float, saved: list):
     min(max_steps, 512), the first cycle check.  Once fewer than
     _LANE_FLOOR lanes are live, they all leave at their next visit, those
     outside the balls handed off, cheaper to finish one by one.  Each lane
-    keeps its point at step _CHECKPOINT; if max_steps >= 512, the lanes
-    handed off after it append (ids, those points (m, 2)) to ``saved``."""
+    keeps its point at step _CHECKPOINT if max_steps >= 512, and the lanes
+    handed off after it, other than at the tie screen (a resumed lane
+    would meet it again), append (ids, those points (m, 2)) to ``saved``."""
     limit = min(max_steps, DEFAULT_CHECK_EVERY)
+    resume = limit == DEFAULT_CHECK_EVERY
     chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
 
     def draw(n):
@@ -521,7 +523,8 @@ def _pool(source, max_steps: int, tol: float, saved: list):
     steps = np.zeros(len(ids), dtype=np.int32)
     mid = np.empty((2, len(ids)))
     while len(ids):
-        np.copyto(mid, lanes[:2], where=steps == _CHECKPOINT)
+        if resume:
+            np.copyto(mid, lanes[:2], where=steps == _CHECKPOINT)
         in1, in2, clear = _lane_step(lanes, tol)
         gone = np.flatnonzero(~clear | in1 | in2 | (steps == limit)
                               | (len(ids) < _LANE_FLOOR))
@@ -529,8 +532,9 @@ def _pool(source, max_steps: int, tol: float, saved: list):
             codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
             codes[in1[gone]] = 1
             codes[in2[gone]] = 2
-            late = gone[(codes == _HANDOFF) & (steps[gone] > _CHECKPOINT)]
-            if len(late) and limit == DEFAULT_CHECK_EVERY:
+            late = gone[(codes == _HANDOFF) & clear[gone]
+                        & (steps[gone] > _CHECKPOINT)]
+            if len(late) and resume:
                 saved.append((ids[late], mid[:, late].T))
             yield ids[gone], codes, steps[gone]
         steps += 1

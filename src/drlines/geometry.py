@@ -1,11 +1,13 @@
-"""Planar primitives for the two-lines/one-line feasibility geometry.
+"""The problem instance and its geometry.
 
 The problem lives in the plane: a union of two lines A1, A2 crossing the
 x-axis B at the anchors p1 = (-1/2, 0) and p2 = (1/2, 0), with inclination
-angles 0 < theta1 <= pi/2 and theta1 < theta2 < pi.  This module owns line
-projection/reflection, the closer-line classification into regions D1/D2
-and the equidistance set D3, and the closed forms for D3 (the two angle
-bisectors through the intersection of A1 and A2).
+angles 0 < theta1 <= pi/2 and theta1 < theta2 < pi.  This module owns the
+config, the region labels D1/D2 (closer to A1/A2) and D3 (the tie band),
+the closed forms for the equidistance set D3 (the two angle bisectors
+through the intersection of A1 and A2) and the checks on starts and
+tolerances.  Points are classified by the DR step's own tie test,
+``dr._gap``.
 """
 from __future__ import annotations
 
@@ -49,31 +51,8 @@ class Region(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Line:
-    """A line through ``anchor`` at ``angle`` radians from the positive x-axis.
-
-    ``direction`` is the unit vector (cos angle, sin angle) and ``normal``
-    its perpendicular (sin angle, -cos angle); both are derived at
-    construction, with exact components when the line is vertical.
-    """
-
-    anchor: tuple[float, float]
-    angle: float
-    direction: tuple[float, float] = field(init=False)
-    normal: tuple[float, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.angle <= math.pi:
-            raise ValueError(f"line angle {self.angle} outside [0, pi]")
-        object.__setattr__(self, "angle", _snap_angle(self.angle))
-        c, s = cos_sin(self.angle)
-        object.__setattr__(self, "direction", (c, s))
-        object.__setattr__(self, "normal", (s, -c))
-
-
-@dataclass(frozen=True)
 class ProblemConfig:
-    """The full problem instance: angles plus the derived lines and anchors.
+    """The full problem instance: the two angles and the anchors.
 
     Raises ValueError unless 0 < theta1 <= pi/2 and theta1 < theta2 < pi.
     Angles within 1e-9 of pi/2 are snapped to exact pi/2 first.
@@ -83,9 +62,6 @@ class ProblemConfig:
     theta2: float
     p1: tuple[float, float] = field(init=False, default=(-0.5, 0.0))
     p2: tuple[float, float] = field(init=False, default=(0.5, 0.0))
-    a1: Line = field(init=False)
-    a2: Line = field(init=False)
-    b: Line = field(init=False)
 
     def __post_init__(self) -> None:
         t1 = _snap_angle(self.theta1)
@@ -96,9 +72,6 @@ class ProblemConfig:
             raise ValueError(f"theta2 = {t2} violates theta1 < theta2 < pi")
         object.__setattr__(self, "theta1", t1)
         object.__setattr__(self, "theta2", t2)
-        object.__setattr__(self, "a1", Line(self.p1, t1))
-        object.__setattr__(self, "a2", Line(self.p2, t2))
-        object.__setattr__(self, "b", Line((0.0, 0.0), 0.0))
 
 
 @dataclass(frozen=True)
@@ -112,32 +85,6 @@ class BisectorData:
     c: tuple[float, float]
     n1: tuple[float, float]
     n2: tuple[float, float]
-
-
-def project(line: Line, x) -> np.ndarray:
-    """Nearest point on the line."""
-    p = np.asarray(x, dtype=float)
-    nx, ny = line.normal
-    ax, ay = line.anchor
-    t = (p[0] - ax) * nx + (p[1] - ay) * ny
-    return np.array([p[0] - t * nx, p[1] - t * ny])
-
-
-def reflect(line: Line, x) -> np.ndarray:
-    """Mirror image of x across the line (2*project - identity)."""
-    p = np.asarray(x, dtype=float)
-    nx, ny = line.normal
-    ax, ay = line.anchor
-    t = (p[0] - ax) * nx + (p[1] - ay) * ny
-    return np.array([p[0] - 2.0 * t * nx, p[1] - 2.0 * t * ny])
-
-
-def distance_to_line(line: Line, x) -> float:
-    """Euclidean distance from x to the line."""
-    p = np.asarray(x, dtype=float)
-    nx, ny = line.normal
-    ax, ay = line.anchor
-    return abs((p[0] - ax) * nx + (p[1] - ay) * ny)
 
 
 def checked_tolerance(name: str, value: float) -> float:
@@ -160,20 +107,6 @@ def checked_start(x0) -> tuple[float, float]:
         raise ValueError(f"start ({x}, {y}) is not finite or its norm "
                          "overflows a double")
     return x, y
-
-
-def classify_region(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> Region:
-    """D1/D2 by strictly closer line; D3 when the distances tie.
-
-    The tie test is relative: |d1 - d2| <= tol * (1 + |x|).
-    """
-    checked_tolerance("tie tolerance", tol)
-    p = np.asarray(x, dtype=float)
-    d1 = distance_to_line(cfg.a1, p)
-    d2 = distance_to_line(cfg.a2, p)
-    if abs(d1 - d2) <= tol * (1.0 + math.hypot(p[0], p[1])):
-        return Region.D3
-    return Region.D1 if d1 < d2 else Region.D2
 
 
 def bisector_data(cfg: ProblemConfig) -> BisectorData:

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dr import branch_values, dr_two_lines
-from .geometry import ProblemConfig, Region, classify_region, cos_sin
+from .dr import _gap, branch_values, dr_two_lines
+from .geometry import ProblemConfig, cos_sin
 
 # V_1 below this is treated as exactly zero to keep powers out of subnormals
 _V_ZERO = 1e-300
@@ -316,15 +316,8 @@ def verify_containment(cfg: ProblemConfig, index: int,
     margin_b = sj * sj * q_b / (4.0 * su * su * denom * denom) / (e_b + ball.radius)
     margin = min(margin_a, margin_b)
 
-    own = Region.D1 if index == 1 else Region.D2
-    center_ok = classify_region(cfg, ball.center, tol=0.0) is own
+    # the centre lies strictly on its own line's side of D3
+    gap = _gap(c1, s1, c2, s2, *ball.center)
+    center_ok = gap < 0.0 if index == 1 else gap > 0.0
     return (margin >= 0.0 and center_ok, margin)
 
-
-def v_min_diagnostic(cfg: ProblemConfig, x) -> float:
-    """min(V_1, V_2): a diagnostic value only, with no decrease guarantee.
-
-    In the mirror-symmetric case theta2 = pi - theta1 the min decays at
-    exactly cos^2 theta1 near the attractor points, but not globally.
-    """
-    return min(v_local(cfg, 1, x), v_local(cfg, 2, x))

@@ -1,15 +1,15 @@
 """The DR operator as it was written before it ran on ``dr._gap`` and
-``dr._branch``: the region from ``classify_region`` (distances to the
-lines) and each branch from the closed form written out.  Tests compare
-the library's operator, its float step and the ``iterate`` command
-against these, bit for bit."""
+``dr._branch``: the region from ``geometry_oracle.classify_region``
+(distances to the lines) and each branch from the closed form written
+out.  Tests compare the library's operator, its float step and the
+``iterate`` command against these, bit for bit."""
 import math
 
 import numpy as np
 
 from drlines.dr import DrStep
-from drlines.geometry import (TIE_TOL, Region, bisector_data, classify_region,
-                              cos_sin)
+from drlines.geometry import TIE_TOL, Region, bisector_data, cos_sin
+from geometry_oracle import classify_region
 
 
 def dr_two_lines_reference(p, theta, x):

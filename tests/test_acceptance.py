@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from drlines.dr import dr_multivalued, dr_reversed, dr_two_lines, dr_two_lines_compose
+from drlines.dr import dr_multivalued, dr_reversed, dr_two_lines
 from drlines.experiments import Cycle, make_theta_grid, rasterize, simulate, sweep
 from drlines.exports import pgm_bytes
-from drlines.geometry import Line, ProblemConfig
+from drlines.geometry import ProblemConfig
 from drlines.lyapunov import (
     LyapunovCertificate,
     certify,
@@ -30,6 +30,8 @@ from drlines.robust import (
     check_lemma_sigma,
     run_perturbed_many,
 )
+from geometry_oracle import (AXIS, Line, dr_reversed_reference,
+                             dr_two_lines_compose)
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
 
@@ -52,14 +54,13 @@ def test_single_pair_exact_decay():
 def test_closed_form_matches_composition():
     start = time.perf_counter()
     rng = np.random.default_rng(11)
-    axis = Line((0.0, 0.0), 0.0)
     worst = 0.0
     for _ in range(10000):
         theta = rng.uniform(1e-6, math.pi - 1e-6)
         p = (rng.uniform(-5, 5), 0.0)
         x = rng.uniform(-10, 10, size=2)
         closed = dr_two_lines(p, theta, x)
-        composed = dr_two_lines_compose(Line(p, theta), axis, x)
+        composed = dr_two_lines_compose(Line(p, theta), AXIS, x)
         worst = max(worst, float(np.max(np.abs(closed - composed))))
     assert worst <= 1e-10
     assert time.perf_counter() - start < 1.0
@@ -120,9 +121,12 @@ def test_reversed_operator_conjugacy_and_decrease():
         # forward step == reflect, reversed step, reflect back, branch-wise
         fwd = dr_multivalued(FIG_CFG, x)
         rev = dr_reversed(FIG_CFG, mirrored)
-        assert len(fwd.outputs) == len(rev.outputs)
-        for (fx, fy), (rx, ry) in zip(fwd.outputs, rev.outputs):
+        ref = dr_reversed_reference(FIG_CFG, mirrored)
+        assert len(fwd.outputs) == len(rev.outputs) == len(ref.outputs)
+        for (fx, fy), (rx, ry), (qx, qy) in zip(fwd.outputs, rev.outputs,
+                                                ref.outputs):
             assert max(abs(fx - rx), abs(fy + ry)) <= 1e-10
+            assert max(abs(qx - rx), abs(qy - ry)) <= 1e-10
         # the reversed-order operator obeys the same certificate
         vx = v_global(cert, FIG_CFG, x)
         for out in dr_reversed(FIG_CFG, x).outputs:

@@ -1,4 +1,5 @@
-"""DR operators: closed form vs composition, branches, reversed order."""
+"""DR operators: closed form vs composition, branches, reversed order,
+each against the reflection-based definitions of the oracle."""
 import math
 
 import numpy as np
@@ -9,22 +10,16 @@ from dr_oracle import (
     dr_two_lines_reference,
     step_points,
 )
-from drlines.dr import (
-    dr_multivalued,
-    dr_reversed,
-    dr_two_lines,
-    dr_two_lines_compose,
-    rotation_matrix,
-)
+from drlines.dr import dr_multivalued, dr_reversed, dr_two_lines
 from drlines.geometry import (
     TIE_TOL,
-    Line,
     ProblemConfig,
     Region,
     bisector_data,
     distance_to_D3,
-    reflect,
 )
+from geometry_oracle import (AXIS, Line, dr_reversed_reference,
+                             dr_two_lines_compose, lines, reflect)
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
 ORACLE_CFGS = [FIG_CFG, ProblemConfig(math.pi / 2, 2.0),
@@ -32,10 +27,13 @@ ORACLE_CFGS = [FIG_CFG, ProblemConfig(math.pi / 2, 2.0),
 
 
 def test_rotation_matrix_convention():
+    # through the origin the step is x -> cos(theta) M_theta x, so its
+    # images of the unit vectors are the columns of M_theta times cos(theta)
     rng = np.random.default_rng(3)
     for _ in range(100):
         t = rng.uniform(0, math.pi)
-        m = rotation_matrix(t)
+        m = np.column_stack([dr_two_lines((0.0, 0.0), t, e)
+                             for e in np.eye(2)]) / math.cos(t)
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
         assert np.allclose(m @ m.T, np.eye(2), atol=1e-12)
         assert np.allclose(m @ [1.0, 0.0], [math.cos(t), -math.sin(t)], atol=1e-12)
@@ -62,7 +60,7 @@ def test_closed_form_rejects_degenerate_angle():
 
 
 def test_compositional_frozen_value():
-    got = dr_two_lines_compose(FIG_CFG.a1, FIG_CFG.b, (1.0, 1.0))
+    got = dr_two_lines_compose(lines(FIG_CFG)[0], AXIS, (1.0, 1.0))
     assert np.allclose(got, [0.3080127018922194, -0.399519052838329], atol=1e-12)
 
 
@@ -70,14 +68,13 @@ def test_closed_form_equals_composition():
     # the compositional operator is the oracle for the affine formula;
     # the anchor must sit on the axis so the two lines meet there
     rng = np.random.default_rng(7)
-    b = Line((0.0, 0.0), 0.0)
     worst = 0.0
     for _ in range(10000):
         t = rng.uniform(0.01, math.pi - 0.01)
         p = (rng.normal() * 2, 0.0)
         x = rng.normal(size=2) * 5
         got = dr_two_lines(p, t, x)
-        want = dr_two_lines_compose(Line(p, t), b, x)
+        want = dr_two_lines_compose(Line(p, t), AXIS, x)
         worst = max(worst, float(np.linalg.norm(got - want)))
     assert worst <= 1e-10
 
@@ -139,33 +136,37 @@ def test_affine_on_each_region():
         assert np.allclose(sz.outputs[0], want, atol=1e-10)
 
 
+def reversed_step(cfg, x):
+    # the library's reversed step against its definition (x + R_A R_B x) / 2
+    # and, branch by branch, against R_B T R_B x, each within 1e-10
+    got, want = dr_reversed(cfg, x), dr_reversed_reference(cfg, x)
+    fwd = dr_multivalued(cfg, reflect(AXIS, x))
+    assert got.input == want.input and got.region is want.region is fwd.region
+    for outs in (want.outputs, [reflect(AXIS, b) for b in fwd.outputs]):
+        assert np.hypot(*np.subtract(got.outputs, outs).T).max() <= 1e-10
+    return got
+
+
 def test_reversed_fixed_point_and_tie():
-    step = dr_reversed(FIG_CFG, FIG_CFG.p1)
+    step = reversed_step(FIG_CFG, FIG_CFG.p1)
     assert len(step.outputs) == 1
     assert np.allclose(step.outputs[0], FIG_CFG.p1, atol=1e-12)
     # a point on the axis equidistant from both lines reflects to itself,
     # so the reversed operator ties there
     s1, s2 = math.sin(FIG_CFG.theta1), math.sin(FIG_CFG.theta2)
     xt = 0.5 * (s2 - s1) / (s1 + s2)
-    step = dr_reversed(FIG_CFG, (xt, 0.0))
+    step = reversed_step(FIG_CFG, (xt, 0.0))
     assert step.region is Region.D3
     assert len(step.outputs) == 2
+    with pytest.raises(ValueError, match="tie tolerance"):
+        dr_reversed(FIG_CFG, (xt, 0.0), tol=-1.0)
 
 
 def test_reversed_conjugacy():
     # R_B T_AB R_B x = T_BA x, branch by branch
     rng = np.random.default_rng(21)
-    worst = 0.0
     for _ in range(10000):
-        x = rng.uniform(-6, 6, size=2)
-        rev = dr_reversed(FIG_CFG, x)
-        fwd = dr_multivalued(FIG_CFG, reflect(FIG_CFG.b, x))
-        assert rev.region is fwd.region
-        assert len(rev.outputs) == len(fwd.outputs)
-        for a, b in zip(rev.outputs, fwd.outputs):
-            back = reflect(FIG_CFG.b, b)
-            worst = max(worst, float(np.linalg.norm(np.array(a) - back)))
-    assert worst <= 1e-10
+        reversed_step(FIG_CFG, rng.uniform(-6, 6, size=2))
 
 
 def test_reversed_conjugacy_random_configs():
@@ -175,11 +176,7 @@ def test_reversed_conjugacy_random_configs():
         t2 = rng.uniform(t1 + 0.05, math.pi - 0.02)
         cfg = ProblemConfig(t1, t2)
         for _ in range(50):
-            x = rng.uniform(-4, 4, size=2)
-            rev = dr_reversed(cfg, x)
-            fwd = dr_multivalued(cfg, reflect(cfg.b, x))
-            for a, b in zip(rev.outputs, fwd.outputs):
-                assert np.allclose(a, reflect(cfg.b, b), atol=1e-10)
+            reversed_step(cfg, rng.uniform(-4, 4, size=2))
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CFGS,

@@ -17,7 +17,6 @@ from drlines.geometry import (
     Region,
     bisector_data,
     checked_start,
-    classify_region,
     cos_sin,
     distance_to_D3,
 )
@@ -39,6 +38,7 @@ from drlines.experiments import (
     simulate_tree,
     sweep,
 )
+from geometry_oracle import classify_region
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
 PERIOD2_CFG = ProblemConfig(0.748491, 0.772301)
@@ -1035,7 +1035,7 @@ def test_bad_budgets_and_tolerances_fail_loudly():
         with pytest.raises(ValueError, match="tol"):
             find_period_brent(PERIOD2_CFG, x0, tol=bad)
         with pytest.raises(ValueError, match="tie tolerance"):
-            classify_region(PERIOD2_CFG, x0, tol=bad)
+            dr_multivalued(PERIOD2_CFG, x0, tol=bad)
     # zero is a real tolerance: exact matches (a period-6 float cycle
     # here, against 2 at 1e-8) and exact ties only
     assert simulate(PERIOD2_CFG, x0, match_tol=0.0, tol=0.0).verdict \
@@ -1408,9 +1408,9 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
 def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
                                                           policy, n):
     # 36 cells around a start whose n-th iterate is on D3 leave the pool at
-    # the tie screen on step n; past step 256 the pool has kept their
-    # points there, and the resumed lanes meet the screen again; each cell
-    # then runs from its start as lanes and re-runs through simulate
+    # the tie screen on step n; the pool keeps no checkpoint for them, as a
+    # resumed lane would meet the screen again, so each cell runs from its
+    # start as lanes and re-runs through simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -1425,8 +1425,7 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     assert {int(s) for _, _, st in yields for s in st} == {n}
-    assert starts == [(experiments._CHECKPOINT, 36 if n > 256 else 0),
-                      (0, 36)]
+    assert starts == [(experiments._CHECKPOINT, 0), (0, 36)]
     assert len(calls) == 36
 
 
@@ -1453,6 +1452,34 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
     assert runs == [(x0, SeededRandom((5, 7, 0)), budget)]
     assert [s for s, _ in entered][:1] == [experiments._CHECKPOINT]
     assert len(resumed(entered)) == 1
+
+
+def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
+        monkeypatch):
+    # more starts than the lane floor, all at a point whose 300th iterate
+    # is on D3, leave the pool at the tie screen on step 300 with no
+    # checkpoint: each goes straight to simulate, not to a resumed walk
+    x0, n = tie_preimage(FIG_CFG, 300), experiments._LANE_FLOOR + 4
+    rng = np.random.default_rng
+
+    def starts(seed=None):
+        # pair 0's starts at seed 5; other streams are left as they are
+        if isinstance(seed, np.random.SeedSequence) and \
+                list(seed.entropy) == [5, 0]:
+            return mock.Mock(uniform=lambda *args, size: np.tile(x0, (n, 1)))
+        return rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", starts)
+    pair = [(FIG_CFG.theta1, FIG_CFG.theta2)]
+    want = sweep_reference(pair, n, 2000, 5)
+    yields = spy_pool(monkeypatch)
+    entered = spy_walk(monkeypatch)
+    calls = count_simulate_calls(monkeypatch)
+    assert sweep(pair, samples_per_pair=n, max_steps=2000,
+                 seed=5).pairs == want
+    assert [(set(c.tolist()), set(st.tolist())) for _, c, st in yields] == [
+        ({experiments._HANDOFF}, {300})]
+    assert [tuple(c) for c in calls] == [x0] * n and not resumed(entered)
 
 
 @pytest.mark.parametrize("max_steps", [300, 511])

@@ -1,22 +1,17 @@
-"""Geometry primitives: projection/reflection oracles, regions, bisectors."""
+"""Geometry: the reflection-based definitions of the oracle, the config,
+the library's regions against the closer-line definition, bisectors."""
 import math
 
 import numpy as np
 import pytest
 
-from drlines.geometry import (
-    Line,
-    ProblemConfig,
-    Region,
-    bisector_data,
-    classify_region,
-    distance_to_D3,
-    distance_to_line,
-    project,
-    reflect,
-)
+from drlines.dr import dr_multivalued
+from drlines.geometry import ProblemConfig, Region, bisector_data, distance_to_D3
+from geometry_oracle import (AXIS, Line, classify_region, distance_to_line,
+                             lines, project, reflect)
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
+A1, A2, _ = lines(FIG_CFG)
 
 
 def project_oracle(line, x, lo=-20.0, hi=20.0):
@@ -120,17 +115,16 @@ def test_config_rejects_bad_angles():
 
 
 def test_project_trivial_cases():
-    b = Line((0.0, 0.0), 0.0)
-    assert np.allclose(project(b, (1.0, 1.0)), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(project(AXIS, (1.0, 1.0)), [1.0, 0.0], atol=1e-15)
     vert = Line((0.0, 0.0), math.pi / 2)
     assert np.allclose(project(vert, (3.0, 5.0)), [0.0, 5.0], atol=1e-15)
 
 
 def test_project_matches_grid_oracle():
     # frozen from the oracle: foot of (0,0) on A1 of the pi/3, 2pi/5 config
-    got = project(FIG_CFG.a1, (0.0, 0.0))
+    got = project(A1, (0.0, 0.0))
     assert np.allclose(got, [-0.375, 0.21650635094610965], atol=1e-12)
-    assert np.allclose(got, project_oracle(FIG_CFG.a1, (0.0, 0.0)), atol=1e-6)
+    assert np.allclose(got, project_oracle(A1, (0.0, 0.0)), atol=1e-6)
 
 
 def test_project_idempotent_and_on_line():
@@ -148,20 +142,19 @@ def test_project_idempotent_and_on_line():
 
 
 def test_reflect_trivial_cases():
-    b = Line((0.0, 0.0), 0.0)
-    assert np.allclose(reflect(b, (1.0, 1.0)), [1.0, -1.0], atol=1e-15)
-    on_line = project(FIG_CFG.a2, (2.0, 1.0))
-    assert np.allclose(reflect(FIG_CFG.a2, on_line), on_line, atol=1e-12)
+    assert np.allclose(reflect(AXIS, (1.0, 1.0)), [1.0, -1.0], atol=1e-15)
+    on_line = project(A2, (2.0, 1.0))
+    assert np.allclose(reflect(A2, on_line), on_line, atol=1e-12)
 
 
 def test_reflect_matches_projection_oracle():
     # frozen: 2*project - identity for (1,0) across A1
-    got = reflect(FIG_CFG.a1, (1.0, 0.0))
+    got = reflect(A1, (1.0, 0.0))
     assert np.allclose(got, [-1.25, 1.299038105676658], atol=1e-12)
-    want = 2 * project_oracle(FIG_CFG.a1, (1.0, 0.0)) - np.array([1.0, 0.0])
+    want = 2 * project_oracle(A1, (1.0, 0.0)) - np.array([1.0, 0.0])
     assert np.allclose(got, want, atol=1e-6)
-    assert abs(distance_to_line(FIG_CFG.a1, got)
-               - distance_to_line(FIG_CFG.a1, (1.0, 0.0))) < 1e-12
+    assert abs(distance_to_line(A1, got)
+               - distance_to_line(A1, (1.0, 0.0))) < 1e-12
 
 
 def test_reflect_involution_and_isometry():
@@ -176,10 +169,10 @@ def test_reflect_involution_and_isometry():
 
 
 def test_distance_trivial_and_frozen():
-    assert distance_to_line(FIG_CFG.b, (2.0, -3.0)) == 3.0
-    assert distance_to_line(FIG_CFG.a1, FIG_CFG.p1) == 0.0
+    assert distance_to_line(AXIS, (2.0, -3.0)) == 3.0
+    assert distance_to_line(A1, FIG_CFG.p1) == 0.0
     # frozen: |<(0,0) - p2, normal2>|
-    assert distance_to_line(FIG_CFG.a2, (0.0, 0.0)) == pytest.approx(
+    assert distance_to_line(A2, (0.0, 0.0)) == pytest.approx(
         0.47552825814757677, abs=1e-15)
 
 
@@ -192,13 +185,21 @@ def test_distance_equals_projection_residual():
         assert abs(distance_to_line(line, x) - want) < 1e-12
 
 
+def region(cfg, x, tol=1e-9):
+    # the library's classification, by the sign and size of dr._gap, and
+    # the definition's, by the two line distances; they must agree
+    got = dr_multivalued(cfg, x, tol).region
+    assert got is classify_region(cfg, x, tol)
+    return got
+
+
 def test_classify_region_basics():
-    assert classify_region(FIG_CFG, FIG_CFG.p1) is Region.D1
-    assert classify_region(FIG_CFG, FIG_CFG.p2) is Region.D2
+    assert region(FIG_CFG, FIG_CFG.p1) is Region.D1
+    assert region(FIG_CFG, FIG_CFG.p2) is Region.D2
     c = bisector_data(FIG_CFG).c
-    assert classify_region(FIG_CFG, c) is Region.D3
+    assert region(FIG_CFG, c) is Region.D3
     # frozen: d1 = 0.0670, d2 = 0.7845 at (0,1), so strictly closer to A1
-    assert classify_region(FIG_CFG, (0.0, 1.0)) is Region.D1
+    assert region(FIG_CFG, (0.0, 1.0)) is Region.D1
 
 
 def test_region_partition_away_from_D3():
@@ -211,9 +212,8 @@ def test_region_partition_away_from_D3():
         if distance_to_D3(cfg, x) <= 10 * tol:
             continue
         n_checked += 1
-        label = classify_region(cfg, x, tol)
-        d1 = distance_to_line(cfg.a1, x)
-        d2 = distance_to_line(cfg.a2, x)
+        label = region(cfg, x, tol)
+        d1, d2 = (distance_to_line(a, x) for a in lines(cfg)[:2])
         assert label is (Region.D1 if d1 < d2 else Region.D2)
 
 
@@ -223,8 +223,8 @@ def test_bisector_point_matches_linear_solve():
     assert bd.c[0] == pytest.approx(1.7871645951087527, abs=1e-9)
     assert bd.c[1] == pytest.approx(3.9614852840010584, abs=1e-9)
     # the point lies on both lines
-    assert distance_to_line(FIG_CFG.a1, bd.c) < 1e-9
-    assert distance_to_line(FIG_CFG.a2, bd.c) < 1e-9
+    assert distance_to_line(A1, bd.c) < 1e-9
+    assert distance_to_line(A2, bd.c) < 1e-9
     assert abs(np.dot(bd.n1, bd.n2)) < 1e-12
     assert abs(np.linalg.norm(bd.n1) - 1.0) < 1e-12
     assert abs(np.linalg.norm(bd.n2) - 1.0) < 1e-12
@@ -274,4 +274,4 @@ def test_distance_to_D3_zero_on_classified_ties():
     pts = d3_samples(FIG_CFG, (-4.0, 6.0, -2.0, 8.0), 200)
     for p in pts[::25]:
         assert distance_to_D3(FIG_CFG, p) < 1e-8
-        assert classify_region(FIG_CFG, p, tol=1e-7) is Region.D3
+        assert region(FIG_CFG, p, tol=1e-7) is Region.D3

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from drlines.dr import dr_multivalued, dr_two_lines
-from drlines.geometry import (
-    ProblemConfig,
-    Region,
-    classify_region,
-    distance_to_D3,
-)
+from drlines.geometry import ProblemConfig, Region, distance_to_D3
 from drlines.lyapunov import (
     Infeasible,
     LyapunovCertificate,
@@ -21,10 +16,10 @@ from drlines.lyapunov import (
     sandwich_bounds,
     v_global,
     v_local,
-    v_min_diagnostic,
     verify_ball_bruteforce,
     verify_containment,
 )
+from geometry_oracle import classify_region
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
 FIG_CERT = certify(FIG_CFG)
@@ -265,6 +260,9 @@ def test_containment_margin_nonnegative_at_critical_rho():
             ok, margin = verify_containment(cfg, index, P)
             assert margin >= 0.0
             assert ok
+            # the centre check agrees with the closer-line definition
+            assert classify_region(cfg, increase_ball(cfg, index, P).center,
+                                   tol=0.0) is Region(index)
 
 
 def test_containment_margin_matches_naive_distance():
@@ -304,6 +302,11 @@ def test_ball_samples_classify_to_own_region():
             x = (ball.center[0] + r * math.cos(ang),
                  ball.center[1] + r * math.sin(ang))
             assert classify_region(FIG_CFG, x) is want
+
+
+def v_min_diagnostic(cfg, x):
+    # min(V_1, V_2): no certificate, as the tests below show
+    return min(v_local(cfg, 1, x), v_local(cfg, 2, x))
 
 
 def test_v_min_diagnostic_values():
