@@ -39,8 +39,10 @@ BALL_SAFETY = 0.99
 # them in the scalar walk
 _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
-# the lane passes' code for a lane left to a scalar re-run
-_HANDOFF = 255
+# the lane passes' codes for a lane left to a scalar re-run: one that
+# stopped at the tie screen, which only simulate's re-run from its start
+# gets past, and one handed off for any other reason
+_TIE_HANDOFF, _HANDOFF = 254, 255
 # _cycle's answer where its window lacks points it needs, and the step
 # whose point each pool lane keeps, for a hand-off to resume from
 _UNDECIDED, _CHECKPOINT = -1, DEFAULT_CHECK_EVERY // 2
@@ -494,14 +496,15 @@ def _pool(source, max_steps: int, tol: float, saved: list):
     finishes makes room for the next one, so the pool stays full while the
     source lasts.  Each lane counts its own steps.  Yields (ids, codes,
     steps) for the lanes that finish at each step: code 1 or 2 for a lane
-    that enters a termination ball, at simulate's step count, and
-    _HANDOFF for a lane at the tie screen or still running at its step
-    min(max_steps, 512), the first cycle check.  Once fewer than
-    _LANE_FLOOR lanes are live, they all leave at their next visit, those
-    outside the balls handed off, cheaper to finish one by one.  Each lane
-    keeps its point at step _CHECKPOINT if max_steps >= 512, and the lanes
-    handed off after it, other than at the tie screen (a resumed lane
-    would meet it again), append (ids, those points (m, 2)) to ``saved``."""
+    that enters a termination ball, at simulate's step count,
+    _TIE_HANDOFF for a lane at the tie screen, and _HANDOFF for a lane
+    still running at its step min(max_steps, 512), the first cycle check.
+    Once fewer than _LANE_FLOOR lanes are live, they all leave at their
+    next visit, those outside the balls handed off, cheaper to finish one
+    by one.  Each lane keeps its point at step _CHECKPOINT if max_steps >=
+    512, and the _HANDOFF lanes that leave after it append (ids, those
+    points (m, 2)) to ``saved``; a lane resumed from its checkpoint would
+    meet a tie again, so _TIE_HANDOFF lanes keep none."""
     limit = min(max_steps, DEFAULT_CHECK_EVERY)
     resume = limit == DEFAULT_CHECK_EVERY
     chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
@@ -530,10 +533,10 @@ def _pool(source, max_steps: int, tol: float, saved: list):
                               | (len(ids) < _LANE_FLOOR))
         if len(gone):
             codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
+            codes[~clear[gone]] = _TIE_HANDOFF
             codes[in1[gone]] = 1
             codes[in2[gone]] = 2
-            late = gone[(codes == _HANDOFF) & clear[gone]
-                        & (steps[gone] > _CHECKPOINT)]
+            late = gone[(codes == _HANDOFF) & (steps[gone] > _CHECKPOINT)]
             if len(late) and resume:
                 saved.append((ids[late], mid[:, late].T))
             yield ids[gone], codes, steps[gone]
@@ -559,11 +562,12 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
     3 for a cycle, 0 for the budget.  Each lane keeps its last ``window``
     points in a buffer that grows by one cycle check interval at a time
     (finished lanes are dropped then), and _window_cycle reads them at
-    every cycle check and at the budget.  Code _HANDOFF leaves a lane at
-    the tie screen or an undecided check to a scalar re-run from its
-    start.  Once fewer than _LANE_FLOOR lanes are live, each goes on in
-    the scalar walk from its point, step count and window; one that the
-    walk returns undecided or at a tie is left to the scalar re-run.
+    every cycle check and at the budget.  Codes _TIE_HANDOFF, for a lane
+    at the tie screen, and _HANDOFF, for one at an undecided check, leave
+    it to a scalar re-run from its start.  Once fewer than _LANE_FLOOR
+    lanes are live, each goes on in the scalar walk from its point, step
+    count and window; one that the walk returns undecided or at a tie is
+    left to the scalar re-run as _HANDOFF.
     """
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
@@ -596,6 +600,7 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
         steps[live[done]] = step
         keep = clear & ~done
         if not keep.all():
+            codes[live[~clear & ~done]] = _TIE_HANDOFF
             lanes, live, col = _take(np.flatnonzero(keep), lanes, live, col)
         if step == max_steps:
             break
@@ -630,7 +635,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     their own first cycle check, run on to their cycle or budget verdicts
     as lanes from the pool's step-256 checkpoints, else from their starts,
     the last few of a lane set in the scalar walk; only cells that meet a
-    tie re-run through scalar ``simulate``.  Cell streams are keyed by
+    tie re-run through scalar ``simulate``, those stopped at the tie screen
+    without a further lane pass.  Cell streams are keyed by
     (seed, cell_index), so the picture equals per-cell ``simulate`` calls.
     ``threads`` is accepted and ignored.  Raises ValueError for an empty
     resolution, max_steps below 1, or bounds that are not increasing or
@@ -663,7 +669,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
         codes[ids], steps[ids] = c, s
     # the pool's hand-offs run on to their verdicts as lanes in sets whose
     # windows fit in _HIST_POINTS, those with a checkpoint from there first,
-    # the rest from their starts; tie lanes re-run through scalar simulate
+    # the rest, other than tie lanes, from their starts; tie lanes re-run
+    # through scalar simulate
     late = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in saved])
     at = np.concatenate([np.empty((0, 2))] + [p for _, p in saved])
     per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
@@ -675,7 +682,7 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
                                    max(1, -(-len(cell) // per_set))):
             codes[cell[part]], steps[cell[part]] = _lockstep(
                 _lanes(cfg, xs[part], ys[part]), max_steps, tol, start=start)
-    for h in np.flatnonzero(codes == _HANDOFF).tolist():
+    for h in np.flatnonzero(codes >= _TIE_HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
         tr = simulate(cfg, _cell_centres(bounds, resolution, h),
                       SeededRandom((seed, h))
@@ -769,7 +776,7 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     for ids, codes, _ in _pool(pairs(), max_steps, tol, saved := []):
         marks = dict(zip(*(a.tolist() for a in saved.pop()))) if saved else {}
         k = ids // samples
-        for h in ids[codes == _HANDOFF].tolist():
+        for h in ids[codes >= _TIE_HANDOFF].tolist():
             pending[h // samples][2][h % samples] = marks.get(h)
         np.add.at(finished, k, 1)
         # a set, as np.unique would import numpy.ma (0.5 MB)

@@ -23,7 +23,7 @@ import numpy as np
 # here because bench/run.py's traced run counts calls through it
 from .dr import _lane_branch, branch_values, dr_multivalued  # noqa: F401
 from .geometry import TIE_TOL, ProblemConfig, checked_start, cos_sin
-from .lyapunov import _log_v, _v_many, v_global, v_local
+from .lyapunov import _V_ZERO, _log_v, _v_many, v_global, v_local
 
 # The V searches below screen many points at once with _v_many and
 # confirm with scalar v_global, which alone decides.  np.log may differ
@@ -35,9 +35,29 @@ from .lyapunov import _log_v, _v_many, v_global, v_local
 # error, plus _SCREEN_ABS, sixteen subnormal units.  A V too large for a
 # double screens as inf (np.exp warns) and passes, and v_global raises
 # OverflowError on it as before.
+#
+# The adversary screens boundary points x + sigma (cos a, sin a) built
+# from np.cos and np.sin, taken to be within tau = _TRIG_TOL = 2^-40 of
+# math's (a test checks it), and builds only its candidates from math's.
+# A component x_k of x moves neither point if sigma (1 + tau) <
+# spacing(|x_k|)/8, as both sums round back to x_k; else the points
+# differ there by at most sigma (tau + 2^-50) plus one spacing of
+# |x_k| + sigma.  The sum E of these bounds the gap between the points,
+# and D = d(x) - sigma - 2E bounds their distance from {p1, p2} below, so
+# V at either point is within a factor g = ((D+E)/(D-E))^(2 alpha + 2)
+# of V at the other, and the lane's screen floor is divided by g^2.  A
+# lane with E > 0 and D <= E, or whose ball crosses the circle of radius
+# sqrt(_V_ZERO) about p1, inside which V_1 counts as an exact 0, or with
+# g - 1 > _TRIG_SLACK builds all its points from math's trig.  A lane
+# whose screened V reaches _V_BIG, a quarter of the largest double, takes
+# every point as a candidate.
 _SCREEN_REL = 1e-9
 _SCREEN_ABS = 16 * math.ulp(0.0)
+_TRIG_TOL = 2.0 ** -40
+_TRIG_SLACK = 1e-9
+_V_CUT = math.sqrt(_V_ZERO)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
+_V_BIG = sys.float_info.max / 4.0
 _TWO_PI = 2.0 * math.pi
 # rate_ratio's bound on the rounding of a point, in ulps of 1 + its norm
 _RATE_ULPS = 8
@@ -138,26 +158,62 @@ def _directions(angles: np.ndarray) -> np.ndarray:
                           ).reshape(2, *angles.shape)
 
 
+def _np_directions(angles: np.ndarray) -> np.ndarray:
+    """(cos, sin) at the angles by np.cos and np.sin, for the screen."""
+    return np.stack((np.cos(angles), np.sin(angles)))
+
+
+def _trig_slack(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
+                radius: np.ndarray) -> np.ndarray:
+    """Per lane (column of x), the g of the screen comment above: V at a
+    boundary point built from NumPy's trig is within a factor g of V at
+    the one built from math's.  inf where no such g is at hand."""
+    ax = np.abs(x)
+    e = np.where(radius * (1.0 + _TRIG_TOL) < np.spacing(ax) / 8.0, 0.0,
+                 radius * (_TRIG_TOL + 2.0 ** -50) + np.spacing(ax + radius)
+                 ).sum(axis=0)
+    (p1x, p1y), (p2x, p2y) = cfg.p1, cfg.p2
+    d1 = np.hypot(x[0] - p1x, x[1] - p1y)
+    reach = radius + 2.0 * e
+    lo = np.minimum(d1, np.hypot(x[0] - p2x, x[1] - p2y)) - reach
+    # q = E / D, at most 1e-6 (where g is out of use anyway) and 0 for E = 0
+    q = e / np.maximum(lo, 1e6 * e + math.ulp(0.0))
+    g = ((1.0 + q) / (1.0 - q)) ** (2.0 * spec.alpha + 2.0)
+    # V_1 is an exact 0 within sqrt(_V_ZERO) of p1: a ball on both sides
+    across = (d1 - reach < _V_CUT * 2.0) & (d1 + reach > _V_CUT / 2.0)
+    return np.where((e == 0.0) | ((lo > e) & ~across), g, np.inf)
+
+
 def _worst_offsets(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
                    radius: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Per lane (column of x), the first boundary offset at its row of
     angles of maximal V, if that beats V(x), else (0.0, 0.0): V has no
     interior local max, so the sup over the ball sits on the boundary.
-    Only points near the lane's screened maximum can be it; scalar
-    v_global decides."""
-    off = radius[:, None] * _directions(angles)
-    z = off + x[..., None]
+    Only points near the lane's screened maximum can be it; they are
+    built from math's trig, and scalar v_global decides."""
+    g = _trig_slack(spec, cfg, x, radius)
+    dirs = _np_directions(angles)
+    exact = ~(g <= 1.0 + _TRIG_SLACK)
+    if exact.any():
+        dirs[:, exact] = _directions(angles[exact])
+        g[exact] = 1.0
+    z = radius[:, None] * dirs + x[..., None]
     w = _v_many(spec.alpha, cfg, z.reshape(2, -1)).reshape(angles.shape)
-    floor = _screen_floor(spec, w.max(axis=1, initial=-1.0))
+    top = w.max(axis=1, initial=-1.0)
+    # near overflow every point is a candidate, so that v_global raises
+    # OverflowError wherever it would at the points built from math's trig
+    floor = np.where(top < _V_BIG, _screen_floor(spec, top / (g * g)),
+                     -np.inf)
     lanes, cols = (w >= floor[:, None]).nonzero()
     best_v = [v_global(spec, cfg, p) for p in x.T.tolist()]
     best = np.zeros_like(x)
-    for i, j, p in zip(lanes.tolist(), cols.tolist(),
-                       z[:, lanes, cols].T.tolist()):
-        v = v_global(spec, cfg, p)
+    points, radii = x.T.tolist(), radius.tolist()
+    for i, a in zip(lanes.tolist(), angles[lanes, cols].tolist()):
+        off = (radii[i] * math.cos(a), radii[i] * math.sin(a))
+        v = v_global(spec, cfg, (points[i][0] + off[0], points[i][1] + off[1]))
         if v > best_v[i]:
             best_v[i] = v
-            best[:, i] = off[:, i, j]
+            best[:, i] = off
     return best
 
 
@@ -323,15 +379,18 @@ def check_kl_bound(spec: PerturbationSpec, cfg: ProblemConfig,
     proof: the trace explores only one disturbance selection.
     """
     points = trace.points if isinstance(trace, PerturbedTrace) else trace
+    (p1x, p1y), (p2x, p2y), hypot = cfg.p1, cfg.p2, math.hypot
     x0 = points[0]
-    w2 = max(math.hypot(x0[0] - cfg.p1[0], x0[1] - cfg.p1[1]),
-             math.hypot(x0[0] - cfg.p2[0], x0[1] - cfg.p2[1]))
+    w2 = max(hypot(x0[0] - p1x, x0[1] - p1y), hypot(x0[0] - p2x, x0[1] - p2y))
+    # the bound is kl_beta(spec, w2, n), its operations in its order
+    rate, e = spec.rate, 2.0 * spec.alpha + 2.0
     ok = True
     worst = math.inf
-    for n, x in enumerate(points):
-        actual = _anchor_distance(cfg, x[0], x[1])
-        bound = kl_beta(spec, w2, float(n))
-        worst = min(worst, bound - actual)
+    for n, (x, y) in enumerate(points):
+        actual = min(hypot(x - p1x, y - p1y), hypot(x - p2x, y - p2y))
+        bound = w2 * rate ** (float(n) / e)
+        if bound - actual < worst:
+            worst = bound - actual
         if actual > bound * (1.0 + 1e-9):
             ok = False
     return ok, worst

@@ -1,14 +1,16 @@
 """The perturbed step and trace as they were written before the traces ran
 in NumPy lanes: one trace at a time, one scalar step at a time, and the
-adversary as first written, one ``v_global`` call per sampled direction.
-Tests compare ``perturbed_step``, ``run_perturbed`` and
-``run_perturbed_many`` against these, bit for bit, PRNG states included."""
+adversary as first written, one ``v_global`` call per sampled direction,
+and the KL audit that called ``kl_beta`` at every point.  Tests compare
+``perturbed_step``, ``run_perturbed``, ``run_perturbed_many`` and
+``check_kl_bound`` against these, bit for bit, PRNG states included."""
 import math
 
 import numpy as np
 
 from drlines.dr import branch_values
 from drlines.lyapunov import v_global
+from drlines.robust import PerturbedTrace, kl_beta
 
 
 def sigma_reference(spec, cfg, x):
@@ -71,3 +73,21 @@ def run_perturbed_reference(spec, cfg, x0, n_steps, seed, trace_id=0,
         points.append(x)
         disturbances.append((pre, post))
     return tuple(points), tuple(disturbances), rng
+
+
+def check_kl_bound_reference(spec, cfg, trace):
+    """(ok, worst_margin) of the trace against beta(omega2(x0), n)."""
+    points = trace.points if isinstance(trace, PerturbedTrace) else trace
+    x0 = points[0]
+    w2 = max(math.hypot(x0[0] - cfg.p1[0], x0[1] - cfg.p1[1]),
+             math.hypot(x0[0] - cfg.p2[0], x0[1] - cfg.p2[1]))
+    ok = True
+    worst = math.inf
+    for n, x in enumerate(points):
+        actual = min(math.hypot(x[0] - cfg.p1[0], x[1] - cfg.p1[1]),
+                     math.hypot(x[0] - cfg.p2[0], x[1] - cfg.p2[1]))
+        bound = kl_beta(spec, w2, float(n))
+        worst = min(worst, bound - actual)
+        if actual > bound * (1.0 + 1e-9):
+            ok = False
+    return ok, worst

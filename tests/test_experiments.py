@@ -1220,7 +1220,8 @@ def test_huge_starts_raster_quietly_as_simulate(monkeypatch, bounds,
                                                 max_steps):
     # squares of these starts overflow in the lanes' ball tests, and near
     # 1e308 so does |x| + |y| in the tie screen, which then hands every
-    # lane off; with the floor at one lane the cells run both lane passes
+    # lane off to simulate; with the floor at one lane the 1e200 cells run
+    # both lane passes
     monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1409,8 +1410,9 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
                                                           policy, n):
     # 36 cells around a start whose n-th iterate is on D3 leave the pool at
     # the tie screen on step n; the pool keeps no checkpoint for them, as a
-    # resumed lane would meet the screen again, so each cell runs from its
-    # start as lanes and re-runs through simulate
+    # resumed lane would meet the screen again, and a lane from the start
+    # would too, so both lane sets are empty and each cell re-runs through
+    # simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -1425,7 +1427,30 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     assert {int(s) for _, _, st in yields for s in st} == {n}
-    assert starts == [(experiments._CHECKPOINT, 0), (0, 36)]
+    assert starts == [(experiments._CHECKPOINT, 0), (0, 0)]
+    assert len(calls) == 36
+
+
+@pytest.mark.parametrize("n", [513, 700])
+def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
+    # the pool hands the 36 cells off at step 512 with checkpoints; resumed
+    # from step 256 they stop at the tie screen on step n and go straight
+    # to simulate, with no lane set from their starts
+    x0 = tie_preimage(FIG_CFG, n)
+    h = 1e-12 * math.hypot(*x0)
+    bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
+    cells, steps = cell_reference(FIG_CFG, bounds, (6, 6), FirstBranch(), 3,
+                                  2000)
+    assert set(steps.ravel().tolist()) == {n + 1}
+    yields = spy_pool(monkeypatch)
+    starts = spy_lockstep(monkeypatch)
+    calls = count_simulate_calls(monkeypatch)
+    grid = rasterize(FIG_CFG, bounds, (6, 6), seed=3)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+    assert [(set(c.tolist()), set(st.tolist())) for _, c, st in yields] == [
+        ({experiments._HANDOFF}, {512})]
+    assert starts == [(experiments._CHECKPOINT, 36), (0, 0)]
     assert len(calls) == 36
 
 
@@ -1457,8 +1482,9 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
 def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
         monkeypatch):
     # more starts than the lane floor, all at a point whose 300th iterate
-    # is on D3, leave the pool at the tie screen on step 300 with no
-    # checkpoint: each goes straight to simulate, not to a resumed walk
+    # is on D3, leave the pool at the tie screen on step 300 under the tie
+    # code and with no checkpoint: each goes straight to simulate, not to
+    # a resumed walk
     x0, n = tie_preimage(FIG_CFG, 300), experiments._LANE_FLOOR + 4
     rng = np.random.default_rng
 
@@ -1478,7 +1504,7 @@ def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
     assert sweep(pair, samples_per_pair=n, max_steps=2000,
                  seed=5).pairs == want
     assert [(set(c.tolist()), set(st.tolist())) for _, c, st in yields] == [
-        ({experiments._HANDOFF}, {300})]
+        ({experiments._TIE_HANDOFF}, {300})]
     assert [tuple(c) for c in calls] == [x0] * n and not resumed(entered)
 
 

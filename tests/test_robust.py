@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dr_oracle import dr_multivalued_reference, step_points
-from robust_oracle import (perturbed_step_reference, run_perturbed_reference,
-                           worst_offset_reference)
+from robust_oracle import (check_kl_bound_reference, perturbed_step_reference,
+                           run_perturbed_reference, worst_offset_reference)
 from drlines import robust
 from drlines.dr import branch_values, dr_multivalued
 from drlines.geometry import ProblemConfig
@@ -185,6 +185,35 @@ def test_kl_bound_holds_on_perturbed_traces(mode, n_traces):
         ok, worst = check_kl_bound(SPEC, FIG_CFG, lanes.trace(tid))
         assert ok
         assert worst >= -1e-12
+
+
+@pytest.mark.parametrize("spec,cfg", [(SPEC, FIG_CFG), (
+    PerturbationSpec.from_certificate(certify(ProblemConfig(1.2, 2.0)), 0.2),
+    ProblemConfig(1.2, 2.0))], ids=["figure", "obtuse"])
+def test_kl_audit_matches_its_oracle(spec, cfg):
+    # perturbed traces in both modes, then traces made to break the bound:
+    # points leaving the anchors, a start on p1, 5000 steps where the bound
+    # underflows to 0, far-out points; as a PerturbedTrace, point lists and
+    # NumPy rows
+    starts = np.random.default_rng(107).uniform(-3, 3, size=(12, 2))
+    traces = []
+    for mode in ("random", "adversarial"):
+        lanes = run_perturbed_many(spec, cfg, starts, 60, 3, range(12), mode,
+                                   16)
+        traces += [lanes.trace(j) for j in range(12)]
+        traces += [p.tolist() for p in lanes.points] + list(lanes.points)
+    rng = np.random.default_rng(109)
+    for scale in (1e-9, 1.0, 1e200):
+        walk = np.cumsum(rng.normal(0.0, scale, size=(300, 2)), axis=0)
+        traces += [walk.tolist(), (walk + cfg.p1).tolist()]
+    traces += [[cfg.p1, cfg.p2, (0.0, 0.0)], [(3.0, -1.0)] * 5000,
+               [(2.0, 1.0)] + [cfg.p2] * 4999]
+    verdicts = set()
+    for trace in traces:
+        got = check_kl_bound(spec, cfg, trace)
+        assert repr(got) == repr(check_kl_bound_reference(spec, cfg, trace))
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 VERT_CFG = ProblemConfig(math.pi / 2, 2.0)
@@ -419,6 +448,90 @@ def test_adversary_rechecks_few_candidates(monkeypatch):
     # one call for V(x) and about one per screened-in candidate; points
     # whose V is exactly 0 everywhere on the circle cost only V(x)
     assert len(calls) <= 3 * len(pts)
+
+
+def test_numpy_trig_stays_within_the_screen_tolerance():
+    # the adversary's screen assumes np.cos and np.sin within 2^-40 of
+    # math's; a NumPy that breaks this fails here, not in a chosen offset
+    angles = 2.0 * math.pi * np.random.default_rng(79).random(100_000)
+    gap = np.abs(robust._np_directions(angles) - robust._directions(angles))
+    assert gap.max() <= robust._TRIG_TOL == 2.0 ** -40
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("spec,cfg", [(SPEC, FIG_CFG), (VERT_SPEC, VERT_CFG)],
+                         ids=["figure", "vertical"])
+def test_adversary_screen_absorbs_trig_noise(monkeypatch, spec, cfg):
+    # the screen's NumPy directions moved by up to tau/2 stay within tau of
+    # math's; every lane of one call still picks the oracle's offset
+    noise = np.random.default_rng(83)
+    plain = robust._np_directions
+    half = robust._TRIG_TOL / 2.0
+    monkeypatch.setattr(robust, "_np_directions", lambda a: plain(a) + noise
+                        .uniform(-half, half, (2, *a.shape)))
+    xs, radii, angles, want = [], [], [], []
+    for n, x in enumerate(_adversary_points()):
+        radius = sigma(spec, cfg, x)
+        rng = np.random.default_rng([89, n])
+        try:
+            best = worst_offset_reference(spec, cfg, x, radius, rng, 64)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _worst_boundary_offset(spec, cfg, x, radius,
+                                       np.random.default_rng([89, n]), 64)
+            continue
+        xs.append(x)
+        radii.append(radius)
+        angles.append(np.random.default_rng([89, n]).uniform(
+            0.0, 2.0 * math.pi, size=64))
+        want.append(best)
+    got = robust._worst_offsets(spec, cfg, np.array(xs).T, np.array(radii),
+                                np.array(angles))
+    assert repr([tuple(o) for o in got.T.tolist()]) == repr(want)
+    assert sum(o != (0.0, 0.0) for o in want) > 150
+
+
+def test_adversary_screen_at_the_v1_cutoff(monkeypatch):
+    # V_1 counts as an exact 0 below 1e-300, and (1e-150)^2 is the first
+    # square above it.  From 1e-152 below (-0.5, 1e-150) with radius
+    # 1e-152, V is positive only at angle pi/2 (alpha < 1 keeps it above
+    # the subnormals), and that point's NumPy twin, moved by -tau/2, falls
+    # below the cutoff; lanes whose balls cross it screen at math's trig,
+    # the others are all 0 or all positive
+    plain = robust._np_directions
+    monkeypatch.setattr(robust, "_np_directions",
+                        lambda a: plain(a) - robust._TRIG_TOL / 2.0)
+    assert (1e-150) ** 2 >= 1e-300 > math.nextafter(1e-150, 0.0) ** 2
+    p1 = VERT_CFG.p1
+    xs = [(p1[0], 1e-150 - 1e-152), (p1[0], 1e-160), (p1[0], 1e-140),
+          (2.0, 1.0)]
+    radii = [1e-152, 1e-162, 1e-142, sigma(VERT_SPEC, VERT_CFG, (2.0, 1.0))]
+    a = np.random.default_rng(103).uniform(0.0, 2.0 * math.pi, 15)
+    angles = np.insert(a, 7, math.pi / 2)
+    got = robust._worst_offsets(VERT_SPEC, VERT_CFG, np.array(xs).T,
+                                np.array(radii), np.tile(angles, (4, 1)))
+    want = [worst_offset_reference(VERT_SPEC, VERT_CFG, x, r,
+                                   _FixedAngles(angles), 16)
+            for x, r in zip(xs, radii)]
+    assert repr([tuple(o) for o in got.T.tolist()]) == repr(want)
+    assert want[0] == (radii[0] * math.cos(math.pi / 2), radii[0])
+    assert want[1] == (0.0, 0.0)
+
+
+def test_adversary_screens_at_math_trig_only_near_an_anchor(monkeypatch):
+    # 1e-12 from p1 the rounding of x + offset swamps tau; 1e-100 from p1
+    # and at (2, 1) the NumPy screen's slack is below 1e-9
+    screened = []
+    exact = robust._directions
+    monkeypatch.setattr(robust, "_directions",
+                        lambda a: screened.append(a.copy()) or exact(a))
+    p1 = FIG_CFG.p1
+    xs = [(p1[0] + 1e-12, p1[1]), (p1[0], p1[1] + 1e-100), (2.0, 1.0)]
+    radii = np.array([sigma(SPEC, FIG_CFG, x) for x in xs])
+    angles = np.random.default_rng(97).uniform(0.0, 2.0 * math.pi, (3, 64))
+    robust._worst_offsets(SPEC, FIG_CFG, np.array(xs).T, radii, angles)
+    assert len(screened) == 1
+    assert np.array_equal(screened[0], angles[:1])
 
 
 NOMINAL = PerturbationSpec(0.0, SPEC.alpha, SPEC.gamma)
