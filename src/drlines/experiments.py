@@ -9,11 +9,11 @@ two grid drivers (basin raster over starting points, sweep over angle
 pairs).  Grid cells are independent work items; every cell derives its PRNG
 stream from the root seed and its own index, so results do not depend on
 how cells are grouped.  The grid drivers step cells as NumPy lanes in one
-pool of at most _LANE_BLOCK lanes, refilled in cell order as lanes finish,
-that keeps each lane's point at step 256.  Cells still running at the
-first cycle check resume from there, as lanes with cycle windows in
-``rasterize`` and in the scalar walk in ``sweep``; a check that needs
-earlier points, or a tie, sends a cell back to a re-run from its start.
+pool of at most _LANE_BLOCK lanes, refilled in cell order as lanes finish.
+A lane still running at its step min(max_steps, 512) resumes from its point
+at half that step, as lanes with cycle windows in ``rasterize`` and in the
+scalar walk in ``sweep``; a tie, or a check that needs earlier points,
+sends a cell back to a re-run from its start.
 """
 from __future__ import annotations
 
@@ -34,18 +34,16 @@ DEFAULT_MATCH_TOL = 1e-8
 DEFAULT_CHECK_EVERY = 512
 BALL_SAFETY = 0.99
 # the most lanes live at once in the lane pool, and the lane count below
-# which lanes stop paying: the pool, once its source is empty, hands the
-# rest of its lanes on, and a lane set running to its verdicts finishes
+# which lanes stop paying: a lane set running to its verdicts finishes
 # them in the scalar walk
 _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
-# the lane passes' codes for a lane left to a scalar re-run: one that
-# stopped at the tie screen, which only simulate's re-run from its start
-# gets past, and one handed off for any other reason
+# the lane passes' codes for a lane they leave unsettled: one at the tie
+# screen, which only simulate's re-run from its start gets past, and one
+# the pool hands on at its step min(max_steps, 512) or left undecided
 _TIE_HANDOFF, _HANDOFF = 254, 255
-# _cycle's answer where its window lacks points it needs, and the step
-# whose point each pool lane keeps, for a hand-off to resume from
-_UNDECIDED, _CHECKPOINT = -1, DEFAULT_CHECK_EVERY // 2
+# _cycle's answer where its window lacks points it needs
+_UNDECIDED = -1
 # window points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
 
@@ -78,6 +76,17 @@ class EnumerateTree:
 
 
 BranchPolicy = Union[FirstBranch, SeededRandom, EnumerateTree]
+
+
+def _check_run(max_steps: int, tol: float, policy=FirstBranch()) -> None:
+    """Raise ValueError for max_steps below 1, a tol that is not finite and
+    >= 0, or a policy other than the three (it would run as FirstBranch)."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    checked_tolerance("tol", tol)
+    if not isinstance(policy, (FirstBranch, SeededRandom, EnumerateTree)):
+        raise ValueError("policy must be FirstBranch, SeededRandom or "
+                         f"EnumerateTree, got {policy!r}")
 
 
 @dataclass(frozen=True)
@@ -267,17 +276,15 @@ def simulate_tree(cfg: ProblemConfig, x0,
     SeededRandom stream is built at the first tie, as most trajectories
     meet none.  Each leaf runs in the scalar walk, which stops at ties for
     the branch choice and resumes from the chosen point.  Raises
-    ValueError for a start whose norm is not finite, max_steps or
-    check_every below 1, a negative window, or a tolerance that is not
-    finite and >= 0.
+    ValueError for a policy that is none of the three, a start whose norm
+    is not finite, max_steps or check_every below 1, a negative window, or
+    a tolerance that is not finite and >= 0.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_run(max_steps, tol, policy)
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     if check_every < 1:
         raise ValueError(f"check_every must be >= 1, got {check_every}")
-    checked_tolerance("tol", tol)
     checked_tolerance("match_tol", match_tol)
     start = checked_start(x0)
     consts = _constants(cfg)
@@ -398,9 +405,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     whose norm is not finite, max_steps < 1 or a tolerance that is not
     finite and >= 0.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    checked_tolerance("tol", tol)
+    _check_run(max_steps, tol)
     checked_tolerance("match_tol", match_tol)
     c1, s1, c2, s2, _, _ = _constants(cfg)
     gap_of, branch, hypot = _gap, _branch, math.hypot
@@ -485,6 +490,11 @@ def _lane_step(lanes: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     return in1, in2, clear
 
 
+def _checkpoint(max_steps: int) -> int:
+    """The step of a pool lane's kept point: half its hand-off step."""
+    return min(max_steps, DEFAULT_CHECK_EVERY) // 2
+
+
 def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     """The arrays' lanes (last axis) at the indices idx."""
     return [a.take(idx, axis=-1) for a in arrays]
@@ -492,21 +502,16 @@ def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
 
 def _pool(source, max_steps: int, tol: float, saved: list):
     """Run the lanes of ``source``, lane arrays whose columns are lanes 0,
-    1, 2, ... in order, at most _LANE_BLOCK at a time: a lane that
-    finishes makes room for the next one, so the pool stays full while the
-    source lasts.  Each lane counts its own steps.  Yields (ids, codes,
-    steps) for the lanes that finish at each step: code 1 or 2 for a lane
-    that enters a termination ball, at simulate's step count,
-    _TIE_HANDOFF for a lane at the tie screen, and _HANDOFF for a lane
-    still running at its step min(max_steps, 512), the first cycle check.
-    Once fewer than _LANE_FLOOR lanes are live, they all leave at their
-    next visit, those outside the balls handed off, cheaper to finish one
-    by one.  Each lane keeps its point at step _CHECKPOINT if max_steps >=
-    512, and the _HANDOFF lanes that leave after it append (ids, those
-    points (m, 2)) to ``saved``; a lane resumed from its checkpoint would
-    meet a tie again, so _TIE_HANDOFF lanes keep none."""
-    limit = min(max_steps, DEFAULT_CHECK_EVERY)
-    resume = limit == DEFAULT_CHECK_EVERY
+    1, 2, ... in order, at most _LANE_BLOCK at a time: a lane that finishes
+    makes room for the next one, so the pool stays full while the source
+    lasts.  Yields (ids, codes, steps) for the lanes that finish at each
+    step, each at its own step count: code 1 or 2 for a lane that enters a
+    termination ball, _TIE_HANDOFF for one at the tie screen, and _HANDOFF
+    for one still running at its step min(max_steps, 512).  A yield's
+    _HANDOFF lanes first append (ids, their points (m, 2) at step
+    _checkpoint(max_steps)) to ``saved``; from there a tie lane would meet
+    its tie again."""
+    limit, mark = min(max_steps, DEFAULT_CHECK_EVERY), _checkpoint(max_steps)
     chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
 
     def draw(n):
@@ -526,19 +531,17 @@ def _pool(source, max_steps: int, tol: float, saved: list):
     steps = np.zeros(len(ids), dtype=np.int32)
     mid = np.empty((2, len(ids)))
     while len(ids):
-        if resume:
-            np.copyto(mid, lanes[:2], where=steps == _CHECKPOINT)
+        np.copyto(mid, lanes[:2], where=steps == mark)
         in1, in2, clear = _lane_step(lanes, tol)
-        gone = np.flatnonzero(~clear | in1 | in2 | (steps == limit)
-                              | (len(ids) < _LANE_FLOOR))
+        gone = np.flatnonzero(~clear | in1 | in2 | (steps == limit))
         if len(gone):
             codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
             codes[~clear[gone]] = _TIE_HANDOFF
             codes[in1[gone]] = 1
             codes[in2[gone]] = 2
-            late = gone[(codes == _HANDOFF) & (steps[gone] > _CHECKPOINT)]
-            if len(late) and resume:
-                saved.append((ids[late], mid[:, late].T))
+            handed = gone[codes == _HANDOFF]
+            if len(handed):
+                saved.append((ids[handed], mid[:, handed].T))
             yield ids[gone], codes, steps[gone]
         steps += 1
         if len(gone):
@@ -567,8 +570,7 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
     it to a scalar re-run from its start.  Once fewer than _LANE_FLOOR
     lanes are live, each goes on in the scalar walk from its point, step
     count and window; one that the walk returns undecided or at a tie is
-    left to the scalar re-run as _HANDOFF.
-    """
+    left to the scalar re-run as _HANDOFF."""
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
@@ -631,18 +633,18 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
     Cells run through one lane pool in row-major order, at most
-    _LANE_BLOCK at a time.  The cells it hands off, those still running at
-    their own first cycle check, run on to their cycle or budget verdicts
-    as lanes from the pool's step-256 checkpoints, else from their starts,
-    the last few of a lane set in the scalar walk; only cells that meet a
-    tie re-run through scalar ``simulate``, those stopped at the tie screen
-    without a further lane pass.  Cell streams are keyed by
-    (seed, cell_index), so the picture equals per-cell ``simulate`` calls.
-    ``threads`` is accepted and ignored.  Raises ValueError for an empty
-    resolution, max_steps below 1, or bounds that are not increasing or
-    where a double overflows: a corner norm, or a width or height times
-    the cell count that the centres' formula forms (the norm peaks at a
-    corner, so every cell centre is then a start that ``simulate`` takes).
+    _LANE_BLOCK at a time.  The cells it hands off at their step
+    min(max_steps, 512) run on to their verdicts as lanes from its
+    checkpoints at half that step, the last few of a lane set in the
+    scalar walk; only cells that meet a tie or an undecided cycle check
+    re-run through scalar ``simulate``.  Cell streams are keyed by (seed,
+    cell_index), so the picture equals per-cell ``simulate`` calls.
+    ``threads`` is accepted and ignored.  Raises ValueError for a policy,
+    max_steps or tol that ``simulate`` rejects, an empty resolution, or
+    bounds that are not increasing or where a double overflows: a corner
+    norm, or a width or height times the cell count that the centres'
+    formula forms (the norm peaks at a corner, so every cell centre is
+    then a start that ``simulate`` takes).
     """
     nx, ny = resolution
     if nx < 1 or ny < 1:
@@ -655,8 +657,7 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
             and all(math.isfinite(math.hypot(x, y))
                     for x in (xmin, xmax) for y in (ymin, ymax))):
         raise ValueError(f"bounds {bounds} overflow a double")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_run(max_steps, tol, policy)
 
     n = nx * ny
     codes = np.empty(n, dtype=np.uint8)
@@ -667,21 +668,18 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
               for lo in range(0, n, _LANE_BLOCK))
     for ids, c, s in _pool(chunks, max_steps, tol, saved := []):
         codes[ids], steps[ids] = c, s
-    # the pool's hand-offs run on to their verdicts as lanes in sets whose
-    # windows fit in _HIST_POINTS, those with a checkpoint from there first,
-    # the rest, other than tie lanes, from their starts; tie lanes re-run
-    # through scalar simulate
-    late = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in saved])
-    at = np.concatenate([np.empty((0, 2))] + [p for _, p in saved])
+    # the pool's hand-offs run on from their checkpoints to their verdicts
+    # as lanes, in sets whose windows fit in _HIST_POINTS; the lanes at a
+    # tie or an undecided check re-run through scalar simulate
+    cell = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in saved])
+    xs, ys = np.concatenate([np.empty((0, 2))] + [p for _, p in saved]).T
     per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
                                + DEFAULT_CHECK_EVERY)
-    for start in (_CHECKPOINT, 0):
-        cell = late if start else np.flatnonzero(codes == _HANDOFF)
-        xs, ys = at.T if start else _cell_centres(bounds, resolution, cell)
-        for part in np.array_split(np.arange(len(cell)),
-                                   max(1, -(-len(cell) // per_set))):
-            codes[cell[part]], steps[cell[part]] = _lockstep(
-                _lanes(cfg, xs[part], ys[part]), max_steps, tol, start=start)
+    for part in np.array_split(np.arange(len(cell)),
+                               max(1, -(-len(cell) // per_set))):
+        codes[cell[part]], steps[cell[part]] = _lockstep(
+            _lanes(cfg, xs[part], ys[part]), max_steps, tol,
+            start=_checkpoint(max_steps))
     for h in np.flatnonzero(codes >= _TIE_HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
         tr = simulate(cfg, _cell_centres(bounds, resolution, h),
@@ -715,16 +713,17 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
 
 def _pair_outcome(res, starts: np.ndarray, handoffs: dict, k: int,
                   max_steps: int, seed: int, tol: float) -> PairOutcome:
-    """Pair k's outcome from its ``certify`` result: its handed-off starts
-    (index -> point at step _CHECKPOINT or None) in order up to the first
-    nonconvergent one, resumed in the walk or else re-run by ``simulate``."""
+    """Pair k's outcome from its ``certify`` result: its hand-offs (start
+    index -> point at step _checkpoint(max_steps), None at the tie screen)
+    in order up to the first nonconvergent one, resumed in the walk, else
+    re-run by ``simulate``."""
     certified = isinstance(res, LyapunovCertificate)
     worst = -1
     cfg = ProblemConfig(res.theta1, res.theta2) if handoffs else None
     for s_idx, mark in sorted(handoffs.items()):
         budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                   if certified else max_steps)
-        v = mark and _walk(_constants(cfg), *mark, _CHECKPOINT,
+        v = mark and _walk(_constants(cfg), *mark, _checkpoint(max_steps),
                            array("d", mark), None, budget, tol)[0]
         if v is None:
             v = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
@@ -749,15 +748,15 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
     artifact.  The starts run through one lane pool in pair order, its
-    hand-offs resumed from its step-256 checkpoints; a pair is certified
-    and its starts drawn as the pool takes them in, and let go once all
-    have left it.  Raises ValueError for samples_per_pair or max_steps < 1.
+    hand-offs resumed from its checkpoints; a pair is certified and its
+    starts drawn as the pool takes them in, and let go once all have left
+    it.  Raises ValueError for samples_per_pair below 1 or a max_steps or
+    tol that ``simulate`` rejects, before any start runs.
     """
     if samples_per_pair < 1:
         raise ValueError(
             f"samples_per_pair must be >= 1, got {samples_per_pair}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_run(max_steps, tol)
     samples = samples_per_pair
     # pair index -> (certify result, starts, hand-offs by start index); the
     # config is made again only for a pair with hand-offs

@@ -446,10 +446,14 @@ def sweep_reference(pairs, samples, max_steps, seed):
     return tuple(out)
 
 
-@pytest.mark.parametrize("samples,max_steps", [(30, 300), (1024, 2000)])
+@pytest.mark.parametrize("samples,max_steps", [(30, 300), (1024, 2000),
+                                               (30, 1), (30, 7), (30, 511),
+                                               (30, 513)])
 def test_sweep_matches_per_start_simulate(samples, max_steps):
     # certified and uncertified pairs, some with a nonconvergent start;
-    # 1024 samples are more starts than the lane pool holds at once
+    # 1024 samples are more starts than the lane pool holds at once, and
+    # hand-offs resume from step min(max_steps, 512) // 2, from the start
+    # itself at budget 1
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, samples, max_steps, 5)
@@ -659,7 +663,8 @@ def test_one_cell_raster_equals_simulate(t1, t2_frac, x, y, max_steps):
     cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
     bounds = (x - 1e-3, x + 1e-3, y - 1e-3, y + 1e-3)
     want = cell_reference(cfg, bounds, (1, 1), FirstBranch(), 0, max_steps)
-    # with the floor at one lane the cell runs through both lane passes
+    # with the floor at one lane the cell runs through the pool and, from
+    # its checkpoint, a lane set
     with mock.patch.object(experiments, "_LANE_FLOOR", 1):
         grid = rasterize(cfg, bounds, (1, 1), max_steps=max_steps)
     assert (grid.cells[0, 0], grid.steps[0, 0]) == (want[0][0, 0],
@@ -1013,8 +1018,12 @@ def test_brent_matches_per_step_loop():
     assert find_period_brent(PERIOD1410_CFG, x0, meet) == 1410
 
 
-def test_bad_budgets_and_tolerances_fail_loudly():
+def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
     x0 = (0.101912, 0.189275)
+    # the grid drivers check their inputs before any lane runs
+    pools = []
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: pools.append(args) or iter(()))
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_steps"):
             find_period_brent(PERIOD2_CFG, x0, max_steps=bad)
@@ -1036,10 +1045,33 @@ def test_bad_budgets_and_tolerances_fail_loudly():
             find_period_brent(PERIOD2_CFG, x0, tol=bad)
         with pytest.raises(ValueError, match="tie tolerance"):
             dr_multivalued(PERIOD2_CFG, x0, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            rasterize(FIG_CFG, (-2, 2, -2, 2), (20, 20), tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], samples_per_pair=5,
+                  max_steps=700, tol=bad)
+    assert pools == []
     # zero is a real tolerance: exact matches (a period-6 float cycle
     # here, against 2 at 1e-8) and exact ties only
     assert simulate(PERIOD2_CFG, x0, match_tol=0.0, tol=0.0).verdict \
         == Cycle(6)
+
+
+@pytest.mark.parametrize("policy", ["random", None, FirstBranch,
+                                    (SeededRandom(1),)],
+                         ids=["name", "none", "class", "tuple"])
+def test_unknown_policies_fail_loudly(monkeypatch, policy):
+    # anything but the three policies would run as FirstBranch
+    pools = []
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: pools.append(args) or iter(()))
+    for run in (lambda: simulate(FIG_CFG, (2.0, 1.0), policy=policy),
+                lambda: simulate_tree(FIG_CFG, (2.0, 1.0), policy=policy),
+                lambda: rasterize(FIG_CFG, (-2, 2, -2, 2), (4, 4),
+                                  policy=policy)):
+        with pytest.raises(ValueError, match="policy must be FirstBranch"):
+            run()
+    assert pools == []
 
 
 def spy_walk(monkeypatch):
@@ -1186,30 +1218,27 @@ def test_sweep_refills_match_per_start_simulate(monkeypatch, samples):
 
 
 def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
-    # the benchmark's basin: every lane the pool hands off is one of the
-    # 176 cycle cells, as no lane is handed off for want of company while
-    # the pool can still refill
+    # the benchmark's basin: the lanes the pool hands off, all at their
+    # first cycle check, are exactly the 176 cycle cells, with a full pool
+    # and with a 64-lane one whose last lanes run on alone
     yields = spy_pool(monkeypatch)
-    grid = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
-    cycle = np.flatnonzero(grid.cells.ravel() == 3)
-    assert len(cycle) == 176
-    handed = np.concatenate([i[c == experiments._HANDOFF]
-                             for i, c, _ in yields])
-    assert np.array_equal(np.sort(handed), cycle)
-    # with a 64-lane pool the last few lanes, once the source is empty,
-    # leave together whatever they are; before that only cycle cells do
-    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
-    yields.clear()
-    small = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
+    grids, handed = [], []
+    for block in (experiments._LANE_BLOCK, 64):
+        monkeypatch.setattr(experiments, "_LANE_BLOCK", block)
+        yields.clear()
+        grids.append(rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0),
+                               (200, 200)))
+        handed.append(sorted(
+            (int(i), int(s)) for ids, c, st in yields
+            for i, s in zip(ids[c == experiments._HANDOFF],
+                            st[c == experiments._HANDOFF])))
+    grid, small = grids
     assert np.array_equal(small.cells, grid.cells)
     assert np.array_equal(small.steps, grid.steps)
-    *early, (last, codes, _) = yields
-    assert len(last) < experiments._LANE_FLOOR
-    assert set(last[codes == experiments._HANDOFF].tolist()) - set(
-        cycle.tolist())
-    handed = np.concatenate([i[c == experiments._HANDOFF]
-                             for i, c, _ in early])
-    assert set(handed.tolist()) <= set(cycle.tolist())
+    cycle = np.flatnonzero(grid.cells.ravel() == 3)
+    assert len(cycle) == 176
+    for h in handed:
+        assert h == [(i, 512) for i in cycle.tolist()]
 
 
 @pytest.mark.parametrize("max_steps", [50, 700])
@@ -1221,7 +1250,7 @@ def test_huge_starts_raster_quietly_as_simulate(monkeypatch, bounds,
     # squares of these starts overflow in the lanes' ball tests, and near
     # 1e308 so does |x| + |y| in the tie screen, which then hands every
     # lane off to simulate; with the floor at one lane the 1e200 cells run
-    # both lane passes
+    # through the pool and a resumed lane set
     monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1359,16 +1388,17 @@ def spy_lockstep(monkeypatch):
     return starts
 
 
-def resumed(entered):
-    # walks resumed from a pool checkpoint: one window point at step 256
-    return [s for s, win in entered
-            if s == experiments._CHECKPOINT and len(win) == 1]
+def resumed(entered, max_steps=2000):
+    # walks resumed from a pool checkpoint: one window point at its step,
+    # 256 for budgets from 512 on
+    mark = experiments._checkpoint(max_steps)
+    return [s for s, win in entered if s == mark and len(win) == 1]
 
 
 def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
-    # every check of a resumed window is made undecided: sweep starts
-    # re-run through simulate and raster cells from their starts, and the
-    # outputs stay those of per-start simulate
+    # every check of a resumed window is made undecided: sweep starts and
+    # raster cells re-run through simulate, and the outputs stay those of
+    # per-start simulate
     partial = []
     cycle = experiments._cycle
 
@@ -1387,20 +1417,23 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
     assert sweep(pairs, samples_per_pair=100, max_steps=2000,
                  seed=5).pairs == want
     assert partial and len(calls) == len(partial)
-    # the 64-lane pool hands three period-58 cells off between steps 256
-    # and 512 and four at step 512; all seven run again from step 0
+    # the 64-lane pool hands the nine period-58 cycle cells off at step
+    # 512; resumed from step 256 each meets an undecided check at once and
+    # re-runs through simulate, as does the cell on D3
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     xt, _ = tie_point(PERIOD58_CFG)
     bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
     cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
                                   4, 2000)
+    assert np.count_nonzero(cells == 3) == 9
     partial.clear()
+    calls.clear()
     starts = spy_lockstep(monkeypatch)
     grid = rasterize(PERIOD58_CFG, bounds, res, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert partial and starts[0] == (experiments._CHECKPOINT, 7)
-    assert starts[1][0] == 0 and starts[1][1] >= 7
+    assert starts == [(experiments._checkpoint(2000), 9)]
+    assert partial == [257] * 9 and len(calls) == 10
 
 
 @pytest.mark.parametrize("n", [255, 256, 300])
@@ -1410,9 +1443,8 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
                                                           policy, n):
     # 36 cells around a start whose n-th iterate is on D3 leave the pool at
     # the tie screen on step n; the pool keeps no checkpoint for them, as a
-    # resumed lane would meet the screen again, and a lane from the start
-    # would too, so both lane sets are empty and each cell re-runs through
-    # simulate
+    # resumed lane would meet the screen again, so the lane set is empty
+    # and each cell re-runs through simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -1427,7 +1459,7 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     assert {int(s) for _, _, st in yields for s in st} == {n}
-    assert starts == [(experiments._CHECKPOINT, 0), (0, 0)]
+    assert starts == [(experiments._checkpoint(2000), 0)]
     assert len(calls) == 36
 
 
@@ -1435,7 +1467,7 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
 def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
     # the pool hands the 36 cells off at step 512 with checkpoints; resumed
     # from step 256 they stop at the tie screen on step n and go straight
-    # to simulate, with no lane set from their starts
+    # to simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -1450,7 +1482,7 @@ def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
     assert np.array_equal(grid.steps, steps)
     assert [(set(c.tolist()), set(st.tolist())) for _, c, st in yields] == [
         ({experiments._HANDOFF}, {512})]
-    assert starts == [(experiments._CHECKPOINT, 36), (0, 0)]
+    assert starts == [(experiments._checkpoint(2000), 36)]
     assert len(calls) == 36
 
 
@@ -1475,17 +1507,16 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
                                     5, TIE_TOL)
     assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
     assert runs == [(x0, SeededRandom((5, 7, 0)), budget)]
-    assert [s for s, _ in entered][:1] == [experiments._CHECKPOINT]
+    assert [s for s, _ in entered][:1] == [experiments._checkpoint(2000)]
     assert len(resumed(entered)) == 1
 
 
 def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
         monkeypatch):
-    # more starts than the lane floor, all at a point whose 300th iterate
-    # is on D3, leave the pool at the tie screen on step 300 under the tie
-    # code and with no checkpoint: each goes straight to simulate, not to
-    # a resumed walk
-    x0, n = tie_preimage(FIG_CFG, 300), experiments._LANE_FLOOR + 4
+    # 36 starts, all at a point whose 300th iterate is on D3, leave the
+    # pool at the tie screen on step 300 under the tie code and with no
+    # checkpoint: each goes straight to simulate, not to a resumed walk
+    x0, n = tie_preimage(FIG_CFG, 300), 36
     rng = np.random.default_rng
 
     def starts(seed=None):
@@ -1508,37 +1539,42 @@ def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
     assert [tuple(c) for c in calls] == [x0] * n and not resumed(entered)
 
 
-@pytest.mark.parametrize("max_steps", [300, 511])
-def test_budgets_below_the_first_check_do_not_resume(monkeypatch, max_steps):
-    # the pool's limit is the budget, so its hand-offs keep no checkpoint
-    # and re-run from their starts
+@pytest.mark.parametrize("max_steps", [7, 300, 511])
+def test_budgets_below_the_first_check_resume_from_half_the_budget(
+        monkeypatch, max_steps):
+    # the pool hands its lanes off at the budget, with their points at
+    # step max_steps // 2: sweep starts resume from there in the walk, and
+    # raster cells in one lane set
+    assert experiments._checkpoint(max_steps) == max_steps // 2
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, 100, max_steps, 5)
     entered = spy_walk(monkeypatch)
-    calls = count_simulate_calls(monkeypatch)
     assert sweep(pairs, samples_per_pair=100, max_steps=max_steps,
                  seed=5).pairs == want
-    assert calls and not resumed(entered)
+    assert resumed(entered, max_steps)
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     xt, _ = tie_point(PERIOD58_CFG)
     bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
     cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
                                   4, max_steps)
+    yields = spy_pool(monkeypatch)
     starts = spy_lockstep(monkeypatch)
     grid = rasterize(PERIOD58_CFG, bounds, res, max_steps=max_steps, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert starts[0] == (experiments._CHECKPOINT, 0) and starts[1][1] > 0
+    handed = [int(s) for _, c, st in yields
+              for s in st[c == experiments._HANDOFF]]
+    assert set(handed) == {max_steps}
+    assert starts == [(max_steps // 2, len(handed))]
 
 
 @pytest.mark.parametrize("samples", [30, 100])
 def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
                                                           samples):
-    # a 64-lane pool: with 30 starts a pair its floor hands the last lanes
-    # off before step 256, and they re-run from their starts; with 100 the
-    # floor and the first cycle check hand lanes off after it, and those
-    # the outcome needs resume in the walk
+    # a 64-lane pool, with 30 or 100 starts a pair: it hands lanes off only
+    # at their first cycle check, the last ones too once it runs alone, and
+    # those the outcome needs resume in the walk from step 256
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
@@ -1549,9 +1585,5 @@ def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
                  seed=5).pairs == want
     handed = [int(s) for _, c, st in yields
               for s in st[c == experiments._HANDOFF]]
-    if samples == 30:
-        assert handed and max(handed) <= experiments._CHECKPOINT
-        assert not resumed(entered)
-    else:
-        assert any(256 < s < 512 for s in handed) and 512 in handed
-        assert resumed(entered)
+    assert set(handed) == {512}
+    assert resumed(entered)
