@@ -4,20 +4,22 @@ A trajectory terminates as soon as it enters one of the open balls
 B(p_i, 0.99 * d(p_i, D3)): each ball lies in its own strict region, so from
 inside the iteration contracts toward p_i at rate cos^2(theta_i) and never
 leaves.  Everything else is bookkeeping around that criterion: branch
-policies resolving ties on D3, a sliding-window period detector, and the
-two grid drivers (basin raster over starting points, sweep over angle
-pairs).  Grid cells are independent work items; every cell derives its PRNG
-stream from the root seed and its own index, so results do not depend on
-how cells are grouped.  The grid drivers step cells as NumPy lanes in one
-pool of at most _LANE_BLOCK lanes, refilled in cell order as lanes finish.
-A lane still running at its step min(max_steps, 512) resumes from its point
-at half that step, as lanes with cycle windows in ``rasterize`` and in the
-scalar walk in ``sweep``; a tie, or a check that needs earlier points,
-sends a cell back to a re-run from its start.
+policies resolving ties on D3, a period detector run on the last 4096 points
+at every 512th step and at the budget (a fixed schedule), and the two grid
+drivers (basin raster over starting points, sweep over angle pairs).  Grid
+cells are independent work items; every cell derives its PRNG stream from
+the root seed and its own index, so results do not depend on how cells are
+grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
+_LANE_BLOCK lanes, refilled in cell order as lanes finish.  A lane still
+running at its step min(max_steps, 512) resumes from its point at half that
+step, as lanes with cycle windows in ``rasterize`` and in the scalar walk in
+``sweep``; a tie, or a check that needs earlier points, sends a cell back to
+a re-run from its start.
 """
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -29,9 +31,9 @@ from .geometry import (TIE_TOL, ProblemConfig, bisector_data, checked_start,
                        checked_tolerance, cos_sin, distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
 
-DEFAULT_WINDOW = 4096
+WINDOW = 4096
+CHECK_EVERY = 512
 DEFAULT_MATCH_TOL = 1e-8
-DEFAULT_CHECK_EVERY = 512
 BALL_SAFETY = 0.99
 # the most lanes live at once in the lane pool, and the lane count below
 # which lanes stop paying: a lane set running to its verdicts finishes
@@ -58,10 +60,14 @@ class SeededRandom:
     """Fair coin per tie, reproducible from the seed key.
 
     ``seed`` may be a single integer or a tuple of integers (a derived
-    stream key such as (root_seed, cell_index, start_index)).
+    stream key such as (root_seed, cell_index, start_index)), checked by
+    NumPy here, as the stream itself is built only at a first tie.
     """
 
     seed: Union[int, tuple[int, ...]] = 0
+
+    def __post_init__(self) -> None:
+        np.random.SeedSequence(self.seed)
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class EnumerateTree:
     max_leaves: int = 64
 
     def __post_init__(self) -> None:
-        if self.max_leaves < 1:
+        if operator.index(self.max_leaves) < 1:
             raise ValueError(f"max_leaves must be >= 1, got {self.max_leaves}")
 
 
@@ -79,9 +85,10 @@ BranchPolicy = Union[FirstBranch, SeededRandom, EnumerateTree]
 
 
 def _check_run(max_steps: int, tol: float, policy=FirstBranch()) -> None:
-    """Raise ValueError for max_steps below 1, a tol that is not finite and
-    >= 0, or a policy other than the three (it would run as FirstBranch)."""
-    if max_steps < 1:
+    """Raise TypeError for a max_steps operator.index rejects (NumPy's
+    integers pass), ValueError for one below 1, a tol that is not finite
+    and >= 0, or any policy but the three (it would run as FirstBranch)."""
+    if operator.index(max_steps) < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     checked_tolerance("tol", tol)
     if not isinstance(policy, (FirstBranch, SeededRandom, EnumerateTree)):
@@ -214,10 +221,10 @@ def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
     return _UNDECIDED if span // 2 > m - 1 else None
 
 
-def _window_cycle(w: np.ndarray, steps: int, window: int,
+def _window_cycle(w: np.ndarray, steps: int,
                   match_tol: float = DEFAULT_MATCH_TOL):
     """The check at ``steps``: detect_cycle, or _cycle on a partial window."""
-    span = min(steps + 1, window)
+    span = min(steps + 1, WINDOW)
     return (detect_cycle(w, match_tol) if len(w) >= span
             else _cycle(w, span, match_tol))
 
@@ -243,20 +250,19 @@ def _code(v: Verdict) -> int:
 
 def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
              max_steps: int = 20000, tol: float = TIE_TOL,
-             record: bool = True, window: int = DEFAULT_WINDOW,
-             match_tol: float = DEFAULT_MATCH_TOL,
-             check_every: int = DEFAULT_CHECK_EVERY) -> Trace:
+             record: bool = True, match_tol: float = DEFAULT_MATCH_TOL
+             ) -> Trace:
     """Iterate the operator from x0 until a verdict is reached.
 
     Termination order per visit: the open balls around p1/p2 first, then a
-    cycle check every ``check_every`` steps, then the budget (with a final
-    cycle check).  An EnumerateTree policy explores every tie branching and
-    this returns the worst leaf: Budget over Cycle over ConvergedTo.
-    Raises ValueError for any input ``simulate_tree`` rejects.
+    cycle check over the last 4096 points every 512 steps and at the budget
+    (once at a step that is both), then the budget.  An EnumerateTree
+    policy explores every tie branching and this returns the worst leaf:
+    Budget over Cycle over ConvergedTo.  Raises for any input
+    ``simulate_tree`` rejects.
     """
     leaves = simulate_tree(cfg, x0, policy, max_steps=max_steps, tol=tol,
-                           record=record, window=window, match_tol=match_tol,
-                           check_every=check_every)
+                           record=record, match_tol=match_tol)
     rank = {Budget: 2, Cycle: 1, ConvergedTo: 0}
     return max(leaves, key=lambda t: rank[type(t.verdict)])
 
@@ -264,9 +270,8 @@ def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
 def simulate_tree(cfg: ProblemConfig, x0,
                   policy: BranchPolicy = EnumerateTree(),
                   max_steps: int = 20000, tol: float = TIE_TOL,
-                  record: bool = True, window: int = DEFAULT_WINDOW,
-                  match_tol: float = DEFAULT_MATCH_TOL,
-                  check_every: int = DEFAULT_CHECK_EVERY) -> tuple[Trace, ...]:
+                  record: bool = True, match_tol: float = DEFAULT_MATCH_TOL
+                  ) -> tuple[Trace, ...]:
     """Follow every branch choice at ties, up to policy.max_leaves leaves.
 
     Within the leaf budget each tie forks the trajectory (A1 branch
@@ -274,17 +279,13 @@ def simulate_tree(cfg: ProblemConfig, x0,
     to the A1 branch.  Returns one terminated Trace per leaf.  Any other
     policy has a budget of one leaf and picks the branch at each tie; a
     SeededRandom stream is built at the first tie, as most trajectories
-    meet none.  Each leaf runs in the scalar walk, which stops at ties for
-    the branch choice and resumes from the chosen point.  Raises
-    ValueError for a policy that is none of the three, a start whose norm
-    is not finite, max_steps or check_every below 1, a negative window, or
-    a tolerance that is not finite and >= 0.
+    meet none.  Each leaf runs in the scalar walk, with simulate's cycle
+    checks, which stops at ties for the branch choice and resumes from the
+    chosen point.  Raises ValueError for a policy that is none of the
+    three, a start whose norm is not finite, max_steps below 1 (TypeError
+    for a non-integer), or a tolerance that is not finite and >= 0.
     """
     _check_run(max_steps, tol, policy)
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    if check_every < 1:
-        raise ValueError(f"check_every must be >= 1, got {check_every}")
     checked_tolerance("match_tol", match_tol)
     start = checked_start(x0)
     consts = _constants(cfg)
@@ -300,8 +301,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
         x, y, steps, pts, win = stack.pop()
         while True:
             verdict, x, y, steps = _walk(consts, x, y, steps, win, pts,
-                                         max_steps, tol, window, match_tol,
-                                         check_every)
+                                         max_steps, tol, match_tol)
             if verdict is not None:
                 break
             # a tie: fork within the leaf budget, else A1 or the coin
@@ -332,20 +332,19 @@ def simulate_tree(cfg: ProblemConfig, x0,
 
 def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
           pts: Optional[list], max_steps: int, tol: float,
-          window: int = DEFAULT_WINDOW, match_tol: float = DEFAULT_MATCH_TOL,
-          check_every: int = DEFAULT_CHECK_EVERY
+          match_tol: float = DEFAULT_MATCH_TOL
           ) -> tuple[Optional[Verdict], float, float, int]:
     """Run one trajectory from its state at ``steps`` until a verdict or a
     tie.  ``win`` is a flat x, y buffer of the trajectory's last points up
-    to (x, y), its last ``window`` or all it has; ``pts``, if not None,
-    collects the points.  Each visit tests the balls, then the cycle check
-    every ``check_every`` steps, then the budget (with a final check).
+    to (x, y), its last WINDOW or all it has; ``pts``, if not None,
+    collects the points.  Each visit tests the balls, then, at every
+    CHECK_EVERY steps and at the budget, one cycle check, then the budget.
     Returns (verdict, x, y, steps), or (None, x, y, steps) at a point in the
     tie band, visited but not stepped, or at an undecided check."""
     c1, s1, c2, s2, r1sq, r2sq = consts
     gap_of, branch, hypot = _gap, _branch, math.hypot
     push, add = win.append, None if pts is None else pts.append
-    keep = 2 * window
+    keep = 2 * WINDOW
     dx1, dx2 = x + 0.5, x - 0.5
     if dx1 * dx1 + y * y < r1sq:
         return ConvergedTo(1), x, y, steps
@@ -357,21 +356,13 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         # append; runs between boundaries test no counter
         if len(win) > keep:
             del win[:len(win) - keep]
-        if steps and steps % check_every == 0:
+        if steps >= max_steps or (steps and steps % CHECK_EVERY == 0):
             period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
-                                   window, match_tol)
-            if period is not None:
-                return (None if period == _UNDECIDED else Cycle(period),
-                        x, y, steps)
-        if steps >= max_steps:
-            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
-                                   window, match_tol)
-            return (Budget() if period is None else None
-                    if period == _UNDECIDED else Cycle(period), x, y, steps)
-        # the next boundary is a cycle check, the budget or, with sparse
-        # checks, a trim that bounds the buffer
-        stop = min(max_steps, (steps // check_every + 1) * check_every,
-                   steps + DEFAULT_WINDOW)
+                                   match_tol)
+            if period is not None or steps >= max_steps:
+                return (None if period == _UNDECIDED else Budget()
+                        if period is None else Cycle(period), x, y, steps)
+        stop = min(max_steps, (steps // CHECK_EVERY + 1) * CHECK_EVERY)
         for steps in range(steps + 1, stop + 1):
             gap = gap_of(c1, s1, c2, s2, x, y)
             if abs(gap) <= tol * (1.0 + hypot(x, y)):
@@ -492,7 +483,7 @@ def _lane_step(lanes: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
 
 def _checkpoint(max_steps: int) -> int:
     """The step of a pool lane's kept point: half its hand-off step."""
-    return min(max_steps, DEFAULT_CHECK_EVERY) // 2
+    return min(max_steps, CHECK_EVERY) // 2
 
 
 def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
@@ -511,7 +502,7 @@ def _pool(source, max_steps: int, tol: float, saved: list):
     _HANDOFF lanes first append (ids, their points (m, 2) at step
     _checkpoint(max_steps)) to ``saved``; from there a tie lane would meet
     its tie again."""
-    limit, mark = min(max_steps, DEFAULT_CHECK_EVERY), _checkpoint(max_steps)
+    limit, mark = min(max_steps, CHECK_EVERY), _checkpoint(max_steps)
     chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
 
     def draw(n):
@@ -556,16 +547,15 @@ def _pool(source, max_steps: int, tol: float, saved: list):
                     ids, steps, mid)
 
 
-def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
-              window: int = DEFAULT_WINDOW, start: int = 0
+def _lockstep(lanes: np.ndarray, max_steps: int, tol: float, start: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
     """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
     together from step ``start`` to simulate's verdicts.  Per lane: (code,
     simulate's step count), code 1 or 2 once it enters a termination ball,
-    3 for a cycle, 0 for the budget.  Each lane keeps its last ``window``
-    points in a buffer that grows by one cycle check interval at a time
-    (finished lanes are dropped then), and _window_cycle reads them at
-    every cycle check and at the budget.  Codes _TIE_HANDOFF, for a lane
+    3 for a cycle, 0 for the budget.  Each lane keeps its last WINDOW
+    points in a buffer that grows by CHECK_EVERY steps at a time (finished
+    lanes are dropped then), and _window_cycle reads them once at every
+    CHECK_EVERY steps and at the budget.  Codes _TIE_HANDOFF, for a lane
     at the tie screen, and _HANDOFF, for one at an undecided check, leave
     it to a scalar re-run from its start.  Once fewer than _LANE_FLOOR
     lanes are live, each goes on in the scalar walk from its point, step
@@ -575,17 +565,16 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
     live = np.arange(n)
-    every = DEFAULT_CHECK_EVERY
     # hist[r, col[j]] is live lane j's point at step base + r (a copy, as
     # the lanes step in place)
     hist, col, base = lanes[:2].T[None].copy(), live, start
     for step in range(start, max_steps + 1):
-        recent = hist[max(0, step + 1 - base - window):step + 1 - base]
+        recent = hist[max(0, step + 1 - base - WINDOW):step + 1 - base]
         if len(live) < _LANE_FLOOR:
             for j, lane in enumerate(lanes.T.tolist()):
                 v, _, _, used = _walk(lane[2:], lane[0], lane[1], step,
                                       array("d", recent[:, col[j]].tobytes()),
-                                      None, max_steps, tol, window)
+                                      None, max_steps, tol)
                 if v is not None:
                     codes[live[j]], steps[live[j]] = _code(v), used
             break
@@ -593,9 +582,9 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
         codes[live[in1]] = 1
         codes[live[in2]] = 2
         done = in1 | in2
-        if step and (step % every == 0 or step == max_steps):
+        if step and (step % CHECK_EVERY == 0 or step == max_steps):
             for j in np.flatnonzero(~done).tolist():
-                k = _window_cycle(recent[:, col[j]], step, window)
+                k = _window_cycle(recent[:, col[j]], step)
                 if k is not None or step == max_steps:
                     codes[live[j]] = {None: 0, _UNDECIDED: _HANDOFF}.get(k, 3)
                     done[j] = True
@@ -606,9 +595,9 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float,
             lanes, live, col = _take(np.flatnonzero(keep), lanes, live, col)
         if step == max_steps:
             break
-        if step % every == 0 or step == start:
+        if step % CHECK_EVERY == 0 or step == start:
             kept = len(recent)
-            grown = np.empty((kept + every, len(live), 2))
+            grown = np.empty((kept + CHECK_EVERY, len(live), 2))
             np.take(recent, col, axis=1, out=grown[:kept])
             hist, col, base = grown, np.arange(len(live)), step + 1 - kept
         hist[step + 1 - base, col] = lanes[:2].T
@@ -639,12 +628,12 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     scalar walk; only cells that meet a tie or an undecided cycle check
     re-run through scalar ``simulate``.  Cell streams are keyed by (seed,
     cell_index), so the picture equals per-cell ``simulate`` calls.
-    ``threads`` is accepted and ignored.  Raises ValueError for a policy,
-    max_steps or tol that ``simulate`` rejects, an empty resolution, or
-    bounds that are not increasing or where a double overflows: a corner
-    norm, or a width or height times the cell count that the centres'
-    formula forms (the norm peaks at a corner, so every cell centre is
-    then a start that ``simulate`` takes).
+    ``threads`` is accepted and ignored.  Raises for a policy, max_steps,
+    tol or seed that ``simulate`` or NumPy's SeedSequence rejects, an empty
+    resolution, or bounds that are not increasing or where a double
+    overflows: a corner norm, or a width or height times the cell count
+    that the centres' formula forms (the norm peaks at a corner, so every
+    cell centre is then a start that ``simulate`` takes).
     """
     nx, ny = resolution
     if nx < 1 or ny < 1:
@@ -658,6 +647,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
                     for x in (xmin, xmax) for y in (ymin, ymax))):
         raise ValueError(f"bounds {bounds} overflow a double")
     _check_run(max_steps, tol, policy)
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     n = nx * ny
     codes = np.empty(n, dtype=np.uint8)
@@ -673,8 +664,7 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     # tie or an undecided check re-run through scalar simulate
     cell = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in saved])
     xs, ys = np.concatenate([np.empty((0, 2))] + [p for _, p in saved]).T
-    per_set = _HIST_POINTS // (min(max_steps + 1, DEFAULT_WINDOW)
-                               + DEFAULT_CHECK_EVERY)
+    per_set = _HIST_POINTS // (min(max_steps + 1, WINDOW) + CHECK_EVERY)
     for part in np.array_split(np.arange(len(cell)),
                                max(1, -(-len(cell) // per_set))):
         codes[cell[part]], steps[cell[part]] = _lockstep(

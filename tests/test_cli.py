@@ -144,6 +144,13 @@ def test_exit_code_matrix(capsys, tmp_path):
             "--samples", "5", "--max-steps", steps,
             "--out", str(tmp_path / "s.csv")])
         assert code == 1 and out == "" and "max_steps" in err
+    # a seed NumPy rejects, under either policy (a stream is built only
+    # for a cell that meets a tie)
+    for policy in ("random", "first"):
+        code, out, err = run_cli(capsys, [
+            "raster", *FIG, "--res", "4x4", "--seed", "-1",
+            "--policy", policy, "--out", str(tmp_path / "r.pgm")])
+        assert code == 1 and out == "" and "non-negative" in err
     assert not any(tmp_path.iterdir())
     code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", TIE_X0,
                                       "--policy", "tree"])

@@ -329,13 +329,15 @@ def detect_cycle_scan(points_window, match_tol=1e-8):
     return None
 
 
-def test_detect_cycle_matches_per_period_scan():
+def test_detect_cycle_matches_per_period_scan(monkeypatch):
+    # no cycle check before the budget, so each trace runs all 1500 steps
+    monkeypatch.setattr(experiments, "CHECK_EVERY", 10 ** 6)
     windows = []
     for cfg, x0 in ((PERIOD2_CFG, (0.101912, 0.189275)),
                     (PERIOD58_CFG, (-0.123641, -0.510395)),
                     (PERIOD58_CFG, (1.7, -2.4)),
                     (FIG_CFG, (2.0, 1.0))):
-        pts = simulate(cfg, x0, max_steps=1500, check_every=10 ** 6).points
+        pts = simulate(cfg, x0, max_steps=1500).points
         windows += [pts[max(0, end - n):end] for end in (3, 40, 300, 1501)
                     for n in (2, 5, 117, 600, 4096)]
     # periodic tails whose last pairs sit right at the match tolerance
@@ -567,8 +569,8 @@ def check_steps(trace, max_steps, check_every, first=1):
     if isinstance(trace.verdict, ConvergedTo):
         return list(range(first, n, check_every))
     steps = list(range(first, n + 1, check_every))
-    if n >= max_steps and not (isinstance(trace.verdict, Cycle)
-                               and n % check_every == 0):
+    # a budget step that is also a check step is checked once
+    if n >= max_steps and n % check_every != 0:
         steps.append(n)
     return steps
 
@@ -596,6 +598,7 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
         return detect_cycle(points_window, match_tol)
 
     monkeypatch.setattr(experiments, "detect_cycle", spy)
+    monkeypatch.setattr(experiments, "WINDOW", window)
     # the scalar walk, its leaves checked one after another, with forks at
     # step 0 and step 20
     for cfg, x0, check_every, n_leaves in (
@@ -604,8 +607,8 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
             (PERIOD58_CFG, (-0.123641, -0.510395), 512, 1),
             (PERIOD1410_CFG, (0.392560, -0.351588), 97, 1)):
         seen.clear()
-        leaves = simulate_tree(cfg, x0, EnumerateTree(4), max_steps=1300,
-                               window=window, check_every=check_every)
+        monkeypatch.setattr(experiments, "CHECK_EVERY", check_every)
+        leaves = simulate_tree(cfg, x0, EnumerateTree(4), max_steps=1300)
         assert len(leaves) == n_leaves
         want = [last_points(t.points, s, window)
                 for t, f in zip(leaves, fork_steps(leaves))
@@ -615,17 +618,17 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
     # lanes, whose verdicts must be simulate's: at each check step the
     # live lanes check in order, once at a step that is both a cycle check
     # and the budget; the floor at one lane keeps all 32 in lanes
+    monkeypatch.setattr(experiments, "CHECK_EVERY", 512)
     monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     rng = np.random.default_rng(window)
     xs = np.hstack([rng.uniform(-3.0, 3.0, size=(2, 24)),
                     rng.normal(scale=1e-3, size=(2, 8))
                     + [[-0.123641], [-0.510395]]])
-    traces = [simulate(PERIOD58_CFG, xs[:, j], max_steps=1300, window=window)
+    traces = [simulate(PERIOD58_CFG, xs[:, j], max_steps=1300)
               for j in range(xs.shape[1])]
     seen.clear()
     codes, steps = experiments._lockstep(
-        experiments._lanes(PERIOD58_CFG, xs[0], xs[1]), 1300, TIE_TOL,
-        window=window)
+        experiments._lanes(PERIOD58_CFG, xs[0], xs[1]), 1300, TIE_TOL)
     assert list(zip(codes.tolist(), steps.tolist())) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
     want = [last_points(t.points, s, window) for s in (512, 1024, 1300)
@@ -637,6 +640,17 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
     assert all(np.array_equal(a, b) for a, b in zip(seen, want))
     assert {type(t.verdict) for t in traces} == (
         {ConvergedTo, Cycle} if window >= 116 else {ConvergedTo, Budget})
+
+
+def test_a_budget_that_is_a_check_step_is_checked_once(monkeypatch):
+    # the walk checks the window once at step 1024, as the lanes do
+    seen = spy_detect_cycle(monkeypatch)
+    for max_steps, sizes in ((1024, [513, 1025]), (1100, [513, 1025, 1101])):
+        seen.clear()
+        t = simulate(PERIOD1410_CFG, (0.392560, -0.351588),
+                     max_steps=max_steps)
+        assert (t.verdict, t.steps_used) == (Budget(), max_steps)
+        assert [shape[0] for shape, _, _ in seen] == sizes
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -757,7 +771,9 @@ def tie_preimage(cfg, n, end=None):
 
 @pytest.mark.parametrize("window", [4096, 200, 7, 1, 0])
 @pytest.mark.parametrize("record", [True, False], ids=["record", "last"])
-def test_simulate_tree_window_buffer_matches_deque(window, record):
+def test_simulate_tree_window_buffer_matches_deque(monkeypatch, window,
+                                                   record):
+    monkeypatch.setattr(experiments, "WINDOW", window)
     cases = [(FIG_CFG, (1.7, -2.4), 3000),
              (PERIOD2_CFG, (0.101912, 0.189275), 1500),
              (PERIOD58_CFG, (-0.123641, -0.510395), 2100),
@@ -773,10 +789,12 @@ def test_simulate_tree_window_buffer_matches_deque(window, record):
     for cfg, x0, max_steps in cases:
         for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
             for check_every in (512, 97):
-                kw = dict(max_steps=max_steps, record=record, window=window,
-                          check_every=check_every)
+                monkeypatch.setattr(experiments, "CHECK_EVERY", check_every)
+                kw = dict(max_steps=max_steps, record=record)
                 got = simulate_tree(cfg, x0, policy, **kw)
-                assert got == simulate_tree_deque(cfg, x0, policy, **kw)
+                assert got == simulate_tree_deque(cfg, x0, policy, **kw,
+                                                  window=window,
+                                                  check_every=check_every)
                 verdicts |= {type(t.verdict) for t in got}
     assert verdicts == ({ConvergedTo, Cycle, Budget} if window >= 4
                         else {ConvergedTo, Budget})
@@ -797,20 +815,17 @@ def test_simulate_tree_late_fork_and_long_period_match_deque():
     assert got == simulate_tree_deque(PERIOD1410_CFG, x0, FirstBranch(),
                                       max_steps=60000, record=False)
     assert got[0].verdict == Cycle(1410) and got[0].steps_used == 49664
-    with pytest.raises(ValueError):
-        simulate(FIG_CFG, (0.1, 0.2), window=-1)
 
 
 def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
                            tol=TIE_TOL, record=True, window=4096,
                            match_tol=1e-8, check_every=512):
     # the per-step loop the resumable walk replaced (step counter, budget
-    # and buffer tested on every step); reference for its verdicts, points
-    # and detect_cycle windows
+    # and buffer tested on every step, one cycle check at a step that is a
+    # check step or the budget); reference for its verdicts, points and
+    # detect_cycle windows
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
     start = checked_start(x0)
     c1, s1, c2, s2, r1sq, r2sq = experiments._constants(cfg)
     gap_of, branch = dr._gap, dr._branch
@@ -835,15 +850,14 @@ def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
             if dx2 * dx2 + y * y < r2sq:
                 verdict = ConvergedTo(2)
                 break
-            if steps and steps % check_every == 0:
+            if steps >= max_steps or (steps and steps % check_every == 0):
                 k = experiments.detect_cycle(view(win), match_tol)
                 if k is not None:
                     verdict = Cycle(k)
                     break
-            if steps >= max_steps:
-                k = experiments.detect_cycle(view(win), match_tol)
-                verdict = Cycle(k) if k is not None else Budget()
-                break
+                if steps >= max_steps:
+                    verdict = Budget()
+                    break
             gap = gap_of(c1, s1, c2, s2, x, y)
             first = gap < 0.0
             if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
@@ -944,6 +958,7 @@ def spy_detect_cycle(monkeypatch):
 @pytest.mark.parametrize("window", [0, 1, 7, 4096])
 def test_walk_matches_per_step_loop(monkeypatch, window):
     seen = spy_detect_cycle(monkeypatch)
+    monkeypatch.setattr(experiments, "WINDOW", window)
     cases = [(FIG_CFG, (1.7, -2.4), 2000),
              (PERIOD2_CFG, (0.101912, 0.189275), 1100),
              (PERIOD58_CFG, (-0.123641, -0.510395), 1100),
@@ -957,14 +972,15 @@ def test_walk_matches_per_step_loop(monkeypatch, window):
     for cfg, x0, max_steps in cases:
         for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
             for check_every in (3, 7, 21, 512):
-                kw = dict(max_steps=max_steps, window=window,
-                          check_every=check_every,
-                          record=check_every != 7)
+                monkeypatch.setattr(experiments, "CHECK_EVERY", check_every)
+                kw = dict(max_steps=max_steps, record=check_every != 7)
                 seen.clear()
                 got = simulate_tree(cfg, x0, policy, **kw)
                 got_seen = list(seen)
                 seen.clear()
-                assert got == simulate_tree_per_step(cfg, x0, policy, **kw)
+                assert got == simulate_tree_per_step(
+                    cfg, x0, policy, **kw, window=window,
+                    check_every=check_every)
                 assert got_seen == seen
                 forks_on_check += (len(got) == 2 and check_every != 512
                                    and x0 == tie_preimage(PERIOD2_CFG, 20))
@@ -982,15 +998,18 @@ def test_walk_matches_per_step_loop_on_the_period_1410_orbit(monkeypatch):
                                          max_steps=60000, record=False)
     assert got_seen == seen and len(seen) == 97
     assert got[0].verdict == Cycle(1410) and got[0].steps_used == 49664
-    # with no check before the budget the walk still trims its buffer, at
-    # every 4096 steps, and the budget's check sees the last 7 points
-    kw = dict(max_steps=20000, window=7, check_every=10 ** 6, record=False)
+    # with no check before the budget, the budget's check still sees just
+    # the last 7 points
+    monkeypatch.setattr(experiments, "WINDOW", 7)
+    monkeypatch.setattr(experiments, "CHECK_EVERY", 10 ** 6)
     seen.clear()
-    got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), **kw)
+    got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), max_steps=20000,
+                        record=False)
     got_seen = list(seen)
     seen.clear()
     assert got == simulate_tree_per_step(PERIOD1410_CFG, x0, FirstBranch(),
-                                         **kw)
+                                         max_steps=20000, record=False,
+                                         window=7, check_every=10 ** 6)
     assert got_seen == seen and len(seen) == 1 and seen[0][0] == (7, 2)
 
 
@@ -1027,13 +1046,25 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_steps"):
             find_period_brent(PERIOD2_CFG, x0, max_steps=bad)
-        with pytest.raises(ValueError, match="check_every"):
-            simulate(PERIOD2_CFG, x0, check_every=bad)
         # a certified pair's hand-offs get certified budgets, so a bad
         # budget must fail before any start runs
         with pytest.raises(ValueError, match="max_steps"):
             sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], samples_per_pair=5,
                   max_steps=bad)
+    # budgets and leaf caps that are not integers; range would reject a
+    # budget only at the first check or after the pool has run
+    walks = spy_walk(monkeypatch)
+    for bad in (1000.0, 600.5, np.float64(700.0)):
+        for run in (lambda: simulate(PERIOD1410_CFG, (0.392560, -0.351588),
+                                     max_steps=bad),
+                    lambda: find_period_brent(PERIOD2_CFG, x0, max_steps=bad),
+                    lambda: rasterize(FIG_CFG, (-2, 2, -2, 2), (20, 20),
+                                      max_steps=bad),
+                    lambda: sweep([(1.0, 1.5)], 3, max_steps=bad),
+                    lambda: EnumerateTree(bad)):
+            with pytest.raises(TypeError, match="integer"):
+                run()
+    assert walks == []
     for bad in (math.nan, math.inf, -1e-8):
         with pytest.raises(ValueError, match="match_tol"):
             simulate(PERIOD2_CFG, x0, match_tol=bad)
@@ -1051,6 +1082,9 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
             sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], samples_per_pair=5,
                   max_steps=700, tol=bad)
     assert pools == []
+    # NumPy's integers are integers
+    assert simulate(PERIOD2_CFG, x0, EnumerateTree(np.int64(2)),
+                    max_steps=np.int32(700)).verdict == Cycle(2)
     # zero is a real tolerance: exact matches (a period-6 float cycle
     # here, against 2 at 1e-8) and exact ties only
     assert simulate(PERIOD2_CFG, x0, match_tol=0.0, tol=0.0).verdict \
@@ -1071,6 +1105,25 @@ def test_unknown_policies_fail_loudly(monkeypatch, policy):
                                   policy=policy)):
         with pytest.raises(ValueError, match="policy must be FirstBranch"):
             run()
+    assert pools == []
+
+
+def test_seeds_numpy_rejects_fail_loudly(monkeypatch):
+    # a SeededRandom stream is built only at a first tie, and rasterize
+    # uses its seed only for cells that meet one
+    pools = []
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: pools.append(args) or iter(()))
+    for bad, error in ((-1, ValueError), ((3, -1), ValueError),
+                       (1.5, TypeError)):
+        with pytest.raises(error):
+            SeededRandom(bad)
+    for bad, error in ((-1, ValueError), (np.int64(-2), ValueError),
+                       (1.5, TypeError)):
+        for policy in (FirstBranch(), SeededRandom()):
+            with pytest.raises(error):
+                rasterize(FIG_CFG, (-2, 2, -2, 2), (4, 4), policy=policy,
+                          seed=bad)
     assert pools == []
 
 
@@ -1106,7 +1159,7 @@ def test_rasterize_finishes_a_lone_period_1410_cell_in_the_walk(monkeypatch):
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     assert calls == [] and entered
-    assert all(s <= experiments.DEFAULT_CHECK_EVERY for s, _ in entered)
+    assert all(s <= experiments.CHECK_EVERY for s, _ in entered)
 
 
 @pytest.mark.parametrize("window", [7, 4096])
@@ -1115,15 +1168,16 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
     # 34 lanes that reach p1's ball within 330 steps and the period-1410
     # start: when the fourth lane is done, the 31 left go on in the walk
     # from their step counts and last window points
+    monkeypatch.setattr(experiments, "WINDOW", window)
     x, y = 0.392560, -0.351588
     xs = [x - d for d in (1.0, 1.1) for _ in range(17)] + [x]
     ys = [y + 0.035 * j for _ in range(2) for j in range(17)] + [y]
-    traces = [simulate(PERIOD1410_CFG, p, max_steps=60000, window=window)
+    traces = [simulate(PERIOD1410_CFG, p, max_steps=60000)
               for p in zip(xs, ys)]
     entered = spy_walk(monkeypatch)
     codes, steps = experiments._lockstep(
         experiments._lanes(PERIOD1410_CFG, np.array(xs), np.array(ys)),
-        60000, TIE_TOL, window=window)
+        60000, TIE_TOL)
     assert list(zip(codes.tolist(), steps.tolist())) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
     assert (codes[-1], steps[-1]) == ((3, 49664) if window == 4096
