@@ -55,18 +55,18 @@ def _branch(a, c, s, x, y):
     return a + c * (c * dx + s * y), c * (-s * dx + c * y)
 
 
-def _lane_branch(c1, s1, c2, s2, x, y, tol):
+def _lane_branch(c1, s1, c2, s2, x, y):
     """One step of NumPy lanes (x, y) through the branch each lane's gap
-    picks, and whether each lane is clear of the tie screen |gap| <= 2 tol
-    (1 + |x| + |y|): (x', y', clear).  The screen contains the scalar
-    band |gap| <= tol (1 + hypot(x, y)), as hypot(x, y) <= |x| + |y|, so
-    a lane that is not clear may lie on the band and must take the scalar
-    step; a NaN gap is not clear."""
+    picks, and whether each lane is clear of the tie screen |gap| <= 2
+    TIE_TOL (1 + |x| + |y|): (x', y', clear).  The screen contains the
+    scalar band |gap| <= TIE_TOL (1 + hypot(x, y)), as hypot(x, y) <= |x|
+    + |y|, so a lane that is not clear may lie on the band and must take
+    the scalar step; a NaN gap is not clear."""
     gap = _gap(c1, s1, c2, s2, x, y)
     first = gap < 0.0
     bx, by = _branch(np.where(first, -0.5, 0.5), np.where(first, c1, c2),
                      np.where(first, s1, s2), x, y)
-    return bx, by, abs(gap) > 2.0 * tol * (1.0 + abs(x) + abs(y))
+    return bx, by, abs(gap) > 2.0 * TIE_TOL * (1.0 + abs(x) + abs(y))
 
 
 def dr_two_lines(p, theta: float, x) -> np.ndarray:

@@ -60,14 +60,17 @@ class SeededRandom:
     """Fair coin per tie, reproducible from the seed key.
 
     ``seed`` may be a single integer or a tuple of integers (a derived
-    stream key such as (root_seed, cell_index, start_index)), checked by
-    NumPy here, as the stream itself is built only at a first tie.
+    stream key such as (root_seed, cell_index, start_index)), each >= 0,
+    checked here without importing numpy.random, as the stream itself is
+    built only at a first tie.
     """
 
     seed: Union[int, tuple[int, ...]] = 0
 
     def __post_init__(self) -> None:
-        np.random.SeedSequence(self.seed)
+        for s in self.seed if isinstance(self.seed, tuple) else (self.seed,):
+            if operator.index(s) < 0:
+                raise ValueError(f"seeds must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,12 @@ class EnumerateTree:
 BranchPolicy = Union[FirstBranch, SeededRandom, EnumerateTree]
 
 
-def _check_run(max_steps: int, tol: float, policy=FirstBranch()) -> None:
+def _check_run(max_steps: int, policy=FirstBranch()) -> None:
     """Raise TypeError for a max_steps operator.index rejects (NumPy's
-    integers pass), ValueError for one below 1, a tol that is not finite
-    and >= 0, or any policy but the three (it would run as FirstBranch)."""
+    integers pass), ValueError for one below 1 or any policy but the
+    three (it would run as FirstBranch)."""
     if operator.index(max_steps) < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    checked_tolerance("tol", tol)
     if not isinstance(policy, (FirstBranch, SeededRandom, EnumerateTree)):
         raise ValueError("policy must be FirstBranch, SeededRandom or "
                          f"EnumerateTree, got {policy!r}")
@@ -249,9 +251,8 @@ def _code(v: Verdict) -> int:
 
 
 def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
-             max_steps: int = 20000, tol: float = TIE_TOL,
-             record: bool = True, match_tol: float = DEFAULT_MATCH_TOL
-             ) -> Trace:
+             max_steps: int = 20000, record: bool = True,
+             match_tol: float = DEFAULT_MATCH_TOL) -> Trace:
     """Iterate the operator from x0 until a verdict is reached.
 
     Termination order per visit: the open balls around p1/p2 first, then a
@@ -261,7 +262,7 @@ def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
     Budget over Cycle over ConvergedTo.  Raises for any input
     ``simulate_tree`` rejects.
     """
-    leaves = simulate_tree(cfg, x0, policy, max_steps=max_steps, tol=tol,
+    leaves = simulate_tree(cfg, x0, policy, max_steps=max_steps,
                            record=record, match_tol=match_tol)
     rank = {Budget: 2, Cycle: 1, ConvergedTo: 0}
     return max(leaves, key=lambda t: rank[type(t.verdict)])
@@ -269,9 +270,8 @@ def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
 
 def simulate_tree(cfg: ProblemConfig, x0,
                   policy: BranchPolicy = EnumerateTree(),
-                  max_steps: int = 20000, tol: float = TIE_TOL,
-                  record: bool = True, match_tol: float = DEFAULT_MATCH_TOL
-                  ) -> tuple[Trace, ...]:
+                  max_steps: int = 20000, record: bool = True,
+                  match_tol: float = DEFAULT_MATCH_TOL) -> tuple[Trace, ...]:
     """Follow every branch choice at ties, up to policy.max_leaves leaves.
 
     Within the leaf budget each tie forks the trajectory (A1 branch
@@ -283,9 +283,9 @@ def simulate_tree(cfg: ProblemConfig, x0,
     checks, which stops at ties for the branch choice and resumes from the
     chosen point.  Raises ValueError for a policy that is none of the
     three, a start whose norm is not finite, max_steps below 1 (TypeError
-    for a non-integer), or a tolerance that is not finite and >= 0.
+    for a non-integer), or a match_tol that is not finite and >= 0.
     """
-    _check_run(max_steps, tol, policy)
+    _check_run(max_steps, policy)
     checked_tolerance("match_tol", match_tol)
     start = checked_start(x0)
     consts = _constants(cfg)
@@ -301,7 +301,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
         x, y, steps, pts, win = stack.pop()
         while True:
             verdict, x, y, steps = _walk(consts, x, y, steps, win, pts,
-                                         max_steps, tol, match_tol)
+                                         max_steps, match_tol)
             if verdict is not None:
                 break
             # a tie: fork within the leaf budget, else A1 or the coin
@@ -331,7 +331,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
 
 
 def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
-          pts: Optional[list], max_steps: int, tol: float,
+          pts: Optional[list], max_steps: int,
           match_tol: float = DEFAULT_MATCH_TOL
           ) -> tuple[Optional[Verdict], float, float, int]:
     """Run one trajectory from its state at ``steps`` until a verdict or a
@@ -342,7 +342,7 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
     Returns (verdict, x, y, steps), or (None, x, y, steps) at a point in the
     tie band, visited but not stepped, or at an undecided check."""
     c1, s1, c2, s2, r1sq, r2sq = consts
-    gap_of, branch, hypot = _gap, _branch, math.hypot
+    gap_of, branch, hypot, band = _gap, _branch, math.hypot, TIE_TOL
     push, add = win.append, None if pts is None else pts.append
     keep = 2 * WINDOW
     dx1, dx2 = x + 0.5, x - 0.5
@@ -365,7 +365,7 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         stop = min(max_steps, (steps // CHECK_EVERY + 1) * CHECK_EVERY)
         for steps in range(steps + 1, stop + 1):
             gap = gap_of(c1, s1, c2, s2, x, y)
-            if abs(gap) <= tol * (1.0 + hypot(x, y)):
+            if abs(gap) <= band * (1.0 + hypot(x, y)):
                 return None, x, y, steps - 1
             if gap < 0.0:
                 x, y = branch(-0.5, c1, s1, x, y)
@@ -384,8 +384,7 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
 
 
 def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
-                      match_tol: float = DEFAULT_MATCH_TOL,
-                      tol: float = TIE_TOL) -> Optional[int]:
+                      match_tol: float = DEFAULT_MATCH_TOL) -> Optional[int]:
     """Low-memory period search along the deterministic first-branch orbit.
 
     Brent's teleporting-tortoise scheme with tolerance-based equality: the
@@ -393,18 +392,18 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     the transient toward the limit cycle.  The meeting distance is then
     reduced to the minimal period by divisor checks.  Returns None when no
     recurrence is found within max_steps; raises ValueError for a start
-    whose norm is not finite, max_steps < 1 or a tolerance that is not
+    whose norm is not finite, max_steps < 1 or a match_tol that is not
     finite and >= 0.
     """
-    _check_run(max_steps, tol)
+    _check_run(max_steps)
     checked_tolerance("match_tol", match_tol)
     c1, s1, c2, s2, _, _ = _constants(cfg)
-    gap_of, branch, hypot = _gap, _branch, math.hypot
+    gap_of, branch, hypot, band = _gap, _branch, math.hypot, TIE_TOL
 
     def step(p: tuple[float, float]) -> tuple[float, float]:
         # FirstBranch: ties go through A1, so A1 whenever gap <= the band
         x, y = p
-        if gap_of(c1, s1, c2, s2, x, y) <= tol * (1.0 + hypot(x, y)):
+        if gap_of(c1, s1, c2, s2, x, y) <= band * (1.0 + hypot(x, y)):
             return branch(-0.5, c1, s1, x, y)
         return branch(0.5, c2, s2, x, y)
 
@@ -428,7 +427,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
             lim = match_tol * (1.0 + hypot(tx, ty))
             power *= 2
             lam = 0
-        if gap_of(c1, s1, c2, s2, x, y) <= tol * (1.0 + hypot(x, y)):
+        if gap_of(c1, s1, c2, s2, x, y) <= band * (1.0 + hypot(x, y)):
             x, y = branch(-0.5, c1, s1, x, y)
         else:
             x, y = branch(0.5, c2, s2, x, y)
@@ -466,7 +465,7 @@ def _lanes(cfg: ProblemConfig, x, y) -> np.ndarray:
 # point of norm near 1e200 squares to inf and lies in no ball, and a NaN
 # tie band (0 * inf) is not clear of the screen
 @np.errstate(over="ignore", invalid="ignore")
-def _lane_step(lanes: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+def _lane_step(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
     """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) as ``_walk``
     does, then step it in place through the branch its gap picks.  Returns
     whether each lane lay in p1's and in p2's termination ball and whether
@@ -477,7 +476,7 @@ def _lane_step(lanes: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     yy = y * y
     in1 = dx1 * dx1 + yy < r1sq
     in2 = dx2 * dx2 + yy < r2sq  # the balls are disjoint
-    lanes[0], lanes[1], clear = _lane_branch(c1, s1, c2, s2, x, y, tol)
+    lanes[0], lanes[1], clear = _lane_branch(c1, s1, c2, s2, x, y)
     return in1, in2, clear
 
 
@@ -491,17 +490,17 @@ def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.take(idx, axis=-1) for a in arrays]
 
 
-def _pool(source, max_steps: int, tol: float, saved: list):
+def _pool(source, max_steps: int):
     """Run the lanes of ``source``, lane arrays whose columns are lanes 0,
     1, 2, ... in order, at most _LANE_BLOCK at a time: a lane that finishes
     makes room for the next one, so the pool stays full while the source
-    lasts.  Yields (ids, codes, steps) for the lanes that finish at each
-    step, each at its own step count: code 1 or 2 for a lane that enters a
-    termination ball, _TIE_HANDOFF for one at the tie screen, and _HANDOFF
-    for one still running at its step min(max_steps, 512).  A yield's
-    _HANDOFF lanes first append (ids, their points (m, 2) at step
-    _checkpoint(max_steps)) to ``saved``; from there a tie lane would meet
-    its tie again."""
+    lasts.  Yields (ids, codes, steps, marks) for the lanes that finish at
+    each step, each at its own step count: code 1 or 2 for a lane that
+    enters a termination ball, _TIE_HANDOFF for one at the tie screen, and
+    _HANDOFF for one still running at its step min(max_steps, 512).
+    ``marks`` (m, 2) holds the _HANDOFF lanes' points at step
+    _checkpoint(max_steps), in the order of their ids in ``ids``; a tie
+    lane gets none, as from there it would meet its tie again."""
     limit, mark = min(max_steps, CHECK_EVERY), _checkpoint(max_steps)
     chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
 
@@ -523,17 +522,15 @@ def _pool(source, max_steps: int, tol: float, saved: list):
     mid = np.empty((2, len(ids)))
     while len(ids):
         np.copyto(mid, lanes[:2], where=steps == mark)
-        in1, in2, clear = _lane_step(lanes, tol)
+        in1, in2, clear = _lane_step(lanes)
         gone = np.flatnonzero(~clear | in1 | in2 | (steps == limit))
         if len(gone):
             codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
             codes[~clear[gone]] = _TIE_HANDOFF
             codes[in1[gone]] = 1
             codes[in2[gone]] = 2
-            handed = gone[codes == _HANDOFF]
-            if len(handed):
-                saved.append((ids[handed], mid[:, handed].T))
-            yield ids[gone], codes, steps[gone]
+            yield (ids[gone], codes, steps[gone],
+                   mid[:, gone[codes == _HANDOFF]].T)
         steps += 1
         if len(gone):
             # fresh lanes take the finished lanes' places; once the source
@@ -547,7 +544,7 @@ def _pool(source, max_steps: int, tol: float, saved: list):
                     ids, steps, mid)
 
 
-def _lockstep(lanes: np.ndarray, max_steps: int, tol: float, start: int = 0
+def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
     """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
     together from step ``start`` to simulate's verdicts.  Per lane: (code,
@@ -574,11 +571,11 @@ def _lockstep(lanes: np.ndarray, max_steps: int, tol: float, start: int = 0
             for j, lane in enumerate(lanes.T.tolist()):
                 v, _, _, used = _walk(lane[2:], lane[0], lane[1], step,
                                       array("d", recent[:, col[j]].tobytes()),
-                                      None, max_steps, tol)
+                                      None, max_steps)
                 if v is not None:
                     codes[live[j]], steps[live[j]] = _code(v), used
             break
-        in1, in2, clear = _lane_step(lanes, tol)
+        in1, in2, clear = _lane_step(lanes)
         codes[live[in1]] = 1
         codes[live[in2]] = 2
         done = in1 | in2
@@ -616,7 +613,7 @@ def _cell_centres(bounds: tuple[float, float, float, float],
 
 def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
               resolution: tuple[int, int], policy: BranchPolicy = FirstBranch(),
-              max_steps: int = 2000, seed: int = 0, tol: float = TIE_TOL,
+              max_steps: int = 2000, seed: int = 0,
               threads: Optional[int] = None) -> RasterGrid:
     """Verdict raster over cell centers of the bounds rectangle.
 
@@ -628,8 +625,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     scalar walk; only cells that meet a tie or an undecided cycle check
     re-run through scalar ``simulate``.  Cell streams are keyed by (seed,
     cell_index), so the picture equals per-cell ``simulate`` calls.
-    ``threads`` is accepted and ignored.  Raises for a policy, max_steps,
-    tol or seed that ``simulate`` or NumPy's SeedSequence rejects, an empty
+    ``threads`` is accepted and ignored.  Raises for a policy or max_steps
+    that ``simulate`` rejects, a seed that is not an integer >= 0, an empty
     resolution, or bounds that are not increasing or where a double
     overflows: a corner norm, or a width or height times the cell count
     that the centres' formula forms (the norm peaks at a corner, so every
@@ -646,7 +643,7 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
             and all(math.isfinite(math.hypot(x, y))
                     for x in (xmin, xmax) for y in (ymin, ymax))):
         raise ValueError(f"bounds {bounds} overflow a double")
-    _check_run(max_steps, tol, policy)
+    _check_run(max_steps, policy)
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
@@ -657,8 +654,11 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     chunks = (_lanes(cfg, *_cell_centres(
         bounds, resolution, np.arange(lo, min(lo + _LANE_BLOCK, n))))
               for lo in range(0, n, _LANE_BLOCK))
-    for ids, c, s in _pool(chunks, max_steps, tol, saved := []):
+    saved = []
+    for ids, c, s, m in _pool(chunks, max_steps):
         codes[ids], steps[ids] = c, s
+        if len(m):
+            saved.append((ids[c == _HANDOFF], m))
     # the pool's hand-offs run on from their checkpoints to their verdicts
     # as lanes, in sets whose windows fit in _HIST_POINTS; the lanes at a
     # tie or an undecided check re-run through scalar simulate
@@ -668,14 +668,14 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     for part in np.array_split(np.arange(len(cell)),
                                max(1, -(-len(cell) // per_set))):
         codes[cell[part]], steps[cell[part]] = _lockstep(
-            _lanes(cfg, xs[part], ys[part]), max_steps, tol,
+            _lanes(cfg, xs[part], ys[part]), max_steps,
             start=_checkpoint(max_steps))
     for h in np.flatnonzero(codes >= _TIE_HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
         tr = simulate(cfg, _cell_centres(bounds, resolution, h),
                       SeededRandom((seed, h))
                       if isinstance(policy, SeededRandom) else policy,
-                      max_steps=max_steps, tol=tol, record=False)
+                      max_steps=max_steps, record=False)
         codes[h], steps[h] = _code(tr.verdict), tr.steps_used
     cells, steps = codes.reshape(ny, nx), steps.reshape(ny, nx)
     return RasterGrid(bounds=tuple(bounds), resolution=(nx, ny), cells=cells,
@@ -702,7 +702,7 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
 
 
 def _pair_outcome(res, starts: np.ndarray, handoffs: dict, k: int,
-                  max_steps: int, seed: int, tol: float) -> PairOutcome:
+                  max_steps: int, seed: int) -> PairOutcome:
     """Pair k's outcome from its ``certify`` result: its hand-offs (start
     index -> point at step _checkpoint(max_steps), None at the tie screen)
     in order up to the first nonconvergent one, resumed in the walk, else
@@ -714,10 +714,10 @@ def _pair_outcome(res, starts: np.ndarray, handoffs: dict, k: int,
         budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                   if certified else max_steps)
         v = mark and _walk(_constants(cfg), *mark, _checkpoint(max_steps),
-                           array("d", mark), None, budget, tol)[0]
+                           array("d", mark), None, budget)[0]
         if v is None:
             v = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
-                         max_steps=budget, tol=tol, record=False).verdict
+                         max_steps=budget, record=False).verdict
         if not isinstance(v, ConvergedTo):
             worst = s_idx
             break
@@ -728,8 +728,8 @@ def _pair_outcome(res, starts: np.ndarray, handoffs: dict, k: int,
 
 
 def sweep(theta_grid: Sequence[tuple[float, float]],
-          samples_per_pair: int = 20, max_steps: int = 20000, seed: int = 0,
-          tol: float = TIE_TOL) -> SweepGrid:
+          samples_per_pair: int = 20, max_steps: int = 20000,
+          seed: int = 0) -> SweepGrid:
     """Probe every (theta1, theta2) pair for nonconvergent behavior.
 
     Each pair gets samples_per_pair starts drawn from the (seed,
@@ -740,13 +740,13 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     artifact.  The starts run through one lane pool in pair order, its
     hand-offs resumed from its checkpoints; a pair is certified and its
     starts drawn as the pool takes them in, and let go once all have left
-    it.  Raises ValueError for samples_per_pair below 1 or a max_steps or
-    tol that ``simulate`` rejects, before any start runs.
+    it.  Raises ValueError for samples_per_pair below 1 or a max_steps
+    that ``simulate`` rejects, before any start runs.
     """
     if samples_per_pair < 1:
         raise ValueError(
             f"samples_per_pair must be >= 1, got {samples_per_pair}")
-    _check_run(max_steps, tol)
+    _check_run(max_steps)
     samples = samples_per_pair
     # pair index -> (certify result, starts, hand-offs by start index); the
     # config is made again only for a pair with hand-offs
@@ -762,8 +762,8 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
 
     outcomes = [None] * len(theta_grid)
     finished = np.zeros(len(theta_grid), dtype=np.int64)
-    for ids, codes, _ in _pool(pairs(), max_steps, tol, saved := []):
-        marks = dict(zip(*(a.tolist() for a in saved.pop()))) if saved else {}
+    for ids, codes, _, marks in _pool(pairs(), max_steps):
+        marks = dict(zip(ids[codes == _HANDOFF].tolist(), marks.tolist()))
         k = ids // samples
         for h in ids[codes >= _TIE_HANDOFF].tolist():
             pending[h // samples][2][h % samples] = marks.get(h)
@@ -771,23 +771,23 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
         # a set, as np.unique would import numpy.ma (0.5 MB)
         for done in set(k[finished[k] == samples].tolist()):
             outcomes[done] = _pair_outcome(*pending.pop(done), done,
-                                           max_steps, seed, tol)
+                                           max_steps, seed)
     return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples_per_pair,
                      seed=seed, max_steps=max_steps)
 
 
-def make_theta_grid(n1: int = 40, n2: int = 40,
-                    margin: float = 0.02) -> tuple[tuple[float, float], ...]:
+def make_theta_grid(n1: int = 40, n2: int = 40
+                    ) -> tuple[tuple[float, float], ...]:
     """Admissible (theta1, theta2) pairs covering the parameter wedge.
 
-    theta1 runs over [margin, pi/2]; for each theta1, theta2 takes n2
-    values strictly inside ]theta1, pi - margin[.
+    theta1 runs over [0.02, pi/2]; for each theta1, theta2 takes n2
+    values strictly inside ]theta1, pi - 0.02[.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError(f"grid must be >= 1x1, got {n1}x{n2}")
     pairs = []
-    for t1 in np.linspace(margin, 0.5 * math.pi, n1):
-        top = math.pi - margin
+    for t1 in np.linspace(0.02, 0.5 * math.pi, n1):
+        top = math.pi - 0.02
         for k in range(1, n2 + 1):
             t2 = t1 + (top - t1) * k / (n2 + 1)
             pairs.append((float(t1), float(t2)))

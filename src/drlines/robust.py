@@ -22,7 +22,7 @@ import numpy as np
 # perturbed_step no longer calls dr_multivalued; the name stays importable
 # here because bench/run.py's traced run counts calls through it
 from .dr import _lane_branch, branch_values, dr_multivalued  # noqa: F401
-from .geometry import TIE_TOL, ProblemConfig, checked_start, cos_sin
+from .geometry import ProblemConfig, checked_start, cos_sin
 from .lyapunov import _V_ZERO, _log_v, _v_many, v_global, v_local
 
 # The V searches below screen many points at once with _v_many and
@@ -61,6 +61,8 @@ _V_BIG = sys.float_info.max / 4.0
 _TWO_PI = 2.0 * math.pi
 # rate_ratio's bound on the rounding of a point, in ulps of 1 + its norm
 _RATE_ULPS = 8
+# boundary angles the adversary tries per disturbance ball
+_K_BOUNDARY = 64
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
     pre = offsets(x, u[:, :u.shape[1] // 2])
     x = x + pre
     (c1, s1), (c2, s2) = cos_sin(cfg.theta1), cos_sin(cfg.theta2)
-    bx, by, clear = _lane_branch(c1, s1, c2, s2, x[0], x[1], TIE_TOL)
+    bx, by, clear = _lane_branch(c1, s1, c2, s2, x[0], x[1])
     y = np.array((bx, by + 0.0))
     for i in (~clear).nonzero()[0].tolist():
         outs = branch_values(cfg, *x[:, i].tolist())
@@ -246,19 +248,17 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
     return y + post, pre, post
 
 
-def _draws_per_step(mode: str, k_boundary: int) -> int:
+def _draws_per_step(mode: str) -> int:
     """Doubles a step draws: an angle and a radius per ball (random), or
-    k_boundary angles per ball (adversarial)."""
+    _K_BOUNDARY angles per ball (adversarial); any other mode raises."""
     if mode not in ("random", "adversarial"):
         raise ValueError(f"mode must be 'random' or 'adversarial', got {mode!r}")
-    if k_boundary < 1:
-        raise ValueError(f"k_boundary must be >= 1, got {k_boundary}")
-    return 2 * k_boundary if mode == "adversarial" else 4
+    return 2 * _K_BOUNDARY if mode == "adversarial" else 4
 
 
 def perturbed_step(spec: PerturbationSpec, cfg: ProblemConfig, x,
-                   rng: np.random.Generator, mode: str = "random",
-                   k_boundary: int = 64) -> StepSample:
+                   rng: np.random.Generator, mode: str = "random"
+                   ) -> StepSample:
     """One step of the inflated operator: pre-ball, branch, post-ball.
 
     ``mode="random"`` samples both balls uniformly and takes the first
@@ -266,7 +266,7 @@ def perturbed_step(spec: PerturbationSpec, cfg: ProblemConfig, x,
     offsets and the V-maximizing branch, approximating the sup over all
     admissible disturbance selections.  One lane of run_perturbed_many.
     """
-    u = rng.random((1, _draws_per_step(mode, k_boundary)))
+    u = rng.random((1, _draws_per_step(mode)))
     x = np.array([[x[0]], [x[1]]], float)
     return StepSample(*(tuple(a[:, 0].tolist()) for a in _step_lanes(
         spec, cfg, x, u, mode == "adversarial")))
@@ -290,15 +290,14 @@ class PerturbedLanes(NamedTuple):
 
 def run_perturbed_many(spec: PerturbationSpec, cfg: ProblemConfig, starts,
                        n_steps: int, seed: int, trace_ids,
-                       mode: str = "random",
-                       k_boundary: int = 64) -> PerturbedLanes:
+                       mode: str = "random") -> PerturbedLanes:
     """Perturbed trajectories from ``starts[j]`` on independent
     (seed, trace_ids[j]) streams, advanced together as NumPy lanes; a lane
     does not depend on the lanes beside it.  Raises ValueError for an
-    unknown mode, k_boundary below 1, a negative step count, starts and
-    trace_ids of different lengths, and starts that are not finite or
-    whose V is too large for a double."""
-    per_step = _draws_per_step(mode, k_boundary)
+    unknown mode, a negative step count, starts and trace_ids of different
+    lengths, and starts that are not finite or whose V is too large for a
+    double."""
+    per_step = _draws_per_step(mode)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     trace_ids = list(trace_ids)
@@ -337,12 +336,12 @@ def run_perturbed_many(spec: PerturbationSpec, cfg: ProblemConfig, starts,
 
 def run_perturbed(spec: PerturbationSpec, cfg: ProblemConfig, x0,
                   n_steps: int, seed: int, trace_id: int = 0,
-                  mode: str = "random", k_boundary: int = 64) -> PerturbedTrace:
+                  mode: str = "random") -> PerturbedTrace:
     """One perturbed trajectory on an independent (seed, trace_id) stream,
     so concurrent traces never share PRNG state: the one-lane
     run_perturbed_many, raising ValueError as it does."""
     return run_perturbed_many(spec, cfg, [x0], n_steps, seed, [trace_id],
-                              mode, k_boundary).trace(0)
+                              mode).trace(0)
 
 
 def check_lemma_sigma(spec: PerturbationSpec, cfg: ProblemConfig, x,

@@ -1,5 +1,8 @@
 """Simulation verdicts, cycle detection, raster and sweep drivers."""
 import math
+import os
+import subprocess
+import sys
 import warnings
 from array import array
 from collections import deque
@@ -628,7 +631,7 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
               for j in range(xs.shape[1])]
     seen.clear()
     codes, steps = experiments._lockstep(
-        experiments._lanes(PERIOD58_CFG, xs[0], xs[1]), 1300, TIE_TOL)
+        experiments._lanes(PERIOD58_CFG, xs[0], xs[1]), 1300)
     assert list(zip(codes.tolist(), steps.tolist())) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
     want = [last_points(t.points, s, window) for s in (512, 1024, 1300)
@@ -1070,25 +1073,15 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
             simulate(PERIOD2_CFG, x0, match_tol=bad)
         with pytest.raises(ValueError, match="match_tol"):
             find_period_brent(PERIOD2_CFG, x0, match_tol=bad)
-        with pytest.raises(ValueError, match="tol"):
-            simulate(PERIOD2_CFG, x0, tol=bad)
-        with pytest.raises(ValueError, match="tol"):
-            find_period_brent(PERIOD2_CFG, x0, tol=bad)
         with pytest.raises(ValueError, match="tie tolerance"):
             dr_multivalued(PERIOD2_CFG, x0, tol=bad)
-        with pytest.raises(ValueError, match="tol"):
-            rasterize(FIG_CFG, (-2, 2, -2, 2), (20, 20), tol=bad)
-        with pytest.raises(ValueError, match="tol"):
-            sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], samples_per_pair=5,
-                  max_steps=700, tol=bad)
     assert pools == []
     # NumPy's integers are integers
     assert simulate(PERIOD2_CFG, x0, EnumerateTree(np.int64(2)),
                     max_steps=np.int32(700)).verdict == Cycle(2)
-    # zero is a real tolerance: exact matches (a period-6 float cycle
-    # here, against 2 at 1e-8) and exact ties only
-    assert simulate(PERIOD2_CFG, x0, match_tol=0.0, tol=0.0).verdict \
-        == Cycle(6)
+    # zero is a real match tolerance: exact matches only (a period-6 float
+    # cycle here, against 2 at 1e-8)
+    assert simulate(PERIOD2_CFG, x0, match_tol=0.0).verdict == Cycle(6)
 
 
 @pytest.mark.parametrize("policy", ["random", None, FirstBranch,
@@ -1125,6 +1118,32 @@ def test_seeds_numpy_rejects_fail_loudly(monkeypatch):
                 rasterize(FIG_CFG, (-2, 2, -2, 2), (4, 4), policy=policy,
                           seed=bad)
     assert pools == []
+
+
+def test_seed_checks_leave_numpy_random_unimported():
+    # NumPy 2 imports numpy.random on first use; a raster that meets no tie
+    # builds no stream, so its seed check must not pay for that import
+    code = """if True:
+        import sys
+        from drlines.experiments import SeededRandom, rasterize
+        from drlines.geometry import ProblemConfig
+        cfg = ProblemConfig(1.0471975511965976, 1.2566370614359172)
+        rasterize(cfg, (-2, 2, -2, 2), (8, 8), policy=SeededRandom(3))
+        print('numpy.random' in sys.modules)
+        for bad in (-1, 1.5, (1, -2)):
+            try:
+                SeededRandom(bad)
+            except (TypeError, ValueError) as e:
+                print(type(e).__name__)
+        print('numpy.random' in sys.modules)
+    """
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "ValueError", "TypeError", "ValueError",
+                           "False"]
 
 
 def spy_walk(monkeypatch):
@@ -1177,7 +1196,7 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
     entered = spy_walk(monkeypatch)
     codes, steps = experiments._lockstep(
         experiments._lanes(PERIOD1410_CFG, np.array(xs), np.array(ys)),
-        60000, TIE_TOL)
+        60000)
     assert list(zip(codes.tolist(), steps.tolist())) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
     assert (codes[-1], steps[-1]) == ((3, 49664) if window == 4096
@@ -1214,7 +1233,7 @@ def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
 
 
 def spy_pool(monkeypatch):
-    # every (ids, codes, steps) the lane pool yields, in order
+    # every (ids, codes, steps, marks) the lane pool yields, in order
     yields = []
     pool = experiments._pool
 
@@ -1253,7 +1272,7 @@ def test_rasterize_refills_match_per_cell_simulate(monkeypatch, policy,
     assert np.array_equal(grid.steps, steps)
     assert tie in [tuple(map(float, c)) for c in calls]
     # every cell left the pool once
-    ids = np.concatenate([i for i, _, _ in yields])
+    ids = np.concatenate([i for i, _, _, _ in yields])
     assert np.array_equal(np.sort(ids), np.arange(33 * 48))
 
 
@@ -1283,7 +1302,7 @@ def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
         grids.append(rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0),
                                (200, 200)))
         handed.append(sorted(
-            (int(i), int(s)) for ids, c, st in yields
+            (int(i), int(s)) for ids, c, st, _ in yields
             for i, s in zip(ids[c == experiments._HANDOFF],
                             st[c == experiments._HANDOFF])))
     grid, small = grids
@@ -1319,10 +1338,9 @@ def test_huge_starts_raster_quietly_as_simulate(monkeypatch, bounds,
 @given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
        anchor=st.sampled_from(["bisector1", "bisector2", "axis"]),
        log_t=st.floats(-3.0, 300.0), sign=st.sampled_from([-1.0, 1.0]),
-       bands=st.floats(-4.0, 4.0), angle=st.floats(0.0, 2.0 * math.pi),
-       tol=st.sampled_from([TIE_TOL, 1e-6, 1e-15, 0.0]))
+       bands=st.floats(-4.0, 4.0), angle=st.floats(0.0, 2.0 * math.pi))
 def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
-                                                sign, bands, angle, tol):
+                                                sign, bands, angle):
     # points on D3, 1e-3 to 1e300 from c along a bisector or from the axis
     # tie point along its bisector, moved by up to four tie bands
     cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
@@ -1337,13 +1355,14 @@ def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
         d = (-n[1], n[0])
     t = sign * 10.0 ** log_t
     x, y = ax + t * d[0], ay + t * d[1]
-    r = bands * max(tol, TIE_TOL) * (1.0 + math.hypot(x, y))
+    r = bands * TIE_TOL * (1.0 + math.hypot(x, y))
     x, y = x + r * math.cos(angle), y + r * math.sin(angle)
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
     _, _, clear = experiments._lane_step(
-        experiments._lanes(cfg, np.array([x]), np.array([y])), tol)
-    if abs(dr._gap(c1, s1, c2, s2, x, y)) <= tol * (1.0 + math.hypot(x, y)):
+        experiments._lanes(cfg, np.array([x]), np.array([y])))
+    band = TIE_TOL * (1.0 + math.hypot(x, y))
+    if abs(dr._gap(c1, s1, c2, s2, x, y)) <= band:
         assert not clear[0]
 
 
@@ -1512,7 +1531,7 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     grid = rasterize(FIG_CFG, bounds, (6, 6), policy=policy, seed=3)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert {int(s) for _, _, st in yields for s in st} == {n}
+    assert {int(s) for _, _, st, _ in yields for s in st} == {n}
     assert starts == [(experiments._checkpoint(2000), 0)]
     assert len(calls) == 36
 
@@ -1534,10 +1553,15 @@ def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
     grid = rasterize(FIG_CFG, bounds, (6, 6), seed=3)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert [(set(c.tolist()), set(st.tolist())) for _, c, st in yields] == [
-        ({experiments._HANDOFF}, {512})]
+    assert [(set(c.tolist()), set(st.tolist()), len(m))
+            for _, c, st, m in yields] == [({experiments._HANDOFF}, {512}, 36)]
     assert starts == [(experiments._checkpoint(2000), 36)]
     assert len(calls) == 36
+    # the hand-offs carry their cells' points at step 256, in id order
+    (ids, _, _, marks), = yields
+    assert marks.tolist() == [
+        list(simulate(FIG_CFG, experiments._cell_centres(bounds, (6, 6), i),
+                      max_steps=2000).points[256]) for i in ids.tolist()]
 
 
 def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
@@ -1558,7 +1582,7 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
     entered = spy_walk(monkeypatch)
     monkeypatch.setattr(experiments, "simulate", counted)
     out = experiments._pair_outcome(res, np.array([x0]), {0: mark}, 7, 2000,
-                                    5, TIE_TOL)
+                                    5)
     assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
     assert runs == [(x0, SeededRandom((5, 7, 0)), budget)]
     assert [s for s, _ in entered][:1] == [experiments._checkpoint(2000)]
@@ -1588,8 +1612,9 @@ def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
     calls = count_simulate_calls(monkeypatch)
     assert sweep(pair, samples_per_pair=n, max_steps=2000,
                  seed=5).pairs == want
-    assert [(set(c.tolist()), set(st.tolist())) for _, c, st in yields] == [
-        ({experiments._TIE_HANDOFF}, {300})]
+    assert [(set(c.tolist()), set(st.tolist()), len(m))
+            for _, c, st, m in yields] == [
+        ({experiments._TIE_HANDOFF}, {300}, 0)]
     assert [tuple(c) for c in calls] == [x0] * n and not resumed(entered)
 
 
@@ -1617,7 +1642,7 @@ def test_budgets_below_the_first_check_resume_from_half_the_budget(
     grid = rasterize(PERIOD58_CFG, bounds, res, max_steps=max_steps, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    handed = [int(s) for _, c, st in yields
+    handed = [int(s) for _, c, st, _ in yields
               for s in st[c == experiments._HANDOFF]]
     assert set(handed) == {max_steps}
     assert starts == [(max_steps // 2, len(handed))]
@@ -1637,7 +1662,7 @@ def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
     entered = spy_walk(monkeypatch)
     assert sweep(pairs, samples_per_pair=samples, max_steps=2000,
                  seed=5).pairs == want
-    handed = [int(s) for _, c, st in yields
+    handed = [int(s) for _, c, st, _ in yields
               for s in st[c == experiments._HANDOFF]]
     assert set(handed) == {512}
     assert resumed(entered)

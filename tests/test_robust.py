@@ -119,8 +119,7 @@ def test_single_step_inflation_bound(mode):
     rng = np.random.default_rng(31)
     for _ in range(300):
         x = tuple(rng.uniform(-6, 6, size=2))
-        w, _, _ = perturbed_step(SPEC, FIG_CFG, x, rng, mode=mode,
-                                 k_boundary=16)
+        w, _, _ = perturbed_step(SPEC, FIG_CFG, x, rng, mode=mode)
         vw = v_global(SPEC, FIG_CFG, w)
         vx = v_global(SPEC, FIG_CFG, x)
         assert vw <= SPEC.rate * vx * (1 + 1e-9)
@@ -179,8 +178,7 @@ def test_kl_bound_holds_on_perturbed_traces(mode, n_traces):
     # the starts x0 = rng.uniform(-8, 8, size=2), drawn trace by trace
     starts = np.random.default_rng(47).uniform(-8, 8, size=(n_traces, 2))
     lanes = run_perturbed_many(SPEC, FIG_CFG, starts, 100, seed=53,
-                               trace_ids=range(n_traces), mode=mode,
-                               k_boundary=16)
+                               trace_ids=range(n_traces), mode=mode)
     for tid in range(n_traces):
         ok, worst = check_kl_bound(SPEC, FIG_CFG, lanes.trace(tid))
         assert ok
@@ -198,8 +196,7 @@ def test_kl_audit_matches_its_oracle(spec, cfg):
     starts = np.random.default_rng(107).uniform(-3, 3, size=(12, 2))
     traces = []
     for mode in ("random", "adversarial"):
-        lanes = run_perturbed_many(spec, cfg, starts, 60, 3, range(12), mode,
-                                   16)
+        lanes = run_perturbed_many(spec, cfg, starts, 60, 3, range(12), mode)
         traces += [lanes.trace(j) for j in range(12)]
         traces += [p.tolist() for p in lanes.points] + list(lanes.points)
     rng = np.random.default_rng(109)
@@ -328,8 +325,7 @@ def test_perturbed_step_uses_dr_multivalued_outputs(mode, eps):
         spec = PerturbationSpec.from_certificate(certify(cfg), epsilon=eps)
         rng = np.random.default_rng(67)
         for x in step_points(cfg):
-            w, pre, post = perturbed_step(spec, cfg, x, rng, mode=mode,
-                                          k_boundary=16)
+            w, pre, post = perturbed_step(spec, cfg, x, rng, mode=mode)
             outs = dr_multivalued_reference(
                 cfg, (x[0] + pre[0], x[1] + pre[1])).outputs
             y = outs[0]
@@ -346,22 +342,18 @@ def test_run_perturbed_rejects_bad_inputs():
         run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), -1, seed=0)
     trace = run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), 0, seed=0)
     assert trace.points == ((1.0, 1.0),) and trace.disturbances == ()
-    # a bad mode or boundary count fails before any step, even with none
-    # to take; k_boundary 0 made every adversarial offset (0.0, 0.0), and
-    # a negative one failed inside NumPy
-    for kw in ({"mode": "bogus"}, {"mode": "Random"},
-               {"mode": "adversarial", "k_boundary": 0},
-               {"mode": "adversarial", "k_boundary": -3},
-               {"mode": "random", "k_boundary": 0}):
+    # a bad mode fails before any step, even with none to take
+    for mode in ("bogus", "Random"):
         for n_steps in (0, 5):
-            with pytest.raises(ValueError, match="mode|k_boundary"):
-                run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), n_steps, seed=0, **kw)
-            with pytest.raises(ValueError, match="mode|k_boundary"):
+            with pytest.raises(ValueError, match="mode"):
+                run_perturbed(SPEC, FIG_CFG, (1.0, 1.0), n_steps, seed=0,
+                              mode=mode)
+            with pytest.raises(ValueError, match="mode"):
                 run_perturbed_many(SPEC, FIG_CFG, [(1.0, 1.0)], n_steps, 0,
-                                   [0], **kw)
-        with pytest.raises(ValueError, match="mode|k_boundary"):
+                                   [0], mode=mode)
+        with pytest.raises(ValueError, match="mode"):
             perturbed_step(SPEC, FIG_CFG, (1.0, 1.0),
-                           np.random.default_rng(0), **kw)
+                           np.random.default_rng(0), mode=mode)
     with pytest.raises(ValueError, match="trace ids"):
         run_perturbed_many(SPEC, FIG_CFG, [(1.0, 1.0)] * 2, 5, 0, [0])
     with pytest.raises(ValueError, match="finite"):
@@ -556,8 +548,10 @@ def _lanes_and_generators(monkeypatch, *args, **kwargs):
 
 def _assert_lanes_match_oracle(monkeypatch, spec, starts, n_steps, seed,
                                trace_ids, mode, k):
+    # the adversary tries k boundary angles per ball (64 as shipped)
+    monkeypatch.setattr(robust, "_K_BOUNDARY", k)
     lanes, gens = _lanes_and_generators(monkeypatch, spec, FIG_CFG, starts,
-                                        n_steps, seed, trace_ids, mode, k)
+                                        n_steps, seed, trace_ids, mode)
     assert len(gens) == len(starts)
     for j, (x0, tid) in enumerate(zip(starts, trace_ids)):
         points, disturbances, rng = run_perturbed_reference(
@@ -601,15 +595,16 @@ def test_run_perturbed_many_short_runs_match_per_step_oracle(monkeypatch,
 
 
 @pytest.mark.parametrize("mode", ["random", "adversarial"])
-def test_perturbed_step_matches_per_step_oracle(mode):
+def test_perturbed_step_matches_per_step_oracle(monkeypatch, mode):
     for spec in (SPEC, NOMINAL):
         for k in (1, 16):
+            monkeypatch.setattr(robust, "_K_BOUNDARY", k)
             for n, x in enumerate(STARTS):
                 rng_new = np.random.default_rng([73, n])
                 rng_old = np.random.default_rng([73, n])
                 w = w_old = x
                 for _ in range(4):
-                    w = perturbed_step(spec, FIG_CFG, w, rng_new, mode, k)
+                    w = perturbed_step(spec, FIG_CFG, w, rng_new, mode)
                     want = perturbed_step_reference(spec, FIG_CFG, w_old,
                                                     rng_old, mode, k)
                     assert repr(tuple(w)) == repr(want), (n, x)
@@ -622,7 +617,7 @@ def test_perturbed_step_matches_per_step_oracle(mode):
 def test_a_lane_does_not_depend_on_its_neighbours(mode):
     def run(ids):
         return run_perturbed_many(SPEC, FIG_CFG, [STARTS[i % 7] for i in ids],
-                                  40, 5, ids, mode, 16)
+                                  40, 5, ids, mode)
 
     together = run([0, 1, 2, 3, 4, 5, 6, 7])
     for ids in ([3], [7, 3], [5, 3, 0, 9, 11], list(range(20))):
@@ -633,7 +628,7 @@ def test_a_lane_does_not_depend_on_its_neighbours(mode):
                         == together.points[tid].tobytes())
                 assert (lanes.disturbances[j].tobytes()
                         == together.disturbances[tid].tobytes())
-    one = run_perturbed(SPEC, FIG_CFG, STARTS[3], 40, 5, 3, mode, 16)
+    one = run_perturbed(SPEC, FIG_CFG, STARTS[3], 40, 5, 3, mode)
     assert repr(one) == repr(together.trace(3))
 
 
