@@ -10,11 +10,11 @@ drivers (basin raster over starting points, sweep over angle pairs).  Grid
 cells are independent work items; every cell derives its PRNG stream from
 the root seed and its own index, so results do not depend on how cells are
 grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
-_LANE_BLOCK lanes, refilled in cell order as lanes finish.  A lane still
-running at its step min(max_steps, 512) resumes from its point at half that
-step, as lanes with cycle windows in ``rasterize`` and in the scalar walk in
-``sweep``; a tie, or a check that needs earlier points, sends a cell back to
-a re-run from its start.
+_LANE_BLOCK lanes, refilled in cell order as lanes finish.  A lane leaves
+the pool at a ball, at the tie screen, or at step n/2 for n = min(max_steps,
+512) carrying its point, from which it resumes as a lane with a cycle window
+in ``rasterize`` and in the scalar walk in ``sweep``; a tie, or a check that
+needs earlier points, sends a cell back to a re-run from its start.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
 # the lane passes' codes for a lane they leave unsettled: one at the tie
 # screen, which only simulate's re-run from its start gets past, and one
-# the pool hands on at its step min(max_steps, 512) or left undecided
+# the pool hands on at its step _checkpoint(max_steps) or left undecided
 _TIE_HANDOFF, _HANDOFF = 254, 255
 # _cycle's answer where its window lacks points it needs
 _UNDECIDED = -1
@@ -481,7 +481,7 @@ def _lane_step(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _checkpoint(max_steps: int) -> int:
-    """The step of a pool lane's kept point: half its hand-off step."""
+    """The pool's hand-off step n/2, n = min(max_steps, CHECK_EVERY)."""
     return min(max_steps, CHECK_EVERY) // 2
 
 
@@ -494,14 +494,14 @@ def _pool(source, max_steps: int):
     """Run the lanes of ``source``, lane arrays whose columns are lanes 0,
     1, 2, ... in order, at most _LANE_BLOCK at a time: a lane that finishes
     makes room for the next one, so the pool stays full while the source
-    lasts.  Yields (ids, codes, steps, marks) for the lanes that finish at
+    lasts.  Yields (ids, codes, steps, marks) for the lanes that leave at
     each step, each at its own step count: code 1 or 2 for a lane that
     enters a termination ball, _TIE_HANDOFF for one at the tie screen, and
-    _HANDOFF for one still running at its step min(max_steps, 512).
-    ``marks`` (m, 2) holds the _HANDOFF lanes' points at step
-    _checkpoint(max_steps), in the order of their ids in ``ids``; a tie
-    lane gets none, as from there it would meet its tie again."""
-    limit, mark = min(max_steps, CHECK_EVERY), _checkpoint(max_steps)
+    _HANDOFF for one still running at its step _checkpoint(max_steps).
+    ``marks`` (m, 2) holds the _HANDOFF lanes' points at that visit, in
+    the order of their ids in ``ids``; a tie lane gets none, as from there
+    it would meet its tie again."""
+    mark = _checkpoint(max_steps)
     chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
 
     def draw(n):
@@ -519,18 +519,18 @@ def _pool(source, max_steps: int):
 
     ids, lanes = draw(_LANE_BLOCK)
     steps = np.zeros(len(ids), dtype=np.int32)
-    mid = np.empty((2, len(ids)))
     while len(ids):
-        np.copyto(mid, lanes[:2], where=steps == mark)
+        due = steps == mark
+        marks = lanes[:2, due].T  # taken before the step moves them
         in1, in2, clear = _lane_step(lanes)
-        gone = np.flatnonzero(~clear | in1 | in2 | (steps == limit))
+        gone = np.flatnonzero(~clear | in1 | in2 | due)
         if len(gone):
             codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
             codes[~clear[gone]] = _TIE_HANDOFF
             codes[in1[gone]] = 1
             codes[in2[gone]] = 2
             yield (ids[gone], codes, steps[gone],
-                   mid[:, gone[codes == _HANDOFF]].T)
+                   marks[codes[due[gone]] == _HANDOFF])
         steps += 1
         if len(gone):
             # fresh lanes take the finished lanes' places; once the source
@@ -539,25 +539,25 @@ def _pool(source, max_steps: int):
             fill = gone[:len(new_ids)]
             lanes[:, fill], ids[fill], steps[fill] = new, new_ids, 0
             if len(fill) < len(gone):
-                lanes, ids, steps, mid = _take(
+                lanes, ids, steps = _take(
                     np.delete(np.arange(len(ids)), gone[len(fill):]), lanes,
-                    ids, steps, mid)
+                    ids, steps)
 
 
 def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
     """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
-    together from step ``start`` to simulate's verdicts.  Per lane: (code,
-    simulate's step count), code 1 or 2 once it enters a termination ball,
-    3 for a cycle, 0 for the budget.  Each lane keeps its last WINDOW
-    points in a buffer that grows by CHECK_EVERY steps at a time (finished
-    lanes are dropped then), and _window_cycle reads them once at every
-    CHECK_EVERY steps and at the budget.  Codes _TIE_HANDOFF, for a lane
-    at the tie screen, and _HANDOFF, for one at an undecided check, leave
-    it to a scalar re-run from its start.  Once fewer than _LANE_FLOOR
-    lanes are live, each goes on in the scalar walk from its point, step
-    count and window; one that the walk returns undecided or at a tie is
-    left to the scalar re-run as _HANDOFF."""
+    together to simulate's verdicts from their points at step ``start``
+    (the pool's hand-off step in rasterize), each with a one-point window.
+    Per lane: (code, simulate's step count), code 1 or 2 once it enters a
+    termination ball, 3 for a cycle, 0 for the budget.  Each lane keeps its
+    last WINDOW points in a buffer that grows by CHECK_EVERY steps at a time
+    (finished lanes are dropped then), and _window_cycle reads them at
+    every CHECK_EVERY steps and at the budget.  Codes _TIE_HANDOFF (at the
+    tie screen) and _HANDOFF (at an undecided check) leave a lane to a
+    scalar re-run from its start.  Once fewer than _LANE_FLOOR lanes are
+    live, each goes on in the scalar walk from its point, step count and
+    window; one the walk returns undecided or at a tie gets _HANDOFF."""
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
@@ -619,12 +619,12 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
     Cells run through one lane pool in row-major order, at most
-    _LANE_BLOCK at a time.  The cells it hands off at their step
-    min(max_steps, 512) run on to their verdicts as lanes from its
-    checkpoints at half that step, the last few of a lane set in the
-    scalar walk; only cells that meet a tie or an undecided cycle check
-    re-run through scalar ``simulate``.  Cell streams are keyed by (seed,
-    cell_index), so the picture equals per-cell ``simulate`` calls.
+    _LANE_BLOCK at a time.  A cell leaves it at a ball, at the tie screen,
+    or at step n/2, n = min(max_steps, 512), carrying its point, and runs
+    on from there to its verdict as a lane, the last few of a lane set in
+    the scalar walk; only cells at a tie or an undecided cycle check re-run
+    through ``simulate``.  Cell streams are keyed by (seed, cell_index), so
+    the picture equals per-cell ``simulate`` calls.
     ``threads`` is accepted and ignored.  Raises for a policy or max_steps
     that ``simulate`` rejects, a seed that is not an integer >= 0, an empty
     resolution, or bounds that are not increasing or where a double
@@ -659,9 +659,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
         codes[ids], steps[ids] = c, s
         if len(m):
             saved.append((ids[c == _HANDOFF], m))
-    # the pool's hand-offs run on from their checkpoints to their verdicts
-    # as lanes, in sets whose windows fit in _HIST_POINTS; the lanes at a
-    # tie or an undecided check re-run through scalar simulate
+    # hand-offs run on as lanes in sets whose windows fit in _HIST_POINTS;
+    # those at a tie or an undecided check re-run through scalar simulate
     cell = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in saved])
     xs, ys = np.concatenate([np.empty((0, 2))] + [p for _, p in saved]).T
     per_set = _HIST_POINTS // (min(max_steps + 1, WINDOW) + CHECK_EVERY)
@@ -737,11 +736,12 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     SeededRandom tie policy on the (seed, pair_index, start_index) stream.
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
-    artifact.  The starts run through one lane pool in pair order, its
-    hand-offs resumed from its checkpoints; a pair is certified and its
-    starts drawn as the pool takes them in, and let go once all have left
-    it.  Raises ValueError for samples_per_pair below 1 or a max_steps
-    that ``simulate`` rejects, before any start runs.
+    artifact.  The starts run through one lane pool in pair order; a start
+    leaves at a ball, at the tie screen, or at step n/2 carrying its point
+    (n as in ``rasterize``), and the walk resumes it from there.  A pair is
+    certified and its starts drawn as the pool takes them in, and let go
+    once all have left it.  Raises ValueError for samples_per_pair below 1
+    or a max_steps that ``simulate`` rejects, before any start runs.
     """
     if samples_per_pair < 1:
         raise ValueError(

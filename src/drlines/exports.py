@@ -89,13 +89,13 @@ def raster_csv(grid: RasterGrid) -> str:
     # each is formatted once; fields never need csv quoting
     xs = [format_float(xmin + (i + 0.5) * (xmax - xmin) / nx)
           for i in range(nx)]
-    tails = [f"{name},{{}},{code if code in (1, 2) else ''}\r\n"
-             for code, name in enumerate(_VERDICT_NAMES)]
+    heads = [f"{name}," for name in _VERDICT_NAMES]
+    tails = [f",{c if c in (1, 2) else ''}\r\n" for c in range(4)]
     out = ["x,y,verdict,steps,target\r\n"]
     for j, (codes, steps) in enumerate(zip(grid.cells.tolist(),
                                            grid.steps.tolist())):
         y = format_float(ymax - (j + 0.5) * (ymax - ymin) / ny)
-        out.extend(f"{x},{y},{tails[c].format(n)}"
+        out.extend(f"{x},{y},{heads[c]}{n}{tails[c]}"
                    for x, c, n in zip(xs, codes, steps))
     return "".join(out)
 

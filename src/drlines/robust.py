@@ -120,11 +120,12 @@ class PerturbedTrace:
     seed: int
 
 
-def _anchor_distance(cfg: ProblemConfig, x: float, y: float) -> float:
-    """d((x, y), {p1, p2}) by math.hypot, whose bits the printed margins
-    carry; np.hypot may round differently."""
-    return min(math.hypot(x - cfg.p1[0], y - cfg.p1[1]),
-               math.hypot(x - cfg.p2[0], y - cfg.p2[1]))
+def _anchor_distances(cfg: ProblemConfig, points) -> list[float]:
+    """d(p, {p1, p2}) for each point (x, y) by math.hypot, whose bits the
+    printed margins carry; np.hypot may round differently."""
+    (p1x, p1y), (p2x, p2y), hypot = cfg.p1, cfg.p2, math.hypot
+    return [min(hypot(x - p1x, y - p1y), hypot(x - p2x, y - p2y))
+            for x, y in points]
 
 
 def sigma(spec: PerturbationSpec, cfg: ProblemConfig, x) -> float:
@@ -133,7 +134,7 @@ def sigma(spec: PerturbationSpec, cfg: ProblemConfig, x) -> float:
     Vanishes exactly on {p1, p2}, is positive and 1-Lipschitz-continuous
     (up to the constant factor) everywhere else.
     """
-    return spec.kappa * _anchor_distance(cfg, x[0], x[1])
+    return spec.kappa * _anchor_distances(cfg, [x])[0]
 
 
 def kl_beta(spec: PerturbationSpec, s: float, t: float) -> float:
@@ -227,8 +228,7 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
     band random lanes take A1, adversarial lanes the larger V (A1 on equal
     V)."""
     def offsets(x, u):
-        radius = spec.kappa * np.array([_anchor_distance(cfg, *p)
-                                        for p in x.T.tolist()])
+        radius = spec.kappa * np.array(_anchor_distances(cfg, x.T.tolist()))
         if adversarial:
             return _worst_offsets(spec, cfg, x, radius, _TWO_PI * u)
         # radius * sqrt(u) makes the point uniform over the disc
@@ -410,7 +410,7 @@ def rate_ratio(spec: PerturbationSpec, cfg: ProblemConfig,
     worst = 0.0
     for x, y in zip(trace.points, trace.points[1:]):
         vx = v_global(spec, cfg, x)
-        d = min(_anchor_distance(cfg, *x), _anchor_distance(cfg, *y))
+        d = min(_anchor_distances(cfg, (x, y)))
         e = _RATE_ULPS * math.ulp(1.0 + max(math.hypot(*x), math.hypot(*y)))
         if vx > 0.0 and d > e:
             slack = ((d + e) / (d - e)) ** (2.0 * spec.alpha + 2.0)

@@ -1291,9 +1291,9 @@ def test_sweep_refills_match_per_start_simulate(monkeypatch, samples):
 
 
 def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
-    # the benchmark's basin: the lanes the pool hands off, all at their
-    # first cycle check, are exactly the 176 cycle cells, with a full pool
-    # and with a 64-lane one whose last lanes run on alone
+    # the benchmark's basin: the lanes the pool hands off, all at the
+    # checkpoint, are exactly the 176 cycle cells, with a full pool and
+    # with a 64-lane one whose last lanes run on alone
     yields = spy_pool(monkeypatch)
     grids, handed = [], []
     for block in (experiments._LANE_BLOCK, 64):
@@ -1311,7 +1311,29 @@ def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
     cycle = np.flatnonzero(grid.cells.ravel() == 3)
     assert len(cycle) == 176
     for h in handed:
-        assert h == [(i, 512) for i in cycle.tolist()]
+        assert h == [(i, experiments._checkpoint(2000))
+                     for i in cycle.tolist()]
+
+
+def test_period58_raster_steps_no_lane_past_its_checkpoint_twice(
+        monkeypatch):
+    # a lane visit is one cell's step (or its last visit) in the pool or in
+    # a resumed lane set; a hand-off repeats only its visit at the
+    # checkpoint, never the steps after it
+    visits = []
+    lane_step = experiments._lane_step
+
+    def counted(lanes):
+        visits.append(lanes.shape[1])
+        return lane_step(lanes)
+
+    monkeypatch.setattr(experiments, "_lane_step", counted)
+    yields = spy_pool(monkeypatch)
+    grid = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
+    handed = sum(int(np.count_nonzero(c == experiments._HANDOFF))
+                 for _, c, _, _ in yields)
+    assert handed == 176
+    assert sum(visits) <= int(grid.steps.sum()) + grid.steps.size + handed
 
 
 @pytest.mark.parametrize("max_steps", [50, 700])
@@ -1491,8 +1513,8 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
                  seed=5).pairs == want
     assert partial and len(calls) == len(partial)
     # the 64-lane pool hands the nine period-58 cycle cells off at step
-    # 512; resumed from step 256 each meets an undecided check at once and
-    # re-runs through simulate, as does the cell on D3
+    # 256; resumed from there each meets an undecided check at step 512
+    # and re-runs through simulate, as does the cell on D3
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     xt, _ = tie_point(PERIOD58_CFG)
     bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
@@ -1514,10 +1536,11 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
                          ids=["first", "random"])
 def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
                                                           policy, n):
-    # 36 cells around a start whose n-th iterate is on D3 leave the pool at
-    # the tie screen on step n; the pool keeps no checkpoint for them, as a
-    # resumed lane would meet the screen again, so the lane set is empty
-    # and each cell re-runs through simulate
+    # 36 cells around a start whose n-th iterate is on D3: up to the
+    # checkpoint they leave the pool at the tie screen on step n with no
+    # point, as a resumed lane would meet the screen again, so the lane set
+    # is empty; past it they leave at the checkpoint, and the resumed lanes
+    # stop at the screen; either way each cell re-runs through simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -1531,16 +1554,17 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     grid = rasterize(FIG_CFG, bounds, (6, 6), policy=policy, seed=3)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert {int(s) for _, _, st, _ in yields for s in st} == {n}
-    assert starts == [(experiments._checkpoint(2000), 0)]
+    mark = experiments._checkpoint(2000)
+    assert {int(s) for _, _, st, _ in yields for s in st} == {min(n, mark)}
+    assert starts == [(mark, 0 if n <= mark else 36)]
     assert len(calls) == 36
 
 
 @pytest.mark.parametrize("n", [513, 700])
 def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
-    # the pool hands the 36 cells off at step 512 with checkpoints; resumed
-    # from step 256 they stop at the tie screen on step n and go straight
-    # to simulate
+    # the pool hands the 36 cells off at step 256 with their points there;
+    # resumed from step 256 they stop at the tie screen on step n and go
+    # straight to simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -1554,7 +1578,8 @@ def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     assert [(set(c.tolist()), set(st.tolist()), len(m))
-            for _, c, st, m in yields] == [({experiments._HANDOFF}, {512}, 36)]
+            for _, c, st, m in yields] == [
+        ({experiments._HANDOFF}, {experiments._checkpoint(2000)}, 36)]
     assert starts == [(experiments._checkpoint(2000), 36)]
     assert len(calls) == 36
     # the hand-offs carry their cells' points at step 256, in id order
@@ -1589,11 +1614,11 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
     assert len(resumed(entered)) == 1
 
 
-def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
+def test_sweep_starts_meeting_a_tie_after_the_checkpoint_resume_then_rerun(
         monkeypatch):
     # 36 starts, all at a point whose 300th iterate is on D3, leave the
-    # pool at the tie screen on step 300 under the tie code and with no
-    # checkpoint: each goes straight to simulate, not to a resumed walk
+    # pool at the checkpoint with their points there: each resumes in the
+    # walk, stops at the tie on step 300 and re-runs through simulate
     x0, n = tie_preimage(FIG_CFG, 300), 36
     rng = np.random.default_rng
 
@@ -1614,16 +1639,17 @@ def test_sweep_starts_meeting_a_tie_after_the_checkpoint_are_not_resumed(
                  seed=5).pairs == want
     assert [(set(c.tolist()), set(st.tolist()), len(m))
             for _, c, st, m in yields] == [
-        ({experiments._TIE_HANDOFF}, {300}, 0)]
-    assert [tuple(c) for c in calls] == [x0] * n and not resumed(entered)
+        ({experiments._HANDOFF}, {experiments._checkpoint(2000)}, n)]
+    assert [tuple(c) for c in calls] == [x0] * n
+    assert len(resumed(entered)) == n
 
 
-@pytest.mark.parametrize("max_steps", [7, 300, 511])
+@pytest.mark.parametrize("max_steps", [1, 2, 7, 300, 511])
 def test_budgets_below_the_first_check_resume_from_half_the_budget(
         monkeypatch, max_steps):
-    # the pool hands its lanes off at the budget, with their points at
-    # step max_steps // 2: sweep starts resume from there in the walk, and
-    # raster cells in one lane set
+    # the pool hands its lanes off at step max_steps // 2 (step 0 for a
+    # budget of 1), with their points there: sweep starts resume from there
+    # in the walk, and raster cells in one lane set
     assert experiments._checkpoint(max_steps) == max_steps // 2
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
@@ -1644,7 +1670,7 @@ def test_budgets_below_the_first_check_resume_from_half_the_budget(
     assert np.array_equal(grid.steps, steps)
     handed = [int(s) for _, c, st, _ in yields
               for s in st[c == experiments._HANDOFF]]
-    assert set(handed) == {max_steps}
+    assert set(handed) == {max_steps // 2}
     assert starts == [(max_steps // 2, len(handed))]
 
 
@@ -1652,8 +1678,8 @@ def test_budgets_below_the_first_check_resume_from_half_the_budget(
 def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
                                                           samples):
     # a 64-lane pool, with 30 or 100 starts a pair: it hands lanes off only
-    # at their first cycle check, the last ones too once it runs alone, and
-    # those the outcome needs resume in the walk from step 256
+    # at the checkpoint, the last ones too once it runs alone, and those
+    # the outcome needs resume in the walk from step 256
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
@@ -1664,5 +1690,5 @@ def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
                  seed=5).pairs == want
     handed = [int(s) for _, c, st, _ in yields
               for s in st[c == experiments._HANDOFF]]
-    assert set(handed) == {512}
+    assert set(handed) == {experiments._checkpoint(2000)}
     assert resumed(entered)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from drlines.experiments import rasterize, sweep
+from drlines.experiments import RasterGrid, rasterize, sweep
 from drlines.exports import (
     atomic_write_bytes,
     atomic_write_text,
@@ -67,6 +67,45 @@ def test_raster_csv_matches_grid():
                             "Cycle" if code == 3 else "Budget")
             assert int(r[3]) == int(grid.steps[j, i])
             assert r[4] == (str(code) if code in (1, 2) else "")
+
+
+def raster_csv_reference(grid):
+    # the per-cell str.format writer raster_csv replaced
+    nx, ny = grid.resolution
+    xmin, xmax, ymin, ymax = grid.bounds
+    xs = [format_float(xmin + (i + 0.5) * (xmax - xmin) / nx)
+          for i in range(nx)]
+    tails = [f"{name},{{}},{code if code in (1, 2) else ''}\r\n"
+             for code, name in enumerate(("Budget", "ConvergedTo",
+                                          "ConvergedTo", "Cycle"))]
+    out = ["x,y,verdict,steps,target\r\n"]
+    for j, (codes, steps) in enumerate(zip(grid.cells.tolist(),
+                                           grid.steps.tolist())):
+        y = format_float(ymax - (j + 0.5) * (ymax - ymin) / ny)
+        out.extend(f"{x},{y},{tails[c].format(n)}"
+                   for x, c, n in zip(xs, codes, steps))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("resolution", [(1, 1), (1, 7), (7, 1), (5, 4)])
+@pytest.mark.parametrize("bounds", [
+    (-1.0, 1.0, -1.0, 1.0), (-0.0, 0.3, -0.7, -0.0),
+    (-1.2345678901234567, 0.10000000000000001, 2.7182818284590451,
+     3.1415926535897931)], ids=["unit", "negative-zero", "17-digit"])
+def test_raster_csv_matches_the_per_cell_writer(bounds, resolution):
+    # every cell meets every code and the step counts 0 and max_steps
+    # (2000), across the shifts
+    nx, ny = resolution
+    codes = np.array([0, 1, 2, 3], dtype=np.uint8)
+    counts = np.array([0, 2000, 17, 512], dtype=np.int32)
+    for a in range(4):
+        for b in range(4):
+            grid = RasterGrid(
+                bounds=bounds, resolution=resolution,
+                cells=np.resize(np.roll(codes, a), (ny, nx)),
+                steps=np.resize(np.roll(counts, b), (ny, nx)), seed=0)
+            assert raster_csv(grid).encode() == \
+                raster_csv_reference(grid).encode()
 
 
 def test_sweep_csv_round_trip():
