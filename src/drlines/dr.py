@@ -8,11 +8,11 @@ For the union A1 ∪ A2 the operator acts through whichever line is closer
 and is two-valued on the equidistance set D3.  The reversed-order
 operator (I + R_A R_B)/2 is R_B T R_B, with R_B(x, y) = (x, -y).
 
-``_gap`` and ``_branch`` are the operator's only arithmetic and ``_gap``
-its only tie test, written once for floats and NumPy lanes alike: the
-closed form, the multi-valued step and every iterating path run exactly
-these expressions in this order, so the lanes reproduce the scalar
-iterates bit for bit.
+``_gap`` and ``_branch`` are the operator's arithmetic, written once for
+floats and NumPy lanes alike: the closed form, single steps and the lanes
+run them.  Every scalar trajectory runs ``_steps``, one loop with the same
+expressions written out in the same order, and a test pins the two
+together bit for bit, so the lanes reproduce the scalar iterates.
 """
 from __future__ import annotations
 
@@ -53,6 +53,32 @@ def _branch(a, c, s, x, y):
     (c, s): a = -0.5 with A1's constants, a = 0.5 with A2's."""
     dx = x - a
     return a + c * (c * dx + s * y), c * (-s * dx + c * y)
+
+
+def _steps(c1, s1, c2, s2, r1sq, r2sq, x, y, n, push):
+    """Up to n steps from the float point (x, y) through the branch each
+    gap picks, with push(x) and push(y) on every new point: (code, x, y, k)
+    after k steps, code 0 at a point on the tie band |gap| <= TIE_TOL (1 +
+    |(x, y)|), not stepped, 1 or 2 once a step enters the open ball of
+    squared radius r1sq about (-0.5, 0) or r2sq about (0.5, 0), else -1."""
+    hypot, band = math.hypot, TIE_TOL
+    dx1, dx2 = x + 0.5, x - 0.5
+    for k in range(n):
+        gap = abs(s1 * dx1 - c1 * y) - abs(s2 * dx2 - c2 * y)
+        if abs(gap) <= band * (1.0 + hypot(x, y)):
+            return 0, x, y, k
+        if gap < 0.0:
+            x, y = -0.5 + c1 * (c1 * dx1 + s1 * y), c1 * (-s1 * dx1 + c1 * y)
+        else:
+            x, y = 0.5 + c2 * (c2 * dx2 + s2 * y), c2 * (-s2 * dx2 + c2 * y)
+        push(x)
+        push(y)
+        dx1, dx2 = x + 0.5, x - 0.5
+        if dx1 * dx1 + y * y < r1sq:
+            return 1, x, y, k + 1
+        if dx2 * dx2 + y * y < r2sq:
+            return 2, x, y, k + 1
+    return -1, x, y, n
 
 
 def _lane_branch(c1, s1, c2, s2, x, y):

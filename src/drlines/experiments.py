@@ -26,8 +26,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dr import _branch, _gap, _lane_branch
-from .geometry import (TIE_TOL, ProblemConfig, bisector_data, checked_start,
+from .dr import _branch, _lane_branch, _steps
+from .geometry import (ProblemConfig, bisector_data, checked_start,
                        checked_tolerance, cos_sin, distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
 
@@ -46,6 +46,8 @@ _LANE_FLOOR = 32
 _TIE_HANDOFF, _HANDOFF = 254, 255
 # _cycle's answer where its window lacks points it needs
 _UNDECIDED = -1
+# the most hare steps find_period_brent screens at once
+_BRENT_CHUNK = 4096
 # window points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
 
@@ -182,11 +184,19 @@ def detect_cycle(points_window: Sequence, match_tol: float = DEFAULT_MATCH_TOL
     Scanning K in ascending order makes the returned period minimal (no
     proper divisor can also match, it would have been found first).  A full
     K = 1 match is a constant tail, which is the convergence criterion's
-    business, not a cycle: None.
+    business, not a cycle: None, as for an empty window.  Raises
+    ValueError for a match_tol that is not finite and >= 0 or a window
+    that is not (m, 2) points.
     """
-    return _cycle(np.asarray(points_window, dtype=float), 0, match_tol)
+    w = np.asarray(points_window, dtype=float)
+    if w.size and (w.ndim != 2 or w.shape[1] != 2):
+        raise ValueError(f"points_window must be (m, 2) points, got {w.shape}")
+    return _cycle(w.reshape(-1, 2), 0,
+                  checked_tolerance("match_tol", match_tol))
 
 
+# the screen may overflow, or meet a NaN, where pair_ok's math.hypot does not
+@np.errstate(over="ignore", invalid="ignore")
 def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
     """detect_cycle on a window of max(span, m) points of which w holds the
     last m, or _UNDECIDED if that needs a point w lacks: for the K = 1 test
@@ -203,13 +213,14 @@ def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
 
     if pair_ok(m - 1, m - 2):
         return None
-    # a vectorised pass keeps the K whose last pair may match (the slack
-    # covers np.hypot rounding unlike math.hypot); pair_ok decides exactly
-    ks = np.arange(2, min(span // 2, m - 1) + 1)
-    e = w[m - 1 - ks]
-    near = (np.hypot(w[m - 1, 0] - e[:, 0], w[m - 1, 1] - e[:, 1])
-            <= match_tol * (1.0 + np.hypot(e[:, 0], e[:, 1])) * (1.0 + 1e-12))
-    for k in ks[near].tolist():
+    # a max-norm pass keeps the K whose last pair may match, as |e| <= |ex|
+    # + |ey| (the slack covers rounding; a NaN keeps its K); pair_ok decides
+    x, y = w[m - 1]
+    e = w[m - 1 - min(span // 2, m - 1):m - 2][::-1]  # K = 2, 3, ...
+    ex, ey = e[:, 0], e[:, 1]
+    near = ~(np.maximum(abs(ex - x), abs(ey - y))
+             > match_tol * ((1.0 + abs(ex) + abs(ey)) * (1.0 + 1e-12)))
+    for k in (np.flatnonzero(near) + 2).tolist():
         if not pair_ok(m - 1, m - 1 - k):
             continue
         if 2 * k > m:
@@ -337,25 +348,20 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
     """Run one trajectory from its state at ``steps`` until a verdict or a
     tie.  ``win`` is a flat x, y buffer of the trajectory's last points up
     to (x, y), its last WINDOW or all it has; ``pts``, if not None,
-    collects the points.  Each visit tests the balls, then, at every
-    CHECK_EVERY steps and at the budget, one cycle check, then the budget.
-    Returns (verdict, x, y, steps), or (None, x, y, steps) at a point in the
-    tie band, visited but not stepped, or at an undecided check."""
-    c1, s1, c2, s2, r1sq, r2sq = consts
-    gap_of, branch, hypot, band = _gap, _branch, math.hypot, TIE_TOL
-    push, add = win.append, None if pts is None else pts.append
-    keep = 2 * WINDOW
-    dx1, dx2 = x + 0.5, x - 0.5
-    if dx1 * dx1 + y * y < r1sq:
-        return ConvergedTo(1), x, y, steps
-    if dx2 * dx2 + y * y < r2sq:
-        return ConvergedTo(2), x, y, steps
+    collects the points, copied from ``win``.  Each visit tests the balls,
+    then, at every CHECK_EVERY steps and at the budget, one cycle check,
+    then the budget; dr._steps runs the steps in between.  Returns
+    (verdict, x, y, steps), or (None, x, y, steps) at a point in the tie
+    band, visited but not stepped, or at an undecided check."""
+    for code, a in ((1, -0.5), (2, 0.5)):
+        if (x - a) * (x - a) + y * y < consts[3 + code]:
+            return ConvergedTo(code), x, y, steps
     while True:
         # a boundary: the buffer drops all but the last window points, and
         # detect_cycle reads them as an (m, 2) view, gone before the next
-        # append; runs between boundaries test no counter
-        if len(win) > keep:
-            del win[:len(win) - keep]
+        # append
+        if len(win) > 2 * WINDOW:
+            del win[:len(win) - 2 * WINDOW]
         if steps >= max_steps or (steps and steps % CHECK_EVERY == 0):
             period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
                                    match_tol)
@@ -363,26 +369,16 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
                 return (None if period == _UNDECIDED else Budget()
                         if period is None else Cycle(period), x, y, steps)
         stop = min(max_steps, (steps // CHECK_EVERY + 1) * CHECK_EVERY)
-        for steps in range(steps + 1, stop + 1):
-            gap = gap_of(c1, s1, c2, s2, x, y)
-            if abs(gap) <= band * (1.0 + hypot(x, y)):
-                return None, x, y, steps - 1
-            if gap < 0.0:
-                x, y = branch(-0.5, c1, s1, x, y)
-            else:
-                x, y = branch(0.5, c2, s2, x, y)
-            push(x)
-            push(y)
-            if add is not None:
-                add((x, y))
-            dx1 = x + 0.5
-            if dx1 * dx1 + y * y < r1sq:
-                return ConvergedTo(1), x, y, steps
-            dx2 = x - 0.5
-            if dx2 * dx2 + y * y < r2sq:
-                return ConvergedTo(2), x, y, steps
+        code, x, y, k = _steps(*consts, x, y, stop - steps, win.append)
+        if pts is not None and k:
+            tail = win[len(win) - 2 * k:]
+            pts.extend(zip(tail[::2], tail[1::2]))
+        steps += k
+        if code >= 0:
+            return ConvergedTo(code) if code else None, x, y, steps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _cycle's screen
 def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
                       match_tol: float = DEFAULT_MATCH_TOL) -> Optional[int]:
     """Low-memory period search along the deterministic first-branch orbit.
@@ -390,61 +386,63 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     Brent's teleporting-tortoise scheme with tolerance-based equality: the
     reference point jumps forward at powers of two, which also rides out
     the transient toward the limit cycle.  The meeting distance is then
-    reduced to the minimal period by divisor checks.  Returns None when no
-    recurrence is found within max_steps; raises ValueError for a start
-    whose norm is not finite, max_steps < 1 or a match_tol that is not
-    finite and >= 0.
+    reduced to the minimal period by divisor checks on a fresh segment.
+    The hare runs through dr._steps, taking A1 at ties, in chunks of at
+    most _BRENT_CHUNK steps ending at each teleport and at the budget; a
+    max-norm screen of a chunk picks the candidates for the exact test.
+    Returns None when no recurrence is found within max_steps; raises
+    ValueError for a start whose norm is not finite, max_steps < 1 or a
+    match_tol that is not finite and >= 0.
     """
     _check_run(max_steps)
     checked_tolerance("match_tol", match_tol)
-    c1, s1, c2, s2, _, _ = _constants(cfg)
-    gap_of, branch, hypot, band = _gap, _branch, math.hypot, TIE_TOL
+    # balls of radius 0 hold no point, so _steps stops only at ties
+    consts = (*_constants(cfg)[:4], 0.0, 0.0)
 
-    def step(p: tuple[float, float]) -> tuple[float, float]:
-        # FirstBranch: ties go through A1, so A1 whenever gap <= the band
-        x, y = p
-        if gap_of(c1, s1, c2, s2, x, y) <= band * (1.0 + hypot(x, y)):
-            return branch(-0.5, c1, s1, x, y)
-        return branch(0.5, c2, s2, x, y)
+    def run(x: float, y: float, n: int, buf: array) -> tuple[float, float]:
+        # n first-branch steps, each point appended to buf
+        while n:
+            code, x, y, k = _steps(*consts, x, y, n, buf.append)
+            if code == 0:
+                x, y = _branch(-0.5, *consts[:2], x, y)
+                buf.extend((x, y))
+            n -= k + (code == 0)
+        return x, y
 
-    def close(a: tuple[float, float], b: tuple[float, float]) -> bool:
-        return (hypot(a[0] - b[0], a[1] - b[1])
-                <= match_tol * (1.0 + hypot(b[0], b[1])))
-
-    tx, ty = checked_start(x0)
-    x, y = step((tx, ty))
-    total = 1
-    power = 1
-    lam = 1
-    # the tortoise's match limit changes only when it teleports; the
-    # negated test keeps a NaN distance unmatched
-    lim = match_tol * (1.0 + hypot(tx, ty))
-    while not (hypot(x - tx, y - ty) <= lim):
+    x, y = tx, ty = checked_start(x0)
+    total, teleport, power, meet = 0, 0, 1, None
+    while meet is None:
         if total >= max_steps:
             return None
-        if power == lam:
-            tx, ty = x, y
-            lim = match_tol * (1.0 + hypot(tx, ty))
-            power *= 2
-            lam = 0
-        if gap_of(c1, s1, c2, s2, x, y) <= band * (1.0 + hypot(x, y)):
-            x, y = branch(-0.5, c1, s1, x, y)
-        else:
-            x, y = branch(0.5, c2, s2, x, y)
-        total += 1
-        lam += 1
+        if total == teleport + power:
+            teleport, power, tx, ty = total, 2 * power, x, y
+        # the screen bounds hypot from below and keeps a NaN distance, which
+        # the exact test leaves unmatched
+        lim = match_tol * (1.0 + math.hypot(tx, ty))
+        buf = array("d")
+        x, y = run(x, y, min(_BRENT_CHUNK, teleport + power - total,
+                             max_steps - total), buf)
+        w = np.frombuffer(buf).reshape(-1, 2)
+        near = ~(np.maximum(abs(w[:, 0] - tx), abs(w[:, 1] - ty)) > lim)
+        for i in np.flatnonzero(near).tolist():
+            if math.hypot(buf[2 * i] - tx, buf[2 * i + 1] - ty) <= lim:
+                meet, x, y = total + i + 1, buf[2 * i], buf[2 * i + 1]
+                break
+        total += len(w)
+    lam = meet - teleport
     if lam == 1:
         return None
     # confirm on a fresh 2*lam segment, reject constant tails (those belong
     # to the convergence criterion), then reduce to the minimal period
-    seg = []
-    p = (x, y)
-    for _ in range(2 * lam):
-        seg.append(p)
-        p = step(p)
+    seg = array("d", (x, y))
+    run(x, y, 2 * lam - 1, seg)
 
     def shift_ok(d: int) -> bool:
-        return all(close(seg[i + d], seg[i]) for i in range(2 * lam - d))
+        # seg holds x, y pairs: point i at 2i, its d-th successor 2d on
+        return all(math.hypot(seg[j] - seg[i], seg[j + 1] - seg[i + 1])
+                   <= match_tol * (1.0 + math.hypot(seg[i], seg[i + 1]))
+                   for i, j in zip(range(0, 4 * lam - 2 * d, 2),
+                                   range(2 * d, 4 * lam, 2)))
 
     if not shift_ok(lam) or shift_ok(1):
         return None

@@ -87,6 +87,22 @@ def test_detect_cycle_tolerance_is_relative():
     assert detect_cycle(noisy_big) == 2
 
 
+def test_detect_cycle_rejects_bad_tolerances_and_windows():
+    w = [(0.0, 0.0), (1.0, 0.0)] * 5
+    assert detect_cycle(w, 0.0) == 2
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="match_tol"):
+            detect_cycle(w, bad)
+    # a flat list, rows of three (whose first two columns repeat with
+    # period 2), single columns and a stack of windows are not (m, 2) points
+    for bad in ([0.0, 1.0] * 5, [(0.0, 0.0, 7.0), (1.0, 0.0, 7.0)] * 5,
+                np.zeros((6, 1)), np.zeros((2, 6, 2)), 3.0):
+        with pytest.raises(ValueError, match="points_window"):
+            detect_cycle(bad)
+    for empty in ([], (), np.empty((0, 2)), np.empty((0, 3))):
+        assert detect_cycle(empty) is None
+
+
 def test_simulate_attractor_start_is_zero_steps():
     tr = simulate(FIG_CFG, FIG_CFG.p1)
     assert tr.verdict == ConvergedTo(1)
@@ -1016,7 +1032,7 @@ def test_walk_matches_per_step_loop_on_the_period_1410_orbit(monkeypatch):
     assert got_seen == seen and len(seen) == 1 and seen[0][0] == (7, 2)
 
 
-def test_brent_matches_per_step_loop():
+def test_brent_matches_per_step_loop(monkeypatch):
     # the period-1410 search meets at step 66945
     meet = 66945
     cases = [(FIG_CFG, (1.3, 2.2)), (PERIOD2_CFG, (0.101912, 0.189275)),
@@ -1028,16 +1044,47 @@ def test_brent_matches_per_step_loop():
     cases += [(PERIOD2_CFG, tie_preimage(PERIOD2_CFG, n,
                                          end=(0.101912, 0.189275)))
               for n in (10, 30)]
+    # a tie at the start and at step 10 of a hare whose A1 branch leads to
+    # the period-2 orbit, and A2's to a ball
+    cases += [(PERIOD2_CFG, tie_preimage(PERIOD2_CFG, n)) for n in (0, 10)]
+    # a start inside p1's termination ball, which the search steps through
+    r1 = math.sqrt(experiments._constants(PERIOD2_CFG)[4])
+    cases.append((PERIOD2_CFG, (-0.5 + 0.5 * r1, 0.25 * r1)))
+    # budgets at the teleports and the chunk cap 2^12, one step either side
+    cap = experiments._BRENT_CHUNK
+    assert cap == 4096
+    budgets = (1, meet - 1, meet) + tuple(
+        2 ** k + d for k in (11, 12, 13) for d in (-1, 0, 1))
     found = set()
     for cfg, x0 in cases:
-        for max_steps in (1, meet - 1, meet):
+        for max_steps in budgets:
             want = find_period_brent_per_step(cfg, x0, max_steps)
-            assert find_period_brent(cfg, x0, max_steps) == want
+            # chunks ending between teleports, and one step long
+            for chunk in (cap, 5, 1):
+                monkeypatch.setattr(experiments, "_BRENT_CHUNK", chunk)
+                assert find_period_brent(cfg, x0, max_steps) == want
             found.add(want)
     assert found == {None, 2, 58, 1410}
+    monkeypatch.setattr(experiments, "_BRENT_CHUNK", cap)
     x0 = (0.392560, -0.351588)
     assert find_period_brent(PERIOD1410_CFG, x0, meet - 1) is None
     assert find_period_brent(PERIOD1410_CFG, x0, meet) == 1410
+
+
+def test_huge_starts_run_quietly_in_the_walk_and_brent():
+    # near 1e308 the NumPy screens of _cycle and of Brent's chunks
+    # overflow where math.hypot does not; the overflow stays quiet (a
+    # RuntimeWarning fails here) and the answers are the per-step loops'
+    for cfg, x0 in ((PERIOD1410_CFG, (1.2e308, -1.2e308)),
+                    (ProblemConfig(0.17068949981565193, 0.2687470063620758),
+                     (1.6928910190876777e+308, 1.5530428034143124e+307)),
+                    (ProblemConfig(0.10674980796552033, 0.3721763519994903),
+                     (1.1335608497245421e+308, -1.266901425514969e+308))):
+        for max_steps in (5, 20, 700):
+            assert find_period_brent(cfg, x0, max_steps) == \
+                find_period_brent_per_step(cfg, x0, max_steps)
+            assert simulate_tree(cfg, x0, FirstBranch(), max_steps) == \
+                simulate_tree_per_step(cfg, x0, FirstBranch(), max_steps)
 
 
 def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
@@ -1388,6 +1435,82 @@ def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
         assert not clear[0]
 
 
+def gap_branch_steps(consts, x, y, n):
+    # n steps through dr._gap and dr._branch, with _steps' tie and ball
+    # tests: (code, x, y, k, pushed coordinates)
+    c1, s1, c2, s2, r1sq, r2sq = consts
+    pushed = []
+    for k in range(n):
+        gap = dr._gap(c1, s1, c2, s2, x, y)
+        if abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y)):
+            return 0, x, y, k, pushed
+        x, y = (dr._branch(-0.5, c1, s1, x, y) if gap < 0.0
+                else dr._branch(0.5, c2, s2, x, y))
+        pushed += [x, y]
+        for code, a, rsq in ((1, -0.5, r1sq), (2, 0.5, r2sq)):
+            if (x - a) * (x - a) + y * y < rsq:
+                return code, x, y, k + 1, pushed
+    return -1, x, y, n, pushed
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
+       where=st.sampled_from(["tie", "ball1", "ball2", "plane", "huge"]),
+       u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0),
+       log_r=st.floats(140.0, 150.0), n=st.integers(0, 6))
+@example(t1=math.pi / 3, t2_frac=0.25, where="tie", u=0.0, v=0.0,
+         log_r=150.0, n=3)
+def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
+                                                log_r, n):
+    # from the tie point moved by up to two tie bands, from inside either
+    # ball, from the plane and from norms up to 1e150: _steps taken one
+    # step at a time and n at a time is the _gap/_branch step, and a lane
+    # clear of the tie screen steps to the same point
+    cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
+    consts = experiments._constants(cfg)
+    if where == "tie":
+        tx, ty = tie_point(cfg)
+        band = TIE_TOL * (1.0 + abs(tx))
+        x, y = tx + 2.0 * u * band, 2.0 * v * band
+    elif where == "plane":
+        x, y = 3.0 * u, 3.0 * v
+    elif where == "huge":
+        x, y = u * 10.0 ** log_r, v * 10.0 ** log_r
+    else:
+        a, rsq = (-0.5, consts[4]) if where == "ball1" else (0.5, consts[5])
+        r = 0.7 * math.sqrt(rsq)
+        x, y = a + r * u, r * v
+        assert (x - a) * (x - a) + y * y < rsq
+    want = gap_branch_steps(consts, x, y, n)
+    pushed = []
+    code, gx, gy, k = dr._steps(*consts, x, y, n, pushed.append)
+    assert (code, k) == want[0:4:3]
+    assert hexes(gx, gy, *pushed) == hexes(*want[1:3], *want[4])
+    if where == "tie" and u == v == 0.0 and n:
+        assert code == 0 and k == 0 and not pushed
+    if where.startswith("ball") and n:
+        assert code == int(where[-1]) and k == 1
+    # one step at a time, each against _lane_branch where it is clear
+    px, py = x, y
+    for _ in range(n):
+        one = []
+        code1, nx, ny, k1 = dr._steps(*consts, px, py, 1, one.append)
+        ref = gap_branch_steps(consts, px, py, 1)
+        assert (code1, k1) == ref[0:4:3]
+        assert hexes(nx, ny, *one) == hexes(*ref[1:3], *ref[4])
+        bx, by, clear = dr._lane_branch(*consts[:4], np.array([px]),
+                                        np.array([py]))
+        if clear[0]:
+            assert k1 == 1 and hexes(bx[0], by[0]) == hexes(nx, ny)
+        if code1 >= 0:
+            break
+        px, py = nx, ny
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(t1=st.floats(1e-6, math.pi / 2), t2_frac=st.floats(1e-6, 1.0 - 1e-6),
        n=st.integers(0, 5))
@@ -1449,6 +1572,99 @@ def test_partial_window_rule_agrees_with_detect_cycle(period, span, keep,
             for k in range(m // 2 + 1, span // 2 + 1))
     # a full window is always decided, and it is detect_cycle
     assert experiments._cycle(full, span, 1e-8) == detect_cycle(full)
+
+
+def cycle_reference(w, span, match_tol=1e-8):
+    # _cycle with the near screen it had before its max-norm one: two
+    # np.hypot passes over the shifts' last pairs; reference for the screen
+    m, span = len(w), max(span, len(w))
+    if m < 2:
+        return None if span < 2 else experiments._UNDECIDED
+    if window_pair_ok(w, m - 1, m - 2, match_tol):
+        return None
+    ks = np.arange(2, min(span // 2, m - 1) + 1)
+    e = w[m - 1 - ks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = (np.hypot(w[m - 1, 0] - e[:, 0], w[m - 1, 1] - e[:, 1])
+                <= match_tol * (1.0 + np.hypot(e[:, 0], e[:, 1]))
+                * (1.0 + 1e-12))
+    for k in ks[near].tolist():
+        if not window_pair_ok(w, m - 1, m - 1 - k, match_tol):
+            continue
+        if 2 * k > m:
+            return experiments._UNDECIDED
+        a = w[m - k:]
+        b = w[m - 2 * k:m - k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+            lims = match_tol * (1.0 + np.hypot(b[:, 0], b[:, 1]))
+        if np.all(gaps <= lims):
+            return k
+    return experiments._UNDECIDED if span // 2 > m - 1 else None
+
+
+def planted_window(rng, m, period, log_scale, ulps, match_tol):
+    # a noisy period-`period` tail of m points at norms near 10^log_scale
+    # whose last pair for that shift lies at the tolerance, moved by ulps
+    scale = 10.0 ** log_scale
+    base = rng.uniform(-1.0, 1.0, size=(period, 2)) * scale
+    w = np.resize(base, (m, 2))
+    w += rng.normal(size=(m, 2)) * (scale * 1e-9 * rng.uniform(0.0, 3.0))
+    if period < m:
+        e = w[m - 1 - period]
+        lim = match_tol * (1.0 + math.hypot(*e))
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        last = np.array([e[0] + lim * math.cos(t), e[1] + lim * math.sin(t)])
+        for _ in range(abs(ulps)):
+            last = np.nextafter(last, e + (last - e) * (2.0 if ulps > 0
+                                                        else -1.0))
+        w[m - 1] = last
+    return w
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(2, 300), period=st.integers(2, 80),
+       extra=st.sampled_from([0, 0, 1, 7, 150, 400]),
+       log_scale=st.sampled_from([-2, 0, 1, 8, 100, 150]),
+       ulps=st.integers(-2, 2), match_tol=st.sampled_from([1e-8, 1e-3, 0.0]),
+       bad=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       bad_at=st.integers(0, 299), strided=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=120, period=7, extra=0, log_scale=0, ulps=0, match_tol=1e-8,
+         bad=None, bad_at=0, strided=False, seed=4)
+def test_cycle_screen_agrees_with_the_hypot_screen(m, period, extra,
+                                                   log_scale, ulps, match_tol,
+                                                   bad, bad_at, strided, seed):
+    # planted repeats at the tolerance, huge norms, inf and NaN rows,
+    # partial windows (span > m) and strided column views of a lane
+    # history, as _lockstep passes them
+    rng = np.random.default_rng(seed)
+    w = planted_window(rng, m, period, log_scale, ulps, match_tol)
+    if bad is not None:
+        w[bad_at % m, rng.integers(0, 2)] = bad
+    if strided:
+        hist = rng.uniform(-1.0, 1.0, size=(m, 3, 2))
+        hist[:, 1] = w
+        w = hist[:, 1]
+        assert not w.flags.c_contiguous
+    assert experiments._cycle(w, m + extra, match_tol) == cycle_reference(
+        w, m + extra, match_tol)
+
+
+def test_cycle_screen_keeps_repeats_at_the_tolerance():
+    # the last pair one ulp inside or outside the tolerance, at norms from
+    # 1 to 1e150: the max-norm screen keeps every shift the exact test
+    # passes, so _cycle finds what the hypot screen found
+    rng = np.random.default_rng(11)
+    found = {True: 0, False: 0}
+    for log_scale in (0, 50, 150):
+        for ulps in (-1, 0, 1):
+            for period in (2, 3, 17, 58):
+                w = planted_window(rng, 200, period, log_scale, ulps, 1e-8)
+                want = cycle_reference(w, 200)
+                assert experiments._cycle(w, 200, 1e-8) == want
+                found[want == period] += 1
+    assert found[True] >= 10 and found[False] >= 5
 
 
 def test_partial_window_rule_on_planted_periods():
