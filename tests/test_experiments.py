@@ -1485,11 +1485,11 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
         r = 0.7 * math.sqrt(rsq)
         x, y = a + r * u, r * v
         assert (x - a) * (x - a) + y * y < rsq
-    want = gap_branch_steps(consts, x, y, n)
+    wcode, wx, wy, wk, wpushed = gap_branch_steps(consts, x, y, n)
     pushed = []
     code, gx, gy, k = dr._steps(*consts, x, y, n, pushed.append)
-    assert (code, k) == want[0:4:3]
-    assert hexes(gx, gy, *pushed) == hexes(*want[1:3], *want[4])
+    assert (code, k) == (wcode, wk)
+    assert hexes(gx, gy, *pushed) == hexes(wx, wy, *wpushed)
     if where == "tie" and u == v == 0.0 and n:
         assert code == 0 and k == 0 and not pushed
     if where.startswith("ball") and n:
@@ -1499,9 +1499,9 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
     for _ in range(n):
         one = []
         code1, nx, ny, k1 = dr._steps(*consts, px, py, 1, one.append)
-        ref = gap_branch_steps(consts, px, py, 1)
-        assert (code1, k1) == ref[0:4:3]
-        assert hexes(nx, ny, *one) == hexes(*ref[1:3], *ref[4])
+        rcode, rx, ry, rk, rpushed = gap_branch_steps(consts, px, py, 1)
+        assert (code1, k1) == (rcode, rk)
+        assert hexes(nx, ny, *one) == hexes(rx, ry, *rpushed)
         bx, by, clear = dr._lane_branch(*consts[:4], np.array([px]),
                                         np.array([py]))
         if clear[0]:
