@@ -3,8 +3,8 @@
 Library layout:
 
 - ``geometry``: the problem config, region labels, D3, input checks.
-- ``dr``: the DR operators (closed-form, multi-valued, reversed), the
-  float step ``branch_values`` and the step arithmetic and tie test.
+- ``dr``: the DR operators (closed-form, multi-valued, reversed) and the
+  step arithmetic and tie test.
 - ``lyapunov``: local/global Lyapunov functions, certificates, increase balls.
 - ``robust``: sigma-perturbed steps, traces, and the KL decay bound checkers.
 - ``experiments``: trace simulation, cycle detection, rasters, parameter sweeps.
@@ -13,7 +13,6 @@ Library layout:
 """
 from .dr import (
     DrStep,
-    branch_values,
     dr_multivalued,
     dr_reversed,
     dr_two_lines,

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .dr import branch_values
+from .dr import dr_multivalued
 from .experiments import (
     DEFAULT_MATCH_TOL,
     ConvergedTo,
@@ -43,7 +43,7 @@ from .exports import (
     trace_csv,
     write_pgm,
 )
-from .geometry import TIE_TOL, ProblemConfig, checked_start, checked_tolerance
+from .geometry import ProblemConfig, checked_start
 from .lyapunov import Infeasible, certify
 # run_perturbed is not called here; the name stays importable because
 # bench/run.py's traced run wraps it
@@ -75,9 +75,7 @@ def _parse_pairs(text) -> list[tuple[float, float]]:
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
-            pair = _numbers(chunk, "x,y")
-            ProblemConfig(*pair)  # rejects the pair before any run starts
-            pairs.append(pair)
+            pairs.append(_numbers(chunk, "x,y"))
     if not pairs:
         raise ValueError(f"no angle pairs in {text!r}")
     return pairs
@@ -130,11 +128,17 @@ class _Resolver:
 def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
     """The --config file's JSON object, with each of the command's flags
     held to its type: the flag's argparse type applied to str(value), or a
-    JSON boolean for a store_const flag (--deg, --brent)."""
+    JSON boolean for a store_const flag (--deg, --brent).  A key that is
+    not the dest of one of the command's flags (--config aside) raises."""
     with open(path, "r", encoding="utf-8") as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
         raise ValueError(f"{path} must hold a JSON object")
+    keys = sorted({a.dest for a in sp._actions} - {"help", "config"})
+    for key in file_cfg:
+        if key not in keys:
+            raise ValueError(f"config key {key!r} is not a flag of {sp.prog} "
+                             f"(keys: {', '.join(keys)})")
     for action in sp._actions:
         v = file_cfg.get(action.dest)
         if v is None:
@@ -173,12 +177,11 @@ def cmd_iterate(r: _Resolver) -> int:
                          "policy 'tree' does not apply; use first or random")
     x = r.start()
     steps = _at_least("steps", r.get("steps", 100), 0)
-    tol = checked_tolerance("--tol", r.get("tol", TIE_TOL))
     out = r.get("out")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     points = [x]
     for _ in range(steps):
-        outs = branch_values(cfg, *x, tol=tol)
+        outs = dr_multivalued(cfg, x).outputs
         if len(outs) > 1 and isinstance(policy, SeededRandom):
             x = outs[int(rng.integers(0, len(outs)))]
         else:
@@ -323,7 +326,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--x0")
     sp.add_argument("--steps", type=int)
     sp.add_argument("--policy", choices=_POLICY_NAMES)
-    sp.add_argument("--tol", type=float)
     sp.add_argument("--out", help="write step/x/y CSV here")
 
     sp = command("raster", cmd_raster, "basin-of-attraction raster")

@@ -9,10 +9,11 @@ and is two-valued on the equidistance set D3.  The reversed-order
 operator (I + R_A R_B)/2 is R_B T R_B, with R_B(x, y) = (x, -y).
 
 ``_gap`` and ``_branch`` are the operator's arithmetic, written once for
-floats and NumPy lanes alike: the closed form, single steps and the lanes
-run them.  Every scalar trajectory runs ``_steps``, one loop with the same
-expressions written out in the same order, and a test pins the two
-together bit for bit, so the lanes reproduce the scalar iterates.
+floats and NumPy lanes alike: the closed form, ``dr_multivalued`` (the
+one step at a point) and the lanes run them.  Every scalar trajectory
+runs ``_steps``, one loop with the same expressions written out in the
+same order, and a test pins the two together bit for bit, so the lanes
+reproduce the scalar iterates.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .geometry import (
     ProblemConfig,
     Region,
     TIE_TOL,
-    checked_tolerance,
     cos_sin,
 )
 
@@ -104,14 +104,18 @@ def dr_two_lines(p, theta: float, x) -> np.ndarray:
     return np.array([bx, by + p[1]])
 
 
-def _step(cfg: ProblemConfig, x: float, y: float, tol: float
-          ) -> tuple[Region, tuple[tuple[float, float], ...]]:
-    """The region of (x, y), by the sign of the gap with the tie band
-    |gap| <= tol * (1 + |(x, y)|), and its branch values, A1 first."""
+def dr_multivalued(cfg: ProblemConfig, x) -> DrStep:
+    """Apply the operator of A1 ∪ A2 versus the x-axis at x.
+
+    The point is on D3 when its gap lies on the tie band |gap| <= TIE_TOL
+    (1 + |x|); there both branch values are reported, A1 first, and
+    callers that iterate pick one via a branch policy.
+    """
+    x, y = pt = (float(x[0]), float(x[1]))
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
     gap = _gap(c1, s1, c2, s2, x, y)
-    if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
+    if abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y)):
         region = Region.D3
         outs = (_branch(-0.5, c1, s1, x, y), _branch(0.5, c2, s2, x, y))
     elif gap < 0.0:
@@ -119,33 +123,13 @@ def _step(cfg: ProblemConfig, x: float, y: float, tol: float
     else:
         region, outs = Region.D2, (_branch(0.5, c2, s2, x, y),)
     # dr_two_lines adds the anchor's y of 0.0, which turns -0.0 into 0.0
-    return region, tuple((bx, by + 0.0) for bx, by in outs)
+    return DrStep(input=pt, region=region,
+                  outputs=tuple((bx, by + 0.0) for bx, by in outs))
 
 
-def branch_values(cfg: ProblemConfig, x: float, y: float,
-                  tol: float = TIE_TOL) -> tuple[tuple[float, float], ...]:
-    """The operator at the point (x, y) of floats: one branch value off the
-    tie band, both (A1 first) on it.  ``tol`` is not checked."""
-    return _step(cfg, x, y, tol)[1]
-
-
-def dr_multivalued(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> DrStep:
-    """Apply the operator of A1 ∪ A2 versus the x-axis at x.
-
-    On the tie band both branch values are reported, A1 first; callers that
-    iterate pick one via a branch policy.  Raises ValueError for a ``tol``
-    that is not finite and >= 0.
-    """
-    checked_tolerance("tie tolerance", tol)
-    pt = (float(x[0]), float(x[1]))
-    region, outputs = _step(cfg, *pt, tol)
-    return DrStep(input=pt, outputs=outputs, region=region)
-
-
-def dr_reversed(cfg: ProblemConfig, x, tol: float = TIE_TOL) -> DrStep:
+def dr_reversed(cfg: ProblemConfig, x) -> DrStep:
     """The reversed-order operator (x + R_A R_B x) / 2 = R_B T R_B x, branch
-    by branch: ``region`` classifies R_B x.  Raises ValueError as
-    ``dr_multivalued`` does."""
-    step = dr_multivalued(cfg, (x[0], -x[1]), tol)
+    by branch: ``region`` classifies R_B x."""
+    step = dr_multivalued(cfg, (x[0], -x[1]))
     return DrStep(input=(float(x[0]), float(x[1])), region=step.region,
                   outputs=tuple((bx, -by) for bx, by in step.outputs))

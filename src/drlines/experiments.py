@@ -738,13 +738,17 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     leaves at a ball, at the tie screen, or at step n/2 carrying its point
     (n as in ``rasterize``), and the walk resumes it from there.  A pair is
     certified and its starts drawn as the pool takes them in, and let go
-    once all have left it.  Raises ValueError for samples_per_pair below 1
-    or a max_steps that ``simulate`` rejects, before any start runs.
+    once all have left it.  Raises ValueError for samples_per_pair below 1,
+    a max_steps that ``simulate`` rejects or a pair that ``ProblemConfig``
+    rejects, before any start runs.
     """
     if samples_per_pair < 1:
         raise ValueError(
             f"samples_per_pair must be >= 1, got {samples_per_pair}")
     _check_run(max_steps)
+    for t1, t2 in theta_grid:
+        # a bad pair raises here, before any start runs; none is kept
+        ProblemConfig(float(t1), float(t2))
     samples = samples_per_pair
     # pair index -> (certify result, starts, hand-offs by start index); the
     # config is made again only for a pair with hand-offs

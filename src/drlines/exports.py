@@ -2,14 +2,14 @@
 
 Every float is printed with up to 17 significant digits (%.17g), which is
 exactly enough for a bit-identical round trip; infinities print as
-Infinity/-Infinity so the JSON side round-trips too.  All writers go
-through a write-to-temp-then-rename path, so a crashed run never leaves a
-partial output file behind.
+Infinity/-Infinity so the JSON side round-trips too.  CSV fields are such
+numbers, true/false or empty, so none needs quoting: fields are joined
+with "," and rows end in CRLF.  All writers go through a
+write-to-temp-then-rename path, so a crashed run never leaves a partial
+output file behind.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
@@ -73,20 +73,12 @@ def write_pgm(grid: RasterGrid, path: str) -> None:
     atomic_write_bytes(path, pgm_bytes(grid))
 
 
-def _csv_table(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
 def raster_csv(grid: RasterGrid) -> str:
     """One row per cell (row-major from the top): x, y, verdict, steps, target."""
     nx, ny = grid.resolution
     xmin, xmax, ymin, ymax = grid.bounds
     # every cell of a column shares its x and every cell of a row its y, so
-    # each is formatted once; fields never need csv quoting
+    # each is formatted once
     xs = [format_float(xmin + (i + 0.5) * (xmax - xmin) / nx)
           for i in range(nx)]
     heads = [f"{name}," for name in _VERDICT_NAMES]
@@ -101,20 +93,20 @@ def raster_csv(grid: RasterGrid) -> str:
 
 
 def sweep_csv(sg: SweepGrid) -> str:
-    rows = [[format_float(p.theta1), format_float(p.theta2),
-             format_float(p.eq26_margin),
-             "true" if p.nonconvergent_found else "false", p.worst_seed]
-            for p in sg.pairs]
-    return _csv_table(
-        ["theta1", "theta2", "eq26_margin", "nonconvergent_found",
-         "worst_seed"], rows)
+    out = ["theta1,theta2,eq26_margin,nonconvergent_found,worst_seed\r\n"]
+    out.extend(f"{format_float(p.theta1)},{format_float(p.theta2)},"
+               f"{format_float(p.eq26_margin)},"
+               f"{'true' if p.nonconvergent_found else 'false'},"
+               f"{p.worst_seed}\r\n" for p in sg.pairs)
+    return "".join(out)
 
 
 def trace_csv(points) -> str:
     """Bare step/x/y table for a sequence of iterates."""
-    rows = [[n, format_float(x), format_float(y)]
-            for n, (x, y) in enumerate(points)]
-    return _csv_table(["step", "x", "y"], rows)
+    out = ["step,x,y\r\n"]
+    out.extend(f"{n},{format_float(x)},{format_float(y)}\r\n"
+               for n, (x, y) in enumerate(points))
+    return "".join(out)
 
 
 def perturbed_trace_csv(spec: PerturbationSpec, cfg: ProblemConfig,
@@ -127,7 +119,7 @@ def perturbed_trace_csv(spec: PerturbationSpec, cfg: ProblemConfig,
     x0 = trace.points[0]
     w2 = max(math.hypot(x0[0] - cfg.p1[0], x0[1] - cfg.p1[1]),
              math.hypot(x0[0] - cfg.p2[0], x0[1] - cfg.p2[1]))
-    rows = []
+    out = ["step,x,y,pre_offset_norm,post_offset_norm,V,bound\r\n"]
     for n, (x, y) in enumerate(trace.points):
         if n < len(trace.disturbances):
             pre, post = trace.disturbances[n]
@@ -135,11 +127,10 @@ def perturbed_trace_csv(spec: PerturbationSpec, cfg: ProblemConfig,
             post_s = format_float(math.hypot(*post))
         else:
             pre_s = post_s = ""
-        rows.append([n, format_float(x), format_float(y), pre_s, post_s,
-                     format_float(v_global(spec, cfg, (x, y))),
-                     format_float(kl_beta(spec, w2, float(n)))])
-    return _csv_table(["step", "x", "y", "pre_offset_norm",
-                       "post_offset_norm", "V", "bound"], rows)
+        out.append(f"{n},{format_float(x)},{format_float(y)},{pre_s},"
+                   f"{post_s},{format_float(v_global(spec, cfg, (x, y)))},"
+                   f"{format_float(kl_beta(spec, w2, float(n)))}\r\n")
+    return "".join(out)
 
 
 def _json_value(v) -> str:

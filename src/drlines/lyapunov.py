@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dr import _gap, branch_values, dr_two_lines
+from .dr import _gap, dr_multivalued, dr_two_lines
 from .geometry import ProblemConfig, cos_sin
 
 # V_1 below this is treated as exactly zero to keep powers out of subnormals
@@ -207,17 +207,16 @@ def certify(cfg: ProblemConfig) -> LyapunovCertificate | Infeasible:
                                margin, False)
 
 
-def decrease_check(cert: LyapunovCertificate, cfg: ProblemConfig, x,
-                   tol: float = 1e-9) -> bool:
+def decrease_check(cert: LyapunovCertificate, cfg: ProblemConfig, x) -> bool:
     """True iff V decays by gamma at x along every branch of the operator.
 
-    The comparison runs in log space: V(y) <= gamma * V(x) * (1 + tol) for
+    The comparison runs in log space: V(y) <= gamma * V(x) * (1 + 1e-9) for
     every branch value y.
     """
     lvx = _log_v(cert.alpha, v_local(cfg, 1, x), v_local(cfg, 2, x))
-    bound = lvx + math.log(cert.gamma) + math.log1p(tol)
+    bound = lvx + math.log(cert.gamma) + math.log1p(1e-9)
     return all(_log_v(cert.alpha, v_local(cfg, 1, y), v_local(cfg, 2, y))
-               <= bound for y in branch_values(cfg, float(x[0]), float(x[1])))
+               <= bound for y in dr_multivalued(cfg, x).outputs)
 
 
 def increase_ball(cfg: ProblemConfig, index: int, rho: float) -> IncreaseBall:

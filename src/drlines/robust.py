@@ -19,9 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# perturbed_step no longer calls dr_multivalued; the name stays importable
-# here because bench/run.py's traced run counts calls through it
-from .dr import _lane_branch, branch_values, dr_multivalued  # noqa: F401
+from .dr import _lane_branch, dr_multivalued
 from .geometry import ProblemConfig, checked_start, cos_sin
 from .lyapunov import _V_ZERO, _log_v, _v_many, v_global, v_local
 
@@ -224,7 +222,7 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
                 u: np.ndarray, adversarial: bool):
     """One step of each lane (column of x) with its draws (row of u, the
     pre-ball's first): (points, pre, post), each (2, L).  Lanes not clear
-    of dr._lane_branch's tie screen step through branch_values; on the
+    of dr._lane_branch's tie screen step through dr_multivalued; on the
     band random lanes take A1, adversarial lanes the larger V (A1 on equal
     V)."""
     def offsets(x, u):
@@ -240,7 +238,7 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
     bx, by, clear = _lane_branch(c1, s1, c2, s2, x[0], x[1])
     y = np.array((bx, by + 0.0))
     for i in (~clear).nonzero()[0].tolist():
-        outs = branch_values(cfg, *x[:, i].tolist())
+        outs = dr_multivalued(cfg, x[:, i].tolist()).outputs
         y[:, i] = outs[0]
         if adversarial and len(outs) > 1:
             y[:, i] = max(outs, key=lambda q: v_global(spec, cfg, q))

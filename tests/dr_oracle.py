@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from drlines.dr import DrStep
-from drlines.geometry import TIE_TOL, Region, bisector_data, cos_sin
+from drlines.geometry import Region, bisector_data, cos_sin
 from geometry_oracle import classify_region
 
 
@@ -22,9 +22,9 @@ def dr_two_lines_reference(p, theta, x):
                      p[1] + c * (-s * dx + c * dy)])
 
 
-def dr_multivalued_reference(cfg, x, tol=TIE_TOL):
+def dr_multivalued_reference(cfg, x):
     x = np.asarray(x, dtype=float)
-    region = classify_region(cfg, x, tol)
+    region = classify_region(cfg, x)
 
     def branch(p, theta):
         out = dr_two_lines_reference(p, theta, x)
@@ -40,7 +40,7 @@ def dr_multivalued_reference(cfg, x, tol=TIE_TOL):
                   region=region)
 
 
-def iterate_reference(cfg, x0, steps, random_policy, seed, tol=TIE_TOL):
+def iterate_reference(cfg, x0, steps, random_policy, seed):
     """The points ``drlines iterate`` prints: one branch per step, the
     first or, with the random policy, a draw from the [seed] stream at
     each tie."""
@@ -48,7 +48,7 @@ def iterate_reference(cfg, x0, steps, random_policy, seed, tol=TIE_TOL):
     x = x0
     points = [x]
     for _ in range(steps):
-        outs = dr_multivalued_reference(cfg, x, tol=tol).outputs
+        outs = dr_multivalued_reference(cfg, x).outputs
         if len(outs) > 1 and random_policy:
             x = outs[int(rng.integers(0, len(outs)))]
         else:

@@ -72,12 +72,12 @@ def dr_two_lines_compose(line_a, line_b, x):
     return 0.5 * (x + reflect(line_b, reflect(line_a, x)))
 
 
-def dr_reversed_reference(cfg, x, tol=TIE_TOL):
+def dr_reversed_reference(cfg, x):
     """(x + R_A R_B x) / 2, the A-branch picked by the region of R_B x."""
     x = np.asarray(x, dtype=float)
     a1, a2, b = lines(cfg)
     y = reflect(b, x)
-    region = classify_region(cfg, y, tol)
+    region = classify_region(cfg, y)
     picked = {Region.D1: (a1,), Region.D2: (a2,), Region.D3: (a1, a2)}
     outputs = tuple(tuple(0.5 * (x + reflect(a, y))) for a in picked[region])
     return DrStep(input=(float(x[0]), float(x[1])), region=region,

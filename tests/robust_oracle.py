@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from drlines.dr import branch_values
+from drlines.dr import dr_multivalued
 from drlines.lyapunov import v_global
 from drlines.robust import PerturbedTrace, kl_beta
 
@@ -51,7 +51,7 @@ def perturbed_step_reference(spec, cfg, x, rng, mode="random", k_boundary=64):
         return offset_in_ball_reference(rng, s)
 
     pre = offset(x)
-    outputs = branch_values(cfg, float(x[0] + pre[0]), float(x[1] + pre[1]))
+    outputs = dr_multivalued(cfg, (x[0] + pre[0], x[1] + pre[1])).outputs
     y = outputs[0]
     if adversarial and len(outputs) > 1:
         y = max(outputs, key=lambda q: v_global(spec, cfg, q))

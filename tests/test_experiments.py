@@ -310,6 +310,20 @@ def test_sweep_validation():
         sweep([(0.9, 0.3)])
 
 
+def test_sweep_rejects_a_bad_pair_before_any_start(monkeypatch):
+    # the bad pair is the last: no pair is certified and no pool starts
+    calls = []
+    pool = experiments._pool
+    monkeypatch.setattr(experiments, "certify",
+                        lambda cfg: calls.append("certify") or certify(cfg))
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: calls.append("_pool") or pool(*args))
+    with pytest.raises(ValueError, match="theta1 = 2.0 violates"):
+        sweep([*make_theta_grid(4, 4), (2.0, 1.0)], samples_per_pair=3,
+              max_steps=500)
+    assert calls == []
+
+
 def test_make_theta_grid_is_admissible():
     grid = make_theta_grid(10, 7)
     assert len(grid) == 70
@@ -1120,8 +1134,6 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
             simulate(PERIOD2_CFG, x0, match_tol=bad)
         with pytest.raises(ValueError, match="match_tol"):
             find_period_brent(PERIOD2_CFG, x0, match_tol=bad)
-        with pytest.raises(ValueError, match="tie tolerance"):
-            dr_multivalued(PERIOD2_CFG, x0, tol=bad)
     assert pools == []
     # NumPy's integers are integers
     assert simulate(PERIOD2_CFG, x0, EnumerateTree(np.int64(2)),

@@ -108,11 +108,20 @@ def test_raster_csv_matches_the_per_cell_writer(bounds, resolution):
                 raster_csv_reference(grid).encode()
 
 
+def csv_writer_text(text):
+    # what csv.writer writes for the rows csv.reader reads back from text:
+    # the table writers' bytes when they went through csv.writer
+    buf = io.StringIO()
+    csv.writer(buf).writerows(csv.reader(io.StringIO(text)))
+    return buf.getvalue()
+
+
 def test_sweep_csv_round_trip():
     sg = sweep([(0.748491, 0.772301), (math.pi / 3, 2 * math.pi / 5)],
                samples_per_pair=5, max_steps=3000, seed=2)
     text = sweep_csv(sg)
     assert text.endswith("\r\n")
+    assert text == csv_writer_text(text)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["theta1", "theta2", "eq26_margin",
                        "nonconvergent_found", "worst_seed"]
@@ -126,7 +135,10 @@ def test_sweep_csv_round_trip():
 
 def test_trace_csv_round_trip():
     pts = [(0.1, -0.2), (1.0 / 3.0, 2.0 / 7.0), (-5e-200, 1e300)]
-    rows = list(csv.reader(io.StringIO(trace_csv(pts))))
+    text = trace_csv(pts + [(math.nan, -math.inf)])
+    assert text.endswith("3,NaN,-Infinity\r\n")
+    assert text == csv_writer_text(text)
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["step", "x", "y"]
     for n, (x, y) in enumerate(pts):
         assert int(rows[1 + n][0]) == n
@@ -137,8 +149,9 @@ def test_trace_csv_round_trip():
 def test_perturbed_trace_csv_columns():
     spec = PerturbationSpec.from_certificate(FIG_CERT, 0.05)
     trace = run_perturbed(spec, FIG_CFG, (2.0, -1.0), 30, seed=11)
-    rows = list(csv.reader(io.StringIO(perturbed_trace_csv(spec, FIG_CFG,
-                                                           trace))))
+    text = perturbed_trace_csv(spec, FIG_CFG, trace)
+    assert text == csv_writer_text(text)
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["step", "x", "y", "pre_offset_norm",
                        "post_offset_norm", "V", "bound"]
     assert len(rows) == 1 + 31

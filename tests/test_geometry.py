@@ -185,11 +185,12 @@ def test_distance_equals_projection_residual():
         assert abs(distance_to_line(line, x) - want) < 1e-12
 
 
-def region(cfg, x, tol=1e-9):
+def region(cfg, x):
     # the library's classification, by the sign and size of dr._gap, and
-    # the definition's, by the two line distances; they must agree
-    got = dr_multivalued(cfg, x, tol).region
-    assert got is classify_region(cfg, x, tol)
+    # the definition's, by the two line distances, at TIE_TOL; they must
+    # agree
+    got = dr_multivalued(cfg, x).region
+    assert got is classify_region(cfg, x)
     return got
 
 
@@ -212,7 +213,7 @@ def test_region_partition_away_from_D3():
         if distance_to_D3(cfg, x) <= 10 * tol:
             continue
         n_checked += 1
-        label = region(cfg, x, tol)
+        label = region(cfg, x)
         d1, d2 = (distance_to_line(a, x) for a in lines(cfg)[:2])
         assert label is (Region.D1 if d1 < d2 else Region.D2)
 
@@ -274,4 +275,4 @@ def test_distance_to_D3_zero_on_classified_ties():
     pts = d3_samples(FIG_CFG, (-4.0, 6.0, -2.0, 8.0), 200)
     for p in pts[::25]:
         assert distance_to_D3(FIG_CFG, p) < 1e-8
-        assert region(FIG_CFG, p, tol=1e-7) is Region.D3
+        assert region(FIG_CFG, p) is Region.D3

@@ -1,4 +1,5 @@
 """Lyapunov functions, certificates, increase balls, containment margins."""
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from drlines.lyapunov import (
     verify_ball_bruteforce,
     verify_containment,
 )
+from dr_oracle import step_points
 from geometry_oracle import classify_region
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
@@ -209,6 +211,27 @@ def test_decrease_check_rejects_inflated_gamma_claim():
     rng = np.random.default_rng(137)
     assert not all(decrease_check(bogus, FIG_CFG, rng.uniform(-5, 5, size=2))
                    for _ in range(200))
+
+
+def test_decrease_check_holds_every_tie_branch_to_the_rate():
+    # on D3 a rate between the two branches' V ratios fails, whichever
+    # branch decays less; a rate just above both passes.  The points are
+    # drlines iterate's tie start and the D3 points of step_points
+    larger = set()
+    for x in [(0.023397710243848114, 0.0), *step_points(FIG_CFG)]:
+        outs = dr_multivalued(FIG_CFG, x).outputs
+        if len(outs) < 2:
+            continue
+        v = v_global(FIG_CERT, FIG_CFG, x)
+        r1, r2 = (v_global(FIG_CERT, FIG_CFG, y) / v for y in outs)
+        if abs(r1 - r2) <= 1e-6 * max(r1, r2):
+            continue  # D3's centre, where both branches decay alike
+        larger.add(1 if r1 > r2 else 2)
+        for gamma, want in ((math.sqrt(r1 * r2), False),
+                            (max(r1, r2) * (1.0 + 1e-6), True)):
+            cert = dataclasses.replace(FIG_CERT, gamma=gamma)
+            assert decrease_check(cert, FIG_CFG, x) is want, (x, gamma)
+    assert larger == {1, 2}
 
 
 def test_increase_ball_formulas():

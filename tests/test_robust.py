@@ -9,7 +9,7 @@ from dr_oracle import dr_multivalued_reference, step_points
 from robust_oracle import (check_kl_bound_reference, perturbed_step_reference,
                            run_perturbed_reference, worst_offset_reference)
 from drlines import robust
-from drlines.dr import branch_values, dr_multivalued
+from drlines.dr import dr_multivalued
 from drlines.geometry import ProblemConfig
 from drlines.lyapunov import certify, v_global
 from drlines.robust import (
@@ -306,18 +306,6 @@ def test_lemma_sigma_matches_scalar_loop(monkeypatch, inflate):
         check_lemma_sigma(SPEC, FIG_CFG, (1.0, 1.0), n_samples=-1)
 
 
-@pytest.mark.parametrize("cfg", [FIG_CFG, VERT_CFG, ProblemConfig(0.3, 2.9)],
-                         ids=["figure", "vertical", "obtuse"])
-def test_branch_values_match_dr_multivalued(cfg):
-    ties = 0
-    for x, y in step_points(cfg):
-        got = branch_values(cfg, x, y)
-        want = dr_multivalued_reference(cfg, (x, y)).outputs
-        assert repr(got) == repr(want), (x, y)
-        ties += len(got) == 2
-    assert ties >= 8
-
-
 @pytest.mark.parametrize("mode", ["random", "adversarial"])
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_perturbed_step_uses_dr_multivalued_outputs(mode, eps):
@@ -586,12 +574,40 @@ def test_run_perturbed_many_short_runs_match_per_step_oracle(monkeypatch,
     first = run_perturbed_many(NOMINAL, FIG_CFG, STARTS[:3], 1, 0, [0, 1, 2],
                                mode).points[:, 1].tolist()
     for x0, got in zip(STARTS, first):
-        outs = branch_values(FIG_CFG, *x0)
+        outs = dr_multivalued(FIG_CFG, x0).outputs
         want = outs[0]
         if mode == "adversarial":
             want = max(outs, key=lambda q: v_global(NOMINAL, FIG_CFG, q))
         assert repr(tuple(got)) == repr(want)
-    assert [len(branch_values(FIG_CFG, *x)) for x in STARTS[:3]] == [2, 2, 1]
+    assert [len(dr_multivalued(FIG_CFG, x).outputs)
+            for x in STARTS[:3]] == [2, 2, 1]
+
+
+@pytest.mark.parametrize("mode", ["random", "adversarial"])
+def test_tie_lanes_step_through_dr_multivalued(monkeypatch, mode):
+    # the lanes not clear of the tie screen, STARTS[:3] and a D3 point
+    # whose A2 branch has the larger V, with no offsets, take one
+    # dr_multivalued step each; on D3 random lanes keep A1 and adversarial
+    # lanes the larger V
+    starts = [*STARTS, step_points(FIG_CFG)[3]]
+    seen = []
+
+    def counting(cfg, x):
+        seen.append(tuple(x))
+        return dr_multivalued(cfg, x)
+
+    monkeypatch.setattr(robust, "dr_multivalued", counting)
+    first = run_perturbed_many(NOMINAL, FIG_CFG, starts, 1, 0,
+                               range(len(starts)), mode).points[:, 1]
+    assert seen == [*STARTS[:3], starts[-1]]
+    picked = []
+    for x0, got in zip(starts, first.tolist()):
+        outs = dr_multivalued(FIG_CFG, x0).outputs
+        if len(outs) == 2:
+            v1, v2 = (v_global(NOMINAL, FIG_CFG, q) for q in outs)
+            picked.append(2 if mode == "adversarial" and v2 > v1 else 1)
+            assert repr(tuple(got)) == repr(outs[picked[-1] - 1])
+    assert picked == ([1, 1, 2] if mode == "adversarial" else [1, 1, 1])
 
 
 @pytest.mark.parametrize("mode", ["random", "adversarial"])
