@@ -12,8 +12,11 @@ operator (I + R_A R_B)/2 is R_B T R_B, with R_B(x, y) = (x, -y).
 floats and NumPy lanes alike: the closed form, ``dr_multivalued`` (the
 one step at a point) and the lanes run them.  Every scalar trajectory
 runs ``_steps``, one loop with the same expressions written out in the
-same order, and a test pins the two together bit for bit, so the lanes
-reproduce the scalar iterates.
+same order, but with no call on a step clear of the tie band: a distance
+term is negated where abs would flip it, and a screen on squares sends
+only points near the band to the band test with its hypot.  A test pins
+the loop to ``_gap`` and ``_branch`` bit for bit, so the lanes reproduce
+the scalar iterates.
 """
 from __future__ import annotations
 
@@ -55,29 +58,62 @@ def _branch(a, c, s, x, y):
     return a + c * (c * dx + s * y), c * (-s * dx + c * y)
 
 
-def _steps(c1, s1, c2, s2, r1sq, r2sq, x, y, n, push):
+# _steps' screen: a gap with gap^2 > _SCREEN (1 + q1 + q2) is off the tie band
+_SCREEN = 2.0 * TIE_TOL ** 2 * (1.0 + 1e-6)
+
+
+def _steps(c1, s1, c2, s2, r1sq, r2sq, x, y, n, buf):
     """Up to n steps from the float point (x, y) through the branch each
-    gap picks, with push(x) and push(y) on every new point: (code, x, y, k)
-    after k steps, code 0 at a point on the tie band |gap| <= TIE_TOL (1 +
-    |(x, y)|), not stepped, 1 or 2 once a step enters the open ball of
-    squared radius r1sq about (-0.5, 0) or r2sq about (0.5, 0), else -1."""
-    hypot, band = math.hypot, TIE_TOL
+    gap picks, with every new point's x and y appended to the array('d')
+    ``buf`` (once, on return): (code, x, y, k) after k steps, code 0 at a
+    point on the tie band |gap| <= TIE_TOL (1 + |(x, y)|), not stepped, 1
+    or 2 once a step enters the open ball of squared radius r1sq about
+    (-0.5, 0) or r2sq about (0.5, 0), else -1.
+
+    A step clear of the band makes no call.  Each distance term is
+    negated when negative, which differs from abs only in the sign of a
+    zero, and a gap of +-0 lies on the band either way.  The band test
+    runs only where gap^2 > _SCREEN (1 + q1 + q2) fails, with q1 and q2
+    the squared distances to (-0.5, 0) and (0.5, 0) that the ball test
+    takes: |(x, y)|^2 <= max(q1, q2) <= q1 + q2 and (1 + h)^2 <= 2 (1 +
+    h^2), so a gap that passes the screen has gap^2 > (TIE_TOL (1 +
+    |(x, y)|))^2, the factor 1 + 1e-6 covering the rounding of both
+    sides.  An underflowed gap^2, an overflowed right side and a NaN
+    fail the screen and meet the band test itself."""
+    hypot, band, kk = math.hypot, TIE_TOL, _SCREEN
+    pts = []
     dx1, dx2 = x + 0.5, x - 0.5
+    yy = y * y
+    q1, q2 = dx1 * dx1 + yy, dx2 * dx2 + yy
     for k in range(n):
-        gap = abs(s1 * dx1 - c1 * y) - abs(s2 * dx2 - c2 * y)
-        if abs(gap) <= band * (1.0 + hypot(x, y)):
-            return 0, x, y, k
+        g1 = s1 * dx1 - c1 * y
+        if g1 < 0.0:
+            g1 = -g1
+        g2 = s2 * dx2 - c2 * y
+        if g2 < 0.0:
+            g2 = -g2
+        gap = g1 - g2
+        if not gap * gap > kk * (1.0 + q1 + q2):
+            t = band * (1.0 + hypot(x, y))
+            if -t <= gap <= t:
+                buf.fromlist(pts)
+                return 0, x, y, k
         if gap < 0.0:
             x, y = -0.5 + c1 * (c1 * dx1 + s1 * y), c1 * (-s1 * dx1 + c1 * y)
         else:
             x, y = 0.5 + c2 * (c2 * dx2 + s2 * y), c2 * (-s2 * dx2 + c2 * y)
-        push(x)
-        push(y)
+        pts.append(x)
+        pts.append(y)
         dx1, dx2 = x + 0.5, x - 0.5
-        if dx1 * dx1 + y * y < r1sq:
+        yy = y * y
+        q1, q2 = dx1 * dx1 + yy, dx2 * dx2 + yy
+        if q1 < r1sq:
+            buf.fromlist(pts)
             return 1, x, y, k + 1
-        if dx2 * dx2 + y * y < r2sq:
+        if q2 < r2sq:
+            buf.fromlist(pts)
             return 2, x, y, k + 1
+    buf.fromlist(pts)
     return -1, x, y, n
 
 

@@ -369,7 +369,7 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
                 return (None if period == _UNDECIDED else Budget()
                         if period is None else Cycle(period), x, y, steps)
         stop = min(max_steps, (steps // CHECK_EVERY + 1) * CHECK_EVERY)
-        code, x, y, k = _steps(*consts, x, y, stop - steps, win.append)
+        code, x, y, k = _steps(*consts, x, y, stop - steps, win)
         if pts is not None and k:
             tail = win[len(win) - 2 * k:]
             pts.extend(zip(tail[::2], tail[1::2]))
@@ -400,9 +400,10 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     consts = (*_constants(cfg)[:4], 0.0, 0.0)
 
     def run(x: float, y: float, n: int, buf: array) -> tuple[float, float]:
-        # n first-branch steps, each point appended to buf
+        # n first-branch steps, each point appended to buf, at most
+        # CHECK_EVERY a call, as _steps holds a call's points in a list
         while n:
-            code, x, y, k = _steps(*consts, x, y, n, buf.append)
+            code, x, y, k = _steps(*consts, x, y, min(n, CHECK_EVERY), buf)
             if code == 0:
                 x, y = _branch(-0.5, *consts[:2], x, y)
                 buf.extend((x, y))
@@ -452,10 +453,10 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     return lam
 
 
-def _lanes(cfg: ProblemConfig, x, y) -> np.ndarray:
-    """Lane array: rows x, y and the config's constants."""
+def _lanes(consts: Sequence[float], x, y) -> np.ndarray:
+    """Lane array: rows x, y and a config's ``_constants``."""
     out = np.empty((8, len(x)))
-    out[0], out[1], out[2:] = x, y, np.array(_constants(cfg))[:, None]
+    out[0], out[1], out[2:] = x, y, np.array(consts)[:, None]
     return out
 
 
@@ -648,8 +649,9 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     n = nx * ny
     codes = np.empty(n, dtype=np.uint8)
     steps = np.empty(n, dtype=np.int32)
+    consts = _constants(cfg)
     # cell centres are made _LANE_BLOCK at a time, as the pool takes them in
-    chunks = (_lanes(cfg, *_cell_centres(
+    chunks = (_lanes(consts, *_cell_centres(
         bounds, resolution, np.arange(lo, min(lo + _LANE_BLOCK, n))))
               for lo in range(0, n, _LANE_BLOCK))
     saved = []
@@ -665,7 +667,7 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     for part in np.array_split(np.arange(len(cell)),
                                max(1, -(-len(cell) // per_set))):
         codes[cell[part]], steps[cell[part]] = _lockstep(
-            _lanes(cfg, xs[part], ys[part]), max_steps,
+            _lanes(consts, xs[part], ys[part]), max_steps,
             start=_checkpoint(max_steps))
     for h in np.flatnonzero(codes >= _TIE_HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
@@ -698,19 +700,20 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
     return max(max_steps, int(math.ceil(need)) + 64)
 
 
-def _pair_outcome(res, starts: np.ndarray, handoffs: dict, k: int,
-                  max_steps: int, seed: int) -> PairOutcome:
-    """Pair k's outcome from its ``certify`` result: its hand-offs (start
-    index -> point at step _checkpoint(max_steps), None at the tie screen)
-    in order up to the first nonconvergent one, resumed in the walk, else
-    re-run by ``simulate``."""
+def _pair_outcome(cfg: ProblemConfig, consts: Sequence[float], res,
+                  starts: np.ndarray, handoffs: dict, k: int, max_steps: int,
+                  seed: int) -> PairOutcome:
+    """Pair k's outcome from its config, its ``_constants`` and its
+    ``certify`` result: its hand-offs (start index -> point at step
+    _checkpoint(max_steps), None at the tie screen) in order up to the
+    first nonconvergent one, resumed in the walk, else re-run by
+    ``simulate``."""
     certified = isinstance(res, LyapunovCertificate)
     worst = -1
-    cfg = ProblemConfig(res.theta1, res.theta2) if handoffs else None
     for s_idx, mark in sorted(handoffs.items()):
         budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                   if certified else max_steps)
-        v = mark and _walk(_constants(cfg), *mark, _checkpoint(max_steps),
+        v = mark and _walk(consts, *mark, _checkpoint(max_steps),
                            array("d", mark), None, budget)[0]
         if v is None:
             v = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
@@ -736,9 +739,10 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     nonconvergent verdict there is a genuine counterexample, not a budget
     artifact.  The starts run through one lane pool in pair order; a start
     leaves at a ball, at the tie screen, or at step n/2 carrying its point
-    (n as in ``rasterize``), and the walk resumes it from there.  A pair is
-    certified and its starts drawn as the pool takes them in, and let go
-    once all have left it.  Raises ValueError for samples_per_pair below 1,
+    (n as in ``rasterize``), and the walk resumes it from there.  A pair's
+    config and step constants are built, and it is certified and its
+    starts drawn, as the pool takes them in; all are let go once its
+    starts have left it.  Raises ValueError for samples_per_pair below 1,
     a max_steps that ``simulate`` rejects or a pair that ``ProblemConfig``
     rejects, before any start runs.
     """
@@ -750,17 +754,18 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
         # a bad pair raises here, before any start runs; none is kept
         ProblemConfig(float(t1), float(t2))
     samples = samples_per_pair
-    # pair index -> (certify result, starts, hand-offs by start index); the
-    # config is made again only for a pair with hand-offs
+    # pair index -> (config, constants, certify result, starts, hand-offs
+    # by start index), held while the pair's starts are in the pool
     pending: dict[int, tuple] = {}
 
     def pairs():
         for k, (t1, t2) in enumerate(theta_grid):
             cfg = ProblemConfig(float(t1), float(t2))
+            consts = _constants(cfg)
             starts = np.random.default_rng(np.random.SeedSequence(
                 [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
-            pending[k] = (certify(cfg), starts, {})
-            yield _lanes(cfg, starts[:, 0], starts[:, 1])
+            pending[k] = (cfg, consts, certify(cfg), starts, {})
+            yield _lanes(consts, starts[:, 0], starts[:, 1])
 
     outcomes = [None] * len(theta_grid)
     finished = np.zeros(len(theta_grid), dtype=np.int64)
@@ -768,7 +773,7 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
         marks = dict(zip(ids[codes == _HANDOFF].tolist(), marks.tolist()))
         k = ids // samples
         for h in ids[codes >= _TIE_HANDOFF].tolist():
-            pending[h // samples][2][h % samples] = marks.get(h)
+            pending[h // samples][4][h % samples] = marks.get(h)
         np.add.at(finished, k, 1)
         # a set, as np.unique would import numpy.ma (0.5 MB)
         for done in set(k[finished[k] == samples].tolist()):

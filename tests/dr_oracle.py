@@ -2,13 +2,16 @@
 ``dr._branch``: the region from ``geometry_oracle.classify_region``
 (distances to the lines) and each branch from the closed form written
 out.  Tests compare the library's operator, its float step and the
-``iterate`` command against these, bit for bit."""
+``iterate`` command against these, bit for bit.  ``gap_branch_steps`` is
+the step loop ``dr._steps`` unrolls, written with ``dr._gap``,
+``dr._branch`` and the band test on every step."""
 import math
 
 import numpy as np
 
+from drlines import dr
 from drlines.dr import DrStep
-from drlines.geometry import Region, bisector_data, cos_sin
+from drlines.geometry import TIE_TOL, Region, bisector_data, cos_sin
 from geometry_oracle import classify_region
 
 
@@ -71,3 +74,35 @@ def step_points(cfg):
             c, s = cos_sin(th)
             pts.append((p[0] + t * c, p[1] + t * s))
     return pts
+
+
+def on_tie_band(x, y, gap):
+    """The band test: |gap| <= TIE_TOL (1 + |(x, y)|)."""
+    return abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y))
+
+
+def band_screen(x, y, gap):
+    """Whether ``dr._steps``' screen clears gap at (x, y) of the band test,
+    in the loop's own expressions."""
+    dx1, dx2 = x + 0.5, x - 0.5
+    yy = y * y
+    q1, q2 = dx1 * dx1 + yy, dx2 * dx2 + yy
+    return gap * gap > dr._SCREEN * (1.0 + q1 + q2)
+
+
+def gap_branch_steps(consts, x, y, n):
+    """n steps through dr._gap and dr._branch, with _steps' tie and ball
+    tests: (code, x, y, k, pushed coordinates)."""
+    c1, s1, c2, s2, r1sq, r2sq = consts
+    pushed = []
+    for k in range(n):
+        gap = dr._gap(c1, s1, c2, s2, x, y)
+        if on_tie_band(x, y, gap):
+            return 0, x, y, k, pushed
+        x, y = (dr._branch(-0.5, c1, s1, x, y) if gap < 0.0
+                else dr._branch(0.5, c2, s2, x, y))
+        pushed += [x, y]
+        for code, a, rsq in ((1, -0.5, r1sq), (2, 0.5, r2sq)):
+            if (x - a) * (x - a) + y * y < rsq:
+                return code, x, y, k + 1, pushed
+    return -1, x, y, n, pushed

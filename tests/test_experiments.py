@@ -41,6 +41,7 @@ from drlines.experiments import (
     simulate_tree,
     sweep,
 )
+from dr_oracle import band_screen, gap_branch_steps, on_tie_band
 from geometry_oracle import classify_region
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
@@ -661,7 +662,8 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
               for j in range(xs.shape[1])]
     seen.clear()
     codes, steps = experiments._lockstep(
-        experiments._lanes(PERIOD58_CFG, xs[0], xs[1]), 1300)
+        experiments._lanes(experiments._constants(PERIOD58_CFG), xs[0], xs[1]),
+        1300)
     assert list(zip(codes.tolist(), steps.tolist())) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
     want = [last_points(t.points, s, window) for s in (512, 1024, 1300)
@@ -1254,7 +1256,8 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
               for p in zip(xs, ys)]
     entered = spy_walk(monkeypatch)
     codes, steps = experiments._lockstep(
-        experiments._lanes(PERIOD1410_CFG, np.array(xs), np.array(ys)),
+        experiments._lanes(experiments._constants(PERIOD1410_CFG),
+                           np.array(xs), np.array(ys)),
         60000)
     assert list(zip(codes.tolist(), steps.tolist())) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
@@ -1441,47 +1444,70 @@ def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
     _, _, clear = experiments._lane_step(
-        experiments._lanes(cfg, np.array([x]), np.array([y])))
+        experiments._lanes(experiments._constants(cfg), np.array([x]),
+                           np.array([y])))
     band = TIE_TOL * (1.0 + math.hypot(x, y))
     if abs(dr._gap(c1, s1, c2, s2, x, y)) <= band:
         assert not clear[0]
-
-
-def gap_branch_steps(consts, x, y, n):
-    # n steps through dr._gap and dr._branch, with _steps' tie and ball
-    # tests: (code, x, y, k, pushed coordinates)
-    c1, s1, c2, s2, r1sq, r2sq = consts
-    pushed = []
-    for k in range(n):
-        gap = dr._gap(c1, s1, c2, s2, x, y)
-        if abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y)):
-            return 0, x, y, k, pushed
-        x, y = (dr._branch(-0.5, c1, s1, x, y) if gap < 0.0
-                else dr._branch(0.5, c2, s2, x, y))
-        pushed += [x, y]
-        for code, a, rsq in ((1, -0.5, r1sq), (2, 0.5, r2sq)):
-            if (x - a) * (x - a) + y * y < rsq:
-                return code, x, y, k + 1, pushed
-    return -1, x, y, n, pushed
 
 
 def hexes(*values):
     return [float(v).hex() for v in values]
 
 
+def band_edge(cfg, base, normal):
+    # adjacent points base + s * normal, the first on the tie band and the
+    # second off it, from base on D3 outward
+    c1, s1 = cos_sin(cfg.theta1)
+    c2, s2 = cos_sin(cfg.theta2)
+
+    def at(s):
+        x, y = base[0] + s * normal[0], base[1] + s * normal[1]
+        return (x, y), on_tie_band(x, y, dr._gap(c1, s1, c2, s2, x, y))
+
+    lo, hi = 0.0, TIE_TOL * (1.0 + math.hypot(*base))
+    assert at(lo)[1]
+    while at(hi)[1]:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if at(mid)[1] else (lo, mid)
+    return at(lo)[0], at(hi)[0]
+
+
+def counted_steps(consts, x, y, n):
+    # dr._steps, and how many times its band test called hypot
+    buf = array("d")
+    with mock.patch.object(math, "hypot", side_effect=math.hypot) as hypot:
+        code, x, y, k = dr._steps(*consts, x, y, n, buf)
+    return code, x, y, k, buf.tolist(), hypot.call_count
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
-       where=st.sampled_from(["tie", "ball1", "ball2", "plane", "huge"]),
+       where=st.sampled_from(["tie", "ball1", "ball2", "plane", "huge",
+                              "edge"]),
        u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0),
-       log_r=st.floats(140.0, 150.0), n=st.integers(0, 6))
+       log_r=st.floats(140.0, 300.0), n=st.integers(0, 6),
+       inside=st.booleans())
 @example(t1=math.pi / 3, t2_frac=0.25, where="tie", u=0.0, v=0.0,
-         log_r=150.0, n=3)
+         log_r=150.0, n=3, inside=True)
+@example(t1=math.pi / 3, t2_frac=0.25, where="huge", u=1.0, v=-1.0,
+         log_r=300.0, n=3, inside=True)
+@example(t1=0.703469, t2_frac=0.99, where="edge", u=0.0, v=0.5,
+         log_r=150.0, n=3, inside=True)
+@example(t1=0.703469, t2_frac=0.99, where="edge", u=0.0, v=0.5,
+         log_r=150.0, n=3, inside=False)
+@example(t1=math.pi / 3, t2_frac=0.25, where="edge", u=-1.0, v=-0.5,
+         log_r=150.0, n=3, inside=False)
 def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
-                                                log_r, n):
+                                                log_r, n, inside):
     # from the tie point moved by up to two tie bands, from inside either
-    # ball, from the plane and from norms up to 1e150: _steps taken one
-    # step at a time and n at a time is the _gap/_branch step, and a lane
-    # clear of the tie screen steps to the same point
+    # ball, from the plane, from norms up to 1e300 and from a point an ulp
+    # on either side of the tie band's edge, 1 to 1e300 from c along a
+    # bisector: _steps taken one step at a time and n at a time is the
+    # _gap/_branch step, its band test calls hypot exactly where the screen
+    # does not clear the gap, and a lane clear of the tie screen steps to
+    # the same point
     cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
     consts = experiments._constants(cfg)
     if where == "tie":
@@ -1492,28 +1518,39 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
         x, y = 3.0 * u, 3.0 * v
     elif where == "huge":
         x, y = u * 10.0 ** log_r, v * 10.0 ** log_r
+    elif where == "edge":
+        bd = bisector_data(cfg)
+        nrm = bd.n1 if v < 0.0 else bd.n2
+        t = math.copysign(10.0 ** (300.0 * abs(u)), u)
+        base = (bd.c[0] - t * nrm[1], bd.c[1] + t * nrm[0])
+        x, y = band_edge(cfg, base, nrm)[0 if inside else 1]
     else:
         a, rsq = (-0.5, consts[4]) if where == "ball1" else (0.5, consts[5])
         r = 0.7 * math.sqrt(rsq)
         x, y = a + r * u, r * v
         assert (x - a) * (x - a) + y * y < rsq
     wcode, wx, wy, wk, wpushed = gap_branch_steps(consts, x, y, n)
-    pushed = []
-    code, gx, gy, k = dr._steps(*consts, x, y, n, pushed.append)
+    pushed = array("d")
+    code, gx, gy, k = dr._steps(*consts, x, y, n, pushed)
     assert (code, k) == (wcode, wk)
     assert hexes(gx, gy, *pushed) == hexes(wx, wy, *wpushed)
     if where == "tie" and u == v == 0.0 and n:
         assert code == 0 and k == 0 and not pushed
     if where.startswith("ball") and n:
         assert code == int(where[-1]) and k == 1
+    if where == "edge" and n:
+        assert (code == 0 and k == 0) == inside
     # one step at a time, each against _lane_branch where it is clear
     px, py = x, y
-    for _ in range(n):
-        one = []
-        code1, nx, ny, k1 = dr._steps(*consts, px, py, 1, one.append)
+    for i in range(n):
+        code1, nx, ny, k1, one, calls = counted_steps(consts, px, py, 1)
         rcode, rx, ry, rk, rpushed = gap_branch_steps(consts, px, py, 1)
         assert (code1, k1) == (rcode, rk)
         assert hexes(nx, ny, *one) == hexes(rx, ry, *rpushed)
+        gap = dr._gap(*consts[:4], px, py)
+        assert calls == (0 if band_screen(px, py, gap) else 1)
+        if where == "edge" and i == 0:
+            assert calls == 1
         bx, by, clear = dr._lane_branch(*consts[:4], np.array([px]),
                                         np.array([py]))
         if clear[0]:
@@ -1521,6 +1558,60 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
         if code1 >= 0:
             break
         px, py = nx, ny
+
+
+def nudged(v, ulps):
+    # v moved by ulps units in the last place, away from 0 for ulps > 0
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, v * ulps))
+    return v
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(log_norm=st.floats(-300.0, 300.0), angle=st.floats(0.0, 2 * math.pi),
+       anchor=st.sampled_from([0.0, -0.5, 0.5]),
+       kind=st.sampled_from(["band", "screen", "free"]),
+       ulps=st.integers(-4, 4), log_gap=st.floats(-330.0, 308.0),
+       negative=st.booleans())
+@example(log_norm=0.0, angle=1.0, anchor=0.0, kind="band", ulps=0,
+         log_gap=0.0, negative=False)
+@example(log_norm=0.0, angle=1.0, anchor=0.0, kind="band", ulps=1,
+         log_gap=0.0, negative=True)
+@example(log_norm=300.0, angle=0.7, anchor=0.0, kind="band", ulps=1,
+         log_gap=0.0, negative=False)
+@example(log_norm=160.0, angle=0.7, anchor=0.5, kind="screen", ulps=1,
+         log_gap=0.0, negative=False)
+@example(log_norm=-300.0, angle=2.0, anchor=-0.5, kind="free", ulps=0,
+         log_gap=-315.0, negative=True)
+@example(log_norm=-300.0, angle=0.0, anchor=0.5, kind="screen", ulps=-1,
+         log_gap=0.0, negative=False)
+def test_band_screen_clears_only_gaps_off_the_band(log_norm, angle, anchor,
+                                                   kind, ulps, log_gap,
+                                                   negative):
+    # _steps skips its band test where gap^2 > _SCREEN (1 + q1 + q2): that
+    # implies |gap| > TIE_TOL (1 + |(x, y)|), at norms 1e-300 to 1e300
+    # about the origin and the ball centres, with gaps at the band edge
+    # and at the screen's edge give or take a few ulps and gaps from 0
+    # through subnormals to where gap^2 and q overflow; a gap within a few
+    # ulps of the band edge always meets the band test, which finds the
+    # tie on its side of the edge and no tie off it
+    r = 10.0 ** log_norm
+    x, y = anchor + r * math.cos(angle), r * math.sin(angle)
+    if kind == "band":
+        gap = nudged(TIE_TOL * (1.0 + math.hypot(x, y)), ulps)
+    elif kind == "screen":
+        dx1, dx2 = x + 0.5, x - 0.5
+        edge = math.sqrt(dr._SCREEN * (1.0 + (dx1 * dx1 + y * y)
+                                       + (dx2 * dx2 + y * y)))
+        gap = nudged(edge, ulps)
+    else:
+        gap = 10.0 ** log_gap
+    gap = -gap if negative else gap
+    if band_screen(x, y, gap):
+        assert not on_tie_band(x, y, gap)
+    if kind == "band":
+        assert not band_screen(x, y, gap)
+        assert on_tie_band(x, y, gap) == (ulps <= 0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1541,7 +1632,7 @@ def test_constants_match_distance_to_d3_bit_for_bit(t1, t2_frac, n):
     assert [type(c) for c in consts] == [float] * 6
     assert [c.hex() for c in consts] == [c.hex() for c in want]
     xs, ys = np.linspace(-2.0, 2.0, n), np.linspace(3.0, -1.0, n)
-    lanes = experiments._lanes(cfg, xs, ys)
+    lanes = experiments._lanes(consts, xs, ys)
     assert lanes.shape == (8, n) and lanes.dtype == np.float64
     assert np.array_equal(lanes, np.vstack(
         [xs, ys, np.repeat(np.array(want)[:, None], n, axis=1)]))
@@ -1834,7 +1925,8 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
 
     entered = spy_walk(monkeypatch)
     monkeypatch.setattr(experiments, "simulate", counted)
-    out = experiments._pair_outcome(res, np.array([x0]), {0: mark}, 7, 2000,
+    out = experiments._pair_outcome(FIG_CFG, experiments._constants(FIG_CFG),
+                                    res, np.array([x0]), {0: mark}, 7, 2000,
                                     5)
     assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
     assert runs == [(x0, SeededRandom((5, 7, 0)), budget)]
