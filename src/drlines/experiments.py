@@ -687,15 +687,15 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
 
     V decays by gamma per step and the sandwich converts the V level of the
     termination balls into a step count; 64 slack steps absorb the float
-    edges.  The returned budget is never below max_steps.
+    edges.  The returned budget is never below max_steps.  The log ratio
+    is negative for every start: D3 crosses the segment p1p2, so r < 1/2,
+    while the anchors are 1 apart, so w2 >= 1/2.
     """
     r = BALL_SAFETY * min(distance_to_D3(cfg, cfg.p1),
                           distance_to_D3(cfg, cfg.p2))
     e = 2.0 * cert.alpha + 2.0
     w2 = max(math.hypot(x0[0] - cfg.p1[0], x0[1] - cfg.p1[1]),
              math.hypot(x0[0] - cfg.p2[0], x0[1] - cfg.p2[1]))
-    if w2 <= BALL_SAFETY * r:
-        return max(max_steps, 64)
     need = e * (math.log(BALL_SAFETY * r) - math.log(w2)) / math.log(cert.gamma)
     return max(max_steps, int(math.ceil(need)) + 64)
 

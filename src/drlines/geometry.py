@@ -34,11 +34,9 @@ def _snap_angle(angle: float) -> float:
 
 
 def cos_sin(angle: float) -> tuple[float, float]:
-    """(cos, sin) of a line angle, exact at 0 and at snapped pi/2."""
+    """(cos, sin) of a line angle, exact at snapped pi/2."""
     if angle == _HALF_PI:
         return 0.0, 1.0
-    if angle == 0.0:
-        return 1.0, 0.0
     return math.cos(angle), math.sin(angle)
 
 

@@ -27,17 +27,15 @@ from .geometry import ProblemConfig, cos_sin
 # V_1 below this is treated as exactly zero to keep powers out of subnormals
 _V_ZERO = 1e-300
 
-_HALF_PI = 0.5 * math.pi
-
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
     """A verified (alpha, gamma) pair for V = V_1^alpha * V_2.
 
     ``alpha_min``/``alpha_max`` bound the admissible exponent interval;
-    ``condition_margin`` is positive exactly when the feasibility condition
-    holds (it is +inf in the vertical-line special cases, where alpha_max
-    may also be +inf).
+    ``condition_margin`` = log(cos^2 t1) log(cos^2 t2) - (log P)^2 > 0.
+    ``special_case`` marks a vertical line: the margin is then +inf, and
+    alpha_min is 0 (theta1 = pi/2) or alpha_max is +inf (theta2 = pi/2).
     """
 
     theta1: float
@@ -52,7 +50,8 @@ class LyapunovCertificate:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Certificate construction failed: the feasibility margin is <= 0."""
+    """Certificate construction failed: the feasibility margin is not > 0
+    (NaN included), or it is so small that gamma rounds to 1."""
 
     theta1: float
     theta2: float
@@ -145,66 +144,36 @@ def sandwich_bounds(cert, cfg: ProblemConfig, x) -> SandwichBounds:
     return SandwichBounds(lo, hi, lo**e, hi**e)
 
 
-def eq26_margin(theta1: float, theta2: float) -> float:
-    """Feasibility margin: log(cos^2 t1)*log(cos^2 t2) - (log P)^2.
-
-    Positive exactly when the certificate condition holds; +inf when either
-    angle is pi/2 (the degenerate inequalities hold trivially there).
-    """
-    c1, s1 = cos_sin(theta1)
-    c2, s2 = cos_sin(theta2)
-    if c1 == 0.0 or c2 == 0.0:
-        return math.inf
-    lp = math.log((1.0 + s1) * (1.0 + s2))
-    l1 = -2.0 * math.log(abs(c1))
-    l2 = -2.0 * math.log(abs(c2))
-    return l1 * l2 - lp * lp
-
-
 def certify(cfg: ProblemConfig) -> LyapunovCertificate | Infeasible:
     """Construct the decay certificate (alpha, gamma), or report Infeasible.
 
-    alpha is the midpoint of the admissible interval
-    [log P / log(1/cos^2 t1), log(1/cos^2 t2) / log P]; gamma is the smaller
-    of the two condition values at that alpha, hence the tightest certified
-    rate.  Vertical-line special cases use the surviving bound: alpha =
-    alpha_max/2 when theta1 = pi/2, alpha = 2*alpha_min when theta2 = pi/2.
+    With l_i = log(1/cos^2 t_i), +inf for a vertical line, the margin is
+    l1 l2 - (log P)^2; alpha is the midpoint of the admissible interval
+    [log P / l1, l2 / log P], or 2 alpha_min when theta2 = pi/2 leaves it
+    no upper end, and gamma the larger of the two condition values at
+    alpha, the tightest certified rate.  Infeasible unless margin > 0 and
+    gamma < 1; the margin is NaN (inf * 0) where the other cosine of a
+    vertical pair rounds to +-1.
     """
     t1, t2 = cfg.theta1, cfg.theta2
     c1, s1 = cos_sin(t1)
     c2, s2 = cos_sin(t2)
-    P = (1.0 + s1) * (1.0 + s2)
-    lp = math.log(P)
-
-    if c1 == 0.0:
-        l2 = -2.0 * math.log(abs(c2))
-        alpha_max = l2 / lp
-        alpha = 0.5 * alpha_max
-        gamma = math.exp(alpha * lp - l2)  # = |cos t2|
-        return LyapunovCertificate(t1, t2, alpha, gamma, 0.0, alpha_max,
-                                   math.inf, True)
-    if c2 == 0.0:
-        l1 = -2.0 * math.log(abs(c1))
-        alpha_min = lp / l1
-        alpha = 2.0 * alpha_min
-        gamma = math.exp(lp - alpha * l1)  # = 1/P
-        return LyapunovCertificate(t1, t2, alpha, gamma, alpha_min, math.inf,
-                                   math.inf, True)
-
-    l1 = -2.0 * math.log(abs(c1))
-    l2 = -2.0 * math.log(abs(c2))
+    lp = math.log((1.0 + s1) * (1.0 + s2))
+    l1 = -2.0 * math.log(abs(c1)) if c1 != 0.0 else math.inf
+    l2 = -2.0 * math.log(abs(c2)) if c2 != 0.0 else math.inf
     margin = l1 * l2 - lp * lp
-    if margin <= 0.0:
+    if not margin > 0.0:
         return Infeasible(t1, t2, margin)
     alpha_min = lp / l1
     alpha_max = l2 / lp
-    alpha = 0.5 * (alpha_min + alpha_max)
+    alpha = (0.5 * (alpha_min + alpha_max) if l2 < math.inf
+             else 2.0 * alpha_min)
     gamma = max(math.exp(lp - alpha * l1), math.exp(alpha * lp - l2))
     if not gamma < 1.0:
         # margin so tiny the rate rounds to 1; no usable certificate
         return Infeasible(t1, t2, margin)
     return LyapunovCertificate(t1, t2, alpha, gamma, alpha_min, alpha_max,
-                               margin, False)
+                               margin, margin == math.inf)
 
 
 def decrease_check(cert: LyapunovCertificate, cfg: ProblemConfig, x) -> bool:

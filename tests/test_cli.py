@@ -13,8 +13,10 @@ import pytest
 import drlines
 from dr_oracle import iterate_reference
 from robust_oracle import run_perturbed_reference
+from drlines import experiments
 from drlines.cli import main
-from drlines.exports import format_float, perturbed_trace_csv, trace_csv
+from drlines.exports import (format_float, perturbed_trace_csv, sweep_csv,
+                             trace_csv)
 from drlines.geometry import ProblemConfig
 from drlines.lyapunov import certify
 from drlines.robust import PerturbationSpec, PerturbedTrace, check_kl_bound
@@ -59,6 +61,12 @@ def test_certify_infeasible_exit_2(capsys):
     assert code == 2
     assert '"feasible": false' in text
     assert json.loads(text)["condition_margin"] < 0
+    # theta2 = pi/2 with a cosine of theta1 that rounds to 1: margin NaN
+    code, text, err = run_cli(capsys, ["certify", "--theta1", "1e-9",
+                                       "--theta2", "1.5707963267948966"])
+    assert (code, err) == (2, "")
+    assert '"feasible": false' in text
+    assert math.isnan(json.loads(text)["condition_margin"])
 
 
 def test_certify_deg_matches_radians(capsys):
@@ -147,6 +155,13 @@ def test_exit_code_matrix(capsys, tmp_path):
             "raster", *FIG, "--res", "4x4", "--seed", "-1",
             "--policy", policy, "--out", str(tmp_path / "r.pgm")])
         assert code == 1 and out == "" and "non-negative" in err
+    # a three-field start and an empty pair list
+    for argv, words in ((["iterate", *FIG, "--x0", "1,2,3"], "'x,y'"),
+                        (["sweep", "--pairs", ";",
+                          "--out", str(tmp_path / "s.csv")],
+                         "no angle pairs")):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == "" and words in err
     assert not any(tmp_path.iterdir())
     code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", TIE_X0,
                                       "--policy", "tree"])
@@ -155,6 +170,13 @@ def test_exit_code_matrix(capsys, tmp_path):
     cfg.write_text('{"policy": "tree"}')
     assert run_cli(capsys, ["iterate", *FIG, "--x0", "2,1",
                             "--config", str(cfg)])[0] == 1
+    # a policy name only a config file can give
+    cfg.write_text('{"policy": "bogus"}')
+    code, out, err = run_cli(capsys, ["raster", *FIG, "--res", "2x2",
+                                      "--out", str(tmp_path / "r.pgm"),
+                                      "--config", str(cfg)])
+    assert code == 1 and out == "" and "policy must be one of" in err
+    assert not (tmp_path / "r.pgm").exists()
     assert run_cli(capsys, ["no-such-command"])[0] == 1
     assert run_cli(capsys, [])[0] == 1
     assert run_cli(capsys, ["--help"])[0] == 0
@@ -318,6 +340,21 @@ def test_sweep_pairs_cli(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 3
     assert rows[1][3] == "true" and rows[2][3] == "false"
+
+
+def test_sweep_grid_cli(capsys, tmp_path, monkeypatch):
+    # sweep --grid runs make_theta_grid's pairs, as the library does
+    monkeypatch.delenv("DR_SEED", raising=False)
+    out = tmp_path / "grid.csv"
+    code, _, err = run_cli(capsys, ["sweep", "--grid", "2x2", "--samples", "3",
+                                    "--max-steps", "300", "--seed", "4",
+                                    "--out", str(out)])
+    assert (code, err) == (0, "")
+    want = sweep_csv(experiments.sweep(experiments.make_theta_grid(2, 2),
+                                       samples_per_pair=3, max_steps=300,
+                                       seed=4))
+    with open(out, newline="") as fh:
+        assert fh.read() == want
 
 
 def test_orbit_cycle_and_budget(capsys):

@@ -1,6 +1,7 @@
 """DR operators: closed form vs composition, branches, reversed order,
 each against the reflection-based definitions of the oracle."""
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from dr_oracle import (
     dr_two_lines_reference,
     step_points,
 )
+from drlines import dr
 from drlines.dr import dr_multivalued, dr_reversed, dr_two_lines
 from drlines.geometry import (
     ProblemConfig,
     Region,
     bisector_data,
+    cos_sin,
     distance_to_D3,
 )
 from geometry_oracle import (AXIS, Line, dr_reversed_reference,
@@ -93,6 +96,27 @@ def test_multivalued_branch_count_and_order():
                        atol=0)
     assert np.allclose(step.outputs[1], dr_two_lines(FIG_CFG.p2, FIG_CFG.theta2, c),
                        atol=0)
+
+
+@pytest.mark.parametrize("t1,t2,sign", [(1.2, 2.5, 1.0),
+                                         (math.pi / 3, 2 * math.pi / 5, -1.0)])
+def test_tie_band_edges_are_closed(monkeypatch, t1, t2, sign):
+    # no float start has a gap exactly on the band, but at the origin the
+    # band is TIE_TOL itself: with TIE_TOL = |gap(0, 0)|, and _steps'
+    # screen to match, the origin lies on the band's upper (gap > 0) or
+    # lower (gap < 0) edge, and both steps call it a tie
+    c1, s1 = cos_sin(t1)
+    c2, s2 = cos_sin(t2)
+    gap = dr._gap(c1, s1, c2, s2, 0.0, 0.0)
+    assert math.copysign(1.0, gap) == sign
+    tol = abs(gap)
+    monkeypatch.setattr(dr, "TIE_TOL", tol)
+    monkeypatch.setattr(dr, "_SCREEN", 2.0 * tol ** 2 * (1.0 + 1e-6))
+    assert dr_multivalued(ProblemConfig(t1, t2), (0.0, 0.0)).region is Region.D3
+    buf = array("d")
+    assert dr._steps(c1, s1, c2, s2, 0.0, 0.0, 0.0, 0.0, 1, buf) == (
+        0, 0.0, 0.0, 0)
+    assert not buf
 
 
 def test_multivalued_frozen_value():

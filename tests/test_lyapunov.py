@@ -12,7 +12,6 @@ from drlines.lyapunov import (
     LyapunovCertificate,
     certify,
     decrease_check,
-    eq26_margin,
     increase_ball,
     sandwich_bounds,
     v_global,
@@ -98,21 +97,28 @@ def test_sandwich_holds_on_samples():
 
 
 def test_eq26_margin_frozen_values():
-    assert eq26_margin(math.pi / 3, 2 * math.pi / 5) == pytest.approx(
+    def margin(t1, t2):
+        return certify(ProblemConfig(t1, t2)).condition_margin
+
+    assert margin(math.pi / 3, 2 * math.pi / 5) == pytest.approx(
         1.5862808715764862, rel=1e-12)
-    for (t1, t2), margin in CYCLING_PAIRS:
-        assert eq26_margin(t1, t2) == pytest.approx(margin, rel=1e-12)
-    assert eq26_margin(0.4, math.pi / 2) == math.inf
+    for (t1, t2), want in CYCLING_PAIRS:
+        assert margin(t1, t2) == pytest.approx(want, rel=1e-12)
+    assert margin(0.4, math.pi / 2) == math.inf
 
 
 def test_margin_sign_matches_alpha_interval():
+    # the sign of log(cos^2 t1) log(cos^2 t2) - (log P)^2, from its
+    # definition, decides feasibility
     rng = np.random.default_rng(107)
     for _ in range(2000):
         cfg = random_cfg(rng)
         if cfg.theta1 == math.pi / 2 or cfg.theta2 == math.pi / 2:
             continue
         res = certify(cfg)
-        m = eq26_margin(cfg.theta1, cfg.theta2)
+        t1, t2 = cfg.theta1, cfg.theta2
+        m = (math.log(math.cos(t1) ** 2) * math.log(math.cos(t2) ** 2)
+             - math.log((1 + math.sin(t1)) * (1 + math.sin(t2))) ** 2)
         if isinstance(res, LyapunovCertificate):
             assert m > 0.0
             assert res.alpha_min < res.alpha_max
@@ -188,6 +194,17 @@ def test_certify_special_case_vertical_a2():
         assert decrease_check(cert, cfg, rng.uniform(-8, 8, size=2))
 
 
+@pytest.mark.parametrize("t1,t2", [(1e-9, math.pi / 2),
+                                   (math.pi / 2, math.pi - 1e-9)])
+def test_certify_vertical_line_edge_classes_are_infeasible(t1, t2):
+    # the other cosine rounds to +-1, so its l_i is 0 and the margin is
+    # inf * 0 = NaN: no certificate, where the vertical-line limit would
+    # divide by l1 = 0 (theta1 = 1e-9) or give gamma = 1 (theta2 near pi)
+    res = certify(ProblemConfig(t1, t2))
+    assert isinstance(res, Infeasible)
+    assert math.isnan(res.condition_margin)
+
+
 def test_decrease_check_basics():
     assert decrease_check(FIG_CERT, FIG_CFG, FIG_CFG.p1)
     assert decrease_check(FIG_CERT, FIG_CFG, FIG_CFG.p2)
@@ -252,6 +269,8 @@ def test_increase_ball_formulas():
     assert b.radius == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-14)
     with pytest.raises(ValueError):
         increase_ball(FIG_CFG, 1, 0.5 * math.cos(FIG_CFG.theta2) ** 2)
+    with pytest.raises(ValueError, match="index must be 1 or 2"):
+        increase_ball(FIG_CFG, 3, P)
 
 
 def test_ball_bruteforce_matches_analytic():

@@ -213,6 +213,20 @@ def test_kl_audit_matches_its_oracle(spec, cfg):
     assert verdicts == {True, False}
 
 
+def test_kl_audit_slack_is_one_part_in_a_billion():
+    # a point at bound (1 + 1e-7) from p1 fails the audit, one at bound
+    # (1 + 1e-10) passes: the slack is 1e-9, not looser or tighter
+    x0 = (2.0, 1.0)
+    w2 = max(math.hypot(x0[0] + 0.5, x0[1]), math.hypot(x0[0] - 0.5, x0[1]))
+    bound = w2 * SPEC.rate ** (1.0 / (2.0 * SPEC.alpha + 2.0))
+    for over, want in ((1e-7, False), (1e-10, True)):
+        # (-0.5, d) is d from p1, exactly, and farther from p2
+        d = bound * (1.0 + over)
+        ok, worst = check_kl_bound(SPEC, FIG_CFG, [x0, (-0.5, d)])
+        assert ok is want
+        assert worst == bound - d
+
+
 VERT_CFG = ProblemConfig(math.pi / 2, 2.0)
 VERT_SPEC = PerturbationSpec.from_certificate(certify(VERT_CFG), epsilon=0.05)
 
