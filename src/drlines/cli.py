@@ -2,26 +2,25 @@
 
 Each subcommand is one function cmd_<name>(r) that first resolves and
 checks all of its inputs through r, a _Resolver (flags win over the
---config JSON file, which wins over defaults; the DR_SEED environment
-variable overrides --seed), and only then computes.  Config keys are the
-flags' dest names, each value held to its flag's type.  Angles are radians
-unless --deg is given.  All floats print with up to 17 significant digits.
-Exit codes: 0 success (certify: feasible), 1 usage or precondition error,
-2 certify found the pair infeasible, 3 I/O failure.
+--config JSON file, which wins over defaults; no environment variable is
+read), and only then computes.  Config keys are the flags' dest names, each
+held to its flag's type; any other key fails.  Angles are radians unless
+--deg is given.  All floats print with up to 17 significant digits.  Exit
+codes: 0 success (certify: feasible), 1 usage or precondition error, 2
+certify found the pair infeasible, 3 I/O failure.  ``python -m drlines.cli
+ARGS`` runs as ``drlines ARGS`` does.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .dr import dr_multivalued
 from .experiments import (
-    DEFAULT_MATCH_TOL,
     ConvergedTo,
     Cycle,
     EnumerateTree,
@@ -98,12 +97,6 @@ class _Resolver:
             raise ValueError(f"--{key.replace('_', '-')} is required")
         return v
 
-    def seed(self) -> int:
-        env = os.environ.get("DR_SEED")
-        if env is not None:
-            return int(env)
-        return self.get("seed", 0)
-
     def start(self) -> tuple[float, float]:
         return checked_start(_numbers(self.get("x0", required=True), "x,y"))
 
@@ -170,7 +163,7 @@ def cmd_certify(r: _Resolver) -> int:
 
 def cmd_iterate(r: _Resolver) -> int:
     cfg = r.config()
-    seed = r.seed()
+    seed = r.get("seed", 0)
     policy = r.policy(seed)
     if isinstance(policy, EnumerateTree):
         raise ValueError("iterate follows one branch per step, so "
@@ -197,7 +190,7 @@ def cmd_iterate(r: _Resolver) -> int:
 def cmd_raster(r: _Resolver) -> int:
     _at_least("threads", r.get("threads", 1), 1)
     cfg = r.config()
-    seed = r.seed()
+    seed = r.get("seed", 0)
     bounds = _numbers(r.get("bounds", "-3,3,-3,3"), "xmin,xmax,ymin,ymax")
     res = _numbers(r.get("res", "200x200"), "NXxNY", "x", int)
     policy = r.policy(seed)
@@ -226,7 +219,7 @@ def cmd_sweep(r: _Resolver) -> int:
         pairs = make_theta_grid(*grid)
     samples = r.get("samples", 20)
     max_steps = r.get("max_steps", 20000)
-    seed = r.seed()
+    seed = r.get("seed", 0)
     out = r.get("out", "sweep.csv")
     sg = sweep(pairs, samples_per_pair=samples, max_steps=max_steps,
                seed=seed)
@@ -245,17 +238,14 @@ def cmd_orbit(r: _Resolver) -> int:
     cfg = r.config()
     x0 = r.start()
     max_steps = r.get("max_steps", 20000)
-    match_tol = r.get("match_tol", DEFAULT_MATCH_TOL)
     if r.get("brent", False):
-        k = find_period_brent(cfg, x0, max_steps=max_steps,
-                              match_tol=match_tol)
+        k = find_period_brent(cfg, x0, max_steps=max_steps)
         if k is None:
             print(f"orbit: no-cycle steps={max_steps}")
         else:
             print(f"orbit: period={k}")
         return 0
-    tr = simulate(cfg, x0, max_steps=max_steps, match_tol=match_tol,
-                  record=False)
+    tr = simulate(cfg, x0, max_steps=max_steps, record=False)
     if isinstance(tr.verdict, Cycle):
         print(f"orbit: period={tr.verdict.period} steps={tr.steps_used}")
     elif isinstance(tr.verdict, ConvergedTo):
@@ -273,7 +263,7 @@ def cmd_robust(r: _Resolver) -> int:
     steps = _at_least("steps", r.get("steps", 200), 0)
     n = _at_least("traces", r.get("traces", 1), 1)
     mode = r.get("mode", "random")
-    seed = r.seed()
+    seed = r.get("seed", 0)
     out = r.get("out")
     cert = certify(cfg)
     if isinstance(cert, Infeasible):
@@ -349,7 +339,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = command("orbit", cmd_orbit, "probe one start for a periodic orbit")
     sp.add_argument("--x0")
     sp.add_argument("--max-steps", type=int, dest="max_steps")
-    sp.add_argument("--match-tol", type=float, dest="match_tol")
     sp.add_argument("--brent", action="store_const", const=True,
                     help="low-memory search instead of the windowed one")
 
@@ -384,3 +373,7 @@ def main(argv: list | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -27,13 +27,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dr import _branch, _lane_branch, _steps
-from .geometry import (ProblemConfig, bisector_data, checked_start,
-                       checked_tolerance, cos_sin, distance_to_D3)
+from .geometry import (ProblemConfig, bisector_data, checked_start, cos_sin,
+                       distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
 
 WINDOW = 4096
 CHECK_EVERY = 512
-DEFAULT_MATCH_TOL = 1e-8
+MATCH_TOL = 1e-8
 BALL_SAFETY = 0.99
 # the most lanes live at once in the lane pool, and the lane count below
 # which lanes stop paying: a lane set running to its verdicts finishes
@@ -176,28 +176,25 @@ class SweepGrid:
     max_steps: int
 
 
-def detect_cycle(points_window: Sequence, match_tol: float = DEFAULT_MATCH_TOL
-                 ) -> Optional[int]:
+def detect_cycle(points_window: Sequence) -> Optional[int]:
     """Smallest period K > 1 such that the last 2K points repeat, or None.
 
-    A pair (x_n, x_{n+K}) matches when |x_{n+K} - x_n| <= tol * (1 + |x_n|).
-    Scanning K in ascending order makes the returned period minimal (no
-    proper divisor can also match, it would have been found first).  A full
-    K = 1 match is a constant tail, which is the convergence criterion's
-    business, not a cycle: None, as for an empty window.  Raises
-    ValueError for a match_tol that is not finite and >= 0 or a window
-    that is not (m, 2) points.
+    A pair (x_n, x_{n+K}) matches when |x_{n+K} - x_n| <= MATCH_TOL *
+    (1 + |x_n|).  Scanning K in ascending order makes the returned period
+    minimal (no proper divisor can also match, it would have been found
+    first).  A full K = 1 match is a constant tail, which is the
+    convergence criterion's business, not a cycle: None, as for an empty
+    window.  Raises ValueError for a window that is not (m, 2) points.
     """
     w = np.asarray(points_window, dtype=float)
     if w.size and (w.ndim != 2 or w.shape[1] != 2):
         raise ValueError(f"points_window must be (m, 2) points, got {w.shape}")
-    return _cycle(w.reshape(-1, 2), 0,
-                  checked_tolerance("match_tol", match_tol))
+    return _cycle(w.reshape(-1, 2), 0)
 
 
 # the screen may overflow, or meet a NaN, where pair_ok's math.hypot does not
 @np.errstate(over="ignore", invalid="ignore")
-def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
+def _cycle(w: np.ndarray, span: int) -> Optional[int]:
     """detect_cycle on a window of max(span, m) points of which w holds the
     last m, or _UNDECIDED if that needs a point w lacks: for the K = 1 test
     m >= 2, the near screen span // 2 < m, a full check of K, 2K <= m."""
@@ -208,7 +205,7 @@ def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
     def pair_ok(later: int, earlier: int) -> bool:
         dx = w[later, 0] - w[earlier, 0]
         dy = w[later, 1] - w[earlier, 1]
-        lim = match_tol * (1.0 + math.hypot(w[earlier, 0], w[earlier, 1]))
+        lim = MATCH_TOL * (1.0 + math.hypot(w[earlier, 0], w[earlier, 1]))
         return math.hypot(dx, dy) <= lim
 
     if pair_ok(m - 1, m - 2):
@@ -219,7 +216,7 @@ def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
     e = w[m - 1 - min(span // 2, m - 1):m - 2][::-1]  # K = 2, 3, ...
     ex, ey = e[:, 0], e[:, 1]
     near = ~(np.maximum(abs(ex - x), abs(ey - y))
-             > match_tol * ((1.0 + abs(ex) + abs(ey)) * (1.0 + 1e-12)))
+             > MATCH_TOL * ((1.0 + abs(ex) + abs(ey)) * (1.0 + 1e-12)))
     for k in (np.flatnonzero(near) + 2).tolist():
         if not pair_ok(m - 1, m - 1 - k):
             continue
@@ -228,18 +225,16 @@ def _cycle(w: np.ndarray, span: int, match_tol: float) -> Optional[int]:
         a = w[m - k:]
         b = w[m - 2 * k:m - k]
         gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-        lims = match_tol * (1.0 + np.hypot(b[:, 0], b[:, 1]))
+        lims = MATCH_TOL * (1.0 + np.hypot(b[:, 0], b[:, 1]))
         if np.all(gaps <= lims):
             return k
     return _UNDECIDED if span // 2 > m - 1 else None
 
 
-def _window_cycle(w: np.ndarray, steps: int,
-                  match_tol: float = DEFAULT_MATCH_TOL):
+def _window_cycle(w: np.ndarray, steps: int):
     """The check at ``steps``: detect_cycle, or _cycle on a partial window."""
     span = min(steps + 1, WINDOW)
-    return (detect_cycle(w, match_tol) if len(w) >= span
-            else _cycle(w, span, match_tol))
+    return detect_cycle(w) if len(w) >= span else _cycle(w, span)
 
 
 def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
@@ -262,8 +257,7 @@ def _code(v: Verdict) -> int:
 
 
 def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
-             max_steps: int = 20000, record: bool = True,
-             match_tol: float = DEFAULT_MATCH_TOL) -> Trace:
+             max_steps: int = 20000, record: bool = True) -> Trace:
     """Iterate the operator from x0 until a verdict is reached.
 
     Termination order per visit: the open balls around p1/p2 first, then a
@@ -274,15 +268,15 @@ def simulate(cfg: ProblemConfig, x0, policy: BranchPolicy = FirstBranch(),
     ``simulate_tree`` rejects.
     """
     leaves = simulate_tree(cfg, x0, policy, max_steps=max_steps,
-                           record=record, match_tol=match_tol)
+                           record=record)
     rank = {Budget: 2, Cycle: 1, ConvergedTo: 0}
     return max(leaves, key=lambda t: rank[type(t.verdict)])
 
 
 def simulate_tree(cfg: ProblemConfig, x0,
                   policy: BranchPolicy = EnumerateTree(),
-                  max_steps: int = 20000, record: bool = True,
-                  match_tol: float = DEFAULT_MATCH_TOL) -> tuple[Trace, ...]:
+                  max_steps: int = 20000, record: bool = True
+                  ) -> tuple[Trace, ...]:
     """Follow every branch choice at ties, up to policy.max_leaves leaves.
 
     Within the leaf budget each tie forks the trajectory (A1 branch
@@ -293,11 +287,10 @@ def simulate_tree(cfg: ProblemConfig, x0,
     meet none.  Each leaf runs in the scalar walk, with simulate's cycle
     checks, which stops at ties for the branch choice and resumes from the
     chosen point.  Raises ValueError for a policy that is none of the
-    three, a start whose norm is not finite, max_steps below 1 (TypeError
-    for a non-integer), or a match_tol that is not finite and >= 0.
+    three, a start whose norm is not finite, or max_steps below 1
+    (TypeError for a non-integer).
     """
     _check_run(max_steps, policy)
-    checked_tolerance("match_tol", match_tol)
     start = checked_start(x0)
     consts = _constants(cfg)
     c1, s1, c2, s2 = consts[:4]
@@ -312,7 +305,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
         x, y, steps, pts, win = stack.pop()
         while True:
             verdict, x, y, steps = _walk(consts, x, y, steps, win, pts,
-                                         max_steps, match_tol)
+                                         max_steps)
             if verdict is not None:
                 break
             # a tie: fork within the leaf budget, else A1 or the coin
@@ -342,8 +335,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
 
 
 def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
-          pts: Optional[list], max_steps: int,
-          match_tol: float = DEFAULT_MATCH_TOL
+          pts: Optional[list], max_steps: int
           ) -> tuple[Optional[Verdict], float, float, int]:
     """Run one trajectory from its state at ``steps`` until a verdict or a
     tie.  ``win`` is a flat x, y buffer of the trajectory's last points up
@@ -363,8 +355,7 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         if len(win) > 2 * WINDOW:
             del win[:len(win) - 2 * WINDOW]
         if steps >= max_steps or (steps and steps % CHECK_EVERY == 0):
-            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
-                                   match_tol)
+            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps)
             if period is not None or steps >= max_steps:
                 return (None if period == _UNDECIDED else Budget()
                         if period is None else Cycle(period), x, y, steps)
@@ -379,8 +370,8 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as _cycle's screen
-def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
-                      match_tol: float = DEFAULT_MATCH_TOL) -> Optional[int]:
+def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000
+                      ) -> Optional[int]:
     """Low-memory period search along the deterministic first-branch orbit.
 
     Brent's teleporting-tortoise scheme with tolerance-based equality: the
@@ -391,11 +382,9 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     most _BRENT_CHUNK steps ending at each teleport and at the budget; a
     max-norm screen of a chunk picks the candidates for the exact test.
     Returns None when no recurrence is found within max_steps; raises
-    ValueError for a start whose norm is not finite, max_steps < 1 or a
-    match_tol that is not finite and >= 0.
+    ValueError for a start whose norm is not finite or max_steps < 1.
     """
     _check_run(max_steps)
-    checked_tolerance("match_tol", match_tol)
     # balls of radius 0 hold no point, so _steps stops only at ties
     consts = (*_constants(cfg)[:4], 0.0, 0.0)
 
@@ -419,7 +408,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
             teleport, power, tx, ty = total, 2 * power, x, y
         # the screen bounds hypot from below and keeps a NaN distance, which
         # the exact test leaves unmatched
-        lim = match_tol * (1.0 + math.hypot(tx, ty))
+        lim = MATCH_TOL * (1.0 + math.hypot(tx, ty))
         buf = array("d")
         x, y = run(x, y, min(_BRENT_CHUNK, teleport + power - total,
                              max_steps - total), buf)
@@ -441,7 +430,7 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000,
     def shift_ok(d: int) -> bool:
         # seg holds x, y pairs: point i at 2i, its d-th successor 2d on
         return all(math.hypot(seg[j] - seg[i], seg[j + 1] - seg[i + 1])
-                   <= match_tol * (1.0 + math.hypot(seg[i], seg[i + 1]))
+                   <= MATCH_TOL * (1.0 + math.hypot(seg[i], seg[i + 1]))
                    for i, j in zip(range(0, 4 * lam - 2 * d, 2),
                                    range(2 * d, 4 * lam, 2)))
 

@@ -85,14 +85,6 @@ class BisectorData:
     n2: tuple[float, float]
 
 
-def checked_tolerance(name: str, value: float) -> float:
-    """value, if it is a finite tolerance >= 0; a NaN, infinite or negative
-    one would switch its test off, so it raises ValueError."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    return value
-
-
 def checked_start(x0) -> tuple[float, float]:
     """x0 as two floats; raises ValueError unless their norm is finite.
 

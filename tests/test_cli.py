@@ -67,6 +67,12 @@ def test_certify_infeasible_exit_2(capsys):
     assert (code, err) == (2, "")
     assert '"feasible": false' in text
     assert math.isnan(json.loads(text)["condition_margin"])
+    # a margin above 0 whose rate gamma rounds to 1
+    code, text, err = run_cli(capsys, ["certify", "--theta1", "0.4",
+                                       "--theta2", "1.5289066706237044"])
+    assert (code, err) == (2, "")
+    assert json.loads(text)["feasible"] is False
+    assert json.loads(text)["condition_margin"] == 2.220446049250313e-16
 
 
 def test_certify_deg_matches_radians(capsys):
@@ -126,16 +132,17 @@ def test_exit_code_matrix(capsys, tmp_path):
                                       "0", "--config", str(bogus)])
     assert code == 1 and out == "" and "mode" in err
     bogus.unlink()
-    # budgets and tolerances that would switch a check off, Brent and
-    # windowed alike
-    for flags in (["--max-steps", "0"], ["--max-steps", "-3"],
-                  ["--match-tol", "nan"], ["--match-tol=-1e-8"],
-                  ["--match-tol", "inf"]):
-        for brent in ([], ["--brent"]):
+    # budgets that would switch a check off, Brent and windowed alike; the
+    # match tolerance is fixed, so --match-tol is no flag
+    for brent in ([], ["--brent"]):
+        for steps in ("0", "-3"):
             code, out, err = run_cli(capsys, ["orbit", *FIG, "--x0", "2,1",
-                                              *flags, *brent])
-            assert code == 1 and out == ""
-            assert flags[0].split("=")[0][2:].replace("-", "_") in err
+                                              "--max-steps", steps, *brent])
+            assert code == 1 and out == "" and "max_steps" in err
+        code, out, err = run_cli(capsys, ["orbit", *FIG, "--x0", "2,1",
+                                          "--match-tol", "1e-8", *brent])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --match-tol" in err
     for cmd in (["raster", *FIG, "--res", "2x2",
                  "--out", str(tmp_path / "r.pgm")],
                 ["sweep", "--grid", "2x2", "--out", str(tmp_path / "s.csv")]):
@@ -259,17 +266,19 @@ def test_iterate_seed_changes_tie_branch(capsys):
     assert out0 == run_cli(capsys, args + ["--seed", "0"])[1]
 
 
-def test_env_seed_wins(capsys, monkeypatch):
-    args = ["iterate", *FIG, "--policy", "random", "--x0", TIE_X0,
-            "--steps", "1", "--seed", "0"]
-    monkeypatch.setenv("DR_SEED", "1")
-    with_env = run_cli(capsys, args)[1]
-    monkeypatch.delenv("DR_SEED")
-    assert with_env == run_cli(capsys, ["iterate", *FIG, "--policy", "random",
-                                        "--x0", TIE_X0, "--steps", "1",
-                                        "--seed", "1"])[1]
-    monkeypatch.setenv("DR_SEED", "junk")
-    assert run_cli(capsys, args)[0] == 1
+def test_env_does_not_set_the_seed(capsys, monkeypatch):
+    # --seed (or its config key) is the seed's only source: DR_SEED, which
+    # once overrode it, changes no output or exit code
+    monkeypatch.delenv("DR_SEED", raising=False)
+    for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+        args = ["iterate", *FIG, "--policy", "random", "--x0", TIE_X0,
+                "--steps", "1", *seed]
+        want = run_cli(capsys, args)
+        assert want[0] == 0
+        for env in ("1", "0", "junk"):
+            monkeypatch.setenv("DR_SEED", env)
+            assert run_cli(capsys, args) == want
+            monkeypatch.delenv("DR_SEED")
 
 
 def test_config_file_merge(capsys, tmp_path):
@@ -342,9 +351,8 @@ def test_sweep_pairs_cli(capsys, tmp_path):
     assert rows[1][3] == "true" and rows[2][3] == "false"
 
 
-def test_sweep_grid_cli(capsys, tmp_path, monkeypatch):
+def test_sweep_grid_cli(capsys, tmp_path):
     # sweep --grid runs make_theta_grid's pairs, as the library does
-    monkeypatch.delenv("DR_SEED", raising=False)
     out = tmp_path / "grid.csv"
     code, _, err = run_cli(capsys, ["sweep", "--grid", "2x2", "--samples", "3",
                                     "--max-steps", "300", "--seed", "4",
@@ -457,7 +465,7 @@ MIRRORED = {
               ["out"]),
     "orbit": ({"theta1": 0.082719, "theta2": 2.064601,
                "x0": "-0.123641,-0.510395", "max_steps": 3000,
-               "match_tol": 1e-8, "brent": True}, []),
+               "brent": True}, []),
     "robust": ({**FIG_KEYS, "x0": "2,-1", "epsilon": 0.04, "steps": 20,
                 "traces": 2, "mode": "adversarial", "seed": 3}, ["out"]),
 }
@@ -535,13 +543,15 @@ def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
 
 def test_unknown_config_keys_fail_loudly(capsys, tmp_path):
     # each key is the dest of no flag of its command: "max-steps" once ran
-    # orbit at its 20 000-step default, and iterate's "tol" and certify's
-    # "x0" were read by nothing
+    # orbit at its 20 000-step default, iterate's "tol" and certify's "x0"
+    # were read by nothing, and orbit's "match_tol" is a fixed constant
     cfg = tmp_path / "run.json"
     out = tmp_path / "out.file"
     pair = ["--theta1", "0.748491", "--theta2", "0.772301"]
     for argv, key in ((["orbit", *pair, "--x0", "0.101912,0.189275"],
                        "max-steps"),
+                      (["orbit", *pair, "--x0", "0.101912,0.189275",
+                        "--brent"], "match_tol"),
                       (["iterate", *FIG, "--x0", "2,1", "--out", str(out)],
                        "tol"),
                       (["certify", *FIG, "--out", str(out)], "x0"),
@@ -574,3 +584,17 @@ def test_entry_exit_codes():
             [sys.executable, "-c", "from drlines.cli import entry; entry()",
              *argv], env=env, capture_output=True, text=True)
         assert proc.returncode == want, proc.stderr
+
+
+def test_python_m_runs_the_cli():
+    # python -m drlines.cli runs the command, as the console script does
+    src = os.path.dirname(os.path.dirname(drlines.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "drlines.cli", "certify", "--theta1", "1e-9",
+         "--theta2", "1.5707963267948966"],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (2, ""), proc.stderr
+    assert '"feasible": false' in proc.stdout
+    assert json.loads(proc.stdout)["feasible"] is False

@@ -90,10 +90,9 @@ def test_detect_cycle_tolerance_is_relative():
 
 def test_detect_cycle_rejects_bad_tolerances_and_windows():
     w = [(0.0, 0.0), (1.0, 0.0)] * 5
-    assert detect_cycle(w, 0.0) == 2
-    for bad in (-1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="match_tol"):
-            detect_cycle(w, bad)
+    # zero is a real match tolerance: exact repeats still match
+    with mock.patch.object(experiments, "MATCH_TOL", 0.0):
+        assert detect_cycle(w) == 2
     # a flat list, rows of three (whose first two columns repeat with
     # period 2), single columns and a stack of windows are not (m, 2) points
     for bad in ([0.0, 1.0] * 5, [(0.0, 0.0, 7.0), (1.0, 0.0, 7.0)] * 5,
@@ -627,9 +626,9 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
                                                          window):
     seen = []
 
-    def spy(points_window, match_tol=experiments.DEFAULT_MATCH_TOL):
+    def spy(points_window):
         seen.append(np.array(points_window))
-        return detect_cycle(points_window, match_tol)
+        return detect_cycle(points_window)
 
     monkeypatch.setattr(experiments, "detect_cycle", spy)
     monkeypatch.setattr(experiments, "WINDOW", window)
@@ -685,7 +684,7 @@ def test_a_budget_that_is_a_check_step_is_checked_once(monkeypatch):
         t = simulate(PERIOD1410_CFG, (0.392560, -0.351588),
                      max_steps=max_steps)
         assert (t.verdict, t.steps_used) == (Budget(), max_steps)
-        assert [shape[0] for shape, _, _ in seen] == sizes
+        assert [shape[0] for shape, _ in seen] == sizes
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -722,7 +721,7 @@ def test_one_cell_raster_equals_simulate(t1, t2_frac, x, y, max_steps):
 
 def simulate_tree_deque(cfg, x0, policy=EnumerateTree(), max_steps=20000,
                         tol=TIE_TOL, record=True, window=4096,
-                        match_tol=1e-8, check_every=512):
+                        check_every=512):
     # the deque-window walk simulate_tree replaced; reference for its buffer
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -746,12 +745,12 @@ def simulate_tree_deque(cfg, x0, policy=EnumerateTree(), max_steps=20000,
                 verdict = ConvergedTo(2)
                 break
             if steps and steps % check_every == 0:
-                k = detect_cycle(win, match_tol)
+                k = detect_cycle(win)
                 if k is not None:
                     verdict = Cycle(k)
                     break
             if steps >= max_steps:
-                k = detect_cycle(win, match_tol)
+                k = detect_cycle(win)
                 verdict = Cycle(k) if k is not None else Budget()
                 break
             gap = gap_of(c1, s1, c2, s2, x, y)
@@ -854,7 +853,7 @@ def test_simulate_tree_late_fork_and_long_period_match_deque():
 
 def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
                            tol=TIE_TOL, record=True, window=4096,
-                           match_tol=1e-8, check_every=512):
+                           check_every=512):
     # the per-step loop the resumable walk replaced (step counter, budget
     # and buffer tested on every step, one cycle check at a step that is a
     # check step or the budget); reference for its verdicts, points and
@@ -886,7 +885,7 @@ def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
                 verdict = ConvergedTo(2)
                 break
             if steps >= max_steps or (steps and steps % check_every == 0):
-                k = experiments.detect_cycle(view(win), match_tol)
+                k = experiments.detect_cycle(view(win))
                 if k is not None:
                     verdict = Cycle(k)
                     break
@@ -978,13 +977,13 @@ def find_period_brent_per_step(cfg, x0, max_steps=200000, match_tol=1e-8,
 
 
 def spy_detect_cycle(monkeypatch):
-    # every window detect_cycle is asked about, as bytes, with its tolerance
+    # every window detect_cycle is asked about, as bytes
     seen = []
 
-    def spy(points_window, match_tol=experiments.DEFAULT_MATCH_TOL):
+    def spy(points_window):
         w = np.asarray(points_window, dtype=float)
-        seen.append((w.shape, w.tobytes(), match_tol))
-        return detect_cycle(points_window, match_tol)
+        seen.append((w.shape, w.tobytes()))
+        return detect_cycle(points_window)
 
     monkeypatch.setattr(experiments, "detect_cycle", spy)
     return seen
@@ -1087,6 +1086,24 @@ def test_brent_matches_per_step_loop(monkeypatch):
     assert find_period_brent(PERIOD1410_CFG, x0, meet) == 1410
 
 
+def test_brent_reduces_to_a_divisor_and_rejects_an_unconfirmed_meet():
+    # the hare meets the tortoise at a multiple of the period 8, and the
+    # divisor checks on the confirming segment reduce it to 8, the period
+    # simulate's window finds
+    cfg, x0 = ProblemConfig(0.05, 0.1), (1.1672003185823576, 0.701385077992045)
+    assert find_period_brent(cfg, x0, max_steps=5000) == 8
+    assert find_period_brent_per_step(cfg, x0, max_steps=5000) == 8
+    assert simulate(cfg, x0).verdict == Cycle(8)
+    # a loose tolerance lets the hare meet on a stretch the confirming
+    # segment does not repeat: rejected, as by the per-step loop
+    cfg = ProblemConfig(0.06939967327546627, 2.7605605071519363)
+    x0 = (0.2858111952824114, -1.0670201413186493)
+    with mock.patch.object(experiments, "MATCH_TOL", 0.01):
+        assert find_period_brent(cfg, x0, max_steps=3000) is None
+    assert find_period_brent_per_step(cfg, x0, max_steps=3000,
+                                      match_tol=0.01) is None
+
+
 def test_huge_starts_run_quietly_in_the_walk_and_brent():
     # near 1e308 the NumPy screens of _cycle and of Brent's chunks
     # overflow where math.hypot does not; the overflow stays quiet (a
@@ -1131,18 +1148,16 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
             with pytest.raises(TypeError, match="integer"):
                 run()
     assert walks == []
-    for bad in (math.nan, math.inf, -1e-8):
-        with pytest.raises(ValueError, match="match_tol"):
-            simulate(PERIOD2_CFG, x0, match_tol=bad)
-        with pytest.raises(ValueError, match="match_tol"):
-            find_period_brent(PERIOD2_CFG, x0, match_tol=bad)
     assert pools == []
     # NumPy's integers are integers
     assert simulate(PERIOD2_CFG, x0, EnumerateTree(np.int64(2)),
                     max_steps=np.int32(700)).verdict == Cycle(2)
     # zero is a real match tolerance: exact matches only (a period-6 float
-    # cycle here, against 2 at 1e-8)
-    assert simulate(PERIOD2_CFG, x0, match_tol=0.0).verdict == Cycle(6)
+    # cycle here, against 2 at 1e-8), in the window and in Brent's search
+    with mock.patch.object(experiments, "MATCH_TOL", 0.0):
+        assert simulate(PERIOD2_CFG, x0).verdict == Cycle(6)
+        assert find_period_brent(PERIOD2_CFG, x0) == 6
+    assert find_period_brent_per_step(PERIOD2_CFG, x0, match_tol=0.0) == 6
 
 
 @pytest.mark.parametrize("policy", ["random", None, FirstBranch,
@@ -1663,7 +1678,7 @@ def test_partial_window_rule_agrees_with_detect_cycle(period, span, keep,
     cut = int(prefix * span)
     full[:cut] = rng.uniform(-2.0, 2.0, size=(cut, 2))
     m = max(2, round(keep * span))
-    got = experiments._cycle(full[span - m:], span, 1e-8)
+    got = experiments._cycle(full[span - m:], span)
     if got != experiments._UNDECIDED:
         assert got == detect_cycle(full)
     else:
@@ -1674,7 +1689,7 @@ def test_partial_window_rule_agrees_with_detect_cycle(period, span, keep,
             window_pair_ok(full, span - 1, span - 1 - k)
             for k in range(m // 2 + 1, span // 2 + 1))
     # a full window is always decided, and it is detect_cycle
-    assert experiments._cycle(full, span, 1e-8) == detect_cycle(full)
+    assert experiments._cycle(full, span) == detect_cycle(full)
 
 
 def cycle_reference(w, span, match_tol=1e-8):
@@ -1750,8 +1765,9 @@ def test_cycle_screen_agrees_with_the_hypot_screen(m, period, extra,
         hist[:, 1] = w
         w = hist[:, 1]
         assert not w.flags.c_contiguous
-    assert experiments._cycle(w, m + extra, match_tol) == cycle_reference(
-        w, m + extra, match_tol)
+    with mock.patch.object(experiments, "MATCH_TOL", match_tol):
+        got = experiments._cycle(w, m + extra)
+    assert got == cycle_reference(w, m + extra, match_tol)
 
 
 def test_cycle_screen_keeps_repeats_at_the_tolerance():
@@ -1765,7 +1781,7 @@ def test_cycle_screen_keeps_repeats_at_the_tolerance():
             for period in (2, 3, 17, 58):
                 w = planted_window(rng, 200, period, log_scale, ulps, 1e-8)
                 want = cycle_reference(w, 200)
-                assert experiments._cycle(w, 200, 1e-8) == want
+                assert experiments._cycle(w, 200) == want
                 found[want == period] += 1
     assert found[True] >= 10 and found[False] >= 5
 
@@ -1778,15 +1794,14 @@ def test_partial_window_rule_on_planted_periods():
                          (256, None)):
         full = np.tile(rng.uniform(-2.0, 2.0, size=(period, 2)), (6, 1))[:513]
         assert detect_cycle(full) == period
-        got = experiments._cycle(full[-257:], 513, 1e-8)
+        got = experiments._cycle(full[-257:], 513)
         assert got == (experiments._UNDECIDED if want is None else want)
     # no period: the near screen decides on 257 points, not on 256
     noise = rng.uniform(-2.0, 2.0, size=(513, 2))
-    assert experiments._cycle(noise[-257:], 513, 1e-8) is None
-    assert experiments._cycle(noise[-256:], 513, 1e-8) == \
-        experiments._UNDECIDED
-    assert experiments._cycle(noise[-1:], 513, 1e-8) == experiments._UNDECIDED
-    assert experiments._cycle(noise[-1:], 1, 1e-8) is None
+    assert experiments._cycle(noise[-257:], 513) is None
+    assert experiments._cycle(noise[-256:], 513) == experiments._UNDECIDED
+    assert experiments._cycle(noise[-1:], 513) == experiments._UNDECIDED
+    assert experiments._cycle(noise[-1:], 1) is None
 
 
 def spy_lockstep(monkeypatch):
@@ -1816,11 +1831,11 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
     partial = []
     cycle = experiments._cycle
 
-    def undecided(w, span, match_tol):
+    def undecided(w, span):
         if len(w) < span:
             partial.append(len(w))
             return experiments._UNDECIDED
-        return cycle(w, span, match_tol)
+        return cycle(w, span)
 
     monkeypatch.setattr(experiments, "_cycle", undecided)
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),

@@ -205,6 +205,14 @@ def test_certify_vertical_line_edge_classes_are_infeasible(t1, t2):
     assert math.isnan(res.condition_margin)
 
 
+def test_certify_is_infeasible_where_gamma_rounds_to_1():
+    # the margin is 2^-52 > 0, but the rate gamma at the midpoint alpha
+    # rounds to 1: no usable certificate
+    res = certify(ProblemConfig(0.4, 1.5289066706237044))
+    assert isinstance(res, Infeasible)
+    assert res.condition_margin == 2.220446049250313e-16
+
+
 def test_decrease_check_basics():
     assert decrease_check(FIG_CERT, FIG_CFG, FIG_CFG.p1)
     assert decrease_check(FIG_CERT, FIG_CFG, FIG_CFG.p2)
