@@ -7,10 +7,12 @@ Library layout:
   step arithmetic and tie test.
 - ``lyapunov``: local/global Lyapunov functions, certificates, increase balls.
 - ``robust``: sigma-perturbed steps, traces, and the KL decay bound checkers.
+- ``cycles``: cycle certificates, float proofs that an orbit never converges.
 - ``experiments``: trace simulation, cycle detection, rasters, parameter sweeps.
 - ``exports``: PGM/CSV/JSON writers with atomic file replacement.
 - ``cli``: the ``drlines`` command-line front end.
 """
+from .cycles import CycleCertificate
 from .dr import (
     DrStep,
     dr_multivalued,
@@ -29,6 +31,7 @@ from .experiments import (
     SweepGrid,
     Trace,
     certified_budget,
+    certify_cycle,
     detect_cycle,
     find_period_brent,
     make_theta_grid,

@@ -14,7 +14,10 @@ _LANE_BLOCK lanes, refilled in cell order as lanes finish.  A lane leaves
 the pool at a ball, at the tie screen, or at step n/2 for n = min(max_steps,
 512) carrying its point, from which it resumes as a lane with a cycle window
 in ``rasterize`` and in the scalar walk in ``sweep``; a tie, or a check that
-needs earlier points, sends a cell back to a re-run from its start.
+needs earlier points, sends a cell back to a re-run from its start.  A
+sweep walk also stops at a cycle proof (``certify_cycle``'s, on the
+window's last points): a proof that the float iteration follows one branch
+word forever, so the walk could only end in ``Cycle`` or ``Budget``.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .cycles import CycleCertificate, _prove_cycle, _root, _screened_proof
 from .dr import _branch, _lane_branch, _steps
 from .geometry import (ProblemConfig, bisector_data, checked_start, cos_sin,
                        distance_to_D3)
@@ -50,6 +54,9 @@ _UNDECIDED = -1
 _BRENT_CHUNK = 4096
 # window points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
+# the step after a sweep walk's resume at which it tries a cycle proof
+# before its first cycle check
+_PROOF_LEAD = 128
 
 
 @dataclass(frozen=True)
@@ -194,10 +201,14 @@ def detect_cycle(points_window: Sequence) -> Optional[int]:
 
 # the screen may overflow, or meet a NaN, where pair_ok's math.hypot does not
 @np.errstate(over="ignore", invalid="ignore")
-def _cycle(w: np.ndarray, span: int) -> Optional[int]:
+def _cycle(w: np.ndarray, span: int, consts: Optional[Sequence[float]] = None
+           ) -> Optional[int]:
     """detect_cycle on a window of max(span, m) points of which w holds the
     last m, or _UNDECIDED if that needs a point w lacks: for the K = 1 test
-    m >= 2, the near screen span // 2 < m, a full check of K, 2K <= m."""
+    m >= 2, the near screen span // 2 < m, a full check of K, 2K <= m.
+    Given a config's ``_constants``, a check that finds no cycle returns
+    the period of a cycle proof where ``_screened_proof`` finds one, from
+    the near screen's distances."""
     m, span = len(w), max(span, len(w))
     if m < 2:
         return None if span < 2 else _UNDECIDED
@@ -215,26 +226,68 @@ def _cycle(w: np.ndarray, span: int) -> Optional[int]:
     x, y = w[m - 1]
     e = w[m - 1 - min(span // 2, m - 1):m - 2][::-1]  # K = 2, 3, ...
     ex, ey = e[:, 0], e[:, 1]
-    near = ~(np.maximum(abs(ex - x), abs(ey - y))
-             > MATCH_TOL * ((1.0 + abs(ex) + abs(ey)) * (1.0 + 1e-12)))
+    dist = np.maximum(abs(ex - x), abs(ey - y))
+    near = ~(dist > MATCH_TOL * ((1.0 + abs(ex) + abs(ey)) * (1.0 + 1e-12)))
+    found = _UNDECIDED if span // 2 > m - 1 else None
     for k in (np.flatnonzero(near) + 2).tolist():
         if not pair_ok(m - 1, m - 1 - k):
             continue
         if 2 * k > m:
-            return _UNDECIDED
+            found = _UNDECIDED
+            break
         a = w[m - k:]
         b = w[m - 2 * k:m - k]
         gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
         lims = MATCH_TOL * (1.0 + np.hypot(b[:, 0], b[:, 1]))
         if np.all(gaps <= lims):
             return k
-    return _UNDECIDED if span // 2 > m - 1 else None
+    if consts is None:
+        return found
+    return _screened_proof(consts, w, dist) or found
 
 
-def _window_cycle(w: np.ndarray, steps: int):
-    """The check at ``steps``: detect_cycle, or _cycle on a partial window."""
+def _window_cycle(w: np.ndarray, steps: int,
+                  consts: Optional[Sequence[float]] = None):
+    """The check at ``steps``: detect_cycle, or _cycle on a partial window
+    or with a proof attempt."""
     span = min(steps + 1, WINDOW)
-    return detect_cycle(w) if len(w) >= span else _cycle(w, span)
+    if consts is None and len(w) >= span:
+        return detect_cycle(w)
+    return _cycle(w, span, consts)
+
+
+def certify_cycle(cfg: ProblemConfig, point, period: int
+                  ) -> Optional[CycleCertificate]:
+    """Prove that the float iteration from ``point`` never converges, from
+    its first ``period`` steps.
+
+    The steps run through dr._steps, and ``_prove_cycle`` takes the
+    period + 1 points: it proves that the iteration follows their branch
+    word forever, so it meets no tie and enters no termination ball.
+    Returns the certificate, or None where a step meets the tie band or a
+    ball or the proof fails.  A multiple of the cycle's period certifies
+    too, with the primitive period.  Raises ValueError for a start whose
+    norm is not finite or a period below 1 (TypeError for a non-integer).
+    """
+    if operator.index(period) < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    consts = _constants(cfg)
+    x, y = checked_start(point)
+    buf = array("d", (x, y))
+    for done in range(0, period, CHECK_EVERY):
+        code, x, y, _ = _steps(*consts, x, y,
+                               min(CHECK_EVERY, period - done), buf)
+        if code >= 0:
+            return None
+    p = np.frombuffer(buf).reshape(-1, 2)
+    proof = _prove_cycle(consts, p)
+    if proof is None:
+        return None
+    first, contraction, error, margin = proof
+    return CycleCertificate(
+        period=_root(first), word=tuple(np.where(first, 1, 2).tolist()),
+        points=tuple(map(tuple, p[:-1].tolist())), contraction=contraction,
+        error=error, margin=margin)
 
 
 def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
@@ -335,7 +388,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
 
 
 def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
-          pts: Optional[list], max_steps: int
+          pts: Optional[list], max_steps: int, prove: bool = False
           ) -> tuple[Optional[Verdict], float, float, int]:
     """Run one trajectory from its state at ``steps`` until a verdict or a
     tie.  ``win`` is a flat x, y buffer of the trajectory's last points up
@@ -344,10 +397,14 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
     then, at every CHECK_EVERY steps and at the budget, one cycle check,
     then the budget; dr._steps runs the steps in between.  Returns
     (verdict, x, y, steps), or (None, x, y, steps) at a point in the tie
-    band, visited but not stepped, or at an undecided check."""
+    band, visited but not stepped, or at an undecided check.  With
+    ``prove``, a check that finds no cycle, and a visit _PROOF_LEAD steps
+    after the start, end the walk with Cycle at a cycle proof: the sweep's
+    walks, whose step counts no output shows."""
     for code, a in ((1, -0.5), (2, 0.5)):
         if (x - a) * (x - a) + y * y < consts[3 + code]:
             return ConvergedTo(code), x, y, steps
+    lead = steps + _PROOF_LEAD if prove else -1
     while True:
         # a boundary: the buffer drops all but the last window points, and
         # detect_cycle reads them as an (m, 2) view, gone before the next
@@ -355,11 +412,18 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         if len(win) > 2 * WINDOW:
             del win[:len(win) - 2 * WINDOW]
         if steps >= max_steps or (steps and steps % CHECK_EVERY == 0):
-            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps)
+            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
+                                   consts if prove else None)
             if period is not None or steps >= max_steps:
                 return (None if period == _UNDECIDED else Budget()
                         if period is None else Cycle(period), x, y, steps)
+        elif steps == lead:
+            period = _screened_proof(consts, np.frombuffer(win).reshape(-1, 2))
+            if period:
+                return Cycle(period), x, y, steps
         stop = min(max_steps, (steps // CHECK_EVERY + 1) * CHECK_EVERY)
+        if steps < lead:
+            stop = min(stop, lead)
         code, x, y, k = _steps(*consts, x, y, stop - steps, win)
         if pts is not None and k:
             tail = win[len(win) - 2 * k:]
@@ -703,7 +767,7 @@ def _pair_outcome(cfg: ProblemConfig, consts: Sequence[float], res,
         budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                   if certified else max_steps)
         v = mark and _walk(consts, *mark, _checkpoint(max_steps),
-                           array("d", mark), None, budget)[0]
+                           array("d", mark), None, budget, True)[0]
         if v is None:
             v = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
                          max_steps=budget, record=False).verdict
@@ -728,7 +792,11 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     nonconvergent verdict there is a genuine counterexample, not a budget
     artifact.  The starts run through one lane pool in pair order; a start
     leaves at a ball, at the tie screen, or at step n/2 carrying its point
-    (n as in ``rasterize``), and the walk resumes it from there.  A pair's
+    (n as in ``rasterize``), and the walk resumes it from there.  A resumed
+    walk stops as soon as ``certify_cycle``'s proof holds on its last
+    points, 128 steps after the resume or at a cycle check that finds no
+    cycle: the start is then nonconvergent, as its ``simulate`` verdict
+    would be, and the sweep reports no step counts.  A pair's
     config and step constants are built, and it is certified and its
     starts drawn, as the pool takes them in; all are let go once its
     starts have left it.  Raises ValueError for samples_per_pair below 1,

@@ -9,12 +9,13 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from drlines.dr import dr_multivalued, dr_reversed, dr_two_lines
-from drlines.experiments import Cycle, make_theta_grid, rasterize, simulate, sweep
+from drlines.experiments import (ConvergedTo, Cycle, EnumerateTree,
+                                 certified_budget, make_theta_grid, rasterize,
+                                 simulate, simulate_tree, sweep)
 from drlines.exports import pgm_bytes
-from drlines.geometry import ProblemConfig
+from drlines.geometry import ProblemConfig, Region, bisector_data
 from drlines.lyapunov import (
     LyapunovCertificate,
     certify,
@@ -194,3 +195,29 @@ def test_grid_sweep_consistency():
     sg = sweep(orbit_pairs, samples_per_pair=20, seed=2)
     assert all(q.nonconvergent_found for q in sg.pairs)
     assert time.perf_counter() - start < 600.0
+
+
+def test_certified_pairs_converge_from_d3_on_every_branch():
+    # the theorem on the tie set: for each certified pair of the benchmark
+    # grid, two seeded starts on D3, one on each bisector, converge on
+    # every tie branching within their certified budgets
+    rng = np.random.default_rng(2013)
+    starts = 0
+    for t1, t2 in make_theta_grid(40, 40):
+        cfg = ProblemConfig(t1, t2)
+        cert = certify(cfg)
+        if not isinstance(cert, LyapunovCertificate):
+            continue
+        bd = bisector_data(cfg)
+        for (nx, ny), t in zip((bd.n1, bd.n2), rng.uniform(-2.0, 2.0, 2)):
+            x0 = (bd.c[0] - t * ny, bd.c[1] + t * nx)
+            assert dr_multivalued(cfg, x0).region == Region.D3
+            budget = certified_budget(cfg, cert, x0, 20000)
+            leaves = simulate_tree(cfg, x0, EnumerateTree(64),
+                                   max_steps=budget, record=False)
+            assert len(leaves) >= 2
+            bad = [tr.verdict for tr in leaves
+                   if not isinstance(tr.verdict, ConvergedTo)]
+            assert bad == [], (t1, t2, x0)
+            starts += 1
+    assert starts == 1098

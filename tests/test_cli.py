@@ -1,6 +1,5 @@
 """End-to-end command-line checks: exit codes, output shapes, config merge."""
 import csv
-import io
 import json
 import math
 import os

@@ -1,10 +1,12 @@
-"""Every module-level private name in the package is used somewhere."""
+"""Every module-level private name in the package is used somewhere, and
+every top-level import of the package and the tests is read."""
 import ast
 import pathlib
 
 import drlines
 
 SRC = pathlib.Path(drlines.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def _bound_private(tree):
@@ -49,3 +51,48 @@ def test_dead_name_guard_sees_an_unused_constant(tmp_path):
                                    "def f():\n    return _USED\n")
     (tmp_path / "b.py").write_text("from .a import _SHARED\n")
     assert dead_private_names(tmp_path) == [("a", "_DEAD")]
+
+
+def unused_imports(paths):
+    """(file name, line, name) for each name a top-level import of one of
+    the files binds and the file never reads.  ``__init__.py`` files (their
+    imports are the package's exports), ``__future__`` imports and names
+    on a line marked ``# noqa: F401`` are exempt."""
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            for a in node.names:
+                name = a.asname or a.name.partition(".")[0]
+                if (name not in read
+                        and "# noqa: F401" not in lines[a.lineno - 1]):
+                    unused.append((path.name, a.lineno, name))
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports(sorted(SRC.glob("*.py"))
+                          + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_unused_import_guard_sees_a_planted_import(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "import io\n"
+        "import os.path\n"
+        "from math import (pi,\n"
+        "                  tau)  # noqa: F401\n"
+        "from json import dumps as d, loads\n"
+        "print(os.path.sep, pi, d)\n")
+    (tmp_path / "__init__.py").write_text("from .m import io\n")
+    assert unused_imports(sorted(tmp_path.glob("*.py"))) == [
+        ("m.py", 2, "io"), ("m.py", 6, "loads")]

@@ -1831,11 +1831,11 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
     partial = []
     cycle = experiments._cycle
 
-    def undecided(w, span):
+    def undecided(w, span, *proof):
         if len(w) < span:
             partial.append(len(w))
             return experiments._UNDECIDED
-        return cycle(w, span)
+        return cycle(w, span, *proof)
 
     monkeypatch.setattr(experiments, "_cycle", undecided)
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
