@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dr import _branch
+from .dr import _branch, _gap
 from .geometry import TIE_TOL
 
 # the relative max-norm distance at which a lag is worth a proof, and the
@@ -117,8 +117,7 @@ def _prove_cycle(consts: Sequence[float], p: np.ndarray):
     if not a <= 1e100:
         return None
     x, y = q.T
-    dx1, dx2 = x + 0.5, x - 0.5
-    gap = abs(s1 * dx1 - c1 * y) - abs(s2 * dx2 - c2 * y)
+    gap = _gap(c1, s1, c2, s2, x, y)
     first = gap < 0.0
     z = complex(np.prod(np.where(first, complex(c1 * c1, -c1 * s1),
                                  complex(c2 * c2, -c2 * s2))))
@@ -145,7 +144,7 @@ def _prove_cycle(consts: Sequence[float], p: np.ndarray):
     yy = y * y
     balls = [math.sqrt(float((d * d + yy).min())) * (1.0 - 1e-13)
              - _up(math.sqrt(rsq) + 1e-150)
-             for d, rsq in ((dx1, r1sq), (dx2, r2sq))]
+             for d, rsq in ((x + 0.5, r1sq), (x - 0.5, r2sq))]
     margin = math.nextafter(min(tie, *balls) * (1.0 - 1e-13), -math.inf)
     if not error < margin:
         return None

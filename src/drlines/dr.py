@@ -10,13 +10,13 @@ operator (I + R_A R_B)/2 is R_B T R_B, with R_B(x, y) = (x, -y).
 
 ``_gap`` and ``_branch`` are the operator's arithmetic, written once for
 floats and NumPy lanes alike: the closed form, ``dr_multivalued`` (the
-one step at a point) and the lanes run them.  Every scalar trajectory
-runs ``_steps``, one loop with the same expressions written out in the
-same order, but with no call on a step clear of the tie band: a distance
-term is negated where abs would flip it, and a screen on squares sends
-only points near the band to the band test with its hypot.  A test pins
-the loop to ``_gap`` and ``_branch`` bit for bit, so the lanes reproduce
-the scalar iterates.
+one step at a point), the lanes and the cycle proof run them.  Every
+scalar trajectory runs ``_steps``, one loop with the same expressions
+written out in the same order, but with no call on a step clear of the
+tie band: a distance term is negated where abs would flip it, and a
+screen on squares sends only points near the band to the band test with
+its hypot.  A test pins the loop to ``_gap`` and ``_branch`` bit for
+bit, so the lanes reproduce the scalar iterates.
 """
 from __future__ import annotations
 
