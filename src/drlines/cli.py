@@ -4,8 +4,8 @@ Each subcommand is one function cmd_<name>(r) that first resolves and
 checks all of its inputs through r, a _Resolver (flags win over the
 --config JSON file, which wins over defaults; no environment variable is
 read), and only then computes.  Config keys are the flags' dest names, each
-held to its flag's type; any other key fails.  Angles are radians unless
---deg is given.  All floats print with up to 17 significant digits.  Exit
+held to its flag's type and choices; any other key fails.  Angles are radians
+unless --deg is given; floats print with up to 17 significant digits.  Exit
 codes: 0 success (certify: feasible), 1 usage or precondition error, 2
 certify found the pair infeasible, 3 I/O failure.  ``python -m drlines.cli
 ARGS`` runs as ``drlines ARGS`` does.
@@ -49,7 +49,6 @@ from .lyapunov import Infeasible, certify
 from .robust import (PerturbationSpec, check_kl_bound, run_perturbed,  # noqa: F401
                      run_perturbed_many)
 
-_POLICY_NAMES = ("first", "random", "tree")
 _THREADS_HELP = ("accepted and ignored (values below 1 are rejected): "
                  "the grid drivers run in this process")
 
@@ -108,9 +107,6 @@ class _Resolver:
 
     def policy(self, seed: int):
         name = self.get("policy", "first")
-        if name not in _POLICY_NAMES:
-            raise ValueError(f"policy must be one of {_POLICY_NAMES}, "
-                             f"got {name!r}")
         if name == "first":
             return FirstBranch()
         if name == "random":
@@ -120,9 +116,10 @@ class _Resolver:
 
 def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
     """The --config file's JSON object, with each of the command's flags
-    held to its type: the flag's argparse type applied to str(value), or a
-    JSON boolean for a store_const flag (--deg, --brent).  A key that is
-    not the dest of one of the command's flags (--config aside) raises."""
+    held to its type and its choices: the flag's argparse type applied to
+    str(value), or a JSON boolean for a store_const flag (--deg, --brent).
+    A key that is not the dest of one of the command's flags (--config
+    aside) raises."""
     with open(path, "r", encoding="utf-8") as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
@@ -133,20 +130,23 @@ def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
             raise ValueError(f"config key {key!r} is not a flag of {sp.prog} "
                              f"(keys: {', '.join(keys)})")
     for action in sp._actions:
-        v = file_cfg.get(action.dest)
+        key, v = action.dest, file_cfg.get(action.dest)
         if v is None:
             continue
         if action.const is True:
             if not isinstance(v, bool):
-                raise ValueError(f"config key {action.dest!r} must be true "
-                                 f"or false, got {v!r}")
+                raise ValueError(f"config key {key!r} must be true or false, "
+                                 f"got {v!r}")
         else:
             try:
-                file_cfg[action.dest] = (action.type or str)(str(v))
+                v = file_cfg[key] = (action.type or str)(str(v))
             except ValueError:
-                raise ValueError(f"config key {action.dest!r}: invalid "
+                raise ValueError(f"config key {key!r}: invalid "
                                  f"{action.type.__name__} value {v!r}"
                                  ) from None
+            if action.choices is not None and v not in action.choices:
+                raise ValueError(f"config key {key!r}: {key} must be one of "
+                                 f"{tuple(action.choices)}, got {v!r}")
     return file_cfg
 
 
@@ -165,9 +165,6 @@ def cmd_iterate(r: _Resolver) -> int:
     cfg = r.config()
     seed = r.get("seed", 0)
     policy = r.policy(seed)
-    if isinstance(policy, EnumerateTree):
-        raise ValueError("iterate follows one branch per step, so "
-                         "policy 'tree' does not apply; use first or random")
     x = r.start()
     steps = _at_least("steps", r.get("steps", 100), 0)
     out = r.get("out")
@@ -306,7 +303,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             sp.add_argument("--deg", action="store_const", const=True,
                             help="interpret angles as degrees")
         sp.add_argument("--config", help="JSON file mirroring the flags")
-        sp.add_argument("--seed", type=int)
         return sp
 
     sp = command("certify", cmd_certify, "build the decay certificate")
@@ -315,13 +311,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = command("iterate", cmd_iterate, "print plain iterates from x0")
     sp.add_argument("--x0")
     sp.add_argument("--steps", type=int)
-    sp.add_argument("--policy", choices=_POLICY_NAMES)
+    sp.add_argument("--policy", choices=("first", "random"))
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--out", help="write step/x/y CSV here")
 
     sp = command("raster", cmd_raster, "basin-of-attraction raster")
     sp.add_argument("--bounds", help="xmin,xmax,ymin,ymax")
     sp.add_argument("--res", help="NXxNY")
-    sp.add_argument("--policy", choices=_POLICY_NAMES)
+    sp.add_argument("--policy", choices=("first", "random", "tree"))
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--max-steps", type=int, dest="max_steps")
     sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--out", help="PGM output path")
@@ -332,6 +330,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--grid", help="N1xN2 angle grid")
     sp.add_argument("--pairs", help="t1,t2;t1,t2;... explicit pairs")
     sp.add_argument("--samples", type=int)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--max-steps", type=int, dest="max_steps")
     sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--out", help="CSV output path")
@@ -348,6 +347,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--steps", type=int)
     sp.add_argument("--traces", type=int)
     sp.add_argument("--mode", choices=("random", "adversarial"))
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--out", help="write the first trace's CSV here")
     return ap, sub.choices
 

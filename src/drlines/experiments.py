@@ -799,18 +799,21 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     would be, and the sweep reports no step counts.  A pair's
     config and step constants are built, and it is certified and its
     starts drawn, as the pool takes them in; all are let go once its
-    starts have left it.  Raises ValueError for samples_per_pair below 1,
-    a max_steps that ``simulate`` rejects or a pair that ``ProblemConfig``
-    rejects, before any start runs.
+    starts have left it.  Raises, before any start runs, for a
+    samples_per_pair or a seed that is not an integer (TypeError; NumPy's
+    integers pass), samples_per_pair below 1 or a negative seed, a
+    max_steps that ``simulate`` rejects or a pair that ``ProblemConfig``
+    rejects.
     """
-    if samples_per_pair < 1:
-        raise ValueError(
-            f"samples_per_pair must be >= 1, got {samples_per_pair}")
+    samples = operator.index(samples_per_pair)
+    if samples < 1:
+        raise ValueError(f"samples_per_pair must be >= 1, got {samples}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_run(max_steps)
     for t1, t2 in theta_grid:
         # a bad pair raises here, before any start runs; none is kept
         ProblemConfig(float(t1), float(t2))
-    samples = samples_per_pair
     # pair index -> (config, constants, certify result, starts, hand-offs
     # by start index), held while the pair's starts are in the pool
     pending: dict[int, tuple] = {}
@@ -836,7 +839,7 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
         for done in set(k[finished[k] == samples].tolist()):
             outcomes[done] = _pair_outcome(*pending.pop(done), done,
                                            max_steps, seed)
-    return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples_per_pair,
+    return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples,
                      seed=seed, max_steps=max_steps)
 
 

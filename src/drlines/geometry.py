@@ -5,9 +5,8 @@ x-axis B at the anchors p1 = (-1/2, 0) and p2 = (1/2, 0), with inclination
 angles 0 < theta1 <= pi/2 and theta1 < theta2 < pi.  This module owns the
 config, the region labels D1/D2 (closer to A1/A2) and D3 (the tie band),
 the closed forms for the equidistance set D3 (the two angle bisectors
-through the intersection of A1 and A2) and the checks on starts and
-tolerances.  Points are classified by the DR step's own tie test,
-``dr._gap``.
+through the intersection of A1 and A2) and the check on starts.  Points
+are classified by the DR step's own tie test, ``dr._gap``.
 """
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ bound beta(omega2(x0), n) with beta geometric in n.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -291,10 +292,13 @@ def run_perturbed_many(spec: PerturbationSpec, cfg: ProblemConfig, starts,
                        mode: str = "random") -> PerturbedLanes:
     """Perturbed trajectories from ``starts[j]`` on independent
     (seed, trace_ids[j]) streams, advanced together as NumPy lanes; a lane
-    does not depend on the lanes beside it.  Raises ValueError for an
-    unknown mode, a negative step count, starts and trace_ids of different
-    lengths, and starts that are not finite or whose V is too large for a
-    double."""
+    does not depend on the lanes beside it.  Raises, before any draw, for
+    a seed that is not an integer >= 0 (TypeError for a non-integer), and
+    ValueError for an unknown mode, a negative step count, starts and
+    trace_ids of different lengths, and starts that are not finite or
+    whose V is too large for a double."""
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     per_step = _draws_per_step(mode)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")

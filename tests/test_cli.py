@@ -1,8 +1,11 @@
-"""End-to-end command-line checks: exit codes, output shapes, config merge."""
+"""End-to-end command-line checks: exit codes, output shapes, config merge,
+and a guard that every flag a command declares is read."""
+import ast
 import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -12,7 +15,7 @@ import pytest
 import drlines
 from dr_oracle import iterate_reference
 from robust_oracle import run_perturbed_reference
-from drlines import experiments
+from drlines import cli, experiments
 from drlines.cli import main
 from drlines.exports import (format_float, perturbed_trace_csv, sweep_csv,
                              trace_csv)
@@ -129,7 +132,8 @@ def test_exit_code_matrix(capsys, tmp_path):
     bogus.write_text('{"mode": "bogus"}')
     code, out, err = run_cli(capsys, ["robust", *FIG, "--x0", "2,1", "--steps",
                                       "0", "--config", str(bogus)])
-    assert code == 1 and out == "" and "mode" in err
+    assert code == 1 and out == ""
+    assert err.startswith("error: config key 'mode': mode must be one of")
     bogus.unlink()
     # budgets that would switch a check off, Brent and windowed alike; the
     # match tolerance is fixed, so --match-tol is no flag
@@ -161,6 +165,20 @@ def test_exit_code_matrix(capsys, tmp_path):
             "raster", *FIG, "--res", "4x4", "--seed", "-1",
             "--policy", policy, "--out", str(tmp_path / "r.pgm")])
         assert code == 1 and out == "" and "non-negative" in err
+    # the sweep and robust drivers check the seed before any draw
+    for argv in (["sweep", "--pairs", "1,2", "--samples", "2",
+                  "--out", str(tmp_path / "s.csv")],
+                 ["robust", *FIG, "--x0", "2,1",
+                  "--out", str(tmp_path / "t.csv")]):
+        code, out, err = run_cli(capsys, [*argv, "--seed", "-1"])
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+    # certify and orbit draw nothing, so they take no seed
+    for argv in (["certify", *FIG, "--out", str(tmp_path / "c.json")],
+                 ["orbit", *FIG, "--x0", "2,1"]):
+        code, out, err = run_cli(capsys, [*argv, "--seed", "3"])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --seed 3" in err
     # a three-field start and an empty pair list
     for argv, words in ((["iterate", *FIG, "--x0", "1,2,3"], "'x,y'"),
                         (["sweep", "--pairs", ";",
@@ -171,17 +189,21 @@ def test_exit_code_matrix(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
     code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", TIE_X0,
                                       "--policy", "tree"])
-    assert code == 1 and out == "" and "tree" in err
+    assert code == 1 and out == "" and "invalid choice: 'tree'" in err
     cfg = tmp_path / "tree.json"
     cfg.write_text('{"policy": "tree"}')
-    assert run_cli(capsys, ["iterate", *FIG, "--x0", "2,1",
-                            "--config", str(cfg)])[0] == 1
+    code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", "2,1",
+                                      "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert err == ("error: config key 'policy': policy must be one of "
+                   "('first', 'random'), got 'tree'\n")
     # a policy name only a config file can give
     cfg.write_text('{"policy": "bogus"}')
     code, out, err = run_cli(capsys, ["raster", *FIG, "--res", "2x2",
                                       "--out", str(tmp_path / "r.pgm"),
                                       "--config", str(cfg)])
     assert code == 1 and out == "" and "policy must be one of" in err
+    assert err.startswith("error: config key 'policy'")
     assert not (tmp_path / "r.pgm").exists()
     assert run_cli(capsys, ["no-such-command"])[0] == 1
     assert run_cli(capsys, [])[0] == 1
@@ -509,7 +531,7 @@ def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
         return run_cli(capsys, [*argv, "--config", str(cfg)])
 
     # each of these once ran as a different value: "false" as true, true
-    # as 1, 2.9 as 2
+    # as 1, 2.9 as 2; the last three are outside their flags' choices
     for argv, values in ((["orbit", *pair], {"brent": "false"}),
                          (["certify", *FIG, "--out", str(out)],
                           {"deg": "false"}),
@@ -517,7 +539,13 @@ def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
                          (["orbit", *pair], {"max_steps": True}),
                          (sweep, {"samples": 2.9}),
                          (["iterate", *FIG, "--x0", "2,1"],
-                          {"theta1": True})):
+                          {"theta1": True}),
+                         (["iterate", *FIG, "--x0", "2,1", "--out", str(out)],
+                          {"policy": "tree"}),
+                         (["raster", *FIG, "--res", "2x2", "--out", str(out)],
+                          {"policy": "bogus"}),
+                         (["robust", *FIG, "--x0", "2,1", "--steps", "0",
+                           "--out", str(out)], {"mode": "bogus"})):
         code, text, err = run(argv, values)
         key = next(iter(values))
         assert (code, text) == (1, "")
@@ -541,22 +569,25 @@ def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
 
 
 def test_unknown_config_keys_fail_loudly(capsys, tmp_path):
-    # each key is the dest of no flag of its command: "max-steps" once ran
-    # orbit at its 20 000-step default, iterate's "tol" and certify's "x0"
-    # were read by nothing, and orbit's "match_tol" is a fixed constant
+    # each last key is the dest of no flag of its command: "max-steps" once
+    # ran orbit at its 20 000-step default, iterate's "tol", certify's "x0"
+    # and the "seed" of certify and orbit were read by nothing, and orbit's
+    # "match_tol" is a fixed constant; iterate's "seed" is a flag's key
     cfg = tmp_path / "run.json"
     out = tmp_path / "out.file"
     pair = ["--theta1", "0.748491", "--theta2", "0.772301"]
-    for argv, key in ((["orbit", *pair, "--x0", "0.101912,0.189275"],
-                       "max-steps"),
-                      (["orbit", *pair, "--x0", "0.101912,0.189275",
-                        "--brent"], "match_tol"),
-                      (["iterate", *FIG, "--x0", "2,1", "--out", str(out)],
-                       "tol"),
-                      (["certify", *FIG, "--out", str(out)], "x0"),
-                      (["certify", *FIG], "config"),
-                      (["certify", *FIG], "help")):
-        cfg.write_text(json.dumps({"seed": 1, key: 3}))
+    orbit = ["orbit", *pair, "--x0", "0.101912,0.189275"]
+    for argv, values in ((orbit, {"max-steps": 3}),
+                         ([*orbit, "--brent"], {"match_tol": 3}),
+                         (orbit, {"seed": 3}),
+                         (["iterate", *FIG, "--x0", "2,1", "--out", str(out)],
+                          {"seed": 1, "tol": 3}),
+                         (["certify", *FIG, "--out", str(out)], {"x0": 3}),
+                         (["certify", *FIG, "--out", str(out)], {"seed": 3}),
+                         (["certify", *FIG], {"config": 3}),
+                         (["certify", *FIG], {"help": 3})):
+        key = list(values)[-1]
+        cfg.write_text(json.dumps(values))
         code, text, err = run_cli(capsys, [*argv, "--config", str(cfg)])
         assert (code, text) == (1, "")
         assert err.startswith(f"error: config key {key!r} is not a flag")
@@ -567,6 +598,102 @@ def test_unknown_config_keys_fail_loudly(capsys, tmp_path):
     assert (code, text) == (1, "")
     assert err == "error: theta1 = 2.0 violates 0 < theta1 <= pi/2\n"
     assert not out.exists()
+
+
+def declared_flags(source):
+    """{command: (its cmd_* function's name, its flags' dest names)}, read
+    from the CLI source: the flags the ``command`` helper of _build_parser
+    declares for every command (those under ``if angles:`` unless the call
+    passes angles=False), and the ``sp.add_argument`` calls after the
+    command's ``sp = command(...)``."""
+    tree = ast.parse(source)
+    build = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and n.name == "_build_parser")
+
+    def kwarg(call, name, default):
+        return next((k.value.value for k in call.keywords if k.arg == name),
+                    default)
+
+    def dest(stmt):
+        if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+                and getattr(stmt.value.func, "attr", "") == "add_argument"):
+            return None
+        return kwarg(stmt.value, "dest", stmt.value.args[0].value.lstrip("-")
+                     .replace("-", "_"))
+
+    helper = next(n for n in build.body if isinstance(n, ast.FunctionDef))
+    shared = {dest(s) for s in helper.body} - {None}
+    angles = {dest(s) for n in helper.body if isinstance(n, ast.If)
+              for s in n.body} - {None}
+    declared, name = {}, None
+    for stmt in build.body:
+        call = getattr(stmt, "value", None)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", "") == (
+                helper.name):
+            name = call.args[0].value
+            declared[name] = (call.args[1].id, shared | (
+                angles if kwarg(call, "angles", True) else set()))
+        elif dest(stmt) is not None:
+            declared[name][1].add(dest(stmt))
+    return declared
+
+
+def unread_flags(source):
+    """'command: dest' for each flag of a command whose cmd_* function never
+    reads it, sorted.  A function reads a key through r.get(key), or
+    through a _Resolver method that reads it with self.get(key): r.config()
+    (the angles and --deg), r.start() (--x0), r.policy() (--policy).
+    --config, which main reads, is exempt."""
+    tree = ast.parse(source)
+
+    def calls(node, obj):
+        """(method name, call) for each obj.method(...) call in node."""
+        return [(c.func.attr, c) for c in ast.walk(node)
+                if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute)
+                and getattr(c.func.value, "id", "") == obj]
+
+    resolver = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                    and n.name == "_Resolver")
+    via = {m.name: {c.args[0].value for a, c in calls(m, "self") if a == "get"}
+           for m in resolver.body if isinstance(m, ast.FunctionDef)}
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    unread = []
+    for name, (run, dests) in declared_flags(source).items():
+        read = set()
+        for attr, c in calls(funcs[run], "r"):
+            read |= {c.args[0].value} if attr == "get" else via[attr]
+        unread += [f"{name}: {d}" for d in dests - read - {"config"}]
+    return sorted(unread)
+
+
+CLI_SOURCE = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+
+
+def test_every_flag_is_read_by_its_command():
+    # the source reading sees the flags argparse builds, command by command
+    _, commands = cli._build_parser()
+    assert {name: dests for name, (_, dests)
+            in declared_flags(CLI_SOURCE).items()} == {
+        name: {a.dest for a in sp._actions} - {"help"}
+        for name, sp in commands.items()}
+    assert unread_flags(CLI_SOURCE) == []
+
+
+def test_unread_flag_guard_sees_a_planted_flag():
+    # --seed for every command, as it once was: certify and orbit draw
+    # nothing, so neither reads it
+    line = ('        sp.add_argument("--config", '
+            'help="JSON file mirroring the flags")\n')
+    planted = CLI_SOURCE.replace(
+        line, line + '        sp.add_argument("--seed", type=int)\n')
+    assert planted != CLI_SOURCE
+    assert unread_flags(planted) == ["certify: seed", "orbit: seed"]
+    # a read removed: orbit's start
+    planted = CLI_SOURCE.replace("    x0 = r.start()\n    max_steps",
+                                 "    x0 = (0.0, 0.0)\n    max_steps")
+    assert planted != CLI_SOURCE
+    assert unread_flags(planted) == ["orbit: x0"]
 
 
 def test_entry_exit_codes():

@@ -303,11 +303,33 @@ def test_sweep_is_deterministic_and_matches_per_start_simulate():
     assert a.pairs == sweep_reference(grid, 5, 5000, 1)
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
     with pytest.raises(ValueError):
         sweep([(0.3, 0.9)], samples_per_pair=0)
     with pytest.raises(ValueError):
         sweep([(0.9, 0.3)])
+    # sample counts and seeds fail before any start runs: each of these
+    # once came back in a SweepGrid from an empty grid, and failed inside
+    # NumPy on any other
+    pools = []
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: pools.append(args) or iter(()))
+    for grid in ([], [(1.0, 1.5)]):
+        for kwargs in ({"samples_per_pair": 2.5}, {"seed": 2.5},
+                       {"seed": np.float64(3.0)}):
+            with pytest.raises(TypeError, match="integer"):
+                sweep(grid, **kwargs)
+        with pytest.raises(ValueError,
+                           match="seed must be a non-negative integer"):
+            sweep(grid, seed=-1)
+    assert pools == []
+    monkeypatch.undo()
+    # operator.index's integers, bools and NumPy's included, count as ints
+    one = sweep([(1.0, 1.5)], samples_per_pair=1, max_steps=2000, seed=3)
+    for samples in (True, np.int64(1)):
+        got = sweep([(1.0, 1.5)], samples_per_pair=samples, max_steps=2000,
+                    seed=np.int32(3))
+        assert got == one and type(got.samples_per_pair) is int
 
 
 def test_sweep_rejects_a_bad_pair_before_any_start(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from drlines.dr import dr_multivalued, dr_two_lines
+from drlines import lyapunov
 from drlines.geometry import ProblemConfig, Region, distance_to_D3
 from drlines.lyapunov import (
     Infeasible,
@@ -288,6 +289,21 @@ def test_ball_bruteforce_matches_analytic():
             rep = verify_ball_bruteforce(FIG_CFG, index, rho,
                                          n_samples=20000, seed=5)
             assert rep.max_disagreement_distance <= 1e-8
+
+
+def test_ball_bruteforce_sees_a_grown_ball(monkeypatch):
+    # the audit against a ball 1% too large: the disagreeing samples lie
+    # in the shell between the true sphere and the grown one
+    P = (1 + math.sin(FIG_CFG.theta1)) * (1 + math.sin(FIG_CFG.theta2))
+    true_ball = lyapunov.increase_ball
+    monkeypatch.setattr(lyapunov, "increase_ball", lambda *args: (
+        dataclasses.replace(true_ball(*args),
+                            radius=1.01 * true_ball(*args).radius)))
+    for index in (1, 2):
+        radius = true_ball(FIG_CFG, index, 1.5 * P).radius
+        rep = verify_ball_bruteforce(FIG_CFG, index, 1.5 * P)
+        assert rep.n_disagree > 0
+        assert 0.0 < rep.max_disagreement_distance <= 0.01 * radius
 
 
 def test_anchor_lies_in_its_own_increase_ball():

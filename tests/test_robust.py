@@ -366,6 +366,15 @@ def test_run_perturbed_rejects_bad_inputs():
     empty = run_perturbed_many(SPEC, FIG_CFG, [], 5, 0, [])
     assert empty.points.shape == (0, 6, 2)
     assert empty.disturbances.shape == (0, 5, 2, 2)
+    # the seed is checked first, with no lane or no step as well
+    for starts, ids in (([(1.0, 1.0)], [0]), ([], [])):
+        for n_steps in (0, 5):
+            with pytest.raises(ValueError,
+                               match="seed must be a non-negative integer"):
+                run_perturbed_many(SPEC, FIG_CFG, starts, n_steps, -1, ids,
+                                   mode="bogus")
+            with pytest.raises(TypeError, match="integer"):
+                run_perturbed_many(SPEC, FIG_CFG, starts, n_steps, 2.5, ids)
 
 
 def test_run_perturbed_rejects_starts_whose_v_overflows():
