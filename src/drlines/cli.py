@@ -13,6 +13,7 @@ ARGS`` runs as ``drlines ARGS`` does.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -164,15 +165,21 @@ def cmd_certify(r: _Resolver) -> int:
 def cmd_iterate(r: _Resolver) -> int:
     cfg = r.config()
     seed = r.get("seed", 0)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     policy = r.policy(seed)
     x = r.start()
     steps = _at_least("steps", r.get("steps", 100), 0)
     out = r.get("out")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = None
     points = [x]
     for _ in range(steps):
         outs = dr_multivalued(cfg, x).outputs
         if len(outs) > 1 and isinstance(policy, SeededRandom):
+            if rng is None:
+                # the coin stream is built at the first tie, as simulate's
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(policy.seed))
             x = outs[int(rng.integers(0, len(outs)))]
         else:
             x = outs[0]
@@ -286,8 +293,9 @@ def cmd_robust(r: _Resolver) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and, by name, the subcommands' parsers."""
+    """The parser and, by name, the subcommands' parsers, built once."""
     ap = argparse.ArgumentParser(
         prog="drlines",
         description="Douglas-Rachford iteration on two lines against an "

@@ -506,10 +506,10 @@ def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000
     return lam
 
 
-def _lanes(consts: Sequence[float], x, y) -> np.ndarray:
-    """Lane array: rows x, y and a config's ``_constants``."""
+def _lanes(consts, x, y) -> np.ndarray:
+    """Lane array: rows x, y and one ``_constants`` row, or one per lane."""
     out = np.empty((8, len(x)))
-    out[0], out[1], out[2:] = x, y, np.array(consts)[:, None]
+    out[0], out[1], out[2:] = x, y, np.asarray(consts).T.reshape(6, -1)
     return out
 
 
@@ -542,32 +542,32 @@ def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.take(idx, axis=-1) for a in arrays]
 
 
-def _pool(source, max_steps: int):
-    """Run the lanes of ``source``, lane arrays whose columns are lanes 0,
-    1, 2, ... in order, at most _LANE_BLOCK at a time: a lane that finishes
-    makes room for the next one, so the pool stays full while the source
-    lasts.  Yields (ids, codes, steps, marks) for the lanes that leave at
-    each step, each at its own step count: code 1 or 2 for a lane that
-    enters a termination ball, _TIE_HANDOFF for one at the tie screen, and
-    _HANDOFF for one still running at its step _checkpoint(max_steps).
-    ``marks`` (m, 2) holds the _HANDOFF lanes' points at that visit, in
-    the order of their ids in ``ids``; a tie lane gets none, as from there
-    it would meet its tie again."""
+def _pool(lanes_at, n: int, max_steps: int):
+    """Run lanes 0, ..., n-1, at most _LANE_BLOCK at a time: a lane that
+    finishes makes room for the next one, so the pool stays full while
+    lanes are left.  ``lanes_at(lo, hi)`` builds lanes lo, ..., hi-1 as
+    one lane array, asked for at most _LANE_BLOCK at a time.  Yields (ids,
+    codes, steps, marks) for the lanes that leave at each step, each at
+    its own step count: code 1 or 2 for a lane that enters a termination
+    ball, _TIE_HANDOFF for one at the tie screen, and _HANDOFF for one
+    still running at its step _checkpoint(max_steps).  ``marks`` (m, 2)
+    holds the _HANDOFF lanes' points at that visit, in the order of their
+    ids in ``ids``; a tie lane gets none, as from there it would meet its
+    tie again."""
     mark = _checkpoint(max_steps)
-    chunks, buf, drawn = iter(source), np.empty((8, 0)), 0
+    buf, built = np.empty((8, 0)), 0
 
-    def draw(n):
-        # the source's next n lanes and their ids, fewer once it runs dry
-        nonlocal buf, drawn
-        parts, have = [buf], buf.shape[1]
-        while have < n and (more := next(chunks, None)) is not None:
-            parts.append(more)
-            have += more.shape[1]
-        if len(parts) > 1:
-            buf = np.concatenate(parts, axis=1)
-        new, buf = buf[:, :n], buf[:, n:]
-        drawn += new.shape[1]
-        return np.arange(drawn - new.shape[1], drawn), new
+    def draw(k):
+        # the next k lanes and their ids, fewer once all n are out; as k
+        # is at most _LANE_BLOCK, one block always tops the buffer up
+        nonlocal buf, built
+        if buf.shape[1] < k and built < n:
+            hi = min(n, built + _LANE_BLOCK)
+            buf = np.concatenate([buf, lanes_at(built, hi)], axis=1)
+            built = hi
+        new, buf = buf[:, :k], buf[:, k:]
+        lo = built - buf.shape[1] - new.shape[1]
+        return np.arange(lo, lo + new.shape[1]), new
 
     ids, lanes = draw(_LANE_BLOCK)
     steps = np.zeros(len(ids), dtype=np.int32)
@@ -585,8 +585,8 @@ def _pool(source, max_steps: int):
                    marks[codes[due[gone]] == _HANDOFF])
         steps += 1
         if len(gone):
-            # fresh lanes take the finished lanes' places; once the source
-            # is empty the places left over are dropped
+            # fresh lanes take the finished lanes' places; once all n are
+            # out the places left over are dropped
             new_ids, new = draw(len(gone))
             fill = gone[:len(new_ids)]
             lanes[:, fill], ids[fill], steps[fill] = new, new_ids, 0
@@ -703,12 +703,9 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     codes = np.empty(n, dtype=np.uint8)
     steps = np.empty(n, dtype=np.int32)
     consts = _constants(cfg)
-    # cell centres are made _LANE_BLOCK at a time, as the pool takes them in
-    chunks = (_lanes(consts, *_cell_centres(
-        bounds, resolution, np.arange(lo, min(lo + _LANE_BLOCK, n))))
-              for lo in range(0, n, _LANE_BLOCK))
     saved = []
-    for ids, c, s, m in _pool(chunks, max_steps):
+    for ids, c, s, m in _pool(lambda lo, hi: _lanes(consts, *_cell_centres(
+            bounds, resolution, np.arange(lo, hi))), n, max_steps):
         codes[ids], steps[ids] = c, s
         if len(m):
             saved.append((ids[c == _HANDOFF], m))
@@ -790,20 +787,20 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     SeededRandom tie policy on the (seed, pair_index, start_index) stream.
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
-    artifact.  The starts run through one lane pool in pair order; a start
-    leaves at a ball, at the tie screen, or at step n/2 carrying its point
-    (n as in ``rasterize``), and the walk resumes it from there.  A resumed
-    walk stops as soon as ``certify_cycle``'s proof holds on its last
-    points, 128 steps after the resume or at a cycle check that finds no
-    cycle: the start is then nonconvergent, as its ``simulate`` verdict
-    would be, and the sweep reports no step counts.  A pair's
-    config and step constants are built, and it is certified and its
-    starts drawn, as the pool takes them in; all are let go once its
-    starts have left it.  Raises, before any start runs, for a
-    samples_per_pair or a seed that is not an integer (TypeError; NumPy's
-    integers pass), samples_per_pair below 1 or a negative seed, a
-    max_steps that ``simulate`` rejects or a pair that ``ProblemConfig``
-    rejects.
+    artifact.  It runs in three phases, as ``rasterize`` does.  Every
+    pair's step constants are built and all starts drawn; the starts run
+    through one lane pool in pair order, and one leaves it at a ball, at
+    the tie screen, or at step n/2 carrying its point (n as in
+    ``rasterize``); then each pair in turn is certified and its hand-offs
+    resumed in the walk, in start order up to its first nonconvergent one.
+    A resumed walk stops as soon as ``certify_cycle``'s proof holds on its
+    last points, 128 steps after the resume or at a cycle check that finds
+    no cycle: the start is then nonconvergent, as its ``simulate`` verdict
+    would be, and the sweep reports no step counts.  Raises, before any
+    start runs, for a samples_per_pair or a seed that is not an integer
+    (TypeError; NumPy's integers pass), samples_per_pair below 1 or a
+    negative seed, a max_steps that ``simulate`` rejects or a pair that
+    ``ProblemConfig`` rejects.
     """
     samples = operator.index(samples_per_pair)
     if samples < 1:
@@ -811,34 +808,28 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_run(max_steps)
-    for t1, t2 in theta_grid:
-        # a bad pair raises here, before any start runs; none is kept
-        ProblemConfig(float(t1), float(t2))
-    # pair index -> (config, constants, certify result, starts, hand-offs
-    # by start index), held while the pair's starts are in the pool
-    pending: dict[int, tuple] = {}
-
-    def pairs():
-        for k, (t1, t2) in enumerate(theta_grid):
-            cfg = ProblemConfig(float(t1), float(t2))
-            consts = _constants(cfg)
-            starts = np.random.default_rng(np.random.SeedSequence(
-                [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
-            pending[k] = (cfg, consts, certify(cfg), starts, {})
-            yield _lanes(consts, starts[:, 0], starts[:, 1])
-
-    outcomes = [None] * len(theta_grid)
-    finished = np.zeros(len(theta_grid), dtype=np.int64)
-    for ids, codes, _, marks in _pool(pairs(), max_steps):
+    # a bad pair raises here, before any start runs
+    rows = np.array([_constants(ProblemConfig(float(t1), float(t2)))
+                     for t1, t2 in theta_grid]).reshape(-1, 6)
+    starts = np.empty((len(rows), samples, 2))
+    for k in range(len(rows)):
+        starts[k] = np.random.default_rng(np.random.SeedSequence(
+            [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
+    flat = starts.reshape(-1, 2)
+    # pair index -> hand-offs by start index, for the pairs that have any
+    handoffs: dict[int, dict] = {}
+    for ids, codes, _, marks in _pool(
+            lambda lo, hi: _lanes(rows[np.arange(lo, hi) // samples],
+                                  *flat[lo:hi].T), len(flat), max_steps):
         marks = dict(zip(ids[codes == _HANDOFF].tolist(), marks.tolist()))
-        k = ids // samples
         for h in ids[codes >= _TIE_HANDOFF].tolist():
-            pending[h // samples][4][h % samples] = marks.get(h)
-        np.add.at(finished, k, 1)
-        # a set, as np.unique would import numpy.ma (0.5 MB)
-        for done in set(k[finished[k] == samples].tolist()):
-            outcomes[done] = _pair_outcome(*pending.pop(done), done,
-                                           max_steps, seed)
+            handoffs.setdefault(h // samples, {})[h % samples] = marks.get(h)
+    outcomes = []
+    for k, (t1, t2) in enumerate(theta_grid):
+        cfg = ProblemConfig(float(t1), float(t2))
+        outcomes.append(_pair_outcome(cfg, rows[k].tolist(), certify(cfg),
+                                      starts[k], handoffs.get(k, {}), k,
+                                      max_steps, seed))
     return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples,
                      seed=seed, max_steps=max_steps)
 

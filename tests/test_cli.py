@@ -165,8 +165,11 @@ def test_exit_code_matrix(capsys, tmp_path):
             "raster", *FIG, "--res", "4x4", "--seed", "-1",
             "--policy", policy, "--out", str(tmp_path / "r.pgm")])
         assert code == 1 and out == "" and "non-negative" in err
-    # the sweep and robust drivers check the seed before any draw
-    for argv in (["sweep", "--pairs", "1,2", "--samples", "2",
+    # iterate, under either policy, and the sweep and robust drivers check
+    # the seed before any draw
+    for argv in (["iterate", *FIG, "--x0", "2,1", "--policy", "first"],
+                 ["iterate", *FIG, "--x0", "2,1", "--policy", "random"],
+                 ["sweep", "--pairs", "1,2", "--samples", "2",
                   "--out", str(tmp_path / "s.csv")],
                  ["robust", *FIG, "--x0", "2,1",
                   "--out", str(tmp_path / "t.csv")]):
@@ -214,6 +217,20 @@ def test_exit_code_matrix(capsys, tmp_path):
                             str(tmp_path / "missing.json")])[0] == 3
     assert run_cli(capsys, ["certify", *FIG, "--out",
                             str(tmp_path / "no" / "dir" / "c.json")])[0] == 3
+
+
+def test_parser_is_built_once(capsys):
+    # main builds its parser on its first call only, and a usage error
+    # leaves the cached parser fit for the next command
+    cli._build_parser.cache_clear()
+    args = ["iterate", *FIG, "--x0", TIE_X0, "--steps", "3"]
+    first = run_cli(capsys, args)
+    assert first[0] == 0 and run_cli(capsys, args) == first
+    assert cli._build_parser.cache_info().misses == 1
+    code, out, err = run_cli(capsys, [*args, "--bogus"])
+    assert (code, out) == (1, "") and "--bogus" in err
+    assert run_cli(capsys, args) == first
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_cli_import_starts_no_process_machinery():

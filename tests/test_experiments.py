@@ -1345,6 +1345,55 @@ def spy_pool(monkeypatch):
     return yields
 
 
+@pytest.mark.parametrize("n", [0, 64, 150])
+def test_pool_builds_each_lane_once_in_blocks(monkeypatch, n):
+    # a 64-lane pool asks its builder for contiguous blocks of at most 64
+    # lanes that cover [0, n) once; every lane leaves once, at the code and
+    # step a pool that holds all n lanes at once gives it
+    bounds, res = (-3.0, 3.0, -3.0, 3.0), (15, 10)
+    consts = experiments._constants(PERIOD58_CFG)
+    calls = []
+
+    def lanes_at(lo, hi):
+        calls.append((lo, hi))
+        return experiments._lanes(consts, *experiments._cell_centres(
+            bounds, res, np.arange(lo, hi)))
+
+    def run():
+        left = {}
+        for ids, codes, steps, _ in experiments._pool(lanes_at, n, 300):
+            for i, c, s in zip(ids.tolist(), codes.tolist(), steps.tolist()):
+                assert i not in left
+                left[i] = (c, s)
+        return left
+
+    whole = run()
+    assert calls == ([(0, n)] if n else [])
+    calls.clear()
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    assert run() == whole
+    assert sorted(whole) == list(range(n))
+    assert all(0 < hi - lo <= 64 for lo, hi in calls)
+    # each block starts where the last one ended, from 0 up to n
+    assert [0, *(hi for _, hi in calls)] == [*(lo for lo, _ in calls), n]
+
+
+def test_sweep_certifies_each_pair_once_in_order_after_the_pool(
+        monkeypatch):
+    calls = []
+    pool = experiments._pool
+    monkeypatch.setattr(experiments, "certify",
+                        lambda cfg: calls.append((cfg.theta1, cfg.theta2))
+                        or certify(cfg))
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: calls.append("_pool") or pool(*args))
+    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
+                                           (0.748491, 0.772301)]
+    sg = sweep(pairs, samples_per_pair=4, max_steps=300, seed=2)
+    assert calls == ["_pool", *pairs]
+    assert sg.pairs == sweep_reference(pairs, 4, 300, 2)
+
+
 @pytest.mark.parametrize("max_steps", [1, 7, 300, 2000])
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
                          ids=["first", "random"])
