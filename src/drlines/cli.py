@@ -107,6 +107,9 @@ class _Resolver:
         return ProblemConfig(t1 * scale, t2 * scale)
 
     def policy(self, seed: int):
+        # every policy rejects a negative seed alike; only random reads it
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         name = self.get("policy", "first")
         if name == "first":
             return FirstBranch()
@@ -165,8 +168,6 @@ def cmd_certify(r: _Resolver) -> int:
 def cmd_iterate(r: _Resolver) -> int:
     cfg = r.config()
     seed = r.get("seed", 0)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     policy = r.policy(seed)
     x = r.start()
     steps = _at_least("steps", r.get("steps", 100), 0)
@@ -347,7 +348,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--x0")
     sp.add_argument("--max-steps", type=int, dest="max_steps")
     sp.add_argument("--brent", action="store_const", const=True,
-                    help="low-memory search instead of the windowed one")
+                    help="low-memory search instead of the windowed one, "
+                    "reporting a period only where a cycle proof holds")
 
     sp = command("robust", cmd_robust, "perturbed runs against the KL bound")
     sp.add_argument("--x0")

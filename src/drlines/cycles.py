@@ -4,15 +4,17 @@ Every branch map of the DR step is an affine contraction, so an orbit that
 has settled on a word of branches can be proven, from its own float
 points, to follow that word forever: it then meets no tie and enters no
 termination ball.  ``_prove_cycle`` is that proof on K + 1 consecutive
-points, vectorised over them, and ``_screened_proof`` picks K for it from a
-window of a walk.  ``experiments.certify_cycle`` runs the proof on a point's
-orbit, and the sweep's walks stop at it.
+points, vectorised over them.  ``experiments`` steps the K + 1 points from
+a point and runs the proof on them in one place, which serves
+``certify_cycle`` and the window-free walk of the sweep and
+``find_period_brent``; that walk proposes K where a max-norm screen finds
+the orbit back within _COARSE of a reference point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,20 +156,3 @@ def _prove_cycle(consts: Sequence[float], p: np.ndarray):
         return None
     return first, contraction, error, margin
 
-
-def _screened_proof(consts: Sequence[float], w: np.ndarray,
-                    dist: Optional[np.ndarray] = None) -> int:
-    """The period of a cycle proof on w's last K + 1 points, for the first
-    K (2, 3, ...) at which dist, the max-norm distances from w's last point
-    (x, y) to its K-th predecessors (all of them if None), is at most
-    _COARSE (1 + |x| + |y|); 0 where no K passes or the proof fails."""
-    x, y = w[-1]
-    if dist is None:
-        e = w[-3::-1]
-        dist = np.maximum(abs(e[:, 0] - x), abs(e[:, 1] - y))
-    hit = np.flatnonzero(dist <= _COARSE * (1.0 + abs(x) + abs(y)))
-    if not len(hit):
-        return 0
-    k = int(hit[0]) + 2
-    proof = _prove_cycle(consts, w[len(w) - 1 - k:])
-    return 0 if proof is None else _root(proof[0])

@@ -13,11 +13,13 @@ grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
 _LANE_BLOCK lanes, refilled in cell order as lanes finish.  A lane leaves
 the pool at a ball, at the tie screen, or at step n/2 for n = min(max_steps,
 512) carrying its point, from which it resumes as a lane with a cycle window
-in ``rasterize`` and in the scalar walk in ``sweep``; a tie, or a check that
-needs earlier points, sends a cell back to a re-run from its start.  A
-sweep walk also stops at a cycle proof (``certify_cycle``'s, on the
-window's last points): a proof that the float iteration follows one branch
-word forever, so the walk could only end in ``Cycle`` or ``Budget``.
+in ``rasterize``; a tie, or a check that needs earlier points, sends a cell
+back to a re-run from its start.  ``sweep`` resumes its starts instead in
+one window-free walk, which ``find_period_brent`` runs too: it stops at a
+ball, at a tie (a re-run from the start), at the budget, or at a cycle
+proof (``certify_cycle``'s, on the points from a reference point that jumps
+ahead as in Brent's method), which shows that the float iteration follows
+one branch word forever.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cycles import CycleCertificate, _prove_cycle, _root, _screened_proof
+from .cycles import _COARSE, CycleCertificate, _prove_cycle, _root
 from .dr import _branch, _lane_branch, _steps
 from .geometry import (ProblemConfig, bisector_data, checked_start, cos_sin,
                        distance_to_D3)
@@ -50,13 +52,10 @@ _LANE_FLOOR = 32
 _TIE_HANDOFF, _HANDOFF = 254, 255
 # _cycle's answer where its window lacks points it needs
 _UNDECIDED = -1
-# the most hare steps find_period_brent screens at once
-_BRENT_CHUNK = 4096
 # window points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
-# the step after a sweep walk's resume at which it tries a cycle proof
-# before its first cycle check
-_PROOF_LEAD = 128
+# the steps after which _proven_walk's reference point first jumps
+_SPAN = 16
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,10 @@ class ConvergedTo:
 
 @dataclass(frozen=True)
 class Cycle:
-    """The tail repeats with this minimal period (> 1)."""
+    """The tail repeats with this period (> 1).  A cycle proof's period is
+    the primitive root of its branch word, so minimal; the window's
+    (``detect_cycle``) is the smallest lag whose last 2K points match,
+    which may be a multiple of the minimal one."""
 
     period: int
 
@@ -187,11 +189,13 @@ def detect_cycle(points_window: Sequence) -> Optional[int]:
     """Smallest period K > 1 such that the last 2K points repeat, or None.
 
     A pair (x_n, x_{n+K}) matches when |x_{n+K} - x_n| <= MATCH_TOL *
-    (1 + |x_n|).  Scanning K in ascending order makes the returned period
-    minimal (no proper divisor can also match, it would have been found
-    first).  A full K = 1 match is a constant tail, which is the
-    convergence criterion's business, not a cycle: None, as for an empty
-    window.  Raises ValueError for a window that is not (m, 2) points.
+    (1 + |x_n|).  K is the smallest lag that matches, not always the
+    orbit's minimal period: on an orbit still closing in on its cycle the
+    gaps at the period can exceed MATCH_TOL where those at a multiple of it,
+    one more period on, match first.  A full K = 1 match is a constant
+    tail, which is the convergence criterion's business, not a cycle:
+    None, as for an empty window.  Raises ValueError for a window that is
+    not (m, 2) points.
     """
     w = np.asarray(points_window, dtype=float)
     if w.size and (w.ndim != 2 or w.shape[1] != 2):
@@ -201,14 +205,10 @@ def detect_cycle(points_window: Sequence) -> Optional[int]:
 
 # the screen may overflow, or meet a NaN, where pair_ok's math.hypot does not
 @np.errstate(over="ignore", invalid="ignore")
-def _cycle(w: np.ndarray, span: int, consts: Optional[Sequence[float]] = None
-           ) -> Optional[int]:
+def _cycle(w: np.ndarray, span: int) -> Optional[int]:
     """detect_cycle on a window of max(span, m) points of which w holds the
     last m, or _UNDECIDED if that needs a point w lacks: for the K = 1 test
-    m >= 2, the near screen span // 2 < m, a full check of K, 2K <= m.
-    Given a config's ``_constants``, a check that finds no cycle returns
-    the period of a cycle proof where ``_screened_proof`` finds one, from
-    the near screen's distances."""
+    m >= 2, the near screen span // 2 < m, a full check of K, 2K <= m."""
     m, span = len(w), max(span, len(w))
     if m < 2:
         return None if span < 2 else _UNDECIDED
@@ -241,19 +241,15 @@ def _cycle(w: np.ndarray, span: int, consts: Optional[Sequence[float]] = None
         lims = MATCH_TOL * (1.0 + np.hypot(b[:, 0], b[:, 1]))
         if np.all(gaps <= lims):
             return k
-    if consts is None:
-        return found
-    return _screened_proof(consts, w, dist) or found
+    return found
 
 
-def _window_cycle(w: np.ndarray, steps: int,
-                  consts: Optional[Sequence[float]] = None):
-    """The check at ``steps``: detect_cycle, or _cycle on a partial window
-    or with a proof attempt."""
+def _window_cycle(w: np.ndarray, steps: int):
+    """The check at ``steps``: detect_cycle, or _cycle on a partial window."""
     span = min(steps + 1, WINDOW)
-    if consts is None and len(w) >= span:
+    if len(w) >= span:
         return detect_cycle(w)
-    return _cycle(w, span, consts)
+    return _cycle(w, span)
 
 
 def certify_cycle(cfg: ProblemConfig, point, period: int
@@ -271,23 +267,30 @@ def certify_cycle(cfg: ProblemConfig, point, period: int
     """
     if operator.index(period) < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    consts = _constants(cfg)
-    x, y = checked_start(point)
-    buf = array("d", (x, y))
-    for done in range(0, period, CHECK_EVERY):
-        code, x, y, _ = _steps(*consts, x, y,
-                               min(CHECK_EVERY, period - done), buf)
-        if code >= 0:
-            return None
-    p = np.frombuffer(buf).reshape(-1, 2)
-    proof = _prove_cycle(consts, p)
+    proof = _proof(_constants(cfg), *checked_start(point), period)
     if proof is None:
         return None
-    first, contraction, error, margin = proof
+    first, contraction, error, margin, p = proof
     return CycleCertificate(
         period=_root(first), word=tuple(np.where(first, 1, 2).tolist()),
         points=tuple(map(tuple, p[:-1].tolist())), contraction=contraction,
         error=error, margin=margin)
+
+
+def _proof(consts: Sequence[float], x: float, y: float, k: int):
+    """``_prove_cycle`` on the k + 1 points of the orbit from (x, y), run
+    through dr._steps at most CHECK_EVERY steps a call, as _steps holds a
+    call's points in a list: (first, contraction, error, margin, points),
+    or None where a step meets the tie band or a ball or the proof
+    fails."""
+    buf = array("d", (x, y))
+    for done in range(0, k, CHECK_EVERY):
+        code, x, y, _ = _steps(*consts, x, y, min(CHECK_EVERY, k - done), buf)
+        if code >= 0:
+            return None
+    p = np.frombuffer(buf).reshape(-1, 2)
+    proof = _prove_cycle(consts, p)
+    return None if proof is None else (*proof, p)
 
 
 def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
@@ -388,7 +391,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
 
 
 def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
-          pts: Optional[list], max_steps: int, prove: bool = False
+          pts: Optional[list], max_steps: int
           ) -> tuple[Optional[Verdict], float, float, int]:
     """Run one trajectory from its state at ``steps`` until a verdict or a
     tie.  ``win`` is a flat x, y buffer of the trajectory's last points up
@@ -397,14 +400,10 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
     then, at every CHECK_EVERY steps and at the budget, one cycle check,
     then the budget; dr._steps runs the steps in between.  Returns
     (verdict, x, y, steps), or (None, x, y, steps) at a point in the tie
-    band, visited but not stepped, or at an undecided check.  With
-    ``prove``, a check that finds no cycle, and a visit _PROOF_LEAD steps
-    after the start, end the walk with Cycle at a cycle proof: the sweep's
-    walks, whose step counts no output shows."""
+    band, visited but not stepped, or at an undecided check."""
     for code, a in ((1, -0.5), (2, 0.5)):
         if (x - a) * (x - a) + y * y < consts[3 + code]:
             return ConvergedTo(code), x, y, steps
-    lead = steps + _PROOF_LEAD if prove else -1
     while True:
         # a boundary: the buffer drops all but the last window points, and
         # detect_cycle reads them as an (m, 2) view, gone before the next
@@ -412,18 +411,11 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         if len(win) > 2 * WINDOW:
             del win[:len(win) - 2 * WINDOW]
         if steps >= max_steps or (steps and steps % CHECK_EVERY == 0):
-            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps,
-                                   consts if prove else None)
+            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps)
             if period is not None or steps >= max_steps:
                 return (None if period == _UNDECIDED else Budget()
                         if period is None else Cycle(period), x, y, steps)
-        elif steps == lead:
-            period = _screened_proof(consts, np.frombuffer(win).reshape(-1, 2))
-            if period:
-                return Cycle(period), x, y, steps
         stop = min(max_steps, (steps // CHECK_EVERY + 1) * CHECK_EVERY)
-        if steps < lead:
-            stop = min(stop, lead)
         code, x, y, k = _steps(*consts, x, y, stop - steps, win)
         if pts is not None and k:
             tail = win[len(win) - 2 * k:]
@@ -433,77 +425,73 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
             return ConvergedTo(code) if code else None, x, y, steps
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as _cycle's screen
+# the screen may overflow near 1e308, where the proof fails
+@np.errstate(over="ignore")
+def _proven_walk(consts: Sequence[float], x: float, y: float, steps: int,
+                 max_steps: int) -> tuple[Optional[Verdict], float, float, int]:
+    """Run one trajectory from its point (x, y) at ``steps`` until a ball,
+    a cycle proof, the budget or a tie, keeping no window: (verdict, x, y,
+    steps) at the point the verdict is pronounced on, or (None, x, y,
+    steps) at a point in the tie band, visited but not stepped.
+
+    A reference point r jumps to the current point after _SPAN, then 2
+    _SPAN, 4 _SPAN, ... steps (Brent's teleporting tortoise).  dr._steps
+    runs the steps in chunks of at most CHECK_EVERY that end at each jump
+    and at the budget, and a max-norm screen marks the chunk's points back
+    within _COARSE (1 + |r|_1) of r.  At each, K >= 2 steps after r,
+    ``_proof`` tries the cycle proof on the K + 1 points from r, as long
+    as r's tries cost at most its span in all: so the proofs' steps stay
+    below about twice the walk's, even on an orbit that keeps coming back
+    where none holds.  The first proof that holds ends the walk with Cycle
+    of its period at that point, as the orbit then follows its word
+    forever."""
+    for code, a in ((1, -0.5), (2, 0.5)):
+        if (x - a) * (x - a) + y * y < consts[3 + code]:
+            return ConvergedTo(code), x, y, steps
+    rx, ry, ref, span, spent = x, y, steps, _SPAN, 0
+    while steps < max_steps:
+        buf = array("d")
+        code, x, y, k = _steps(*consts, x, y, min(
+            CHECK_EVERY, ref + span - steps, max_steps - steps), buf)
+        w = np.frombuffer(buf).reshape(-1, 2)
+        near = (np.maximum(abs(w[:, 0] - rx), abs(w[:, 1] - ry))
+                <= _COARSE * (1.0 + abs(rx) + abs(ry)))
+        for i in np.flatnonzero(near).tolist():
+            lag = steps + i + 1 - ref
+            if lag >= 2 and spent + lag <= span:
+                spent += lag
+                proof = _proof(consts, rx, ry, lag)
+                if proof is not None:
+                    return Cycle(_root(proof[0])), *w[i].tolist(), ref + lag
+        steps += k
+        if code >= 0:
+            return ConvergedTo(code) if code else None, x, y, steps
+        if steps == ref + span:
+            rx, ry, ref, span, spent = x, y, steps, 2 * span, 0
+    return Budget(), x, y, steps
+
+
 def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000
                       ) -> Optional[int]:
-    """Low-memory period search along the deterministic first-branch orbit.
+    """The proven period of the first-branch orbit from x0, or None.
 
-    Brent's teleporting-tortoise scheme with tolerance-based equality: the
-    reference point jumps forward at powers of two, which also rides out
-    the transient toward the limit cycle.  The meeting distance is then
-    reduced to the minimal period by divisor checks on a fresh segment.
-    The hare runs through dr._steps, taking A1 at ties, in chunks of at
-    most _BRENT_CHUNK steps ending at each teleport and at the budget; a
-    max-norm screen of a chunk picks the candidates for the exact test.
-    Returns None when no recurrence is found within max_steps; raises
-    ValueError for a start whose norm is not finite or max_steps < 1.
+    The orbit runs in ``_proven_walk``, which holds no window, only one
+    dr._steps chunk and, during a try, one proof's K + 1 points, and takes
+    the A1 branch at each tie.  Returns the period of the first cycle proof that
+    holds, or None where the orbit enters a termination ball or no proof
+    holds within max_steps.  Raises ValueError for a start whose norm is
+    not finite or max_steps < 1 (TypeError for a non-integer).
     """
     _check_run(max_steps)
-    # balls of radius 0 hold no point, so _steps stops only at ties
-    consts = (*_constants(cfg)[:4], 0.0, 0.0)
-
-    def run(x: float, y: float, n: int, buf: array) -> tuple[float, float]:
-        # n first-branch steps, each point appended to buf, at most
-        # CHECK_EVERY a call, as _steps holds a call's points in a list
-        while n:
-            code, x, y, k = _steps(*consts, x, y, min(n, CHECK_EVERY), buf)
-            if code == 0:
-                x, y = _branch(-0.5, *consts[:2], x, y)
-                buf.extend((x, y))
-            n -= k + (code == 0)
-        return x, y
-
-    x, y = tx, ty = checked_start(x0)
-    total, teleport, power, meet = 0, 0, 1, None
-    while meet is None:
-        if total >= max_steps:
-            return None
-        if total == teleport + power:
-            teleport, power, tx, ty = total, 2 * power, x, y
-        # the screen bounds hypot from below and keeps a NaN distance, which
-        # the exact test leaves unmatched
-        lim = MATCH_TOL * (1.0 + math.hypot(tx, ty))
-        buf = array("d")
-        x, y = run(x, y, min(_BRENT_CHUNK, teleport + power - total,
-                             max_steps - total), buf)
-        w = np.frombuffer(buf).reshape(-1, 2)
-        near = ~(np.maximum(abs(w[:, 0] - tx), abs(w[:, 1] - ty)) > lim)
-        for i in np.flatnonzero(near).tolist():
-            if math.hypot(buf[2 * i] - tx, buf[2 * i + 1] - ty) <= lim:
-                meet, x, y = total + i + 1, buf[2 * i], buf[2 * i + 1]
-                break
-        total += len(w)
-    lam = meet - teleport
-    if lam == 1:
-        return None
-    # confirm on a fresh 2*lam segment, reject constant tails (those belong
-    # to the convergence criterion), then reduce to the minimal period
-    seg = array("d", (x, y))
-    run(x, y, 2 * lam - 1, seg)
-
-    def shift_ok(d: int) -> bool:
-        # seg holds x, y pairs: point i at 2i, its d-th successor 2d on
-        return all(math.hypot(seg[j] - seg[i], seg[j + 1] - seg[i + 1])
-                   <= MATCH_TOL * (1.0 + math.hypot(seg[i], seg[i + 1]))
-                   for i, j in zip(range(0, 4 * lam - 2 * d, 2),
-                                   range(2 * d, 4 * lam, 2)))
-
-    if not shift_ok(lam) or shift_ok(1):
-        return None
-    for d in range(2, lam):
-        if lam % d == 0 and shift_ok(d):
-            return d
-    return lam
+    consts = _constants(cfg)
+    x, y = checked_start(x0)
+    steps = 0
+    while True:
+        v, x, y, steps = _proven_walk(consts, x, y, steps, max_steps)
+        if v is not None:
+            return v.period if isinstance(v, Cycle) else None
+        x, y = _branch(-0.5, *consts[:2], x, y)
+        steps += 1
 
 
 def _lanes(consts, x, y) -> np.ndarray:
@@ -756,15 +744,15 @@ def _pair_outcome(cfg: ProblemConfig, consts: Sequence[float], res,
     """Pair k's outcome from its config, its ``_constants`` and its
     ``certify`` result: its hand-offs (start index -> point at step
     _checkpoint(max_steps), None at the tie screen) in order up to the
-    first nonconvergent one, resumed in the walk, else re-run by
-    ``simulate``."""
+    first nonconvergent one, resumed in ``_proven_walk``, else, at a tie,
+    re-run by ``simulate``."""
     certified = isinstance(res, LyapunovCertificate)
     worst = -1
     for s_idx, mark in sorted(handoffs.items()):
         budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                   if certified else max_steps)
-        v = mark and _walk(consts, *mark, _checkpoint(max_steps),
-                           array("d", mark), None, budget, True)[0]
+        v = mark and _proven_walk(consts, *mark, _checkpoint(max_steps),
+                                  budget)[0]
         if v is None:
             v = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
                          max_steps=budget, record=False).verdict
@@ -792,15 +780,16 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     through one lane pool in pair order, and one leaves it at a ball, at
     the tie screen, or at step n/2 carrying its point (n as in
     ``rasterize``); then each pair in turn is certified and its hand-offs
-    resumed in the walk, in start order up to its first nonconvergent one.
-    A resumed walk stops as soon as ``certify_cycle``'s proof holds on its
-    last points, 128 steps after the resume or at a cycle check that finds
-    no cycle: the start is then nonconvergent, as its ``simulate`` verdict
-    would be, and the sweep reports no step counts.  Raises, before any
-    start runs, for a samples_per_pair or a seed that is not an integer
-    (TypeError; NumPy's integers pass), samples_per_pair below 1 or a
-    negative seed, a max_steps that ``simulate`` rejects or a pair that
-    ``ProblemConfig`` rejects.
+    resumed in the window-free walk of ``find_period_brent``, in start
+    order up to its first nonconvergent one; only a start whose walk meets
+    a tie re-runs through ``simulate``.  A resumed walk ends at a ball, at
+    the budget, or as soon as ``certify_cycle``'s proof holds from its
+    reference point: the start is then nonconvergent, as its ``simulate``
+    verdict would be, and the sweep reports no step counts.  Raises,
+    before any start runs, for a samples_per_pair or a seed that is not an
+    integer (TypeError; NumPy's integers pass), samples_per_pair below 1
+    or a negative seed, a max_steps that ``simulate`` rejects or a pair
+    that ``ProblemConfig`` rejects.
     """
     samples = operator.index(samples_per_pair)
     if samples < 1:

@@ -158,17 +158,13 @@ def test_exit_code_matrix(capsys, tmp_path):
             "--samples", "5", "--max-steps", steps,
             "--out", str(tmp_path / "s.csv")])
         assert code == 1 and out == "" and "max_steps" in err
-    # a seed NumPy rejects, under either policy (a stream is built only
-    # for a cell that meets a tie)
-    for policy in ("random", "first"):
-        code, out, err = run_cli(capsys, [
-            "raster", *FIG, "--res", "4x4", "--seed", "-1",
-            "--policy", policy, "--out", str(tmp_path / "r.pgm")])
-        assert code == 1 and out == "" and "non-negative" in err
-    # iterate, under either policy, and the sweep and robust drivers check
-    # the seed before any draw
+    # iterate and raster, under every policy, and the sweep and robust
+    # drivers check the seed before any draw, with one message
     for argv in (["iterate", *FIG, "--x0", "2,1", "--policy", "first"],
                  ["iterate", *FIG, "--x0", "2,1", "--policy", "random"],
+                 *(["raster", *FIG, "--res", "4x4", "--policy", policy,
+                    "--out", str(tmp_path / "r.pgm")]
+                   for policy in ("first", "random", "tree")),
                  ["sweep", "--pairs", "1,2", "--samples", "2",
                   "--out", str(tmp_path / "s.csv")],
                  ["robust", *FIG, "--x0", "2,1",

@@ -1,5 +1,6 @@
 """The cycle certificate: a float proof that an orbit follows one branch
-word forever, and the sweep walks that stop at one."""
+word forever, and the window-free walk that stops at one, which the
+sweep's resumed walks and Brent's search run."""
 import math
 from unittest import mock
 
@@ -14,6 +15,7 @@ from drlines.experiments import (
     CycleCertificate,
     FirstBranch,
     certify_cycle,
+    find_period_brent,
     make_theta_grid,
     simulate,
     sweep,
@@ -121,27 +123,52 @@ def test_a_converging_start_is_rejected():
                        ((-0.5, 0.0), 3)):
         assert certify_cycle(FIG_CFG, x0, period) is None, (x0, period)
     # theta1 = 0.02, where orbits zigzag between the branches as they
-    # converge: every period the coarse screen proposes is rejected
+    # converge: every period the walk's coarse screen proposes is rejected,
+    # and the walk reaches simulate's ball at simulate's step
     calls = []
-    prove = cycles._prove_cycle
+    prove = experiments._prove_cycle
 
     def spy(consts, p):
         calls.append(len(p) - 1)
         return prove(consts, p)
 
     rng = np.random.default_rng(1)
-    with mock.patch.object(cycles, "_prove_cycle", spy):
+    with mock.patch.object(experiments, "_prove_cycle", spy):
         for t1, t2 in make_theta_grid(40, 40)[:40]:
             cfg = ProblemConfig(t1, t2)
             consts = experiments._constants(cfg)
-            for x0 in rng.uniform(-2.0, 2.0, size=(5, 2)):
-                tr = simulate(cfg, x0)
+            for x0 in rng.uniform(-2.0, 2.0, size=(10, 2)):
+                tr = simulate(cfg, x0, record=False)
                 if isinstance(tr.verdict, ConvergedTo):
-                    pts = np.array(tr.points)
-                    for n in range(128, len(pts), 128):
-                        assert cycles._screened_proof(
-                            consts, pts[max(0, n - 256):n + 1]) == 0
+                    v, _, _, steps = experiments._proven_walk(
+                        consts, *x0, 0, 20000)
+                    assert (v, steps) == (tr.verdict, tr.steps_used)
     assert len(calls) >= 20
+
+
+def test_every_proven_walk_cycle_reproves_with_certify_cycle():
+    # Brent's search on 3 starts of each pair of the 40x40 grid: each
+    # Cycle its walks return re-proves, with its period, from the point it
+    # is pronounced on
+    walk, found = experiments._proven_walk, []
+
+    def spy(*args):
+        out = walk(*args)
+        if isinstance(out[0], Cycle):
+            found.append((cfg, out))
+        return out
+
+    rng = np.random.default_rng(7)
+    with mock.patch.object(experiments, "_proven_walk", spy):
+        for t1, t2 in make_theta_grid(40, 40):
+            cfg = ProblemConfig(t1, t2)
+            for x0 in rng.uniform(-2.0, 2.0, size=(3, 2)):
+                find_period_brent(cfg, x0, max_steps=20000)
+    assert len(found) == 45
+    for cfg, (v, x, y, _) in found:
+        cert = certify_cycle(cfg, (x, y), v.period)
+        assert cert is not None and cert.period == v.period
+    assert {v.period for _, (v, _, _, _) in found} >= {2, 3, 4, 5, 217}
 
 
 def test_certify_cycle_rejects_bad_inputs():
@@ -201,7 +228,7 @@ def test_sweep_walks_stop_at_proofs_and_change_no_outcome(seed):
         got = sweep(pairs, samples_per_pair=20, seed=seed)
         proven = taken[0]
         taken[0] = 0
-        with mock.patch.object(cycles, "_prove_cycle",
+        with mock.patch.object(experiments, "_prove_cycle",
                                lambda consts, p: None):
             want = sweep(pairs, samples_per_pair=20, seed=seed)
     assert got == want
@@ -211,26 +238,35 @@ def test_sweep_walks_stop_at_proofs_and_change_no_outcome(seed):
 
 def test_every_nonconvergent_benchmark_sweep_walk_ends_at_a_proof():
     # seed 0 of the benchmark's 40x40x20 sweep: each walk that does not
-    # converge stops at a proof, and none is left to a re-run
-    verdicts, proofs = [], []
-    walk, screened = experiments._walk, experiments._screened_proof
+    # converge stops at a proof, which re-proves through certify_cycle from
+    # the point the walk stops at, and none is left to a re-run
+    walks, proofs = [], []
+    walk, proof = experiments._proven_walk, experiments._proof
 
     def spy_walk(*args):
         out = walk(*args)
-        verdicts.append(out[0])
+        walks.append((tuple(args[0]), out))
         return out
 
     def spy_proof(*args):
-        period = screened(*args)
-        if period:
-            proofs.append(period)
-        return period
+        out = proof(*args)
+        if out is not None:
+            proofs.append(cycles._root(out[0]))
+        return out
 
-    with mock.patch.object(experiments, "_walk", spy_walk), \
-            mock.patch.object(experiments, "_screened_proof", spy_proof):
-        grid = sweep(make_theta_grid(40, 40), samples_per_pair=20, seed=0)
+    pairs = make_theta_grid(40, 40)
+    with mock.patch.object(experiments, "_proven_walk", spy_walk), \
+            mock.patch.object(experiments, "_proof", spy_proof):
+        grid = sweep(pairs, samples_per_pair=20, seed=0)
     flagged = sum(q.nonconvergent_found for q in grid.pairs)
+    verdicts = [out[0] for _, out in walks]
     assert None not in verdicts
     stopped = [v for v in verdicts if not isinstance(v, ConvergedTo)]
     assert len(stopped) == len(proofs) == flagged == 101
     assert stopped == [Cycle(p) for p in proofs]
+    cfgs = {experiments._constants(cfg): cfg
+            for cfg in (ProblemConfig(*p) for p in pairs)}
+    for consts, (v, x, y, _) in walks:
+        if isinstance(v, Cycle):
+            assert certify_cycle(cfgs[consts], (x, y), v.period).period == \
+                v.period

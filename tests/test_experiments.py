@@ -236,9 +236,82 @@ def test_certified_budget_is_sufficient():
 def test_brent_period_search():
     assert find_period_brent(PERIOD2_CFG, (0.101912, 0.189275)) == 2
     assert find_period_brent(PERIOD58_CFG, (-0.123641, -0.510395)) == 58
+    assert find_period_brent(PERIOD1410_CFG, (0.392560, -0.351588)) == 1410
     assert find_period_brent(FIG_CFG, (1.3, 2.2), max_steps=30000) is None
+    # the period-2 proof holds at step 2
     assert find_period_brent(PERIOD2_CFG, (0.101912, 0.189275),
-                             max_steps=3) is None
+                             max_steps=1) is None
+
+
+def test_proven_walk_stops_at_a_tie_and_brent_takes_a1():
+    # a tie at the start and at step 10 of an orbit whose A1 branch leads
+    # to the period-2 orbit, and A2's to p2's ball
+    consts = experiments._constants(PERIOD2_CFG)
+    c1, s1, c2, s2 = consts[:4]
+    for n in (0, 10):
+        x0 = tie_preimage(PERIOD2_CFG, n)
+        v, x, y, steps = experiments._proven_walk(consts, *x0, 0, 20000)
+        assert (v, steps) == (None, n)
+        assert isinstance(experiments._proven_walk(
+            consts, *dr._branch(-0.5, c1, s1, x, y), n + 1, 20000)[0], Cycle)
+        assert experiments._proven_walk(
+            consts, *dr._branch(0.5, c2, s2, x, y), n + 1,
+            20000)[0] == ConvergedTo(2)
+        assert find_period_brent(PERIOD2_CFG, x0) == 2
+    # on PERIOD58_CFG's tie point, A1 leads into a ball
+    assert find_period_brent(PERIOD58_CFG, tie_point(PERIOD58_CFG)) is None
+
+
+def test_proven_walk_in_a_ball_and_below_the_proof_step():
+    # a start inside p1's termination ball converges at step 0
+    consts = experiments._constants(PERIOD2_CFG)
+    r1 = math.sqrt(consts[4])
+    x0 = (-0.5 + 0.5 * r1, 0.25 * r1)
+    assert experiments._proven_walk(consts, *x0, 0, 20000) == (
+        ConvergedTo(1), *x0, 0)
+    assert find_period_brent(PERIOD2_CFG, x0) is None
+    # a budget one step below the step of the proof proves nothing
+    for cfg, x0, period in (
+            (PERIOD2_CFG, (0.101912, 0.189275), 2),
+            (PERIOD58_CFG, (-0.123641, -0.510395), 58),
+            (PERIOD1410_CFG, (0.392560, -0.351588), 1410),
+            (ProblemConfig(0.05, 0.1),
+             (1.1672003185823576, 0.701385077992045), 8)):
+        consts = experiments._constants(cfg)
+        v, _, _, steps = experiments._proven_walk(consts, *x0, 0, 200000)
+        assert v == Cycle(period)
+        assert experiments._proven_walk(consts, *x0, 0, steps - 1)[0] == \
+            Budget()
+        assert find_period_brent(cfg, x0, max_steps=steps - 1) is None
+        assert find_period_brent(cfg, x0, max_steps=steps) == period
+
+
+def test_failed_proof_tries_cost_at_most_the_walk_steps():
+    # with every proof failing, a walk on the period-2 cycle keeps coming
+    # back to its reference point, yet each reference's tries cost at most
+    # its span, so all of them less than twice the walk's steps
+    lags = []
+    consts = experiments._constants(PERIOD2_CFG)
+    with mock.patch.object(experiments, "_proof",
+                           lambda consts, x, y, k: lags.append(k)):
+        v, _, _, steps = experiments._proven_walk(consts, 0.101912, 0.189275,
+                                                  0, 20000)
+    assert (v, steps) == (Budget(), 20000)
+    assert len(lags) > 100 and sum(lags) < 2 * steps
+
+
+def test_window_period_is_a_multiple_of_the_proven_one():
+    # seed-0 sweep pair 30, start 12: the lag-203 gaps of the window are
+    # 4.8e-8, above MATCH_TOL, while the lag-406 gaps match, so the window
+    # reports twice the period that the proof shows
+    cfg = ProblemConfig(0.02, 2.365106640519112)
+    x0 = (-1.5906472813236632, 1.0313974526974659)
+    tr = simulate(cfg, x0, record=False)
+    assert (tr.verdict, tr.steps_used) == (Cycle(406), 14336)
+    assert find_period_brent(cfg, x0) == 203
+    cert = experiments.certify_cycle(cfg, tr.points[-1], 406)
+    assert cert is not None and cert.period == 203
+    assert tr.verdict.period % cert.period == 0
 
 
 def test_raster_smoke_and_orientation():
@@ -947,57 +1020,6 @@ def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
     return tuple(leaves)
 
 
-def find_period_brent_per_step(cfg, x0, max_steps=200000, match_tol=1e-8,
-                               tol=TIE_TOL):
-    # Brent's search as it was before its lighter loop (the match limit
-    # recomputed and the step called on every step); reference for it
-    c1, s1, c2, s2, _, _ = experiments._constants(cfg)
-    gap_of, branch = dr._gap, dr._branch
-
-    def step(p):
-        x, y = p
-        if gap_of(c1, s1, c2, s2, x, y) <= tol * (1.0 + math.hypot(x, y)):
-            return branch(-0.5, c1, s1, x, y)
-        return branch(0.5, c2, s2, x, y)
-
-    def close(a, b):
-        return (math.hypot(a[0] - b[0], a[1] - b[1])
-                <= match_tol * (1.0 + math.hypot(b[0], b[1])))
-
-    tortoise = checked_start(x0)
-    hare = step(tortoise)
-    total = 1
-    power = 1
-    lam = 1
-    while not close(hare, tortoise):
-        if total >= max_steps:
-            return None
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = step(hare)
-        total += 1
-        lam += 1
-    if lam == 1:
-        return None
-    seg = []
-    p = hare
-    for _ in range(2 * lam):
-        seg.append(p)
-        p = step(p)
-
-    def shift_ok(d):
-        return all(close(seg[i + d], seg[i]) for i in range(2 * lam - d))
-
-    if not shift_ok(lam) or shift_ok(1):
-        return None
-    for d in range(2, lam):
-        if lam % d == 0 and shift_ok(d):
-            return d
-    return lam
-
-
 def spy_detect_cycle(monkeypatch):
     # every window detect_cycle is asked about, as bytes
     seen = []
@@ -1069,75 +1091,18 @@ def test_walk_matches_per_step_loop_on_the_period_1410_orbit(monkeypatch):
     assert got_seen == seen and len(seen) == 1 and seen[0][0] == (7, 2)
 
 
-def test_brent_matches_per_step_loop(monkeypatch):
-    # the period-1410 search meets at step 66945
-    meet = 66945
-    cases = [(FIG_CFG, (1.3, 2.2)), (PERIOD2_CFG, (0.101912, 0.189275)),
-             (PERIOD58_CFG, (-0.123641, -0.510395)),
-             (PERIOD1410_CFG, (0.392560, -0.351588)),
-             (PERIOD58_CFG, tie_point(PERIOD58_CFG))]
-    # far preimages of the period-2 orbit: the first tortoise's limit is
-    # loose enough to stop a hare still on its way in
-    cases += [(PERIOD2_CFG, tie_preimage(PERIOD2_CFG, n,
-                                         end=(0.101912, 0.189275)))
-              for n in (10, 30)]
-    # a tie at the start and at step 10 of a hare whose A1 branch leads to
-    # the period-2 orbit, and A2's to a ball
-    cases += [(PERIOD2_CFG, tie_preimage(PERIOD2_CFG, n)) for n in (0, 10)]
-    # a start inside p1's termination ball, which the search steps through
-    r1 = math.sqrt(experiments._constants(PERIOD2_CFG)[4])
-    cases.append((PERIOD2_CFG, (-0.5 + 0.5 * r1, 0.25 * r1)))
-    # budgets at the teleports and the chunk cap 2^12, one step either side
-    cap = experiments._BRENT_CHUNK
-    assert cap == 4096
-    budgets = (1, meet - 1, meet) + tuple(
-        2 ** k + d for k in (11, 12, 13) for d in (-1, 0, 1))
-    found = set()
-    for cfg, x0 in cases:
-        for max_steps in budgets:
-            want = find_period_brent_per_step(cfg, x0, max_steps)
-            # chunks ending between teleports, and one step long
-            for chunk in (cap, 5, 1):
-                monkeypatch.setattr(experiments, "_BRENT_CHUNK", chunk)
-                assert find_period_brent(cfg, x0, max_steps) == want
-            found.add(want)
-    assert found == {None, 2, 58, 1410}
-    monkeypatch.setattr(experiments, "_BRENT_CHUNK", cap)
-    x0 = (0.392560, -0.351588)
-    assert find_period_brent(PERIOD1410_CFG, x0, meet - 1) is None
-    assert find_period_brent(PERIOD1410_CFG, x0, meet) == 1410
-
-
-def test_brent_reduces_to_a_divisor_and_rejects_an_unconfirmed_meet():
-    # the hare meets the tortoise at a multiple of the period 8, and the
-    # divisor checks on the confirming segment reduce it to 8, the period
-    # simulate's window finds
-    cfg, x0 = ProblemConfig(0.05, 0.1), (1.1672003185823576, 0.701385077992045)
-    assert find_period_brent(cfg, x0, max_steps=5000) == 8
-    assert find_period_brent_per_step(cfg, x0, max_steps=5000) == 8
-    assert simulate(cfg, x0).verdict == Cycle(8)
-    # a loose tolerance lets the hare meet on a stretch the confirming
-    # segment does not repeat: rejected, as by the per-step loop
-    cfg = ProblemConfig(0.06939967327546627, 2.7605605071519363)
-    x0 = (0.2858111952824114, -1.0670201413186493)
-    with mock.patch.object(experiments, "MATCH_TOL", 0.01):
-        assert find_period_brent(cfg, x0, max_steps=3000) is None
-    assert find_period_brent_per_step(cfg, x0, max_steps=3000,
-                                      match_tol=0.01) is None
-
-
 def test_huge_starts_run_quietly_in_the_walk_and_brent():
-    # near 1e308 the NumPy screens of _cycle and of Brent's chunks
+    # near 1e308 the NumPy screens of _cycle and of the proven walk
     # overflow where math.hypot does not; the overflow stays quiet (a
-    # RuntimeWarning fails here) and the answers are the per-step loops'
+    # RuntimeWarning fails here), simulate_tree's answers are the per-step
+    # loop's, and the orbits converge, so Brent's search proves no cycle
     for cfg, x0 in ((PERIOD1410_CFG, (1.2e308, -1.2e308)),
                     (ProblemConfig(0.17068949981565193, 0.2687470063620758),
                      (1.6928910190876777e+308, 1.5530428034143124e+307)),
                     (ProblemConfig(0.10674980796552033, 0.3721763519994903),
                      (1.1335608497245421e+308, -1.266901425514969e+308))):
         for max_steps in (5, 20, 700):
-            assert find_period_brent(cfg, x0, max_steps) == \
-                find_period_brent_per_step(cfg, x0, max_steps)
+            assert find_period_brent(cfg, x0, max_steps) is None
             assert simulate_tree(cfg, x0, FirstBranch(), max_steps) == \
                 simulate_tree_per_step(cfg, x0, FirstBranch(), max_steps)
 
@@ -1158,7 +1123,7 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
                   max_steps=bad)
     # budgets and leaf caps that are not integers; range would reject a
     # budget only at the first check or after the pool has run
-    walks = spy_walk(monkeypatch)
+    walks, proven = spy_walk(monkeypatch), spy_proven_walk(monkeypatch)
     for bad in (1000.0, 600.5, np.float64(700.0)):
         for run in (lambda: simulate(PERIOD1410_CFG, (0.392560, -0.351588),
                                      max_steps=bad),
@@ -1169,17 +1134,17 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
                     lambda: EnumerateTree(bad)):
             with pytest.raises(TypeError, match="integer"):
                 run()
-    assert walks == []
+    assert walks == proven == []
     assert pools == []
     # NumPy's integers are integers
     assert simulate(PERIOD2_CFG, x0, EnumerateTree(np.int64(2)),
                     max_steps=np.int32(700)).verdict == Cycle(2)
     # zero is a real match tolerance: exact matches only (a period-6 float
-    # cycle here, against 2 at 1e-8), in the window and in Brent's search
+    # cycle here, against 2 at 1e-8), in the window; Brent's search reads
+    # no tolerance and proves the period 2
     with mock.patch.object(experiments, "MATCH_TOL", 0.0):
         assert simulate(PERIOD2_CFG, x0).verdict == Cycle(6)
-        assert find_period_brent(PERIOD2_CFG, x0) == 6
-    assert find_period_brent_per_step(PERIOD2_CFG, x0, match_tol=0.0) == 6
+        assert find_period_brent(PERIOD2_CFG, x0) == 2
 
 
 @pytest.mark.parametrize("policy", ["random", None, FirstBranch,
@@ -1254,6 +1219,19 @@ def spy_walk(monkeypatch):
         return walk(consts, x, y, steps, win, *args)
 
     monkeypatch.setattr(experiments, "_walk", spy)
+    return entered
+
+
+def spy_proven_walk(monkeypatch):
+    # the step of every proven walk started, in order
+    entered = []
+    walk = experiments._proven_walk
+
+    def spy(consts, x, y, steps, max_steps):
+        entered.append(steps)
+        return walk(consts, x, y, steps, max_steps)
+
+    monkeypatch.setattr(experiments, "_proven_walk", spy)
     return entered
 
 
@@ -1889,34 +1867,34 @@ def spy_lockstep(monkeypatch):
 
 
 def resumed(entered, max_steps=2000):
-    # walks resumed from a pool checkpoint: one window point at its step,
-    # 256 for budgets from 512 on
+    # proven walks resumed from a pool checkpoint: at its step, 256 for
+    # budgets from 512 on
     mark = experiments._checkpoint(max_steps)
-    return [s for s, win in entered if s == mark and len(win) == 1]
+    return [s for s in entered if s == mark]
 
 
 def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
-    # every check of a resumed window is made undecided: sweep starts and
-    # raster cells re-run through simulate, and the outputs stay those of
-    # per-start simulate
+    # every check of a resumed window is made undecided: raster cells
+    # re-run through simulate, and the outputs stay those of per-start
+    # simulate; the sweep's resumed walks keep no window, so none of their
+    # checks is undecided
     partial = []
     cycle = experiments._cycle
 
-    def undecided(w, span, *proof):
+    def undecided(w, span):
         if len(w) < span:
             partial.append(len(w))
             return experiments._UNDECIDED
-        return cycle(w, span, *proof)
+        return cycle(w, span)
 
     monkeypatch.setattr(experiments, "_cycle", undecided)
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, 100, 2000, 5)
-    assert not partial
     calls = count_simulate_calls(monkeypatch)
     assert sweep(pairs, samples_per_pair=100, max_steps=2000,
                  seed=5).pairs == want
-    assert partial and len(calls) == len(partial)
+    assert not partial and not calls
     # the 64-lane pool hands the nine period-58 cycle cells off at step
     # 256; resumed from there each meets an undecided check at step 512
     # and re-runs through simulate, as does the cell on D3
@@ -2009,14 +1987,14 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
         runs.append((tuple(args[1]), args[2], kwargs["max_steps"]))
         return simulate(*args, **kwargs)
 
-    entered = spy_walk(monkeypatch)
+    entered = spy_proven_walk(monkeypatch)
     monkeypatch.setattr(experiments, "simulate", counted)
     out = experiments._pair_outcome(FIG_CFG, experiments._constants(FIG_CFG),
                                     res, np.array([x0]), {0: mark}, 7, 2000,
                                     5)
     assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
     assert runs == [(x0, SeededRandom((5, 7, 0)), budget)]
-    assert [s for s, _ in entered][:1] == [experiments._checkpoint(2000)]
+    assert entered == [experiments._checkpoint(2000)]
     assert len(resumed(entered)) == 1
 
 
@@ -2039,7 +2017,7 @@ def test_sweep_starts_meeting_a_tie_after_the_checkpoint_resume_then_rerun(
     pair = [(FIG_CFG.theta1, FIG_CFG.theta2)]
     want = sweep_reference(pair, n, 2000, 5)
     yields = spy_pool(monkeypatch)
-    entered = spy_walk(monkeypatch)
+    entered = spy_proven_walk(monkeypatch)
     calls = count_simulate_calls(monkeypatch)
     assert sweep(pair, samples_per_pair=n, max_steps=2000,
                  seed=5).pairs == want
@@ -2060,7 +2038,7 @@ def test_budgets_below_the_first_check_resume_from_half_the_budget(
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, 100, max_steps, 5)
-    entered = spy_walk(monkeypatch)
+    entered = spy_proven_walk(monkeypatch)
     assert sweep(pairs, samples_per_pair=100, max_steps=max_steps,
                  seed=5).pairs == want
     assert resumed(entered, max_steps)
@@ -2091,7 +2069,7 @@ def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, samples, 2000, 5)
     yields = spy_pool(monkeypatch)
-    entered = spy_walk(monkeypatch)
+    entered = spy_proven_walk(monkeypatch)
     assert sweep(pairs, samples_per_pair=samples, max_steps=2000,
                  seed=5).pairs == want
     handed = [int(s) for _, c, st, _ in yields
