@@ -27,6 +27,7 @@ from .experiments import (
     EnumerateTree,
     FirstBranch,
     SeededRandom,
+    _coins,
     find_period_brent,
     make_theta_grid,
     rasterize,
@@ -172,18 +173,12 @@ def cmd_iterate(r: _Resolver) -> int:
     x = r.start()
     steps = _at_least("steps", r.get("steps", 100), 0)
     out = r.get("out")
-    rng = None
+    coins = _coins(policy)
     points = [x]
     for _ in range(steps):
+        # on D3 two outputs, A1's first: the coin picks one
         outs = dr_multivalued(cfg, x).outputs
-        if len(outs) > 1 and isinstance(policy, SeededRandom):
-            if rng is None:
-                # the coin stream is built at the first tie, as simulate's
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(policy.seed))
-            x = outs[int(rng.integers(0, len(outs)))]
-        else:
-            x = outs[0]
+        x = outs[0] if len(outs) == 1 or next(coins) else outs[1]
         points.append(x)
     for n, (px, py) in enumerate(points):
         print(f"{n} {format_float(px)} {format_float(py)}")

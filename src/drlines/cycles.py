@@ -25,6 +25,7 @@ from .geometry import TIE_TOL
 # bound _ETA (1 + |x|) on the rounding of one float step or gap at x
 _COARSE = 1e-3
 _ETA = 2.0 ** -49
+_MAX_K = 2 ** 40  # the K from which _prove_cycle's product bound fails
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,9 @@ def _prove_cycle(consts: Sequence[float], p: np.ndarray):
     Every scalar is rounded outward (``_up``, ``math.nextafter``).  The
     float product of the K factors z_b is within 8 K u |z| of z, as each
     complex multiplication errs by at most sqrt(2) gamma_2 (K below
-    2^40).  The vector terms carry relative errors far below the 1e-13
-    that is taken off each margin.  Assumes binary64 arithmetic rounded to
-    nearest; fused multiply-adds only tighten these bounds.
+    _MAX_K = 2^40).  The vector terms carry relative errors far below the
+    1e-13 that is taken off each margin.  Assumes binary64 arithmetic
+    rounded to nearest; fused multiply-adds only tighten these bounds.
     """
     c1, s1, c2, s2, r1sq, r2sq = consts
     h1, h2 = math.sqrt(c1 * c1 + s1 * s1), math.sqrt(c2 * c2 + s2 * s2)

@@ -10,16 +10,16 @@ drivers (basin raster over starting points, sweep over angle pairs).  Grid
 cells are independent work items; every cell derives its PRNG stream from
 the root seed and its own index, so results do not depend on how cells are
 grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
-_LANE_BLOCK lanes, refilled in cell order as lanes finish.  A lane leaves
-the pool at a ball, at the tie screen, or at step n/2 for n = min(max_steps,
-512) carrying its point, from which it resumes as a lane with a cycle window
-in ``rasterize``; a tie, or a check that needs earlier points, sends a cell
-back to a re-run from its start.  ``sweep`` resumes its starts instead in
-one window-free walk, which ``find_period_brent`` runs too: it stops at a
-ball, at a tie (a re-run from the start), at the budget, or at a cycle
-proof (``certify_cycle``'s, on the points from a reference point that jumps
-ahead as in Brent's method), which shows that the float iteration follows
-one branch word forever.
+_LANE_BLOCK lanes, refilled in cell order as lanes finish.  Every lane
+leaves the pool with its point and step: at a ball, at the tie screen, or
+at step n/2 for n = min(max_steps, 512).  ``rasterize`` resumes the last
+as lanes with a cycle window; a tie, or a check that needs earlier points,
+sends a cell back to a re-run from its start.  ``sweep`` resumes each
+unsettled start from its point in one window-free walk, which
+``find_period_brent`` runs too: it takes the policy's coin (``_coins``)
+at a tie, and stops at a ball, at the budget, or at a cycle proof
+(``certify_cycle``'s, on the points from a reference point that jumps ahead
+as in Brent's method): the float iteration follows one branch word forever.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cycles import _COARSE, CycleCertificate, _prove_cycle, _root
+from .cycles import _COARSE, _MAX_K, CycleCertificate, _prove_cycle, _root
 from .dr import _branch, _lane_branch, _steps
 from .geometry import (ProblemConfig, bisector_data, checked_start, cos_sin,
                        distance_to_D3)
@@ -47,8 +47,8 @@ BALL_SAFETY = 0.99
 _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
 # the lane passes' codes for a lane they leave unsettled: one at the tie
-# screen, which only simulate's re-run from its start gets past, and one
-# the pool hands on at its step _checkpoint(max_steps) or left undecided
+# screen, which the scalar walks get past, and one the pool hands on at
+# its step _checkpoint(max_steps) or _lockstep leaves undecided
 _TIE_HANDOFF, _HANDOFF = 254, 255
 # _cycle's answer where its window lacks points it needs
 _UNDECIDED = -1
@@ -104,6 +104,17 @@ def _check_run(max_steps: int, policy=FirstBranch()) -> None:
     if not isinstance(policy, (FirstBranch, SeededRandom, EnumerateTree)):
         raise ValueError("policy must be FirstBranch, SeededRandom or "
                          f"EnumerateTree, got {policy!r}")
+
+
+def _coins(policy: BranchPolicy):
+    """A policy's branch at each tie, True for A1: a SeededRandom fair coin,
+    its stream built at the first draw (few walks meet a tie), else A1."""
+    if isinstance(policy, SeededRandom):
+        rng = np.random.default_rng(np.random.SeedSequence(policy.seed))
+        while True:
+            yield bool(rng.integers(0, 2) == 0)
+    while True:
+        yield True
 
 
 @dataclass(frozen=True)
@@ -262,11 +273,12 @@ def certify_cycle(cfg: ProblemConfig, point, period: int
     word forever, so it meets no tie and enters no termination ball.
     Returns the certificate, or None where a step meets the tie band or a
     ball or the proof fails.  A multiple of the cycle's period certifies
-    too, with the primitive period.  Raises ValueError for a start whose
-    norm is not finite or a period below 1 (TypeError for a non-integer).
+    too, with the primitive period.  Raises ValueError before any step for
+    a start whose norm is not finite or a period outside [1, _MAX_K), the
+    proof's range (TypeError for a non-integer).
     """
-    if operator.index(period) < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    if not 1 <= operator.index(period) < _MAX_K:
+        raise ValueError(f"period must be in [1, 2**40), got {period}")
     proof = _proof(_constants(cfg), *checked_start(point), period)
     if proof is None:
         return None
@@ -281,8 +293,10 @@ def _proof(consts: Sequence[float], x: float, y: float, k: int):
     """``_prove_cycle`` on the k + 1 points of the orbit from (x, y), run
     through dr._steps at most CHECK_EVERY steps a call, as _steps holds a
     call's points in a list: (first, contraction, error, margin, points),
-    or None where a step meets the tie band or a ball or the proof
-    fails."""
+    or None where a step meets the tie band or a ball or the proof fails,
+    and at once for k >= _MAX_K, which the proof does not cover."""
+    if k >= _MAX_K:
+        return None
     buf = array("d", (x, y))
     for done in range(0, k, CHECK_EVERY):
         code, x, y, _ = _steps(*consts, x, y, min(CHECK_EVERY, k - done), buf)
@@ -338,11 +352,10 @@ def simulate_tree(cfg: ProblemConfig, x0,
     Within the leaf budget each tie forks the trajectory (A1 branch
     explored first); once the budget is committed, further ties fall back
     to the A1 branch.  Returns one terminated Trace per leaf.  Any other
-    policy has a budget of one leaf and picks the branch at each tie; a
-    SeededRandom stream is built at the first tie, as most trajectories
-    meet none.  Each leaf runs in the scalar walk, with simulate's cycle
-    checks, which stops at ties for the branch choice and resumes from the
-    chosen point.  Raises ValueError for a policy that is none of the
+    policy has a budget of one leaf and takes its coin (``_coins``) at each
+    tie.  Each leaf runs in the scalar walk, with simulate's cycle checks,
+    which stops at ties for the branch choice and resumes from the chosen
+    point.  Raises ValueError for a policy that is none of the
     three, a start whose norm is not finite, or max_steps below 1
     (TypeError for a non-integer).
     """
@@ -351,7 +364,7 @@ def simulate_tree(cfg: ProblemConfig, x0,
     consts = _constants(cfg)
     c1, s1, c2, s2 = consts[:4]
     max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
-    rng = None
+    coins = _coins(policy)
     leaves: list[Trace] = []
     # stack entries: (x, y, steps, points or None, window); a fork pushes
     # its A2 leaf and goes on through A1, so A1 is explored first
@@ -364,8 +377,9 @@ def simulate_tree(cfg: ProblemConfig, x0,
                                          max_steps)
             if verdict is not None:
                 break
-            # a tie: fork within the leaf budget, else A1 or the coin
-            first = True
+            # a tie: fork within the leaf budget, going on through A1,
+            # else the policy's coin
+            first = committed < max_leaves or next(coins)
             if committed < max_leaves:
                 committed += 1
                 bp = _branch(0.5, c2, s2, x, y)
@@ -373,11 +387,6 @@ def simulate_tree(cfg: ProblemConfig, x0,
                 bw.extend(bp)
                 stack.append((*bp, steps + 1,
                               None if pts is None else pts + [bp], bw))
-            elif isinstance(policy, SeededRandom):
-                if rng is None:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(policy.seed))
-                first = bool(rng.integers(0, 2) == 0)
             x, y = (_branch(-0.5, c1, s1, x, y) if first
                     else _branch(0.5, c2, s2, x, y))
             steps += 1
@@ -401,9 +410,8 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
     then the budget; dr._steps runs the steps in between.  Returns
     (verdict, x, y, steps), or (None, x, y, steps) at a point in the tie
     band, visited but not stepped, or at an undecided check."""
-    for code, a in ((1, -0.5), (2, 0.5)):
-        if (x - a) * (x - a) + y * y < consts[3 + code]:
-            return ConvergedTo(code), x, y, steps
+    if ball := _ball(consts, x, y):
+        return ConvergedTo(ball), x, y, steps
     while True:
         # a boundary: the buffer drops all but the last window points, and
         # detect_cycle reads them as an (m, 2) view, gone before the next
@@ -425,14 +433,21 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
             return ConvergedTo(code) if code else None, x, y, steps
 
 
+def _ball(consts: Sequence[float], x: float, y: float) -> int:
+    """1 or 2 where (x, y) lies in that termination ball, else 0."""
+    return next((code for code, a in ((1, -0.5), (2, 0.5))
+                 if (x - a) * (x - a) + y * y < consts[3 + code]), 0)
+
+
 # the screen may overflow near 1e308, where the proof fails
 @np.errstate(over="ignore")
 def _proven_walk(consts: Sequence[float], x: float, y: float, steps: int,
-                 max_steps: int) -> tuple[Optional[Verdict], float, float, int]:
+                 max_steps: int, coins) -> tuple[Verdict, float, float, int]:
     """Run one trajectory from its point (x, y) at ``steps`` until a ball,
-    a cycle proof, the budget or a tie, keeping no window: (verdict, x, y,
-    steps) at the point the verdict is pronounced on, or (None, x, y,
-    steps) at a point in the tie band, visited but not stepped.
+    a cycle proof or the budget, keeping no window: (verdict, x, y, steps)
+    at the point the verdict is pronounced on.  At a point in the tie band
+    it steps through the branch of next(coins), A1 for True (``_coins``),
+    and goes on from there as from a start.
 
     A reference point r jumps to the current point after _SPAN, then 2
     _SPAN, 4 _SPAN, ... steps (Brent's teleporting tortoise).  dr._steps
@@ -445,11 +460,9 @@ def _proven_walk(consts: Sequence[float], x: float, y: float, steps: int,
     where none holds.  The first proof that holds ends the walk with Cycle
     of its period at that point, as the orbit then follows its word
     forever."""
-    for code, a in ((1, -0.5), (2, 0.5)):
-        if (x - a) * (x - a) + y * y < consts[3 + code]:
-            return ConvergedTo(code), x, y, steps
+    ball = _ball(consts, x, y)
     rx, ry, ref, span, spent = x, y, steps, _SPAN, 0
-    while steps < max_steps:
+    while not ball and steps < max_steps:
         buf = array("d")
         code, x, y, k = _steps(*consts, x, y, min(
             CHECK_EVERY, ref + span - steps, max_steps - steps), buf)
@@ -464,34 +477,33 @@ def _proven_walk(consts: Sequence[float], x: float, y: float, steps: int,
                 if proof is not None:
                     return Cycle(_root(proof[0])), *w[i].tolist(), ref + lag
         steps += k
-        if code >= 0:
-            return ConvergedTo(code) if code else None, x, y, steps
-        if steps == ref + span:
+        if code == 0:
+            x, y = (_branch(-0.5, *consts[:2], x, y) if next(coins)
+                    else _branch(0.5, *consts[2:4], x, y))
+            steps += 1
+            ball = _ball(consts, x, y)
+            rx, ry, ref, span, spent = x, y, steps, _SPAN, 0
+        elif code > 0:
+            ball = code
+        elif steps == ref + span:
             rx, ry, ref, span, spent = x, y, steps, 2 * span, 0
-    return Budget(), x, y, steps
+    return ConvergedTo(ball) if ball else Budget(), x, y, steps
 
 
 def find_period_brent(cfg: ProblemConfig, x0, max_steps: int = 200000
                       ) -> Optional[int]:
     """The proven period of the first-branch orbit from x0, or None.
 
-    The orbit runs in ``_proven_walk``, which holds no window, only one
-    dr._steps chunk and, during a try, one proof's K + 1 points, and takes
-    the A1 branch at each tie.  Returns the period of the first cycle proof that
-    holds, or None where the orbit enters a termination ball or no proof
-    holds within max_steps.  Raises ValueError for a start whose norm is
-    not finite or max_steps < 1 (TypeError for a non-integer).
+    One call of ``_proven_walk``, which keeps no window, under FirstBranch's
+    coins.  Returns the period of the first cycle proof that holds, or None
+    where the orbit enters a termination ball or no proof holds within
+    max_steps.  Raises ValueError for a start whose norm is not finite or
+    max_steps < 1 (TypeError for a non-integer).
     """
     _check_run(max_steps)
-    consts = _constants(cfg)
-    x, y = checked_start(x0)
-    steps = 0
-    while True:
-        v, x, y, steps = _proven_walk(consts, x, y, steps, max_steps)
-        if v is not None:
-            return v.period if isinstance(v, Cycle) else None
-        x, y = _branch(-0.5, *consts[:2], x, y)
-        steps += 1
+    v = _proven_walk(_constants(cfg), *checked_start(x0), 0, max_steps,
+                     _coins(FirstBranch()))[0]
+    return v.period if isinstance(v, Cycle) else None
 
 
 def _lanes(consts, x, y) -> np.ndarray:
@@ -507,17 +519,16 @@ def _lanes(consts, x, y) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _lane_step(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
     """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) as ``_walk``
-    does, then step it in place through the branch its gap picks.  Returns
-    whether each lane lay in p1's and in p2's termination ball and whether
-    it was clear of dr._lane_branch's tie screen."""
+    does, and step it through the branch its gap picks.  Returns whether
+    each lane lay in p1's and in p2's ball, its stepped x and y (for the
+    caller to write), and whether it was clear of the tie screen."""
     x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
     dx1 = x + 0.5
     dx2 = x - 0.5
     yy = y * y
     in1 = dx1 * dx1 + yy < r1sq
     in2 = dx2 * dx2 + yy < r2sq  # the balls are disjoint
-    lanes[0], lanes[1], clear = _lane_branch(c1, s1, c2, s2, x, y)
-    return in1, in2, clear
+    return in1, in2, *_lane_branch(c1, s1, c2, s2, x, y)
 
 
 def _checkpoint(max_steps: int) -> int:
@@ -535,13 +546,12 @@ def _pool(lanes_at, n: int, max_steps: int):
     finishes makes room for the next one, so the pool stays full while
     lanes are left.  ``lanes_at(lo, hi)`` builds lanes lo, ..., hi-1 as
     one lane array, asked for at most _LANE_BLOCK at a time.  Yields (ids,
-    codes, steps, marks) for the lanes that leave at each step, each at
-    its own step count: code 1 or 2 for a lane that enters a termination
-    ball, _TIE_HANDOFF for one at the tie screen, and _HANDOFF for one
-    still running at its step _checkpoint(max_steps).  ``marks`` (m, 2)
-    holds the _HANDOFF lanes' points at that visit, in the order of their
-    ids in ``ids``; a tie lane gets none, as from there it would meet its
-    tie again."""
+    codes, steps, points) for the lanes that leave at each step: code 1
+    or 2 for a lane that enters a termination ball, _TIE_HANDOFF for one
+    at the tie screen, and _HANDOFF for one still running at its step
+    _checkpoint(max_steps); ``steps`` and the (m, 2) ``points`` hold each
+    lane's step count and point at that last visit, before it steps, so a
+    lane may go on from there."""
     mark = _checkpoint(max_steps)
     buf, built = np.empty((8, 0)), 0
 
@@ -560,17 +570,15 @@ def _pool(lanes_at, n: int, max_steps: int):
     ids, lanes = draw(_LANE_BLOCK)
     steps = np.zeros(len(ids), dtype=np.int32)
     while len(ids):
-        due = steps == mark
-        marks = lanes[:2, due].T  # taken before the step moves them
-        in1, in2, clear = _lane_step(lanes)
-        gone = np.flatnonzero(~clear | in1 | in2 | due)
+        in1, in2, x, y, clear = _lane_step(lanes)
+        gone = np.flatnonzero(~clear | in1 | in2 | (steps == mark))
         if len(gone):
             codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
             codes[~clear[gone]] = _TIE_HANDOFF
             codes[in1[gone]] = 1
             codes[in2[gone]] = 2
-            yield (ids[gone], codes, steps[gone],
-                   marks[codes[due[gone]] == _HANDOFF])
+            yield ids[gone], codes, steps[gone], lanes[:2, gone].T
+        lanes[0], lanes[1] = x, y
         steps += 1
         if len(gone):
             # fresh lanes take the finished lanes' places; once all n are
@@ -615,7 +623,7 @@ def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
                 if v is not None:
                     codes[live[j]], steps[live[j]] = _code(v), used
             break
-        in1, in2, clear = _lane_step(lanes)
+        in1, in2, lanes[0], lanes[1], clear = _lane_step(lanes)
         codes[live[in1]] = 1
         codes[live[in2]] = 2
         done = in1 | in2
@@ -691,16 +699,14 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     codes = np.empty(n, dtype=np.uint8)
     steps = np.empty(n, dtype=np.int32)
     consts = _constants(cfg)
-    saved = []
-    for ids, c, s, m in _pool(lambda lo, hi: _lanes(consts, *_cell_centres(
+    points = np.empty((n, 2))
+    for ids, c, s, p in _pool(lambda lo, hi: _lanes(consts, *_cell_centres(
             bounds, resolution, np.arange(lo, hi))), n, max_steps):
-        codes[ids], steps[ids] = c, s
-        if len(m):
-            saved.append((ids[c == _HANDOFF], m))
+        codes[ids], steps[ids], points[ids] = c, s, p
     # hand-offs run on as lanes in sets whose windows fit in _HIST_POINTS;
     # those at a tie or an undecided check re-run through scalar simulate
-    cell = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in saved])
-    xs, ys = np.concatenate([np.empty((0, 2))] + [p for _, p in saved]).T
+    cell = np.flatnonzero(codes == _HANDOFF)
+    xs, ys = points[cell].T
     per_set = _HIST_POINTS // (min(max_steps + 1, WINDOW) + CHECK_EVERY)
     for part in np.array_split(np.arange(len(cell)),
                                max(1, -(-len(cell) // per_set))):
@@ -742,20 +748,17 @@ def _pair_outcome(cfg: ProblemConfig, consts: Sequence[float], res,
                   starts: np.ndarray, handoffs: dict, k: int, max_steps: int,
                   seed: int) -> PairOutcome:
     """Pair k's outcome from its config, its ``_constants`` and its
-    ``certify`` result: its hand-offs (start index -> point at step
-    _checkpoint(max_steps), None at the tie screen) in order up to the
-    first nonconvergent one, resumed in ``_proven_walk``, else, at a tie,
-    re-run by ``simulate``."""
+    ``certify`` result: its hand-offs (start index -> (x, y, step), the
+    point and step at which the start left the lane pool) in order up to
+    the first nonconvergent one, each resumed in ``_proven_walk`` with the
+    coins of its (seed, k, start index) stream."""
     certified = isinstance(res, LyapunovCertificate)
     worst = -1
-    for s_idx, mark in sorted(handoffs.items()):
+    for s_idx, (x, y, step) in sorted(handoffs.items()):
         budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
                   if certified else max_steps)
-        v = mark and _proven_walk(consts, *mark, _checkpoint(max_steps),
-                                  budget)[0]
-        if v is None:
-            v = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
-                         max_steps=budget, record=False).verdict
+        v = _proven_walk(consts, x, y, step, budget,
+                         _coins(SeededRandom((seed, k, s_idx))))[0]
         if not isinstance(v, ConvergedTo):
             worst = s_idx
             break
@@ -771,25 +774,25 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     """Probe every (theta1, theta2) pair for nonconvergent behavior.
 
     Each pair gets samples_per_pair starts drawn from the (seed,
-    pair_index) stream, uniform over [-2, 2]^2, simulated under a
-    SeededRandom tie policy on the (seed, pair_index, start_index) stream.
+    pair_index) stream, uniform over [-2, 2]^2, which take the coins of
+    SeededRandom((seed, pair_index, start_index)) at their ties.
     Certified pairs run with the certificate-backed step budget, so a
     nonconvergent verdict there is a genuine counterexample, not a budget
     artifact.  It runs in three phases, as ``rasterize`` does.  Every
-    pair's step constants are built and all starts drawn; the starts run
-    through one lane pool in pair order, and one leaves it at a ball, at
-    the tie screen, or at step n/2 carrying its point (n as in
-    ``rasterize``); then each pair in turn is certified and its hand-offs
-    resumed in the window-free walk of ``find_period_brent``, in start
-    order up to its first nonconvergent one; only a start whose walk meets
-    a tie re-runs through ``simulate``.  A resumed walk ends at a ball, at
-    the budget, or as soon as ``certify_cycle``'s proof holds from its
-    reference point: the start is then nonconvergent, as its ``simulate``
-    verdict would be, and the sweep reports no step counts.  Raises,
-    before any start runs, for a samples_per_pair or a seed that is not an
-    integer (TypeError; NumPy's integers pass), samples_per_pair below 1
-    or a negative seed, a max_steps that ``simulate`` rejects or a pair
-    that ``ProblemConfig`` rejects.
+    pair's config and step constants are built and all starts drawn; the
+    starts run through one lane pool in pair order, and one leaves it at a
+    ball, or at the tie screen or step n/2 carrying its point and step (n
+    as in ``rasterize``); then each pair in turn is certified and its
+    unsettled starts resumed from there, in start order up to its first
+    nonconvergent one, in the window-free walk of ``find_period_brent``.
+    That walk, not ``simulate``, ends at a ball, at the budget, or as soon
+    as ``certify_cycle``'s proof holds from its reference point: the start
+    is then nonconvergent, as its ``simulate`` verdict would be, and the
+    sweep reports no step counts.  Raises, before any start runs, for a
+    samples_per_pair or a seed that is not an integer (TypeError; NumPy's
+    integers pass), samples_per_pair below 1 or a negative seed, a
+    max_steps that ``simulate`` rejects or a pair that ``ProblemConfig``
+    rejects.
     """
     samples = operator.index(samples_per_pair)
     if samples < 1:
@@ -798,8 +801,8 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_run(max_steps)
     # a bad pair raises here, before any start runs
-    rows = np.array([_constants(ProblemConfig(float(t1), float(t2)))
-                     for t1, t2 in theta_grid]).reshape(-1, 6)
+    cfgs = [ProblemConfig(float(t1), float(t2)) for t1, t2 in theta_grid]
+    rows = np.array([_constants(cfg) for cfg in cfgs]).reshape(-1, 6)
     starts = np.empty((len(rows), samples, 2))
     for k in range(len(rows)):
         starts[k] = np.random.default_rng(np.random.SeedSequence(
@@ -807,15 +810,15 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     flat = starts.reshape(-1, 2)
     # pair index -> hand-offs by start index, for the pairs that have any
     handoffs: dict[int, dict] = {}
-    for ids, codes, _, marks in _pool(
+    for ids, codes, steps, points in _pool(
             lambda lo, hi: _lanes(rows[np.arange(lo, hi) // samples],
                                   *flat[lo:hi].T), len(flat), max_steps):
-        marks = dict(zip(ids[codes == _HANDOFF].tolist(), marks.tolist()))
-        for h in ids[codes >= _TIE_HANDOFF].tolist():
-            handoffs.setdefault(h // samples, {})[h % samples] = marks.get(h)
+        left = codes >= _TIE_HANDOFF
+        for h, p, s in zip(ids[left].tolist(), points[left].tolist(),
+                           steps[left].tolist()):
+            handoffs.setdefault(h // samples, {})[h % samples] = (*p, s)
     outcomes = []
-    for k, (t1, t2) in enumerate(theta_grid):
-        cfg = ProblemConfig(float(t1), float(t2))
+    for k, cfg in enumerate(cfgs):
         outcomes.append(_pair_outcome(cfg, rows[k].tolist(), certify(cfg),
                                       starts[k], handoffs.get(k, {}), k,
                                       max_steps, seed))

@@ -5,6 +5,7 @@ runtime budget: exact single-pair decay, operator equivalences, the
 certificate and its decrease property, increase-ball geometry, robustness
 under perturbation, orbit detection, basin rasters, and sweep consistency.
 """
+import hashlib
 import math
 import time
 
@@ -14,7 +15,7 @@ from drlines.dr import dr_multivalued, dr_reversed, dr_two_lines
 from drlines.experiments import (ConvergedTo, Cycle, EnumerateTree,
                                  certified_budget, make_theta_grid, rasterize,
                                  simulate, simulate_tree, sweep)
-from drlines.exports import pgm_bytes
+from drlines.exports import pgm_bytes, sweep_csv
 from drlines.geometry import ProblemConfig, Region, bisector_data
 from drlines.lyapunov import (
     LyapunovCertificate,
@@ -188,6 +189,10 @@ def test_grid_sweep_consistency():
     start = time.perf_counter()
     sg = sweep(make_theta_grid(40, 40), samples_per_pair=20, seed=2)
     assert len(sg.pairs) == 1600
+    # byte-identical to the recorded CSV of a seed the benchmark's
+    # digests do not cover
+    assert hashlib.sha256(sweep_csv(sg).encode()).hexdigest() == (
+        "e774d759f3cb4187c50fd5aa47f417bb68c7e7eb0a48a13986b6338771fdee73")
     assert not any(q.eq26_holds and q.nonconvergent_found for q in sg.pairs)
     assert any(q.eq26_holds for q in sg.pairs)
     orbit_pairs = [(0.748491, 0.772301), (0.082719, 2.064601),

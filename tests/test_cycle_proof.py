@@ -141,7 +141,8 @@ def test_a_converging_start_is_rejected():
                 tr = simulate(cfg, x0, record=False)
                 if isinstance(tr.verdict, ConvergedTo):
                     v, _, _, steps = experiments._proven_walk(
-                        consts, *x0, 0, 20000)
+                        consts, *x0, 0, 20000,
+                        experiments._coins(FirstBranch()))
                     assert (v, steps) == (tr.verdict, tr.steps_used)
     assert len(calls) >= 20
 
@@ -178,6 +179,21 @@ def test_certify_cycle_rejects_bad_inputs():
         certify_cycle(FIG_CFG, (0.0, 0.0), 0)
     with pytest.raises(TypeError):
         certify_cycle(FIG_CFG, (0.0, 0.0), 2.5)
+
+
+def test_periods_from_2_to_the_40_fail_before_any_step(monkeypatch):
+    # the proof bounds the float product of its K branch factors only for K
+    # below 2^40: certify_cycle rejects such a period and _proof declines
+    # such a lag, both before a step runs, however long the orbit's budget
+    steps = []
+    monkeypatch.setattr(experiments, "_steps",
+                        lambda *args: steps.append(args[-2]))
+    for period in (2 ** 40, 2 ** 55):
+        with pytest.raises(ValueError, match="period must be in"):
+            certify_cycle(PERIOD2_CFG, (0.101912, 0.189275), period)
+        assert experiments._proof(experiments._constants(PERIOD2_CFG),
+                                  0.101912, 0.189275, period) is None
+    assert steps == []
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

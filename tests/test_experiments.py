@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from drlines import dr, experiments
+from drlines.cli import main
 from drlines.dr import dr_multivalued
 from drlines.geometry import (
     TIE_TOL,
@@ -243,23 +244,58 @@ def test_brent_period_search():
                              max_steps=1) is None
 
 
-def test_proven_walk_stops_at_a_tie_and_brent_takes_a1():
+def a1_coins():
+    # the coins of a walk that takes the A1 branch at every tie
+    return experiments._coins(FirstBranch())
+
+
+def test_proven_walk_takes_its_coin_at_a_tie_and_brent_takes_a1():
     # a tie at the start and at step 10 of an orbit whose A1 branch leads
-    # to the period-2 orbit, and A2's to p2's ball
+    # to the period-2 orbit, and A2's to p2's ball: the walk draws one coin
+    # there and goes on through its branch as a walk from that point would
     consts = experiments._constants(PERIOD2_CFG)
     c1, s1, c2, s2 = consts[:4]
     for n in (0, 10):
         x0 = tie_preimage(PERIOD2_CFG, n)
-        v, x, y, steps = experiments._proven_walk(consts, *x0, 0, 20000)
-        assert (v, steps) == (None, n)
-        assert isinstance(experiments._proven_walk(
-            consts, *dr._branch(-0.5, c1, s1, x, y), n + 1, 20000)[0], Cycle)
-        assert experiments._proven_walk(
-            consts, *dr._branch(0.5, c2, s2, x, y), n + 1,
-            20000)[0] == ConvergedTo(2)
+        # a budget that ends at the tie draws no coin
+        v, *xt, steps = experiments._proven_walk(consts, *x0, 0, n, iter(()))
+        assert (v, steps) == (Budget(), n)
+        for coin, after in ((True, dr._branch(-0.5, c1, s1, *xt)),
+                            (False, dr._branch(0.5, c2, s2, *xt))):
+            got = experiments._proven_walk(consts, *x0, 0, 20000,
+                                           iter([coin]))
+            assert got == experiments._proven_walk(consts, *after, n + 1,
+                                                   20000, iter(()))
+            assert isinstance(got[0], Cycle if coin else ConvergedTo)
+        # nor does one that ends at the tie's next point draw a second
+        v, x, y, steps = experiments._proven_walk(consts, *x0, 0, n + 1,
+                                                  iter([False]))
+        assert (v, (x, y), steps) == (Budget(), dr._branch(0.5, c2, s2, *xt),
+                                      n + 1)
         assert find_period_brent(PERIOD2_CFG, x0) == 2
     # on PERIOD58_CFG's tie point, A1 leads into a ball
     assert find_period_brent(PERIOD58_CFG, tie_point(PERIOD58_CFG)) is None
+
+
+def test_a_tie_takes_one_coin_in_simulate_the_walk_and_iterate(capsys):
+    # the 10th iterate of x0 is on D3, where A1 leads to the period-2 orbit
+    # and A2 into p2's ball; the first coin of SeededRandom(0) picks A2, in
+    # simulate, in the proven walk and in ``drlines iterate``
+    x0 = tie_preimage(PERIOD2_CFG, 10)
+    consts = experiments._constants(PERIOD2_CFG)
+    tr = simulate(PERIOD2_CFG, x0, SeededRandom(0))
+    assert (tr.verdict, tr.steps_used) == (ConvergedTo(2), 14)
+    assert experiments._proven_walk(
+        consts, *x0, 0, 20000, experiments._coins(SeededRandom(0))) == (
+            tr.verdict, *tr.points[-1], tr.steps_used)
+    assert isinstance(experiments._proven_walk(consts, *x0, 0, 20000,
+                                               a1_coins())[0], Cycle)
+    assert main(["iterate", "--theta1", "0.748491", "--theta2", "0.772301",
+                 "--x0", f"{x0[0]!r},{x0[1]!r}", "--steps", "14",
+                 "--policy", "random", "--seed", "0"]) == 0
+    assert [tuple(map(float, line.split()[1:]))
+            for line in capsys.readouterr().out.splitlines()] == \
+        list(tr.points)
 
 
 def test_proven_walk_in_a_ball_and_below_the_proof_step():
@@ -267,7 +303,7 @@ def test_proven_walk_in_a_ball_and_below_the_proof_step():
     consts = experiments._constants(PERIOD2_CFG)
     r1 = math.sqrt(consts[4])
     x0 = (-0.5 + 0.5 * r1, 0.25 * r1)
-    assert experiments._proven_walk(consts, *x0, 0, 20000) == (
+    assert experiments._proven_walk(consts, *x0, 0, 20000, a1_coins()) == (
         ConvergedTo(1), *x0, 0)
     assert find_period_brent(PERIOD2_CFG, x0) is None
     # a budget one step below the step of the proof proves nothing
@@ -278,10 +314,11 @@ def test_proven_walk_in_a_ball_and_below_the_proof_step():
             (ProblemConfig(0.05, 0.1),
              (1.1672003185823576, 0.701385077992045), 8)):
         consts = experiments._constants(cfg)
-        v, _, _, steps = experiments._proven_walk(consts, *x0, 0, 200000)
+        v, _, _, steps = experiments._proven_walk(consts, *x0, 0, 200000,
+                                                  a1_coins())
         assert v == Cycle(period)
-        assert experiments._proven_walk(consts, *x0, 0, steps - 1)[0] == \
-            Budget()
+        assert experiments._proven_walk(consts, *x0, 0, steps - 1,
+                                        a1_coins())[0] == Budget()
         assert find_period_brent(cfg, x0, max_steps=steps - 1) is None
         assert find_period_brent(cfg, x0, max_steps=steps) == period
 
@@ -295,7 +332,7 @@ def test_failed_proof_tries_cost_at_most_the_walk_steps():
     with mock.patch.object(experiments, "_proof",
                            lambda consts, x, y, k: lags.append(k)):
         v, _, _, steps = experiments._proven_walk(consts, 0.101912, 0.189275,
-                                                  0, 20000)
+                                                  0, 20000, a1_coins())
     assert (v, steps) == (Budget(), 20000)
     assert len(lags) > 100 and sum(lags) < 2 * steps
 
@@ -1222,14 +1259,26 @@ def spy_walk(monkeypatch):
     return entered
 
 
+def spy_windowed(monkeypatch):
+    # the name of each call of simulate, _walk and detect_cycle, in order
+    calls = []
+    for name in ("simulate", "_walk", "detect_cycle"):
+        def spy(*args, _name=name, _run=getattr(experiments, name), **kw):
+            calls.append(_name)
+            return _run(*args, **kw)
+
+        monkeypatch.setattr(experiments, name, spy)
+    return calls
+
+
 def spy_proven_walk(monkeypatch):
     # the step of every proven walk started, in order
     entered = []
     walk = experiments._proven_walk
 
-    def spy(consts, x, y, steps, max_steps):
+    def spy(consts, x, y, steps, *args):
         entered.append(steps)
-        return walk(consts, x, y, steps, max_steps)
+        return walk(consts, x, y, steps, *args)
 
     monkeypatch.setattr(experiments, "_proven_walk", spy)
     return entered
@@ -1310,7 +1359,7 @@ def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
 
 
 def spy_pool(monkeypatch):
-    # every (ids, codes, steps, marks) the lane pool yields, in order
+    # every (ids, codes, steps, points) the lane pool yields, in order
     yields = []
     pool = experiments._pool
 
@@ -1507,7 +1556,7 @@ def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
     x, y = x + r * math.cos(angle), y + r * math.sin(angle)
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
-    _, _, clear = experiments._lane_step(
+    *_, clear = experiments._lane_step(
         experiments._lanes(experiments._constants(cfg), np.array([x]),
                            np.array([y])))
     band = TIE_TOL * (1.0 + math.hypot(x, y))
@@ -1920,10 +1969,11 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
 def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
                                                           policy, n):
     # 36 cells around a start whose n-th iterate is on D3: up to the
-    # checkpoint they leave the pool at the tie screen on step n with no
-    # point, as a resumed lane would meet the screen again, so the lane set
-    # is empty; past it they leave at the checkpoint, and the resumed lanes
-    # stop at the screen; either way each cell re-runs through simulate
+    # checkpoint they leave the pool at the tie screen on step n, which a
+    # resumed lane would meet again, so the lane set is empty; past it they
+    # leave at the checkpoint, and the resumed lanes stop at the screen;
+    # either way each cell re-runs through simulate.  Every lane leaves
+    # with its point at that step
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -1939,6 +1989,11 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     assert np.array_equal(grid.steps, steps)
     mark = experiments._checkpoint(2000)
     assert {int(s) for _, _, st, _ in yields for s in st} == {min(n, mark)}
+    (ids, _, _, points), = yields
+    assert points.tolist() == [
+        list(simulate(FIG_CFG, experiments._cell_centres(bounds, (6, 6), i),
+                      max_steps=2000).points[min(n, mark)])
+        for i in ids.tolist()]
     assert starts == [(mark, 0 if n <= mark else 36)]
     assert len(calls) == 36
 
@@ -1973,59 +2028,72 @@ def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
 
 
 def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
-    # the walk resumed from step 256 stops at the tie on step 300, and the
-    # start re-runs through simulate on its (seed, pair, start) stream with
-    # its certified budget
+    # the walk resumed from step 256 meets the tie on step 300 and goes on
+    # through the coin of the start's (seed, pair, start) stream, with its
+    # certified budget, to simulate's verdict; no window is kept.  Pair
+    # 4's coin picks A2, which leads to p2's ball, where A1 leads to p1's
     x0 = tie_preimage(FIG_CFG, 300)
-    mark = list(simulate(FIG_CFG, x0, max_steps=2000).points[256])
+    mark = simulate(FIG_CFG, x0, max_steps=2000).points[256]
     res = certify(FIG_CFG)
     assert isinstance(res, LyapunovCertificate)
     budget = certified_budget(FIG_CFG, res, x0, 2000)
-    runs = []
+    want = simulate(FIG_CFG, x0, SeededRandom((5, 4, 0)), max_steps=budget,
+                    record=False)
+    assert want.verdict == ConvergedTo(2)
+    walks, keys = [], []
+    walk, coins = experiments._proven_walk, experiments._coins
 
-    def counted(*args, **kwargs):
-        runs.append((tuple(args[1]), args[2], kwargs["max_steps"]))
-        return simulate(*args, **kwargs)
+    def spy(*args):
+        walks.append((args[1:5], walk(*args)))
+        return walks[-1][1]
 
-    entered = spy_proven_walk(monkeypatch)
-    monkeypatch.setattr(experiments, "simulate", counted)
+    monkeypatch.setattr(experiments, "_proven_walk", spy)
+    monkeypatch.setattr(experiments, "_coins",
+                        lambda policy: keys.append(policy) or coins(policy))
+    windowed = spy_windowed(monkeypatch)
     out = experiments._pair_outcome(FIG_CFG, experiments._constants(FIG_CFG),
-                                    res, np.array([x0]), {0: mark}, 7, 2000,
-                                    5)
+                                    res, np.array([x0]), {0: (*mark, 256)},
+                                    4, 2000, 5)
     assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
-    assert runs == [(x0, SeededRandom((5, 7, 0)), budget)]
-    assert entered == [experiments._checkpoint(2000)]
-    assert len(resumed(entered)) == 1
+    assert walks == [((*mark, 256, budget),
+                      (want.verdict, *want.points[-1], want.steps_used))]
+    assert keys == [SeededRandom((5, 4, 0))]
+    assert windowed == []
 
 
-def test_sweep_starts_meeting_a_tie_after_the_checkpoint_resume_then_rerun(
-        monkeypatch):
-    # 36 starts, all at a point whose 300th iterate is on D3, leave the
-    # pool at the checkpoint with their points there: each resumes in the
-    # walk, stops at the tie on step 300 and re-runs through simulate
-    x0, n = tie_preimage(FIG_CFG, 300), 36
+@pytest.mark.parametrize("n", [100, 300])
+def test_sweep_starts_meeting_a_tie_resume_through_it_in_the_walk(
+        monkeypatch, n):
+    # 36 starts, all at a point whose n-th iterate is on D3, leave the pool
+    # at the tie screen on step 100 or at the checkpoint, each with its
+    # point there; each resumes in the walk from that point and step and
+    # takes its coin at the tie, and none runs simulate or a window
+    x0, samples = tie_preimage(FIG_CFG, n), 36
     rng = np.random.default_rng
 
     def starts(seed=None):
         # pair 0's starts at seed 5; other streams are left as they are
         if isinstance(seed, np.random.SeedSequence) and \
                 list(seed.entropy) == [5, 0]:
-            return mock.Mock(uniform=lambda *args, size: np.tile(x0, (n, 1)))
+            return mock.Mock(uniform=lambda *args, size: np.tile(
+                x0, (samples, 1)))
         return rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", starts)
     pair = [(FIG_CFG.theta1, FIG_CFG.theta2)]
-    want = sweep_reference(pair, n, 2000, 5)
+    want = sweep_reference(pair, samples, 2000, 5)
+    left = min(n, experiments._checkpoint(2000))
+    point = simulate(FIG_CFG, x0, max_steps=2000).points[left]
     yields = spy_pool(monkeypatch)
     entered = spy_proven_walk(monkeypatch)
-    calls = count_simulate_calls(monkeypatch)
-    assert sweep(pair, samples_per_pair=n, max_steps=2000,
+    windowed = spy_windowed(monkeypatch)
+    assert sweep(pair, samples_per_pair=samples, max_steps=2000,
                  seed=5).pairs == want
-    assert [(set(c.tolist()), set(st.tolist()), len(m))
-            for _, c, st, m in yields] == [
-        ({experiments._HANDOFF}, {experiments._checkpoint(2000)}, n)]
-    assert [tuple(c) for c in calls] == [x0] * n
-    assert len(resumed(entered)) == n
+    code = experiments._TIE_HANDOFF if n == left else experiments._HANDOFF
+    assert [(set(c.tolist()), set(st.tolist()), set(map(tuple, p.tolist())))
+            for _, c, st, p in yields] == [({code}, {left}, {point})]
+    assert entered == [left] * samples
+    assert windowed == []
 
 
 @pytest.mark.parametrize("max_steps", [1, 2, 7, 300, 511])
