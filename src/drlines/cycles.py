@@ -94,13 +94,12 @@ def _prove_cycle(consts: Sequence[float], p: np.ndarray):
     Their distance from p_i is thus at most ``error`` E.  They do follow it
     if E <= 1 and every disc B(p_i, E) keeps the branch w_i: where |gap(p_i)|
     > (h_1 + h_2) E + tau (1 + |p_i| + E), tau = TIE_TOL (1 + 1e-6) + 2
-    _ETA, which covers the gap's error at both points and dr._steps' band
-    TIE_TOL (1 + hypot(x, y)) with its rounding, assuming only that
-    math.hypot is within half a millionth; and where |p_i -+ (1/2, 0)| - E
-    exceeds the ball radius r_b by a relative 1e-13 and 1e-150, as the
-    float squared distance to the centre loses at most four roundings and
-    an underflow.  ``margin`` is the largest E these allow, and the proof
-    holds where it exceeds ``error``.
+    _ETA, which covers the gap's error at both points and the tie band
+    dr._band, at most TIE_TOL (1 + |x|) at x before its two roundings; and
+    where |p_i -+ (1/2, 0)| - E exceeds the ball radius r_b by a relative
+    1e-13 and 1e-150, as the float squared distance to the centre loses at
+    most four roundings and an underflow.  ``margin`` is the largest E
+    these allow, and the proof holds where it exceeds ``error``.
 
     Every scalar is rounded outward (``_up``, ``math.nextafter``).  The
     float product of the K factors z_b is within 8 K u |z| of z, as each

@@ -8,15 +8,16 @@ For the union A1 ∪ A2 the operator acts through whichever line is closer
 and is two-valued on the equidistance set D3.  The reversed-order
 operator (I + R_A R_B)/2 is R_B T R_B, with R_B(x, y) = (x, -y).
 
-``_gap`` and ``_branch`` are the operator's arithmetic, written once for
-floats and NumPy lanes alike: the closed form, ``dr_multivalued`` (the
-one step at a point), the lanes and the cycle proof run them.  Every
-scalar trajectory runs ``_steps``, one loop with the same expressions
-written out in the same order, but with no call on a step clear of the
-tie band: a distance term is negated where abs would flip it, and a
-screen on squares sends only points near the band to the band test with
-its hypot.  A test pins the loop to ``_gap`` and ``_branch`` bit for
-bit, so the lanes reproduce the scalar iterates.
+``_gap``, ``_band`` and ``_branch`` are the operator's arithmetic, written
+once for floats and NumPy lanes alike: the closed form, ``dr_multivalued``
+(the one step at a point), the lanes and the cycle proof run them.  D3 is
+the tie band |gap| <= ``_band`` = TIE_TOL (1 + max(|x|, |y|)): NumPy and
+Python round it alike, and it is finite at every finite point.  Every
+scalar trajectory runs ``_steps``, one loop with the same expressions in
+the same order, but with no call on a step clear of the band: a distance
+term is negated where abs would flip it, and a screen on squares calls
+``_band`` only near the band.  A test pins the loop to ``_gap`` and
+``_branch`` bit for bit, so the lanes reproduce the scalar iterates.
 """
 from __future__ import annotations
 
@@ -25,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    ProblemConfig,
-    Region,
-    TIE_TOL,
-    cos_sin,
-)
+from .geometry import TIE_TOL, ProblemConfig, Region, cos_sin
 
 
 @dataclass(frozen=True)
@@ -51,6 +47,11 @@ def _gap(c1, s1, c2, s2, x, y):
     return abs(s1 * (x + 0.5) - c1 * y) - abs(s2 * (x - 0.5) - c2 * y)
 
 
+def _band(x, y):
+    """The tie band's half-width TIE_TOL (1 + max(|x|, |y|)) at (x, y)."""
+    return TIE_TOL * (1.0 + np.maximum(abs(x), abs(y)))
+
+
 def _branch(a, c, s, x, y):
     """The DR step through the line anchored at (a, 0) with direction
     (c, s): a = -0.5 with A1's constants, a = 0.5 with A2's."""
@@ -58,7 +59,6 @@ def _branch(a, c, s, x, y):
     return a + c * (c * dx + s * y), c * (-s * dx + c * y)
 
 
-# _steps' screen: a gap with gap^2 > _SCREEN (1 + q1 + q2) is off the tie band
 _SCREEN = 2.0 * TIE_TOL ** 2 * (1.0 + 1e-6)
 
 
@@ -66,21 +66,21 @@ def _steps(c1, s1, c2, s2, r1sq, r2sq, x, y, n, buf):
     """Up to n steps from the float point (x, y) through the branch each
     gap picks, with every new point's x and y appended to the array('d')
     ``buf`` (once, on return): (code, x, y, k) after k steps, code 0 at a
-    point on the tie band |gap| <= TIE_TOL (1 + |(x, y)|), not stepped, 1
-    or 2 once a step enters the open ball of squared radius r1sq about
-    (-0.5, 0) or r2sq about (0.5, 0), else -1.
+    point on the tie band |gap| <= _band(x, y), not stepped, 1 or 2 once a
+    step enters the open ball of squared radius r1sq about (-0.5, 0) or
+    r2sq about (0.5, 0), else -1.
 
     A step clear of the band makes no call.  Each distance term is
     negated when negative, which differs from abs only in the sign of a
     zero, and a gap of +-0 lies on the band either way.  The band test
     runs only where gap^2 > _SCREEN (1 + q1 + q2) fails, with q1 and q2
     the squared distances to (-0.5, 0) and (0.5, 0) that the ball test
-    takes: |(x, y)|^2 <= max(q1, q2) <= q1 + q2 and (1 + h)^2 <= 2 (1 +
+    takes: h = max(|x|, |y|) has h^2 <= q1 + q2 and (1 + h)^2 <= 2 (1 +
     h^2), so a gap that passes the screen has gap^2 > (TIE_TOL (1 +
-    |(x, y)|))^2, the factor 1 + 1e-6 covering the rounding of both
-    sides.  An underflowed gap^2, an overflowed right side and a NaN
-    fail the screen and meet the band test itself."""
-    hypot, band, kk = math.hypot, TIE_TOL, _SCREEN
+    h))^2, the factor 1 + 1e-6 covering the rounding of both sides.  An
+    underflowed gap^2, an overflowed right side and a NaN fail the screen
+    and meet the band test itself."""
+    band, kk = _band, _SCREEN
     pts = []
     dx1, dx2 = x + 0.5, x - 0.5
     yy = y * y
@@ -94,8 +94,7 @@ def _steps(c1, s1, c2, s2, r1sq, r2sq, x, y, n, buf):
             g2 = -g2
         gap = g1 - g2
         if not gap * gap > kk * (1.0 + q1 + q2):
-            t = band * (1.0 + hypot(x, y))
-            if -t <= gap <= t:
+            if abs(gap) <= band(x, y):
                 buf.fromlist(pts)
                 return 0, x, y, k
         if gap < 0.0:
@@ -119,16 +118,14 @@ def _steps(c1, s1, c2, s2, r1sq, r2sq, x, y, n, buf):
 
 def _lane_branch(c1, s1, c2, s2, x, y):
     """One step of NumPy lanes (x, y) through the branch each lane's gap
-    picks, and whether each lane is clear of the tie screen |gap| <= 2
-    TIE_TOL (1 + |x| + |y|): (x', y', clear).  The screen contains the
-    scalar band |gap| <= TIE_TOL (1 + hypot(x, y)), as hypot(x, y) <= |x|
-    + |y|, so a lane that is not clear may lie on the band and must take
-    the scalar step; a NaN gap is not clear."""
+    picks, and whether each lane is clear of the tie band: (x', y',
+    clear).  A lane is not clear where ``_steps`` stops and
+    ``dr_multivalued`` finds D3, and where its gap is NaN."""
     gap = _gap(c1, s1, c2, s2, x, y)
     first = gap < 0.0
     bx, by = _branch(np.where(first, -0.5, 0.5), np.where(first, c1, c2),
                      np.where(first, s1, s2), x, y)
-    return bx, by, abs(gap) > 2.0 * TIE_TOL * (1.0 + abs(x) + abs(y))
+    return bx, by, abs(gap) > _band(x, y)
 
 
 def dr_two_lines(p, theta: float, x) -> np.ndarray:
@@ -143,15 +140,15 @@ def dr_two_lines(p, theta: float, x) -> np.ndarray:
 def dr_multivalued(cfg: ProblemConfig, x) -> DrStep:
     """Apply the operator of A1 ∪ A2 versus the x-axis at x.
 
-    The point is on D3 when its gap lies on the tie band |gap| <= TIE_TOL
-    (1 + |x|); there both branch values are reported, A1 first, and
+    The point is on D3 when its gap lies on the tie band |gap| <=
+    _band(x, y); there both branch values are reported, A1 first, and
     callers that iterate pick one via a branch policy.
     """
     x, y = pt = (float(x[0]), float(x[1]))
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
     gap = _gap(c1, s1, c2, s2, x, y)
-    if abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y)):
+    if abs(gap) <= _band(x, y):
         region = Region.D3
         outs = (_branch(-0.5, c1, s1, x, y), _branch(0.5, c2, s2, x, y))
     elif gap < 0.0:

@@ -11,7 +11,7 @@ cells are independent work items; every cell derives its PRNG stream from
 the root seed and its own index, so results do not depend on how cells are
 grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
 _LANE_BLOCK lanes, refilled in cell order as lanes finish.  Every lane
-leaves the pool with its point and step: at a ball, at the tie screen, or
+leaves the pool with its point and step: at a ball, on the tie band, or
 at step n/2 for n = min(max_steps, 512).  ``rasterize`` resumes the last
 as lanes with a cycle window; a tie, or a check that needs earlier points,
 sends a cell back to a re-run from its start.  ``sweep`` resumes each
@@ -46,9 +46,9 @@ BALL_SAFETY = 0.99
 # them in the scalar walk
 _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
-# the lane passes' codes for a lane they leave unsettled: one at the tie
-# screen, which the scalar walks get past, and one the pool hands on at
-# its step _checkpoint(max_steps) or _lockstep leaves undecided
+# the lane passes' codes for a lane they leave unsettled: one on the tie
+# band, which the scalar walks get past, and one the pool hands on at its
+# step _checkpoint(max_steps) or _lockstep leaves undecided
 _TIE_HANDOFF, _HANDOFF = 254, 255
 # _cycle's answer where its window lacks points it needs
 _UNDECIDED = -1
@@ -408,7 +408,7 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
     collects the points, copied from ``win``.  Each visit tests the balls,
     then, at every CHECK_EVERY steps and at the budget, one cycle check,
     then the budget; dr._steps runs the steps in between.  Returns
-    (verdict, x, y, steps), or (None, x, y, steps) at a point in the tie
+    (verdict, x, y, steps), or (None, x, y, steps) at a point on the tie
     band, visited but not stepped, or at an undecided check."""
     if ball := _ball(consts, x, y):
         return ConvergedTo(ball), x, y, steps
@@ -445,7 +445,7 @@ def _proven_walk(consts: Sequence[float], x: float, y: float, steps: int,
                  max_steps: int, coins) -> tuple[Verdict, float, float, int]:
     """Run one trajectory from its point (x, y) at ``steps`` until a ball,
     a cycle proof or the budget, keeping no window: (verdict, x, y, steps)
-    at the point the verdict is pronounced on.  At a point in the tie band
+    at the point the verdict is pronounced on.  At a point on the tie band
     it steps through the branch of next(coins), A1 for True (``_coins``),
     and goes on from there as from a start.
 
@@ -515,13 +515,13 @@ def _lanes(consts, x, y) -> np.ndarray:
 
 # the lane arithmetic may overflow where the scalar walk's does too: a
 # point of norm near 1e200 squares to inf and lies in no ball, and a NaN
-# tie band (0 * inf) is not clear of the screen
+# gap (inf - inf) is not clear of the tie band
 @np.errstate(over="ignore", invalid="ignore")
 def _lane_step(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
     """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) as ``_walk``
     does, and step it through the branch its gap picks.  Returns whether
     each lane lay in p1's and in p2's ball, its stepped x and y (for the
-    caller to write), and whether it was clear of the tie screen."""
+    caller to write), and whether it was clear of the tie band."""
     x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
     dx1 = x + 0.5
     dx2 = x - 0.5
@@ -548,7 +548,7 @@ def _pool(lanes_at, n: int, max_steps: int):
     one lane array, asked for at most _LANE_BLOCK at a time.  Yields (ids,
     codes, steps, points) for the lanes that leave at each step: code 1
     or 2 for a lane that enters a termination ball, _TIE_HANDOFF for one
-    at the tie screen, and _HANDOFF for one still running at its step
+    on the tie band, and _HANDOFF for one still running at its step
     _checkpoint(max_steps); ``steps`` and the (m, 2) ``points`` hold each
     lane's step count and point at that last visit, before it steps, so a
     lane may go on from there."""
@@ -601,8 +601,8 @@ def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
     termination ball, 3 for a cycle, 0 for the budget.  Each lane keeps its
     last WINDOW points in a buffer that grows by CHECK_EVERY steps at a time
     (finished lanes are dropped then), and _window_cycle reads them at
-    every CHECK_EVERY steps and at the budget.  Codes _TIE_HANDOFF (at the
-    tie screen) and _HANDOFF (at an undecided check) leave a lane to a
+    every CHECK_EVERY steps and at the budget.  Codes _TIE_HANDOFF (on the
+    tie band) and _HANDOFF (at an undecided check) leave a lane to a
     scalar re-run from its start.  Once fewer than _LANE_FLOOR lanes are
     live, each goes on in the scalar walk from its point, step count and
     window; one the walk returns undecided or at a tie gets _HANDOFF."""
@@ -667,14 +667,15 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
     Cells run through one lane pool in row-major order, at most
-    _LANE_BLOCK at a time.  A cell leaves it at a ball, at the tie screen,
+    _LANE_BLOCK at a time.  A cell leaves it at a ball, on the tie band,
     or at step n/2, n = min(max_steps, 512), carrying its point, and runs
     on from there to its verdict as a lane, the last few of a lane set in
     the scalar walk; only cells at a tie or an undecided cycle check re-run
     through ``simulate``.  Cell streams are keyed by (seed, cell_index), so
-    the picture equals per-cell ``simulate`` calls.
-    ``threads`` is accepted and ignored.  Raises for a policy or max_steps
-    that ``simulate`` rejects, a seed that is not an integer >= 0, an empty
+    the picture equals per-cell ``simulate`` calls.  ``threads`` is
+    accepted and ignored.  Raises, before any step, for a policy or
+    max_steps that ``simulate`` rejects, a max_steps of 2**31 or more
+    (int32 step counts), a seed that is not an integer >= 0, an empty
     resolution, or bounds that are not increasing or where a double
     overflows: a corner norm, or a width or height times the cell count
     that the centres' formula forms (the norm peaks at a corner, so every
@@ -692,6 +693,8 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
                     for x in (xmin, xmax) for y in (ymin, ymax))):
         raise ValueError(f"bounds {bounds} overflow a double")
     _check_run(max_steps, policy)
+    if max_steps >= 2 ** 31:
+        raise ValueError(f"max_steps must be below 2**31, got {max_steps}")
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
@@ -781,7 +784,7 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     artifact.  It runs in three phases, as ``rasterize`` does.  Every
     pair's config and step constants are built and all starts drawn; the
     starts run through one lane pool in pair order, and one leaves it at a
-    ball, or at the tie screen or step n/2 carrying its point and step (n
+    ball, or on the tie band or at step n/2 carrying its point and step (n
     as in ``rasterize``); then each pair in turn is certified and its
     unsettled starts resumed from there, in start order up to its first
     nonconvergent one, in the window-free walk of ``find_period_brent``.

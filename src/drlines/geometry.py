@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# width of the relative tie band around D3; ties never occur exactly in floats
+# width of the relative tie band around D3 (dr._band); floats never tie exactly
 TIE_TOL = 1e-9
 
 # angles this close to pi/2 are treated as exactly vertical

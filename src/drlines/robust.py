@@ -222,10 +222,10 @@ def _worst_offsets(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
 def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
                 u: np.ndarray, adversarial: bool):
     """One step of each lane (column of x) with its draws (row of u, the
-    pre-ball's first): (points, pre, post), each (2, L).  Lanes not clear
-    of dr._lane_branch's tie screen step through dr_multivalued; on the
-    band random lanes take A1, adversarial lanes the larger V (A1 on equal
-    V)."""
+    pre-ball's first): (points, pre, post), each (2, L).  Lanes on the
+    tie band, those dr._lane_branch finds not clear, step through
+    dr_multivalued; there random lanes take A1, adversarial lanes the
+    larger V (A1 on equal V)."""
     def offsets(x, u):
         radius = spec.kappa * np.array(_anchor_distances(cfg, x.T.tolist()))
         if adversarial:

@@ -77,8 +77,28 @@ def step_points(cfg):
 
 
 def on_tie_band(x, y, gap):
-    """The band test: |gap| <= TIE_TOL (1 + |(x, y)|)."""
-    return abs(gap) <= TIE_TOL * (1.0 + math.hypot(x, y))
+    """The band test at a finite point: |gap| <= TIE_TOL (1 + max(|x|,
+    |y|))."""
+    return abs(gap) <= TIE_TOL * (1.0 + max(abs(x), abs(y)))
+
+
+def band_edge(cfg, base, normal):
+    """Adjacent points base + s * normal, the first on the tie band and the
+    second off it, from base on D3 outward."""
+    c1, s1 = cos_sin(cfg.theta1)
+    c2, s2 = cos_sin(cfg.theta2)
+
+    def at(s):
+        x, y = base[0] + s * normal[0], base[1] + s * normal[1]
+        return (x, y), on_tie_band(x, y, dr._gap(c1, s1, c2, s2, x, y))
+
+    lo, hi = 0.0, TIE_TOL * (1.0 + max(map(abs, base)))
+    assert at(lo)[1]
+    while at(hi)[1]:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if at(mid)[1] else (lo, mid)
+    return at(lo)[0], at(hi)[0]
 
 
 def band_screen(x, y, gap):

@@ -59,10 +59,11 @@ def distance_to_line(line, x):
 
 
 def classify_region(cfg, x, tol=TIE_TOL):
-    """D1/D2 by strictly closer line; D3 when |d1 - d2| <= tol (1 + |x|)."""
+    """D1/D2 by strictly closer line; D3 when |d1 - d2| <= tol (1 +
+    max(|x|, |y|))."""
     p = np.asarray(x, dtype=float)
     d1, d2 = (distance_to_line(a, p) for a in lines(cfg)[:2])
-    if abs(d1 - d2) <= tol * (1.0 + math.hypot(p[0], p[1])):
+    if abs(d1 - d2) <= tol * (1.0 + max(abs(p[0]), abs(p[1]))):
         return Region.D3
     return Region.D1 if d1 < d2 else Region.D2
 

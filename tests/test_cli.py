@@ -369,6 +369,16 @@ def test_raster_of_huge_starts_is_quiet(capsys, tmp_path):
     assert text == f"raster 4x4: p1=0 p2=0 cycle=0 budget=16 -> {out}\n"
 
 
+def test_raster_budget_past_int32_fails_before_writing(capsys, tmp_path):
+    out = tmp_path / "r.pgm"
+    code, _, err = run_cli(capsys, [
+        "raster", *FIG, "--res", "1x1", "--max-steps", "2147483648",
+        "--out", str(out)])
+    assert (code, err) == (
+        1, "error: max_steps must be below 2**31, got 2147483648\n")
+    assert not out.exists()
+
+
 def test_sweep_pairs_cli(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     code, text, _ = run_cli(capsys, [

@@ -42,7 +42,7 @@ from drlines.experiments import (
     simulate_tree,
     sweep,
 )
-from dr_oracle import band_screen, gap_branch_steps, on_tie_band
+from dr_oracle import band_edge, band_screen, gap_branch_steps, on_tie_band
 from geometry_oracle import classify_region
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
@@ -454,6 +454,23 @@ def test_sweep_rejects_a_bad_pair_before_any_start(monkeypatch):
         sweep([*make_theta_grid(4, 4), (2.0, 1.0)], samples_per_pair=3,
               max_steps=500)
     assert calls == []
+
+
+def test_rasterize_rejects_budgets_past_int32_before_any_step(monkeypatch):
+    # step counts are int32: a budget of 2**31 fails before the pool
+    # starts, and 2**31 - 1 from a cell centred on p1, in its ball,
+    # returns at once
+    calls = []
+    pool = experiments._pool
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: calls.append(args) or pool(*args))
+    bounds = (-0.6, -0.4, -0.1, 0.1)
+    with pytest.raises(ValueError, match=r"max_steps must be below 2\*\*31"):
+        rasterize(FIG_CFG, bounds, (1, 1), max_steps=2 ** 31)
+    assert calls == []
+    grid = rasterize(FIG_CFG, bounds, (1, 1), max_steps=2 ** 31 - 1)
+    assert (grid.cells.tolist(), grid.steps.tolist()) == ([[1]], [[0]])
+    assert len(calls) == 1
 
 
 def test_make_theta_grid_is_admissible():
@@ -887,7 +904,7 @@ def simulate_tree_deque(cfg, x0, policy=EnumerateTree(), max_steps=20000,
                 break
             gap = gap_of(c1, s1, c2, s2, x, y)
             first = gap < 0.0
-            if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
+            if abs(gap) <= tol * (1.0 + max(abs(x), abs(y))):
                 first = True
                 if committed < max_leaves:
                     committed += 1
@@ -1026,7 +1043,7 @@ def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
                     break
             gap = gap_of(c1, s1, c2, s2, x, y)
             first = gap < 0.0
-            if abs(gap) <= tol * (1.0 + math.hypot(x, y)):
+            if abs(gap) <= tol * (1.0 + max(abs(x), abs(y))):
                 first = True
                 if committed < max_leaves:
                     committed += 1
@@ -1517,9 +1534,8 @@ def test_period58_raster_steps_no_lane_past_its_checkpoint_twice(
                          ids=["1e200", "1e308"])
 def test_huge_starts_raster_quietly_as_simulate(monkeypatch, bounds,
                                                 max_steps):
-    # squares of these starts overflow in the lanes' ball tests, and near
-    # 1e308 so does |x| + |y| in the tie screen, which then hands every
-    # lane off to simulate; with the floor at one lane the 1e200 cells run
+    # squares of these starts overflow in the lanes' ball tests, while the
+    # tie band stays finite; with the floor at one lane the cells run
     # through the pool and a resumed lane set
     monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     with warnings.catch_warnings():
@@ -1531,68 +1547,117 @@ def test_huge_starts_raster_quietly_as_simulate(monkeypatch, bounds,
     assert np.array_equal(grid.steps, steps)
 
 
+def planted(x, y, normal, ulps):
+    # (x, y) with each coordinate moved |ulps| ulps along normal's sign
+    # (against it for ulps < 0)
+    def move(v, d):
+        for _ in range(abs(ulps)):
+            v = math.nextafter(v, math.copysign(math.inf, d * ulps))
+        return v
+
+    return (move(x, normal[0]) if normal[0] else x,
+            move(y, normal[1]) if normal[1] else y)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
        anchor=st.sampled_from(["bisector1", "bisector2", "axis"]),
        log_t=st.floats(-3.0, 300.0), sign=st.sampled_from([-1.0, 1.0]),
-       bands=st.floats(-4.0, 4.0), angle=st.floats(0.0, 2.0 * math.pi))
-def test_lane_tie_screen_covers_the_scalar_band(t1, t2_frac, anchor, log_t,
-                                                sign, bands, angle):
-    # points on D3, 1e-3 to 1e300 from c along a bisector or from the axis
-    # tie point along its bisector, moved by up to four tie bands
+       zero=st.booleans(), outward=st.booleans(), ulps=st.integers(-4, 4))
+@example(t1=math.pi / 3, t2_frac=0.25, anchor="bisector1", log_t=0.0,
+         sign=1.0, zero=False, outward=True, ulps=1)
+@example(t1=math.pi / 3, t2_frac=0.25, anchor="axis", log_t=0.0,
+         sign=-1.0, zero=True, outward=False, ulps=0)
+@example(t1=0.703469, t2_frac=0.99, anchor="bisector2", log_t=300.0,
+         sign=-1.0, zero=False, outward=True, ulps=-1)
+def test_lanes_steps_and_dr_multivalued_share_the_tie_band(
+        t1, t2_frac, anchor, log_t, sign, zero, outward, ulps):
+    # points on either side of the tie band's edge, moved by up to four
+    # ulps: from a bisector 1e-3 to 1e300 from c along it, from c, or
+    # along the axis, with y = +-0.0, from the axis tie point; the scalar
+    # loop stops, the lane is not clear and dr_multivalued finds D3
+    # exactly where the band test holds
     cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
     bd = bisector_data(cfg)
     if anchor == "axis":
-        (ax, ay), (cx, cy) = tie_point(cfg), bd.c
-        norm = math.hypot(cx - ax, cy - ay)
-        d = ((cx - ax) / norm, (cy - ay) / norm)
+        base = (tie_point(cfg)[0], math.copysign(0.0, sign))
+        normal = (sign, 0.0)
+    elif zero:
+        # at c each bisector runs along the other's normal: go diagonally
+        base = bd.c
+        normal = ((bd.n1[0] + bd.n2[0]) * sign / math.sqrt(2.0),
+                  (bd.n1[1] + bd.n2[1]) * sign / math.sqrt(2.0))
     else:
-        ax, ay = bd.c
         n = bd.n1 if anchor == "bisector1" else bd.n2
-        d = (-n[1], n[0])
-    t = sign * 10.0 ** log_t
-    x, y = ax + t * d[0], ay + t * d[1]
-    r = bands * TIE_TOL * (1.0 + math.hypot(x, y))
-    x, y = x + r * math.cos(angle), y + r * math.sin(angle)
-    c1, s1 = cos_sin(cfg.theta1)
-    c2, s2 = cos_sin(cfg.theta2)
-    *_, clear = experiments._lane_step(
-        experiments._lanes(experiments._constants(cfg), np.array([x]),
-                           np.array([y])))
-    band = TIE_TOL * (1.0 + math.hypot(x, y))
-    if abs(dr._gap(c1, s1, c2, s2, x, y)) <= band:
-        assert not clear[0]
+        t = sign * 10.0 ** log_t
+        base, normal = (bd.c[0] - t * n[1], bd.c[1] + t * n[0]), n
+    inside, off = band_edge(cfg, base, normal)
+    x, y = planted(*(off if outward else inside), normal, ulps)
+    consts = experiments._constants(cfg)
+    on = on_tie_band(x, y, dr._gap(*consts[:4], x, y))
+    code = dr._steps(*consts, x, y, 1, array("d"))[0]
+    *_, clear = dr._lane_branch(*consts[:4], np.array([x]), np.array([y]))
+    region = dr_multivalued(cfg, (x, y)).region
+    assert (code == 0, not clear[0], region is Region.D3) == (on, on, on)
+    if ulps == 0:
+        assert on != outward
+
+
+def test_pool_hands_off_at_the_tie_band_exactly_where_steps_stops(
+        monkeypatch):
+    # starts planted on either side of the tie band's edge, moved by up to
+    # two ulps, along both bisectors and the axis in four configs, and a
+    # few off D3, run through a pool of 64 lanes, which refills: every lane
+    # the pool hands off at the tie band makes _steps stop at once from
+    # its point, and no other lane that leaves does
+    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
+    rows, starts = [], []
+    for cfg in (FIG_CFG, PERIOD2_CFG, PERIOD58_CFG, PERIOD1410_CFG):
+        bd = bisector_data(cfg)
+        bases = [(tie_point(cfg), (1.0, 0.0)), (tie_point(cfg), (-1.0, 0.0))]
+        for n in (bd.n1, bd.n2):
+            bases += [((bd.c[0] - t * n[1], bd.c[1] + t * n[0]), n)
+                      for t in (-1e6, -0.7, 0.3, 2.0, 1e200)]
+        points = [planted(*p, normal, ulps) for base, normal in bases
+                  for p in band_edge(cfg, base, normal) for ulps in (-2, 0, 2)]
+        points += [(2.0, 1.0), (-1.3, -0.4), cfg.p1]
+        starts += points
+        rows += [experiments._constants(cfg)] * len(points)
+    rows, starts = np.array(rows), np.array(starts)
+    codes = {}
+    for ids, left, _, points in experiments._pool(
+            lambda lo, hi: experiments._lanes(rows[lo:hi], *starts[lo:hi].T),
+            len(starts), 40):
+        for i, code, (x, y) in zip(ids.tolist(), left.tolist(),
+                                   points.tolist()):
+            stops = dr._steps(*rows[i].tolist(), x, y, 1, array("d"))[0] == 0
+            assert stops == (code == experiments._TIE_HANDOFF)
+            codes[i] = code
+    assert sorted(codes) == list(range(len(starts)))
+    assert {experiments._TIE_HANDOFF, experiments._HANDOFF, 1, 2} <= set(
+        codes.values())
+
+
+def test_a_nan_gap_is_not_clear_of_the_tie_band():
+    consts = experiments._constants(FIG_CFG)
+    x = np.array([math.nan, 1.0, math.inf])
+    y = np.array([0.0, math.nan, -math.inf])
+    with np.errstate(invalid="ignore"):
+        gap = dr._gap(*consts[:4], x, y)
+        *_, clear = dr._lane_branch(*consts[:4], x, y)
+    assert np.isnan(gap).all() and not clear.any()
 
 
 def hexes(*values):
     return [float(v).hex() for v in values]
 
 
-def band_edge(cfg, base, normal):
-    # adjacent points base + s * normal, the first on the tie band and the
-    # second off it, from base on D3 outward
-    c1, s1 = cos_sin(cfg.theta1)
-    c2, s2 = cos_sin(cfg.theta2)
-
-    def at(s):
-        x, y = base[0] + s * normal[0], base[1] + s * normal[1]
-        return (x, y), on_tie_band(x, y, dr._gap(c1, s1, c2, s2, x, y))
-
-    lo, hi = 0.0, TIE_TOL * (1.0 + math.hypot(*base))
-    assert at(lo)[1]
-    while at(hi)[1]:
-        lo, hi = hi, 2.0 * hi
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if at(mid)[1] else (lo, mid)
-    return at(lo)[0], at(hi)[0]
-
-
 def counted_steps(consts, x, y, n):
-    # dr._steps, and how many times its band test called hypot
+    # dr._steps, and how many times it called dr._band for its band test
     buf = array("d")
-    with mock.patch.object(math, "hypot", side_effect=math.hypot) as hypot:
+    with mock.patch.object(dr, "_band", side_effect=dr._band) as band:
         code, x, y, k = dr._steps(*consts, x, y, n, buf)
-    return code, x, y, k, buf.tolist(), hypot.call_count
+    return code, x, y, k, buf.tolist(), band.call_count
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1618,9 +1683,9 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
     # ball, from the plane, from norms up to 1e300 and from a point an ulp
     # on either side of the tie band's edge, 1 to 1e300 from c along a
     # bisector: _steps taken one step at a time and n at a time is the
-    # _gap/_branch step, its band test calls hypot exactly where the screen
-    # does not clear the gap, and a lane clear of the tie screen steps to
-    # the same point
+    # _gap/_branch step, it calls dr._band exactly where the screen does
+    # not clear the gap, and a lane is clear of the tie band exactly where
+    # _steps steps, to the same point
     cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
     consts = experiments._constants(cfg)
     if where == "tie":
@@ -1653,7 +1718,7 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
         assert code == int(where[-1]) and k == 1
     if where == "edge" and n:
         assert (code == 0 and k == 0) == inside
-    # one step at a time, each against _lane_branch where it is clear
+    # one step at a time, each against _lane_branch
     px, py = x, y
     for i in range(n):
         code1, nx, ny, k1, one, calls = counted_steps(consts, px, py, 1)
@@ -1666,6 +1731,7 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
             assert calls == 1
         bx, by, clear = dr._lane_branch(*consts[:4], np.array([px]),
                                         np.array([py]))
+        assert clear[0] == (code1 != 0)
         if clear[0]:
             assert k1 == 1 and hexes(bx[0], by[0]) == hexes(nx, ny)
         if code1 >= 0:
@@ -1702,7 +1768,7 @@ def test_band_screen_clears_only_gaps_off_the_band(log_norm, angle, anchor,
                                                    kind, ulps, log_gap,
                                                    negative):
     # _steps skips its band test where gap^2 > _SCREEN (1 + q1 + q2): that
-    # implies |gap| > TIE_TOL (1 + |(x, y)|), at norms 1e-300 to 1e300
+    # implies |gap| > TIE_TOL (1 + max(|x|, |y|)), at norms 1e-300 to 1e300
     # about the origin and the ball centres, with gaps at the band edge
     # and at the screen's edge give or take a few ulps and gaps from 0
     # through subnormals to where gap^2 and q overflow; a gap within a few
@@ -1711,7 +1777,7 @@ def test_band_screen_clears_only_gaps_off_the_band(log_norm, angle, anchor,
     r = 10.0 ** log_norm
     x, y = anchor + r * math.cos(angle), r * math.sin(angle)
     if kind == "band":
-        gap = nudged(TIE_TOL * (1.0 + math.hypot(x, y)), ulps)
+        gap = nudged(TIE_TOL * (1.0 + max(abs(x), abs(y))), ulps)
     elif kind == "screen":
         dx1, dx2 = x + 0.5, x - 0.5
         edge = math.sqrt(dr._SCREEN * (1.0 + (dx1 * dx1 + y * y)
@@ -1969,9 +2035,9 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
 def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
                                                           policy, n):
     # 36 cells around a start whose n-th iterate is on D3: up to the
-    # checkpoint they leave the pool at the tie screen on step n, which a
+    # checkpoint they leave the pool on the tie band on step n, which a
     # resumed lane would meet again, so the lane set is empty; past it they
-    # leave at the checkpoint, and the resumed lanes stop at the screen;
+    # leave at the checkpoint, and the resumed lanes stop at the band;
     # either way each cell re-runs through simulate.  Every lane leaves
     # with its point at that step
     x0 = tie_preimage(FIG_CFG, n)
@@ -2001,7 +2067,7 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
 @pytest.mark.parametrize("n", [513, 700])
 def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
     # the pool hands the 36 cells off at step 256 with their points there;
-    # resumed from step 256 they stop at the tie screen on step n and go
+    # resumed from step 256 they stop on the tie band on step n and go
     # straight to simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
@@ -2065,7 +2131,7 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
 def test_sweep_starts_meeting_a_tie_resume_through_it_in_the_walk(
         monkeypatch, n):
     # 36 starts, all at a point whose n-th iterate is on D3, leave the pool
-    # at the tie screen on step 100 or at the checkpoint, each with its
+    # on the tie band on step 100 or at the checkpoint, each with its
     # point there; each resumes in the walk from that point and step and
     # takes its coin at the tie, and none runs simulate or a window
     x0, samples = tie_preimage(FIG_CFG, n), 36

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from dr_oracle import dr_multivalued_reference, step_points
+from dr_oracle import band_edge, dr_multivalued_reference, step_points
 from robust_oracle import (check_kl_bound_reference, perturbed_step_reference,
                            run_perturbed_reference, worst_offset_reference)
 from drlines import robust
@@ -539,11 +539,11 @@ def test_adversary_screens_at_math_trig_only_near_an_anchor(monkeypatch):
 
 NOMINAL = PerturbationSpec(0.0, SPEC.alpha, SPEC.gamma)
 _TIE = step_points(FIG_CFG)[1]
-# starts per lane: on D3 and 0.8 tie bands off it (both branches at step
-# 0 when offsets vanish); 1.5 tie bands off D3, inside the lanes' 2-band
-# screen; p1 itself; just inside the V-overflow check; two generic points
-STARTS = [_TIE, (_TIE[0] - 5e-8, _TIE[1]), (_TIE[0] - 9.5e-8, _TIE[1]),
-          FIG_CFG.p1, (7.766554619706739e+64, 0.0), (2.0, 1.0), (-1.3, -0.4)]
+# starts per lane: on D3 and at the tie band's edge, the last point on it
+# (both branches at step 0 when offsets vanish) and the next one off it;
+# p1 itself; just inside the V-overflow check; two generic points
+STARTS = [_TIE, *band_edge(FIG_CFG, _TIE, (-1.0, 0.0)), FIG_CFG.p1,
+          (7.766554619706739e+64, 0.0), (2.0, 1.0), (-1.3, -0.4)]
 
 
 def _lanes_and_generators(monkeypatch, *args, **kwargs):
@@ -608,10 +608,10 @@ def test_run_perturbed_many_short_runs_match_per_step_oracle(monkeypatch,
 
 @pytest.mark.parametrize("mode", ["random", "adversarial"])
 def test_tie_lanes_step_through_dr_multivalued(monkeypatch, mode):
-    # the lanes not clear of the tie screen, STARTS[:3] and a D3 point
-    # whose A2 branch has the larger V, with no offsets, take one
-    # dr_multivalued step each; on D3 random lanes keep A1 and adversarial
-    # lanes the larger V
+    # the lanes on the tie band, STARTS[:2] and a D3 point whose A2 branch
+    # has the larger V, with no offsets, take one dr_multivalued step each,
+    # and STARTS[2], just off the band, steps as a lane; on D3 random lanes
+    # keep A1 and adversarial lanes the larger V
     starts = [*STARTS, step_points(FIG_CFG)[3]]
     seen = []
 
@@ -622,7 +622,7 @@ def test_tie_lanes_step_through_dr_multivalued(monkeypatch, mode):
     monkeypatch.setattr(robust, "dr_multivalued", counting)
     first = run_perturbed_many(NOMINAL, FIG_CFG, starts, 1, 0,
                                range(len(starts)), mode).points[:, 1]
-    assert seen == [*STARTS[:3], starts[-1]]
+    assert seen == [*STARTS[:2], starts[-1]]
     picked = []
     for x0, got in zip(starts, first.tolist()):
         outs = dr_multivalued(FIG_CFG, x0).outputs
