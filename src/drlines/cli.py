@@ -1,11 +1,13 @@
 """Command-line front-end: certify, iterate, raster, sweep, orbit, robust.
 
-Each subcommand is one function cmd_<name>(r) that first resolves and
-checks all of its inputs through r, a _Resolver (flags win over the
---config JSON file, which wins over defaults; no environment variable is
-read), and only then computes.  Config keys are the flags' dest names, each
-held to its flag's type and choices; any other key fails.  Angles are radians
-unless --deg is given; floats print with up to 17 significant digits.  Exit
+_build_parser declares each flag's type, choices and default once.  A
+--config JSON file's keys are the flags' dest names: each becomes a
+``--flag=value`` argument placed before the command line's own flags, so
+argparse holds it to its flag's type and choices and an explicit flag
+wins; any other key fails.  No environment variable is read.  Each
+subcommand is one function cmd_<name>(ns) of the parsed Namespace that
+checks all of its inputs before it computes.  Angles are radians unless
+--deg is given; floats print with up to 17 significant digits.  Exit
 codes: 0 success (certify: feasible), 1 usage or precondition error, 2
 certify found the pair infeasible, 3 I/O failure.  ``python -m drlines.cli
 ARGS`` runs as ``drlines ARGS`` does.
@@ -81,98 +83,79 @@ def _parse_pairs(text) -> list[tuple[float, float]]:
     return pairs
 
 
-class _Resolver:
-    """Flags win over the --config file, which wins over defaults."""
-
-    def __init__(self, ns: argparse.Namespace, file_cfg: dict):
-        self.ns = ns
-        self.file_cfg = file_cfg
-
-    def get(self, key, default=None, required: bool = False):
-        v = getattr(self.ns, key, None)
-        if v is None:
-            v = self.file_cfg.get(key)
-        if v is None:
-            v = default
-        if v is None and required:
-            raise ValueError(f"--{key.replace('_', '-')} is required")
-        return v
-
-    def start(self) -> tuple[float, float]:
-        return checked_start(_numbers(self.get("x0", required=True), "x,y"))
-
-    def config(self) -> ProblemConfig:
-        t1 = self.get("theta1", required=True)
-        t2 = self.get("theta2", required=True)
-        scale = math.pi / 180.0 if self.get("deg", False) else 1.0
-        return ProblemConfig(t1 * scale, t2 * scale)
-
-    def policy(self, seed: int):
-        # every policy rejects a negative seed alike; only random reads it
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        name = self.get("policy", "first")
-        if name == "first":
-            return FirstBranch()
-        if name == "random":
-            return SeededRandom(seed)
-        return EnumerateTree()
+def _required(flag: str, value):
+    if value is None:
+        raise ValueError(f"--{flag} is required")
+    return value
 
 
-def _read_config(path: str, sp: argparse.ArgumentParser) -> dict:
-    """The --config file's JSON object, with each of the command's flags
-    held to its type and its choices: the flag's argparse type applied to
-    str(value), or a JSON boolean for a store_const flag (--deg, --brent).
-    A key that is not the dest of one of the command's flags (--config
-    aside) raises."""
+def _start(ns: argparse.Namespace) -> tuple[float, float]:
+    return checked_start(_numbers(_required("x0", ns.x0), "x,y"))
+
+
+def _config(ns: argparse.Namespace) -> ProblemConfig:
+    t1 = _required("theta1", ns.theta1)
+    t2 = _required("theta2", ns.theta2)
+    scale = math.pi / 180.0 if ns.deg else 1.0
+    return ProblemConfig(t1 * scale, t2 * scale)
+
+
+def _policy(ns: argparse.Namespace):
+    # every policy rejects a negative seed alike; only random reads it
+    if ns.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {ns.seed}")
+    if ns.policy == "first":
+        return FirstBranch()
+    if ns.policy == "random":
+        return SeededRandom(ns.seed)
+    return EnumerateTree()
+
+
+def _config_args(path: str, sp: argparse.ArgumentParser) -> list[str]:
+    """The --config file's JSON object as arguments of the command sp:
+    ``--flag=value`` for each key, which must be the dest of one of sp's
+    flags (--config aside).  --deg and --brent take a JSON boolean, true
+    giving the bare flag; null gives nothing.  argparse then holds each
+    value to its flag's type and choices, as it does the command line."""
     with open(path, "r", encoding="utf-8") as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    keys = sorted({a.dest for a in sp._actions} - {"help", "config"})
+    flags = {a.dest: a for a in sp._actions
+             if a.dest not in ("help", "config")}
     for key in file_cfg:
-        if key not in keys:
+        if key not in flags:
             raise ValueError(f"config key {key!r} is not a flag of {sp.prog} "
-                             f"(keys: {', '.join(keys)})")
-    for action in sp._actions:
-        key, v = action.dest, file_cfg.get(action.dest)
-        if v is None:
-            continue
-        if action.const is True:
-            if not isinstance(v, bool):
+                             f"(keys: {', '.join(sorted(flags))})")
+    args = []
+    for key, v in file_cfg.items():
+        flag = flags[key].option_strings[0]
+        if flags[key].const is True:
+            if not isinstance(v, (bool, type(None))):
                 raise ValueError(f"config key {key!r} must be true or false, "
                                  f"got {v!r}")
-        else:
-            try:
-                v = file_cfg[key] = (action.type or str)(str(v))
-            except ValueError:
-                raise ValueError(f"config key {key!r}: invalid "
-                                 f"{action.type.__name__} value {v!r}"
-                                 ) from None
-            if action.choices is not None and v not in action.choices:
-                raise ValueError(f"config key {key!r}: {key} must be one of "
-                                 f"{tuple(action.choices)}, got {v!r}")
-    return file_cfg
+            if v:
+                args.append(flag)
+        elif v is not None:
+            args.append(f"{flag}={v}")
+    return args
 
 
-def cmd_certify(r: _Resolver) -> int:
-    cfg = r.config()
-    out = r.get("out")
+def cmd_certify(ns: argparse.Namespace) -> int:
+    cfg = _config(ns)
     result = certify(cfg)
     text = certificate_json(result)
     sys.stdout.write(text)
-    if out:
-        atomic_write_text(out, text)
+    if ns.out:
+        atomic_write_text(ns.out, text)
     return 2 if isinstance(result, Infeasible) else 0
 
 
-def cmd_iterate(r: _Resolver) -> int:
-    cfg = r.config()
-    seed = r.get("seed", 0)
-    policy = r.policy(seed)
-    x = r.start()
-    steps = _at_least("steps", r.get("steps", 100), 0)
-    out = r.get("out")
+def cmd_iterate(ns: argparse.Namespace) -> int:
+    cfg = _config(ns)
+    policy = _policy(ns)
+    x = _start(ns)
+    steps = _at_least("steps", ns.steps, 0)
     coins = _coins(policy)
     points = [x]
     for _ in range(steps):
@@ -182,49 +165,39 @@ def cmd_iterate(r: _Resolver) -> int:
         points.append(x)
     for n, (px, py) in enumerate(points):
         print(f"{n} {format_float(px)} {format_float(py)}")
-    if out:
-        atomic_write_text(out, trace_csv(points))
+    if ns.out:
+        atomic_write_text(ns.out, trace_csv(points))
     return 0
 
 
-def cmd_raster(r: _Resolver) -> int:
-    _at_least("threads", r.get("threads", 1), 1)
-    cfg = r.config()
-    seed = r.get("seed", 0)
-    bounds = _numbers(r.get("bounds", "-3,3,-3,3"), "xmin,xmax,ymin,ymax")
-    res = _numbers(r.get("res", "200x200"), "NXxNY", "x", int)
-    policy = r.policy(seed)
-    max_steps = r.get("max_steps", 2000)
-    out = r.get("out", "raster.pgm")
-    csv_out = r.get("csv")
-    grid = rasterize(cfg, bounds, res, policy=policy, max_steps=max_steps,
-                     seed=seed)
-    write_pgm(grid, out)
-    if csv_out:
-        atomic_write_text(csv_out, raster_csv(grid))
+def cmd_raster(ns: argparse.Namespace) -> int:
+    _at_least("threads", ns.threads, 1)
+    cfg = _config(ns)
+    bounds = _numbers(ns.bounds, "xmin,xmax,ymin,ymax")
+    res = _numbers(ns.res, "NXxNY", "x", int)
+    policy = _policy(ns)
+    grid = rasterize(cfg, bounds, res, policy=policy, max_steps=ns.max_steps,
+                     seed=ns.seed)
+    write_pgm(grid, ns.out)
+    if ns.csv:
+        atomic_write_text(ns.csv, raster_csv(grid))
     counts = [int(np.count_nonzero(grid.cells == c)) for c in range(4)]
     nx, ny = grid.resolution
     print(f"raster {nx}x{ny}: p1={counts[1]} p2={counts[2]} "
-          f"cycle={counts[3]} budget={counts[0]} -> {out}")
+          f"cycle={counts[3]} budget={counts[0]} -> {ns.out}")
     return 0
 
 
-def cmd_sweep(r: _Resolver) -> int:
-    _at_least("threads", r.get("threads", 1), 1)
-    pairs = r.get("pairs")
-    if pairs is not None:
-        pairs = _parse_pairs(pairs)
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    _at_least("threads", ns.threads, 1)
+    if ns.pairs is not None:
+        pairs = _parse_pairs(ns.pairs)
     else:
-        grid = _numbers(r.get("grid", "40x40"), "NXxNY", "x", int)
-        pairs = make_theta_grid(*grid)
-    samples = r.get("samples", 20)
-    max_steps = r.get("max_steps", 20000)
-    seed = r.get("seed", 0)
-    out = r.get("out", "sweep.csv")
-    sg = sweep(pairs, samples_per_pair=samples, max_steps=max_steps,
-               seed=seed)
-    if out:
-        atomic_write_text(out, sweep_csv(sg))
+        pairs = make_theta_grid(*_numbers(ns.grid, "NXxNY", "x", int))
+    sg = sweep(pairs, samples_per_pair=ns.samples, max_steps=ns.max_steps,
+               seed=ns.seed)
+    if ns.out:
+        atomic_write_text(ns.out, sweep_csv(sg))
     n_cert = sum(1 for q in sg.pairs if q.eq26_holds)
     n_bad = sum(1 for q in sg.pairs if q.nonconvergent_found)
     n_cert_bad = sum(1 for q in sg.pairs
@@ -234,11 +207,11 @@ def cmd_sweep(r: _Resolver) -> int:
     return 0
 
 
-def cmd_orbit(r: _Resolver) -> int:
-    cfg = r.config()
-    x0 = r.start()
-    max_steps = r.get("max_steps", 20000)
-    if r.get("brent", False):
+def cmd_orbit(ns: argparse.Namespace) -> int:
+    cfg = _config(ns)
+    x0 = _start(ns)
+    max_steps = ns.max_steps
+    if ns.brent:
         k = find_period_brent(cfg, x0, max_steps=max_steps)
         if k is None:
             print(f"orbit: no-cycle steps={max_steps}")
@@ -256,15 +229,11 @@ def cmd_orbit(r: _Resolver) -> int:
     return 0
 
 
-def cmd_robust(r: _Resolver) -> int:
-    cfg = r.config()
-    x0 = r.start()
-    epsilon = r.get("epsilon", 0.05)
-    steps = _at_least("steps", r.get("steps", 200), 0)
-    n = _at_least("traces", r.get("traces", 1), 1)
-    mode = r.get("mode", "random")
-    seed = r.get("seed", 0)
-    out = r.get("out")
+def cmd_robust(ns: argparse.Namespace) -> int:
+    cfg = _config(ns)
+    x0 = _start(ns)
+    steps = _at_least("steps", ns.steps, 0)
+    n = _at_least("traces", ns.traces, 1)
     cert = certify(cfg)
     if isinstance(cert, Infeasible):
         raise ValueError(
@@ -272,18 +241,18 @@ def cmd_robust(r: _Resolver) -> int:
             f"theta2={format_float(cfg.theta2)} "
             f"(margin {format_float(cert.condition_margin)}); "
             "a robust run needs a feasible pair")
-    spec = PerturbationSpec.from_certificate(cert, epsilon=epsilon)
-    lanes = run_perturbed_many(spec, cfg, [x0] * n, steps, seed=seed,
-                               trace_ids=range(n), mode=mode)
+    spec = PerturbationSpec.from_certificate(cert, epsilon=ns.epsilon)
+    lanes = run_perturbed_many(spec, cfg, [x0] * n, steps, seed=ns.seed,
+                               trace_ids=range(n), mode=ns.mode)
     audits = [check_kl_bound(spec, cfg, p.tolist()) for p in lanes.points]
     all_ok = all(ok for ok, _ in audits)
     worst = min(margin for _, margin in audits)
     # the CSV needs the first trace only: free the lanes before building it
     first_trace = lanes.trace(0)
     del lanes
-    if out:
-        atomic_write_text(out, perturbed_trace_csv(spec, cfg, first_trace))
-    print(f"robust: traces={n} steps={steps} mode={mode} "
+    if ns.out:
+        atomic_write_text(ns.out, perturbed_trace_csv(spec, cfg, first_trace))
+    print(f"robust: traces={n} steps={steps} mode={ns.mode} "
           f"ok={'true' if all_ok else 'false'} "
           f"worst_margin={format_float(worst)}")
     return 0
@@ -304,7 +273,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         if angles:
             sp.add_argument("--theta1", type=float)
             sp.add_argument("--theta2", type=float)
-            sp.add_argument("--deg", action="store_const", const=True,
+            sp.add_argument("--deg", action="store_true",
                             help="interpret angles as degrees")
         sp.add_argument("--config", help="JSON file mirroring the flags")
         return sp
@@ -314,60 +283,71 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = command("iterate", cmd_iterate, "print plain iterates from x0")
     sp.add_argument("--x0")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--policy", choices=("first", "random"))
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--steps", type=int, default=100)
+    sp.add_argument("--policy", choices=("first", "random"), default="first")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write step/x/y CSV here")
 
     sp = command("raster", cmd_raster, "basin-of-attraction raster")
-    sp.add_argument("--bounds", help="xmin,xmax,ymin,ymax")
-    sp.add_argument("--res", help="NXxNY")
-    sp.add_argument("--policy", choices=("first", "random", "tree"))
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--max-steps", type=int, dest="max_steps")
-    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
-    sp.add_argument("--out", help="PGM output path")
+    sp.add_argument("--bounds", default="-3,3,-3,3",
+                    help="xmin,xmax,ymin,ymax")
+    sp.add_argument("--res", default="200x200", help="NXxNY")
+    sp.add_argument("--policy", choices=("first", "random", "tree"),
+                    default="first")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--max-steps", type=int, dest="max_steps", default=2000)
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    sp.add_argument("--out", default="raster.pgm", help="PGM output path")
     sp.add_argument("--csv", help="also write per-cell CSV here")
 
     sp = command("sweep", cmd_sweep, "scan angle pairs for nonconvergence",
                  angles=False)
-    sp.add_argument("--grid", help="N1xN2 angle grid")
+    sp.add_argument("--grid", default="40x40", help="N1xN2 angle grid")
     sp.add_argument("--pairs", help="t1,t2;t1,t2;... explicit pairs")
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--max-steps", type=int, dest="max_steps")
-    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
-    sp.add_argument("--out", help="CSV output path")
+    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--max-steps", type=int, dest="max_steps", default=20000)
+    sp.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    sp.add_argument("--out", default="sweep.csv", help="CSV output path")
 
     sp = command("orbit", cmd_orbit, "probe one start for a periodic orbit")
     sp.add_argument("--x0")
-    sp.add_argument("--max-steps", type=int, dest="max_steps")
-    sp.add_argument("--brent", action="store_const", const=True,
+    sp.add_argument("--max-steps", type=int, dest="max_steps", default=20000)
+    sp.add_argument("--brent", action="store_true",
                     help="low-memory search instead of the windowed one, "
                     "reporting a period only where a cycle proof holds")
 
     sp = command("robust", cmd_robust, "perturbed runs against the KL bound")
     sp.add_argument("--x0")
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--traces", type=int)
-    sp.add_argument("--mode", choices=("random", "adversarial"))
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--epsilon", type=float, default=0.05)
+    sp.add_argument("--steps", type=int, default=200)
+    sp.add_argument("--traces", type=int, default=1)
+    sp.add_argument("--mode", choices=("random", "adversarial"),
+                    default="random")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the first trace's CSV here")
     return ap, sub.choices
 
 
-def main(argv: list | None = None) -> int:
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed, and parsed again with the --config file's arguments
+    between the command and its flags, so that the flags win."""
     parser, commands = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config:
+        # the top-level parser takes only -h, so argv[0] is the command
+        ns = parser.parse_args([argv[0], *_config_args(
+            ns.config, commands[ns.command]), *argv[1:]])
+    return ns
+
+
+def main(argv: list | None = None) -> int:
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse_args(sys.argv[1:] if argv is None else argv)
+        return ns.run(ns)
     except SystemExit as e:
         # argparse uses exit code 2 for usage errors; our contract says 1
         return 0 if not e.code else 1
-    try:
-        file_cfg = (_read_config(ns.config, commands[ns.command])
-                    if ns.config else {})
-        return ns.run(_Resolver(ns, file_cfg))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

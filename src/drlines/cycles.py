@@ -25,7 +25,9 @@ from .geometry import TIE_TOL
 # bound _ETA (1 + |x|) on the rounding of one float step or gap at x
 _COARSE = 1e-3
 _ETA = 2.0 ** -49
-_MAX_K = 2 ** 40  # the K from which _prove_cycle's product bound fails
+# the K from which a proof is not tried: its K + 1 points and temporaries
+# take about 260 B a point, 270 MB at 2^20; the product bound holds to 2^40
+_MAX_K = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,11 @@ def _prove_cycle(consts: Sequence[float], p: np.ndarray):
 
     Every scalar is rounded outward (``_up``, ``math.nextafter``).  The
     float product of the K factors z_b is within 8 K u |z| of z, as each
-    complex multiplication errs by at most sqrt(2) gamma_2 (K below
-    _MAX_K = 2^40).  The vector terms carry relative errors far below the
-    1e-13 that is taken off each margin.  Assumes binary64 arithmetic
-    rounded to nearest; fused multiply-adds only tighten these bounds.
+    complex multiplication errs by at most sqrt(2) gamma_2; that holds
+    for K below 2^40, but memory binds first, so callers stop at _MAX_K =
+    2^20.  The vector terms carry relative errors far below the 1e-13 that
+    is taken off each margin.  Assumes binary64 arithmetic rounded to
+    nearest; fused multiply-adds only tighten these bounds.
     """
     c1, s1, c2, s2, r1sq, r2sq = consts
     h1, h2 = math.sqrt(c1 * c1 + s1 * s1), math.sqrt(c2 * c2 + s2 * s2)

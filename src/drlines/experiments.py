@@ -274,11 +274,12 @@ def certify_cycle(cfg: ProblemConfig, point, period: int
     Returns the certificate, or None where a step meets the tie band or a
     ball or the proof fails.  A multiple of the cycle's period certifies
     too, with the primitive period.  Raises ValueError before any step for
-    a start whose norm is not finite or a period outside [1, _MAX_K), the
-    proof's range (TypeError for a non-integer).
+    a start whose norm is not finite or a period outside [1, _MAX_K) =
+    [1, 2^20), as the proof holds the period's points in memory, about 260
+    bytes each (TypeError for a non-integer).
     """
     if not 1 <= operator.index(period) < _MAX_K:
-        raise ValueError(f"period must be in [1, 2**40), got {period}")
+        raise ValueError(f"period must be in [1, 2**20), got {period}")
     proof = _proof(_constants(cfg), *checked_start(point), period)
     if proof is None:
         return None
@@ -294,7 +295,8 @@ def _proof(consts: Sequence[float], x: float, y: float, k: int):
     through dr._steps at most CHECK_EVERY steps a call, as _steps holds a
     call's points in a list: (first, contraction, error, margin, points),
     or None where a step meets the tie band or a ball or the proof fails,
-    and at once for k >= _MAX_K, which the proof does not cover."""
+    and at once for k >= _MAX_K = 2^20, whose points and the proof's
+    temporaries would take more than 270 MB."""
     if k >= _MAX_K:
         return None
     buf = array("d", (x, y))

@@ -6,13 +6,16 @@ Infinity/-Infinity so the JSON side round-trips too.  CSV fields are such
 numbers, true/false or empty, so none needs quoting: fields are joined
 with "," and rows end in CRLF.  All writers go through a
 write-to-temp-then-rename path, so a crashed run never leaves a partial
-output file behind.
+output file behind.  The written file gets the mode a plain open() would
+give it: an existing file keeps its mode, and a new one is 0o666 less the
+umask.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import stat
 import tempfile
 from typing import Union
 
@@ -39,12 +42,21 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the target directory plus atomic rename."""
+    """Write via a temp file in the target directory plus atomic rename,
+    leaving path with the mode a plain open(path, "wb") would: the
+    existing file's, or 0o666 less the umask for a new one."""
     d = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # the umask can only be read by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:

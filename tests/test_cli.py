@@ -127,13 +127,15 @@ def test_exit_code_matrix(capsys, tmp_path):
                                           "--steps", "3", *flags])
         assert code == 1 and out == "" and "overflows" in err
     assert not (tmp_path / "trace.csv").exists()
-    # a mode only a config file can give, even with no step to take
+    # a mode only a config file can give, even with no step to take: the
+    # file's value meets argparse as the flag's would
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"mode": "bogus"}')
     code, out, err = run_cli(capsys, ["robust", *FIG, "--x0", "2,1", "--steps",
                                       "0", "--config", str(bogus)])
     assert code == 1 and out == ""
-    assert err.startswith("error: config key 'mode': mode must be one of")
+    assert "argument --mode: invalid choice: 'bogus'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bogus.json"]
     bogus.unlink()
     # budgets that would switch a check off, Brent and windowed alike; the
     # match tolerance is fixed, so --match-tol is no flag
@@ -194,16 +196,15 @@ def test_exit_code_matrix(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["iterate", *FIG, "--x0", "2,1",
                                       "--config", str(cfg)])
     assert code == 1 and out == ""
-    assert err == ("error: config key 'policy': policy must be one of "
-                   "('first', 'random'), got 'tree'\n")
+    assert "argument --policy: invalid choice: 'tree'" in err
     # a policy name only a config file can give
     cfg.write_text('{"policy": "bogus"}')
     code, out, err = run_cli(capsys, ["raster", *FIG, "--res", "2x2",
                                       "--out", str(tmp_path / "r.pgm"),
                                       "--config", str(cfg)])
-    assert code == 1 and out == "" and "policy must be one of" in err
-    assert err.startswith("error: config key 'policy'")
-    assert not (tmp_path / "r.pgm").exists()
+    assert code == 1 and out == ""
+    assert "argument --policy: invalid choice: 'bogus'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.json"]
     assert run_cli(capsys, ["no-such-command"])[0] == 1
     assert run_cli(capsys, [])[0] == 1
     assert run_cli(capsys, ["--help"])[0] == 0
@@ -324,6 +325,9 @@ def test_config_file_merge(capsys, tmp_path):
     lines = text.strip().split("\n")
     assert len(lines) == 4
     # flag theta2 beat the file's inadmissible 9.9; file steps applied
+    ns = cli._parse_args(["iterate", "--config", str(cfg), "--theta2", "1.0",
+                          "--x0", "1,1"])
+    assert (ns.theta1, ns.theta2, ns.steps) == (0.3, 1.0, 3)
     code, _, err = run_cli(capsys, ["iterate", "--config", str(cfg),
                                     "--x0", "1,1"])
     assert code == 1 and "error:" in err
@@ -541,6 +545,22 @@ def test_config_file_matches_flags(capsys, tmp_path, command):
     assert runs[1] == runs[0]
 
 
+@pytest.mark.parametrize("command", sorted(MIRRORED))
+def test_config_file_parses_as_its_flags(tmp_path, command):
+    # the file's keys give the Namespace the flags give, defaults and all;
+    # only --config itself differs
+    values, outputs = MIRRORED[command]
+    values = {**values, **{k: str(tmp_path / f"{k}.out") for k in outputs}}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    flags = cli._parse_args([command, *as_flags(values)])
+    from_file = cli._parse_args([command, "--config", str(cfg)])
+    assert (flags.config, from_file.config) == (None, str(cfg))
+    from_file.config = None
+    assert from_file == flags
+    assert not any(p.name.endswith(".out") for p in tmp_path.iterdir())
+
+
 def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
     out = tmp_path / "out.file"
     pair = ["--theta1", "0.748491", "--theta2", "0.772301",
@@ -554,25 +574,33 @@ def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
         return run_cli(capsys, [*argv, "--config", str(cfg)])
 
     # each of these once ran as a different value: "false" as true, true
-    # as 1, 2.9 as 2; the last three are outside their flags' choices
-    for argv, values in ((["orbit", *pair], {"brent": "false"}),
-                         (["certify", *FIG, "--out", str(out)],
-                          {"deg": "false"}),
-                         (["certify", *FIG], {"deg": 1}),
-                         (["orbit", *pair], {"max_steps": True}),
-                         (sweep, {"samples": 2.9}),
-                         (["iterate", *FIG, "--x0", "2,1"],
-                          {"theta1": True}),
-                         (["iterate", *FIG, "--x0", "2,1", "--out", str(out)],
-                          {"policy": "tree"}),
-                         (["raster", *FIG, "--res", "2x2", "--out", str(out)],
-                          {"policy": "bogus"}),
-                         (["robust", *FIG, "--x0", "2,1", "--steps", "0",
-                           "--out", str(out)], {"mode": "bogus"})):
+    # as 1, 2.9 as 2; the last three are outside their flags' choices.  A
+    # --deg or --brent value that is not a JSON boolean fails as a config
+    # key; any other value meets argparse, which names its flag
+    for argv, values, words in (
+            (["orbit", *pair], {"brent": "false"},
+             "error: config key 'brent' must be true or false, got 'false'"),
+            (["certify", *FIG, "--out", str(out)], {"deg": "false"},
+             "error: config key 'deg' must be true or false, got 'false'"),
+            (["certify", *FIG], {"deg": 1},
+             "error: config key 'deg' must be true or false, got 1"),
+            (["orbit", *pair], {"max_steps": True},
+             "argument --max-steps: invalid int value: 'True'"),
+            (sweep, {"samples": 2.9},
+             "argument --samples: invalid int value: '2.9'"),
+            (["iterate", *FIG, "--x0", "2,1"], {"theta1": True},
+             "argument --theta1: invalid float value: 'True'"),
+            (["iterate", *FIG, "--x0", "2,1", "--out", str(out)],
+             {"policy": "tree"}, "argument --policy: invalid choice: 'tree'"),
+            (["raster", *FIG, "--res", "2x2", "--out", str(out)],
+             {"policy": "bogus"},
+             "argument --policy: invalid choice: 'bogus'"),
+            (["robust", *FIG, "--x0", "2,1", "--steps", "0",
+              "--out", str(out)], {"mode": "bogus"},
+             "argument --mode: invalid choice: 'bogus'")):
         code, text, err = run(argv, values)
-        key = next(iter(values))
         assert (code, text) == (1, "")
-        assert err.startswith(f"error: config key {key!r}")
+        assert words in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
     # the well-typed forms, and numbers as text as a flag takes them
     for argv, values, flags in (
@@ -663,30 +691,30 @@ def declared_flags(source):
 
 def unread_flags(source):
     """'command: dest' for each flag of a command whose cmd_* function never
-    reads it, sorted.  A function reads a key through r.get(key), or
-    through a _Resolver method that reads it with self.get(key): r.config()
-    (the angles and --deg), r.start() (--x0), r.policy() (--policy).
+    reads it, sorted.  A function reads a flag as ns.<dest>, in its own
+    body or in a function of the module that it calls: _config (the
+    angles and --deg), _start (--x0), _policy (--policy and --seed).
     --config, which main reads, is exempt."""
     tree = ast.parse(source)
-
-    def calls(node, obj):
-        """(method name, call) for each obj.method(...) call in node."""
-        return [(c.func.attr, c) for c in ast.walk(node)
-                if isinstance(c, ast.Call)
-                and isinstance(c.func, ast.Attribute)
-                and getattr(c.func.value, "id", "") == obj]
-
-    resolver = next(n for n in tree.body if isinstance(n, ast.ClassDef)
-                    and n.name == "_Resolver")
-    via = {m.name: {c.args[0].value for a, c in calls(m, "self") if a == "get"}
-           for m in resolver.body if isinstance(m, ast.FunctionDef)}
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def reads(name, seen):
+        """The ns attributes that funcs[name] and its callees read."""
+        seen.add(name)
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", "") == "ns"):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", "") in funcs.keys() - seen):
+                found |= reads(node.func.id, seen)
+        return found
+
     unread = []
     for name, (run, dests) in declared_flags(source).items():
-        read = set()
-        for attr, c in calls(funcs[run], "r"):
-            read |= {c.args[0].value} if attr == "get" else via[attr]
-        unread += [f"{name}: {d}" for d in dests - read - {"config"}]
+        unread += [f"{name}: {d}"
+                   for d in dests - reads(run, set()) - {"config"}]
     return sorted(unread)
 
 
@@ -713,10 +741,16 @@ def test_unread_flag_guard_sees_a_planted_flag():
     assert planted != CLI_SOURCE
     assert unread_flags(planted) == ["certify: seed", "orbit: seed"]
     # a read removed: orbit's start
-    planted = CLI_SOURCE.replace("    x0 = r.start()\n    max_steps",
+    planted = CLI_SOURCE.replace("    x0 = _start(ns)\n    max_steps",
                                  "    x0 = (0.0, 0.0)\n    max_steps")
     assert planted != CLI_SOURCE
     assert unread_flags(planted) == ["orbit: x0"]
+    # a read removed from a helper: --deg, which _config reads for all
+    # five commands that take angles
+    planted = CLI_SOURCE.replace(" if ns.deg else ", " if False else ")
+    assert planted != CLI_SOURCE
+    assert unread_flags(planted) == [f"{name}: deg" for name in (
+        "certify", "iterate", "orbit", "raster", "robust")]
 
 
 def test_entry_exit_codes():

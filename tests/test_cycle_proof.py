@@ -181,19 +181,37 @@ def test_certify_cycle_rejects_bad_inputs():
         certify_cycle(FIG_CFG, (0.0, 0.0), 2.5)
 
 
-def test_periods_from_2_to_the_40_fail_before_any_step(monkeypatch):
-    # the proof bounds the float product of its K branch factors only for K
-    # below 2^40: certify_cycle rejects such a period and _proof declines
-    # such a lag, both before a step runs, however long the orbit's budget
+def test_periods_from_2_to_the_20_fail_before_any_step(monkeypatch):
+    # the proof holds its K + 1 points and K-long temporaries in memory,
+    # about 260 B a point: certify_cycle rejects a period of 2^20 or more
+    # and _proof declines such a lag, both before a step runs, however
+    # long the orbit's budget
     steps = []
     monkeypatch.setattr(experiments, "_steps",
                         lambda *args: steps.append(args[-2]))
-    for period in (2 ** 40, 2 ** 55):
-        with pytest.raises(ValueError, match="period must be in"):
+    consts = experiments._constants(PERIOD2_CFG)
+    for period in (2 ** 20, 2 ** 40, 2 ** 55):
+        with pytest.raises(ValueError,
+                           match=r"period must be in \[1, 2\*\*20\)"):
             certify_cycle(PERIOD2_CFG, (0.101912, 0.189275), period)
-        assert experiments._proof(experiments._constants(PERIOD2_CFG),
-                                  0.101912, 0.189275, period) is None
+        assert experiments._proof(consts, 0.101912, 0.189275, period) is None
     assert steps == []
+
+
+def test_a_period_below_2_to_the_20_from_a_ball_stops_after_one_chunk():
+    # the largest period taken, from the centre of a termination ball: the
+    # first chunk's first step enters the ball, and no second chunk runs
+    calls = []
+
+    def spy(*args):
+        calls.append(args[-2])
+        return dr._steps(*args)
+
+    consts = experiments._constants(PERIOD2_CFG)
+    with mock.patch.object(experiments, "_steps", spy):
+        assert certify_cycle(PERIOD2_CFG, (-0.5, 0.0), 2 ** 20 - 1) is None
+        assert experiments._proof(consts, -0.5, 0.0, 2 ** 20 - 1) is None
+    assert calls == [experiments.CHECK_EVERY] * 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -212,3 +212,25 @@ def test_atomic_write(tmp_path):
     # failed write neither clobbers the target nor leaves temp litter
     assert target.read_bytes() == b"v2"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    # a new file gets 0o666 less the umask, as open() gives it, and an
+    # existing file keeps its mode, not the temp file's 0o600
+    old = os.umask(umask)
+    try:
+        new, plain, kept = (tmp_path / n for n in ("new", "plain", "kept"))
+        atomic_write_bytes(str(new), b"v1")
+        with open(plain, "wb"):
+            pass
+        kept.write_bytes(b"v0")
+        os.chmod(kept, 0o640)
+        atomic_write_text(str(kept), "v1")
+    finally:
+        os.umask(old)
+    assert os.stat(new).st_mode & 0o777 == 0o666 & ~umask
+    assert os.stat(new).st_mode == os.stat(plain).st_mode
+    assert os.stat(kept).st_mode & 0o777 == 0o640
+    assert kept.read_text() == "v1"
+    assert sorted(os.listdir(tmp_path)) == ["kept", "new", "plain"]
