@@ -115,8 +115,9 @@ def _config_args(path: str, sp: argparse.ArgumentParser) -> list[str]:
     """The --config file's JSON object as arguments of the command sp:
     ``--flag=value`` for each key, which must be the dest of one of sp's
     flags (--config aside).  --deg and --brent take a JSON boolean, true
-    giving the bare flag; null gives nothing.  argparse then holds each
-    value to its flag's type and choices, as it does the command line."""
+    giving the bare flag, and no other flag takes one; null gives nothing.
+    argparse then holds each value to its flag's type and choices, as it
+    does the command line."""
     with open(path, "r", encoding="utf-8") as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
@@ -136,6 +137,8 @@ def _config_args(path: str, sp: argparse.ArgumentParser) -> list[str]:
                                  f"got {v!r}")
             if v:
                 args.append(flag)
+        elif isinstance(v, bool):
+            raise ValueError(f"config key {key!r} takes a value, not {v!r}")
         elif v is not None:
             args.append(f"{flag}={v}")
     return args

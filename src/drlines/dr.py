@@ -116,16 +116,29 @@ def _steps(c1, s1, c2, s2, r1sq, r2sq, x, y, n, buf):
     return -1, x, y, n
 
 
-def _lane_branch(c1, s1, c2, s2, x, y):
-    """One step of NumPy lanes (x, y) through the branch each lane's gap
-    picks, and whether each lane is clear of the tie band: (x', y',
-    clear).  A lane is not clear where ``_steps`` stops and
-    ``dr_multivalued`` finds D3, and where its gap is NaN."""
+def _lane_gap(c1, s1, c2, s2, x, y):
+    """The stepping half of a lane step: each NumPy lane's gap at (x, y),
+    and (x, y) stepped through the branch the gap picks: (gap, x', y')."""
     gap = _gap(c1, s1, c2, s2, x, y)
     first = gap < 0.0
     bx, by = _branch(np.where(first, -0.5, 0.5), np.where(first, c1, c2),
                      np.where(first, s1, s2), x, y)
-    return bx, by, abs(gap) > _band(x, y)
+    return gap, bx, by
+
+
+def _lane_clear(gap, x, y):
+    """The tie-band half of a lane visit: whether each lane at (x, y) with
+    its gap is clear of the band.  A lane is not clear where ``_steps``
+    stops and ``dr_multivalued`` finds D3, and where its gap is NaN."""
+    return abs(gap) > _band(x, y)
+
+
+def _lane_branch(c1, s1, c2, s2, x, y):
+    """One step of NumPy lanes (x, y) through the branch each lane's gap
+    picks, and whether each lane is clear of the tie band: (x', y',
+    clear)."""
+    gap, bx, by = _lane_gap(c1, s1, c2, s2, x, y)
+    return bx, by, _lane_clear(gap, x, y)
 
 
 def dr_two_lines(p, theta: float, x) -> np.ndarray:

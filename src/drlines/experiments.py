@@ -13,11 +13,13 @@ grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
 _LANE_BLOCK lanes, refilled in cell order as lanes finish.  Every lane
 leaves the pool with its point and step: at a ball, on the tie band, or
 at step n/2 for n = min(max_steps, 512).  ``rasterize`` resumes the last
-as lanes with a cycle window; a tie, or a check that needs earlier points,
-sends a cell back to a re-run from its start.  ``sweep`` resumes each
-unsettled start from its point in one window-free walk, which
-``find_period_brent`` runs too: it takes the policy's coin (``_coins``)
-at a tie, and stops at a ball, at the budget, or at a cycle proof
+as lanes with a cycle window, stepped from one check step to the next and
+then settled in one pass, with one batched window check (``_cycles``, of
+which ``detect_cycle`` is the one-lane case); a tie, or a check that needs
+earlier points, sends a cell back to a re-run from its start.  ``sweep``
+resumes each unsettled start from its point in one window-free walk, which
+``find_period_brent`` runs too: it takes the policy's coin (``_coins``) at
+a tie, and stops at a ball, at the budget, or at a cycle proof
 (``certify_cycle``'s, on the points from a reference point that jumps ahead
 as in Brent's method): the float iteration follows one branch word forever.
 """
@@ -32,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .cycles import _COARSE, _MAX_K, CycleCertificate, _prove_cycle, _root
-from .dr import _branch, _lane_branch, _steps
+from .dr import _branch, _lane_clear, _lane_gap, _steps
 from .geometry import (ProblemConfig, bisector_data, checked_start, cos_sin,
                        distance_to_D3)
 from .lyapunov import LyapunovCertificate, certify
@@ -52,7 +54,7 @@ _LANE_FLOOR = 32
 _TIE_HANDOFF, _HANDOFF = 254, 255
 # _cycle's answer where its window lacks points it needs
 _UNDECIDED = -1
-# window points per lane set that runs to its verdicts (16 MB)
+# points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
 # the steps after which _proven_walk's reference point first jumps
 _SPAN = 16
@@ -214,53 +216,59 @@ def detect_cycle(points_window: Sequence) -> Optional[int]:
     return _cycle(w.reshape(-1, 2), 0)
 
 
-# the screen may overflow, or meet a NaN, where pair_ok's math.hypot does not
-@np.errstate(over="ignore", invalid="ignore")
 def _cycle(w: np.ndarray, span: int) -> Optional[int]:
-    """detect_cycle on a window of max(span, m) points of which w holds the
-    last m, or _UNDECIDED if that needs a point w lacks: for the K = 1 test
-    m >= 2, the near screen span // 2 < m, a full check of K, 2K <= m."""
-    m, span = len(w), max(span, len(w))
+    """detect_cycle on a window of max(span, m) points of which the (m, 2)
+    array w holds the last m, or _UNDECIDED if that needs a point w lacks:
+    for the K = 1 test m >= 2, the near screen span // 2 < m, a full check
+    of K, 2K <= m.  ``_cycles`` on one lane."""
+    return _cycles(w, span)[0] or None
+
+
+# the screen may overflow, or meet a NaN, where math.hypot does not
+@np.errstate(over="ignore", invalid="ignore")
+def _cycles(w: np.ndarray, span: int) -> list[int]:
+    """``_cycle`` on each lane of w, an (m, 2) window or (m, 2, lanes) of
+    them, lane j's last m points w[:, :, j], each of a window of max(span,
+    m): per lane its K, _UNDECIDED, or 0 where ``_cycle`` gives None.  One
+    NumPy pass screens every lane's window, then each lane's candidates
+    are confirmed in K order."""
+    m = len(w)
+    n = w.shape[2] if w.ndim == 3 else 1
+    span = max(span, m)
     if m < 2:
-        return None if span < 2 else _UNDECIDED
-
-    def pair_ok(later: int, earlier: int) -> bool:
-        dx = w[later, 0] - w[earlier, 0]
-        dy = w[later, 1] - w[earlier, 1]
-        lim = MATCH_TOL * (1.0 + math.hypot(w[earlier, 0], w[earlier, 1]))
-        return math.hypot(dx, dy) <= lim
-
-    if pair_ok(m - 1, m - 2):
-        return None
+        return [0 if span < 2 else _UNDECIDED] * n
     # a max-norm pass keeps the K whose last pair may match, as |e| <= |ex|
-    # + |ey| (the slack covers rounding; a NaN keeps its K); pair_ok decides
-    x, y = w[m - 1]
-    e = w[m - 1 - min(span // 2, m - 1):m - 2][::-1]  # K = 2, 3, ...
-    ex, ey = e[:, 0], e[:, 1]
+    # + |ey| (the slack covers rounding; a NaN keeps its K), and the exact
+    # test decides; rows are lanes (one lane runs faster 1-D), columns K
+    x, y = w[m - 1, ..., None]
+    e = w[m - 1 - min(span // 2, m - 1):m - 1][::-1]
+    ex, ey = e[:, 0].T, e[:, 1].T
     dist = np.maximum(abs(ex - x), abs(ey - y))
     near = ~(dist > MATCH_TOL * ((1.0 + abs(ex) + abs(ey)) * (1.0 + 1e-12)))
-    found = _UNDECIDED if span // 2 > m - 1 else None
-    for k in (np.flatnonzero(near) + 2).tolist():
-        if not pair_ok(m - 1, m - 1 - k):
+    found = [_UNDECIDED if span // 2 > m - 1 else 0] * n
+    done = -1
+    for c in np.flatnonzero(near).tolist():
+        j, k = divmod(c, len(e))
+        k += 1
+        if j == done:
             continue
-        if 2 * k > m:
-            found = _UNDECIDED
-            break
-        a = w[m - k:]
-        b = w[m - 2 * k:m - k]
-        gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-        lims = MATCH_TOL * (1.0 + np.hypot(b[:, 0], b[:, 1]))
-        if np.all(gaps <= lims):
-            return k
+        lane = w[:, :, j] if w.ndim == 3 else w
+        (x1, y1), (x0, y0) = lane[m - 1].tolist(), lane[m - 1 - k].tolist()
+        if not math.hypot(x1 - x0, y1 - y0) <= MATCH_TOL * (
+                1.0 + math.hypot(x0, y0)):
+            continue
+        if k == 1:
+            # a constant tail is the convergence criterion's business
+            found[j], done = 0, j
+        elif 2 * k > m:
+            found[j], done = _UNDECIDED, j
+        else:
+            a, b = lane[m - k:], lane[m - 2 * k:m - k]
+            gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+            lims = MATCH_TOL * (1.0 + np.hypot(b[:, 0], b[:, 1]))
+            if np.all(gaps <= lims):
+                found[j], done = k, j
     return found
-
-
-def _window_cycle(w: np.ndarray, steps: int):
-    """The check at ``steps``: detect_cycle, or _cycle on a partial window."""
-    span = min(steps + 1, WINDOW)
-    if len(w) >= span:
-        return detect_cycle(w)
-    return _cycle(w, span)
 
 
 def certify_cycle(cfg: ProblemConfig, point, period: int
@@ -421,7 +429,10 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         if len(win) > 2 * WINDOW:
             del win[:len(win) - 2 * WINDOW]
         if steps >= max_steps or (steps and steps % CHECK_EVERY == 0):
-            period = _window_cycle(np.frombuffer(win).reshape(-1, 2), steps)
+            # detect_cycle, or _cycle on a window that starts after step 0
+            w, span = np.frombuffer(win).reshape(-1, 2), min(steps + 1, WINDOW)
+            period = detect_cycle(w) if len(w) >= span else _cycle(w, span)
+            del w
             if period is not None or steps >= max_steps:
                 return (None if period == _UNDECIDED else Budget()
                         if period is None else Cycle(period), x, y, steps)
@@ -515,32 +526,37 @@ def _lanes(consts, x, y) -> np.ndarray:
     return out
 
 
+def _lane_visit(x, y, gap, r1sq, r2sq) -> tuple[np.ndarray, ...]:
+    """The visiting half of a lane step, as ``_walk`` visits: whether each
+    lane point (x, y), of any shape the radii broadcast to, lay in p1's
+    and in p2's ball, and whether it was clear of the tie band with its
+    gap.  Its callers hold the np.errstate that _lane_step's comment
+    explains."""
+    dx1 = x + 0.5
+    dx2 = x - 0.5
+    yy = y * y
+    # the balls are disjoint
+    return dx1 * dx1 + yy < r1sq, dx2 * dx2 + yy < r2sq, _lane_clear(gap, x, y)
+
+
 # the lane arithmetic may overflow where the scalar walk's does too: a
 # point of norm near 1e200 squares to inf and lies in no ball, and a NaN
 # gap (inf - inf) is not clear of the tie band
 @np.errstate(over="ignore", invalid="ignore")
 def _lane_step(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) as ``_walk``
-    does, and step it through the branch its gap picks.  Returns whether
-    each lane lay in p1's and in p2's ball, its stepped x and y (for the
-    caller to write), and whether it was clear of the tie band."""
+    """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) and step it
+    through the branch its gap picks.  Returns whether each lane lay in
+    p1's and in p2's ball, its stepped x and y (for the caller to write),
+    and whether it was clear of the tie band."""
     x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
-    dx1 = x + 0.5
-    dx2 = x - 0.5
-    yy = y * y
-    in1 = dx1 * dx1 + yy < r1sq
-    in2 = dx2 * dx2 + yy < r2sq  # the balls are disjoint
-    return in1, in2, *_lane_branch(c1, s1, c2, s2, x, y)
+    gap, bx, by = _lane_gap(c1, s1, c2, s2, x, y)
+    in1, in2, clear = _lane_visit(x, y, gap, r1sq, r2sq)
+    return in1, in2, bx, by, clear
 
 
 def _checkpoint(max_steps: int) -> int:
     """The pool's hand-off step n/2, n = min(max_steps, CHECK_EVERY)."""
     return min(max_steps, CHECK_EVERY) // 2
-
-
-def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The arrays' lanes (last axis) at the indices idx."""
-    return [a.take(idx, axis=-1) for a in arrays]
 
 
 def _pool(lanes_at, n: int, max_steps: int):
@@ -589,65 +605,101 @@ def _pool(lanes_at, n: int, max_steps: int):
             fill = gone[:len(new_ids)]
             lanes[:, fill], ids[fill], steps[fill] = new, new_ids, 0
             if len(fill) < len(gone):
-                lanes, ids, steps = _take(
-                    np.delete(np.arange(len(ids)), gone[len(fill):]), lanes,
-                    ids, steps)
+                keep = np.delete(np.arange(len(ids)), gone[len(fill):])
+                lanes, ids, steps = (a.take(keep, axis=-1)
+                                     for a in (lanes, ids, steps))
 
 
+def _room(rows: np.ndarray, idx: np.ndarray, more: int) -> np.ndarray:
+    """The lanes idx (last axis) of the (r, 2, lanes) points rows, in a new
+    buffer with room for ``more`` rows after them."""
+    out = np.empty((len(rows) + more, 2, len(idx)))
+    # idx is in range: "clip" only spares take its buffered copy
+    np.take(rows, idx, axis=2, out=out[:len(rows)], mode="clip")
+    return out
+
+
+# the lane arithmetic may overflow, as in _lane_step
+@np.errstate(over="ignore", invalid="ignore")
 def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2; overwritten)
-    together to simulate's verdicts from their points at step ``start``
-    (the pool's hand-off step in rasterize), each with a one-point window.
-    Per lane: (code, simulate's step count), code 1 or 2 once it enters a
-    termination ball, 3 for a cycle, 0 for the budget.  Each lane keeps its
-    last WINDOW points in a buffer that grows by CHECK_EVERY steps at a time
-    (finished lanes are dropped then), and _window_cycle reads them at
-    every CHECK_EVERY steps and at the budget.  Codes _TIE_HANDOFF (on the
-    tie band) and _HANDOFF (at an undecided check) leave a lane to a
-    scalar re-run from its start.  Once fewer than _LANE_FLOOR lanes are
-    live, each goes on in the scalar walk from its point, step count and
-    window; one the walk returns undecided or at a tie gets _HANDOFF."""
+    """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2) together to
+    simulate's verdicts from their points at step ``start`` (the pool's
+    hand-off step in rasterize), each with a one-point window.  Per lane:
+    (code, simulate's step count), code 1 or 2 once it enters a
+    termination ball, 3 for a cycle, 0 for the budget.
+
+    The lanes run an interval at a time, up to the next cycle check step
+    (every CHECK_EVERY steps and the budget): a loop steps them through
+    ``_lane_gap`` alone, keeping each visit's point and gap, and one
+    ``_lane_visit`` pass then finds each lane's first visit in a ball or on
+    the tie band.  At the check step the balls come first, then one
+    ``_cycles`` pass over each remaining lane's last WINDOW points, then
+    the band, as in ``_walk``; lanes stepped past their verdict are
+    dropped.  Codes _TIE_HANDOFF (on the band) and _HANDOFF (at an
+    undecided check) leave a lane to a scalar re-run from its start.  A
+    set with fewer than _LANE_FLOOR lanes at an interval's start goes on
+    in the scalar walk, each lane from its point, step count and window;
+    one the walk returns undecided or at a tie gets _HANDOFF."""
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
-    live = np.arange(n)
-    # hist[r, col[j]] is live lane j's point at step base + r (a copy, as
-    # the lanes step in place)
-    hist, col, base = lanes[:2].T[None].copy(), live, start
-    for step in range(start, max_steps + 1):
-        recent = hist[max(0, step + 1 - base - WINDOW):step + 1 - base]
+    live, consts = np.arange(n), lanes[2:]
+    # hist[r, :, j] is live lane j's point at step s + 1 + r - kept: its
+    # window up to the interval's first step s, then the interval's points
+    s, e = start, min(max_steps, max(1, -(-start // CHECK_EVERY))
+                      * CHECK_EVERY)
+    hist, kept = _room(lanes[:2][None], live, e + 1 - s), 1
+    while len(live):
         if len(live) < _LANE_FLOOR:
-            for j, lane in enumerate(lanes.T.tolist()):
-                v, _, _, used = _walk(lane[2:], lane[0], lane[1], step,
-                                      array("d", recent[:, col[j]].tobytes()),
-                                      None, max_steps)
+            for j, lane in enumerate(consts.T.tolist()):
+                v, _, _, used = _walk(
+                    lane, *hist[kept - 1, :, j].tolist(), s,
+                    array("d", hist[max(0, kept - WINDOW):kept, :, j]
+                          .tobytes()), None, max_steps)
                 if v is not None:
                     codes[live[j]], steps[live[j]] = _code(v), used
             break
-        in1, in2, lanes[0], lanes[1], clear = _lane_step(lanes)
-        codes[live[in1]] = 1
-        codes[live[in2]] = 2
-        done = in1 | in2
-        if step and (step % CHECK_EVERY == 0 or step == max_steps):
-            for j in np.flatnonzero(~done).tolist():
-                k = _window_cycle(recent[:, col[j]], step)
-                if k is not None or step == max_steps:
-                    codes[live[j]] = {None: 0, _UNDECIDED: _HANDOFF}.get(k, 3)
-                    done[j] = True
-        steps[live[done]] = step
-        keep = clear & ~done
-        if not keep.all():
-            codes[live[~clear & ~done]] = _TIE_HANDOFF
-            lanes, live, col = _take(np.flatnonzero(keep), lanes, live, col)
-        if step == max_steps:
+        k = e + 1 - s
+        c1, s1, c2, s2, r1sq, r2sq = consts
+        gaps = np.empty((k, len(live)))
+        x, y = hist[kept - 1]
+        for i in range(k):
+            gaps[i], x, y = _lane_gap(c1, s1, c2, s2, x, y)
+            hist[kept + i, 0], hist[kept + i, 1] = x, y
+        # each lane's first visit in a ball or on the band settles it,
+        # unless that is the band at the check step e
+        visits = hist[kept - 1:kept - 1 + k]
+        in1, in2, clear = _lane_visit(visits[:, 0], visits[:, 1], gaps,
+                                      r1sq, r2sq)
+        event = in1 | in2 | ~clear
+        at = event.argmax(axis=0)
+        idx = np.arange(len(live))
+        first = np.where(in1[at, idx], 1,
+                         np.where(in2[at, idx], 2, _TIE_HANDOFF))
+        stop = event[at, idx] & ((first != _TIE_HANDOFF) | (at < k - 1))
+        codes[live[stop]], steps[live[stop]] = first[stop], s + at[stop]
+        # the others' windows at e, and their points at e + 1, with room
+        # for the next interval's
+        check = np.flatnonzero(~stop)
+        if not len(check):
             break
-        if step % CHECK_EVERY == 0 or step == start:
-            kept = len(recent)
-            grown = np.empty((kept + CHECK_EVERY, len(live), 2))
-            np.take(recent, col, axis=1, out=grown[:kept])
-            hist, col, base = grown, np.arange(len(live)), step + 1 - kept
-        hist[step + 1 - base, col] = lanes[:2].T
+        m = min(WINDOW, kept + k - 1)
+        ahead = min(max_steps, e + CHECK_EVERY)
+        hist = _room(hist[kept + k - 1 - m:kept + k], check, ahead - e)
+        kept, live, consts = m + 1, live[check], consts[:, check]
+        found = np.array(_cycles(hist[:m], min(e + 1, WINDOW)))
+        over = (found != 0) | (e == max_steps)
+        codes[live[over]] = np.where(found[over] > 0, 3, np.where(
+            found[over] == 0, 0, _HANDOFF))
+        steps[live[over]] = e
+        clear = clear[k - 1, check]
+        codes[live[~over & ~clear]] = _TIE_HANDOFF
+        if not (keep := ~over & clear).all():
+            keep = np.flatnonzero(keep)
+            hist, live, consts = _room(hist[:kept], keep, ahead - e), \
+                live[keep], consts[:, keep]
+        s, e = e + 1, ahead
     return codes, steps
 
 
@@ -708,11 +760,13 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     for ids, c, s, p in _pool(lambda lo, hi: _lanes(consts, *_cell_centres(
             bounds, resolution, np.arange(lo, hi))), n, max_steps):
         codes[ids], steps[ids], points[ids] = c, s, p
-    # hand-offs run on as lanes in sets whose windows fit in _HIST_POINTS;
-    # those at a tie or an undecided check re-run through scalar simulate
+    # hand-offs run on as lanes in sets whose windows, one interval's points
+    # and its gaps (half a point each) fit in _HIST_POINTS; those at a tie
+    # or an undecided check re-run through scalar simulate
     cell = np.flatnonzero(codes == _HANDOFF)
     xs, ys = points[cell].T
-    per_set = _HIST_POINTS // (min(max_steps + 1, WINDOW) + CHECK_EVERY)
+    per_set = 2 * _HIST_POINTS // (2 * min(max_steps + 2, WINDOW + 1)
+                                   + 3 * (min(max_steps, CHECK_EVERY) + 1))
     for part in np.array_split(np.arange(len(cell)),
                                max(1, -(-len(cell) // per_set))):
         codes[cell[part]], steps[cell[part]] = _lockstep(

@@ -561,7 +561,8 @@ def test_config_file_parses_as_its_flags(tmp_path, command):
     assert not any(p.name.endswith(".out") for p in tmp_path.iterdir())
 
 
-def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
+def test_config_values_are_held_to_their_flags_types(capsys, tmp_path,
+                                                     monkeypatch):
     out = tmp_path / "out.file"
     pair = ["--theta1", "0.748491", "--theta2", "0.772301",
             "--x0", "0.101912,0.189275"]
@@ -574,9 +575,11 @@ def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
         return run_cli(capsys, [*argv, "--config", str(cfg)])
 
     # each of these once ran as a different value: "false" as true, true
-    # as 1, 2.9 as 2; the last three are outside their flags' choices.  A
-    # --deg or --brent value that is not a JSON boolean fails as a config
-    # key; any other value meets argparse, which names its flag
+    # as 1, 2.9 as 2, false as the file name "False"; the last three are
+    # outside their flags' choices.  A --deg or --brent value that is not
+    # a JSON boolean, and a JSON boolean for any other flag, fails as a
+    # config key; any other value meets argparse, which names its flag
+    monkeypatch.chdir(tmp_path)
     for argv, values, words in (
             (["orbit", *pair], {"brent": "false"},
              "error: config key 'brent' must be true or false, got 'false'"),
@@ -585,10 +588,15 @@ def test_config_values_are_held_to_their_flags_types(capsys, tmp_path):
             (["certify", *FIG], {"deg": 1},
              "error: config key 'deg' must be true or false, got 1"),
             (["orbit", *pair], {"max_steps": True},
-             "argument --max-steps: invalid int value: 'True'"),
+             "error: config key 'max_steps' takes a value, not True"),
+            (["certify", "--theta1", "60", "--theta2", "72", "--deg"],
+             {"out": False},
+             "error: config key 'out' takes a value, not False"),
             (sweep, {"samples": 2.9},
              "argument --samples: invalid int value: '2.9'"),
             (["iterate", *FIG, "--x0", "2,1"], {"theta1": True},
+             "error: config key 'theta1' takes a value, not True"),
+            (["iterate", *FIG, "--x0", "2,1"], {"theta1": "True"},
              "argument --theta1: invalid float value: 'True'"),
             (["iterate", *FIG, "--x0", "2,1", "--out", str(out)],
              {"policy": "tree"}, "argument --policy: invalid choice: 'tree'"),

@@ -797,9 +797,10 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
                 for s in check_steps(t, 1300, check_every, f)]
         assert len(seen) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(seen, want))
-    # lanes, whose verdicts must be simulate's: at each check step the
-    # live lanes check in order, once at a step that is both a cycle check
-    # and the budget; the floor at one lane keeps all 32 in lanes
+    # lanes, whose verdicts must be simulate's: at each check step one
+    # batched check takes the live lanes' windows in lane order, once at a
+    # step that is both a cycle check and the budget; the floor at one
+    # lane keeps all 32 in lanes
     monkeypatch.setattr(experiments, "CHECK_EVERY", 512)
     monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     rng = np.random.default_rng(window)
@@ -809,6 +810,13 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
     traces = [simulate(PERIOD58_CFG, xs[:, j], max_steps=1300)
               for j in range(xs.shape[1])]
     seen.clear()
+    cycles = experiments._cycles
+
+    def spy_cycles(w, span):
+        seen.extend(np.array(w[:, :, j]) for j in range(w.shape[2]))
+        return cycles(w, span)
+
+    monkeypatch.setattr(experiments, "_cycles", spy_cycles)
     codes, steps = experiments._lockstep(
         experiments._lanes(experiments._constants(PERIOD58_CFG), xs[0], xs[1]),
         1300)
@@ -1327,8 +1335,10 @@ def test_rasterize_finishes_a_lone_period_1410_cell_in_the_walk(monkeypatch):
 def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
                                                           window):
     # 34 lanes that reach p1's ball within 330 steps and the period-1410
-    # start: when the fourth lane is done, the 31 left go on in the walk
-    # from their step counts and last window points
+    # start: the set drops below the floor when its fourth lane is done,
+    # and the lanes still live at the next interval's start, step 513, go
+    # on in the walk from there with their step counts and last window
+    # points
     monkeypatch.setattr(experiments, "WINDOW", window)
     x, y = 0.392560, -0.351588
     xs = [x - d for d in (1.0, 1.1) for _ in range(17)] + [x]
@@ -1344,12 +1354,92 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
         (verdict_code(t.verdict), t.steps_used) for t in traces]
     assert (codes[-1], steps[-1]) == ((3, 49664) if window == 4096
                                       else (0, 60000))
-    first = sorted(t.steps_used for t in traces)[3] + 1
+    below = sorted(t.steps_used for t in traces)[3] + 1
+    assert below <= experiments.CHECK_EVERY
+    first = experiments.CHECK_EVERY + 1
     live = [t for t in traces if t.steps_used >= first]
-    assert len(live) == len(entered) == 31
+    assert len(live) == len(entered) == 1
     for t, (s, win) in zip(live, entered):
         assert s == first
         assert np.array_equal(win, last_points(t.points, s, window))
+
+
+def lockstepped(cfg, xs, ys, max_steps):
+    # _lockstep's (code, steps) per lane from step 0
+    codes, steps = experiments._lockstep(
+        experiments._lanes(experiments._constants(cfg), xs, ys), max_steps)
+    return list(zip(codes.tolist(), steps.tolist()))
+
+
+def simulated(cfg, xs, ys, max_steps):
+    return [simulate(cfg, p, max_steps=max_steps, record=False)
+            for p in zip(xs.tolist(), ys.tolist())]
+
+
+@pytest.mark.parametrize("thetas, max_steps", [
+    ((0.02, 3.0), 3000), ((0.1, 3.1), 3000), ((0.02, 0.05), 3000),
+    ((0.02, 3.0), 300), ((0.02, 3.0), 513), ((0.02, 3.0), 700)])
+def test_lockstep_equals_simulate_lane_by_lane(monkeypatch, thetas,
+                                               max_steps):
+    # 40 lanes that enter a ball inside an interval, or end on the budget:
+    # after a short interval (300), one step past a check (513) or inside
+    # the second interval (700); the floor at one lane keeps them all in
+    # lanes to their verdicts.  The raster's lane sets, resumed from step
+    # 256 with partial windows, give per-cell simulate's picture too
+    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
+    cfg = ProblemConfig(*thetas)
+    xs, ys = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2, 40))
+    traces = simulated(cfg, xs, ys, max_steps)
+    assert lockstepped(cfg, xs, ys, max_steps) == [
+        (verdict_code(t.verdict), t.steps_used) for t in traces]
+    every = experiments.CHECK_EVERY
+    inside = [t.steps_used for t in traces
+              if isinstance(t.verdict, ConvergedTo)
+              and t.steps_used % every and t.steps_used > every]
+    budgets = [t for t in traces if isinstance(t.verdict, Budget)]
+    assert len(inside) >= 10 if max_steps == 3000 and thetas[1] > 1.0 \
+        else len(budgets) >= 10
+    bounds = (-3.0, 3.0, -3.0, 3.0)
+    cells, steps = cell_reference(cfg, bounds, (6, 6), FirstBranch(), 0,
+                                  max_steps)
+    grid = rasterize(cfg, bounds, (6, 6), max_steps=max_steps)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+
+
+@pytest.mark.parametrize("n, max_steps", [(300, 2000), (700, 2000),
+                                          (512, 2000), (700, 700)])
+def test_lockstep_stops_at_a_tie_planted_mid_interval(monkeypatch, n,
+                                                      max_steps):
+    # a lane whose n-th iterate is on D3 among 40 that are not: inside an
+    # interval (steps 300 and 700) it stops there for a re-run from its
+    # start, as it does at a check step (512), where its window is checked
+    # first; at a budget of n the budget comes first, and the lane gets
+    # simulate's verdict.  The others keep simulate's verdicts
+    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
+    rng = np.random.default_rng(n)
+    xs, ys = rng.uniform(-3.0, 3.0, size=(2, 41))
+    xs[17], ys[17] = tie_preimage(FIG_CFG, n)
+    traces = simulated(FIG_CFG, xs, ys, max_steps)
+    want = [(verdict_code(t.verdict), t.steps_used) for t in traces]
+    assert traces[17].steps_used == (n if n == max_steps else n + 1)
+    checked = []
+    cycles = experiments._cycles
+
+    def spy(w, span):
+        checked.append(w.shape[2])
+        return cycles(w, span)
+
+    monkeypatch.setattr(experiments, "_cycles", spy)
+    got = lockstepped(FIG_CFG, xs, ys, max_steps)
+    # the others are done before step 512: only the planted lane meets a
+    # check, at step 512 once it lives to it, and at the budget
+    assert max(t.steps_used for t in traces[:17] + traces[18:]) < 512
+    assert checked == [1] * ((n >= 512) + (n == max_steps))
+    if n < max_steps:
+        assert got[17][0] == experiments._TIE_HANDOFF
+        want[17] = got[17]
+    assert got == want
 
 
 def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
@@ -1510,21 +1600,24 @@ def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
 def test_period58_raster_steps_no_lane_past_its_checkpoint_twice(
         monkeypatch):
     # a lane visit is one cell's step (or its last visit) in the pool or in
-    # a resumed lane set; a hand-off repeats only its visit at the
-    # checkpoint, never the steps after it
+    # a resumed lane set, each through the stepping half _lane_gap; a
+    # hand-off repeats only its visit at the checkpoint, never the steps
+    # after it.  A resumed lane set steps a lane past its verdict to the
+    # end of its interval, but the 176 lanes here all end on a cycle at a
+    # check step, an interval's last
     visits = []
-    lane_step = experiments._lane_step
+    lane_gap = experiments._lane_gap
 
-    def counted(lanes):
-        visits.append(lanes.shape[1])
-        return lane_step(lanes)
+    def counted(c1, s1, c2, s2, x, y):
+        visits.append(len(x))
+        return lane_gap(c1, s1, c2, s2, x, y)
 
-    monkeypatch.setattr(experiments, "_lane_step", counted)
+    monkeypatch.setattr(experiments, "_lane_gap", counted)
     yields = spy_pool(monkeypatch)
     grid = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
     handed = sum(int(np.count_nonzero(c == experiments._HANDOFF))
                  for _, c, _, _ in yields)
-    assert handed == 176
+    assert handed == 176 and 176 in visits
     assert sum(visits) <= int(grid.steps.sum()) + grid.steps.size + handed
 
 
@@ -1932,6 +2025,43 @@ def test_cycle_screen_agrees_with_the_hypot_screen(m, period, extra,
     with mock.patch.object(experiments, "MATCH_TOL", match_tol):
         got = experiments._cycle(w, m + extra)
     assert got == cycle_reference(w, m + extra, match_tol)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 200), lanes=st.integers(1, 6),
+       extra=st.sampled_from([0, 0, 1, 7, 150, 400]),
+       log_scale=st.sampled_from([-2, 0, 8, 150]),
+       match_tol=st.sampled_from([1e-8, 1e-3, 0.0]),
+       bad=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_cycle_check_equals_cycle_lane_by_lane(m, lanes, extra,
+                                                       log_scale, match_tol,
+                                                       bad, seed):
+    # lanes holding planted repeats at the tolerance, constant tails and
+    # noise, some with an inf or NaN row, in full and partial windows (a
+    # span past m): each lane's answer is _cycle's on its own window, and
+    # the reference's, 0 standing for None
+    rng = np.random.default_rng(seed)
+    w = np.empty((m, 2, lanes))
+    for j in range(lanes):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            w[:, :, j] = planted_window(rng, m, int(rng.integers(2, 80)),
+                                        log_scale, int(rng.integers(-2, 3)),
+                                        match_tol)
+        else:
+            w[:, :, j] = rng.uniform(-2.0, 2.0, size=(m, 2)) * (
+                10.0 ** log_scale)
+            if kind == 1 and m:
+                w[m // 2:, :, j] = w[m - 1, :, j]
+        if bad is not None and m and rng.integers(0, 2):
+            w[rng.integers(0, m), rng.integers(0, 2), j] = bad
+    with mock.patch.object(experiments, "MATCH_TOL", match_tol):
+        got = experiments._cycles(w, m + extra)
+        one = [experiments._cycle(w[:, :, j], m + extra) for j in range(lanes)]
+    assert got == [0 if k is None else k for k in one]
+    assert one == [cycle_reference(w[:, :, j], m + extra, match_tol)
+                   for j in range(lanes)]
 
 
 def test_cycle_screen_keeps_repeats_at_the_tolerance():
