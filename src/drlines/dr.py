@@ -133,14 +133,6 @@ def _lane_clear(gap, x, y):
     return abs(gap) > _band(x, y)
 
 
-def _lane_branch(c1, s1, c2, s2, x, y):
-    """One step of NumPy lanes (x, y) through the branch each lane's gap
-    picks, and whether each lane is clear of the tie band: (x', y',
-    clear)."""
-    gap, bx, by = _lane_gap(c1, s1, c2, s2, x, y)
-    return bx, by, _lane_clear(gap, x, y)
-
-
 def dr_two_lines(p, theta: float, x) -> np.ndarray:
     """Closed-form DR step for the line through p at ``theta`` and the
     x-axis, at one point x or at the columns of a (2, n) array."""

@@ -10,14 +10,17 @@ drivers (basin raster over starting points, sweep over angle pairs).  Grid
 cells are independent work items; every cell derives its PRNG stream from
 the root seed and its own index, so results do not depend on how cells are
 grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
-_LANE_BLOCK lanes, refilled in cell order as lanes finish.  Every lane
-leaves the pool with its point and step: at a ball, on the tie band, or
-at step n/2 for n = min(max_steps, 512).  ``rasterize`` resumes the last
-as lanes with a cycle window, stepped from one check step to the next and
-then settled in one pass, with one batched window check (``_cycles``, of
-which ``detect_cycle`` is the one-lane case); a tie, or a check that needs
+_LANE_BLOCK lanes, refilled in cell order as lanes finish, which returns
+every lane's code, step and point as arrays: a lane leaves at a ball, on
+the tie band, or at a hand-off step that each driver chooses.
+``rasterize`` hands off at step n/2 for n = min(max_steps, 512), as the
+check at step n reads only points n/2..n but for a long period, and
+resumes those lanes with a cycle window, stepped from one check step to the next and then settled
+in one pass, with one batched window check (``_cycles``, of which
+``detect_cycle`` is the one-lane case); a tie, or a check that needs
 earlier points, sends a cell back to a re-run from its start.  ``sweep``
-resumes each unsettled start from its point in one window-free walk, which
+keeps no window and hands off at min(max_steps, 1024); it resumes each
+unsettled start from its point in one window-free walk, which
 ``find_period_brent`` runs too: it takes the policy's coin (``_coins``) at
 a tie, and stops at a ball, at the budget, or at a cycle proof
 (``certify_cycle``'s, on the points from a reference point that jumps ahead
@@ -50,9 +53,9 @@ _LANE_BLOCK = 4096
 _LANE_FLOOR = 32
 # the lane passes' codes for a lane they leave unsettled: one on the tie
 # band, which the scalar walks get past, and one the pool hands on at its
-# step _checkpoint(max_steps) or _lockstep leaves undecided
+# driver's hand-off step or _lockstep leaves undecided
 _TIE_HANDOFF, _HANDOFF = 254, 255
-# _cycle's answer where its window lacks points it needs
+# _cycles' answer where a window lacks points it needs
 _UNDECIDED = -1
 # points per lane set that runs to its verdicts (16 MB)
 _HIST_POINTS = 1 << 20
@@ -213,25 +216,19 @@ def detect_cycle(points_window: Sequence) -> Optional[int]:
     w = np.asarray(points_window, dtype=float)
     if w.size and (w.ndim != 2 or w.shape[1] != 2):
         raise ValueError(f"points_window must be (m, 2) points, got {w.shape}")
-    return _cycle(w.reshape(-1, 2), 0)
-
-
-def _cycle(w: np.ndarray, span: int) -> Optional[int]:
-    """detect_cycle on a window of max(span, m) points of which the (m, 2)
-    array w holds the last m, or _UNDECIDED if that needs a point w lacks:
-    for the K = 1 test m >= 2, the near screen span // 2 < m, a full check
-    of K, 2K <= m.  ``_cycles`` on one lane."""
-    return _cycles(w, span)[0] or None
+    return _cycles(w.reshape(-1, 2), 0)[0] or None
 
 
 # the screen may overflow, or meet a NaN, where math.hypot does not
 @np.errstate(over="ignore", invalid="ignore")
 def _cycles(w: np.ndarray, span: int) -> list[int]:
-    """``_cycle`` on each lane of w, an (m, 2) window or (m, 2, lanes) of
-    them, lane j's last m points w[:, :, j], each of a window of max(span,
-    m): per lane its K, _UNDECIDED, or 0 where ``_cycle`` gives None.  One
-    NumPy pass screens every lane's window, then each lane's candidates
-    are confirmed in K order."""
+    """detect_cycle on each lane of w, an (m, 2) window or (m, 2, lanes)
+    of them, lane j's last m points w[:, :, j], each of a window of
+    max(span, m): per lane its K, 0 where detect_cycle gives None, or
+    _UNDECIDED if that needs a point w lacks: for the K = 1 test m >= 2,
+    the near screen span // 2 < m, a full check of K, 2K <= m.  One NumPy
+    pass screens every lane's window, then each lane's candidates are
+    confirmed in K order."""
     m = len(w)
     n = w.shape[2] if w.ndim == 3 else 1
     span = max(span, m)
@@ -429,9 +426,10 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
         if len(win) > 2 * WINDOW:
             del win[:len(win) - 2 * WINDOW]
         if steps >= max_steps or (steps and steps % CHECK_EVERY == 0):
-            # detect_cycle, or _cycle on a window that starts after step 0
+            # detect_cycle, or _cycles on a window that starts after step 0
             w, span = np.frombuffer(win).reshape(-1, 2), min(steps + 1, WINDOW)
-            period = detect_cycle(w) if len(w) >= span else _cycle(w, span)
+            period = (detect_cycle(w) if len(w) >= span
+                      else _cycles(w, span)[0] or None)
             del w
             if period is not None or steps >= max_steps:
                 return (None if period == _UNDECIDED else Budget()
@@ -530,7 +528,7 @@ def _lane_visit(x, y, gap, r1sq, r2sq) -> tuple[np.ndarray, ...]:
     """The visiting half of a lane step, as ``_walk`` visits: whether each
     lane point (x, y), of any shape the radii broadcast to, lay in p1's
     and in p2's ball, and whether it was clear of the tie band with its
-    gap.  Its callers hold the np.errstate that _lane_step's comment
+    gap.  Its callers hold the np.errstate that _pool's comment
     explains."""
     dx1 = x + 0.5
     dx2 = x - 0.5
@@ -539,38 +537,32 @@ def _lane_visit(x, y, gap, r1sq, r2sq) -> tuple[np.ndarray, ...]:
     return dx1 * dx1 + yy < r1sq, dx2 * dx2 + yy < r2sq, _lane_clear(gap, x, y)
 
 
+def _checkpoint(max_steps: int) -> int:
+    """The raster's hand-off step n/2, n = min(max_steps, CHECK_EVERY)."""
+    return min(max_steps, CHECK_EVERY) // 2
+
+
 # the lane arithmetic may overflow where the scalar walk's does too: a
 # point of norm near 1e200 squares to inf and lies in no ball, and a NaN
 # gap (inf - inf) is not clear of the tie band
 @np.errstate(over="ignore", invalid="ignore")
-def _lane_step(lanes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Visit each lane (rows x, y, c1, s1, c2, s2, r1^2, r2^2) and step it
-    through the branch its gap picks.  Returns whether each lane lay in
-    p1's and in p2's ball, its stepped x and y (for the caller to write),
-    and whether it was clear of the tie band."""
-    x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
-    gap, bx, by = _lane_gap(c1, s1, c2, s2, x, y)
-    in1, in2, clear = _lane_visit(x, y, gap, r1sq, r2sq)
-    return in1, in2, bx, by, clear
-
-
-def _checkpoint(max_steps: int) -> int:
-    """The pool's hand-off step n/2, n = min(max_steps, CHECK_EVERY)."""
-    return min(max_steps, CHECK_EVERY) // 2
-
-
-def _pool(lanes_at, n: int, max_steps: int):
+def _pool(lanes_at, n: int, mark: int) -> tuple[np.ndarray, ...]:
     """Run lanes 0, ..., n-1, at most _LANE_BLOCK at a time: a lane that
     finishes makes room for the next one, so the pool stays full while
     lanes are left.  ``lanes_at(lo, hi)`` builds lanes lo, ..., hi-1 as
-    one lane array, asked for at most _LANE_BLOCK at a time.  Yields (ids,
-    codes, steps, points) for the lanes that leave at each step: code 1
-    or 2 for a lane that enters a termination ball, _TIE_HANDOFF for one
-    on the tie band, and _HANDOFF for one still running at its step
-    _checkpoint(max_steps); ``steps`` and the (m, 2) ``points`` hold each
-    lane's step count and point at that last visit, before it steps, so a
-    lane may go on from there."""
-    mark = _checkpoint(max_steps)
+    one lane array (rows x, y, c1, s1, c2, s2, r1^2, r2^2), asked for at
+    most _LANE_BLOCK at a time.  Each step visits every lane, as
+    ``_walk`` does, and steps it through the branch its gap picks.
+    Returns (codes, steps, points) over all n lanes, for the visit at
+    which each lane left: code 1 or 2 where it entered a termination
+    ball, _TIE_HANDOFF where it was on the tie band, and _HANDOFF where it
+    was still running at step ``mark``, which each grid driver chooses;
+    ``steps`` and the (n, 2) ``points`` hold each lane's step count and
+    point at that visit, before it steps, so a lane may go on from
+    there."""
+    codes = np.empty(n, dtype=np.uint8)
+    steps = np.empty(n, dtype=np.int32)
+    points = np.empty((n, 2))
     buf, built = np.empty((8, 0)), 0
 
     def draw(k):
@@ -586,28 +578,31 @@ def _pool(lanes_at, n: int, max_steps: int):
         return np.arange(lo, lo + new.shape[1]), new
 
     ids, lanes = draw(_LANE_BLOCK)
-    steps = np.zeros(len(ids), dtype=np.int32)
+    count = np.zeros(len(ids), dtype=np.int32)
     while len(ids):
-        in1, in2, x, y, clear = _lane_step(lanes)
-        gone = np.flatnonzero(~clear | in1 | in2 | (steps == mark))
+        x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
+        gap, bx, by = _lane_gap(c1, s1, c2, s2, x, y)
+        in1, in2, clear = _lane_visit(x, y, gap, r1sq, r2sq)
+        gone = np.flatnonzero(~clear | in1 | in2 | (count == mark))
         if len(gone):
-            codes = np.full(len(gone), _HANDOFF, dtype=np.uint8)
-            codes[~clear[gone]] = _TIE_HANDOFF
-            codes[in1[gone]] = 1
-            codes[in2[gone]] = 2
-            yield ids[gone], codes, steps[gone], lanes[:2, gone].T
-        lanes[0], lanes[1] = x, y
-        steps += 1
+            out = ids[gone]
+            codes[out] = np.where(clear[gone], _HANDOFF, _TIE_HANDOFF)
+            codes[out[in1[gone]]] = 1
+            codes[out[in2[gone]]] = 2
+            steps[out], points[out] = count[gone], lanes[:2, gone].T
+        lanes[0], lanes[1] = bx, by
+        count += 1
         if len(gone):
             # fresh lanes take the finished lanes' places; once all n are
             # out the places left over are dropped
             new_ids, new = draw(len(gone))
             fill = gone[:len(new_ids)]
-            lanes[:, fill], ids[fill], steps[fill] = new, new_ids, 0
+            lanes[:, fill], ids[fill], count[fill] = new, new_ids, 0
             if len(fill) < len(gone):
                 keep = np.delete(np.arange(len(ids)), gone[len(fill):])
-                lanes, ids, steps = (a.take(keep, axis=-1)
-                                     for a in (lanes, ids, steps))
+                lanes, ids, count = (a.take(keep, axis=-1)
+                                     for a in (lanes, ids, count))
+    return codes, steps, points
 
 
 def _room(rows: np.ndarray, idx: np.ndarray, more: int) -> np.ndarray:
@@ -619,18 +614,20 @@ def _room(rows: np.ndarray, idx: np.ndarray, more: int) -> np.ndarray:
     return out
 
 
-# the lane arithmetic may overflow, as in _lane_step
+# the lane arithmetic may overflow, as in _pool
 @np.errstate(over="ignore", invalid="ignore")
 def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
     """Step lanes (rows x, y, c1, s1, c2, s2, r1^2, r2^2) together to
-    simulate's verdicts from their points at step ``start`` (the pool's
-    hand-off step in rasterize), each with a one-point window.  Per lane:
-    (code, simulate's step count), code 1 or 2 once it enters a
+    simulate's verdicts from their points at step ``start`` (the raster's
+    hand-off step ``_checkpoint``), each with a one-point window.  Per
+    lane: (code, simulate's step count), code 1 or 2 once it enters a
     termination ball, 3 for a cycle, 0 for the budget.
 
-    The lanes run an interval at a time, up to the next cycle check step
-    (every CHECK_EVERY steps and the budget): a loop steps them through
+    The lanes run in sets, in lane order, whose windows, one interval's
+    points and its gaps (half a point each) fit in _HIST_POINTS.  A set
+    runs an interval at a time, up to the next cycle check step (every
+    CHECK_EVERY steps and the budget): a loop steps its lanes through
     ``_lane_gap`` alone, keeping each visit's point and gap, and one
     ``_lane_visit`` pass then finds each lane's first visit in a ball or on
     the tie band.  At the check step the balls come first, then one
@@ -644,62 +641,66 @@ def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
     n = lanes.shape[1]
     codes = np.full(n, _HANDOFF, dtype=np.uint8)
     steps = np.zeros(n, dtype=np.int32)
-    live, consts = np.arange(n), lanes[2:]
-    # hist[r, :, j] is live lane j's point at step s + 1 + r - kept: its
-    # window up to the interval's first step s, then the interval's points
-    s, e = start, min(max_steps, max(1, -(-start // CHECK_EVERY))
-                      * CHECK_EVERY)
-    hist, kept = _room(lanes[:2][None], live, e + 1 - s), 1
-    while len(live):
-        if len(live) < _LANE_FLOOR:
-            for j, lane in enumerate(consts.T.tolist()):
-                v, _, _, used = _walk(
-                    lane, *hist[kept - 1, :, j].tolist(), s,
-                    array("d", hist[max(0, kept - WINDOW):kept, :, j]
-                          .tobytes()), None, max_steps)
-                if v is not None:
-                    codes[live[j]], steps[live[j]] = _code(v), used
-            break
-        k = e + 1 - s
-        c1, s1, c2, s2, r1sq, r2sq = consts
-        gaps = np.empty((k, len(live)))
-        x, y = hist[kept - 1]
-        for i in range(k):
-            gaps[i], x, y = _lane_gap(c1, s1, c2, s2, x, y)
-            hist[kept + i, 0], hist[kept + i, 1] = x, y
-        # each lane's first visit in a ball or on the band settles it,
-        # unless that is the band at the check step e
-        visits = hist[kept - 1:kept - 1 + k]
-        in1, in2, clear = _lane_visit(visits[:, 0], visits[:, 1], gaps,
-                                      r1sq, r2sq)
-        event = in1 | in2 | ~clear
-        at = event.argmax(axis=0)
-        idx = np.arange(len(live))
-        first = np.where(in1[at, idx], 1,
-                         np.where(in2[at, idx], 2, _TIE_HANDOFF))
-        stop = event[at, idx] & ((first != _TIE_HANDOFF) | (at < k - 1))
-        codes[live[stop]], steps[live[stop]] = first[stop], s + at[stop]
-        # the others' windows at e, and their points at e + 1, with room
-        # for the next interval's
-        check = np.flatnonzero(~stop)
-        if not len(check):
-            break
-        m = min(WINDOW, kept + k - 1)
-        ahead = min(max_steps, e + CHECK_EVERY)
-        hist = _room(hist[kept + k - 1 - m:kept + k], check, ahead - e)
-        kept, live, consts = m + 1, live[check], consts[:, check]
-        found = np.array(_cycles(hist[:m], min(e + 1, WINDOW)))
-        over = (found != 0) | (e == max_steps)
-        codes[live[over]] = np.where(found[over] > 0, 3, np.where(
-            found[over] == 0, 0, _HANDOFF))
-        steps[live[over]] = e
-        clear = clear[k - 1, check]
-        codes[live[~over & ~clear]] = _TIE_HANDOFF
-        if not (keep := ~over & clear).all():
-            keep = np.flatnonzero(keep)
-            hist, live, consts = _room(hist[:kept], keep, ahead - e), \
-                live[keep], consts[:, keep]
-        s, e = e + 1, ahead
+    per_set = 2 * _HIST_POINTS // (2 * min(max_steps + 2, WINDOW + 1)
+                                   + 3 * (min(max_steps, CHECK_EVERY) + 1))
+    for live in np.array_split(np.arange(n), max(1, -(-n // per_set))):
+        # hist[r, :, j] is live lane j's point at step s + 1 + r - kept:
+        # its window up to the interval's first step s, then the
+        # interval's points
+        consts = lanes[2:, live]
+        s, e = start, min(max_steps, max(1, -(-start // CHECK_EVERY))
+                          * CHECK_EVERY)
+        hist, kept = _room(lanes[:2][None], live, e + 1 - s), 1
+        while len(live):
+            if len(live) < _LANE_FLOOR:
+                for j, lane in enumerate(consts.T.tolist()):
+                    v, _, _, used = _walk(
+                        lane, *hist[kept - 1, :, j].tolist(), s,
+                        array("d", hist[max(0, kept - WINDOW):kept, :, j]
+                              .tobytes()), None, max_steps)
+                    if v is not None:
+                        codes[live[j]], steps[live[j]] = _code(v), used
+                break
+            k = e + 1 - s
+            c1, s1, c2, s2, r1sq, r2sq = consts
+            gaps = np.empty((k, len(live)))
+            x, y = hist[kept - 1]
+            for i in range(k):
+                gaps[i], x, y = _lane_gap(c1, s1, c2, s2, x, y)
+                hist[kept + i, 0], hist[kept + i, 1] = x, y
+            # each lane's first visit in a ball or on the band settles it,
+            # unless that is the band at the check step e
+            visits = hist[kept - 1:kept - 1 + k]
+            in1, in2, clear = _lane_visit(visits[:, 0], visits[:, 1], gaps,
+                                          r1sq, r2sq)
+            event = in1 | in2 | ~clear
+            at = event.argmax(axis=0)
+            idx = np.arange(len(live))
+            first = np.where(in1[at, idx], 1,
+                             np.where(in2[at, idx], 2, _TIE_HANDOFF))
+            stop = event[at, idx] & ((first != _TIE_HANDOFF) | (at < k - 1))
+            codes[live[stop]], steps[live[stop]] = first[stop], s + at[stop]
+            # the others' windows at e, and their points at e + 1, with
+            # room for the next interval's
+            check = np.flatnonzero(~stop)
+            if not len(check):
+                break
+            m = min(WINDOW, kept + k - 1)
+            ahead = min(max_steps, e + CHECK_EVERY)
+            hist = _room(hist[kept + k - 1 - m:kept + k], check, ahead - e)
+            kept, live, consts = m + 1, live[check], consts[:, check]
+            found = np.array(_cycles(hist[:m], min(e + 1, WINDOW)))
+            over = (found != 0) | (e == max_steps)
+            codes[live[over]] = np.where(found[over] > 0, 3, np.where(
+                found[over] == 0, 0, _HANDOFF))
+            steps[live[over]] = e
+            clear = clear[k - 1, check]
+            codes[live[~over & ~clear]] = _TIE_HANDOFF
+            if not (keep := ~over & clear).all():
+                keep = np.flatnonzero(keep)
+                hist, live, consts = _room(hist[:kept], keep, ahead - e), \
+                    live[keep], consts[:, keep]
+            s, e = e + 1, ahead
     return codes, steps
 
 
@@ -721,21 +722,25 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
 
     resolution is (nx, ny); row 0 of the result sits at the top (ymax).
     Cells run through one lane pool in row-major order, at most
-    _LANE_BLOCK at a time.  A cell leaves it at a ball, on the tie band,
-    or at step n/2, n = min(max_steps, 512), carrying its point, and runs
-    on from there to its verdict as a lane, the last few of a lane set in
-    the scalar walk; only cells at a tie or an undecided cycle check re-run
-    through ``simulate``.  Cell streams are keyed by (seed, cell_index), so
-    the picture equals per-cell ``simulate`` calls.  ``threads`` is
-    accepted and ignored.  Raises, before any step, for a policy or
-    max_steps that ``simulate`` rejects, a max_steps of 2**31 or more
-    (int32 step counts), a seed that is not an integer >= 0, an empty
-    resolution, or bounds that are not increasing or where a double
-    overflows: a corner norm, or a width or height times the cell count
-    that the centres' formula forms (the norm peaks at a corner, so every
-    cell centre is then a start that ``simulate`` takes).
+    _LANE_BLOCK at a time, which returns each cell's code, step and
+    point.  A cell leaves it at a ball, on the tie band, or at the
+    raster's own hand-off step n/2, n = min(max_steps, 512), as the cycle
+    check at step n reads only points n/2..n but for a long period.  From
+    that point it runs on to its verdict as a lane, the last few of a
+    lane set in the scalar walk; only cells at a tie or an undecided
+    cycle check re-run through ``simulate``.  Cell streams are keyed by
+    (seed, cell_index), so the picture equals per-cell ``simulate``
+    calls.  ``threads`` is accepted and ignored.  Raises, before any
+    step, for a resolution that is not two integers (TypeError; NumPy's
+    integers pass) or is empty, a policy or max_steps that ``simulate``
+    rejects, a max_steps of 2**31 or more (int32 step counts), a seed
+    that is not an integer >= 0, or bounds that are not increasing or
+    where a double overflows: a corner norm, or a width or height times
+    the cell count that the centres' formula forms (the norm peaks at a
+    corner, so every cell centre is then a start that ``simulate``
+    takes).
     """
-    nx, ny = resolution
+    nx, ny = map(operator.index, resolution)
     if nx < 1 or ny < 1:
         raise ValueError(f"resolution must be >= 1x1, got {nx}x{ny}")
     xmin, xmax, ymin, ymax = bounds
@@ -752,29 +757,17 @@ def rasterize(cfg: ProblemConfig, bounds: tuple[float, float, float, float],
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
-    n = nx * ny
-    codes = np.empty(n, dtype=np.uint8)
-    steps = np.empty(n, dtype=np.int32)
-    consts = _constants(cfg)
-    points = np.empty((n, 2))
-    for ids, c, s, p in _pool(lambda lo, hi: _lanes(consts, *_cell_centres(
-            bounds, resolution, np.arange(lo, hi))), n, max_steps):
-        codes[ids], steps[ids], points[ids] = c, s, p
-    # hand-offs run on as lanes in sets whose windows, one interval's points
-    # and its gaps (half a point each) fit in _HIST_POINTS; those at a tie
-    # or an undecided check re-run through scalar simulate
+    consts, mark = _constants(cfg), _checkpoint(max_steps)
+    codes, steps, points = _pool(lambda lo, hi: _lanes(consts, *_cell_centres(
+        bounds, (nx, ny), np.arange(lo, hi))), nx * ny, mark)
+    # hand-offs at the mark run on as lanes; those at a tie or an
+    # undecided check re-run through scalar simulate
     cell = np.flatnonzero(codes == _HANDOFF)
-    xs, ys = points[cell].T
-    per_set = 2 * _HIST_POINTS // (2 * min(max_steps + 2, WINDOW + 1)
-                                   + 3 * (min(max_steps, CHECK_EVERY) + 1))
-    for part in np.array_split(np.arange(len(cell)),
-                               max(1, -(-len(cell) // per_set))):
-        codes[cell[part]], steps[cell[part]] = _lockstep(
-            _lanes(consts, xs[part], ys[part]), max_steps,
-            start=_checkpoint(max_steps))
+    codes[cell], steps[cell] = _lockstep(
+        _lanes(consts, *points[cell].T), max_steps, start=mark)
     for h in np.flatnonzero(codes >= _TIE_HANDOFF).tolist():
         # SeededRandom policies are re-keyed onto per-cell streams
-        tr = simulate(cfg, _cell_centres(bounds, resolution, h),
+        tr = simulate(cfg, _cell_centres(bounds, (nx, ny), h),
                       SeededRandom((seed, h))
                       if isinstance(policy, SeededRandom) else policy,
                       max_steps=max_steps, record=False)
@@ -803,30 +796,6 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
     return max(max_steps, int(math.ceil(need)) + 64)
 
 
-def _pair_outcome(cfg: ProblemConfig, consts: Sequence[float], res,
-                  starts: np.ndarray, handoffs: dict, k: int, max_steps: int,
-                  seed: int) -> PairOutcome:
-    """Pair k's outcome from its config, its ``_constants`` and its
-    ``certify`` result: its hand-offs (start index -> (x, y, step), the
-    point and step at which the start left the lane pool) in order up to
-    the first nonconvergent one, each resumed in ``_proven_walk`` with the
-    coins of its (seed, k, start index) stream."""
-    certified = isinstance(res, LyapunovCertificate)
-    worst = -1
-    for s_idx, (x, y, step) in sorted(handoffs.items()):
-        budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
-                  if certified else max_steps)
-        v = _proven_walk(consts, x, y, step, budget,
-                         _coins(SeededRandom((seed, k, s_idx))))[0]
-        if not isinstance(v, ConvergedTo):
-            worst = s_idx
-            break
-    return PairOutcome(
-        theta1=res.theta1, theta2=res.theta2, eq26_holds=certified,
-        eq26_margin=res.condition_margin, nonconvergent_found=worst >= 0,
-        worst_seed=worst)
-
-
 def sweep(theta_grid: Sequence[tuple[float, float]],
           samples_per_pair: int = 20, max_steps: int = 20000,
           seed: int = 0) -> SweepGrid:
@@ -839,19 +808,21 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
     nonconvergent verdict there is a genuine counterexample, not a budget
     artifact.  It runs in three phases, as ``rasterize`` does.  Every
     pair's config and step constants are built and all starts drawn; the
-    starts run through one lane pool in pair order, and one leaves it at a
-    ball, or on the tie band or at step n/2 carrying its point and step (n
-    as in ``rasterize``); then each pair in turn is certified and its
-    unsettled starts resumed from there, in start order up to its first
-    nonconvergent one, in the window-free walk of ``find_period_brent``.
-    That walk, not ``simulate``, ends at a ball, at the budget, or as soon
-    as ``certify_cycle``'s proof holds from its reference point: the start
-    is then nonconvergent, as its ``simulate`` verdict would be, and the
-    sweep reports no step counts.  Raises, before any start runs, for a
-    samples_per_pair or a seed that is not an integer (TypeError; NumPy's
-    integers pass), samples_per_pair below 1 or a negative seed, a
-    max_steps that ``simulate`` rejects or a pair that ``ProblemConfig``
-    rejects.
+    starts run through one lane pool in pair order, which returns each
+    start's code, step and point, and one leaves it at a ball, or on the
+    tie band or at the sweep's own hand-off step min(max_steps, 1024)
+    carrying its point and step (the sweep keeps no window, so it has no
+    cycle check to hand off before); then each pair in turn is certified
+    and its unsettled starts resumed from there, in start order up to its
+    first nonconvergent one, in the window-free walk of
+    ``find_period_brent``.  That walk, not ``simulate``, ends at a ball,
+    at the budget, or as soon as ``certify_cycle``'s proof holds from its
+    reference point: the start is then nonconvergent, as its ``simulate``
+    verdict would be, and the sweep reports no step counts.  Raises,
+    before any start runs, for a samples_per_pair or a seed that is not
+    an integer (TypeError; NumPy's integers pass), samples_per_pair below
+    1 or a negative seed, a max_steps that ``simulate`` rejects or a pair
+    that ``ProblemConfig`` rejects.
     """
     samples = operator.index(samples_per_pair)
     if samples < 1:
@@ -867,20 +838,30 @@ def sweep(theta_grid: Sequence[tuple[float, float]],
         starts[k] = np.random.default_rng(np.random.SeedSequence(
             [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
     flat = starts.reshape(-1, 2)
-    # pair index -> hand-offs by start index, for the pairs that have any
-    handoffs: dict[int, dict] = {}
-    for ids, codes, steps, points in _pool(
-            lambda lo, hi: _lanes(rows[np.arange(lo, hi) // samples],
-                                  *flat[lo:hi].T), len(flat), max_steps):
-        left = codes >= _TIE_HANDOFF
-        for h, p, s in zip(ids[left].tolist(), points[left].tolist(),
-                           steps[left].tolist()):
-            handoffs.setdefault(h // samples, {})[h % samples] = (*p, s)
+    codes, steps, points = _pool(
+        lambda lo, hi: _lanes(rows[np.arange(lo, hi) // samples],
+                              *flat[lo:hi].T),
+        len(flat), min(max_steps, 2 * CHECK_EVERY))
     outcomes = []
     for k, cfg in enumerate(cfgs):
-        outcomes.append(_pair_outcome(cfg, rows[k].tolist(), certify(cfg),
-                                      starts[k], handoffs.get(k, {}), k,
-                                      max_steps, seed))
+        res = certify(cfg)
+        certified = isinstance(res, LyapunovCertificate)
+        worst = -1
+        handed = codes[k * samples:(k + 1) * samples] >= _TIE_HANDOFF
+        for i in np.flatnonzero(handed).tolist():
+            budget = (certified_budget(cfg, res, starts[k, i], max_steps)
+                      if certified else max_steps)
+            h = k * samples + i
+            v = _proven_walk(rows[k].tolist(), *points[h].tolist(),
+                             int(steps[h]), budget,
+                             _coins(SeededRandom((seed, k, i))))[0]
+            if not isinstance(v, ConvergedTo):
+                worst = i
+                break
+        outcomes.append(PairOutcome(
+            theta1=res.theta1, theta2=res.theta2, eq26_holds=certified,
+            eq26_margin=res.condition_margin, nonconvergent_found=worst >= 0,
+            worst_seed=worst))
     return SweepGrid(pairs=tuple(outcomes), samples_per_pair=samples,
                      seed=seed, max_steps=max_steps)
 

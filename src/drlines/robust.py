@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dr import _lane_branch, dr_multivalued
+from .dr import _lane_clear, _lane_gap, dr_multivalued
 from .geometry import ProblemConfig, checked_start, cos_sin
 from .lyapunov import _V_ZERO, _log_v, _v_many, v_global, v_local
 
@@ -223,7 +223,7 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
                 u: np.ndarray, adversarial: bool):
     """One step of each lane (column of x) with its draws (row of u, the
     pre-ball's first): (points, pre, post), each (2, L).  Lanes on the
-    tie band, those dr._lane_branch finds not clear, step through
+    tie band, those dr._lane_clear finds not clear, step through
     dr_multivalued; there random lanes take A1, adversarial lanes the
     larger V (A1 on equal V)."""
     def offsets(x, u):
@@ -236,7 +236,8 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
     pre = offsets(x, u[:, :u.shape[1] // 2])
     x = x + pre
     (c1, s1), (c2, s2) = cos_sin(cfg.theta1), cos_sin(cfg.theta2)
-    bx, by, clear = _lane_branch(c1, s1, c2, s2, x[0], x[1])
+    gap, bx, by = _lane_gap(c1, s1, c2, s2, x[0], x[1])
+    clear = _lane_clear(gap, x[0], x[1])
     y = np.array((bx, by + 0.0))
     for i in (~clear).nonzero()[0].tolist():
         outs = dr_multivalued(cfg, x[:, i].tolist()).outputs

@@ -1,5 +1,5 @@
 """Every module-level private name in the package is used somewhere, and
-every top-level import of the package and the tests is read."""
+every top-level import of the package, the tests and the demos is read."""
 import ast
 import pathlib
 
@@ -7,6 +7,7 @@ import drlines
 
 SRC = pathlib.Path(drlines.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+DEMOS = TESTS.parent / "demos"
 
 
 def _bound_private(tree):
@@ -80,8 +81,10 @@ def unused_imports(paths):
 
 
 def test_no_unused_imports():
-    assert unused_imports(sorted(SRC.glob("*.py"))
-                          + sorted(TESTS.glob("*.py"))) == []
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    assert unused_imports(sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+                          + demos) == []
 
 
 def test_unused_import_guard_sees_a_planted_import(tmp_path):

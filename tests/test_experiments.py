@@ -473,6 +473,28 @@ def test_rasterize_rejects_budgets_past_int32_before_any_step(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rasterize_takes_an_integer_resolution_only(monkeypatch):
+    # a float resolution fails before the pool starts, with operator.index's
+    # message, where (2.5, 2) once passed the checks and failed inside
+    # np.empty; NumPy's integers pass, and the grid's resolution holds ints
+    pools = []
+    monkeypatch.setattr(experiments, "_pool",
+                        lambda *args: pools.append(args) or iter(()))
+    bounds = (-2.0, 2.0, -2.0, 2.0)
+    for res in ((2.5, 2), (2, 2.0), (np.float64(3.0), 3)):
+        with pytest.raises(TypeError,
+                           match="cannot be interpreted as an integer"):
+            rasterize(FIG_CFG, bounds, res)
+    assert pools == []
+    monkeypatch.undo()
+    want = rasterize(FIG_CFG, bounds, (3, 2))
+    grid = rasterize(FIG_CFG, bounds, (np.int64(3), np.int32(2)))
+    assert grid.resolution == (3, 2)
+    assert [type(v) for v in grid.resolution] == [int, int]
+    assert np.array_equal(grid.cells, want.cells)
+    assert np.array_equal(grid.steps, want.steps)
+
+
 def test_make_theta_grid_is_admissible():
     grid = make_theta_grid(10, 7)
     assert len(grid) == 70
@@ -632,12 +654,13 @@ def sweep_reference(pairs, samples, max_steps, seed):
 
 @pytest.mark.parametrize("samples,max_steps", [(30, 300), (1024, 2000),
                                                (30, 1), (30, 7), (30, 511),
-                                               (30, 513)])
+                                               (30, 513), (30, 1023),
+                                               (30, 1024), (30, 1025)])
 def test_sweep_matches_per_start_simulate(samples, max_steps):
     # certified and uncertified pairs, some with a nonconvergent start;
     # 1024 samples are more starts than the lane pool holds at once, and
-    # hand-offs resume from step min(max_steps, 512) // 2, from the start
-    # itself at budget 1
+    # hand-offs resume from step min(max_steps, 1024): from the budget
+    # itself up to 1024, one step short of it at 1025
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, samples, max_steps, 5)
@@ -1154,7 +1177,7 @@ def test_walk_matches_per_step_loop_on_the_period_1410_orbit(monkeypatch):
 
 
 def test_huge_starts_run_quietly_in_the_walk_and_brent():
-    # near 1e308 the NumPy screens of _cycle and of the proven walk
+    # near 1e308 the NumPy screens of _cycles and of the proven walk
     # overflow where math.hypot does not; the overflow stays quiet (a
     # RuntimeWarning fails here), simulate_tree's answers are the per-step
     # loop's, and the orbits converge, so Brent's search proves no cycle
@@ -1442,6 +1465,36 @@ def test_lockstep_stops_at_a_tie_planted_mid_interval(monkeypatch, n,
     assert got == want
 
 
+def test_raster_lane_sets_split_by_their_memory_cap_match_simulate(
+        monkeypatch):
+    # with _HIST_POINTS at 2^18 a lane set holds at most 69 lanes at 3000
+    # steps, and the floor at one lane keeps every set in lanes: the 394
+    # hand-offs of the 20x20 (0.02, 3.0) raster run in 6 sets, and the
+    # picture is the unpatched one and per-cell simulate's
+    cfg, bounds = ProblemConfig(0.02, 3.0), (-3.0, 3.0, -3.0, 3.0)
+    res = (20, 20)
+    whole = rasterize(cfg, bounds, res, max_steps=3000)
+    monkeypatch.setattr(experiments, "_HIST_POINTS", 1 << 18)
+    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
+    sets = []
+    room = experiments._room
+
+    def spy(rows, idx, more):
+        # a set's first buffer holds one point a lane
+        if len(rows) == 1:
+            sets.append(len(idx))
+        return room(rows, idx, more)
+
+    monkeypatch.setattr(experiments, "_room", spy)
+    grid = rasterize(cfg, bounds, res, max_steps=3000)
+    assert sets == [66] * 4 + [65] * 2
+    assert np.array_equal(grid.cells, whole.cells)
+    assert np.array_equal(grid.steps, whole.steps)
+    cells, steps = cell_reference(cfg, bounds, res, FirstBranch(), 0, 3000)
+    assert np.array_equal(grid.cells, cells)
+    assert np.array_equal(grid.steps, steps)
+
+
 def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
     # a lone cell is walked from step 0 and meets D3 at step 20; it then
     # re-runs from its start under the cell's own policy
@@ -1466,24 +1519,38 @@ def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
 
 
 def spy_pool(monkeypatch):
-    # every (ids, codes, steps, points) the lane pool yields, in order
-    yields = []
+    # the (codes, steps, points) every lane pool run returns, in order,
+    # copied before the drivers write their verdicts into them
+    runs = []
     pool = experiments._pool
 
     def spy(*args):
-        for out in pool(*args):
-            yields.append(out)
-            yield out
+        out = pool(*args)
+        runs.append(tuple(a.copy() for a in out))
+        return out
 
     monkeypatch.setattr(experiments, "_pool", spy)
-    return yields
+    return runs
+
+
+def lane_branch(consts, x, y):
+    # one step of NumPy lanes (x, y) as the pool takes it, and whether
+    # each lane is clear of the tie band: (x', y', clear)
+    gap, bx, by = dr._lane_gap(*consts[:4], x, y)
+    return bx, by, dr._lane_clear(gap, x, y)
+
+
+def cycle(w, span):
+    # _cycles on one window, None where it answers 0
+    return experiments._cycles(w, span)[0] or None
 
 
 @pytest.mark.parametrize("n", [0, 64, 150])
 def test_pool_builds_each_lane_once_in_blocks(monkeypatch, n):
     # a 64-lane pool asks its builder for contiguous blocks of at most 64
-    # lanes that cover [0, n) once; every lane leaves once, at the code and
-    # step a pool that holds all n lanes at once gives it
+    # lanes that cover [0, n) once; every lane leaves, at the code and
+    # step a pool that holds all n lanes at once gives it, and a lane
+    # still running at the hand-off step leaves there
     bounds, res = (-3.0, 3.0, -3.0, 3.0), (15, 10)
     consts = experiments._constants(PERIOD58_CFG)
     calls = []
@@ -1493,20 +1560,21 @@ def test_pool_builds_each_lane_once_in_blocks(monkeypatch, n):
         return experiments._lanes(consts, *experiments._cell_centres(
             bounds, res, np.arange(lo, hi)))
 
+    mark = experiments._checkpoint(300)
+
     def run():
-        left = {}
-        for ids, codes, steps, _ in experiments._pool(lanes_at, n, 300):
-            for i, c, s in zip(ids.tolist(), codes.tolist(), steps.tolist()):
-                assert i not in left
-                left[i] = (c, s)
-        return left
+        codes, steps, points = experiments._pool(lanes_at, n, mark)
+        assert len(codes) == len(steps) == len(points) == n
+        return list(zip(codes.tolist(), steps.tolist()))
 
     whole = run()
     assert calls == ([(0, n)] if n else [])
     calls.clear()
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     assert run() == whole
-    assert sorted(whole) == list(range(n))
+    for c, s in whole:
+        assert c in (1, 2, experiments._TIE_HANDOFF, experiments._HANDOFF)
+        assert s == mark if c == experiments._HANDOFF else 0 <= s <= mark
     assert all(0 < hi - lo <= 64 for lo, hi in calls)
     # each block starts where the last one ended, from 0 up to n
     assert [0, *(hi for _, hi in calls)] == [*(lo for lo, _ in calls), n]
@@ -1553,9 +1621,14 @@ def test_rasterize_refills_match_per_cell_simulate(monkeypatch, policy,
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     assert tie in [tuple(map(float, c)) for c in calls]
-    # every cell left the pool once
-    ids = np.concatenate([i for i, _, _, _ in yields])
-    assert np.array_equal(np.sort(ids), np.arange(33 * 48))
+    # every cell left the pool, a cell in a ball with its verdict and step
+    (codes, left, _), = yields
+    assert len(codes) == 33 * 48
+    ball = codes <= 2
+    assert set(codes[~ball].tolist()) <= {experiments._TIE_HANDOFF,
+                                          experiments._HANDOFF}
+    assert np.array_equal(codes[ball], grid.cells.ravel()[ball])
+    assert np.array_equal(left[ball], grid.steps.ravel()[ball])
 
 
 @pytest.mark.parametrize("samples", [24, 100])
@@ -1583,10 +1656,10 @@ def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
         yields.clear()
         grids.append(rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0),
                                (200, 200)))
-        handed.append(sorted(
-            (int(i), int(s)) for ids, c, st, _ in yields
-            for i, s in zip(ids[c == experiments._HANDOFF],
-                            st[c == experiments._HANDOFF])))
+        (codes, left, _), = yields
+        handed.append(list(zip(
+            np.flatnonzero(codes == experiments._HANDOFF).tolist(),
+            left[codes == experiments._HANDOFF].tolist())))
     grid, small = grids
     assert np.array_equal(small.cells, grid.cells)
     assert np.array_equal(small.steps, grid.steps)
@@ -1616,7 +1689,7 @@ def test_period58_raster_steps_no_lane_past_its_checkpoint_twice(
     yields = spy_pool(monkeypatch)
     grid = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
     handed = sum(int(np.count_nonzero(c == experiments._HANDOFF))
-                 for _, c, _, _ in yields)
+                 for c, _, _ in yields)
     assert handed == 176 and 176 in visits
     assert sum(visits) <= int(grid.steps.sum()) + grid.steps.size + handed
 
@@ -1689,7 +1762,7 @@ def test_lanes_steps_and_dr_multivalued_share_the_tie_band(
     consts = experiments._constants(cfg)
     on = on_tie_band(x, y, dr._gap(*consts[:4], x, y))
     code = dr._steps(*consts, x, y, 1, array("d"))[0]
-    *_, clear = dr._lane_branch(*consts[:4], np.array([x]), np.array([y]))
+    *_, clear = lane_branch(consts, np.array([x]), np.array([y]))
     region = dr_multivalued(cfg, (x, y)).region
     assert (code == 0, not clear[0], region is Region.D3) == (on, on, on)
     if ulps == 0:
@@ -1717,18 +1790,15 @@ def test_pool_hands_off_at_the_tie_band_exactly_where_steps_stops(
         starts += points
         rows += [experiments._constants(cfg)] * len(points)
     rows, starts = np.array(rows), np.array(starts)
-    codes = {}
-    for ids, left, _, points in experiments._pool(
-            lambda lo, hi: experiments._lanes(rows[lo:hi], *starts[lo:hi].T),
-            len(starts), 40):
-        for i, code, (x, y) in zip(ids.tolist(), left.tolist(),
-                                   points.tolist()):
-            stops = dr._steps(*rows[i].tolist(), x, y, 1, array("d"))[0] == 0
-            assert stops == (code == experiments._TIE_HANDOFF)
-            codes[i] = code
-    assert sorted(codes) == list(range(len(starts)))
+    codes, _, points = experiments._pool(
+        lambda lo, hi: experiments._lanes(rows[lo:hi], *starts[lo:hi].T),
+        len(starts), experiments._checkpoint(40))
+    assert len(codes) == len(starts)
+    for i, (code, (x, y)) in enumerate(zip(codes.tolist(), points.tolist())):
+        stops = dr._steps(*rows[i].tolist(), x, y, 1, array("d"))[0] == 0
+        assert stops == (code == experiments._TIE_HANDOFF)
     assert {experiments._TIE_HANDOFF, experiments._HANDOFF, 1, 2} <= set(
-        codes.values())
+        codes.tolist())
 
 
 def test_a_nan_gap_is_not_clear_of_the_tie_band():
@@ -1737,7 +1807,7 @@ def test_a_nan_gap_is_not_clear_of_the_tie_band():
     y = np.array([0.0, math.nan, -math.inf])
     with np.errstate(invalid="ignore"):
         gap = dr._gap(*consts[:4], x, y)
-        *_, clear = dr._lane_branch(*consts[:4], x, y)
+        *_, clear = lane_branch(consts, x, y)
     assert np.isnan(gap).all() and not clear.any()
 
 
@@ -1811,7 +1881,7 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
         assert code == int(where[-1]) and k == 1
     if where == "edge" and n:
         assert (code == 0 and k == 0) == inside
-    # one step at a time, each against _lane_branch
+    # one step at a time, each against the lane step
     px, py = x, y
     for i in range(n):
         code1, nx, ny, k1, one, calls = counted_steps(consts, px, py, 1)
@@ -1822,8 +1892,7 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
         assert calls == (0 if band_screen(px, py, gap) else 1)
         if where == "edge" and i == 0:
             assert calls == 1
-        bx, by, clear = dr._lane_branch(*consts[:4], np.array([px]),
-                                        np.array([py]))
+        bx, by, clear = lane_branch(consts, np.array([px]), np.array([py]))
         assert clear[0] == (code1 != 0)
         if clear[0]:
             assert k1 == 1 and hexes(bx[0], by[0]) == hexes(nx, ny)
@@ -1935,7 +2004,7 @@ def test_partial_window_rule_agrees_with_detect_cycle(period, span, keep,
     cut = int(prefix * span)
     full[:cut] = rng.uniform(-2.0, 2.0, size=(cut, 2))
     m = max(2, round(keep * span))
-    got = experiments._cycle(full[span - m:], span)
+    got = cycle(full[span - m:], span)
     if got != experiments._UNDECIDED:
         assert got == detect_cycle(full)
     else:
@@ -1946,11 +2015,11 @@ def test_partial_window_rule_agrees_with_detect_cycle(period, span, keep,
             window_pair_ok(full, span - 1, span - 1 - k)
             for k in range(m // 2 + 1, span // 2 + 1))
     # a full window is always decided, and it is detect_cycle
-    assert experiments._cycle(full, span) == detect_cycle(full)
+    assert cycle(full, span) == detect_cycle(full)
 
 
 def cycle_reference(w, span, match_tol=1e-8):
-    # _cycle with the near screen it had before its max-norm one: two
+    # cycle with the near screen it had before its max-norm one: two
     # np.hypot passes over the shifts' last pairs; reference for the screen
     m, span = len(w), max(span, len(w))
     if m < 2:
@@ -2023,7 +2092,7 @@ def test_cycle_screen_agrees_with_the_hypot_screen(m, period, extra,
         w = hist[:, 1]
         assert not w.flags.c_contiguous
     with mock.patch.object(experiments, "MATCH_TOL", match_tol):
-        got = experiments._cycle(w, m + extra)
+        got = cycle(w, m + extra)
     assert got == cycle_reference(w, m + extra, match_tol)
 
 
@@ -2039,7 +2108,7 @@ def test_batched_cycle_check_equals_cycle_lane_by_lane(m, lanes, extra,
                                                        bad, seed):
     # lanes holding planted repeats at the tolerance, constant tails and
     # noise, some with an inf or NaN row, in full and partial windows (a
-    # span past m): each lane's answer is _cycle's on its own window, and
+    # span past m): each lane's answer is cycle's on its own window, and
     # the reference's, 0 standing for None
     rng = np.random.default_rng(seed)
     w = np.empty((m, 2, lanes))
@@ -2058,7 +2127,7 @@ def test_batched_cycle_check_equals_cycle_lane_by_lane(m, lanes, extra,
             w[rng.integers(0, m), rng.integers(0, 2), j] = bad
     with mock.patch.object(experiments, "MATCH_TOL", match_tol):
         got = experiments._cycles(w, m + extra)
-        one = [experiments._cycle(w[:, :, j], m + extra) for j in range(lanes)]
+        one = [cycle(w[:, :, j], m + extra) for j in range(lanes)]
     assert got == [0 if k is None else k for k in one]
     assert one == [cycle_reference(w[:, :, j], m + extra, match_tol)
                    for j in range(lanes)]
@@ -2067,7 +2136,7 @@ def test_batched_cycle_check_equals_cycle_lane_by_lane(m, lanes, extra,
 def test_cycle_screen_keeps_repeats_at_the_tolerance():
     # the last pair one ulp inside or outside the tolerance, at norms from
     # 1 to 1e150: the max-norm screen keeps every shift the exact test
-    # passes, so _cycle finds what the hypot screen found
+    # passes, so cycle finds what the hypot screen found
     rng = np.random.default_rng(11)
     found = {True: 0, False: 0}
     for log_scale in (0, 50, 150):
@@ -2075,7 +2144,7 @@ def test_cycle_screen_keeps_repeats_at_the_tolerance():
             for period in (2, 3, 17, 58):
                 w = planted_window(rng, 200, period, log_scale, ulps, 1e-8)
                 want = cycle_reference(w, 200)
-                assert experiments._cycle(w, 200) == want
+                assert cycle(w, 200) == want
                 found[want == period] += 1
     assert found[True] >= 10 and found[False] >= 5
 
@@ -2088,14 +2157,14 @@ def test_partial_window_rule_on_planted_periods():
                          (256, None)):
         full = np.tile(rng.uniform(-2.0, 2.0, size=(period, 2)), (6, 1))[:513]
         assert detect_cycle(full) == period
-        got = experiments._cycle(full[-257:], 513)
+        got = cycle(full[-257:], 513)
         assert got == (experiments._UNDECIDED if want is None else want)
     # no period: the near screen decides on 257 points, not on 256
     noise = rng.uniform(-2.0, 2.0, size=(513, 2))
-    assert experiments._cycle(noise[-257:], 513) is None
-    assert experiments._cycle(noise[-256:], 513) == experiments._UNDECIDED
-    assert experiments._cycle(noise[-1:], 513) == experiments._UNDECIDED
-    assert experiments._cycle(noise[-1:], 1) is None
+    assert cycle(noise[-257:], 513) is None
+    assert cycle(noise[-256:], 513) == experiments._UNDECIDED
+    assert cycle(noise[-1:], 513) == experiments._UNDECIDED
+    assert cycle(noise[-1:], 1) is None
 
 
 def spy_lockstep(monkeypatch):
@@ -2111,10 +2180,8 @@ def spy_lockstep(monkeypatch):
     return starts
 
 
-def resumed(entered, max_steps=2000):
-    # proven walks resumed from a pool checkpoint: at its step, 256 for
-    # budgets from 512 on
-    mark = experiments._checkpoint(max_steps)
+def resumed(entered, mark):
+    # proven walks resumed from the sweep's hand-off step
     return [s for s in entered if s == mark]
 
 
@@ -2124,15 +2191,16 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
     # simulate; the sweep's resumed walks keep no window, so none of their
     # checks is undecided
     partial = []
-    cycle = experiments._cycle
+    cycles = experiments._cycles
 
     def undecided(w, span):
         if len(w) < span:
             partial.append(len(w))
-            return experiments._UNDECIDED
-        return cycle(w, span)
+            return [experiments._UNDECIDED] * (w.shape[2] if w.ndim == 3
+                                               else 1)
+        return cycles(w, span)
 
-    monkeypatch.setattr(experiments, "_cycle", undecided)
+    monkeypatch.setattr(experiments, "_cycles", undecided)
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, 100, 2000, 5)
@@ -2184,12 +2252,12 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     mark = experiments._checkpoint(2000)
-    assert {int(s) for _, _, st, _ in yields for s in st} == {min(n, mark)}
-    (ids, _, _, points), = yields
+    (_, left, points), = yields
+    assert set(left.tolist()) == {min(n, mark)}
     assert points.tolist() == [
         list(simulate(FIG_CFG, experiments._cell_centres(bounds, (6, 6), i),
                       max_steps=2000).points[min(n, mark)])
-        for i in ids.tolist()]
+        for i in range(36)]
     assert starts == [(mark, 0 if n <= mark else 36)]
     assert len(calls) == 36
 
@@ -2212,30 +2280,51 @@ def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
     assert [(set(c.tolist()), set(st.tolist()), len(m))
-            for _, c, st, m in yields] == [
+            for c, st, m in yields] == [
         ({experiments._HANDOFF}, {experiments._checkpoint(2000)}, 36)]
     assert starts == [(experiments._checkpoint(2000), 36)]
     assert len(calls) == 36
     # the hand-offs carry their cells' points at step 256, in id order
-    (ids, _, _, marks), = yields
+    (_, _, marks), = yields
     assert marks.tolist() == [
         list(simulate(FIG_CFG, experiments._cell_centres(bounds, (6, 6), i),
-                      max_steps=2000).points[256]) for i in ids.tolist()]
+                      max_steps=2000).points[256]) for i in range(36)]
+
+
+def plant_starts(monkeypatch, x0, samples):
+    # every pair's starts at seed 5 are x0; other streams, the coins'
+    # (seed, pair, start) ones among them, are left as they are
+    rng = np.random.default_rng
+
+    def starts(seed=None):
+        if isinstance(seed, np.random.SeedSequence) and \
+                len(seed.entropy) == 2 and seed.entropy[0] == 5:
+            return mock.Mock(uniform=lambda *args, size: np.tile(
+                x0, (samples, 1)))
+        return rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", starts)
 
 
 def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
-    # the walk resumed from step 256 meets the tie on step 300 and goes on
+    # at a budget of 256 the sweep hands its starts off at step 256; the
+    # walk resumed from there meets the tie on step 300 and goes on
     # through the coin of the start's (seed, pair, start) stream, with its
-    # certified budget, to simulate's verdict; no window is kept.  Pair
-    # 4's coin picks A2, which leads to p2's ball, where A1 leads to p1's
+    # certified budget, to simulate's verdict; no window is kept.  Five
+    # pairs of one config start there: pair 4's coin picks A2, which leads
+    # to p2's ball, where A1 leads to p1's
     x0 = tie_preimage(FIG_CFG, 300)
     mark = simulate(FIG_CFG, x0, max_steps=2000).points[256]
     res = certify(FIG_CFG)
     assert isinstance(res, LyapunovCertificate)
-    budget = certified_budget(FIG_CFG, res, x0, 2000)
+    budget = certified_budget(FIG_CFG, res, x0, 256)
+    assert budget > 300
     want = simulate(FIG_CFG, x0, SeededRandom((5, 4, 0)), max_steps=budget,
                     record=False)
     assert want.verdict == ConvergedTo(2)
+    plant_starts(monkeypatch, x0, 1)
+    pairs = [(FIG_CFG.theta1, FIG_CFG.theta2)] * 5
+    reference = sweep_reference(pairs, 1, 256, 5)
     walks, keys = [], []
     walk, coins = experiments._proven_walk, experiments._coins
 
@@ -2247,13 +2336,13 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
     monkeypatch.setattr(experiments, "_coins",
                         lambda policy: keys.append(policy) or coins(policy))
     windowed = spy_windowed(monkeypatch)
-    out = experiments._pair_outcome(FIG_CFG, experiments._constants(FIG_CFG),
-                                    res, np.array([x0]), {0: (*mark, 256)},
-                                    4, 2000, 5)
+    sg = sweep(pairs, samples_per_pair=1, max_steps=256, seed=5)
+    assert sg.pairs == reference
+    out = sg.pairs[4]
     assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
-    assert walks == [((*mark, 256, budget),
-                      (want.verdict, *want.points[-1], want.steps_used))]
-    assert keys == [SeededRandom((5, 4, 0))]
+    assert [w[0] for w in walks] == [(*mark, 256, budget)] * 5
+    assert walks[4][1] == (want.verdict, *want.points[-1], want.steps_used)
+    assert keys == [SeededRandom((5, k, 0)) for k in range(5)]
     assert windowed == []
 
 
@@ -2261,43 +2350,34 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
 def test_sweep_starts_meeting_a_tie_resume_through_it_in_the_walk(
         monkeypatch, n):
     # 36 starts, all at a point whose n-th iterate is on D3, leave the pool
-    # on the tie band on step 100 or at the checkpoint, each with its
-    # point there; each resumes in the walk from that point and step and
-    # takes its coin at the tie, and none runs simulate or a window
+    # on the tie band on step 100 or 300, before the sweep's hand-off step
+    # 1024, each with its point there; each resumes in the walk from that
+    # point and step and takes its coin at the tie, and none runs simulate
+    # or a window
     x0, samples = tie_preimage(FIG_CFG, n), 36
-    rng = np.random.default_rng
-
-    def starts(seed=None):
-        # pair 0's starts at seed 5; other streams are left as they are
-        if isinstance(seed, np.random.SeedSequence) and \
-                list(seed.entropy) == [5, 0]:
-            return mock.Mock(uniform=lambda *args, size: np.tile(
-                x0, (samples, 1)))
-        return rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", starts)
+    plant_starts(monkeypatch, x0, samples)
     pair = [(FIG_CFG.theta1, FIG_CFG.theta2)]
     want = sweep_reference(pair, samples, 2000, 5)
-    left = min(n, experiments._checkpoint(2000))
-    point = simulate(FIG_CFG, x0, max_steps=2000).points[left]
+    point = simulate(FIG_CFG, x0, max_steps=2000).points[n]
     yields = spy_pool(monkeypatch)
     entered = spy_proven_walk(monkeypatch)
     windowed = spy_windowed(monkeypatch)
     assert sweep(pair, samples_per_pair=samples, max_steps=2000,
                  seed=5).pairs == want
-    code = experiments._TIE_HANDOFF if n == left else experiments._HANDOFF
     assert [(set(c.tolist()), set(st.tolist()), set(map(tuple, p.tolist())))
-            for _, c, st, p in yields] == [({code}, {left}, {point})]
-    assert entered == [left] * samples
+            for c, st, p in yields] == [
+        ({experiments._TIE_HANDOFF}, {n}, {point})]
+    assert entered == [n] * samples
     assert windowed == []
 
 
 @pytest.mark.parametrize("max_steps", [1, 2, 7, 300, 511])
 def test_budgets_below_the_first_check_resume_from_half_the_budget(
         monkeypatch, max_steps):
-    # the pool hands its lanes off at step max_steps // 2 (step 0 for a
-    # budget of 1), with their points there: sweep starts resume from there
-    # in the walk, and raster cells in one lane set
+    # the raster's pool hands its lanes off at step max_steps // 2 (step 0
+    # for a budget of 1), and the sweep's at the budget itself, with their
+    # points there: sweep starts resume from there in the walk, certified
+    # pairs' starts running on, and raster cells in one lane set
     assert experiments._checkpoint(max_steps) == max_steps // 2
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
@@ -2316,8 +2396,8 @@ def test_budgets_below_the_first_check_resume_from_half_the_budget(
     grid = rasterize(PERIOD58_CFG, bounds, res, max_steps=max_steps, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    handed = [int(s) for _, c, st, _ in yields
-              for s in st[c == experiments._HANDOFF]]
+    (codes, left, _), = yields
+    handed = left[codes == experiments._HANDOFF].tolist()
     assert set(handed) == {max_steps // 2}
     assert starts == [(max_steps // 2, len(handed))]
 
@@ -2326,8 +2406,8 @@ def test_budgets_below_the_first_check_resume_from_half_the_budget(
 def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
                                                           samples):
     # a 64-lane pool, with 30 or 100 starts a pair: it hands lanes off only
-    # at the checkpoint, the last ones too once it runs alone, and those
-    # the outcome needs resume in the walk from step 256
+    # at the sweep's hand-off step 1024, the last ones too once it runs
+    # alone, and those the outcome needs resume in the walk from there
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
@@ -2336,7 +2416,8 @@ def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
     entered = spy_proven_walk(monkeypatch)
     assert sweep(pairs, samples_per_pair=samples, max_steps=2000,
                  seed=5).pairs == want
-    handed = [int(s) for _, c, st, _ in yields
-              for s in st[c == experiments._HANDOFF]]
-    assert set(handed) == {experiments._checkpoint(2000)}
-    assert resumed(entered)
+    (codes, left, _), = yields
+    handed = left[codes == experiments._HANDOFF].tolist()
+    mark = 2 * experiments.CHECK_EVERY
+    assert set(handed) == {mark}
+    assert resumed(entered, mark)
