@@ -191,7 +191,8 @@ def decrease_check(cert: LyapunovCertificate, cfg: ProblemConfig, x) -> bool:
 def increase_ball(cfg: ProblemConfig, index: int, rho: float) -> IncreaseBall:
     """The ball where the wrong branch inflates V_index by more than rho.
 
-    Requires rho > cos^2 of the *other* angle.  For index 1 the center is
+    Requires a finite rho > cos^2 of the *other* angle (ValueError
+    otherwise, NaN included).  For index 1 the center is
     p1 + (cos t2 sin t2 / (rho - cos^2 t2)) e2 with radius
     sqrt(rho) sin t2 / (rho - cos^2 t2); index 2 mirrors with t1 and -e2.
     """
@@ -206,8 +207,11 @@ def increase_ball(cfg: ProblemConfig, index: int, rho: float) -> IncreaseBall:
     else:
         raise ValueError(f"index must be 1 or 2, got {index}")
     denom = rho - cj * cj
-    if denom <= 0.0:
+    # not denom > 0.0 also rejects a NaN rho
+    if not denom > 0.0:
         raise ValueError(f"rho = {rho} must exceed cos^2 of the other angle")
+    if not math.isfinite(rho):
+        raise ValueError(f"rho = {rho} is not finite")
     center = (px, py + sign * cj * sj / denom)
     radius = math.sqrt(rho) * sj / denom
     return IncreaseBall(center=center, radius=radius, index=index, rho=rho)
@@ -222,7 +226,8 @@ def verify_ball_bruteforce(cfg: ProblemConfig, index: int, rho: float,
     ways: inside the analytic ball, and V_index(wrong-branch image) >
     rho * V_index(x).  Reports how many samples disagree and the largest
     distance of a disagreeing sample from the bounding sphere (disagreement
-    is expected only within float noise of the sphere itself).
+    is expected only within float noise of the sphere itself).  Raises
+    ValueError for a rho that ``increase_ball`` rejects.
     """
     ball = increase_ball(cfg, index, rho)
     rng = np.random.default_rng(seed)
@@ -258,13 +263,15 @@ def verify_containment(cfg: ProblemConfig, index: int,
     Returns (contained, margin) with margin = d(center, D3) - radius,
     evaluated in a cancellation-free form so that margin is exactly 0.0 at
     the critical rho = (1+sin t1)(1+sin t2) instead of float noise.
-    Requires rho >= that critical value.
+    Requires a finite rho >= that critical value (ValueError otherwise,
+    NaN included).
     """
     c1, s1 = cos_sin(cfg.theta1)
     c2, s2 = cos_sin(cfg.theta2)
     crit = (1.0 + s1) * (1.0 + s2)
-    if rho < crit:
-        raise ValueError(f"rho = {rho} below the containment threshold {crit}")
+    if not rho >= crit:
+        raise ValueError(f"rho = {rho} is not at least the containment "
+                         f"threshold {crit}")
     ball = increase_ball(cfg, index, rho)
     sj = s2 if index == 1 else s1
     cj = c2 if index == 1 else c1

@@ -352,13 +352,20 @@ def check_lemma_sigma(spec: PerturbationSpec, cfg: ProblemConfig, x,
     """Sampled check that sup V over B[x, sigma(x)] is at most (1+eps)V(x).
 
     The sup is attained on the sphere, so seven of every eight samples sit
-    there; the rest audit the interior.
+    there; the rest audit the interior.  Raises ValueError for a negative
+    n_samples, or an x whose norm or bound (1+eps)V(x) is not finite:
+    sigma or V would be NaN or inf there, and no sample would screen over
+    the bound.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    x = checked_start(x)
     s = sigma(spec, cfg, x)
     vx = v_global(spec, cfg, x)
     bound = (1.0 + spec.epsilon) * vx * (1.0 + 1e-9)
+    if not math.isfinite(bound):
+        raise ValueError(f"(1+eps) V at ({x[0]!r}, {x[1]!r}) overflows a "
+                         "double")
     # sample i takes one double for its angle, preceded by one for its
     # radius when i % 8 == 0; u holds them in that order
     i = np.arange(n_samples)

@@ -96,10 +96,11 @@ def test_a_mutated_word_is_rejected():
         word[i] = 3 - word[i]
         assert cycles._prove_cycle(
             consts, orbit(PERIOD58_CFG, point, word)) is None, i
-    # the same points with one of them moved by an ulp
-    pts = orbit(PERIOD58_CFG, point, cert.word)
-    pts[30, 0] = math.nextafter(pts[30, 0], math.inf)
-    assert cycles._prove_cycle(consts, pts) is None
+    # the same points with one coordinate moved by an ulp
+    for axis in (0, 1):
+        pts = orbit(PERIOD58_CFG, point, cert.word)
+        pts[30, axis] = math.nextafter(pts[30, axis], math.inf)
+        assert cycles._prove_cycle(consts, pts) is None
 
 
 def test_a_cycle_whose_discs_reach_a_ball_is_rejected():
@@ -112,6 +113,7 @@ def test_a_cycle_whose_discs_reach_a_ball_is_rejected():
     consts = experiments._constants(PERIOD58_CFG)
     near = min(math.hypot(x - 0.5, y) for x, y in cert.points)
     for radius, proven in ((near - 8.0 * cert.error, True),
+                           (near - 0.75 * cert.error, False),
                            (near - 0.5 * cert.error, False)):
         grown = consts[:5] + (radius * radius,)
         assert (cycles._prove_cycle(grown, pts) is not None) == proven

@@ -1,11 +1,11 @@
 """Simulation verdicts, cycle detection, raster and sweep drivers."""
+import functools
 import math
 import os
 import subprocess
 import sys
 import warnings
 from array import array
-from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -20,7 +20,6 @@ from drlines.geometry import (
     ProblemConfig,
     Region,
     bisector_data,
-    checked_start,
     cos_sin,
     distance_to_D3,
 )
@@ -31,7 +30,6 @@ from drlines.experiments import (
     Cycle,
     EnumerateTree,
     FirstBranch,
-    PairOutcome,
     SeededRandom,
     certified_budget,
     detect_cycle,
@@ -42,7 +40,11 @@ from drlines.experiments import (
     simulate_tree,
     sweep,
 )
-from dr_oracle import band_edge, band_screen, gap_branch_steps, on_tie_band
+from dr_oracle import (band_edge, band_screen, detect_cycle_scan,
+                       gap_branch_steps, on_tie_band, planted_starts,
+                       raster_reference, simulate_tree_reference, tie_point,
+                       tie_preimage, verdict_code)
+from dr_oracle import sweep_reference as sweep_oracle
 from geometry_oracle import classify_region
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
@@ -51,11 +53,23 @@ PERIOD58_CFG = ProblemConfig(0.082719, 2.064601)
 PERIOD1410_CFG = ProblemConfig(0.703469, 3.138852)
 
 
-def tie_point(cfg):
-    # on the axis both line distances agree at this abscissa
-    _, s1 = cos_sin(cfg.theta1)
-    _, s2 = cos_sin(cfg.theta2)
-    return (0.5 * (s2 - s1) / (s1 + s2), 0.0)
+def no_steps():
+    """Patches under which a lane pool or a scalar step fails the test:
+    a driver must reject a bad input before either."""
+    def step(*args):
+        raise AssertionError("a driver stepped before rejecting its input")
+
+    return mock.patch.multiple(experiments, _pool=step, _steps=step)
+
+
+def no_window():
+    """Patches under which simulate or a cycle window fails the test."""
+    def windowed(*args, **kwargs):
+        raise AssertionError("the sweep ran simulate or a cycle window")
+
+    return mock.patch.multiple(experiments, simulate=windowed,
+                               simulate_tree=windowed, _walk=windowed,
+                               _cycles=windowed)
 
 
 def test_detect_cycle_constant_tail_is_not_a_cycle():
@@ -413,7 +427,7 @@ def test_sweep_is_deterministic_and_matches_per_start_simulate():
     assert a.pairs == sweep_reference(grid, 5, 5000, 1)
 
 
-def test_sweep_validation(monkeypatch):
+def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep([(0.3, 0.9)], samples_per_pair=0)
     with pytest.raises(ValueError):
@@ -421,19 +435,15 @@ def test_sweep_validation(monkeypatch):
     # sample counts and seeds fail before any start runs: each of these
     # once came back in a SweepGrid from an empty grid, and failed inside
     # NumPy on any other
-    pools = []
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: pools.append(args) or iter(()))
-    for grid in ([], [(1.0, 1.5)]):
-        for kwargs in ({"samples_per_pair": 2.5}, {"seed": 2.5},
-                       {"seed": np.float64(3.0)}):
-            with pytest.raises(TypeError, match="integer"):
-                sweep(grid, **kwargs)
-        with pytest.raises(ValueError,
-                           match="seed must be a non-negative integer"):
-            sweep(grid, seed=-1)
-    assert pools == []
-    monkeypatch.undo()
+    with no_steps():
+        for grid in ([], [(1.0, 1.5)]):
+            for kwargs in ({"samples_per_pair": 2.5}, {"seed": 2.5},
+                           {"seed": np.float64(3.0)}):
+                with pytest.raises(TypeError, match="integer"):
+                    sweep(grid, **kwargs)
+            with pytest.raises(ValueError,
+                               match="seed must be a non-negative integer"):
+                sweep(grid, seed=-1)
     # operator.index's integers, bools and NumPy's included, count as ints
     one = sweep([(1.0, 1.5)], samples_per_pair=1, max_steps=2000, seed=3)
     for samples in (True, np.int64(1)):
@@ -442,51 +452,34 @@ def test_sweep_validation(monkeypatch):
         assert got == one and type(got.samples_per_pair) is int
 
 
-def test_sweep_rejects_a_bad_pair_before_any_start(monkeypatch):
-    # the bad pair is the last: no pair is certified and no pool starts
-    calls = []
-    pool = experiments._pool
-    monkeypatch.setattr(experiments, "certify",
-                        lambda cfg: calls.append("certify") or certify(cfg))
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: calls.append("_pool") or pool(*args))
-    with pytest.raises(ValueError, match="theta1 = 2.0 violates"):
+def test_sweep_rejects_a_bad_pair_before_any_start():
+    # the bad pair is the last: no pool starts
+    with no_steps(), pytest.raises(ValueError, match="theta1 = 2.0 violates"):
         sweep([*make_theta_grid(4, 4), (2.0, 1.0)], samples_per_pair=3,
               max_steps=500)
-    assert calls == []
 
 
-def test_rasterize_rejects_budgets_past_int32_before_any_step(monkeypatch):
+def test_rasterize_rejects_budgets_past_int32_before_any_step():
     # step counts are int32: a budget of 2**31 fails before the pool
     # starts, and 2**31 - 1 from a cell centred on p1, in its ball,
     # returns at once
-    calls = []
-    pool = experiments._pool
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: calls.append(args) or pool(*args))
     bounds = (-0.6, -0.4, -0.1, 0.1)
-    with pytest.raises(ValueError, match=r"max_steps must be below 2\*\*31"):
+    with no_steps(), pytest.raises(ValueError,
+                                   match=r"max_steps must be below 2\*\*31"):
         rasterize(FIG_CFG, bounds, (1, 1), max_steps=2 ** 31)
-    assert calls == []
     grid = rasterize(FIG_CFG, bounds, (1, 1), max_steps=2 ** 31 - 1)
     assert (grid.cells.tolist(), grid.steps.tolist()) == ([[1]], [[0]])
-    assert len(calls) == 1
 
 
-def test_rasterize_takes_an_integer_resolution_only(monkeypatch):
+def test_rasterize_takes_an_integer_resolution_only():
     # a float resolution fails before the pool starts, with operator.index's
     # message, where (2.5, 2) once passed the checks and failed inside
     # np.empty; NumPy's integers pass, and the grid's resolution holds ints
-    pools = []
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: pools.append(args) or iter(()))
     bounds = (-2.0, 2.0, -2.0, 2.0)
     for res in ((2.5, 2), (2, 2.0), (np.float64(3.0), 3)):
-        with pytest.raises(TypeError,
-                           match="cannot be interpreted as an integer"):
+        with no_steps(), pytest.raises(
+                TypeError, match="cannot be interpreted as an integer"):
             rasterize(FIG_CFG, bounds, res)
-    assert pools == []
-    monkeypatch.undo()
     want = rasterize(FIG_CFG, bounds, (3, 2))
     grid = rasterize(FIG_CFG, bounds, (np.int64(3), np.int32(2)))
     assert grid.resolution == (3, 2)
@@ -504,33 +497,6 @@ def test_make_theta_grid_is_admissible():
         ProblemConfig(t1, t2)
     with pytest.raises(ValueError):
         make_theta_grid(0, 5)
-
-
-def detect_cycle_scan(points_window, match_tol=1e-8):
-    # the per-K scan detect_cycle replaced; reference for its candidate filter
-    w = np.asarray(points_window, dtype=float)
-    m = len(w)
-    if m < 2:
-        return None
-
-    def pair_ok(later, earlier):
-        dx = w[later, 0] - w[earlier, 0]
-        dy = w[later, 1] - w[earlier, 1]
-        lim = match_tol * (1.0 + math.hypot(w[earlier, 0], w[earlier, 1]))
-        return math.hypot(dx, dy) <= lim
-
-    if pair_ok(m - 1, m - 2):
-        return None
-    for k in range(2, m // 2 + 1):
-        if not pair_ok(m - 1, m - 1 - k):
-            continue
-        a = w[m - k:]
-        b = w[m - 2 * k:m - k]
-        gaps = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-        lims = match_tol * (1.0 + np.hypot(b[:, 0], b[:, 1]))
-        if np.all(gaps <= lims):
-            return k
-    return None
 
 
 def test_detect_cycle_matches_per_period_scan(monkeypatch):
@@ -564,28 +530,8 @@ def test_detect_cycle_matches_per_period_scan(monkeypatch):
     assert found >= 10
 
 
-def verdict_code(v):
-    return (v.target if isinstance(v, ConvergedTo)
-            else 3 if isinstance(v, Cycle) else 0)
-
-
-def cell_reference(cfg, bounds, resolution, policy, seed, max_steps):
-    # per-cell simulate at the cell centres, the raster's definition
-    nx, ny = resolution
-    xmin, xmax, ymin, ymax = bounds
-    cells = np.zeros((ny, nx), dtype=np.uint8)
-    steps = np.zeros((ny, nx), dtype=np.int32)
-    for j in range(ny):
-        yc = ymax - (j + 0.5) * (ymax - ymin) / ny
-        for i in range(nx):
-            xc = xmin + (i + 0.5) * (xmax - xmin) / nx
-            cell_policy = (SeededRandom((seed, j * nx + i))
-                           if isinstance(policy, SeededRandom) else policy)
-            tr = simulate(cfg, (xc, yc), cell_policy, max_steps=max_steps,
-                          record=False)
-            cells[j, i] = verdict_code(tr.verdict)
-            steps[j, i] = tr.steps_used
-    return cells, steps
+# per-cell simulate at the cell centres, the raster's definition
+cell_reference = functools.partial(raster_reference, run=simulate)
 
 
 @pytest.mark.parametrize("max_steps", [3, 700])
@@ -627,29 +573,8 @@ def test_rasterize_blocks_match_per_cell_simulate():
         assert np.array_equal(grid.steps, steps)
 
 
-def sweep_reference(pairs, samples, max_steps, seed):
-    # one scalar simulate per start, in start order, up to the first failure
-    out = []
-    for k, (t1, t2) in enumerate(pairs):
-        cfg = ProblemConfig(t1, t2)
-        res = certify(cfg)
-        certified = isinstance(res, LyapunovCertificate)
-        starts = np.random.default_rng(np.random.SeedSequence(
-            [seed, k])).uniform(-2.0, 2.0, size=(samples, 2))
-        worst = -1
-        for s_idx in range(samples):
-            budget = (certified_budget(cfg, res, starts[s_idx], max_steps)
-                      if certified else max_steps)
-            tr = simulate(cfg, starts[s_idx], SeededRandom((seed, k, s_idx)),
-                          max_steps=budget, record=False)
-            if not isinstance(tr.verdict, ConvergedTo):
-                worst = s_idx
-                break
-        out.append(PairOutcome(
-            theta1=cfg.theta1, theta2=cfg.theta2, eq26_holds=certified,
-            eq26_margin=res.condition_margin, nonconvergent_found=worst >= 0,
-            worst_seed=worst))
-    return tuple(out)
+# one scalar simulate per start, in start order, up to the first failure
+sweep_reference = functools.partial(sweep_oracle, run=simulate)
 
 
 @pytest.mark.parametrize("samples,max_steps", [(30, 300), (1024, 2000),
@@ -706,17 +631,6 @@ def test_non_finite_starts_fail_loudly():
     assert grid.cells.shape == (3, 1)
 
 
-def count_simulate_calls(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "simulate", counted)
-    return calls
-
-
 @pytest.mark.parametrize("max_steps", [512, 700, 1024, 1100, 1536])
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
                          ids=["first", "random"])
@@ -738,13 +652,10 @@ def test_rasterize_settles_late_cycles_and_budgets_in_lanes(
                     1024: {(0, 1024), (3, 1024)},
                     1100: {(3, 1024), (3, 1100)},
                     1536: {(3, 1024), (3, 1536)}}[max_steps]
-    calls = count_simulate_calls(monkeypatch)
     grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
                      max_steps=max_steps, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    # only the tie lane re-ran through scalar simulate
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
@@ -759,69 +670,29 @@ def test_rasterize_settles_a_period_1410_lane(monkeypatch, policy):
     cells, steps = cell_reference(PERIOD1410_CFG, bounds, (1, 1), policy, 0,
                                   60000)
     assert (cells[0, 0], steps[0, 0]) == (3, 49664)
-    calls = count_simulate_calls(monkeypatch)
     grid = rasterize(PERIOD1410_CFG, bounds, (1, 1), policy=policy,
                      max_steps=60000)
     assert (grid.cells[0, 0], grid.steps[0, 0]) == (3, 49664)
-    assert calls == []
-
-
-def check_steps(trace, max_steps, check_every, first=1):
-    # the steps at which simulate ran detect_cycle on this leaf, in order,
-    # from step first (a fork leaf's first step) on
-    n = trace.steps_used
-    first = -(-max(first, 1) // check_every) * check_every
-    if isinstance(trace.verdict, ConvergedTo):
-        return list(range(first, n, check_every))
-    steps = list(range(first, n + 1, check_every))
-    # a budget step that is also a check step is checked once
-    if n >= max_steps and n % check_every != 0:
-        steps.append(n)
-    return steps
-
-
-def fork_steps(leaves):
-    # each leaf's first own step: its common prefix with earlier leaves
-    def common(a, b):
-        return next((i for i, (p, q) in enumerate(zip(a, b)) if p != q),
-                    min(len(a), len(b)))
-    return [max((common(t.points, u.points) for u in leaves[:i]), default=0)
-            for i, t in enumerate(leaves)]
-
-
-def last_points(points, step, window):
-    return np.array(points[max(0, step + 1 - window):step + 1])
 
 
 @pytest.mark.parametrize("window", [1, 4, 7, 116, 4096])
 def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
                                                          window):
-    seen = []
-
-    def spy(points_window):
-        seen.append(np.array(points_window))
-        return detect_cycle(points_window)
-
-    monkeypatch.setattr(experiments, "detect_cycle", spy)
+    # the per-step oracle scans exactly the last window points at each
+    # check: the scalar walk, its leaves checked one after another, with
+    # forks at step 0 and step 20, gives its leaves
     monkeypatch.setattr(experiments, "WINDOW", window)
-    # the scalar walk, its leaves checked one after another, with forks at
-    # step 0 and step 20
     for cfg, x0, check_every, n_leaves in (
             (PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20), 5, 2),
             (PERIOD2_CFG, tie_point(PERIOD2_CFG), 97, 2),
             (PERIOD58_CFG, (-0.123641, -0.510395), 512, 1),
             (PERIOD1410_CFG, (0.392560, -0.351588), 97, 1)):
-        seen.clear()
         monkeypatch.setattr(experiments, "CHECK_EVERY", check_every)
         leaves = simulate_tree(cfg, x0, EnumerateTree(4), max_steps=1300)
         assert len(leaves) == n_leaves
-        want = [last_points(t.points, s, window)
-                for t, f in zip(leaves, fork_steps(leaves))
-                for s in check_steps(t, 1300, check_every, f)]
-        assert len(seen) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
-    # lanes, whose verdicts must be simulate's: at each check step one
-    # batched check takes the live lanes' windows in lane order, once at a
+        assert leaves == simulate_tree_reference(
+            cfg, x0, EnumerateTree(4), 1300, True, window, check_every)
+    # and so do lanes, checked in one batch at each check step, once at a
     # step that is both a cycle check and the budget; the floor at one
     # lane keeps all 32 in lanes
     monkeypatch.setattr(experiments, "CHECK_EVERY", 512)
@@ -830,41 +701,16 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
     xs = np.hstack([rng.uniform(-3.0, 3.0, size=(2, 24)),
                     rng.normal(scale=1e-3, size=(2, 8))
                     + [[-0.123641], [-0.510395]]])
-    traces = [simulate(PERIOD58_CFG, xs[:, j], max_steps=1300)
+    traces = [simulate_tree_reference(PERIOD58_CFG, xs[:, j], FirstBranch(),
+                                      1300, False, window)[0]
               for j in range(xs.shape[1])]
-    seen.clear()
-    cycles = experiments._cycles
-
-    def spy_cycles(w, span):
-        seen.extend(np.array(w[:, :, j]) for j in range(w.shape[2]))
-        return cycles(w, span)
-
-    monkeypatch.setattr(experiments, "_cycles", spy_cycles)
     codes, steps = experiments._lockstep(
         experiments._lanes(experiments._constants(PERIOD58_CFG), xs[0], xs[1]),
         1300)
     assert list(zip(codes.tolist(), steps.tolist())) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
-    want = [last_points(t.points, s, window) for s in (512, 1024, 1300)
-            for t in traces
-            if s < t.steps_used or (s == t.steps_used
-                                    and not isinstance(t.verdict,
-                                                       ConvergedTo))]
-    assert len(seen) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
     assert {type(t.verdict) for t in traces} == (
         {ConvergedTo, Cycle} if window >= 116 else {ConvergedTo, Budget})
-
-
-def test_a_budget_that_is_a_check_step_is_checked_once(monkeypatch):
-    # the walk checks the window once at step 1024, as the lanes do
-    seen = spy_detect_cycle(monkeypatch)
-    for max_steps, sizes in ((1024, [513, 1025]), (1100, [513, 1025, 1101])):
-        seen.clear()
-        t = simulate(PERIOD1410_CFG, (0.392560, -0.351588),
-                     max_steps=max_steps)
-        assert (t.verdict, t.steps_used) == (Budget(), max_steps)
-        assert [shape[0] for shape, _ in seen] == sizes
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -883,110 +729,26 @@ def test_sweep_never_flags_a_certified_pair(t1, t2_frac, samples, max_steps,
     assert not out.nonconvergent_found and out.worst_seed == -1
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(t1=st.floats(0.02, math.pi / 2), t2_frac=st.floats(0.01, 0.99),
-       x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
-       max_steps=st.integers(1, 1600))
-def test_one_cell_raster_equals_simulate(t1, t2_frac, x, y, max_steps):
-    cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
-    bounds = (x - 1e-3, x + 1e-3, y - 1e-3, y + 1e-3)
-    want = cell_reference(cfg, bounds, (1, 1), FirstBranch(), 0, max_steps)
-    # with the floor at one lane the cell runs through the pool and, from
-    # its checkpoint, a lane set
-    with mock.patch.object(experiments, "_LANE_FLOOR", 1):
-        grid = rasterize(cfg, bounds, (1, 1), max_steps=max_steps)
-    assert (grid.cells[0, 0], grid.steps[0, 0]) == (want[0][0, 0],
-                                                     want[1][0, 0])
-
-
-def simulate_tree_deque(cfg, x0, policy=EnumerateTree(), max_steps=20000,
-                        tol=TIE_TOL, record=True, window=4096,
-                        check_every=512):
-    # the deque-window walk simulate_tree replaced; reference for its buffer
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    start = checked_start(x0)
-    c1, s1, c2, s2, r1sq, r2sq = experiments._constants(cfg)
-    gap_of, branch = dr._gap, dr._branch
-    max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
-    rng = None
-    leaves = []
-    stack = [(start[0], start[1], 0, [start], deque([start], maxlen=window))]
-    committed = 1
-    while stack:
-        x, y, steps, pts, win = stack.pop()
-        while True:
-            dx1 = x + 0.5
-            dx2 = x - 0.5
-            if dx1 * dx1 + y * y < r1sq:
-                verdict = ConvergedTo(1)
-                break
-            if dx2 * dx2 + y * y < r2sq:
-                verdict = ConvergedTo(2)
-                break
-            if steps and steps % check_every == 0:
-                k = detect_cycle(win)
-                if k is not None:
-                    verdict = Cycle(k)
-                    break
-            if steps >= max_steps:
-                k = detect_cycle(win)
-                verdict = Cycle(k) if k is not None else Budget()
-                break
-            gap = gap_of(c1, s1, c2, s2, x, y)
-            first = gap < 0.0
-            if abs(gap) <= tol * (1.0 + max(abs(x), abs(y))):
-                first = True
-                if committed < max_leaves:
-                    committed += 1
-                    bp = branch(0.5, c2, s2, x, y)
-                    bw = deque(win, maxlen=window)
-                    bw.append(bp)
-                    stack.append((bp[0], bp[1], steps + 1,
-                                  pts + [bp] if record else [bp], bw))
-                elif isinstance(policy, SeededRandom):
-                    if rng is None:
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence(policy.seed))
-                    first = bool(rng.integers(0, 2) == 0)
-            if first:
-                x, y = branch(-0.5, c1, s1, x, y)
-            else:
-                x, y = branch(0.5, c2, s2, x, y)
-            steps += 1
-            p = (x, y)
-            if record:
-                pts.append(p)
-            win.append(p)
-        leaves.append(experiments.Trace(
-            start=start, points=tuple(pts) if record else ((x, y),),
-            verdict=verdict, steps_used=steps))
-    return tuple(leaves)
-
-
-def tie_preimage(cfg, n, end=None):
-    # a start whose n-th iterate is tie_point(cfg), or end: each step back
-    # inverts the branch whose region, well off the tie band, holds the
-    # preimage
-    c1, s1, c2, s2, _, _ = experiments._constants(cfg)
-    x, y = tie_point(cfg) if end is None else end
-    for _ in range(n):
-        for a, c, s, side in ((-0.5, c1, s1, -1.0), (0.5, c2, s2, 1.0)):
-            p, q = (x - a) / c, y / c
-            px, py = a + c * p - s * q, s * p + c * q
-            gap = dr._gap(c1, s1, c2, s2, px, py)
-            if side * gap > 1e-6 * (1.0 + math.hypot(px, py)):
-                x, y = px, py
-                break
-        else:
-            raise ValueError("no preimage off the tie band")
-    return x, y
+def walks_match_the_oracle(monkeypatch, cases, intervals, window, record):
+    # simulate_tree's leaves, each asserted equal to the per-step oracle's,
+    # under three policies and each check interval, with the record flag
+    # record(interval)
+    for cfg, x0, max_steps in cases:
+        for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
+            for every in intervals:
+                monkeypatch.setattr(experiments, "CHECK_EVERY", every)
+                got = simulate_tree(cfg, x0, policy, max_steps, record(every))
+                assert got == simulate_tree_reference(
+                    cfg, x0, policy, max_steps, record(every), window, every,
+                    detect_cycle)
+                yield (x0, every), got
 
 
 @pytest.mark.parametrize("window", [4096, 200, 7, 1, 0])
 @pytest.mark.parametrize("record", [True, False], ids=["record", "last"])
 def test_simulate_tree_window_buffer_matches_deque(monkeypatch, window,
                                                    record):
+    # the per-step oracle keeps its points in a list, no window buffer
     monkeypatch.setattr(experiments, "WINDOW", window)
     cases = [(FIG_CFG, (1.7, -2.4), 3000),
              (PERIOD2_CFG, (0.101912, 0.189275), 1500),
@@ -999,128 +761,14 @@ def test_simulate_tree_window_buffer_matches_deque(monkeypatch, window,
               for cfg in (FIG_CFG, PERIOD2_CFG, PERIOD58_CFG, PERIOD1410_CFG)]
     cases += [(cfg, tie_preimage(cfg, 20), 1500)
               for cfg in (FIG_CFG, PERIOD2_CFG)]
-    verdicts = set()
-    for cfg, x0, max_steps in cases:
-        for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
-            for check_every in (512, 97):
-                monkeypatch.setattr(experiments, "CHECK_EVERY", check_every)
-                kw = dict(max_steps=max_steps, record=record)
-                got = simulate_tree(cfg, x0, policy, **kw)
-                assert got == simulate_tree_deque(cfg, x0, policy, **kw,
-                                                  window=window,
-                                                  check_every=check_every)
-                verdicts |= {type(t.verdict) for t in got}
+    verdicts = {type(t.verdict) for _, got in walks_match_the_oracle(
+        monkeypatch, cases, (512, 97), window, lambda _: record) for t in got}
     assert verdicts == ({ConvergedTo, Cycle, Budget} if window >= 4
                         else {ConvergedTo, Budget})
 
 
-def test_simulate_tree_late_fork_and_long_period_match_deque():
-    # the period-2 pair's late fork splits into a cycle and a converging
-    # leaf that share their first 21 points
-    leaves = simulate_tree(PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20),
-                           max_steps=1500)
-    assert [type(t.verdict) for t in leaves] == [Cycle, ConvergedTo]
-    assert [t.steps_used for t in leaves] == [512, 24]
-    assert leaves[0].points[:21] == leaves[1].points[:21]
-    # the period-1410 orbit shows at step 49664, past many window wraps
-    x0 = (0.392560, -0.351588)
-    got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), max_steps=60000,
-                        record=False)
-    assert got == simulate_tree_deque(PERIOD1410_CFG, x0, FirstBranch(),
-                                      max_steps=60000, record=False)
-    assert got[0].verdict == Cycle(1410) and got[0].steps_used == 49664
-
-
-def simulate_tree_per_step(cfg, x0, policy=EnumerateTree(), max_steps=20000,
-                           tol=TIE_TOL, record=True, window=4096,
-                           check_every=512):
-    # the per-step loop the resumable walk replaced (step counter, budget
-    # and buffer tested on every step, one cycle check at a step that is a
-    # check step or the budget); reference for its verdicts, points and
-    # detect_cycle windows
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    start = checked_start(x0)
-    c1, s1, c2, s2, r1sq, r2sq = experiments._constants(cfg)
-    gap_of, branch = dr._gap, dr._branch
-    max_leaves = policy.max_leaves if isinstance(policy, EnumerateTree) else 1
-    rng = None
-    leaves = []
-    keep = 2 * window
-
-    def view(win):
-        return np.frombuffer(win)[max(0, len(win) - keep):].reshape(-1, 2)
-
-    stack = [(start[0], start[1], 0, [start], array("d", start))]
-    committed = 1
-    while stack:
-        x, y, steps, pts, win = stack.pop()
-        while True:
-            dx1 = x + 0.5
-            dx2 = x - 0.5
-            if dx1 * dx1 + y * y < r1sq:
-                verdict = ConvergedTo(1)
-                break
-            if dx2 * dx2 + y * y < r2sq:
-                verdict = ConvergedTo(2)
-                break
-            if steps >= max_steps or (steps and steps % check_every == 0):
-                k = experiments.detect_cycle(view(win))
-                if k is not None:
-                    verdict = Cycle(k)
-                    break
-                if steps >= max_steps:
-                    verdict = Budget()
-                    break
-            gap = gap_of(c1, s1, c2, s2, x, y)
-            first = gap < 0.0
-            if abs(gap) <= tol * (1.0 + max(abs(x), abs(y))):
-                first = True
-                if committed < max_leaves:
-                    committed += 1
-                    bp = branch(0.5, c2, s2, x, y)
-                    bw = array("d", win)
-                    bw.extend(bp)
-                    stack.append((bp[0], bp[1], steps + 1,
-                                  pts + [bp] if record else [bp], bw))
-                elif isinstance(policy, SeededRandom):
-                    if rng is None:
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence(policy.seed))
-                    first = bool(rng.integers(0, 2) == 0)
-            if first:
-                x, y = branch(-0.5, c1, s1, x, y)
-            else:
-                x, y = branch(0.5, c2, s2, x, y)
-            steps += 1
-            if record:
-                pts.append((x, y))
-            win.append(x)
-            win.append(y)
-            if len(win) > 2 * keep:
-                del win[:len(win) - keep]
-        leaves.append(experiments.Trace(
-            start=start, points=tuple(pts) if record else ((x, y),),
-            verdict=verdict, steps_used=steps))
-    return tuple(leaves)
-
-
-def spy_detect_cycle(monkeypatch):
-    # every window detect_cycle is asked about, as bytes
-    seen = []
-
-    def spy(points_window):
-        w = np.asarray(points_window, dtype=float)
-        seen.append((w.shape, w.tobytes()))
-        return detect_cycle(points_window)
-
-    monkeypatch.setattr(experiments, "detect_cycle", spy)
-    return seen
-
-
 @pytest.mark.parametrize("window", [0, 1, 7, 4096])
 def test_walk_matches_per_step_loop(monkeypatch, window):
-    seen = spy_detect_cycle(monkeypatch)
     monkeypatch.setattr(experiments, "WINDOW", window)
     cases = [(FIG_CFG, (1.7, -2.4), 2000),
              (PERIOD2_CFG, (0.101912, 0.189275), 1100),
@@ -1131,49 +779,28 @@ def test_walk_matches_per_step_loop(monkeypatch, window):
              # forks at step 20, so the A2 leaf is born on step 21, a
              # check step for check_every 3, 7 and 21
              (PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20), 1100)]
-    forks_on_check = 0
-    for cfg, x0, max_steps in cases:
-        for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
-            for check_every in (3, 7, 21, 512):
-                monkeypatch.setattr(experiments, "CHECK_EVERY", check_every)
-                kw = dict(max_steps=max_steps, record=check_every != 7)
-                seen.clear()
-                got = simulate_tree(cfg, x0, policy, **kw)
-                got_seen = list(seen)
-                seen.clear()
-                assert got == simulate_tree_per_step(
-                    cfg, x0, policy, **kw, window=window,
-                    check_every=check_every)
-                assert got_seen == seen
-                forks_on_check += (len(got) == 2 and check_every != 512
-                                   and x0 == tie_preimage(PERIOD2_CFG, 20))
-    assert forks_on_check == 3
+    assert sum(len(got) == 2 and check_every != 512
+               and x0 == tie_preimage(PERIOD2_CFG, 20)
+               for (x0, check_every), got in walks_match_the_oracle(
+                   monkeypatch, cases, (3, 7, 21, 512), window,
+                   lambda check_every: check_every != 7)) == 3
 
 
 def test_walk_matches_per_step_loop_on_the_period_1410_orbit(monkeypatch):
-    seen = spy_detect_cycle(monkeypatch)
     x0 = (0.392560, -0.351588)
     got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), max_steps=60000,
                         record=False)
-    got_seen = list(seen)
-    seen.clear()
-    assert got == simulate_tree_per_step(PERIOD1410_CFG, x0, FirstBranch(),
-                                         max_steps=60000, record=False)
-    assert got_seen == seen and len(seen) == 97
+    assert got == simulate_tree_reference(PERIOD1410_CFG, x0, FirstBranch(),
+                                          60000, False, detect=detect_cycle)
     assert got[0].verdict == Cycle(1410) and got[0].steps_used == 49664
     # with no check before the budget, the budget's check still sees just
     # the last 7 points
     monkeypatch.setattr(experiments, "WINDOW", 7)
     monkeypatch.setattr(experiments, "CHECK_EVERY", 10 ** 6)
-    seen.clear()
     got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), max_steps=20000,
                         record=False)
-    got_seen = list(seen)
-    seen.clear()
-    assert got == simulate_tree_per_step(PERIOD1410_CFG, x0, FirstBranch(),
-                                         max_steps=20000, record=False,
-                                         window=7, check_every=10 ** 6)
-    assert got_seen == seen and len(seen) == 1 and seen[0][0] == (7, 2)
+    assert got == simulate_tree_reference(PERIOD1410_CFG, x0, FirstBranch(),
+                                          20000, False, 7, 10 ** 6)
 
 
 def test_huge_starts_run_quietly_in_the_walk_and_brent():
@@ -1189,38 +816,34 @@ def test_huge_starts_run_quietly_in_the_walk_and_brent():
         for max_steps in (5, 20, 700):
             assert find_period_brent(cfg, x0, max_steps) is None
             assert simulate_tree(cfg, x0, FirstBranch(), max_steps) == \
-                simulate_tree_per_step(cfg, x0, FirstBranch(), max_steps)
+                simulate_tree_reference(cfg, x0, FirstBranch(), max_steps)
 
 
-def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
+def test_bad_budgets_and_tolerances_fail_loudly():
     x0 = (0.101912, 0.189275)
-    # the grid drivers check their inputs before any lane runs
-    pools = []
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: pools.append(args) or iter(()))
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="max_steps"):
-            find_period_brent(PERIOD2_CFG, x0, max_steps=bad)
-        # a certified pair's hand-offs get certified budgets, so a bad
-        # budget must fail before any start runs
-        with pytest.raises(ValueError, match="max_steps"):
-            sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], samples_per_pair=5,
-                  max_steps=bad)
-    # budgets and leaf caps that are not integers; range would reject a
-    # budget only at the first check or after the pool has run
-    walks, proven = spy_walk(monkeypatch), spy_proven_walk(monkeypatch)
-    for bad in (1000.0, 600.5, np.float64(700.0)):
-        for run in (lambda: simulate(PERIOD1410_CFG, (0.392560, -0.351588),
-                                     max_steps=bad),
-                    lambda: find_period_brent(PERIOD2_CFG, x0, max_steps=bad),
-                    lambda: rasterize(FIG_CFG, (-2, 2, -2, 2), (20, 20),
-                                      max_steps=bad),
-                    lambda: sweep([(1.0, 1.5)], 3, max_steps=bad),
-                    lambda: EnumerateTree(bad)):
-            with pytest.raises(TypeError, match="integer"):
-                run()
-    assert walks == proven == []
-    assert pools == []
+    # the drivers check their inputs before any step
+    with no_steps():
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_steps"):
+                find_period_brent(PERIOD2_CFG, x0, max_steps=bad)
+            # a certified pair's hand-offs get certified budgets, so a bad
+            # budget must fail before any start runs
+            with pytest.raises(ValueError, match="max_steps"):
+                sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], samples_per_pair=5,
+                      max_steps=bad)
+        # budgets and leaf caps that are not integers; range would reject
+        # a budget only at the first check or after the pool has run
+        for bad in (1000.0, 600.5, np.float64(700.0)):
+            for run in (lambda: simulate(PERIOD1410_CFG, (0.392560, -0.351588),
+                                         max_steps=bad),
+                        lambda: find_period_brent(PERIOD2_CFG, x0,
+                                                  max_steps=bad),
+                        lambda: rasterize(FIG_CFG, (-2, 2, -2, 2), (20, 20),
+                                          max_steps=bad),
+                        lambda: sweep([(1.0, 1.5)], 3, max_steps=bad),
+                        lambda: EnumerateTree(bad)):
+                with pytest.raises(TypeError, match="integer"):
+                    run()
     # NumPy's integers are integers
     assert simulate(PERIOD2_CFG, x0, EnumerateTree(np.int64(2)),
                     max_steps=np.int32(700)).verdict == Cycle(2)
@@ -1235,26 +858,20 @@ def test_bad_budgets_and_tolerances_fail_loudly(monkeypatch):
 @pytest.mark.parametrize("policy", ["random", None, FirstBranch,
                                     (SeededRandom(1),)],
                          ids=["name", "none", "class", "tuple"])
-def test_unknown_policies_fail_loudly(monkeypatch, policy):
+def test_unknown_policies_fail_loudly(policy):
     # anything but the three policies would run as FirstBranch
-    pools = []
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: pools.append(args) or iter(()))
     for run in (lambda: simulate(FIG_CFG, (2.0, 1.0), policy=policy),
                 lambda: simulate_tree(FIG_CFG, (2.0, 1.0), policy=policy),
                 lambda: rasterize(FIG_CFG, (-2, 2, -2, 2), (4, 4),
                                   policy=policy)):
-        with pytest.raises(ValueError, match="policy must be FirstBranch"):
+        with no_steps(), pytest.raises(ValueError,
+                                       match="policy must be FirstBranch"):
             run()
-    assert pools == []
 
 
-def test_seeds_numpy_rejects_fail_loudly(monkeypatch):
+def test_seeds_numpy_rejects_fail_loudly():
     # a SeededRandom stream is built only at a first tie, and rasterize
     # uses its seed only for cells that meet one
-    pools = []
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: pools.append(args) or iter(()))
     for bad, error in ((-1, ValueError), ((3, -1), ValueError),
                        (1.5, TypeError)):
         with pytest.raises(error):
@@ -1262,10 +879,9 @@ def test_seeds_numpy_rejects_fail_loudly(monkeypatch):
     for bad, error in ((-1, ValueError), (np.int64(-2), ValueError),
                        (1.5, TypeError)):
         for policy in (FirstBranch(), SeededRandom()):
-            with pytest.raises(error):
+            with no_steps(), pytest.raises(error):
                 rasterize(FIG_CFG, (-2, 2, -2, 2), (4, 4), policy=policy,
                           seed=bad)
-    assert pools == []
 
 
 def test_seed_checks_leave_numpy_random_unimported():
@@ -1294,45 +910,7 @@ def test_seed_checks_leave_numpy_random_unimported():
                            "False"]
 
 
-def spy_walk(monkeypatch):
-    # (step, window points) of every walk started, in order
-    entered = []
-    walk = experiments._walk
-
-    def spy(consts, x, y, steps, win, *args):
-        entered.append((steps, np.frombuffer(win).reshape(-1, 2).copy()))
-        return walk(consts, x, y, steps, win, *args)
-
-    monkeypatch.setattr(experiments, "_walk", spy)
-    return entered
-
-
-def spy_windowed(monkeypatch):
-    # the name of each call of simulate, _walk and detect_cycle, in order
-    calls = []
-    for name in ("simulate", "_walk", "detect_cycle"):
-        def spy(*args, _name=name, _run=getattr(experiments, name), **kw):
-            calls.append(_name)
-            return _run(*args, **kw)
-
-        monkeypatch.setattr(experiments, name, spy)
-    return calls
-
-
-def spy_proven_walk(monkeypatch):
-    # the step of every proven walk started, in order
-    entered = []
-    walk = experiments._proven_walk
-
-    def spy(consts, x, y, steps, *args):
-        entered.append(steps)
-        return walk(consts, x, y, steps, *args)
-
-    monkeypatch.setattr(experiments, "_proven_walk", spy)
-    return entered
-
-
-def test_rasterize_finishes_a_lone_period_1410_cell_in_the_walk(monkeypatch):
+def test_rasterize_finishes_a_lone_period_1410_cell_in_the_walk():
     # 2x17 cells: the bottom-right one is the period-1410 start, the right
     # column's others lie in p2's ball and the left column's reach p1's
     # within 250 steps, so the long cell is soon alone
@@ -1345,13 +923,9 @@ def test_rasterize_finishes_a_lone_period_1410_cell_in_the_walk(monkeypatch):
     assert set(cells.ravel().tolist()) == {0, 1, 2}
     assert steps.max() <= 250
     cells[16, 1], steps[16, 1] = 3, 49664
-    calls = count_simulate_calls(monkeypatch)
-    entered = spy_walk(monkeypatch)
     grid = rasterize(PERIOD1410_CFG, bounds, res, max_steps=60000)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert calls == [] and entered
-    assert all(s <= experiments.CHECK_EVERY for s, _ in entered)
 
 
 @pytest.mark.parametrize("window", [7, 4096])
@@ -1361,14 +935,13 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
     # start: the set drops below the floor when its fourth lane is done,
     # and the lanes still live at the next interval's start, step 513, go
     # on in the walk from there with their step counts and last window
-    # points
+    # points, to simulate's verdicts
     monkeypatch.setattr(experiments, "WINDOW", window)
     x, y = 0.392560, -0.351588
     xs = [x - d for d in (1.0, 1.1) for _ in range(17)] + [x]
     ys = [y + 0.035 * j for _ in range(2) for j in range(17)] + [y]
-    traces = [simulate(PERIOD1410_CFG, p, max_steps=60000)
+    traces = [simulate(PERIOD1410_CFG, p, max_steps=60000, record=False)
               for p in zip(xs, ys)]
-    entered = spy_walk(monkeypatch)
     codes, steps = experiments._lockstep(
         experiments._lanes(experiments._constants(PERIOD1410_CFG),
                            np.array(xs), np.array(ys)),
@@ -1379,12 +952,8 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
                                       else (0, 60000))
     below = sorted(t.steps_used for t in traces)[3] + 1
     assert below <= experiments.CHECK_EVERY
-    first = experiments.CHECK_EVERY + 1
-    live = [t for t in traces if t.steps_used >= first]
-    assert len(live) == len(entered) == 1
-    for t, (s, win) in zip(live, entered):
-        assert s == first
-        assert np.array_equal(win, last_points(t.points, s, window))
+    assert [t.steps_used > experiments.CHECK_EVERY
+            for t in traces].count(True) == 1
 
 
 def lockstepped(cfg, xs, ys, max_steps):
@@ -1446,19 +1015,10 @@ def test_lockstep_stops_at_a_tie_planted_mid_interval(monkeypatch, n,
     traces = simulated(FIG_CFG, xs, ys, max_steps)
     want = [(verdict_code(t.verdict), t.steps_used) for t in traces]
     assert traces[17].steps_used == (n if n == max_steps else n + 1)
-    checked = []
-    cycles = experiments._cycles
-
-    def spy(w, span):
-        checked.append(w.shape[2])
-        return cycles(w, span)
-
-    monkeypatch.setattr(experiments, "_cycles", spy)
     got = lockstepped(FIG_CFG, xs, ys, max_steps)
     # the others are done before step 512: only the planted lane meets a
     # check, at step 512 once it lives to it, and at the budget
     assert max(t.steps_used for t in traces[:17] + traces[18:]) < 512
-    assert checked == [1] * ((n >= 512) + (n == max_steps))
     if n < max_steps:
         assert got[17][0] == experiments._TIE_HANDOFF
         want[17] = got[17]
@@ -1495,42 +1055,20 @@ def test_raster_lane_sets_split_by_their_memory_cap_match_simulate(
     assert np.array_equal(grid.steps, steps)
 
 
-def test_lane_tail_meeting_a_tie_reruns_through_simulate(monkeypatch):
-    # a lone cell is walked from step 0 and meets D3 at step 20; it then
-    # re-runs from its start under the cell's own policy
+def test_lane_tail_meeting_a_tie_reruns_through_simulate():
+    # a lone cell meets D3 at step 20 and takes the branch of the cell's
+    # own policy there
     x0 = tie_preimage(PERIOD2_CFG, 20)
     bounds = (x0[0] - 1e-12, x0[0] + 1e-12, x0[1] - 1e-12, x0[1] + 1e-12)
     want = set()
-    entered = spy_walk(monkeypatch)
-    calls = count_simulate_calls(monkeypatch)
     for policy in (FirstBranch(), SeededRandom(), EnumerateTree(4)):
         cells, steps = cell_reference(PERIOD2_CFG, bounds, (1, 1), policy, 3,
                                       2000)
         want.add((int(cells[0, 0]), int(steps[0, 0])))
-        calls.clear()
-        entered.clear()
         grid = rasterize(PERIOD2_CFG, bounds, (1, 1), policy=policy, seed=3)
         assert (grid.cells[0, 0], grid.steps[0, 0]) == (cells[0, 0],
                                                         steps[0, 0])
-        # the walk from step 0 stops at the tie; simulate's own leaves walk
-        # on from there
-        assert len(calls) == 1 and entered[0][0] == 0
     assert want == {(3, 512), (2, 24)}
-
-
-def spy_pool(monkeypatch):
-    # the (codes, steps, points) every lane pool run returns, in order,
-    # copied before the drivers write their verdicts into them
-    runs = []
-    pool = experiments._pool
-
-    def spy(*args):
-        out = pool(*args)
-        runs.append(tuple(a.copy() for a in out))
-        return out
-
-    monkeypatch.setattr(experiments, "_pool", spy)
-    return runs
 
 
 def lane_branch(consts, x, y):
@@ -1580,22 +1118,6 @@ def test_pool_builds_each_lane_once_in_blocks(monkeypatch, n):
     assert [0, *(hi for _, hi in calls)] == [*(lo for lo, _ in calls), n]
 
 
-def test_sweep_certifies_each_pair_once_in_order_after_the_pool(
-        monkeypatch):
-    calls = []
-    pool = experiments._pool
-    monkeypatch.setattr(experiments, "certify",
-                        lambda cfg: calls.append((cfg.theta1, cfg.theta2))
-                        or certify(cfg))
-    monkeypatch.setattr(experiments, "_pool",
-                        lambda *args: calls.append("_pool") or pool(*args))
-    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
-                                           (0.748491, 0.772301)]
-    sg = sweep(pairs, samples_per_pair=4, max_steps=300, seed=2)
-    assert calls == ["_pool", *pairs]
-    assert sg.pairs == sweep_reference(pairs, 4, 300, 2)
-
-
 @pytest.mark.parametrize("max_steps", [1, 7, 300, 2000])
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
                          ids=["first", "random"])
@@ -1614,21 +1136,10 @@ def test_rasterize_refills_match_per_cell_simulate(monkeypatch, policy,
                                   max_steps)
     if max_steps == 2000:
         assert np.count_nonzero(cells == 3) == 9
-    calls = count_simulate_calls(monkeypatch)
-    yields = spy_pool(monkeypatch)
     grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
                      max_steps=max_steps, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert tie in [tuple(map(float, c)) for c in calls]
-    # every cell left the pool, a cell in a ball with its verdict and step
-    (codes, left, _), = yields
-    assert len(codes) == 33 * 48
-    ball = codes <= 2
-    assert set(codes[~ball].tolist()) <= {experiments._TIE_HANDOFF,
-                                          experiments._HANDOFF}
-    assert np.array_equal(codes[ball], grid.cells.ravel()[ball])
-    assert np.array_equal(left[ball], grid.steps.ravel()[ball])
 
 
 @pytest.mark.parametrize("samples", [24, 100])
@@ -1643,55 +1154,6 @@ def test_sweep_refills_match_per_start_simulate(monkeypatch, samples):
     assert any(p.nonconvergent_found for p in want)
     sg = sweep(pairs, samples_per_pair=samples, max_steps=300, seed=5)
     assert sg.pairs == want
-
-
-def test_period58_raster_hands_off_only_its_cycle_cells(monkeypatch):
-    # the benchmark's basin: the lanes the pool hands off, all at the
-    # checkpoint, are exactly the 176 cycle cells, with a full pool and
-    # with a 64-lane one whose last lanes run on alone
-    yields = spy_pool(monkeypatch)
-    grids, handed = [], []
-    for block in (experiments._LANE_BLOCK, 64):
-        monkeypatch.setattr(experiments, "_LANE_BLOCK", block)
-        yields.clear()
-        grids.append(rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0),
-                               (200, 200)))
-        (codes, left, _), = yields
-        handed.append(list(zip(
-            np.flatnonzero(codes == experiments._HANDOFF).tolist(),
-            left[codes == experiments._HANDOFF].tolist())))
-    grid, small = grids
-    assert np.array_equal(small.cells, grid.cells)
-    assert np.array_equal(small.steps, grid.steps)
-    cycle = np.flatnonzero(grid.cells.ravel() == 3)
-    assert len(cycle) == 176
-    for h in handed:
-        assert h == [(i, experiments._checkpoint(2000))
-                     for i in cycle.tolist()]
-
-
-def test_period58_raster_steps_no_lane_past_its_checkpoint_twice(
-        monkeypatch):
-    # a lane visit is one cell's step (or its last visit) in the pool or in
-    # a resumed lane set, each through the stepping half _lane_gap; a
-    # hand-off repeats only its visit at the checkpoint, never the steps
-    # after it.  A resumed lane set steps a lane past its verdict to the
-    # end of its interval, but the 176 lanes here all end on a cycle at a
-    # check step, an interval's last
-    visits = []
-    lane_gap = experiments._lane_gap
-
-    def counted(c1, s1, c2, s2, x, y):
-        visits.append(len(x))
-        return lane_gap(c1, s1, c2, s2, x, y)
-
-    monkeypatch.setattr(experiments, "_lane_gap", counted)
-    yields = spy_pool(monkeypatch)
-    grid = rasterize(PERIOD58_CFG, (-3.0, 3.0, -3.0, 3.0), (200, 200))
-    handed = sum(int(np.count_nonzero(c == experiments._HANDOFF))
-                 for c, _, _ in yields)
-    assert handed == 176 and 176 in visits
-    assert sum(visits) <= int(grid.steps.sum()) + grid.steps.size + handed
 
 
 @pytest.mark.parametrize("max_steps", [50, 700])
@@ -2167,35 +1629,14 @@ def test_partial_window_rule_on_planted_periods():
     assert cycle(noise[-1:], 1) is None
 
 
-def spy_lockstep(monkeypatch):
-    # (start step, lane count) of every lane set run to its verdicts
-    starts = []
-    lockstep = experiments._lockstep
-
-    def spy(lanes, *args, start=0, **kwargs):
-        starts.append((start, lanes.shape[1]))
-        return lockstep(lanes, *args, start=start, **kwargs)
-
-    monkeypatch.setattr(experiments, "_lockstep", spy)
-    return starts
-
-
-def resumed(entered, mark):
-    # proven walks resumed from the sweep's hand-off step
-    return [s for s in entered if s == mark]
-
-
 def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
     # every check of a resumed window is made undecided: raster cells
     # re-run through simulate, and the outputs stay those of per-start
-    # simulate; the sweep's resumed walks keep no window, so none of their
-    # checks is undecided
-    partial = []
+    # simulate; the sweep's resumed walks keep no window
     cycles = experiments._cycles
 
     def undecided(w, span):
         if len(w) < span:
-            partial.append(len(w))
             return [experiments._UNDECIDED] * (w.shape[2] if w.ndim == 3
                                                else 1)
         return cycles(w, span)
@@ -2204,10 +1645,9 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, 100, 2000, 5)
-    calls = count_simulate_calls(monkeypatch)
-    assert sweep(pairs, samples_per_pair=100, max_steps=2000,
-                 seed=5).pairs == want
-    assert not partial and not calls
+    with no_window():
+        assert sweep(pairs, samples_per_pair=100, max_steps=2000,
+                     seed=5).pairs == want
     # the 64-lane pool hands the nine period-58 cycle cells off at step
     # 256; resumed from there each meets an undecided check at step 512
     # and re-runs through simulate, as does the cell on D3
@@ -2217,27 +1657,20 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
     cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
                                   4, 2000)
     assert np.count_nonzero(cells == 3) == 9
-    partial.clear()
-    calls.clear()
-    starts = spy_lockstep(monkeypatch)
     grid = rasterize(PERIOD58_CFG, bounds, res, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert starts == [(experiments._checkpoint(2000), 9)]
-    assert partial == [257] * 9 and len(calls) == 10
 
 
 @pytest.mark.parametrize("n", [255, 256, 300])
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
                          ids=["first", "random"])
-def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
-                                                          policy, n):
+def test_raster_cells_meeting_a_tie_around_the_checkpoint(policy, n):
     # 36 cells around a start whose n-th iterate is on D3: up to the
     # checkpoint they leave the pool on the tie band on step n, which a
     # resumed lane would meet again, so the lane set is empty; past it they
     # leave at the checkpoint, and the resumed lanes stop at the band;
-    # either way each cell re-runs through simulate.  Every lane leaves
-    # with its point at that step
+    # either way each cell re-runs through simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
@@ -2245,65 +1678,24 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(monkeypatch,
     assert set(steps.ravel().tolist()) == {n + 1}
     assert set(cells.ravel().tolist()) == (
         {1, 2} if isinstance(policy, SeededRandom) else {1})
-    yields = spy_pool(monkeypatch)
-    starts = spy_lockstep(monkeypatch)
-    calls = count_simulate_calls(monkeypatch)
     grid = rasterize(FIG_CFG, bounds, (6, 6), policy=policy, seed=3)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    mark = experiments._checkpoint(2000)
-    (_, left, points), = yields
-    assert set(left.tolist()) == {min(n, mark)}
-    assert points.tolist() == [
-        list(simulate(FIG_CFG, experiments._cell_centres(bounds, (6, 6), i),
-                      max_steps=2000).points[min(n, mark)])
-        for i in range(36)]
-    assert starts == [(mark, 0 if n <= mark else 36)]
-    assert len(calls) == 36
 
 
 @pytest.mark.parametrize("n", [513, 700])
-def test_raster_cells_meeting_a_tie_after_the_first_check(monkeypatch, n):
-    # the pool hands the 36 cells off at step 256 with their points there;
-    # resumed from step 256 they stop on the tie band on step n and go
-    # straight to simulate
+def test_raster_cells_meeting_a_tie_after_the_first_check(n):
+    # the pool hands the 36 cells off at step 256; resumed from there they
+    # stop on the tie band on step n and go straight to simulate
     x0 = tie_preimage(FIG_CFG, n)
     h = 1e-12 * math.hypot(*x0)
     bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
     cells, steps = cell_reference(FIG_CFG, bounds, (6, 6), FirstBranch(), 3,
                                   2000)
     assert set(steps.ravel().tolist()) == {n + 1}
-    yields = spy_pool(monkeypatch)
-    starts = spy_lockstep(monkeypatch)
-    calls = count_simulate_calls(monkeypatch)
     grid = rasterize(FIG_CFG, bounds, (6, 6), seed=3)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    assert [(set(c.tolist()), set(st.tolist()), len(m))
-            for c, st, m in yields] == [
-        ({experiments._HANDOFF}, {experiments._checkpoint(2000)}, 36)]
-    assert starts == [(experiments._checkpoint(2000), 36)]
-    assert len(calls) == 36
-    # the hand-offs carry their cells' points at step 256, in id order
-    (_, _, marks), = yields
-    assert marks.tolist() == [
-        list(simulate(FIG_CFG, experiments._cell_centres(bounds, (6, 6), i),
-                      max_steps=2000).points[256]) for i in range(36)]
-
-
-def plant_starts(monkeypatch, x0, samples):
-    # every pair's starts at seed 5 are x0; other streams, the coins'
-    # (seed, pair, start) ones among them, are left as they are
-    rng = np.random.default_rng
-
-    def starts(seed=None):
-        if isinstance(seed, np.random.SeedSequence) and \
-                len(seed.entropy) == 2 and seed.entropy[0] == 5:
-            return mock.Mock(uniform=lambda *args, size: np.tile(
-                x0, (samples, 1)))
-        return rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", starts)
 
 
 def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
@@ -2314,7 +1706,6 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
     # pairs of one config start there: pair 4's coin picks A2, which leads
     # to p2's ball, where A1 leads to p1's
     x0 = tie_preimage(FIG_CFG, 300)
-    mark = simulate(FIG_CFG, x0, max_steps=2000).points[256]
     res = certify(FIG_CFG)
     assert isinstance(res, LyapunovCertificate)
     budget = certified_budget(FIG_CFG, res, x0, 256)
@@ -2322,53 +1713,29 @@ def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
     want = simulate(FIG_CFG, x0, SeededRandom((5, 4, 0)), max_steps=budget,
                     record=False)
     assert want.verdict == ConvergedTo(2)
-    plant_starts(monkeypatch, x0, 1)
     pairs = [(FIG_CFG.theta1, FIG_CFG.theta2)] * 5
-    reference = sweep_reference(pairs, 1, 256, 5)
-    walks, keys = [], []
-    walk, coins = experiments._proven_walk, experiments._coins
-
-    def spy(*args):
-        walks.append((args[1:5], walk(*args)))
-        return walks[-1][1]
-
-    monkeypatch.setattr(experiments, "_proven_walk", spy)
-    monkeypatch.setattr(experiments, "_coins",
-                        lambda policy: keys.append(policy) or coins(policy))
-    windowed = spy_windowed(monkeypatch)
-    sg = sweep(pairs, samples_per_pair=1, max_steps=256, seed=5)
+    with planted_starts(x0, 1, 5):
+        reference = sweep_reference(pairs, 1, 256, 5)
+        with no_window():
+            sg = sweep(pairs, samples_per_pair=1, max_steps=256, seed=5)
     assert sg.pairs == reference
     out = sg.pairs[4]
     assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
-    assert [w[0] for w in walks] == [(*mark, 256, budget)] * 5
-    assert walks[4][1] == (want.verdict, *want.points[-1], want.steps_used)
-    assert keys == [SeededRandom((5, k, 0)) for k in range(5)]
-    assert windowed == []
 
 
 @pytest.mark.parametrize("n", [100, 300])
-def test_sweep_starts_meeting_a_tie_resume_through_it_in_the_walk(
-        monkeypatch, n):
+def test_sweep_starts_meeting_a_tie_resume_through_it_in_the_walk(n):
     # 36 starts, all at a point whose n-th iterate is on D3, leave the pool
     # on the tie band on step 100 or 300, before the sweep's hand-off step
-    # 1024, each with its point there; each resumes in the walk from that
-    # point and step and takes its coin at the tie, and none runs simulate
-    # or a window
+    # 1024; each resumes in the walk from there and takes its coin at the
+    # tie, and none runs simulate or a window
     x0, samples = tie_preimage(FIG_CFG, n), 36
-    plant_starts(monkeypatch, x0, samples)
     pair = [(FIG_CFG.theta1, FIG_CFG.theta2)]
-    want = sweep_reference(pair, samples, 2000, 5)
-    point = simulate(FIG_CFG, x0, max_steps=2000).points[n]
-    yields = spy_pool(monkeypatch)
-    entered = spy_proven_walk(monkeypatch)
-    windowed = spy_windowed(monkeypatch)
-    assert sweep(pair, samples_per_pair=samples, max_steps=2000,
-                 seed=5).pairs == want
-    assert [(set(c.tolist()), set(st.tolist()), set(map(tuple, p.tolist())))
-            for c, st, p in yields] == [
-        ({experiments._TIE_HANDOFF}, {n}, {point})]
-    assert entered == [n] * samples
-    assert windowed == []
+    with planted_starts(x0, samples, 5):
+        want = sweep_reference(pair, samples, 2000, 5)
+        with no_window():
+            assert sweep(pair, samples_per_pair=samples, max_steps=2000,
+                         seed=5).pairs == want
 
 
 @pytest.mark.parametrize("max_steps", [1, 2, 7, 300, 511])
@@ -2382,24 +1749,16 @@ def test_budgets_below_the_first_check_resume_from_half_the_budget(
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, 100, max_steps, 5)
-    entered = spy_proven_walk(monkeypatch)
     assert sweep(pairs, samples_per_pair=100, max_steps=max_steps,
                  seed=5).pairs == want
-    assert resumed(entered, max_steps)
     monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
     xt, _ = tie_point(PERIOD58_CFG)
     bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
     cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
                                   4, max_steps)
-    yields = spy_pool(monkeypatch)
-    starts = spy_lockstep(monkeypatch)
     grid = rasterize(PERIOD58_CFG, bounds, res, max_steps=max_steps, seed=4)
     assert np.array_equal(grid.cells, cells)
     assert np.array_equal(grid.steps, steps)
-    (codes, left, _), = yields
-    handed = left[codes == experiments._HANDOFF].tolist()
-    assert set(handed) == {max_steps // 2}
-    assert starts == [(max_steps // 2, len(handed))]
 
 
 @pytest.mark.parametrize("samples", [30, 100])
@@ -2412,12 +1771,5 @@ def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
     pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
                                            (0.082719, 2.064601)]
     want = sweep_reference(pairs, samples, 2000, 5)
-    yields = spy_pool(monkeypatch)
-    entered = spy_proven_walk(monkeypatch)
     assert sweep(pairs, samples_per_pair=samples, max_steps=2000,
                  seed=5).pairs == want
-    (codes, left, _), = yields
-    handed = left[codes == experiments._HANDOFF].tolist()
-    mark = 2 * experiments.CHECK_EVERY
-    assert set(handed) == {mark}
-    assert resumed(entered, mark)

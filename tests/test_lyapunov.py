@@ -357,6 +357,20 @@ def test_containment_rejects_subcritical_rho():
         verify_containment(FIG_CFG, 1, 1.0)
 
 
+def test_increase_ball_checks_reject_a_non_finite_rho():
+    # a NaN rho fails the comparisons themselves, and an infinite one the
+    # finiteness check: each of the three raises with its own message
+    for index in (1, 2):
+        for rho, msg in ((math.nan, "must exceed"), (math.inf, "not finite")):
+            for f in (increase_ball, verify_ball_bruteforce):
+                with pytest.raises(ValueError, match=msg):
+                    f(FIG_CFG, index, rho)
+        with pytest.raises(ValueError, match="containment threshold"):
+            verify_containment(FIG_CFG, index, math.nan)
+        with pytest.raises(ValueError, match="not finite"):
+            verify_containment(FIG_CFG, index, math.inf)
+
+
 def test_ball_samples_classify_to_own_region():
     P = (1 + math.sin(FIG_CFG.theta1)) * (1 + math.sin(FIG_CFG.theta2))
     rng = np.random.default_rng(151)

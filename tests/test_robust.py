@@ -106,6 +106,13 @@ def test_lemma_sigma_trivial_and_sampled():
         assert check_lemma_sigma(SPEC, FIG_CFG, x, n_samples=64, seed=i)
 
 
+def test_lemma_sigma_rejects_points_where_sigma_or_v_is_not_finite():
+    # each of these once passed: no sample screens over a NaN or inf bound
+    for x in ((math.nan, 1.0), (math.inf, 1.0), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="not finite|overflows"):
+            check_lemma_sigma(SPEC, FIG_CFG, x)
+
+
 def test_lemma_sigma_scales_with_epsilon():
     wider = PerturbationSpec.from_certificate(FIG_CERT, epsilon=0.2)
     rng = np.random.default_rng(29)
