@@ -361,8 +361,12 @@ def check_lemma_sigma(spec: PerturbationSpec, cfg: ProblemConfig, x,
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     x = checked_start(x)
     s = sigma(spec, cfg, x)
-    vx = v_global(spec, cfg, x)
-    bound = (1.0 + spec.epsilon) * vx * (1.0 + 1e-9)
+    # log V decides first, as in run_perturbed_many: past the double range
+    # v_global's exp raises OverflowError
+    lv = _log_v(spec.alpha, v_local(cfg, 1, x), v_local(cfg, 2, x))
+    bound = math.inf
+    if lv + math.log1p(spec.epsilon) < _LOG_DBL_MAX:
+        bound = (1.0 + spec.epsilon) * v_global(spec, cfg, x) * (1.0 + 1e-9)
     if not math.isfinite(bound):
         raise ValueError(f"(1+eps) V at ({x[0]!r}, {x[1]!r}) overflows a "
                          "double")

@@ -250,13 +250,18 @@ def simulate_tree_reference(cfg, x0, policy, max_steps, record=True,
     return tuple(leaves)
 
 
+def worst_leaf(leaves):
+    """simulate's pick among the leaves: Budget over Cycle over
+    ConvergedTo, the first of its kind."""
+    rank = {Budget: 2, Cycle: 1, ConvergedTo: 0}
+    return max(leaves, key=lambda t: rank[type(t.verdict)])
+
+
 def simulate_reference(cfg, x0, policy, max_steps, record=True, window=4096,
                        check_every=512):
-    """simulate: the worst leaf, Budget over Cycle over ConvergedTo."""
-    rank = {Budget: 2, Cycle: 1, ConvergedTo: 0}
-    return max(simulate_tree_reference(cfg, x0, policy, max_steps, record,
-                                       window, check_every),
-               key=lambda t: rank[type(t.verdict)])
+    """simulate: the worst leaf of simulate_tree_reference."""
+    return worst_leaf(simulate_tree_reference(cfg, x0, policy, max_steps,
+                                              record, window, check_every))
 
 
 def verdict_code(v):

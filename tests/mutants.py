@@ -7,13 +7,15 @@ it is equivalent (the suite must pass).  The harness copies COPIED to a
 temporary directory per mutant, applies it there and runs ``pytest -x -q
 -p no:cacheprovider`` with PYTHONDONTWRITEBYTECODE=1, JOBS at once, so
 the checkout stays as it was; a run past TIMEOUT seconds counts as a
-kill.  It exits 1 when an outcome differs from its mark.  The first
+kill.  Beside each killed mutant it prints the test that failed first.
+It exits 1 when an outcome differs from its mark.  The first
 mutant edits a comment: were it killed, the copy itself would fail and
 every kill be vacuous.
 ``test_mutants.py``, which the harness leaves out as every mutant fails
 it, keeps each ``old`` text occurring exactly once.
 """
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -72,6 +74,8 @@ MUTANTS = (
            "if not error <= 1.0:", KILLED),
     Mutant("proof-margin-half", "cycles.py", "if not error < margin:",
            "if not error < 2.0 * margin:", KILLED),
+    Mutant("proof-drift", "cycles.py", "+ kd * (3.0 + 1.0 / gain))", ")",
+           KILLED),
     Mutant("proof-image", "cycles.py", "if not (np.array_equal(bx, p[1:, 0])",
            "if not (np.array_equal(bx, bx)", KILLED),
     Mutant("proof-image-y", "cycles.py", "and np.array_equal(by, p[1:, 1])):",
@@ -125,9 +129,10 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> tuple[str, float]:
+def run(mutant: Mutant) -> tuple[str, float, str]:
     """The suite's outcome with the mutant applied (killed, survived or
-    timeout), and its seconds."""
+    timeout), its seconds, and the node id of the test that failed or
+    errored first, from pytest's ``FAILED``/``ERROR`` summary line."""
     with tempfile.TemporaryDirectory(prefix="drlines-mutant-") as tmp:
         shutil.copytree(
             ROOT, tmp, dirs_exist_ok=True, ignore=lambda d, names: [
@@ -142,25 +147,28 @@ def run(mutant: Mutant) -> tuple[str, float]:
                    PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         try:
-            code = subprocess.run(
+            done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p",
                  "no:cacheprovider", "--ignore=tests/test_mutants.py"],
-                cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
-            outcome = "killed" if code else "survived"
+                cwd=tmp, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT)
+            outcome = "killed" if done.returncode else "survived"
+            killer = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+            killer = killer[1] if killer else ""
         except subprocess.TimeoutExpired:
-            outcome = "timeout"
-        return outcome, time.perf_counter() - start
+            outcome, killer = "timeout", ""
+        return outcome, time.perf_counter() - start, killer
 
 
 def main() -> int:
     start, wrong = time.perf_counter(), 0
     with ThreadPoolExecutor(JOBS) as pool:
-        for m, (outcome, secs) in zip(MUTANTS, pool.map(run, MUTANTS)):
+        for m, (outcome, secs, killer) in zip(MUTANTS,
+                                              pool.map(run, MUTANTS)):
             ok = (outcome != "survived") == (m.mark == KILLED)
             wrong += not ok
             print(f"{outcome:8}  {'ok' if ok else 'WRONG':5}  {secs:5.1f}s  "
-                  f"{m.name}", flush=True)
+                  f"{m.name:20}  {killer}".rstrip(), flush=True)
     print(f"{len(MUTANTS)} mutants, {wrong} against their marks, "
           f"{time.perf_counter() - start:.0f} s wall")
     return 1 if wrong else 0

@@ -65,6 +65,25 @@ def test_the_period_58_basin_cycle_certifies():
     assert twice.contraction < cert.contraction
 
 
+def test_the_error_bound_keeps_the_float_drift_where_the_orbit_closes(
+        monkeypatch):
+    # the period-58 float orbit returns bit for bit at lag 116 from step
+    # 1522, so |p_K - p_0| = 0 and the bound is all rounding: it must keep
+    # the float iterates' drift K delta (3 + 1 / (1 - L)) from the exact
+    # orbit, delta = _ETA (3 + 2a) with a the largest |p_i|, and L the
+    # product of the branches' |cos theta_b|; the term is 55% of the bound
+    monkeypatch.setattr(experiments, "CHECK_EVERY", 10 ** 6)
+    pts = simulate(PERIOD58_CFG, (-0.123641, -0.510395), max_steps=1640).points
+    assert pts[1522] == pts[1522 + 116]
+    cert = certify_cycle(PERIOD58_CFG, pts[1522], 116)
+    assert cert.period == 58
+    a = max(math.hypot(x, y) for x, y in cert.points)
+    lam = math.prod(abs(math.cos(PERIOD58_CFG.theta1 if b == 1
+                                 else PERIOD58_CFG.theta2)) for b in cert.word)
+    drift = 116 * cycles._ETA * (3.0 + 2.0 * a) * (3.0 + 1.0 / (1.0 - lam))
+    assert drift <= cert.error < cert.margin
+
+
 def test_the_period_1410_orbit_certifies_from_its_start():
     # the start lies inside its capture margin at step 0, though
     # detect_cycle sees the cycle only at step 49664

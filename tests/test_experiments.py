@@ -1,10 +1,8 @@
 """Simulation verdicts, cycle detection, raster and sweep drivers."""
-import functools
 import math
 import os
 import subprocess
 import sys
-import warnings
 from array import array
 from unittest import mock
 
@@ -41,11 +39,10 @@ from drlines.experiments import (
     sweep,
 )
 from dr_oracle import (band_edge, band_screen, detect_cycle_scan,
-                       gap_branch_steps, on_tie_band, planted_starts,
-                       raster_reference, simulate_tree_reference, tie_point,
-                       tie_preimage, verdict_code)
-from dr_oracle import sweep_reference as sweep_oracle
+                       gap_branch_steps, on_tie_band, simulate_tree_reference,
+                       tie_point, tie_preimage, verdict_code)
 from geometry_oracle import classify_region
+from test_differential import check_raster, check_sweep, check_tree
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
 PERIOD2_CFG = ProblemConfig(0.748491, 0.772301)
@@ -60,16 +57,6 @@ def no_steps():
         raise AssertionError("a driver stepped before rejecting its input")
 
     return mock.patch.multiple(experiments, _pool=step, _steps=step)
-
-
-def no_window():
-    """Patches under which simulate or a cycle window fails the test."""
-    def windowed(*args, **kwargs):
-        raise AssertionError("the sweep ran simulate or a cycle window")
-
-    return mock.patch.multiple(experiments, simulate=windowed,
-                               simulate_tree=windowed, _walk=windowed,
-                               _cycles=windowed)
 
 
 def test_detect_cycle_constant_tail_is_not_a_cycle():
@@ -378,11 +365,8 @@ def test_raster_smoke_and_orientation():
 def test_raster_is_deterministic_and_matches_per_cell_simulate():
     a = rasterize(FIG_CFG, (-3, 3, -3, 3), (16, 12), policy=SeededRandom(),
                   seed=9)
-    b = rasterize(FIG_CFG, (-3, 3, -3, 3), (16, 12), policy=SeededRandom(),
-                  seed=9)
-    cells, steps = cell_reference(FIG_CFG, (-3, 3, -3, 3), (16, 12),
-                                  SeededRandom(), 9, 2000)
-    assert np.array_equal(a.cells, b.cells) and np.array_equal(a.steps, b.steps)
+    cells, steps = check_raster(FIG_CFG, (-3, 3, -3, 3), (16, 12),
+                                SeededRandom(), 2000, 9, run=simulate)
     assert np.array_equal(a.cells, cells) and np.array_equal(a.steps, steps)
     assert a.resolution == (16, 12)
 
@@ -422,9 +406,7 @@ def test_sweep_certified_pair_converges_even_with_tiny_budget():
 def test_sweep_is_deterministic_and_matches_per_start_simulate():
     grid = make_theta_grid(6, 6)
     a = sweep(grid, samples_per_pair=5, max_steps=5000, seed=1)
-    b = sweep(grid, samples_per_pair=5, max_steps=5000, seed=1)
-    assert a == b
-    assert a.pairs == sweep_reference(grid, 5, 5000, 1)
+    assert a.pairs == check_sweep(grid, 5, 5000, 1, run=simulate)
 
 
 def test_sweep_validation():
@@ -530,10 +512,6 @@ def test_detect_cycle_matches_per_period_scan(monkeypatch):
     assert found >= 10
 
 
-# per-cell simulate at the cell centres, the raster's definition
-cell_reference = functools.partial(raster_reference, run=simulate)
-
-
 @pytest.mark.parametrize("max_steps", [3, 700])
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom(),
                                     EnumerateTree(4)],
@@ -544,37 +522,14 @@ cell_reference = functools.partial(raster_reference, run=simulate)
 def test_rasterize_matches_per_cell_simulate(cfg, policy, max_steps):
     # the middle cell is centred on D3, so its first step is a tie
     xt, _ = tie_point(cfg)
-    bounds = (xt - 1.5, xt + 1.5, -1.2, 1.2)
-    nx, ny = 17, 15
-    assert classify_region(cfg, (xt - 1.5 + 8.5 * 3.0 / nx,
-                                 1.2 - 7.5 * 2.4 / ny)) is Region.D3
-    grid = rasterize(cfg, bounds, (nx, ny), policy=policy,
-                     max_steps=max_steps, seed=4)
-    cells, steps = cell_reference(cfg, bounds, (nx, ny), policy, 4,
-                                  max_steps)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
+    assert classify_region(cfg, (xt - 1.5 + 8.5 * 3.0 / 17,
+                                 1.2 - 7.5 * 2.4 / 15)) is Region.D3
+    check_raster(cfg, (xt - 1.5, xt + 1.5, -1.2, 1.2), (17, 15), policy,
+                 max_steps, 4, run=simulate)
 
 
-def test_rasterize_blocks_match_per_cell_simulate():
-    # more cells than the lane pool holds, so it refills; the centre of
-    # cell 4224 (row 59, column 35), taken in after the first 4096 cells,
-    # is on D3
-    xt, _ = tie_point(FIG_CFG)
-    bounds, res = (xt - 3.0, xt + 3.0, -0.025, 2.975), (71, 60)
-    assert classify_region(FIG_CFG, (xt - 3.0 + 35.5 * 6.0 / 71,
-                                     2.975 - 59.5 * 3.0 / 60)) is Region.D3
-    for seed in (9, 10, 11):
-        cells, steps = cell_reference(FIG_CFG, bounds, res, SeededRandom(),
-                                      seed, 2000)
-        grid = rasterize(FIG_CFG, bounds, res, policy=SeededRandom(),
-                         seed=seed)
-        assert np.array_equal(grid.cells, cells)
-        assert np.array_equal(grid.steps, steps)
-
-
-# one scalar simulate per start, in start order, up to the first failure
-sweep_reference = functools.partial(sweep_oracle, run=simulate)
+PAIRS = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
+                                       (0.082719, 2.064601)]
 
 
 @pytest.mark.parametrize("samples,max_steps", [(30, 300), (1024, 2000),
@@ -586,13 +541,9 @@ def test_sweep_matches_per_start_simulate(samples, max_steps):
     # 1024 samples are more starts than the lane pool holds at once, and
     # hand-offs resume from step min(max_steps, 1024): from the budget
     # itself up to 1024, one step short of it at 1025
-    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
-                                           (0.082719, 2.064601)]
-    want = sweep_reference(pairs, samples, max_steps, 5)
+    want = check_sweep(PAIRS, samples, max_steps, 5, run=simulate)
     assert any(p.eq26_holds for p in want)
     assert any(p.nonconvergent_found for p in want)
-    sg = sweep(pairs, samples_per_pair=samples, max_steps=max_steps, seed=5)
-    assert sg.pairs == want
 
 
 def test_non_finite_starts_fail_loudly():
@@ -634,45 +585,36 @@ def test_non_finite_starts_fail_loudly():
 @pytest.mark.parametrize("max_steps", [512, 700, 1024, 1100, 1536])
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
                          ids=["first", "random"])
-def test_rasterize_settles_late_cycles_and_budgets_in_lanes(
-        monkeypatch, policy, max_steps):
+def test_rasterize_settles_late_cycles_and_budgets_in_lanes(policy,
+                                                            max_steps):
     # more period-58 basin cells than the lane pool holds: cells that
     # cycle at step 1024 or 1536, budgets at and between cycle checks and
     # a cycle found at a budget between them, with the centre cell on D3
     # so that one lane meets a tie
     xt, _ = tie_point(PERIOD58_CFG)
-    bounds, res = (xt - 3.0, xt + 3.0, -3.0, 3.0), (65, 65)
     assert classify_region(PERIOD58_CFG, (xt - 3.0 + 32.5 * 6.0 / 65,
                                           0.0)) is Region.D3
-    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, policy, 4,
-                                  max_steps)
+    cells, steps = check_raster(PERIOD58_CFG, (xt - 3.0, xt + 3.0, -3.0, 3.0),
+                                (65, 65), policy, max_steps, 4, run=simulate)
     late = {(c, s) for c, s in zip(cells.ravel().tolist(),
                                    steps.ravel().tolist()) if c in (0, 3)}
     assert late == {512: {(0, 512)}, 700: {(0, 700)},
                     1024: {(0, 1024), (3, 1024)},
                     1100: {(3, 1024), (3, 1100)},
                     1536: {(3, 1024), (3, 1536)}}[max_steps]
-    grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
-                     max_steps=max_steps, seed=4)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
 
 
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
                          ids=["first", "random"])
-def test_rasterize_settles_a_period_1410_lane(monkeypatch, policy):
+def test_rasterize_settles_a_period_1410_lane(policy):
     # the cycle shows at step 49664, so the lane's window has wrapped past
     # 4096 points many times; the floor is lowered so that a single cell
     # runs through the lane passes
-    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     x, y, h = 0.392560, -0.351588, 1e-12
-    bounds = (x - h, x + h, y - h, y + h)
-    cells, steps = cell_reference(PERIOD1410_CFG, bounds, (1, 1), policy, 0,
-                                  60000)
+    cells, steps = check_raster(PERIOD1410_CFG, (x - h, x + h, y - h, y + h),
+                                (1, 1), policy, 60000, 0, pool=(4096, 1),
+                                run=simulate)
     assert (cells[0, 0], steps[0, 0]) == (3, 49664)
-    grid = rasterize(PERIOD1410_CFG, bounds, (1, 1), policy=policy,
-                     max_steps=60000)
-    assert (grid.cells[0, 0], grid.steps[0, 0]) == (3, 49664)
 
 
 @pytest.mark.parametrize("window", [1, 4, 7, 116, 4096])
@@ -681,33 +623,25 @@ def test_cycle_checks_see_exactly_the_last_window_points(monkeypatch,
     # the per-step oracle scans exactly the last window points at each
     # check: the scalar walk, its leaves checked one after another, with
     # forks at step 0 and step 20, gives its leaves
-    monkeypatch.setattr(experiments, "WINDOW", window)
     for cfg, x0, check_every, n_leaves in (
             (PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20), 5, 2),
             (PERIOD2_CFG, tie_point(PERIOD2_CFG), 97, 2),
             (PERIOD58_CFG, (-0.123641, -0.510395), 512, 1),
             (PERIOD1410_CFG, (0.392560, -0.351588), 97, 1)):
-        monkeypatch.setattr(experiments, "CHECK_EVERY", check_every)
-        leaves = simulate_tree(cfg, x0, EnumerateTree(4), max_steps=1300)
-        assert len(leaves) == n_leaves
-        assert leaves == simulate_tree_reference(
-            cfg, x0, EnumerateTree(4), 1300, True, window, check_every)
+        assert len(check_tree(cfg, x0, EnumerateTree(4), 1300, True,
+                              (check_every, window))) == n_leaves
     # and so do lanes, checked in one batch at each check step, once at a
     # step that is both a cycle check and the budget; the floor at one
     # lane keeps all 32 in lanes
-    monkeypatch.setattr(experiments, "CHECK_EVERY", 512)
+    monkeypatch.setattr(experiments, "WINDOW", window)
     monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     rng = np.random.default_rng(window)
     xs = np.hstack([rng.uniform(-3.0, 3.0, size=(2, 24)),
                     rng.normal(scale=1e-3, size=(2, 8))
                     + [[-0.123641], [-0.510395]]])
-    traces = [simulate_tree_reference(PERIOD58_CFG, xs[:, j], FirstBranch(),
-                                      1300, False, window)[0]
-              for j in range(xs.shape[1])]
-    codes, steps = experiments._lockstep(
-        experiments._lanes(experiments._constants(PERIOD58_CFG), xs[0], xs[1]),
-        1300)
-    assert list(zip(codes.tolist(), steps.tolist())) == [
+    traces = [simulate_tree_reference(PERIOD58_CFG, p, FirstBranch(), 1300,
+                                      False, window)[0] for p in zip(*xs)]
+    assert lockstepped(PERIOD58_CFG, *xs, 1300) == [
         (verdict_code(t.verdict), t.steps_used) for t in traces]
     assert {type(t.verdict) for t in traces} == (
         {ConvergedTo, Cycle} if window >= 116 else {ConvergedTo, Budget})
@@ -729,63 +663,50 @@ def test_sweep_never_flags_a_certified_pair(t1, t2_frac, samples, max_steps,
     assert not out.nonconvergent_found and out.worst_seed == -1
 
 
-def walks_match_the_oracle(monkeypatch, cases, intervals, window, record):
-    # simulate_tree's leaves, each asserted equal to the per-step oracle's,
-    # under three policies and each check interval, with the record flag
-    # record(interval)
-    for cfg, x0, max_steps in cases:
-        for policy in (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch()):
-            for every in intervals:
-                monkeypatch.setattr(experiments, "CHECK_EVERY", every)
-                got = simulate_tree(cfg, x0, policy, max_steps, record(every))
-                assert got == simulate_tree_reference(
-                    cfg, x0, policy, max_steps, record(every), window, every,
-                    detect_cycle)
-                yield (x0, every), got
+POLICIES = (EnumerateTree(8), SeededRandom((3, 1)), FirstBranch())
 
 
 @pytest.mark.parametrize("window", [4096, 200, 7, 1, 0])
 @pytest.mark.parametrize("record", [True, False], ids=["record", "last"])
-def test_simulate_tree_window_buffer_matches_deque(monkeypatch, window,
-                                                   record):
-    # the per-step oracle keeps its points in a list, no window buffer
-    monkeypatch.setattr(experiments, "WINDOW", window)
+def test_simulate_tree_window_buffer_matches_deque(window, record):
+    # the per-step oracle, with detect_cycle at its checks, keeps its
+    # points in a list, no window buffer; starts on D3 fork under
+    # EnumerateTree at once, the preimages of D3 after 20 steps, with a
+    # window of 21 points to copy
     cases = [(FIG_CFG, (1.7, -2.4), 3000),
              (PERIOD2_CFG, (0.101912, 0.189275), 1500),
              (PERIOD58_CFG, (-0.123641, -0.510395), 2100),
              (PERIOD58_CFG, (1.7, -2.4), 1100),
              (PERIOD1410_CFG, (0.392560, -0.351588), 5000)]
-    # starts on D3 fork under EnumerateTree at once, the preimages of D3
-    # after 20 steps, with a window of 21 points to copy
     cases += [(cfg, tie_point(cfg), 1500)
               for cfg in (FIG_CFG, PERIOD2_CFG, PERIOD58_CFG, PERIOD1410_CFG)]
     cases += [(cfg, tie_preimage(cfg, 20), 1500)
               for cfg in (FIG_CFG, PERIOD2_CFG)]
-    verdicts = {type(t.verdict) for _, got in walks_match_the_oracle(
-        monkeypatch, cases, (512, 97), window, lambda _: record) for t in got}
+    verdicts = {type(t.verdict) for cfg, x0, max_steps in cases
+                for policy in POLICIES for every in (512, 97)
+                for t in check_tree(cfg, x0, policy, max_steps, record,
+                                    (every, window), detect_cycle)}
     assert verdicts == ({ConvergedTo, Cycle, Budget} if window >= 4
                         else {ConvergedTo, Budget})
 
 
 @pytest.mark.parametrize("window", [0, 1, 7, 4096])
-def test_walk_matches_per_step_loop(monkeypatch, window):
-    monkeypatch.setattr(experiments, "WINDOW", window)
+def test_walk_matches_per_step_loop(window):
+    # the record flag off at check interval 7; the start on the preimage
+    # forks at step 20, so the A2 leaf is born on step 21, a check step
+    # for check_every 3, 7 and 21
     cases = [(FIG_CFG, (1.7, -2.4), 2000),
              (PERIOD2_CFG, (0.101912, 0.189275), 1100),
              (PERIOD58_CFG, (-0.123641, -0.510395), 1100),
              (PERIOD1410_CFG, (0.392560, -0.351588), 2100),
              (FIG_CFG, tie_point(FIG_CFG), 600),
              (PERIOD58_CFG, tie_point(PERIOD58_CFG), 1100),
-             # forks at step 20, so the A2 leaf is born on step 21, a
-             # check step for check_every 3, 7 and 21
              (PERIOD2_CFG, tie_preimage(PERIOD2_CFG, 20), 1100)]
-    assert sum(len(got) == 2 and check_every != 512
-               and x0 == tie_preimage(PERIOD2_CFG, 20)
-               for (x0, check_every), got in walks_match_the_oracle(
-                   monkeypatch, cases, (3, 7, 21, 512), window,
-                   lambda check_every: check_every != 7)) == 3
-
-
+    forked = {(x0, every) for cfg, x0, max_steps in cases
+              for policy in POLICIES for every in (3, 7, 21, 512)
+              if len(check_tree(cfg, x0, policy, max_steps, every != 7,
+                                (every, window), detect_cycle)) == 2}
+    assert {(cases[-1][1], every) for every in (3, 7, 21)} <= forked
 def test_walk_matches_per_step_loop_on_the_period_1410_orbit(monkeypatch):
     x0 = (0.392560, -0.351588)
     got = simulate_tree(PERIOD1410_CFG, x0, FirstBranch(), max_steps=60000,
@@ -916,16 +837,12 @@ def test_rasterize_finishes_a_lone_period_1410_cell_in_the_walk():
     # within 250 steps, so the long cell is soon alone
     x, y, hy = 0.392560, -0.351588, 0.035
     bounds, res = (x - 1.5, x + 0.5, y - 0.5 * hy, y + 16.5 * hy), (2, 17)
-    cells, steps = cell_reference(PERIOD1410_CFG, bounds, res, FirstBranch(),
-                                  0, 60000)
+    cells, steps = check_raster(PERIOD1410_CFG, bounds, res, FirstBranch(),
+                                60000, 0, run=simulate)
     assert (cells[16, 1], steps[16, 1]) == (3, 49664)
     cells[16, 1] = steps[16, 1] = 0
     assert set(cells.ravel().tolist()) == {0, 1, 2}
     assert steps.max() <= 250
-    cells[16, 1], steps[16, 1] = 3, 49664
-    grid = rasterize(PERIOD1410_CFG, bounds, res, max_steps=60000)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
 
 
 @pytest.mark.parametrize("window", [7, 4096])
@@ -940,16 +857,10 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
     x, y = 0.392560, -0.351588
     xs = [x - d for d in (1.0, 1.1) for _ in range(17)] + [x]
     ys = [y + 0.035 * j for _ in range(2) for j in range(17)] + [y]
-    traces = [simulate(PERIOD1410_CFG, p, max_steps=60000, record=False)
-              for p in zip(xs, ys)]
-    codes, steps = experiments._lockstep(
-        experiments._lanes(experiments._constants(PERIOD1410_CFG),
-                           np.array(xs), np.array(ys)),
-        60000)
-    assert list(zip(codes.tolist(), steps.tolist())) == [
-        (verdict_code(t.verdict), t.steps_used) for t in traces]
-    assert (codes[-1], steps[-1]) == ((3, 49664) if window == 4096
-                                      else (0, 60000))
+    traces = simulated(PERIOD1410_CFG, xs, ys, 60000)
+    got = lockstepped(PERIOD1410_CFG, xs, ys, 60000)
+    assert got == [(verdict_code(t.verdict), t.steps_used) for t in traces]
+    assert got[-1] == ((3, 49664) if window == 4096 else (0, 60000))
     below = sorted(t.steps_used for t in traces)[3] + 1
     assert below <= experiments.CHECK_EVERY
     assert [t.steps_used > experiments.CHECK_EVERY
@@ -959,13 +870,14 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
 def lockstepped(cfg, xs, ys, max_steps):
     # _lockstep's (code, steps) per lane from step 0
     codes, steps = experiments._lockstep(
-        experiments._lanes(experiments._constants(cfg), xs, ys), max_steps)
+        experiments._lanes(experiments._constants(cfg), np.asarray(xs),
+                           np.asarray(ys)), max_steps)
     return list(zip(codes.tolist(), steps.tolist()))
 
 
 def simulated(cfg, xs, ys, max_steps):
     return [simulate(cfg, p, max_steps=max_steps, record=False)
-            for p in zip(xs.tolist(), ys.tolist())]
+            for p in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("thetas, max_steps", [
@@ -978,8 +890,10 @@ def test_lockstep_equals_simulate_lane_by_lane(monkeypatch, thetas,
     # the second interval (700); the floor at one lane keeps them all in
     # lanes to their verdicts.  The raster's lane sets, resumed from step
     # 256 with partial windows, give per-cell simulate's picture too
-    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     cfg = ProblemConfig(*thetas)
+    check_raster(cfg, (-3.0, 3.0, -3.0, 3.0), (6, 6), FirstBranch(),
+                 max_steps, 0, pool=(4096, 1), run=simulate)
+    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     xs, ys = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2, 40))
     traces = simulated(cfg, xs, ys, max_steps)
     assert lockstepped(cfg, xs, ys, max_steps) == [
@@ -991,12 +905,6 @@ def test_lockstep_equals_simulate_lane_by_lane(monkeypatch, thetas,
     budgets = [t for t in traces if isinstance(t.verdict, Budget)]
     assert len(inside) >= 10 if max_steps == 3000 and thetas[1] > 1.0 \
         else len(budgets) >= 10
-    bounds = (-3.0, 3.0, -3.0, 3.0)
-    cells, steps = cell_reference(cfg, bounds, (6, 6), FirstBranch(), 0,
-                                  max_steps)
-    grid = rasterize(cfg, bounds, (6, 6), max_steps=max_steps)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
 
 
 @pytest.mark.parametrize("n, max_steps", [(300, 2000), (700, 2000),
@@ -1030,12 +938,8 @@ def test_raster_lane_sets_split_by_their_memory_cap_match_simulate(
     # with _HIST_POINTS at 2^18 a lane set holds at most 69 lanes at 3000
     # steps, and the floor at one lane keeps every set in lanes: the 394
     # hand-offs of the 20x20 (0.02, 3.0) raster run in 6 sets, and the
-    # picture is the unpatched one and per-cell simulate's
-    cfg, bounds = ProblemConfig(0.02, 3.0), (-3.0, 3.0, -3.0, 3.0)
-    res = (20, 20)
-    whole = rasterize(cfg, bounds, res, max_steps=3000)
+    # picture is per-cell simulate's
     monkeypatch.setattr(experiments, "_HIST_POINTS", 1 << 18)
-    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
     sets = []
     room = experiments._room
 
@@ -1046,29 +950,9 @@ def test_raster_lane_sets_split_by_their_memory_cap_match_simulate(
         return room(rows, idx, more)
 
     monkeypatch.setattr(experiments, "_room", spy)
-    grid = rasterize(cfg, bounds, res, max_steps=3000)
+    check_raster(ProblemConfig(0.02, 3.0), (-3.0, 3.0, -3.0, 3.0), (20, 20),
+                 FirstBranch(), 3000, 0, pool=(4096, 1), run=simulate)
     assert sets == [66] * 4 + [65] * 2
-    assert np.array_equal(grid.cells, whole.cells)
-    assert np.array_equal(grid.steps, whole.steps)
-    cells, steps = cell_reference(cfg, bounds, res, FirstBranch(), 0, 3000)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
-
-
-def test_lane_tail_meeting_a_tie_reruns_through_simulate():
-    # a lone cell meets D3 at step 20 and takes the branch of the cell's
-    # own policy there
-    x0 = tie_preimage(PERIOD2_CFG, 20)
-    bounds = (x0[0] - 1e-12, x0[0] + 1e-12, x0[1] - 1e-12, x0[1] + 1e-12)
-    want = set()
-    for policy in (FirstBranch(), SeededRandom(), EnumerateTree(4)):
-        cells, steps = cell_reference(PERIOD2_CFG, bounds, (1, 1), policy, 3,
-                                      2000)
-        want.add((int(cells[0, 0]), int(steps[0, 0])))
-        grid = rasterize(PERIOD2_CFG, bounds, (1, 1), policy=policy, seed=3)
-        assert (grid.cells[0, 0], grid.steps[0, 0]) == (cells[0, 0],
-                                                        steps[0, 0])
-    assert want == {(3, 512), (2, 24)}
 
 
 def lane_branch(consts, x, y):
@@ -1118,61 +1002,46 @@ def test_pool_builds_each_lane_once_in_blocks(monkeypatch, n):
     assert [0, *(hi for _, hi in calls)] == [*(lo for lo, _ in calls), n]
 
 
+# 33x48 period-58 cells, whose centre 1567 of 1584 (last row, middle
+# column) is on D3 and nine of which cycle, for a 64-lane pool
+REFILLED = (tie_point(PERIOD58_CFG)[0] - 3.0, tie_point(PERIOD58_CFG)[0] + 3.0,
+            -0.03125, 2.96875), (33, 48)
+
+
 @pytest.mark.parametrize("max_steps", [1, 7, 300, 2000])
 @pytest.mark.parametrize("policy", [FirstBranch(), SeededRandom()],
                          ids=["first", "random"])
-def test_rasterize_refills_match_per_cell_simulate(monkeypatch, policy,
-                                                   max_steps):
-    # a 64-lane pool refills many times over 33x48 period-58 cells; the
-    # centre of cell 1567 of 1584 (last row, middle column), taken in by a
-    # late refill, is on D3, and nine cells cycle
-    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
-    xt, _ = tie_point(PERIOD58_CFG)
-    bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
-    tie = experiments._cell_centres(bounds, res, 47 * 33 + 16)
+def test_rasterize_refills_match_per_cell_simulate(policy, max_steps):
+    # a 64-lane pool refills many times; the cell on D3 is taken in by a
+    # late refill
+    tie = experiments._cell_centres(*REFILLED, 47 * 33 + 16)
     assert tie[1] == 0.0
     assert classify_region(PERIOD58_CFG, tie) is Region.D3
-    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, policy, 4,
-                                  max_steps)
-    if max_steps == 2000:
-        assert np.count_nonzero(cells == 3) == 9
-    grid = rasterize(PERIOD58_CFG, bounds, res, policy=policy,
-                     max_steps=max_steps, seed=4)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
+    cells, _ = check_raster(PERIOD58_CFG, *REFILLED, policy, max_steps, 4,
+                            pool=(64, 32), run=simulate)
+    assert max_steps < 2000 or np.count_nonzero(cells == 3) == 9
 
 
 @pytest.mark.parametrize("samples", [24, 100])
-def test_sweep_refills_match_per_start_simulate(monkeypatch, samples):
+def test_sweep_refills_match_per_start_simulate(samples):
     # 24 starts do not divide a 64-lane pool and 100 do not fit in it, so
     # pairs straddle refills; certified pairs and nonconvergent starts
-    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
-    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
-                                           (0.082719, 2.064601)]
-    want = sweep_reference(pairs, samples, 300, 5)
+    want = check_sweep(PAIRS, samples, 300, 5, pool=(64, 32), run=simulate)
     assert any(p.eq26_holds for p in want)
     assert any(p.nonconvergent_found for p in want)
-    sg = sweep(pairs, samples_per_pair=samples, max_steps=300, seed=5)
-    assert sg.pairs == want
 
 
 @pytest.mark.parametrize("max_steps", [50, 700])
 @pytest.mark.parametrize("bounds", [(1e200, 2e200, 1e200, 2e200),
                                     (9e307, 1.1e308, -1.1e308, -9e307)],
                          ids=["1e200", "1e308"])
-def test_huge_starts_raster_quietly_as_simulate(monkeypatch, bounds,
-                                                max_steps):
+def test_huge_starts_raster_quietly_as_simulate(bounds, max_steps):
     # squares of these starts overflow in the lanes' ball tests, while the
-    # tie band stays finite; with the floor at one lane the cells run
-    # through the pool and a resumed lane set
-    monkeypatch.setattr(experiments, "_LANE_FLOOR", 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        grid = rasterize(FIG_CFG, bounds, (4, 4), max_steps=max_steps)
-    cells, steps = cell_reference(FIG_CFG, bounds, (4, 4), FirstBranch(), 0,
-                                  max_steps)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
+    # tie band stays finite, quietly (a RuntimeWarning fails here); with
+    # the floor at one lane the cells run through the pool and a resumed
+    # lane set
+    check_raster(FIG_CFG, bounds, (4, 4), FirstBranch(), max_steps, 0,
+                 pool=(4096, 1))
 
 
 def planted(x, y, normal, ulps):
@@ -1642,24 +1511,21 @@ def test_undecided_checks_fall_back_to_full_reruns(monkeypatch):
         return cycles(w, span)
 
     monkeypatch.setattr(experiments, "_cycles", undecided)
-    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
-                                           (0.082719, 2.064601)]
-    want = sweep_reference(pairs, 100, 2000, 5)
-    with no_window():
-        assert sweep(pairs, samples_per_pair=100, max_steps=2000,
-                     seed=5).pairs == want
+    check_sweep(PAIRS, 100, 2000, 5, run=simulate)
     # the 64-lane pool hands the nine period-58 cycle cells off at step
     # 256; resumed from there each meets an undecided check at step 512
     # and re-runs through simulate, as does the cell on D3
-    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
-    xt, _ = tie_point(PERIOD58_CFG)
-    bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
-    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
-                                  4, 2000)
+    cells, _ = check_raster(PERIOD58_CFG, *REFILLED, FirstBranch(), 2000, 4,
+                            pool=(64, 32), run=simulate)
     assert np.count_nonzero(cells == 3) == 9
-    grid = rasterize(PERIOD58_CFG, bounds, res, seed=4)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
+
+
+def tie_box(n):
+    # a box about a start whose n-th iterate is on D3, 1e-12 |x0| across:
+    # each of its cells meets that tie
+    x0 = tie_preimage(FIG_CFG, n)
+    h = 1e-12 * math.hypot(*x0)
+    return x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h
 
 
 @pytest.mark.parametrize("n", [255, 256, 300])
@@ -1671,56 +1537,19 @@ def test_raster_cells_meeting_a_tie_around_the_checkpoint(policy, n):
     # resumed lane would meet again, so the lane set is empty; past it they
     # leave at the checkpoint, and the resumed lanes stop at the band;
     # either way each cell re-runs through simulate
-    x0 = tie_preimage(FIG_CFG, n)
-    h = 1e-12 * math.hypot(*x0)
-    bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
-    cells, steps = cell_reference(FIG_CFG, bounds, (6, 6), policy, 3, 2000)
+    cells, steps = check_raster(FIG_CFG, tie_box(n), (6, 6), policy, 2000, 3)
     assert set(steps.ravel().tolist()) == {n + 1}
     assert set(cells.ravel().tolist()) == (
         {1, 2} if isinstance(policy, SeededRandom) else {1})
-    grid = rasterize(FIG_CFG, bounds, (6, 6), policy=policy, seed=3)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
 
 
 @pytest.mark.parametrize("n", [513, 700])
 def test_raster_cells_meeting_a_tie_after_the_first_check(n):
     # the pool hands the 36 cells off at step 256; resumed from there they
     # stop on the tie band on step n and go straight to simulate
-    x0 = tie_preimage(FIG_CFG, n)
-    h = 1e-12 * math.hypot(*x0)
-    bounds = (x0[0] - h, x0[0] + h, x0[1] - h, x0[1] + h)
-    cells, steps = cell_reference(FIG_CFG, bounds, (6, 6), FirstBranch(), 3,
-                                  2000)
+    _, steps = check_raster(FIG_CFG, tie_box(n), (6, 6), FirstBranch(), 2000,
+                            3)
     assert set(steps.ravel().tolist()) == {n + 1}
-    grid = rasterize(FIG_CFG, bounds, (6, 6), seed=3)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
-
-
-def test_sweep_start_meeting_its_first_tie_after_the_checkpoint(monkeypatch):
-    # at a budget of 256 the sweep hands its starts off at step 256; the
-    # walk resumed from there meets the tie on step 300 and goes on
-    # through the coin of the start's (seed, pair, start) stream, with its
-    # certified budget, to simulate's verdict; no window is kept.  Five
-    # pairs of one config start there: pair 4's coin picks A2, which leads
-    # to p2's ball, where A1 leads to p1's
-    x0 = tie_preimage(FIG_CFG, 300)
-    res = certify(FIG_CFG)
-    assert isinstance(res, LyapunovCertificate)
-    budget = certified_budget(FIG_CFG, res, x0, 256)
-    assert budget > 300
-    want = simulate(FIG_CFG, x0, SeededRandom((5, 4, 0)), max_steps=budget,
-                    record=False)
-    assert want.verdict == ConvergedTo(2)
-    pairs = [(FIG_CFG.theta1, FIG_CFG.theta2)] * 5
-    with planted_starts(x0, 1, 5):
-        reference = sweep_reference(pairs, 1, 256, 5)
-        with no_window():
-            sg = sweep(pairs, samples_per_pair=1, max_steps=256, seed=5)
-    assert sg.pairs == reference
-    out = sg.pairs[4]
-    assert (out.nonconvergent_found, out.worst_seed) == (False, -1)
 
 
 @pytest.mark.parametrize("n", [100, 300])
@@ -1729,47 +1558,26 @@ def test_sweep_starts_meeting_a_tie_resume_through_it_in_the_walk(n):
     # on the tie band on step 100 or 300, before the sweep's hand-off step
     # 1024; each resumes in the walk from there and takes its coin at the
     # tie, and none runs simulate or a window
-    x0, samples = tie_preimage(FIG_CFG, n), 36
-    pair = [(FIG_CFG.theta1, FIG_CFG.theta2)]
-    with planted_starts(x0, samples, 5):
-        want = sweep_reference(pair, samples, 2000, 5)
-        with no_window():
-            assert sweep(pair, samples_per_pair=samples, max_steps=2000,
-                         seed=5).pairs == want
+    check_sweep([(FIG_CFG.theta1, FIG_CFG.theta2)], 36, 2000, 5,
+                tie_preimage(FIG_CFG, n))
 
 
 @pytest.mark.parametrize("max_steps", [1, 2, 7, 300, 511])
 def test_budgets_below_the_first_check_resume_from_half_the_budget(
-        monkeypatch, max_steps):
+        max_steps):
     # the raster's pool hands its lanes off at step max_steps // 2 (step 0
     # for a budget of 1), and the sweep's at the budget itself, with their
     # points there: sweep starts resume from there in the walk, certified
     # pairs' starts running on, and raster cells in one lane set
     assert experiments._checkpoint(max_steps) == max_steps // 2
-    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
-                                           (0.082719, 2.064601)]
-    want = sweep_reference(pairs, 100, max_steps, 5)
-    assert sweep(pairs, samples_per_pair=100, max_steps=max_steps,
-                 seed=5).pairs == want
-    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
-    xt, _ = tie_point(PERIOD58_CFG)
-    bounds, res = (xt - 3.0, xt + 3.0, -0.03125, 2.96875), (33, 48)
-    cells, steps = cell_reference(PERIOD58_CFG, bounds, res, FirstBranch(),
-                                  4, max_steps)
-    grid = rasterize(PERIOD58_CFG, bounds, res, max_steps=max_steps, seed=4)
-    assert np.array_equal(grid.cells, cells)
-    assert np.array_equal(grid.steps, steps)
+    check_sweep(PAIRS, 100, max_steps, 5, run=simulate)
+    check_raster(PERIOD58_CFG, *REFILLED, FirstBranch(), max_steps, 4,
+                 pool=(64, 32), run=simulate)
 
 
 @pytest.mark.parametrize("samples", [30, 100])
-def test_sweep_resumes_only_hand_offs_past_the_checkpoint(monkeypatch,
-                                                          samples):
+def test_sweep_resumes_only_hand_offs_past_the_checkpoint(samples):
     # a 64-lane pool, with 30 or 100 starts a pair: it hands lanes off only
     # at the sweep's hand-off step 1024, the last ones too once it runs
     # alone, and those the outcome needs resume in the walk from there
-    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
-    pairs = list(make_theta_grid(3, 2)) + [(0.748491, 0.772301),
-                                           (0.082719, 2.064601)]
-    want = sweep_reference(pairs, samples, 2000, 5)
-    assert sweep(pairs, samples_per_pair=samples, max_steps=2000,
-                 seed=5).pairs == want
+    check_sweep(PAIRS, samples, 2000, 5, pool=(64, 32), run=simulate)
