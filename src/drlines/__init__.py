@@ -2,17 +2,17 @@
 
 Library layout:
 
-- ``geometry``: the problem config, region labels, D3, input checks.
+- ``geometry``: the problem config, region labels, D3, distances, input checks.
 - ``dr``: the DR operators (closed-form, multi-valued, reversed) and the
-  step arithmetic and tie test.
+  step: its arithmetic, tie test, termination balls and constants.
 - ``lyapunov``: local/global Lyapunov functions, certificates, increase balls.
 - ``robust``: sigma-perturbed steps, traces, and the KL decay bound checkers.
 - ``cycles``: cycle certificates, float proofs that an orbit never converges.
-- ``experiments``: trace simulation, cycle detection, rasters, parameter sweeps.
+- ``experiments``: the drivers: simulation, cycle detection, rasters, sweeps.
 - ``exports``: PGM/CSV/JSON writers with atomic file replacement.
 - ``cli``: the ``drlines`` command-line front end.
 """
-from .cycles import CycleCertificate
+from .cycles import CycleCertificate, certify_cycle
 from .dr import (
     DrStep,
     dr_multivalued,
@@ -31,7 +31,6 @@ from .experiments import (
     SweepGrid,
     Trace,
     certified_budget,
-    certify_cycle,
     detect_cycle,
     find_period_brent,
     make_theta_grid,

@@ -4,22 +4,23 @@ Every branch map of the DR step is an affine contraction, so an orbit that
 has settled on a word of branches can be proven, from its own float
 points, to follow that word forever: it then meets no tie and enters no
 termination ball.  ``_prove_cycle`` is that proof on K + 1 consecutive
-points, vectorised over them.  ``experiments`` steps the K + 1 points from
-a point and runs the proof on them in one place, which serves
-``certify_cycle`` and the window-free walk of the sweep and
-``find_period_brent``; that walk proposes K where a max-norm screen finds
-the orbit back within _COARSE of a reference point.
+points, vectorised over them.  ``_proof`` steps the K + 1 points from a
+point through dr._steps and runs the proof on them, in one place for
+``certify_cycle`` and for the window-free walk, which proposes K where a
+max-norm screen finds the orbit back within _COARSE of a reference point.
 """
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dr import _branch, _gap
-from .geometry import TIE_TOL
+from .dr import _branch, _constants, _gap, _steps
+from .geometry import TIE_TOL, ProblemConfig, checked_start
 
 # the relative max-norm distance at which a lag is worth a proof, and the
 # bound _ETA (1 + |x|) on the rounding of one float step or gap at x
@@ -28,6 +29,8 @@ _ETA = 2.0 ** -49
 # the K from which a proof is not tried: its K + 1 points and temporaries
 # take about 260 B a point, 270 MB at 2^20; the product bound holds to 2^40
 _MAX_K = 2 ** 20
+# the steps of one dr._steps call in _proof, which lists a call's points
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -159,3 +162,42 @@ def _prove_cycle(consts: Sequence[float], p: np.ndarray):
         return None
     return first, contraction, error, margin
 
+
+def _proof(consts: Sequence[float], x: float, y: float, k: int):
+    """``_prove_cycle`` on the k + 1 points of the orbit from (x, y), run
+    through dr._steps at most _CHUNK steps a call: (first, contraction,
+    error, margin, points), or None where a step meets the tie band or a
+    ball or the proof fails, and at once for k >= _MAX_K = 2^20, whose
+    points and the proof's temporaries would take more than 270 MB."""
+    if k >= _MAX_K:
+        return None
+    buf = array("d", (x, y))
+    for done in range(0, k, _CHUNK):
+        code, x, y, _ = _steps(*consts, x, y, min(_CHUNK, k - done), buf)
+        if code >= 0:
+            return None
+    p = np.frombuffer(buf).reshape(-1, 2)
+    proof = _prove_cycle(consts, p)
+    return None if proof is None else (*proof, p)
+
+
+def certify_cycle(cfg: ProblemConfig, point, period: int
+                  ) -> Optional[CycleCertificate]:
+    """Prove that the float iteration from ``point`` never converges, from
+    its first ``period`` steps (``_proof``): the certificate, or None where
+    a step meets the tie band or a ball or the proof fails.  A multiple of
+    the cycle's period certifies too, with the primitive period.  Raises
+    ValueError before any step for a start whose norm is not finite or a
+    period outside [1, _MAX_K) = [1, 2^20), whose points the proof could
+    not hold in memory (TypeError for a non-integer).
+    """
+    if not 1 <= operator.index(period) < _MAX_K:
+        raise ValueError(f"period must be in [1, 2**20), got {period}")
+    proof = _proof(_constants(cfg), *checked_start(point), period)
+    if proof is None:
+        return None
+    first, contraction, error, margin, p = proof
+    return CycleCertificate(
+        period=_root(first), word=tuple(np.where(first, 1, 2).tolist()),
+        points=tuple(map(tuple, p[:-1].tolist())), contraction=contraction,
+        error=error, margin=margin)

@@ -8,25 +8,32 @@ For the union A1 ∪ A2 the operator acts through whichever line is closer
 and is two-valued on the equidistance set D3.  The reversed-order
 operator (I + R_A R_B)/2 is R_B T R_B, with R_B(x, y) = (x, -y).
 
-``_gap``, ``_band`` and ``_branch`` are the operator's arithmetic, written
-once for floats and NumPy lanes alike: the closed form, ``dr_multivalued``
-(the one step at a point), the lanes and the cycle proof run them.  D3 is
-the tie band |gap| <= ``_band`` = TIE_TOL (1 + max(|x|, |y|)): NumPy and
-Python round it alike, and it is finite at every finite point.  Every
-scalar trajectory runs ``_steps``, one loop with the same expressions in
-the same order, but with no call on a step clear of the band: a distance
-term is negated where abs would flip it, and a screen on squares calls
-``_band`` only near the band.  A test pins the loop to ``_gap`` and
-``_branch`` bit for bit, so the lanes reproduce the scalar iterates.
+This module owns the step.  ``_gap``, ``_band`` and ``_branch`` are its
+arithmetic, written once for floats and NumPy lanes alike.  D3 is the tie
+band |gap| <= ``_band`` = TIE_TOL (1 + max(|x|, |y|)): NumPy and Python
+round it alike, and it is finite at every finite point.  A trajectory
+stops in an open ball B(p_i, BALL_SAFETY d(p_i, D3)), inside its own
+strict region, where the iteration contracts toward p_i; ``_ball`` and
+``_lane_visit`` test the balls, with the squared radii of ``_constants``.
+Every scalar trajectory runs ``_steps``, one loop with the same
+expressions in the same order, but with no call on a step clear of the
+band: a distance term is negated where abs would flip it, and a screen on
+squares calls ``_band`` only near the band.  A test pins the loop to
+``_gap`` and ``_branch`` bit for bit, so the lanes reproduce the scalar
+iterates.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import TIE_TOL, ProblemConfig, Region, cos_sin
+from .geometry import (TIE_TOL, ProblemConfig, Region, _d3_distance,
+                       bisector_data, cos_sin)
+
+BALL_SAFETY = 0.99
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,23 @@ def _branch(a, c, s, x, y):
     (c, s): a = -0.5 with A1's constants, a = 0.5 with A2's."""
     dx = x - a
     return a + c * (c * dx + s * y), c * (-s * dx + c * y)
+
+
+def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
+    """Per-config step constants (c1, s1, c2, s2, r1^2, r2^2): the line
+    directions and the squared termination-ball radii, BALL_SAFETY
+    d(p_i, D3) by distance_to_D3's arithmetic on one bisector_data."""
+    c1, s1 = cos_sin(cfg.theta1)
+    c2, s2 = cos_sin(cfg.theta2)
+    bd = bisector_data(cfg)
+    r1, r2 = (BALL_SAFETY * _d3_distance(bd, p) for p in (cfg.p1, cfg.p2))
+    return c1, s1, c2, s2, r1 * r1, r2 * r2
+
+
+def _ball(consts: Sequence[float], x: float, y: float) -> int:
+    """1 or 2 where (x, y) lies in that termination ball, else 0."""
+    return next((code for code, a in ((1, -0.5), (2, 0.5))
+                 if (x - a) * (x - a) + y * y < consts[3 + code]), 0)
 
 
 _SCREEN = 2.0 * TIE_TOL ** 2 * (1.0 + 1e-6)
@@ -131,6 +155,18 @@ def _lane_clear(gap, x, y):
     its gap is clear of the band.  A lane is not clear where ``_steps``
     stops and ``dr_multivalued`` finds D3, and where its gap is NaN."""
     return abs(gap) > _band(x, y)
+
+
+def _lane_visit(x, y, gap, r1sq, r2sq) -> tuple[np.ndarray, ...]:
+    """The visiting half of a lane step, as ``_steps`` visits: whether each
+    lane point (x, y), of any shape the radii broadcast to, lay in p1's
+    and in p2's ball, and whether it was clear of the tie band with its
+    gap."""
+    dx1 = x + 0.5
+    dx2 = x - 0.5
+    yy = y * y
+    # the balls are disjoint
+    return dx1 * dx1 + yy < r1sq, dx2 * dx2 + yy < r2sq, _lane_clear(gap, x, y)
 
 
 def dr_two_lines(p, theta: float, x) -> np.ndarray:

@@ -1,30 +1,22 @@
-"""Trace simulation, cycle detection, basin rasters, and parameter sweeps.
+"""The drivers: trace simulation, cycle detection, basin rasters, and
+parameter sweeps.
 
-A trajectory terminates as soon as it enters one of the open balls
-B(p_i, 0.99 * d(p_i, D3)): each ball lies in its own strict region, so from
-inside the iteration contracts toward p_i at rate cos^2(theta_i) and never
-leaves.  Everything else is bookkeeping around that criterion: branch
-policies resolving ties on D3, a period detector run on the last 4096 points
-at every 512th step and at the budget (a fixed schedule), and the two grid
-drivers (basin raster over starting points, sweep over angle pairs).  Grid
-cells are independent work items; every cell derives its PRNG stream from
-the root seed and its own index, so results do not depend on how cells are
-grouped.  The grid drivers step cells as NumPy lanes in one pool of at most
-_LANE_BLOCK lanes, refilled in cell order as lanes finish, which returns
-every lane's code, step and point as arrays: a lane leaves at a ball, on
-the tie band, or at a hand-off step that each driver chooses.
-``rasterize`` hands off at step n/2 for n = min(max_steps, 512), as the
-check at step n reads only points n/2..n but for a long period, and
-resumes those lanes with a cycle window, stepped from one check step to the next and then settled
-in one pass, with one batched window check (``_cycles``, of which
-``detect_cycle`` is the one-lane case); a tie, or a check that needs
-earlier points, sends a cell back to a re-run from its start.  ``sweep``
-keeps no window and hands off at min(max_steps, 1024); it resumes each
-unsettled start from its point in one window-free walk, which
-``find_period_brent`` runs too: it takes the policy's coin (``_coins``) at
-a tie, and stops at a ball, at the budget, or at a cycle proof
-(``certify_cycle``'s, on the points from a reference point that jumps ahead
-as in Brent's method): the float iteration follows one branch word forever.
+The step and its decisions (the branch, the tie band, the termination
+balls and the step constants) are ``dr``'s, and the cycle certificate,
+with the stepping it proves on, is ``cycles``'.  A trajectory terminates
+as soon as it enters a termination ball.  Everything else is bookkeeping
+around that criterion: branch policies resolving ties on D3, a period
+detector run on the last 4096 points at every 512th step and at the
+budget (a fixed schedule), and the two grid drivers (basin raster over
+starting points, sweep over angle pairs).  Grid cells are independent
+work items; every cell derives its PRNG stream from the root seed and its
+own index, so results do not depend on how cells are grouped.  The grid
+drivers step their cells as NumPy lanes in one pool (``_pool``), which
+hands each lane back at a ball, on the tie band, or at a step that each
+driver chooses.  ``rasterize`` resumes its hand-offs as windowed lanes
+(``_lockstep``), and ``sweep`` in the window-free walk that
+``find_period_brent`` runs too (``_proven_walk``), which stops at a ball,
+at the budget, or at a cycle proof.
 """
 from __future__ import annotations
 
@@ -36,16 +28,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cycles import _COARSE, _MAX_K, CycleCertificate, _prove_cycle, _root
-from .dr import _branch, _lane_clear, _lane_gap, _steps
-from .geometry import (ProblemConfig, bisector_data, checked_start, cos_sin,
-                       distance_to_D3)
+from .cycles import _COARSE, _proof, _root
+from .dr import (BALL_SAFETY, _ball, _branch, _constants, _lane_gap,
+                 _lane_visit, _steps)
+from .geometry import ProblemConfig, checked_start, distance_to_D3, omegas
 from .lyapunov import LyapunovCertificate, certify
 
 WINDOW = 4096
 CHECK_EVERY = 512
 MATCH_TOL = 1e-8
-BALL_SAFETY = 0.99
 # the most lanes live at once in the lane pool, and the lane count below
 # which lanes stop paying: a lane set running to its verdicts finishes
 # them in the scalar walk
@@ -268,65 +259,6 @@ def _cycles(w: np.ndarray, span: int) -> list[int]:
     return found
 
 
-def certify_cycle(cfg: ProblemConfig, point, period: int
-                  ) -> Optional[CycleCertificate]:
-    """Prove that the float iteration from ``point`` never converges, from
-    its first ``period`` steps.
-
-    The steps run through dr._steps, and ``_prove_cycle`` takes the
-    period + 1 points: it proves that the iteration follows their branch
-    word forever, so it meets no tie and enters no termination ball.
-    Returns the certificate, or None where a step meets the tie band or a
-    ball or the proof fails.  A multiple of the cycle's period certifies
-    too, with the primitive period.  Raises ValueError before any step for
-    a start whose norm is not finite or a period outside [1, _MAX_K) =
-    [1, 2^20), as the proof holds the period's points in memory, about 260
-    bytes each (TypeError for a non-integer).
-    """
-    if not 1 <= operator.index(period) < _MAX_K:
-        raise ValueError(f"period must be in [1, 2**20), got {period}")
-    proof = _proof(_constants(cfg), *checked_start(point), period)
-    if proof is None:
-        return None
-    first, contraction, error, margin, p = proof
-    return CycleCertificate(
-        period=_root(first), word=tuple(np.where(first, 1, 2).tolist()),
-        points=tuple(map(tuple, p[:-1].tolist())), contraction=contraction,
-        error=error, margin=margin)
-
-
-def _proof(consts: Sequence[float], x: float, y: float, k: int):
-    """``_prove_cycle`` on the k + 1 points of the orbit from (x, y), run
-    through dr._steps at most CHECK_EVERY steps a call, as _steps holds a
-    call's points in a list: (first, contraction, error, margin, points),
-    or None where a step meets the tie band or a ball or the proof fails,
-    and at once for k >= _MAX_K = 2^20, whose points and the proof's
-    temporaries would take more than 270 MB."""
-    if k >= _MAX_K:
-        return None
-    buf = array("d", (x, y))
-    for done in range(0, k, CHECK_EVERY):
-        code, x, y, _ = _steps(*consts, x, y, min(CHECK_EVERY, k - done), buf)
-        if code >= 0:
-            return None
-    p = np.frombuffer(buf).reshape(-1, 2)
-    proof = _prove_cycle(consts, p)
-    return None if proof is None else (*proof, p)
-
-
-def _constants(cfg: ProblemConfig) -> tuple[float, ...]:
-    """Per-config step constants (c1, s1, c2, s2, r1^2, r2^2): the line
-    directions and the squared termination-ball radii (distance_to_D3's
-    arithmetic on one bisector_data)."""
-    c1, s1 = cos_sin(cfg.theta1)
-    c2, s2 = cos_sin(cfg.theta2)
-    bd = bisector_data(cfg)
-    r1, r2 = (BALL_SAFETY * min(abs((bd.c[0] - px) * nx + (bd.c[1] - py) * ny)
-                                for nx, ny in (bd.n1, bd.n2))
-              for px, py in (cfg.p1, cfg.p2))
-    return c1, s1, c2, s2, r1 * r1, r2 * r2
-
-
 def _code(v: Verdict) -> int:
     """A verdict's raster code: 0 Budget, 1 or 2 the ball, 3 Cycle."""
     return v.target if isinstance(v, ConvergedTo) else (
@@ -444,12 +376,6 @@ def _walk(consts: Sequence[float], x: float, y: float, steps: int, win: array,
             return ConvergedTo(code) if code else None, x, y, steps
 
 
-def _ball(consts: Sequence[float], x: float, y: float) -> int:
-    """1 or 2 where (x, y) lies in that termination ball, else 0."""
-    return next((code for code, a in ((1, -0.5), (2, 0.5))
-                 if (x - a) * (x - a) + y * y < consts[3 + code]), 0)
-
-
 # the screen may overflow near 1e308, where the proof fails
 @np.errstate(over="ignore")
 def _proven_walk(consts: Sequence[float], x: float, y: float, steps: int,
@@ -522,19 +448,6 @@ def _lanes(consts, x, y) -> np.ndarray:
     out = np.empty((8, len(x)))
     out[0], out[1], out[2:] = x, y, np.asarray(consts).T.reshape(6, -1)
     return out
-
-
-def _lane_visit(x, y, gap, r1sq, r2sq) -> tuple[np.ndarray, ...]:
-    """The visiting half of a lane step, as ``_walk`` visits: whether each
-    lane point (x, y), of any shape the radii broadcast to, lay in p1's
-    and in p2's ball, and whether it was clear of the tie band with its
-    gap.  Its callers hold the np.errstate that _pool's comment
-    explains."""
-    dx1 = x + 0.5
-    dx2 = x - 0.5
-    yy = y * y
-    # the balls are disjoint
-    return dx1 * dx1 + yy < r1sq, dx2 * dx2 + yy < r2sq, _lane_clear(gap, x, y)
 
 
 def _checkpoint(max_steps: int) -> int:
@@ -782,16 +695,17 @@ def certified_budget(cfg: ProblemConfig, cert: LyapunovCertificate, x0,
     """Step budget that provably suffices for a certified configuration.
 
     V decays by gamma per step and the sandwich converts the V level of the
-    termination balls into a step count; 64 slack steps absorb the float
-    edges.  The returned budget is never below max_steps.  The log ratio
-    is negative for every start: D3 crosses the segment p1p2, so r < 1/2,
-    while the anchors are 1 apart, so w2 >= 1/2.
+    termination balls into a step count, to a radius of BALL_SAFETY r =
+    0.9801 min d(p_i, D3): r already carries one factor BALL_SAFETY, and
+    the second is slack beside the 64 steps that absorb the float edges.
+    The returned budget is never below max_steps.  The log ratio is
+    negative for every start: D3 crosses the segment p1p2, so r < 1/2,
+    while the anchors are 1 apart, so omega2 = w2 >= 1/2.
     """
     r = BALL_SAFETY * min(distance_to_D3(cfg, cfg.p1),
                           distance_to_D3(cfg, cfg.p2))
     e = 2.0 * cert.alpha + 2.0
-    w2 = max(math.hypot(x0[0] - cfg.p1[0], x0[1] - cfg.p1[1]),
-             math.hypot(x0[0] - cfg.p2[0], x0[1] - cfg.p2[1]))
+    w2 = omegas(cfg, [x0])[1][0]
     need = e * (math.log(BALL_SAFETY * r) - math.log(w2)) / math.log(cert.gamma)
     return max(max_steps, int(math.ceil(need)) + 64)
 

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .experiments import RasterGrid, SweepGrid
-from .geometry import ProblemConfig
+from .geometry import ProblemConfig, omegas
 from .lyapunov import Infeasible, LyapunovCertificate, v_global
 from .robust import PerturbationSpec, PerturbedTrace, kl_beta
 
@@ -128,9 +128,7 @@ def perturbed_trace_csv(spec: PerturbationSpec, cfg: ProblemConfig,
     V is the Lyapunov value at the point, bound the KL envelope
     beta(omega2(x0), n); the final row has no outgoing offsets.
     """
-    x0 = trace.points[0]
-    w2 = max(math.hypot(x0[0] - cfg.p1[0], x0[1] - cfg.p1[1]),
-             math.hypot(x0[0] - cfg.p2[0], x0[1] - cfg.p2[1]))
+    w2 = omegas(cfg, trace.points[:1])[1][0]
     out = ["step,x,y,pre_offset_norm,post_offset_norm,V,bound\r\n"]
     for n, (x, y) in enumerate(trace.points):
         if n < len(trace.disturbances):

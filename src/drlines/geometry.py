@@ -5,8 +5,9 @@ x-axis B at the anchors p1 = (-1/2, 0) and p2 = (1/2, 0), with inclination
 angles 0 < theta1 <= pi/2 and theta1 < theta2 < pi.  This module owns the
 config, the region labels D1/D2 (closer to A1/A2) and D3 (the tie band),
 the closed forms for the equidistance set D3 (the two angle bisectors
-through the intersection of A1 and A2) and the check on starts.  Points
-are classified by the DR step's own tie test, ``dr._gap``.
+through the intersection of A1 and A2), the distances to D3 and to {p1,
+p2} (``omegas``) and the check on starts.  Points are classified by the
+DR step's own tie test, ``dr._gap``.
 """
 from __future__ import annotations
 
@@ -116,9 +117,24 @@ def bisector_data(cfg: ProblemConfig) -> BisectorData:
 
 def distance_to_D3(cfg: ProblemConfig, x) -> float:
     """Distance from x to the equidistance set D3."""
-    p = np.asarray(x, dtype=float)
-    bd = bisector_data(cfg)
+    return _d3_distance(bisector_data(cfg), np.asarray(x, dtype=float))
+
+
+def _d3_distance(bd: BisectorData, p):
+    """The distance from the point p to the nearer bisector line of bd."""
     dx = bd.c[0] - p[0]
     dy = bd.c[1] - p[1]
     return min(abs(dx * bd.n1[0] + dy * bd.n1[1]),
                abs(dx * bd.n2[0] + dy * bd.n2[1]))
+
+
+def omegas(cfg: ProblemConfig, points) -> tuple[list[float], list[float]]:
+    """(omega1, omega2): lists of the points' distances to the nearer and the
+    farther of p1 and p2, by math.hypot (np.hypot may round differently)."""
+    (p1x, p1y), (p2x, p2y), hypot = cfg.p1, cfg.p2, math.hypot
+    near, far = [], []
+    for x, y in points:
+        d1, d2 = hypot(x - p1x, y - p1y), hypot(x - p2x, y - p2y)
+        near.append(d1 if d1 <= d2 else d2)
+        far.append(d2 if d1 <= d2 else d1)
+    return near, far

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dr import _gap, dr_multivalued, dr_two_lines
-from .geometry import ProblemConfig, cos_sin
+from .geometry import ProblemConfig, cos_sin, omegas
 
 # V_1 below this is treated as exactly zero to keep powers out of subnormals
 _V_ZERO = 1e-300
@@ -137,9 +137,7 @@ def sandwich_bounds(cert, cfg: ProblemConfig, x) -> SandwichBounds:
 
     phi(r) = r^(2*alpha + 2) sandwiches V: phi(omega1) <= V(x) <= phi(omega2).
     """
-    r1 = math.hypot(x[0] - cfg.p1[0], x[1] - cfg.p1[1])
-    r2 = math.hypot(x[0] - cfg.p2[0], x[1] - cfg.p2[1])
-    lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
+    (lo,), (hi,) = omegas(cfg, [x])
     e = 2.0 * cert.alpha + 2.0
     return SandwichBounds(lo, hi, lo**e, hi**e)
 

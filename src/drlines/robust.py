@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dr import _lane_clear, _lane_gap, dr_multivalued
-from .geometry import ProblemConfig, checked_start, cos_sin
+from .geometry import ProblemConfig, checked_start, cos_sin, omegas
 from .lyapunov import _V_ZERO, _log_v, _v_many, v_global, v_local
 
 # The V searches below screen many points at once with _v_many and
@@ -62,6 +62,9 @@ _TWO_PI = 2.0 * math.pi
 _RATE_ULPS = 8
 # boundary angles the adversary tries per disturbance ball
 _K_BOUNDARY = 64
+# the most points one run_perturbed_many call holds: with their offsets
+# they take 48 B a point, 200 MB at 2^22
+_MAX_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -119,21 +122,13 @@ class PerturbedTrace:
     seed: int
 
 
-def _anchor_distances(cfg: ProblemConfig, points) -> list[float]:
-    """d(p, {p1, p2}) for each point (x, y) by math.hypot, whose bits the
-    printed margins carry; np.hypot may round differently."""
-    (p1x, p1y), (p2x, p2y), hypot = cfg.p1, cfg.p2, math.hypot
-    return [min(hypot(x - p1x, y - p1y), hypot(x - p2x, y - p2y))
-            for x, y in points]
-
-
 def sigma(spec: PerturbationSpec, cfg: ProblemConfig, x) -> float:
     """Admissible perturbation radius at x.
 
     Vanishes exactly on {p1, p2}, is positive and 1-Lipschitz-continuous
     (up to the constant factor) everywhere else.
     """
-    return spec.kappa * _anchor_distances(cfg, [x])[0]
+    return spec.kappa * omegas(cfg, [x])[0][0]
 
 
 def kl_beta(spec: PerturbationSpec, s: float, t: float) -> float:
@@ -227,7 +222,7 @@ def _step_lanes(spec: PerturbationSpec, cfg: ProblemConfig, x: np.ndarray,
     dr_multivalued; there random lanes take A1, adversarial lanes the
     larger V (A1 on equal V)."""
     def offsets(x, u):
-        radius = spec.kappa * np.array(_anchor_distances(cfg, x.T.tolist()))
+        radius = spec.kappa * np.array(omegas(cfg, x.T.tolist())[0])
         if adversarial:
             return _worst_offsets(spec, cfg, x, radius, _TWO_PI * u)
         # radius * sqrt(u) makes the point uniform over the disc
@@ -296,13 +291,17 @@ def run_perturbed_many(spec: PerturbationSpec, cfg: ProblemConfig, starts,
     does not depend on the lanes beside it.  Raises, before any draw, for
     a seed that is not an integer >= 0 (TypeError for a non-integer), and
     ValueError for an unknown mode, a negative step count, starts and
-    trace_ids of different lengths, and starts that are not finite or
-    whose V is too large for a double."""
+    trace_ids of different lengths, more than _MAX_POINTS = 2^22 points
+    in all (judged from the sizes before any start is checked), and starts
+    that are not finite or whose V is too large for a double."""
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     per_step = _draws_per_step(mode)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if len(starts) * (n_steps + 1) > _MAX_POINTS:
+        raise ValueError(f"{len(starts)} traces of {n_steps} steps hold more "
+                         "than 2**22 points, the most one run takes")
     trace_ids = list(trace_ids)
     if len(starts) != len(trace_ids):
         raise ValueError(f"{len(starts)} starts for {len(trace_ids)} "
@@ -392,15 +391,11 @@ def check_kl_bound(spec: PerturbationSpec, cfg: ProblemConfig,
     proof: the trace explores only one disturbance selection.
     """
     points = trace.points if isinstance(trace, PerturbedTrace) else trace
-    (p1x, p1y), (p2x, p2y), hypot = cfg.p1, cfg.p2, math.hypot
-    x0 = points[0]
-    w2 = max(hypot(x0[0] - p1x, x0[1] - p1y), hypot(x0[0] - p2x, x0[1] - p2y))
-    # the bound is kl_beta(spec, w2, n), its operations in its order
-    rate, e = spec.rate, 2.0 * spec.alpha + 2.0
-    ok = True
-    worst = math.inf
-    for n, (x, y) in enumerate(points):
-        actual = min(hypot(x - p1x, y - p1y), hypot(x - p2x, y - p2y))
+    near, far = omegas(cfg, points)
+    # the bound is kl_beta(spec, far[0], n), its operations in its order
+    w2, rate, e = far[0], spec.rate, 2.0 * spec.alpha + 2.0
+    ok, worst = True, math.inf
+    for n, actual in enumerate(near):
         bound = w2 * rate ** (float(n) / e)
         if bound - actual < worst:
             worst = bound - actual
@@ -424,7 +419,7 @@ def rate_ratio(spec: PerturbationSpec, cfg: ProblemConfig,
     worst = 0.0
     for x, y in zip(trace.points, trace.points[1:]):
         vx = v_global(spec, cfg, x)
-        d = min(_anchor_distances(cfg, (x, y)))
+        d = min(omegas(cfg, (x, y))[0])
         e = _RATE_ULPS * math.ulp(1.0 + max(math.hypot(*x), math.hypot(*y)))
         if vx > 0.0 and d > e:
             slack = ((d + e) / (d - e)) ** (2.0 * spec.alpha + 2.0)

@@ -13,10 +13,10 @@ from unittest import mock
 import numpy as np
 
 from drlines import cycles, dr
-from drlines.dr import DrStep
-from drlines.experiments import (BALL_SAFETY, Budget, ConvergedTo, Cycle,
-                                 EnumerateTree, PairOutcome, SeededRandom,
-                                 Trace, certified_budget)
+from drlines.dr import BALL_SAFETY, DrStep
+from drlines.experiments import (Budget, ConvergedTo, Cycle, EnumerateTree,
+                                 PairOutcome, SeededRandom, Trace,
+                                 certified_budget)
 from drlines.geometry import (TIE_TOL, ProblemConfig, Region, bisector_data,
                               checked_start, cos_sin, distance_to_D3)
 from drlines.lyapunov import LyapunovCertificate, certify

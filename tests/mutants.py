@@ -26,14 +26,14 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "bench", "README.md", "pyproject.toml")
 TIMEOUT = 300
 # suites run at once: two, as on a 2-vCPU host
 JOBS = 2
 KILLED = "killed"
 Mutant = namedtuple("Mutant", "name file old new mark")
 MUTANTS = (
-    Mutant("control", "experiments.py", "# the balls are disjoint",
+    Mutant("control", "dr.py", "# the balls are disjoint",
            "# the balls do not meet", "it edits a comment"),
     # the tie band and the scalar loop's screen and ball tests
     Mutant("band-min", "dr.py", "np.maximum(abs(x), abs(y))",
@@ -50,9 +50,9 @@ MUTANTS = (
            "        if g1 > 0.0:", KILLED),
     Mutant("steps-ball-radius", "dr.py", "if q1 < r1sq:", "if q1 < r2sq:",
            KILLED),
-    Mutant("ball-radius", "experiments.py", "< consts[3 + code]",
+    Mutant("ball-radius", "dr.py", "< consts[3 + code]",
            "< consts[4]", KILLED),
-    Mutant("lane-visit-radii", "experiments.py",
+    Mutant("lane-visit-radii", "dr.py",
            "dx1 * dx1 + yy < r1sq, dx2 * dx2 + yy < r2sq",
            "dx1 * dx1 + yy < r2sq, dx2 * dx2 + yy < r1sq", KILLED),
     # the window's cycle screen and its undecided rule

@@ -15,7 +15,7 @@ import pytest
 import drlines
 from dr_oracle import iterate_reference
 from robust_oracle import run_perturbed_reference
-from drlines import cli, experiments
+from drlines import cli, experiments, robust
 from drlines.cli import main
 from drlines.exports import (format_float, perturbed_trace_csv, sweep_csv,
                              trace_csv)
@@ -487,6 +487,21 @@ def test_robust_output_matches_per_trace_loop(capsys, tmp_path, monkeypatch,
                     f"worst_margin={format_float(worst)}\n")
     assert out.read_bytes() == perturbed_trace_csv(
         spec, cfg, traces[0]).encode()
+
+
+def test_robust_with_an_absurd_step_count_fails_before_any_start(
+        capsys, monkeypatch):
+    # 1e10 steps would take 149 GiB of points: the run fails on its sizes
+    def checked(x0):
+        raise AssertionError("a start was checked")
+
+    monkeypatch.setattr(robust, "checked_start", checked)
+    code, out, err = run_cli(capsys, [
+        "robust", "--theta1", "60", "--theta2", "72", "--deg", "--x0", "2,1",
+        "--steps", "10000000000"])
+    assert (code, out) == (1, "")
+    assert err == ("error: 1 traces of 10000000000 steps hold more than "
+                   "2**22 points, the most one run takes\n")
 
 
 def test_robust_rejects_infeasible_pair(capsys):

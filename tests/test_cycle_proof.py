@@ -1,6 +1,7 @@
 """The cycle certificate: a float proof that an orbit follows one branch
 word forever, and the window-free walk that stops at one, which the
 sweep's resumed walks and Brent's search run."""
+import contextlib
 import math
 from unittest import mock
 
@@ -9,18 +10,17 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from drlines import cycles, dr, experiments
+from drlines.cycles import CycleCertificate, certify_cycle
 from drlines.experiments import (
     ConvergedTo,
     Cycle,
-    CycleCertificate,
     FirstBranch,
-    certify_cycle,
     find_period_brent,
     make_theta_grid,
     simulate,
     sweep,
 )
-from drlines.geometry import ProblemConfig
+from drlines.geometry import TIE_TOL, ProblemConfig
 
 FIG_CFG = ProblemConfig(math.pi / 3, 2 * math.pi / 5)
 PERIOD2_CFG = ProblemConfig(0.748491, 0.772301)
@@ -37,7 +37,7 @@ def on_cycle(cfg, x0, max_steps=20000):
 
 def orbit(cfg, x0, word):
     # x0 and its images through the branches of word, as the walk steps
-    c1, s1, c2, s2, _, _ = experiments._constants(cfg)
+    c1, s1, c2, s2, _, _ = dr._constants(cfg)
     pts = [tuple(x0)]
     for b in word:
         pts.append(dr._branch(-0.5, c1, s1, *pts[-1]) if b == 1
@@ -54,7 +54,7 @@ def test_the_period_58_basin_cycle_certifies():
     assert cert.points[0] == point
     assert 0.0 < cert.error < cert.margin and 0.0 < cert.contraction < 1.0
     # the word is the branch each point's gap picks, and repeats no shorter
-    c1, s1, c2, s2, _, _ = experiments._constants(PERIOD58_CFG)
+    c1, s1, c2, s2, _, _ = dr._constants(PERIOD58_CFG)
     assert cert.word == tuple(1 if dr._gap(c1, s1, c2, s2, x, y) < 0.0 else 2
                               for x, y in cert.points)
     assert np.array_equal(orbit(PERIOD58_CFG, point, cert.word)[:-1],
@@ -107,7 +107,7 @@ def test_a_mutated_word_is_rejected():
     # check at that point, or its error bound, rejects them
     point, _ = on_cycle(PERIOD58_CFG, (-0.123641, -0.510395))
     cert = certify_cycle(PERIOD58_CFG, point, 58)
-    consts = experiments._constants(PERIOD58_CFG)
+    consts = dr._constants(PERIOD58_CFG)
     assert cycles._prove_cycle(consts, orbit(PERIOD58_CFG, point,
                                              cert.word)) is not None
     for i in (0, 1, 17, 41, 57):
@@ -129,13 +129,34 @@ def test_a_cycle_whose_discs_reach_a_ball_is_rejected():
     point, _ = on_cycle(PERIOD58_CFG, (-0.123641, -0.510395))
     cert = certify_cycle(PERIOD58_CFG, point, 58)
     pts = orbit(PERIOD58_CFG, point, cert.word)
-    consts = experiments._constants(PERIOD58_CFG)
+    consts = dr._constants(PERIOD58_CFG)
     near = min(math.hypot(x - 0.5, y) for x, y in cert.points)
     for radius, proven in ((near - 8.0 * cert.error, True),
                            (near - 0.75 * cert.error, False),
                            (near - 0.5 * cert.error, False)):
         grown = consts[:5] + (radius * radius,)
         assert (cycles._prove_cycle(grown, pts) is not None) == proven
+
+
+def test_a_cycle_whose_discs_reach_the_tie_band_is_rejected():
+    # a period-2 cycle whose gap at its first point clears the tie band
+    # there but not the proof's slack tau (1 + a), which keeps the band's
+    # TIE_TOL beside the rounding of the gap: no proof holds, and a slack
+    # of the rounding alone would certify it
+    cfg = ProblemConfig(0.748491, 0.9470544446377608)
+    x0 = (0.19418476152157743, 0.1702518272807701)
+    c1, s1, c2, s2 = dr._constants(cfg)[:4]
+    pts = orbit(cfg, x0, (1, 2))
+    assert np.array_equal(pts[2], pts[0])
+    tau = TIE_TOL * (1.0 + 1e-6) + 2.0 * cycles._ETA
+    assert dr._band(*x0) < -dr._gap(c1, s1, c2, s2, *x0) < tau * (
+        1.0 + 2.0 * abs(pts).max())
+    assert certify_cycle(cfg, x0, 2) is None
+    # so the proof is conservative here: the window sees the cycle at its
+    # first check, and the proven walk proves none
+    tr = simulate(cfg, x0, record=False)
+    assert (tr.verdict, tr.steps_used) == (Cycle(2), 512)
+    assert find_period_brent(cfg, x0, max_steps=2000) is None
 
 
 def test_a_converging_start_is_rejected():
@@ -147,17 +168,17 @@ def test_a_converging_start_is_rejected():
     # converge: every period the walk's coarse screen proposes is rejected,
     # and the walk reaches simulate's ball at simulate's step
     calls = []
-    prove = experiments._prove_cycle
+    prove = cycles._prove_cycle
 
     def spy(consts, p):
         calls.append(len(p) - 1)
         return prove(consts, p)
 
     rng = np.random.default_rng(1)
-    with mock.patch.object(experiments, "_prove_cycle", spy):
+    with mock.patch.object(cycles, "_prove_cycle", spy):
         for t1, t2 in make_theta_grid(40, 40)[:40]:
             cfg = ProblemConfig(t1, t2)
-            consts = experiments._constants(cfg)
+            consts = dr._constants(cfg)
             for x0 in rng.uniform(-2.0, 2.0, size=(10, 2)):
                 tr = simulate(cfg, x0, record=False)
                 if isinstance(tr.verdict, ConvergedTo):
@@ -208,14 +229,14 @@ def test_periods_from_2_to_the_20_fail_before_any_step(monkeypatch):
     # and _proof declines such a lag, both before a step runs, however
     # long the orbit's budget
     steps = []
-    monkeypatch.setattr(experiments, "_steps",
+    monkeypatch.setattr(cycles, "_steps",
                         lambda *args: steps.append(args[-2]))
-    consts = experiments._constants(PERIOD2_CFG)
+    consts = dr._constants(PERIOD2_CFG)
     for period in (2 ** 20, 2 ** 40, 2 ** 55):
         with pytest.raises(ValueError,
                            match=r"period must be in \[1, 2\*\*20\)"):
             certify_cycle(PERIOD2_CFG, (0.101912, 0.189275), period)
-        assert experiments._proof(consts, 0.101912, 0.189275, period) is None
+        assert cycles._proof(consts, 0.101912, 0.189275, period) is None
     assert steps == []
 
 
@@ -228,11 +249,11 @@ def test_a_period_below_2_to_the_20_from_a_ball_stops_after_one_chunk():
         calls.append(args[-2])
         return dr._steps(*args)
 
-    consts = experiments._constants(PERIOD2_CFG)
-    with mock.patch.object(experiments, "_steps", spy):
+    consts = dr._constants(PERIOD2_CFG)
+    with mock.patch.object(cycles, "_steps", spy):
         assert certify_cycle(PERIOD2_CFG, (-0.5, 0.0), 2 ** 20 - 1) is None
-        assert experiments._proof(consts, -0.5, 0.0, 2 ** 20 - 1) is None
-    assert calls == [experiments.CHECK_EVERY] * 2
+        assert cycles._proof(consts, -0.5, 0.0, 2 ** 20 - 1) is None
+    assert calls == [cycles._CHUNK] * 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -261,29 +282,30 @@ def test_a_proven_cycle_never_converges(t1, t2_frac, x, y, at, period):
         assert not isinstance(long.verdict, ConvergedTo)
 
 
+@contextlib.contextmanager
 def count_steps():
-    # every dr._steps step the experiments module runs
+    # every dr._steps step the walks and the proofs run
     taken = [0]
-    steps = experiments._steps
 
     def counted(*args):
-        out = steps(*args)
+        out = dr._steps(*args)
         taken[0] += out[3]
         return out
 
-    return taken, mock.patch.object(experiments, "_steps", counted)
+    with mock.patch.object(experiments, "_steps", counted), \
+            mock.patch.object(cycles, "_steps", counted):
+        yield taken
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sweep_walks_stop_at_proofs_and_change_no_outcome(seed):
     pairs = list(make_theta_grid(4, 4)) + [
         (0.748491, 0.772301), (0.082719, 2.064601), (0.703469, 3.138852)]
-    taken, counting = count_steps()
-    with counting:
+    with count_steps() as taken:
         got = sweep(pairs, samples_per_pair=20, seed=seed)
         proven = taken[0]
         taken[0] = 0
-        with mock.patch.object(experiments, "_prove_cycle",
+        with mock.patch.object(cycles, "_prove_cycle",
                                lambda consts, p: None):
             want = sweep(pairs, samples_per_pair=20, seed=seed)
     assert got == want
@@ -319,7 +341,7 @@ def test_every_nonconvergent_benchmark_sweep_walk_ends_at_a_proof():
     stopped = [v for v in verdicts if not isinstance(v, ConvergedTo)]
     assert len(stopped) == len(proofs) == flagged == 101
     assert stopped == [Cycle(p) for p in proofs]
-    cfgs = {experiments._constants(cfg): cfg
+    cfgs = {dr._constants(cfg): cfg
             for cfg in (ProblemConfig(*p) for p in pairs)}
     for consts, (v, x, y, _) in walks:
         if isinstance(v, Cycle):

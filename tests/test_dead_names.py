@@ -1,6 +1,8 @@
-"""Every module-level private name in the package is used somewhere, and
-every top-level import of the package, the tests and the demos is read."""
+"""Every module-level private name in the package is used somewhere,
+every top-level import of the package, the tests and the demos is read,
+and every name the benchmark's tracer patches exists."""
 import ast
+import importlib
 import pathlib
 
 import drlines
@@ -99,3 +101,29 @@ def test_unused_import_guard_sees_a_planted_import(tmp_path):
     (tmp_path / "__init__.py").write_text("from .m import io\n")
     assert unused_imports(sorted(tmp_path.glob("*.py"))) == [
         ("m.py", 2, "io"), ("m.py", 6, "loads")]
+
+
+def tracer_targets(path=TESTS.parent / "bench" / "run.py"):
+    """(module, name) for each ``(module, "name", ...)`` tuple in the
+    benchmark's ``build_tracer``, its modules read from the function's own
+    ``import drlines.x as y`` lines."""
+    tracer = next(node for node in ast.walk(ast.parse(path.read_text(
+        encoding="utf-8"))) if isinstance(node, ast.FunctionDef)
+                  and node.name == "build_tracer")
+    modules = {a.asname: a.name for node in ast.walk(tracer)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name.startswith("drlines.")}
+    return [(modules[t.elts[0].id], t.elts[1].value)
+            for t in ast.walk(tracer) if isinstance(t, ast.Tuple)
+            and len(t.elts) > 2 and isinstance(t.elts[0], ast.Name)
+            and t.elts[0].id in modules
+            and isinstance(t.elts[1], ast.Constant)]
+
+
+def test_tracer_patch_targets_exist():
+    targets = tracer_targets()
+    assert len(targets) >= 20
+    assert {m for m, _ in targets} == {"drlines.cli", "drlines.experiments",
+                                       "drlines.robust", "drlines.exports"}
+    assert [(m, name) for m, name in targets
+            if not hasattr(importlib.import_module(m), name)] == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from drlines import dr, experiments
+from drlines import cycles, dr, experiments
 from drlines.cli import main
 from drlines.dr import dr_multivalued
 from drlines.geometry import (
@@ -254,7 +254,7 @@ def test_proven_walk_takes_its_coin_at_a_tie_and_brent_takes_a1():
     # a tie at the start and at step 10 of an orbit whose A1 branch leads
     # to the period-2 orbit, and A2's to p2's ball: the walk draws one coin
     # there and goes on through its branch as a walk from that point would
-    consts = experiments._constants(PERIOD2_CFG)
+    consts = dr._constants(PERIOD2_CFG)
     c1, s1, c2, s2 = consts[:4]
     for n in (0, 10):
         x0 = tie_preimage(PERIOD2_CFG, n)
@@ -283,7 +283,7 @@ def test_a_tie_takes_one_coin_in_simulate_the_walk_and_iterate(capsys):
     # and A2 into p2's ball; the first coin of SeededRandom(0) picks A2, in
     # simulate, in the proven walk and in ``drlines iterate``
     x0 = tie_preimage(PERIOD2_CFG, 10)
-    consts = experiments._constants(PERIOD2_CFG)
+    consts = dr._constants(PERIOD2_CFG)
     tr = simulate(PERIOD2_CFG, x0, SeededRandom(0))
     assert (tr.verdict, tr.steps_used) == (ConvergedTo(2), 14)
     assert experiments._proven_walk(
@@ -301,7 +301,7 @@ def test_a_tie_takes_one_coin_in_simulate_the_walk_and_iterate(capsys):
 
 def test_proven_walk_in_a_ball_and_below_the_proof_step():
     # a start inside p1's termination ball converges at step 0
-    consts = experiments._constants(PERIOD2_CFG)
+    consts = dr._constants(PERIOD2_CFG)
     r1 = math.sqrt(consts[4])
     x0 = (-0.5 + 0.5 * r1, 0.25 * r1)
     assert experiments._proven_walk(consts, *x0, 0, 20000, a1_coins()) == (
@@ -314,7 +314,7 @@ def test_proven_walk_in_a_ball_and_below_the_proof_step():
             (PERIOD1410_CFG, (0.392560, -0.351588), 1410),
             (ProblemConfig(0.05, 0.1),
              (1.1672003185823576, 0.701385077992045), 8)):
-        consts = experiments._constants(cfg)
+        consts = dr._constants(cfg)
         v, _, _, steps = experiments._proven_walk(consts, *x0, 0, 200000,
                                                   a1_coins())
         assert v == Cycle(period)
@@ -329,7 +329,7 @@ def test_failed_proof_tries_cost_at_most_the_walk_steps():
     # back to its reference point, yet each reference's tries cost at most
     # its span, so all of them less than twice the walk's steps
     lags = []
-    consts = experiments._constants(PERIOD2_CFG)
+    consts = dr._constants(PERIOD2_CFG)
     with mock.patch.object(experiments, "_proof",
                            lambda consts, x, y, k: lags.append(k)):
         v, _, _, steps = experiments._proven_walk(consts, 0.101912, 0.189275,
@@ -347,7 +347,7 @@ def test_window_period_is_a_multiple_of_the_proven_one():
     tr = simulate(cfg, x0, record=False)
     assert (tr.verdict, tr.steps_used) == (Cycle(406), 14336)
     assert find_period_brent(cfg, x0) == 203
-    cert = experiments.certify_cycle(cfg, tr.points[-1], 406)
+    cert = cycles.certify_cycle(cfg, tr.points[-1], 406)
     assert cert is not None and cert.period == 203
     assert tr.verdict.period % cert.period == 0
 
@@ -870,7 +870,7 @@ def test_lane_tails_resume_in_the_walk_with_their_windows(monkeypatch,
 def lockstepped(cfg, xs, ys, max_steps):
     # _lockstep's (code, steps) per lane from step 0
     codes, steps = experiments._lockstep(
-        experiments._lanes(experiments._constants(cfg), np.asarray(xs),
+        experiments._lanes(dr._constants(cfg), np.asarray(xs),
                            np.asarray(ys)), max_steps)
     return list(zip(codes.tolist(), steps.tolist()))
 
@@ -974,7 +974,7 @@ def test_pool_builds_each_lane_once_in_blocks(monkeypatch, n):
     # step a pool that holds all n lanes at once gives it, and a lane
     # still running at the hand-off step leaves there
     bounds, res = (-3.0, 3.0, -3.0, 3.0), (15, 10)
-    consts = experiments._constants(PERIOD58_CFG)
+    consts = dr._constants(PERIOD58_CFG)
     calls = []
 
     def lanes_at(lo, hi):
@@ -1090,7 +1090,7 @@ def test_lanes_steps_and_dr_multivalued_share_the_tie_band(
         base, normal = (bd.c[0] - t * n[1], bd.c[1] + t * n[0]), n
     inside, off = band_edge(cfg, base, normal)
     x, y = planted(*(off if outward else inside), normal, ulps)
-    consts = experiments._constants(cfg)
+    consts = dr._constants(cfg)
     on = on_tie_band(x, y, dr._gap(*consts[:4], x, y))
     code = dr._steps(*consts, x, y, 1, array("d"))[0]
     *_, clear = lane_branch(consts, np.array([x]), np.array([y]))
@@ -1119,7 +1119,7 @@ def test_pool_hands_off_at_the_tie_band_exactly_where_steps_stops(
                   for p in band_edge(cfg, base, normal) for ulps in (-2, 0, 2)]
         points += [(2.0, 1.0), (-1.3, -0.4), cfg.p1]
         starts += points
-        rows += [experiments._constants(cfg)] * len(points)
+        rows += [dr._constants(cfg)] * len(points)
     rows, starts = np.array(rows), np.array(starts)
     codes, _, points = experiments._pool(
         lambda lo, hi: experiments._lanes(rows[lo:hi], *starts[lo:hi].T),
@@ -1133,7 +1133,7 @@ def test_pool_hands_off_at_the_tie_band_exactly_where_steps_stops(
 
 
 def test_a_nan_gap_is_not_clear_of_the_tie_band():
-    consts = experiments._constants(FIG_CFG)
+    consts = dr._constants(FIG_CFG)
     x = np.array([math.nan, 1.0, math.inf])
     y = np.array([0.0, math.nan, -math.inf])
     with np.errstate(invalid="ignore"):
@@ -1181,7 +1181,7 @@ def test_steps_match_gap_and_branch_bit_for_bit(t1, t2_frac, where, u, v,
     # not clear the gap, and a lane is clear of the tie band exactly where
     # _steps steps, to the same point
     cfg = ProblemConfig(t1, t1 + (math.pi - t1) * t2_frac)
-    consts = experiments._constants(cfg)
+    consts = dr._constants(cfg)
     if where == "tie":
         tx, ty = tie_point(cfg)
         band = TIE_TOL * (1.0 + abs(tx))
@@ -1297,9 +1297,9 @@ def test_constants_match_distance_to_d3_bit_for_bit(t1, t2_frac, n):
     t2 = t1 + (math.pi - t1) * t2_frac
     assume(t2 < math.pi)
     cfg = ProblemConfig(t1, t2)
-    consts = experiments._constants(cfg)
-    r1 = experiments.BALL_SAFETY * float(distance_to_D3(cfg, cfg.p1))
-    r2 = experiments.BALL_SAFETY * float(distance_to_D3(cfg, cfg.p2))
+    consts = dr._constants(cfg)
+    r1 = dr.BALL_SAFETY * float(distance_to_D3(cfg, cfg.p1))
+    r2 = dr.BALL_SAFETY * float(distance_to_D3(cfg, cfg.p2))
     want = (*cos_sin(cfg.theta1), *cos_sin(cfg.theta2), r1 * r1, r2 * r2)
     assert [type(c) for c in consts] == [float] * 6
     assert [c.hex() for c in consts] == [c.hex() for c in want]

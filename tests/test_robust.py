@@ -388,6 +388,24 @@ def test_run_perturbed_rejects_bad_inputs():
                 run_perturbed_many(SPEC, FIG_CFG, starts, n_steps, 2.5, ids)
 
 
+def test_run_perturbed_rejects_absurd_sizes_before_any_start(monkeypatch):
+    # the points and disturbances take 48 B a point, so more than 2^22
+    # points fail from the sizes alone: a start checked would fail here
+    def checked(x0):
+        raise AssertionError("a start was checked")
+
+    monkeypatch.setattr(robust, "checked_start", checked)
+    for starts, n_steps in (([(2.0, 1.0)] * 2_000_000, 2 ** 40),
+                            ([(2.0, 1.0)], 10 ** 10), ([(2.0, 1.0)], 2 ** 22)):
+        with pytest.raises(ValueError, match=r"more than 2\*\*22 points"):
+            run_perturbed_many(SPEC, FIG_CFG, starts, n_steps, 0,
+                               range(len(starts)), mode="adversarial")
+    # 2^22 points in all pass the cap and go on to check their starts
+    with pytest.raises(AssertionError, match="a start was checked"):
+        run_perturbed_many(SPEC, FIG_CFG, [(2.0, 1.0)] * 2, 2 ** 21 - 1, 0,
+                           [0, 1])
+
+
 def test_run_perturbed_rejects_starts_whose_v_overflows():
     # (1+eps)^2 V(x0) passes the largest double between these abscissas
     inside, outside = 7.766554619706739e+64, 7.76655461970674e+64
