@@ -14,7 +14,8 @@ band |gap| <= ``_band`` = TIE_TOL (1 + max(|x|, |y|)): NumPy and Python
 round it alike, and it is finite at every finite point.  A trajectory
 stops in an open ball B(p_i, BALL_SAFETY d(p_i, D3)), inside its own
 strict region, where the iteration contracts toward p_i; ``_ball`` and
-``_lane_visit`` test the balls, with the squared radii of ``_constants``.
+``_lane_visit`` test the balls, with the squared radii of ``_constants``,
+and ``_lane_block`` steps lanes several visits at once.
 Every scalar trajectory runs ``_steps``, one loop with the same
 expressions in the same order, but with no call on a step clear of the
 band: a distance term is negated where abs would flip it, and a screen on
@@ -167,6 +168,21 @@ def _lane_visit(x, y, gap, r1sq, r2sq) -> tuple[np.ndarray, ...]:
     yy = y * y
     # the balls are disjoint
     return dx1 * dx1 + yy < r1sq, dx2 * dx2 + yy < r2sq, _lane_clear(gap, x, y)
+
+
+def _lane_block(pts: np.ndarray, consts) -> tuple[np.ndarray, ...]:
+    """Step the lanes of ``pts[0]`` k = len(pts) - 1 times into pts[1..k]
+    of the (k + 1, 2, lanes) buffer, each step through ``_lane_gap`` alone,
+    with ``consts`` the lanes' rows c1, s1, c2, s2, r1^2, r2^2, and return
+    ``_lane_visit`` at visits 0..k-1, each (k, lanes)."""
+    c1, s1, c2, s2, r1sq, r2sq = consts
+    k = len(pts) - 1
+    gaps = np.empty((k, pts.shape[2]))
+    x, y = pts[0]
+    for i in range(k):
+        gaps[i], x, y = _lane_gap(c1, s1, c2, s2, x, y)
+        pts[i + 1, 0], pts[i + 1, 1] = x, y
+    return _lane_visit(pts[:k, 0], pts[:k, 1], gaps, r1sq, r2sq)
 
 
 def dr_two_lines(p, theta: float, x) -> np.ndarray:

@@ -13,8 +13,10 @@ work items; every cell derives its PRNG stream from the root seed and its
 own index, so results do not depend on how cells are grouped.  The grid
 drivers step their cells as NumPy lanes in one pool (``_pool``), which
 hands each lane back at a ball, on the tie band, or at a step that each
-driver chooses.  ``rasterize`` resumes its hand-offs as windowed lanes
-(``_lockstep``), and ``sweep`` in the window-free walk that
+driver chooses; once every lane is drawn, it steps the lanes left
+several visits a pass, through the block kernel (``dr._lane_block``)
+that ``_lockstep`` runs too.  ``rasterize`` resumes its hand-offs as
+windowed lanes (``_lockstep``), and ``sweep`` in the window-free walk that
 ``find_period_brent`` runs too (``_proven_walk``), which stops at a ball,
 at the budget, or at a cycle proof.
 """
@@ -29,8 +31,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .cycles import _COARSE, _proof, _root
-from .dr import (BALL_SAFETY, _ball, _branch, _constants, _lane_gap,
-                 _lane_visit, _steps)
+from .dr import (BALL_SAFETY, _ball, _branch, _constants, _lane_block,
+                 _lane_gap, _lane_visit, _steps)
 from .geometry import ProblemConfig, checked_start, distance_to_D3, omegas
 from .lyapunov import LyapunovCertificate, certify
 
@@ -464,45 +466,59 @@ def _pool(lanes_at, n: int, mark: int) -> tuple[np.ndarray, ...]:
     finishes makes room for the next one, so the pool stays full while
     lanes are left.  ``lanes_at(lo, hi)`` builds lanes lo, ..., hi-1 as
     one lane array (rows x, y, c1, s1, c2, s2, r1^2, r2^2), asked for at
-    most _LANE_BLOCK at a time.  Each step visits every lane, as
-    ``_walk`` does, and steps it through the branch its gap picks.
-    Returns (codes, steps, points) over all n lanes, for the visit at
-    which each lane left: code 1 or 2 where it entered a termination
-    ball, _TIE_HANDOFF where it was on the tie band, and _HANDOFF where it
-    was still running at step ``mark``, which each grid driver chooses;
-    ``steps`` and the (n, 2) ``points`` hold each lane's step count and
-    point at that visit, before it steps, so a lane may go on from
-    there."""
+    most _LANE_BLOCK at a time.  A lane leaves at the first visit, as
+    ``_walk`` visits, that finds it in a termination ball, on the tie band
+    or at step ``mark``, which each grid driver chooses, and otherwise
+    steps through the branch its gap picks.  While lanes are left to
+    draw, a pass visits every lane once, so a finished lane's place is
+    refilled at once; after that a pass steps every lane k times through
+    ``_lane_block`` and tests the k visits at once, with k = min(32,
+    4 _LANE_BLOCK // lanes, mark + 1 - the least step count), so a pass
+    of a few lanes does about four full pool steps' work and no lane
+    steps past the mark.  Returns (codes, steps, points) over all n lanes, for
+    the visit at which each lane left: code 1 or 2 where it entered a
+    termination ball, _TIE_HANDOFF where it was on the tie band, and
+    _HANDOFF where it was still running at the mark; ``steps`` and the
+    (n, 2) ``points`` hold each lane's step count and point at that
+    visit, before it steps, so a lane may go on from there."""
     codes = np.empty(n, dtype=np.uint8)
     steps = np.empty(n, dtype=np.int32)
     points = np.empty((n, 2))
-    buf, built = np.empty((8, 0)), 0
+    buf, built, drawn = np.empty((8, 0)), 0, 0
 
     def draw(k):
         # the next k lanes and their ids, fewer once all n are out; as k
         # is at most _LANE_BLOCK, one block always tops the buffer up
-        nonlocal buf, built
+        nonlocal buf, built, drawn
         if buf.shape[1] < k and built < n:
             hi = min(n, built + _LANE_BLOCK)
             buf = np.concatenate([buf, lanes_at(built, hi)], axis=1)
             built = hi
         new, buf = buf[:, :k], buf[:, k:]
-        lo = built - buf.shape[1] - new.shape[1]
-        return np.arange(lo, lo + new.shape[1]), new
+        drawn += new.shape[1]
+        return np.arange(drawn - new.shape[1], drawn), new
+
+    def leaves(in1, in2, clear, count):
+        # the one exit rule, at visits whose step counts are ``count``
+        return ~clear | in1 | in2 | (count == mark)
+
+    def leave(out, in1, in2, clear, count, point):
+        # lanes ``out`` leave at visits with these flags, counts and points
+        codes[out] = np.where(clear, _HANDOFF, _TIE_HANDOFF)
+        codes[out[in1]] = 1
+        codes[out[in2]] = 2
+        steps[out], points[out] = count, point
 
     ids, lanes = draw(_LANE_BLOCK)
     count = np.zeros(len(ids), dtype=np.int32)
-    while len(ids):
+    while drawn < n:
         x, y, c1, s1, c2, s2, r1sq, r2sq = lanes
         gap, bx, by = _lane_gap(c1, s1, c2, s2, x, y)
         in1, in2, clear = _lane_visit(x, y, gap, r1sq, r2sq)
-        gone = np.flatnonzero(~clear | in1 | in2 | (count == mark))
+        gone = np.flatnonzero(leaves(in1, in2, clear, count))
         if len(gone):
-            out = ids[gone]
-            codes[out] = np.where(clear[gone], _HANDOFF, _TIE_HANDOFF)
-            codes[out[in1[gone]]] = 1
-            codes[out[in2[gone]]] = 2
-            steps[out], points[out] = count[gone], lanes[:2, gone].T
+            leave(ids[gone], in1[gone], in2[gone], clear[gone], count[gone],
+                  lanes[:2, gone].T)
         lanes[0], lanes[1] = bx, by
         count += 1
         if len(gone):
@@ -515,6 +531,26 @@ def _pool(lanes_at, n: int, mark: int) -> tuple[np.ndarray, ...]:
                 keep = np.delete(np.arange(len(ids)), gone[len(fill):])
                 lanes, ids, count = (a.take(keep, axis=-1)
                                      for a in (lanes, ids, count))
+    while len(ids):
+        # up to four full pool steps' lane-visits a pass: on the sweep's
+        # and the basin's pools one was slower, as the passes' own work
+        # repeats too often, and so was 32 visits at any lane count, as
+        # it steps lanes far past their exits
+        k = min(32, 4 * _LANE_BLOCK // len(ids),
+                mark + 1 - int(count.min()))
+        pts = np.empty((k + 1, 2, len(ids)))
+        pts[0] = lanes[:2]
+        in1, in2, clear = _lane_block(pts, lanes[2:])
+        event = leaves(in1, in2, clear, count + np.arange(k)[:, None])
+        # each lane's first event, if it has one in the block
+        at = event.argmax(axis=0)
+        left = event[at, np.arange(len(ids))]
+        gone, a = np.flatnonzero(left), at[left]
+        leave(ids[gone], in1[a, gone], in2[a, gone], clear[a, gone],
+              count[gone] + a, pts[a, :, gone])
+        lanes[:2] = pts[k]
+        keep = np.flatnonzero(~left)
+        lanes, ids, count = lanes[:, keep], ids[keep], count[keep] + k
     return codes, steps, points
 
 
@@ -540,9 +576,10 @@ def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
     The lanes run in sets, in lane order, whose windows, one interval's
     points and its gaps (half a point each) fit in _HIST_POINTS.  A set
     runs an interval at a time, up to the next cycle check step (every
-    CHECK_EVERY steps and the budget): a loop steps its lanes through
-    ``_lane_gap`` alone, keeping each visit's point and gap, and one
-    ``_lane_visit`` pass then finds each lane's first visit in a ball or on
+    CHECK_EVERY steps and the budget): ``_lane_block``, the kernel the
+    pool's tail runs too, steps its lanes through ``_lane_gap`` alone,
+    keeping each visit's point, and one ``_lane_visit`` pass over the
+    interval's visits then finds each lane's first visit in a ball or on
     the tie band.  At the check step the balls come first, then one
     ``_cycles`` pass over each remaining lane's last WINDOW points, then
     the band, as in ``_walk``; lanes stepped past their verdict are
@@ -575,17 +612,9 @@ def _lockstep(lanes: np.ndarray, max_steps: int, start: int = 0
                         codes[live[j]], steps[live[j]] = _code(v), used
                 break
             k = e + 1 - s
-            c1, s1, c2, s2, r1sq, r2sq = consts
-            gaps = np.empty((k, len(live)))
-            x, y = hist[kept - 1]
-            for i in range(k):
-                gaps[i], x, y = _lane_gap(c1, s1, c2, s2, x, y)
-                hist[kept + i, 0], hist[kept + i, 1] = x, y
+            in1, in2, clear = _lane_block(hist[kept - 1:kept + k], consts)
             # each lane's first visit in a ball or on the band settles it,
             # unless that is the band at the check step e
-            visits = hist[kept - 1:kept - 1 + k]
-            in1, in2, clear = _lane_visit(visits[:, 0], visits[:, 1], gaps,
-                                          r1sq, r2sq)
             event = in1 | in2 | ~clear
             at = event.argmax(axis=0)
             idx = np.arange(len(live))

@@ -388,10 +388,13 @@ def check_kl_bound(spec: PerturbationSpec, cfg: ProblemConfig,
 
     Returns (ok, worst_margin) with worst_margin = min over n of
     (bound - actual).  A pass is sampled evidence for the bound, not a
-    proof: the trace explores only one disturbance selection.
+    proof: the trace explores only one disturbance selection.  Raises
+    ValueError for an empty trace, which has no start to bound from.
     """
     points = trace.points if isinstance(trace, PerturbedTrace) else trace
     near, far = omegas(cfg, points)
+    if not near:
+        raise ValueError("the trace is empty: the KL bound needs its start")
     # the bound is kl_beta(spec, far[0], n), its operations in its order
     w2, rate, e = far[0], spec.rate, 2.0 * spec.alpha + 2.0
     ok, worst = True, math.inf

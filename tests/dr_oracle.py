@@ -142,6 +142,22 @@ def gap_branch_steps(consts, x, y, n):
     return -1, x, y, n, pushed
 
 
+def pool_exit_reference(consts, x, y, mark):
+    """A lane's exit from ``experiments._pool``, the lane stepped alone by
+    gap_branch_steps: (code, step, point) at its first visit in a ball
+    (code 1 or 2), on the tie band (_TIE_HANDOFF) or at step mark
+    (_HANDOFF)."""
+    from drlines.experiments import _HANDOFF, _TIE_HANDOFF
+    if code := _balls(consts, x, y):
+        return code, 0, (x, y)
+    code, x, y, k, _ = gap_branch_steps(consts, x, y, mark)
+    if code > 0:
+        return code, k, (x, y)
+    if code == 0 or on_tie_band(x, y, dr._gap(*consts[:4], x, y)):
+        return _TIE_HANDOFF, k, (x, y)
+    return _HANDOFF, k, (x, y)
+
+
 def tie_point(cfg):
     """The point of D3 on the x-axis, where both line distances agree."""
     s1, s2 = cos_sin(cfg.theta1)[1], cos_sin(cfg.theta2)[1]

@@ -4,22 +4,26 @@ test suite against each: ``python tests/mutants.py``.
 A mutant is one exact ``old -> new`` replacement in a file of
 ``src/drlines``, marked KILLED (some test must fail) or with the reason
 it is equivalent (the suite must pass).  The harness copies COPIED to a
-temporary directory per mutant, applies it there and runs ``pytest -x -q
--p no:cacheprovider`` with PYTHONDONTWRITEBYTECODE=1, JOBS at once, so
-the checkout stays as it was; a run past TIMEOUT seconds counts as a
-kill.  Beside each killed mutant it prints the test that failed first.
-It exits 1 when an outcome differs from its mark.  The first
-mutant edits a comment: were it killed, the copy itself would fail and
-every kill be vacuous.
+directory per mutant, all under one ``drlines-mutant-*`` temporary
+directory, applies it there and runs ``pytest -x -q -p no:cacheprovider``
+with PYTHONDONTWRITEBYTECODE=1, JOBS at once, so the checkout stays as
+it was; a run past TIMEOUT seconds counts as a kill.  However the run
+ends (SIGTERM and Ctrl-C included), it kills the suites still running
+and removes the temporary directory.  Beside each killed mutant it
+prints the test that failed first.  It exits 1 when an outcome differs
+from its mark.  The first mutant edits a comment: were it killed, the
+copy itself would fail and every kill be vacuous.
 ``test_mutants.py``, which the harness leaves out as every mutant fails
 it, keeps each ``old`` text occurring exactly once.
 """
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -91,10 +95,18 @@ MUTANTS = (
            "if not next(coins)", KILLED),
     # the lane pool's hand-off codes
     Mutant("pool-handoff-codes", "experiments.py",
-           "np.where(clear[gone], _HANDOFF, _TIE_HANDOFF)",
-           "np.where(clear[gone], _TIE_HANDOFF, _HANDOFF)", KILLED),
+           "np.where(clear, _HANDOFF, _TIE_HANDOFF)",
+           "np.where(clear, _TIE_HANDOFF, _HANDOFF)", KILLED),
     Mutant("pool-mark", "experiments.py", "(count == mark)",
            "(count == mark + 1)", KILLED),
+    # the pool's tail: each lane's leaving visit within a block
+    Mutant("pool-tail-step", "experiments.py", "count[gone] + a,",
+           "count[gone] + a + 1,", KILLED),
+    Mutant("pool-tail-point", "experiments.py", "pts[a, :, gone]",
+           "pts[a + 1, :, gone]", KILLED),
+    Mutant("pool-tail-mark", "experiments.py",
+           "leaves(in1, in2, clear, count + np.arange(k)[:, None])",
+           "~clear | in1 | in2", KILLED),
     # eq. 26 and the budget it certifies
     Mutant("eq26-margin", "lyapunov.py", "margin = l1 * l2 - lp * lp",
            "margin = l1 * l2 - lp", KILLED),
@@ -129,46 +141,91 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> tuple[str, float, str]:
-    """The suite's outcome with the mutant applied (killed, survived or
-    timeout), its seconds, and the node id of the test that failed or
+# the suites running now, and whether the run is stopping: a stopping
+# run starts no suite
+_RUNNING: set = set()
+_LOCK = threading.Lock()
+_STOPPING = threading.Event()
+
+
+def run(mutant: Mutant, parent: Path) -> tuple[str, float, str]:
+    """The suite's outcome with the mutant applied to a copy under
+    ``parent`` (killed, survived, timeout, or stopped where the run stopped
+    first), its seconds, and the node id of the test that failed or
     errored first, from pytest's ``FAILED``/``ERROR`` summary line."""
-    with tempfile.TemporaryDirectory(prefix="drlines-mutant-") as tmp:
-        shutil.copytree(
-            ROOT, tmp, dirs_exist_ok=True, ignore=lambda d, names: [
-                n for n in names if n in ("__pycache__", ".hypothesis")
-                or Path(d) == ROOT and n not in COPIED])
-        path = Path(tmp, "src", "drlines", mutant.file)
-        text = path.read_text(encoding="utf-8")
-        assert text.count(mutant.old) == 1, mutant.name
-        path.write_text(text.replace(mutant.old, mutant.new),
-                        encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")),
-                   PYTHONDONTWRITEBYTECODE="1")
-        start = time.perf_counter()
+    tmp = parent / mutant.name
+    shutil.copytree(
+        ROOT, tmp, ignore=lambda d, names: [
+            n for n in names if n in ("__pycache__", ".hypothesis")
+            or Path(d) == ROOT and n not in COPIED])
+    path = Path(tmp, "src", "drlines", mutant.file)
+    text = path.read_text(encoding="utf-8")
+    assert text.count(mutant.old) == 1, mutant.name
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")),
+               PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    with _LOCK:
+        if _STOPPING.is_set():
+            return "stopped", 0.0, ""
+        # a session of its own, so that stopping it stops the processes
+        # its tests start too
+        suite = subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", "--ignore=tests/test_mutants.py"],
+            cwd=tmp, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, start_new_session=True)
+        _RUNNING.add(suite)
+    try:
+        out = suite.communicate(timeout=TIMEOUT)[0]
+        outcome = "killed" if suite.returncode else "survived"
+        killer = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.M)
+        killer = killer[1] if killer else ""
+    except subprocess.TimeoutExpired:
+        _kill(suite)
+        suite.communicate()
+        outcome, killer = "timeout", ""
+    finally:
+        with _LOCK:
+            _RUNNING.discard(suite)
+    shutil.rmtree(tmp)
+    return outcome, time.perf_counter() - start, killer
+
+
+def _kill(suite: subprocess.Popen) -> None:
+    """Kill the suite and every process in its session, unless it has
+    been waited for; the thread that runs it waits for it."""
+    if suite.returncode is None:
         try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                 "no:cacheprovider", "--ignore=tests/test_mutants.py"],
-                cwd=tmp, env=env, capture_output=True, text=True,
-                timeout=TIMEOUT)
-            outcome = "killed" if done.returncode else "survived"
-            killer = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
-            killer = killer[1] if killer else ""
-        except subprocess.TimeoutExpired:
-            outcome, killer = "timeout", ""
-        return outcome, time.perf_counter() - start, killer
+            os.killpg(suite.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def main() -> int:
+    """Run every mutant, JOBS at a time, with their copies under one
+    temporary directory that is removed however the run ends: at its end,
+    on an exception, on Ctrl-C or on SIGTERM, which ends it as a
+    ``SystemExit``.  A run that stops kills the suites still running."""
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     start, wrong = time.perf_counter(), 0
-    with ThreadPoolExecutor(JOBS) as pool:
-        for m, (outcome, secs, killer) in zip(MUTANTS,
-                                              pool.map(run, MUTANTS)):
+    parent = Path(tempfile.mkdtemp(prefix="drlines-mutant-"))
+    pool = ThreadPoolExecutor(JOBS)
+    try:
+        for m, (outcome, secs, killer) in zip(
+                MUTANTS, pool.map(run, MUTANTS, [parent] * len(MUTANTS))):
             ok = (outcome != "survived") == (m.mark == KILLED)
             wrong += not ok
             print(f"{outcome:8}  {'ok' if ok else 'WRONG':5}  {secs:5.1f}s  "
                   f"{m.name:20}  {killer}".rstrip(), flush=True)
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        with _LOCK:
+            _STOPPING.set()
+            for suite in _RUNNING:
+                _kill(suite)
+        pool.shutdown(cancel_futures=True)
+        shutil.rmtree(parent, ignore_errors=True)
     print(f"{len(MUTANTS)} mutants, {wrong} against their marks, "
           f"{time.perf_counter() - start:.0f} s wall")
     return 1 if wrong else 0

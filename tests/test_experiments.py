@@ -39,8 +39,9 @@ from drlines.experiments import (
     sweep,
 )
 from dr_oracle import (band_edge, band_screen, detect_cycle_scan,
-                       gap_branch_steps, on_tie_band, simulate_tree_reference,
-                       tie_point, tie_preimage, verdict_code)
+                       gap_branch_steps, on_tie_band, pool_exit_reference,
+                       simulate_tree_reference, tie_point, tie_preimage,
+                       verdict_code)
 from geometry_oracle import classify_region
 from test_differential import check_raster, check_sweep, check_tree
 
@@ -970,36 +971,51 @@ def cycle(w, span):
 @pytest.mark.parametrize("n", [0, 64, 150])
 def test_pool_builds_each_lane_once_in_blocks(monkeypatch, n):
     # a 64-lane pool asks its builder for contiguous blocks of at most 64
-    # lanes that cover [0, n) once; every lane leaves, at the code and
-    # step a pool that holds all n lanes at once gives it, and a lane
-    # still running at the hand-off step leaves there
+    # lanes that cover [0, n) once; every lane leaves at the code, step and
+    # point, bit for bit, at which it leaves stepped alone, in a pool of 64
+    # lanes and in one that holds all n at once.  The latter steps them all
+    # in its tail, from step 0 together, where at mark 150 lanes leave
+    # mid-block and on a block's last visit, and at mark 20 at the mark
     bounds, res = (-3.0, 3.0, -3.0, 3.0), (15, 10)
     consts = dr._constants(PERIOD58_CFG)
-    calls = []
+    calls, blocks = [], []
 
     def lanes_at(lo, hi):
         calls.append((lo, hi))
         return experiments._lanes(consts, *experiments._cell_centres(
             bounds, res, np.arange(lo, hi)))
 
-    mark = experiments._checkpoint(300)
+    def lane_block(pts, lane_consts):
+        blocks.append(len(pts) - 1)
+        return dr._lane_block(pts, lane_consts)
 
-    def run():
-        codes, steps, points = experiments._pool(lanes_at, n, mark)
-        assert len(codes) == len(steps) == len(points) == n
-        return list(zip(codes.tolist(), steps.tolist()))
-
-    whole = run()
-    assert calls == ([(0, n)] if n else [])
-    calls.clear()
-    monkeypatch.setattr(experiments, "_LANE_BLOCK", 64)
-    assert run() == whole
-    for c, s in whole:
-        assert c in (1, 2, experiments._TIE_HANDOFF, experiments._HANDOFF)
-        assert s == mark if c == experiments._HANDOFF else 0 <= s <= mark
-    assert all(0 < hi - lo <= 64 for lo, hi in calls)
-    # each block starts where the last one ended, from 0 up to n
-    assert [0, *(hi for _, hi in calls)] == [*(lo for lo, _ in calls), n]
+    monkeypatch.setattr(experiments, "_lane_block", lane_block)
+    seen = set()
+    for mark in (150, 20):
+        x, y = experiments._cell_centres(bounds, res, np.arange(n))
+        want = [pool_exit_reference(consts, *p, mark)
+                for p in zip(x.tolist(), y.tolist())]
+        for block in (4096, 64):
+            calls.clear()
+            blocks.clear()
+            monkeypatch.setattr(experiments, "_LANE_BLOCK", block)
+            codes, steps, points = experiments._pool(lanes_at, n, mark)
+            assert list(zip(codes.tolist(), steps.tolist())) == [
+                (c, s) for c, s, _ in want]
+            assert points.shape == (n, 2) and points.tobytes() == np.array(
+                [p for *_, p in want], dtype=float).tobytes()
+            if block == 4096:
+                assert calls == ([(0, n)] if n else [])
+                # block b covers steps ends[b] - blocks[b] .. ends[b] - 1
+                ends = np.cumsum(blocks)
+                for s in steps.tolist():
+                    last = s == ends[np.searchsorted(ends, s, "right")] - 1
+                    seen.add("mark" if s == mark else
+                             "last" if last else "mid")
+        assert all(0 < hi - lo <= 64 for lo, hi in calls)
+        # each block starts where the last one ended, from 0 up to n
+        assert [0, *(hi for _, hi in calls)] == [*(lo for lo, _ in calls), n]
+    assert seen == ({"mid", "last", "mark"} if n else set())
 
 
 # 33x48 period-58 cells, whose centre 1567 of 1584 (last row, middle

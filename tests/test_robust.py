@@ -238,6 +238,15 @@ def test_kl_audit_slack_is_one_part_in_a_billion():
         assert worst == bound - d
 
 
+def test_kl_audit_rejects_an_empty_trace():
+    # no start, no bound: a ValueError naming the empty trace, not an
+    # IndexError; one point is a trace, audited at n = 0
+    with pytest.raises(ValueError, match="trace is empty"):
+        check_kl_bound(SPEC, FIG_CFG, [])
+    assert check_kl_bound(SPEC, FIG_CFG, [(2.0, 1.0)]) == (
+        True, math.hypot(2.5, 1.0) - math.hypot(1.5, 1.0))
+
+
 VERT_CFG = ProblemConfig(math.pi / 2, 2.0)
 VERT_SPEC = PerturbationSpec.from_certificate(certify(VERT_CFG), epsilon=0.05)
 
